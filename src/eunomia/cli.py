@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .emulator import CSV_COLUMNS, RunResult, partition_chain, run_scenario
-from .overhead import evaluate, validate_assignment
+from .emulator import CSV_COLUMNS, STRATEGIES, RunResult, partition_chain, run_scenario
+from .overhead import validate_assignment
 from .scenario import (
     PRESET_CONFIGS,
     ConfigError,
@@ -26,7 +26,6 @@ from .scenario import (
     build_scenario,
     load_config,
 )
-from .traffic import scale
 
 CONFIG_ENV_VAR = "EUNOMIA_CONFIG"
 
@@ -41,6 +40,40 @@ def _resolve_config(value: str | None) -> ScenarioConfig:
     if value in PRESET_CONFIGS:
         return PRESET_CONFIGS[value]()
     return load_config(value)
+
+
+def _slot_range(text: str | None) -> tuple[int, int | None]:
+    """``--slots start:end``; an empty bound is open (end None: the last slot)."""
+    if not text:
+        return 0, None
+    start, _, end = text.partition(":")
+    try:
+        return (int(start) if start else 0), (int(end) if end else None)
+    except ValueError:
+        raise ConfigError(f"--slots: expected integer bounds start:end, got {text!r}") from None
+
+
+def _strategies(text: str | None, config: ScenarioConfig) -> list[str]:
+    """``--strategies``: comma-separated strategy names, or the config's."""
+    if not text:
+        return config.strategies
+    strategies = text.split(",")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ConfigError(f"--strategies: unknown {unknown}; expected some of {list(STRATEGIES)}")
+    return strategies
+
+
+def _gammas(text: str) -> list[float]:
+    """``--gamma``: comma-separated traffic scales, each in [0, 1]."""
+    try:
+        gammas = [float(g) for g in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--gamma: expected comma-separated numbers, got {text!r}") from None
+    outside = [g for g in gammas if not 0.0 <= g <= 1.0]
+    if outside:
+        raise ConfigError(f"--gamma: {outside} outside [0, 1]")
+    return gammas
 
 
 def _provenance_line(scn: Scenario, seeds: list[int]) -> str:
@@ -78,17 +111,14 @@ def _write_overhead_json(path: Path, scn: Scenario, results: list[RunResult]) ->
 
 def cmd_partition(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
-    strategies = args.strategies.split(",") if args.strategies else config.strategies
+    strategies = _strategies(args.strategies, config)
     seed = args.seed if args.seed is not None else config.seeds[0]
+    lo, hi = _slot_range(args.slots)
     scn = build_scenario(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    lo, hi = 0, len(scn.slots)
-    if args.slots:
-        parts = args.slots.split(":")
-        lo = int(parts[0]) if parts[0] else 0
-        hi = int(parts[1]) if len(parts) > 1 and parts[1] else len(scn.slots)
+    if hi is None:
+        hi = len(scn.slots)
 
     any_violation = False
     report: dict = {"config_sha256": scn.config_hash, "seed": seed, "strategies": {}}
@@ -149,10 +179,8 @@ def _run_one(scn: Scenario, strategy: str, gamma: float, seed: int) -> RunResult
 
 def cmd_emulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
-    strategies = args.strategies.split(",") if args.strategies else config.strategies
-    gammas = (
-        [float(g) for g in args.gamma.split(",")] if args.gamma else config.gammas
-    )
+    strategies = _strategies(args.strategies, config)
+    gammas = _gammas(args.gamma) if args.gamma else config.gammas
     seeds = [args.seed] if args.seed is not None else config.seeds
     scn = build_scenario(config)
     out_dir = Path(args.out_dir)

@@ -50,15 +50,6 @@ class CodecError(ValueError):
 
 
 @dataclass(frozen=True)
-class ControlMessage:
-    kind: MessageKind
-    src: int
-    dst: int
-    payload: bytes
-    create_time: float
-
-
-@dataclass(frozen=True)
 class FlowUpdate:
     command: int = 0
     idle_timeout: int = 0

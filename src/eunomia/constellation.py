@@ -29,6 +29,9 @@ class Role(str, Enum):
     GS = "gs"
 
 
+ROLE_CODE: dict[Role, int] = {role: c for c, role in enumerate(Role)}
+
+
 @dataclass(frozen=True)
 class ShellSpec:
     """One circular Walker shell (a LEO switch layer or a MEO controller layer)."""
@@ -204,17 +207,31 @@ def build_isl_topology(leo_nodes: list[SatelliteNode]) -> frozenset[tuple[int, i
     return frozenset(edges)
 
 
+def norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length along the last axis.
+
+    ``np.vecdot`` runs the same dot kernel as ``np.linalg.norm`` of a single
+    vector, so every value matches that scalar norm bit for bit;
+    ``np.linalg.norm(v, axis=-1)`` sums differently and does not.
+    """
+    return np.sqrt(np.vecdot(v, v))
+
+
 @dataclass
 class NetworkSnapshot:
-    """All node positions, ISL edges and the controller/switch split at one instant."""
+    """All node positions, ISL edges and the controller/switch split at one instant.
+
+    Node ids are contiguous, so ``positions`` and ``velocities`` are (N, 3)
+    arrays and ``roles`` a tuple, all indexed by node id.
+    """
 
     time_s: float
-    positions: dict[int, np.ndarray]
-    velocities: dict[int, np.ndarray]
+    positions: np.ndarray
+    velocities: np.ndarray
     isl_edges: frozenset[tuple[int, int]]
     leo_ids: tuple[int, ...]
     controller_ids: tuple[int, ...]
-    roles: dict[int, Role]
+    roles: tuple[Role, ...]
 
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
@@ -224,11 +241,10 @@ class NetworkSnapshot:
             adj[b].append(a)
         return {i: tuple(sorted(v)) for i, v in adj.items()}
 
-    def distance_km(self, a: int, b: int) -> float:
-        return float(np.linalg.norm(self.positions[a] - self.positions[b]))
-
-    def position_matrix(self, ids: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.positions[i] for i in ids])
+    @cached_property
+    def role_codes(self) -> np.ndarray:
+        """Each node's ``ROLE_CODE``, indexed by node id."""
+        return np.array([ROLE_CODE[r] for r in self.roles])
 
 
 @dataclass
@@ -250,6 +266,10 @@ class Constellation:
         self._incl = np.array([n.inclination_rad for n in self._sats])
         self._radius = np.array([n.orbital_radius_km for n in self._sats])
         self._rate = 2.0 * math.pi / np.array([n.period_s for n in self._sats])
+        self._gs_pos = np.array(
+            [g.position_km() for g in self.ground_stations]
+        ).reshape(-1, 3)
+        self._roles = tuple(n.role for n in self._sats) + (Role.GS,) * len(self.ground_stations)
 
     @classmethod
     def build(
@@ -278,15 +298,6 @@ class Constellation:
     def controller_ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.meo_nodes) + tuple(g.id for g in self.ground_stations)
 
-    def node_role(self, node_id: int) -> Role:
-        n_leo = len(self.leo_nodes)
-        n_meo = len(self.meo_nodes)
-        if node_id < n_leo:
-            return Role.LEO
-        if node_id < n_leo + n_meo:
-            return Role.MEO
-        return Role.GS
-
     def snapshot(self, t: float) -> NetworkSnapshot:
         u = self._phase0 + self._rate * t
         cu, su = np.cos(u), np.sin(u)
@@ -311,28 +322,14 @@ class Constellation:
             axis=1,
         )
         rot = _ecef_rotation(t).T  # right-multiplication by transpose rotates row vectors
-        pos = pos @ rot
-        vel = vel @ rot
-
-        positions: dict[int, np.ndarray] = {}
-        velocities: dict[int, np.ndarray] = {}
-        roles: dict[int, Role] = {}
-        for k, node in enumerate(self._sats):
-            positions[node.id] = pos[k]
-            velocities[node.id] = vel[k]
-            roles[node.id] = node.role
-        for g in self.ground_stations:
-            positions[g.id] = g.position_km()
-            velocities[g.id] = np.zeros(3)
-            roles[g.id] = Role.GS
         return NetworkSnapshot(
             time_s=t,
-            positions=positions,
-            velocities=velocities,
+            positions=np.vstack([pos @ rot, self._gs_pos]),
+            velocities=np.vstack([vel @ rot, np.zeros_like(self._gs_pos)]),
             isl_edges=self.isl_edges,
             leo_ids=self.leo_ids,
             controller_ids=self.controller_ids,
-            roles=roles,
+            roles=self._roles,
         )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import NetworkSnapshot, Role
+from .constellation import ROLE_CODE, NetworkSnapshot, Role, norm
 from .overhead import OverheadParams, hop_cost
 from .traffic import TrafficMatrix
 from .visibility import FovDomain, OverlapRegion
@@ -58,42 +58,49 @@ class SimilarityMatrix:
     sigma: float
 
 
-def _velocity_divergence(snapshot: NetworkSnapshot, a: int, b: int) -> float:
-    """Half the distance between unit velocity vectors: 0 when co-moving,
-    1 when flying in opposite directions."""
-    va, vb = snapshot.velocities[a], snapshot.velocities[b]
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.linalg.norm(va / na - vb / nb)) / 2.0
-
-
 def pairwise_costs(
-    a: int,
-    b: int,
+    a,
+    b,
     traffic: TrafficMatrix,
     snapshot: NetworkSnapshot,
     params: OverheadParams,
     weights: CorgWeights,
-) -> tuple[float, float, float]:
-    """(flow, sync, mobility) cost components for one CORG edge.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flow, sync, mobility) cost components of the CORG edges (a, b).
 
-    Between two switches the flow term carries their mutual flow rate. For a
-    controller attachment edge it carries the switch's total flow rate, since
-    every flow-table update for that switch would traverse the link.
+    ``a`` and ``b`` are node ids, or equal-shape arrays of them, one edge per
+    element. Between two switches the flow term carries their mutual flow
+    rate. For a controller attachment edge it carries the switch's total flow
+    rate, since every flow-table update for that switch would traverse the
+    link. The mobility term is half the distance between the unit velocity
+    vectors (0 when co-moving, 1 when flying in opposite directions), and 0
+    on edges to a ground station or a node at rest.
     """
-    roles = snapshot.roles
-    if roles[a] is Role.LEO and roles[b] is Role.LEO:
-        lam = traffic.rate(a, b) + traffic.rate(b, a)
-    else:
-        leo = a if roles[a] is Role.LEO else b
-        lam = traffic.node_rate(leo)
+    a, b = np.asarray(a), np.asarray(b)
+    codes = snapshot.role_codes
+    is_leo = codes == ROLE_CODE[Role.LEO]
+    switch_pair = is_leo[a] & is_leo[b]
+    row = np.zeros(len(codes), dtype=int)  # node id -> traffic row, for switches
+    row[list(traffic.index_of)] = list(traffic.index_of.values())
+    i = row[np.where(is_leo[a], a, b)]
+    j = row[np.where(is_leo[a], b, a)]
+    rates = traffic.rates
+    # each switch's total rate (row sum plus column sum), once per switch; the
+    # columns are summed as contiguous rows, which matches summing each column
+    # alone bit for bit, where rates.sum(axis=0) adds row by row and does not
+    uniq, inv = np.unique(i, return_inverse=True)
+    total = rates[uniq].sum(axis=1) + np.ascontiguousarray(rates[:, uniq].T).sum(axis=1)
+    lam = np.where(switch_pair, rates[i, j] + rates[j, i], total[inv].reshape(i.shape))
     w_flow = lam * hop_cost(snapshot, params, a, b, params.m_fl_bytes)
     w_sync = params.f_sync_hz * hop_cost(snapshot, params, a, b, params.m_sync_bytes)
-    if Role.GS in (roles[a], roles[b]):
-        w_mig = 0.0
-    else:
-        w_mig = _velocity_divergence(snapshot, a, b) * weights.mig_unit_s
+
+    va, vb = snapshot.velocities[a], snapshot.velocities[b]
+    na, nb = norm(va), norm(vb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        divergence = norm(va / na[..., None] - vb / nb[..., None]) / 2.0
+    is_gs = codes == ROLE_CODE[Role.GS]
+    still = is_gs[a] | is_gs[b] | (na == 0.0) | (nb == 0.0)
+    w_mig = np.where(still, 0.0, divergence * weights.mig_unit_s)
     return w_flow, w_sync, w_mig
 
 
@@ -122,20 +129,14 @@ def build_corg(
     ctrls = list(region.controller_ids)
     fov = {d.controller_id: d.member_leo_ids for d in fov_domains}
 
-    edges: dict[tuple[int, int], float] = {}
     leo_set = set(leos)
-    for a, b in sorted(snapshot.isl_edges):
-        if a in leo_set and b in leo_set:
-            edges[(a, b)] = edge_weight(
-                pairwise_costs(a, b, traffic, snapshot, params, w), w
-            )
-    for k in ctrls:
-        for leo in leos:
-            if leo in fov[k]:
-                key = (leo, k) if leo < k else (k, leo)
-                edges[key] = edge_weight(
-                    pairwise_costs(leo, k, traffic, snapshot, params, w), w
-                )
+    pairs = [(a, b) for a, b in sorted(snapshot.isl_edges) if a in leo_set and b in leo_set]
+    pairs += [(leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov[k]]
+    edges: dict[tuple[int, int], float] = {}
+    if pairs:
+        a, b = np.array(pairs).T
+        xi = edge_weight(pairwise_costs(a, b, traffic, snapshot, params, w), w)
+        edges = dict(zip(pairs, xi.tolist()))
 
     node_ids = tuple(leos + ctrls)
     virtual_flags = {i: False for i in leos} | {k: True for k in ctrls}

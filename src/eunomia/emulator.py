@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,12 +36,11 @@ from .overhead import (
     evaluate,
     hop_cost,
     intra_domain_edges,
-    route_cost,
+    route_costs,
     validate_assignment,
 )
 from .partition import (
     DomainAssignment,
-    PartitionContext,
     greedy_partition,
     odc_partition,
     partition_slot,
@@ -75,8 +74,6 @@ class ControllerRuntime:
     capacity_ops: float
     queue_window_s: float
     busy_until: float = 0.0
-    processed: int = 0
-    dropped: int = 0
 
 
 @dataclass
@@ -211,12 +208,12 @@ def run_slot(
     roles = snap.roles
 
     routes = control_routes(assignment, snap, fov_domains)
+    routed = [idx[leo] for leo in routes]
     req_len = len(encode_flow_request(FlowRequest()))
     req_cost = np.zeros(n)
     mfl_cost = np.zeros(n)
-    for leo, route in routes.items():
-        req_cost[idx[leo]] = route_cost(route, snap, params, req_len)
-        mfl_cost[idx[leo]] = route_cost(route, snap, params, params.m_fl_bytes)
+    req_cost[routed] = route_costs(list(routes.values()), snap, params, req_len)
+    mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
 
     ctrl_of = np.full(n, -1, dtype=np.int64)
     for leo, k in assignment.domain_of.items():
@@ -233,25 +230,17 @@ def run_slot(
     service_inter = {
         k: params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active
     }
-    cc_rtt = {
-        (k, k2): 2.0 * hop_cost(snap, params, k, k2, params.m_fl_bytes)
-        for k in active
-        for k2 in active
-        if k2 != k
-    }
+    act = np.array(active, dtype=np.int64)
+    cc_hop = hop_cost(snap, params, act[:, None], act, params.m_fl_bytes)
+    cc_rtt = (2.0 * cc_hop).tolist()
 
     # flow-update delivery cost from each controller to each switch (one extra
     # controller hop when the switch belongs to another domain)
-    deliver = np.zeros((nd, n))
-    for k in active:
-        row = ctrl_row[k]
-        for leo in leo_ids:
-            j = idx[leo]
-            cost = hop_cost(snap, params, k, leo, params.m_fl_bytes)
-            k2 = assignment.domain_of.get(leo)
-            if k2 is not None and k2 != k:
-                cost += hop_cost(snap, params, k, k2, params.m_fl_bytes)
-            deliver[row, j] = cost
+    deliver = hop_cost(snap, params, act[:, None], np.array(leo_ids), params.m_fl_bytes)
+    if nd:
+        owner_row = np.array([ctrl_row.get(k, 0) for k in ctrl_of.tolist()])
+        relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
+        deliver = np.where(relayed, deliver + cc_hop[:, owner_row], deliver)
 
     _, preds = _isl_paths(snap, idx)
 
@@ -296,21 +285,22 @@ def run_slot(
         ta = float(t_at_ctrl[pos])
         wait = runtime.busy_until - ta
         if wait > runtime.queue_window_s:
-            runtime.dropped += 1
             dropped += 1
             events.append((ta, EV_DROPPED, k))
             continue
         dst_k = int(ctrl_of[dsts[r]])
         if dst_k < 0:
-            runtime.dropped += 1
             dropped += 1
             events.append((ta, EV_DROPPED, k))
             continue
         start = max(runtime.busy_until, ta)
         intra = dst_k == k
         runtime.busy_until = start + (service_intra[k] if intra else service_inter[k])
-        runtime.processed += 1
-        ready = runtime.busy_until if intra else runtime.busy_until + cc_rtt[(k, dst_k)]
+        ready = (
+            runtime.busy_until
+            if intra
+            else runtime.busy_until + cc_rtt[ctrl_row[k]][ctrl_row[dst_k]]
+        )
         events.append((runtime.busy_until, EV_SERVED, k))
 
         path = _walk_path(preds, int(srcs[r]), int(dsts[r]))
@@ -325,10 +315,7 @@ def run_slot(
     # edge synchronization ticks
     e_counts = {k: intra_domain_edges(set(domains[k]), snap) for k in active}
     intra_delay = {
-        k: max(
-            hop_cost(snap, params, i, k, e_counts[k] * params.m_sync_bytes)
-            for i in domains[k]
-        )
+        k: hop_cost(snap, params, list(domains[k]), k, e_counts[k] * params.m_sync_bytes).max()
         for k in active
     }
     n_ticks = int(np.floor(duration * params.f_sync_hz + 1e-9))
@@ -397,16 +384,7 @@ def partition_chain(
     traffic and assignment."""
     ctx = scn.ctx
     if lookahead_override is not None:
-        ctx = PartitionContext(
-            constellation=ctx.constellation,
-            thresholds=ctx.thresholds,
-            overhead_params=ctx.overhead_params,
-            corg_weights=ctx.corg_weights,
-            lookahead_s=lookahead_override,
-            allow_uncovered=ctx.allow_uncovered,
-            sigma=ctx.sigma,
-            greedy_cap=ctx.greedy_cap,
-        )
+        ctx = replace(ctx, lookahead_s=lookahead_override)
     assignments: list[DomainAssignment] = []
     prev: DomainAssignment | None = None
     for t, geom in enumerate(scn.geometries):

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constellation import C_LIGHT_KM_S, NetworkSnapshot, Role
+from .constellation import C_LIGHT_KM_S, ROLE_CODE, NetworkSnapshot, Role, norm
 from .visibility import FovDomain
 
 if TYPE_CHECKING:
@@ -90,6 +91,13 @@ class OverheadParams:
             return self.capacity_override_ops[controller_id]
         return self.capacity_unit_ops * self.capacity_ratio[role]
 
+    @cached_property
+    def bandwidth_by_role(self) -> np.ndarray:
+        """Bandwidth (bps) of the link between two roles, indexed by ``ROLE_CODE``."""
+        return np.array(
+            [[self.bandwidth_bps[link_class(ra, rb)] for rb in ROLE_CODE] for ra in ROLE_CODE]
+        )
+
     def cpt_cost(self, n: int) -> float:
         if self.cpt_complexity == "quadratic":
             return float(n * n)
@@ -111,12 +119,18 @@ def link_class(role_a: Role, role_b: Role) -> LinkClass:
     return LinkClass.CTL_CTL
 
 
-def hop_cost(
-    snapshot: NetworkSnapshot, params: OverheadParams, a: int, b: int, msg_bytes: int
-) -> float:
-    """Transmission plus straight-line propagation time for one message hop."""
-    bw = params.bandwidth_bps[link_class(snapshot.roles[a], snapshot.roles[b])]
-    return msg_bytes * 8.0 / bw + snapshot.distance_km(a, b) / C_LIGHT_KM_S
+def hop_cost(snapshot: NetworkSnapshot, params: OverheadParams, a, b, msg_bytes) -> np.ndarray:
+    """Transmission plus straight-line propagation time of one message hop.
+
+    The one-hop link cost of the package: ``a``, ``b`` (node ids) and
+    ``msg_bytes`` broadcast against each other, and the bandwidth follows the
+    link class of each role pair.
+    """
+    codes = snapshot.role_codes
+    bw = params.bandwidth_by_role[codes[a], codes[b]]
+    return msg_bytes * 8.0 / bw + norm(
+        snapshot.positions[a] - snapshot.positions[b]
+    ) / C_LIGHT_KM_S
 
 
 def _fov_map(fov_domains: list[FovDomain]) -> dict[int, frozenset[int]]:
@@ -159,11 +173,11 @@ def control_routes(
     Raises DisconnectedDomainError when some member has no such path.
     """
     neighbors = snapshot.neighbors
+    direct = direct_link_map(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
     for k, members in assignment.domains().items():
         member_set = set(members)
-        seeds = direct_link_map(assignment, fov_domains)[k]
-        usable = {leo: ctrl for leo, ctrl in seeds.items() if leo in member_set}
+        usable = {leo: ctrl for leo, ctrl in direct[k].items() if leo in member_set}
         # multi-source BFS from all direct-link members, stepping only inside the domain
         parent: dict[int, int | None] = {leo: None for leo in usable}
         frontier = sorted(usable)
@@ -191,15 +205,23 @@ def control_routes(
     return routes
 
 
-def route_cost(
-    route: tuple[int, ...],
+def route_costs(
+    routes: list[tuple[int, ...]],
     snapshot: NetworkSnapshot,
     params: OverheadParams,
     msg_bytes: int,
-) -> float:
-    return sum(
-        hop_cost(snapshot, params, a, b, msg_bytes) for a, b in zip(route, route[1:])
-    )
+) -> list[float]:
+    """Cost of each control path: its hop costs summed in path order."""
+    if not routes:
+        return []
+    length = max(len(r) for r in routes)
+    # repeat each route's last node up to the common length; the padding hops cost 0
+    padded = np.array([r + r[-1:] * (length - len(r)) for r in routes])
+    src, dst = padded[:, :-1], padded[:, 1:]
+    costs = np.where(src == dst, 0.0, hop_cost(snapshot, params, src, dst, msg_bytes))
+    # a running sum adds one hop at a time; np.sum adds pairwise, which can
+    # differ in the last bit on paths of more than eight hops
+    return np.cumsum(costs, axis=1)[:, -1].tolist()
 
 
 def control_hops(
@@ -225,11 +247,12 @@ def flow_overhead(
     """Flow-table request/update overhead: per-source control-path cost
     weighted by the source's total flow arrival rate."""
     routes = control_routes(assignment, snapshot, fov_domains)
+    costs = route_costs(list(routes.values()), snapshot, params, params.m_fl_bytes)
     total = 0.0
-    for leo, route in routes.items():
+    for leo, cost in zip(routes, costs):
         rate = traffic.outbound_rate(leo)
         if rate > 0.0:
-            total += rate * route_cost(route, snapshot, params, params.m_fl_bytes)
+            total += rate * cost
     return total
 
 
@@ -254,25 +277,19 @@ def sync_overhead(
         if not members:
             continue
         e_d = intra_domain_edges(set(members), snapshot)
-        worst = max(
-            hop_cost(snapshot, params, i, k, e_d * params.m_sync_bytes)
-            for i in members
-        )
-        w_in += params.f_sync_hz * worst
+        worst = hop_cost(snapshot, params, list(members), k, e_d * params.m_sync_bytes).max()
+        w_in += params.f_sync_hz * float(worst)
 
-    active = sorted(k for k, members in domains.items() if members)
+    active = np.array(sorted(k for k, members in domains.items() if members))
     w_out = 0.0
     if len(active) > 1:
-        per_controller = []
-        for k in active:
-            size_k = len(domains[k])
-            cost = sum(
-                hop_cost(snapshot, params, k, k2, size_k * params.m_sync_bytes)
-                for k2 in active
-                if k2 != k
-            )
-            per_controller.append(cost)
-        w_out = params.f_sync_hz * max(per_controller)
+        size = np.array([len(domains[k]) for k in active])
+        cost = hop_cost(
+            snapshot, params, active[:, None], active, size[:, None] * params.m_sync_bytes
+        )
+        np.fill_diagonal(cost, 0.0)
+        # summed in controller order, as a running sum
+        w_out = params.f_sync_hz * float(np.cumsum(cost, axis=1)[:, -1].max())
     return w_in, w_out
 
 

@@ -19,14 +19,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constellation import C_LIGHT_KM_S, Constellation, NetworkSnapshot, Role
+from .constellation import Constellation, NetworkSnapshot, Role, norm
 from .corg import Corg, CorgWeights, build_corg, similarity
 from .hungarian import InfeasibleMatchingError, solve_lexicographic
 from .overhead import (
     ConstraintViolationError,
     OverheadParams,
     evaluate,
-    link_class,
+    hop_cost,
     validate_assignment,
 )
 from .spectral import kmeans, spectral_embedding
@@ -127,6 +127,13 @@ def step1_exclusive_assign(
     return assigned, uncoverable, contested
 
 
+def _by_distance(snapshot: NetworkSnapshot, node: int, candidates) -> list[int]:
+    """``candidates`` from the nearest to ``node`` to the farthest, ties by id."""
+    ks = np.array(candidates)
+    dist = norm(snapshot.positions[node] - snapshot.positions[ks])
+    return ks[np.lexsort((ks, dist))].tolist()
+
+
 def _uncovered_leos(snapshot: NetworkSnapshot, fov_domains: list[FovDomain]) -> list[int]:
     covered = set()
     for d in fov_domains:
@@ -193,11 +200,7 @@ def spectral_cluster(
                 # isolated LEOs rejoin the cluster of their nearest controller
                 for i in range(n):
                     if i not in label_of and not corg.virtual_flags[node_ids[i]]:
-                        nearest = min(
-                            corg.virtual_ids,
-                            key=lambda k: (snapshot.distance_km(node_ids[i], k), k),
-                        )
-                        if nearest == ctrl:
+                        if _by_distance(snapshot, node_ids[i], corg.virtual_ids)[0] == ctrl:
                             members.append(node_ids[i])
                 clusters.append(Cluster(tuple(sorted(members)), virtual_controller_id=ctrl))
             return clusters, False
@@ -228,8 +231,7 @@ def _nearest_controller_clusters(corg: Corg, snapshot: NetworkSnapshot) -> list[
             continue
         covering = [k for k in corg.virtual_ids if corg.xi(node, k) is not None]
         pool = covering or list(corg.virtual_ids)
-        nearest = min(pool, key=lambda k: (snapshot.distance_km(node, k), k))
-        groups[nearest].append(node)
+        groups[_by_distance(snapshot, node, pool)[0]].append(node)
     return [Cluster(tuple(sorted(groups[k])), virtual_controller_id=k) for k in corg.virtual_ids]
 
 
@@ -267,20 +269,12 @@ class MarginalObjective:
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
         self.column = {k: c for c, k in enumerate(ctrls)}
-        roles = snapshot.roles
-        self.inv_cap = np.array([1.0 / params.capacity_of(k, roles[k]) for k in ctrls])
+        self.inv_cap = np.array([1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls])
         self.inter_cpt = params.cpt_cost(n_domains)
         self.cpt = np.array([params.cpt_cost(n) for n in range(len(traffic.leo_ids) + 1)])
-        leo_pos = snapshot.position_matrix(traffic.leo_ids)
-        ctrl_pos = snapshot.position_matrix(ctrls)
-        dist = np.linalg.norm(leo_pos[:, None, :] - ctrl_pos[None, :, :], axis=2)
-        tx = np.array(
-            [
-                params.m_fl_bytes * 8.0 / params.bandwidth_bps[link_class(Role.LEO, roles[k])]
-                for k in ctrls
-            ]
-        )
-        self.hop = tx + dist / C_LIGHT_KM_S  # LEO x controller one-hop flow cost
+        # LEO x controller one-hop flow cost
+        leos = np.array(traffic.leo_ids)[:, None]
+        self.hop = hop_cost(snapshot, params, leos, np.array(ctrls), params.m_fl_bytes)
         self.label = np.full(len(traffic.leo_ids), len(ctrls))  # len(ctrls): not fixed
         self.size = np.zeros(len(ctrls), dtype=int)
         self.intra = np.zeros(len(ctrls))
@@ -422,22 +416,14 @@ def fine_tune_boundaries(
             ]
             if not candidates:
                 continue
+            pos = snapshot.positions[candidates]
+            latitude = np.degrees(np.arcsin(pos[:, 2] / norm(pos)))
             northbound = snapshot.velocities[leo][2] >= 0.0
-            candidates.sort(
-                key=lambda k2: (
-                    -_latitude_of(snapshot, k2) if northbound else _latitude_of(snapshot, k2),
-                    k2,
-                )
-            )
-            domain_of[leo] = candidates[0]
+            ahead = -latitude if northbound else latitude
+            domain_of[leo] = candidates[np.lexsort((candidates, ahead))[0]]
             moves += 1
             changed = True
     return replace(assignment, domain_of=domain_of)
-
-
-def _latitude_of(snapshot: NetworkSnapshot, node: int) -> float:
-    pos = snapshot.positions[node]
-    return float(np.degrees(np.arcsin(pos[2] / np.linalg.norm(pos))))
 
 
 def partition_slot(
@@ -523,7 +509,7 @@ def partition_slot(
             match = km_match(clusters, ctrls, fov, pricing)
         except InfeasibleMatchingError:
             for leo in residual:
-                give((leo,), min(cover[leo], key=lambda k: (snap.distance_km(leo, k), k)))
+                give((leo,), _by_distance(snap, leo, cover[leo])[0])
             continue
         for c, cluster in enumerate(clusters):
             give(cluster.member_leo_ids, match[c])
@@ -580,7 +566,7 @@ def greedy_partition(
         ctrls = cover.get(leo)
         if not ctrls:
             continue
-        ranked = sorted(ctrls, key=lambda k: (snap.distance_km(leo, k), k))
+        ranked = _by_distance(snap, leo, ctrls)
         chosen = None
         for k in ranked:
             if ctx.greedy_cap is None or load[k] < ctx.greedy_cap:

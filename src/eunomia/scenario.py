@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -51,6 +51,38 @@ def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
+
+
+def _number(value, path: str, kind: type = float):
+    """A number from the config, also where PyYAML read it as a string: YAML
+    1.1 reads ``1.25e6`` (no sign in the exponent) or a quoted number so."""
+    if isinstance(value, str):
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    expected = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _numbers(raw: dict, path: str, ints: tuple[str, ...] = (), keep: tuple[str, ...] = ()) -> dict:
+    """``raw`` with each value parsed by ``_number``, as an int for keys in
+    ``ints``; the values of keys in ``keep`` are left as they are."""
+    return {
+        k: v if k in keep else _number(v, f"{path}.{k}", int if k in ints else float)
+        for k, v in raw.items()
+    }
+
+
+def _params_from(cls, raw: dict, path: str):
+    """An all-numeric parameter dataclass from its config mapping: the keys are
+    its fields, and each value is parsed as a number of its default's type."""
+    kinds = {f.name: f.default for f in fields(cls)}
+    _check_keys(raw, set(kinds), path)
+    ints = tuple(k for k, default in kinds.items() if isinstance(default, int))
+    return cls(**_numbers(raw, path, ints=ints))
 
 
 def _shell_from(value, role: Role, path: str) -> ShellSpec | None:
@@ -150,14 +182,7 @@ class ScenarioConfig:
             },
             "horizon_s": self.horizon_s,
             "step_s": self.step_s,
-            "traffic": {
-                "gravity_constant": self.traffic.gravity_constant,
-                "gravity_exponent": self.traffic.gravity_exponent,
-                "diurnal_floor": self.traffic.diurnal_floor,
-                "city_sigma_deg": self.traffic.city_sigma_deg,
-                "background_density": self.traffic.background_density,
-                "mean_flow_lifetime_s": self.traffic.mean_flow_lifetime_s,
-            },
+            "traffic": asdict(self.traffic),
             "overhead": {
                 "m_fl_bytes": self.overhead.m_fl_bytes,
                 "m_sync_bytes": self.overhead.m_sync_bytes,
@@ -168,13 +193,7 @@ class ScenarioConfig:
                 "bandwidth_bps": {
                     lc.value: self.overhead.bandwidth_bps[lc] for lc in LinkClass
                 },
-                "migration": {
-                    "flow_entry_bytes": self.overhead.migration.flow_entry_bytes,
-                    "state_bandwidth_bps": self.overhead.migration.state_bandwidth_bps,
-                    "ho_msg_bytes": self.overhead.migration.ho_msg_bytes,
-                    "per_sat_processing_s": self.overhead.migration.per_sat_processing_s,
-                    "mean_flow_lifetime_s": self.overhead.migration.mean_flow_lifetime_s,
-                },
+                "migration": asdict(self.overhead.migration),
             },
             "partition": {
                 "alpha": self.corg.alpha,
@@ -185,7 +204,7 @@ class ScenarioConfig:
                 "allow_uncovered": self.allow_uncovered,
                 "greedy_cap": self.greedy_cap,
             },
-            "emulator": {"queue_window_s": self.emulator.queue_window_s},
+            "emulator": asdict(self.emulator),
             "strategies": list(self.strategies),
             "gammas": list(self.gammas),
             "seeds": list(self.seeds),
@@ -227,20 +246,7 @@ class ScenarioConfig:
             Role.GS: float(thr_raw.get("gs_min_elevation_deg", 0.0)),
         }
 
-        traf_raw = data.get("traffic", {})
-        _check_keys(
-            traf_raw,
-            {
-                "gravity_constant",
-                "gravity_exponent",
-                "diurnal_floor",
-                "city_sigma_deg",
-                "background_density",
-                "mean_flow_lifetime_s",
-            },
-            "traffic",
-        )
-        traffic = TrafficParams(**traf_raw)
+        traffic = _params_from(TrafficParams, data.get("traffic", {}), "traffic")
 
         ov_raw = dict(data.get("overhead", {}))
         _check_keys(
@@ -259,22 +265,19 @@ class ScenarioConfig:
         )
         bw_raw = ov_raw.pop("bandwidth_bps", {})
         _check_keys(bw_raw, {lc.value for lc in LinkClass}, "overhead.bandwidth_bps")
-        bandwidth = {lc: float(bw_raw.get(lc.value, v)) for lc, v in
-                     OverheadParams().bandwidth_bps.items()}
-        mig_raw = ov_raw.pop("migration", {})
-        _check_keys(
-            mig_raw,
-            {
-                "flow_entry_bytes",
-                "state_bandwidth_bps",
-                "ho_msg_bytes",
-                "per_sat_processing_s",
-                "mean_flow_lifetime_s",
-            },
-            "overhead.migration",
+        bandwidth = {
+            lc: float(_number(bw_raw.get(lc.value, v), f"overhead.bandwidth_bps.{lc.value}"))
+            for lc, v in OverheadParams().bandwidth_bps.items()
+        }
+        migration = _params_from(
+            MigrationParams, ov_raw.pop("migration", {}), "overhead.migration"
         )
         overhead = OverheadParams(
-            bandwidth_bps=bandwidth, migration=MigrationParams(**mig_raw), **ov_raw
+            bandwidth_bps=bandwidth,
+            migration=migration,
+            **_numbers(
+                ov_raw, "overhead", ints=("m_fl_bytes", "m_sync_bytes"), keep=("cpt_complexity",)
+            ),
         )
 
         part_raw = data.get("partition", {})
@@ -291,14 +294,18 @@ class ScenarioConfig:
             },
             "partition",
         )
-        corg = CorgWeights(
-            alpha=float(part_raw.get("alpha", 0.5)),
-            beta=float(part_raw.get("beta", 0.3)),
-            mig_unit_s=float(part_raw.get("mig_unit_s", 1.0)),
+        optional = [k for k in ("sigma", "greedy_cap") if part_raw.get(k) is None]
+        part = _numbers(
+            part_raw, "partition", ints=("greedy_cap",), keep=("allow_uncovered", *optional)
         )
-
-        emu_raw = data.get("emulator", {})
-        _check_keys(emu_raw, {"queue_window_s"}, "emulator")
+        try:
+            corg = CorgWeights(
+                alpha=float(part.get("alpha", 0.5)),
+                beta=float(part.get("beta", 0.3)),
+                mig_unit_s=float(part.get("mig_unit_s", 1.0)),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"partition: {exc}") from exc
 
         strategies = list(data.get("strategies", ["eunomia"]))
         for s in strategies:
@@ -322,13 +329,11 @@ class ScenarioConfig:
             traffic=traffic,
             overhead=overhead,
             corg=corg,
-            lookahead_s=float(part_raw.get("lookahead_s", 30.0)),
-            sigma=(None if part_raw.get("sigma") is None else float(part_raw["sigma"])),
-            allow_uncovered=bool(part_raw.get("allow_uncovered", True)),
-            greedy_cap=(
-                None if part_raw.get("greedy_cap") is None else int(part_raw["greedy_cap"])
-            ),
-            emulator=EmulatorParams(**emu_raw),
+            lookahead_s=float(part.get("lookahead_s", 30.0)),
+            sigma=None if part.get("sigma") is None else float(part["sigma"]),
+            allow_uncovered=bool(part.get("allow_uncovered", True)),
+            greedy_cap=None if part.get("greedy_cap") is None else int(part["greedy_cap"]),
+            emulator=_params_from(EmulatorParams, data.get("emulator", {}), "emulator"),
             strategies=strategies,
             gammas=gammas,
             seeds=seeds,

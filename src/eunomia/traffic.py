@@ -60,9 +60,6 @@ class TrafficMatrix:
         if not self.index_of:
             self.index_of = {leo: k for k, leo in enumerate(self.leo_ids)}
 
-    def rate(self, src: int, dst: int) -> float:
-        return float(self.rates[self.index_of[src], self.index_of[dst]])
-
     def total_rate(self) -> float:
         return float(self.rates.sum())
 
@@ -75,11 +72,6 @@ class TrafficMatrix:
 
     def outbound_rate(self, src: int) -> float:
         return float(self.rates[self.index_of[src]].sum())
-
-    def node_rate(self, leo: int) -> float:
-        """Total flow rate touching a LEO (outbound plus inbound)."""
-        k = self.index_of[leo]
-        return float(self.rates[k].sum() + self.rates[:, k].sum())
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""
@@ -220,7 +212,7 @@ def serving_satellites(cells: list[GroundCell], snapshot: NetworkSnapshot) -> np
             for c in cells
         ]
     )
-    leo_pos = snapshot.position_matrix(snapshot.leo_ids)
+    leo_pos = snapshot.positions[list(snapshot.leo_ids)]
     elev = elevation_matrix(cell_pos, leo_pos)
     best = np.argmax(elev, axis=1)
     best[elev[np.arange(len(cells)), best] < 0.0] = -1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, NetworkSnapshot, Role
+from .constellation import ROLE_CODE, Constellation, NetworkSnapshot, Role
 
 # Minimum elevation (degrees) per controller role. The ground-station bound
 # is a mask angle above the local horizon.
@@ -76,29 +76,31 @@ def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.nda
     return np.degrees(np.arctan2(np.cos(alpha) - rho, np.sin(alpha)))
 
 
-def _observer_elevations(snapshot: NetworkSnapshot, controller_id: int) -> np.ndarray:
-    """Elevations between one controller and every LEO, observer chosen by role."""
-    leo_pos = snapshot.position_matrix(snapshot.leo_ids)
-    ctrl_pos = snapshot.positions[controller_id][None, :]
-    if snapshot.roles[controller_id] is Role.GS:
-        return elevation_matrix(ctrl_pos, leo_pos)[0]
-    return elevation_matrix(leo_pos, ctrl_pos)[:, 0]
-
-
 def compute_fov_domains(
     snapshot: NetworkSnapshot, thresholds: dict[Role, float] | None = None
 ) -> list[FovDomain]:
-    """FOV domain of every controller, ordered by controller id."""
+    """FOV domain of every controller, ordered by controller id.
+
+    The observer is chosen by role: the ground station itself, or the LEO
+    switch for a controller satellite; one elevation matrix per role.
+    """
     thr = DEFAULT_THRESHOLDS if thresholds is None else thresholds
-    domains: list[FovDomain] = []
-    for k in snapshot.controller_ids:
-        elev = _observer_elevations(snapshot, k)
-        minimum = thr[snapshot.roles[k]]
-        members = frozenset(
-            leo for leo, e in zip(snapshot.leo_ids, elev) if e >= minimum
-        )
-        domains.append(FovDomain(controller_id=k, member_leo_ids=members))
-    return domains
+    leo_ids = np.array(snapshot.leo_ids)
+    leo_pos = snapshot.positions[leo_ids]
+    ctrls = np.array(snapshot.controller_ids)
+    visible = np.zeros((len(ctrls), len(leo_ids)), dtype=bool)
+    for role in {snapshot.roles[k] for k in ctrls}:
+        sel = snapshot.role_codes[ctrls] == ROLE_CODE[role]
+        ctrl_pos = snapshot.positions[ctrls[sel]]
+        if role is Role.GS:
+            elev = elevation_matrix(ctrl_pos, leo_pos)
+        else:
+            elev = elevation_matrix(leo_pos, ctrl_pos).T
+        visible[sel] = elev >= thr[role]
+    return [
+        FovDomain(controller_id=int(k), member_leo_ids=frozenset(leo_ids[row].tolist()))
+        for k, row in zip(ctrls, visible)
+    ]
 
 
 def coverage_map(fov_domains: list[FovDomain]) -> dict[int, tuple[int, ...]]:

@@ -18,28 +18,23 @@ def make_ring_snapshot(
     time_s: float = 0.0,
 ) -> NetworkSnapshot:
     """Equatorial LEO ring plus controllers above (MEO) or below (GS) it."""
-    positions: dict[int, np.ndarray] = {}
-    velocities: dict[int, np.ndarray] = {}
-    roles: dict[int, Role] = {}
+    n_ctrl = len(ctrl_lons)
+    positions = np.zeros((n_leo + n_ctrl, 3))
+    velocities = np.zeros((n_leo + n_ctrl, 3))
     leo_ids = tuple(range(n_leo))
     lons = leo_lons if leo_lons is not None else tuple(360.0 * i / n_leo for i in range(n_leo))
     for i, lon in zip(leo_ids, lons):
         th = math.radians(lon)
         positions[i] = leo_radius_km * np.array([math.cos(th), math.sin(th), 0.0])
         velocities[i] = 7.45 * np.array([-math.sin(th), math.cos(th), 0.0])
-        roles[i] = Role.LEO
-    ctrl_ids = tuple(range(n_leo, n_leo + len(ctrl_lons)))
+    ctrl_ids = tuple(range(n_leo, n_leo + n_ctrl))
     croles = ctrl_roles or tuple(Role.MEO for _ in ctrl_lons)
     for k, lon, role in zip(ctrl_ids, ctrl_lons, croles):
         th = math.radians(lon)
         r = 6371.0 if role is Role.GS else ctrl_radius_km
         positions[k] = r * np.array([math.cos(th), math.sin(th), 0.0])
-        velocities[k] = (
-            np.zeros(3)
-            if role is Role.GS
-            else 4.9 * np.array([-math.sin(th), math.cos(th), 0.0])
-        )
-        roles[k] = role
+        if role is not Role.GS:
+            velocities[k] = 4.9 * np.array([-math.sin(th), math.cos(th), 0.0])
     edges = set()
     for i in range(n_leo):
         j = (i + 1) % n_leo
@@ -52,7 +47,7 @@ def make_ring_snapshot(
         isl_edges=frozenset(edges),
         leo_ids=leo_ids,
         controller_ids=ctrl_ids,
-        roles=roles,
+        roles=(Role.LEO,) * n_leo + tuple(croles),
     )
 
 

@@ -180,7 +180,7 @@ def test_snapshot_is_pure_function_of_time():
     )
     a = const.snapshot(1234.0)
     b = const.snapshot(1234.0)
-    for node_id in a.positions:
+    for node_id in range(len(a.positions)):
         assert np.array_equal(a.positions[node_id], b.positions[node_id])
         assert np.array_equal(a.velocities[node_id], b.velocities[node_id])
 

@@ -13,6 +13,8 @@ from eunomia.overhead import (
     control_hops,
     evaluate,
     flow_overhead,
+    hop_cost,
+    route_costs,
     migration_overhead,
     objective,
     path_compute_overhead,
@@ -28,15 +30,15 @@ from conftest import make_ring_snapshot
 
 def _chain_snapshot(n=3, spacing_km=2000.0):
     """LEOs in a straight chain with a MEO controller above LEO n-1 only."""
-    positions, velocities, roles = {}, {}, {}
+    positions = np.zeros((n + 1, 3))
+    velocities = np.zeros((n + 1, 3))
     for i in range(n):
         positions[i] = np.array([7000.0, -i * spacing_km, 0.0])
         velocities[i] = np.array([0.0, 7.4, 0.0])
-        roles[i] = Role.LEO
     k = n
     positions[k] = np.array([16725.0, -(n - 1) * spacing_km, 0.0])
     velocities[k] = np.array([0.0, 4.9, 0.0])
-    roles[k] = Role.MEO
+    roles = (Role.LEO,) * n + (Role.MEO,)
     edges = frozenset((i, i + 1) for i in range(n - 1))
     return NetworkSnapshot(
         time_s=0.0,
@@ -55,6 +57,62 @@ def _traffic(snap, entries):
     for (i, j), lam in entries.items():
         rates[i, j] = lam
     return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+
+
+def test_hop_cost_matches_norm_oracle_on_every_link_class():
+    # LEOs 0..3, MEOs 4 and 5, ground stations 6 and 7
+    snap = make_ring_snapshot(
+        n_leo=4,
+        ctrl_lons=(0.0, 100.0, 10.0, 200.0),
+        ctrl_roles=(Role.MEO, Role.MEO, Role.GS, Role.GS),
+    )
+    params = OverheadParams(
+        bandwidth_bps={
+            LinkClass.ISL: 3e9,
+            LinkClass.MEO_LEO: 7e8,
+            LinkClass.GS_LEO: 2e6,
+            LinkClass.CTL_CTL: 1.1e10,
+        }
+    )
+    link_of = {
+        frozenset({Role.LEO}): LinkClass.ISL,
+        frozenset({Role.LEO, Role.MEO}): LinkClass.MEO_LEO,
+        frozenset({Role.LEO, Role.GS}): LinkClass.GS_LEO,
+        frozenset({Role.MEO}): LinkClass.CTL_CTL,
+        frozenset({Role.GS}): LinkClass.CTL_CTL,
+        frozenset({Role.MEO, Role.GS}): LinkClass.CTL_CTL,
+    }
+
+    def oracle(a, b, nbytes):
+        link = link_of[frozenset({snap.roles[a], snap.roles[b]})]
+        gap = snap.positions[a] - snap.positions[b]
+        return nbytes * 8.0 / params.bandwidth_bps[link] + np.linalg.norm(gap) / C_LIGHT_KM_S
+
+    pairs = [(0, 1), (2, 4), (5, 3), (1, 6), (7, 0), (4, 6), (4, 5), (6, 7)]
+    assert {link_of[frozenset({snap.roles[a], snap.roles[b]})] for a, b in pairs} == set(LinkClass)
+    for a, b in pairs:
+        assert hop_cost(snap, params, a, b, 36) == oracle(a, b, 36)
+
+    # broadcasting: (n, 1) ids against (m,) ids, with (n, 1) message sizes
+    src = np.array([0, 2, 4, 6])[:, None]
+    dst = np.array([1, 3, 5, 7, 0])
+    nbytes = np.array([24, 36, 48, 60])[:, None]
+    got = hop_cost(snap, params, src, dst, nbytes)
+    assert got.shape == (4, 5)
+    for r in range(4):
+        for c in range(5):
+            assert got[r, c] == oracle(int(src[r, 0]), int(dst[c]), int(nbytes[r, 0]))
+
+
+def test_route_costs_sum_hops_in_path_order():
+    # routes of 1 to 14 hops along a chain; a Python sum over scalar hop costs
+    # is the reference, so the running sum must match it exactly
+    snap = _chain_snapshot(n=14, spacing_km=1234.5)
+    params = OverheadParams()
+    k = snap.controller_ids[0]
+    routes = [tuple(range(start, 14)) + (k,) for start in range(13, -1, -1)]
+    want = [sum(float(hop_cost(snap, params, a, b, 36)) for a, b in zip(r, r[1:])) for r in routes]
+    assert route_costs(routes, snap, params, 36) == want
 
 
 def test_control_hops_direct_is_one():
@@ -83,13 +141,13 @@ def test_flow_overhead_zero_traffic():
 
 def test_flow_overhead_hand_value():
     # one flow at 2/s, a single 1000 km hop at 1 Mb/s
-    positions = {
-        0: np.array([6371.0 + 1000.0, 0.0, 0.0]),
-        1: np.array([0.0, 6371.0 + 1000.0, 0.0]),
-        2: np.array([6371.0, 0.0, 0.0]),
-    }
-    velocities = {i: np.zeros(3) for i in positions}
-    roles = {0: Role.LEO, 1: Role.LEO, 2: Role.GS}
+    positions = np.array([
+        [6371.0 + 1000.0, 0.0, 0.0],
+        [0.0, 6371.0 + 1000.0, 0.0],
+        [6371.0, 0.0, 0.0],
+    ])
+    velocities = np.zeros_like(positions)
+    roles = (Role.LEO, Role.LEO, Role.GS)
     snap = NetworkSnapshot(0.0, positions, velocities, frozenset(), (0, 1), (2,), roles)
     fov = [FovDomain(2, frozenset({0, 1}))]
     a = DomainAssignment(0, {0: 2, 1: 2})

@@ -99,8 +99,8 @@ def test_step1_matches_coverage_oracle(desk_scenario_short):
 
 
 def _synthetic_positions(node_ids):
-    rng = np.random.default_rng(0)
-    snap_positions = {}
+    """(max id + 1, 3) positions indexed by node id; unused rows stay zero."""
+    snap_positions = np.zeros((max(node_ids) + 1, 3))
     for i, node in enumerate(node_ids):
         snap_positions[node] = np.array([7000.0 + 10.0 * i, float(i), 0.0])
     return snap_positions
@@ -109,9 +109,6 @@ def _synthetic_positions(node_ids):
 class _FakeSnap:
     def __init__(self, node_ids):
         self.positions = _synthetic_positions(node_ids)
-
-    def distance_km(self, a, b):
-        return float(np.linalg.norm(self.positions[a] - self.positions[b]))
 
 
 def _barbell_corg(bridge_cost=3.0, seed=0):

@@ -153,3 +153,82 @@ def test_missing_config_is_an_error(tmp_path, monkeypatch):
 def test_config_env_var_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("EUNOMIA_CONFIG", str(TINY_CONFIG))
     assert main(["partition", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_numbers_read_as_strings_are_parsed():
+    # YAML 1.1 reads 1.25e6 (no sign in the exponent) and quoted numbers as strings
+    text = TINY_CONFIG.read_text().replace(
+        "gravity_constant: 500000.0", "gravity_constant: 1.25e6"
+    )
+    data = yaml.safe_load(text)
+    assert data["traffic"]["gravity_constant"] == "1.25e6"
+    data["overhead"]["m_fl_bytes"] = "36"
+    data["overhead"]["migration"] = {"state_bandwidth_bps": "1e10"}
+    data["partition"]["sigma"] = "0.5"
+    data["emulator"]["queue_window_s"] = "2"
+    cfg = ScenarioConfig.from_dict(data)
+    assert cfg.traffic.gravity_constant == 1.25e6
+    assert cfg.overhead.m_fl_bytes == 36 and isinstance(cfg.overhead.m_fl_bytes, int)
+    assert cfg.overhead.migration.state_bandwidth_bps == 1e10
+    assert cfg.sigma == 0.5
+    assert cfg.emulator.queue_window_s == 2.0
+    again = ScenarioConfig.from_dict(yaml.safe_load(dump_config(cfg)))
+    assert again == cfg
+
+
+@pytest.mark.parametrize(
+    "section, key, value, path",
+    [
+        ("traffic", "gravity_constant", "lots", "traffic.gravity_constant"),
+        ("overhead", "m_sync_bytes", "24.5", "overhead.m_sync_bytes"),
+        ("partition", "lookahead_s", [30], "partition.lookahead_s"),
+        ("emulator", "queue_window_s", True, "emulator.queue_window_s"),
+        ("partition", "alpha", 0.9, "partition"),  # alpha + beta > 1
+    ],
+)
+def test_unparsable_numbers_rejected_with_path(section, key, value, path):
+    data = yaml.safe_load(TINY_CONFIG.read_text())
+    data[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(data)
+    assert path in str(err.value)
+
+
+def test_unparsable_migration_number_rejected_with_path():
+    data = yaml.safe_load(TINY_CONFIG.read_text())
+    data["overhead"]["migration"] = {"ho_msg_bytes": "thirty-six"}
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(data)
+    assert "overhead.migration.ho_msg_bytes" in str(err.value)
+
+
+def test_cli_runs_the_readme_gravity_constant(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(TINY_CONFIG.read_text().replace(
+        "gravity_constant: 500000.0", "gravity_constant: 1.25e6"
+    ))
+    assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_cli_bad_number_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(TINY_CONFIG.read_text().replace(
+        "gravity_constant: 500000.0", "gravity_constant: lots"
+    ))
+    assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "traffic.gravity_constant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["partition", "--slots", "1:x"], "--slots"),
+        (["emulate", "--gamma", "1.5"], "--gamma"),
+        (["emulate", "--gamma", "abc"], "--gamma"),
+        (["partition", "--strategies", "eunomia,oracle"], "--strategies"),
+    ],
+)
+def test_cli_rejects_malformed_flags(tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--config", str(TINY_CONFIG), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
