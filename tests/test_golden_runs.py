@@ -1,9 +1,10 @@
 """Pinned emulation outputs: stats rows, overhead slot dicts and trace hashes.
 
-Two scenarios are pinned exactly: ``tests/data/tiny_config.yaml`` for every
-strategy at gamma 0, 0.5 and 1, and the 600 s desk scenario at gamma 1, all
-with seed 1. Floats are stored as ``repr`` strings, so a change in the last
-bit of any value fails the comparison.
+Three scenarios are pinned exactly: ``tests/data/tiny_config.yaml`` for
+every strategy at gamma 0, 0.5 and 1, the 600 s desk scenario at gamma 1, and
+the full-size ``default`` scenario at 60 s and gamma 1 (1584 switches, ISL
+paths up to 47 hops), all with seed 1. Floats are stored as ``repr`` strings,
+so a change in the last bit of any value fails the comparison.
 
 Regenerate (only after an intended behaviour change, recorded in CHANGES.md):
 
@@ -14,12 +15,13 @@ import sys
 from pathlib import Path
 
 from eunomia.emulator import STRATEGIES, run_scenario
-from eunomia.scenario import build_scenario, desk_config, load_config
+from eunomia.scenario import build_scenario, default_config, desk_config, load_config
 
 DATA_DIR = Path(__file__).parent / "data"
 TINY_CONFIG = DATA_DIR / "tiny_config.yaml"
 GOLDEN_TINY = DATA_DIR / "golden_runs_tiny.json"
 GOLDEN_DESK = DATA_DIR / "golden_runs_desk600.json"
+GOLDEN_DEFAULT = DATA_DIR / "golden_runs_default60.json"
 
 
 def _exact(value):
@@ -60,6 +62,10 @@ def _desk_runs(scn):
     return golden_runs(scn, [1.0], [1])
 
 
+def _default_runs():
+    return golden_runs(build_scenario(default_config(), horizon_s=60.0), [1.0], [1])
+
+
 def test_tiny_runs_match_golden():
     assert _tiny_runs() == json.loads(GOLDEN_TINY.read_text())
 
@@ -68,8 +74,13 @@ def test_desk_600s_runs_match_golden(desk_scenario_short):
     assert _desk_runs(desk_scenario_short) == json.loads(GOLDEN_DESK.read_text())
 
 
+def test_default_60s_runs_match_golden():
+    assert _default_runs() == json.loads(GOLDEN_DEFAULT.read_text())
+
+
 if __name__ == "__main__":
     GOLDEN_TINY.write_text(json.dumps(_tiny_runs(), indent=1) + "\n")
     desk = build_scenario(desk_config(), horizon_s=600.0)
     GOLDEN_DESK.write_text(json.dumps(_desk_runs(desk), indent=1) + "\n")
+    GOLDEN_DEFAULT.write_text(json.dumps(_default_runs(), indent=1) + "\n")
     sys.exit(0)
