@@ -242,6 +242,11 @@ class NetworkSnapshot:
         return {i: tuple(sorted(v)) for i, v in adj.items()}
 
     @cached_property
+    def isl_edge_array(self) -> np.ndarray:
+        """The ISL edges as an (E, 2) array of node ids, in sorted order."""
+        return np.array(sorted(self.isl_edges), dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
     def role_codes(self) -> np.ndarray:
         """Each node's ``ROLE_CODE``, indexed by node id."""
         return np.array([ROLE_CODE[r] for r in self.roles])

@@ -11,14 +11,20 @@ whose queueing delay would exceed the queue window is dropped, as is any
 request from an unmanaged switch or toward an unmanaged destination. Flow
 updates go to every node of the data path; edge synchronization ticks at the
 sync frequency; handover notifications fire at the slot boundary for every
-migrated switch. The event loop is single-threaded: per-controller queues
-are swept in timestamp order and the merged trace is hashed for
-reproducibility checks.
+migrated switch.
+
+The per-request work runs on arrays: controller and destination controller,
+intra/inter flag, service and ready times, the data path (shortest ISL hop
+paths from the requesting sources only, walked back from every destination
+at once), its delivery cost and the response time. The one sequential step
+is each controller's FIFO recurrence, busy = max(busy, arrival) + service,
+with the queue-window drop. The event trace is built as (time, code, node)
+columns in generation order, stably sorted by time, and hashed as one
+big-endian structured array for reproducibility checks.
 """
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -61,19 +67,13 @@ EV_DROPPED = 4
 EV_RESPONSE = 5
 EV_SYNC = 6
 EV_HANDOVER = 7
+# one trace record: the 16 bytes of struct.pack(">dii", t, code, node)
+TRACE_DTYPE = np.dtype([("t", ">f8"), ("c", ">i4"), ("n", ">i4")])
 
 
 @dataclass(frozen=True)
 class EmulatorParams:
     queue_window_s: float = 1.0  # backlog bound, in seconds of controller capacity
-
-
-@dataclass
-class ControllerRuntime:
-    controller_id: int
-    capacity_ops: float
-    queue_window_s: float
-    busy_until: float = 0.0
 
 
 @dataclass
@@ -154,31 +154,77 @@ def generate_arrivals(
     return times[order], srcs[order], dsts[order], marks[order]
 
 
-def _isl_paths(snapshot: NetworkSnapshot, index_of: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _isl_paths(
+    snapshot: NetworkSnapshot, index_of: dict[int, int], sources: np.ndarray
+) -> np.ndarray:
+    """Hop-count shortest-path predecessors over the ISL graph, one row per
+    source index (-9999 where a node is unreachable or is the source)."""
     n = len(index_of)
-    rows, cols = [], []
-    for a, b in snapshot.isl_edges:
-        rows += [index_of[a], index_of[b]]
-        cols += [index_of[b], index_of[a]]
-    graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    hops, preds = shortest_path(
-        graph, method="D", unweighted=True, return_predecessors=True
+    lookup = np.full(len(snapshot.roles), -1, dtype=np.int64)
+    lookup[list(index_of)] = list(index_of.values())
+    ends = lookup[snapshot.isl_edge_array]
+    graph = csr_matrix(
+        (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
     )
-    return hops, preds
+    _, preds = shortest_path(
+        graph, method="D", unweighted=True, return_predecessors=True, indices=sources
+    )
+    return preds
 
 
-def _walk_path(preds: np.ndarray, src: int, dst: int) -> list[int]:
-    if src == dst:
-        return [src]
-    if preds[src, dst] < 0:
-        return [src]
-    path = [dst]
-    node = dst
-    while node != src:
-        node = int(preds[src, node])
-        path.append(node)
-    path.reverse()
-    return path
+def _walk_paths(
+    preds: np.ndarray, rows: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    cost: np.ndarray, cost_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node count and largest ``cost[cost_rows[i], node]`` over the ISL path
+    of each flow ``src[i] -> dst[i]``, walking predecessors ``preds[rows[i]]``
+    back from the destination, all flows one hop per step. A flow to its own
+    source, or to a node it cannot reach, has the one-node path [src]."""
+    node = np.where(preds[rows, dst] >= 0, dst, src)
+    length = np.ones(len(node), dtype=np.int64)
+    worst = cost[cost_rows, node]
+    live = np.flatnonzero(node != src)
+    while live.size:
+        node[live] = preds[rows[live], node[live]]
+        length[live] += 1
+        worst[live] = np.maximum(worst[live], cost[cost_rows[live], node[live]])
+        live = live[node[live] != src[live]]
+    return length, worst
+
+
+def _serve_fifo(
+    ctrl: np.ndarray, arrive: np.ndarray, service: np.ndarray, window_s: float
+) -> np.ndarray:
+    """Completion time of each request, NaN where the queue window drops it.
+
+    Requests come grouped by controller, in queue order within a group; each
+    controller starts idle and serves FIFO, ``busy = max(busy, ta) + s``,
+    dropping a request that would wait longer than ``window_s``.
+    """
+    done: list[float] = []
+    current, busy = None, 0.0
+    for k, ta, s in zip(ctrl.tolist(), arrive.tolist(), service.tolist()):
+        if k != current:
+            current, busy = k, 0.0
+        if busy - ta > window_s:
+            done.append(np.nan)
+            continue
+        busy = max(busy, ta) + s
+        done.append(busy)
+    return np.array(done, dtype=float)
+
+
+def _trace_hash(blocks: list[tuple]) -> str:
+    """SHA-256 of the events of ``blocks``, (times, codes, nodes) with scalar
+    codes or nodes broadcast, stably sorted by time and packed as records."""
+    t = np.concatenate([times for times, _, _ in blocks])
+    by_time = np.argsort(t, kind="stable")
+    trace = np.empty(len(t), dtype=TRACE_DTYPE)
+    trace["t"] = t[by_time]
+    for name, col in (("c", 1), ("n", 2)):
+        values = [np.broadcast_to(block[col], len(block[0])) for block in blocks]
+        trace[name] = np.concatenate(values)[by_time]
+    return hashlib.sha256(trace.tobytes()).hexdigest()
 
 
 def run_slot(
@@ -202,7 +248,7 @@ def run_slot(
     if violations:
         raise ConstraintViolationError(violations)
 
-    leo_ids = base_traffic.leo_ids
+    leo_ids = np.array(base_traffic.leo_ids, dtype=np.int64)
     idx = base_traffic.index_of
     n = len(leo_ids)
     roles = snap.roles
@@ -216,104 +262,75 @@ def run_slot(
     mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
 
     ctrl_of = np.full(n, -1, dtype=np.int64)
-    for leo, k in assignment.domain_of.items():
-        ctrl_of[idx[leo]] = k
+    ctrl_of[[idx[leo] for leo in assignment.domain_of]] = list(assignment.domain_of.values())
 
     domains = assignment.domains()
-    active = sorted(k for k, members in domains.items() if members)
+    active = sorted(domains)
     nd = len(active)
-    ctrl_row = {k: r for r, k in enumerate(active)}
-    service_intra = {
-        k: params.cpt_cost(len(domains[k])) / params.capacity_of(k, roles[k])
-        for k in active
-    }
-    service_inter = {
-        k: params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active
-    }
     act = np.array(active, dtype=np.int64)
+    row_of = np.zeros(len(roles), dtype=np.int64)  # controller id -> row of act
+    row_of[act] = np.arange(nd)
+    service_intra = np.array(
+        [params.cpt_cost(len(domains[k])) / params.capacity_of(k, roles[k]) for k in active]
+    )
+    service_inter = np.array(
+        [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
+    )
     cc_hop = hop_cost(snap, params, act[:, None], act, params.m_fl_bytes)
-    cc_rtt = (2.0 * cc_hop).tolist()
+    cc_rtt = 2.0 * cc_hop
 
     # flow-update delivery cost from each controller to each switch (one extra
     # controller hop when the switch belongs to another domain)
-    deliver = hop_cost(snap, params, act[:, None], np.array(leo_ids), params.m_fl_bytes)
+    deliver = hop_cost(snap, params, act[:, None], leo_ids, params.m_fl_bytes)
     if nd:
-        owner_row = np.array([ctrl_row.get(k, 0) for k in ctrl_of.tolist()])
         relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
-        deliver = np.where(relayed, deliver + cc_hop[:, owner_row], deliver)
-
-    _, preds = _isl_paths(snap, idx)
+        deliver = np.where(relayed, deliver + cc_hop[:, row_of[ctrl_of]], deliver)
 
     times, srcs, dsts, marks = generate_arrivals(base_traffic, duration, seed, slot.index)
     keep = marks < gamma
     times, srcs, dsts = times[keep] + slot.start_s, srcs[keep], dsts[keep]
-
-    events: list[tuple[float, int, int]] = []
     requests_total = len(times)
-    dropped = 0
-    bytes_flow = 0
-    measured_flow_s = 0.0
-    responses: list[float] = []
+    src_node = leo_ids[srcs]
+    src_ctrl = ctrl_of[srcs]
 
-    src_ctrl = ctrl_of[srcs] if requests_total else np.zeros(0, dtype=np.int64)
-    for r in range(requests_total):
-        events.append((float(times[r]), EV_ARRIVAL, int(leo_ids[srcs[r]])))
-
-    runtimes = {
-        k: ControllerRuntime(k, params.capacity_of(k, roles[k]), emu.queue_window_s)
-        for k in active
-    }
-
-    # uncovered sources never reach a controller
-    uncovered_requests = np.nonzero(src_ctrl < 0)[0]
-    for r in uncovered_requests:
-        dropped += 1
-        events.append((float(times[r]), EV_DROPPED, int(leo_ids[srcs[r]])))
-
-    managed = np.nonzero(src_ctrl >= 0)[0]
+    # uncovered sources never reach a controller; the rest arrive over their
+    # control path and queue at their controller, ordered by (controller,
+    # arrival, request)
+    uncovered = src_ctrl < 0
+    managed = np.flatnonzero(~uncovered)
     t_at_ctrl = times[managed] + req_cost[srcs[managed]]
-    bytes_flow += req_len * len(managed)
-    measured_flow_s += float(mfl_cost[srcs[managed]].sum())
-    for pos, r in enumerate(managed):
-        events.append((float(t_at_ctrl[pos]), EV_AT_CONTROLLER, int(src_ctrl[r])))
-
+    measured_flow_s = float(mfl_cost[srcs[managed]].sum())
     order = np.lexsort((np.arange(len(managed)), t_at_ctrl, src_ctrl[managed]))
-    for pos in order:
-        r = managed[pos]
-        k = int(src_ctrl[r])
-        runtime = runtimes[k]
-        ta = float(t_at_ctrl[pos])
-        wait = runtime.busy_until - ta
-        if wait > runtime.queue_window_s:
-            dropped += 1
-            events.append((ta, EV_DROPPED, k))
-            continue
-        dst_k = int(ctrl_of[dsts[r]])
-        if dst_k < 0:
-            dropped += 1
-            events.append((ta, EV_DROPPED, k))
-            continue
-        start = max(runtime.busy_until, ta)
-        intra = dst_k == k
-        runtime.busy_until = start + (service_intra[k] if intra else service_inter[k])
-        ready = (
-            runtime.busy_until
-            if intra
-            else runtime.busy_until + cc_rtt[ctrl_row[k]][ctrl_row[dst_k]]
-        )
-        events.append((runtime.busy_until, EV_SERVED, k))
+    queued = managed[order]
+    k_q, ta_q = src_ctrl[queued], t_at_ctrl[order]
+    dst_k = ctrl_of[dsts[queued]]
+    intra = dst_k == k_q
+    service = np.where(intra, service_intra[row_of[k_q]], service_inter[row_of[k_q]])
 
-        path = _walk_path(preds, int(srcs[r]), int(dsts[r]))
-        bytes_flow += params.m_fl_bytes * len(path)
-        if not intra:
-            bytes_flow += 2 * params.m_fl_bytes
-        delivery = float(deliver[ctrl_row[k], path].max())
-        resp_at = ready + delivery
-        responses.append(resp_at - float(times[r]))
-        events.append((resp_at, EV_RESPONSE, int(leo_ids[srcs[r]])))
+    # a request toward an unmanaged destination is dropped without touching
+    # its controller's queue; every other request runs the FIFO recurrence
+    done = np.full(len(queued), np.nan)
+    ok = np.flatnonzero(dst_k >= 0)
+    done[ok] = _serve_fifo(k_q[ok], ta_q[ok], service[ok], emu.queue_window_s)
+    lost = np.isnan(done)
+    served = np.flatnonzero(~lost)
+    r_s, k_s, intra_s = queued[served], k_q[served], intra[served]
+    finish = done[served]
+    ready = np.where(intra_s, finish, finish + cc_rtt[row_of[k_s], row_of[dst_k[served]]])
+
+    # flow updates reach every node of the data path
+    sources, src_rows = np.unique(srcs[r_s], return_inverse=True)
+    preds = _isl_paths(snap, idx, sources)
+    path_len, delivery = _walk_paths(preds, src_rows, srcs[r_s], dsts[r_s], deliver, row_of[k_s])
+    resp_at = ready + delivery
+    resp = resp_at - times[r_s]
+    bytes_flow = req_len * len(managed) + params.m_fl_bytes * (
+        int(path_len.sum()) + 2 * int(np.count_nonzero(~intra_s))
+    )
+    dropped = int(np.count_nonzero(uncovered)) + len(queued) - len(served)
 
     # edge synchronization ticks
-    e_counts = {k: intra_domain_edges(set(domains[k]), snap) for k in active}
+    e_counts = intra_domain_edges(assignment, snap)
     intra_delay = {
         k: hop_cost(snap, params, list(domains[k]), k, e_counts[k] * params.m_sync_bytes).max()
         for k in active
@@ -325,22 +342,29 @@ def run_slot(
             (nd - 1) * len(domains[k]) * params.m_sync_bytes for k in active
         )
     bytes_sync = n_ticks * per_tick_bytes
-    for m in range(n_ticks):
-        events.append((slot.start_s + m / params.f_sync_hz, EV_SYNC, -1))
     sync_delay_mean = float(np.mean([intra_delay[k] for k in active])) if active else 0.0
 
     # handover notifications at the slot boundary
     migrated = sum(count_migrations(prev_assignment, assignment).values())
     bytes_ho = migrated * params.migration.ho_msg_bytes
-    for _ in range(migrated):
-        events.append((slot.end_s, EV_HANDOVER, -1))
 
-    events.sort(key=lambda e: e[0])
-    digest = hashlib.sha256()
-    for t, code, node in events:
-        digest.update(struct.pack(">dii", t, code, node))
+    # the trace in generation order; per queued request, its drop or its
+    # service followed by its response
+    in_queue = np.argsort(np.concatenate([2 * np.arange(len(queued)), 2 * served + 1]))
+    trace_hash = _trace_hash([
+        (times, EV_ARRIVAL, src_node),
+        (times[uncovered], EV_DROPPED, src_node[uncovered]),
+        (t_at_ctrl, EV_AT_CONTROLLER, src_ctrl[managed]),
+        (
+            np.concatenate([np.where(lost, ta_q, done), resp_at])[in_queue],
+            np.concatenate([np.where(lost, EV_DROPPED, EV_SERVED),
+                            np.full(len(served), EV_RESPONSE)])[in_queue],
+            np.concatenate([k_q, src_node[r_s]])[in_queue],
+        ),
+        (slot.start_s + np.arange(n_ticks) / params.f_sync_hz, EV_SYNC, -1),
+        (np.full(migrated, slot.end_s), EV_HANDOVER, -1),
+    ])
 
-    resp = np.array(responses)
     return EmulationStats(
         slot_index=slot.index,
         strategy=strategy or assignment.strategy,
@@ -359,7 +383,7 @@ def run_slot(
         bytes_handover=int(bytes_ho),
         measured_w_flow=measured_flow_s / duration if duration > 0 else 0.0,
         migrated=migrated,
-        trace_hash=digest.hexdigest(),
+        trace_hash=trace_hash,
     )
 
 

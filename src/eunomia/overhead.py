@@ -256,8 +256,17 @@ def flow_overhead(
     return total
 
 
-def intra_domain_edges(members: set[int], snapshot: NetworkSnapshot) -> int:
-    return sum(1 for a, b in snapshot.isl_edges if a in members and b in members)
+def intra_domain_edges(
+    assignment: "DomainAssignment", snapshot: NetworkSnapshot
+) -> dict[int, int]:
+    """Per domain: ISL edges with both ends in it, counted in one edge pass."""
+    label = np.full(len(snapshot.roles), -1, dtype=np.int64)
+    label[list(assignment.domain_of)] = list(assignment.domain_of.values())
+    a, b = label[snapshot.isl_edge_array].T
+    keys, counts = np.unique(a[(a == b) & (a >= 0)], return_counts=True)
+    out = dict.fromkeys(assignment.domains(), 0)
+    out.update(zip(keys.tolist(), counts.tolist()))
+    return out
 
 
 def sync_overhead(
@@ -272,11 +281,12 @@ def sync_overhead(
     every other active controller. Both scale with the sync frequency.
     """
     domains = assignment.domains()
+    e_counts = intra_domain_edges(assignment, snapshot)
     w_in = 0.0
     for k, members in domains.items():
         if not members:
             continue
-        e_d = intra_domain_edges(set(members), snapshot)
+        e_d = e_counts[k]
         worst = hop_cost(snapshot, params, list(members), k, e_d * params.m_sync_bytes).max()
         w_in += params.f_sync_hz * float(worst)
 
@@ -347,9 +357,10 @@ def _domain_rates(
     idx = traffic.index_of
     n = len(traffic.leo_ids)
     labels = np.full(n, -1, dtype=int)
-    keys = sorted(assignment.domains())
+    domains = assignment.domains()
+    keys = sorted(domains)
     for label, k in enumerate(keys):
-        for i in assignment.domains()[k]:
+        for i in domains[k]:
             labels[idx[i]] = label
     assigned = labels >= 0
     out: dict[int, tuple[float, float]] = {}

@@ -15,7 +15,10 @@ enumerator serves as the small-instance optimality oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,21 +52,32 @@ class UncoverableLeoError(RuntimeError):
         super().__init__(f"{len(leo_ids)} LEOs covered by no controller: {leo_ids[:10]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainAssignment:
     """Controller assignment for one time slot.
 
     ``domain_of`` maps every managed LEO to its controller; LEOs visible to no
     controller are listed in ``uncovered`` and stay unmanaged for the slot.
+    An assignment is immutable: ``domain_of`` is a read-only view, the domain
+    view is built once, and a changed copy comes from ``dataclasses.replace``.
     """
 
     slot_index: int
-    domain_of: dict[int, int]
+    domain_of: Mapping[int, int]
     uncovered: frozenset[int] = frozenset()
     fov_waived: bool = False
     relay_controller_ids: tuple[int, ...] = ()
     strategy: str = ""
     overlap_signature: dict[int, frozenset[int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "domain_of", MappingProxyType(dict(self.domain_of)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild through __init__ from a dict
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["domain_of"] = dict(self.domain_of)
+        return partial(type(self), **state), ()
 
     def x(self, i: int, j: int) -> int:
         """Same-domain indicator for two LEOs."""
@@ -76,11 +90,16 @@ class DomainAssignment:
         """Domain-to-controller indicator; domains are keyed by controller."""
         return int(domain_controller == controller and domain_controller in self.domain_of.values())
 
-    def domains(self) -> dict[int, tuple[int, ...]]:
+    def domains(self) -> Mapping[int, tuple[int, ...]]:
+        """Members of each domain in id order, keyed by controller in id order."""
+        return self._domains
+
+    @cached_property
+    def _domains(self) -> Mapping[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
         for leo in sorted(self.domain_of):
             out.setdefault(self.domain_of[leo], []).append(leo)
-        return {k: tuple(v) for k, v in sorted(out.items())}
+        return MappingProxyType({k: tuple(v) for k, v in sorted(out.items())})
 
     def to_rows(self) -> list[tuple[int, int, int]]:
         return [(self.slot_index, leo, self.domain_of[leo]) for leo in sorted(self.domain_of)]

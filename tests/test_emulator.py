@@ -11,7 +11,6 @@ from eunomia.overhead import (
     LinkClass,
     OverheadParams,
     flow_overhead,
-    intra_domain_edges,
 )
 from eunomia.partition import DomainAssignment
 from eunomia.traffic import TrafficMatrix, scale
@@ -178,8 +177,10 @@ def test_sync_and_handover_byte_accounting():
         seed=1, gamma=1.0, prev_assignment=prev, fov_domains=fov,
     )
     domains = cur.domains()
-    e1 = intra_domain_edges(set(domains[k1]), snap)
-    e2 = intra_domain_edges(set(domains[k2]), snap)
+    e1, e2 = (
+        sum(1 for a, b in snap.isl_edges if a in domains[k] and b in domains[k])
+        for k in (k1, k2)
+    )
     per_tick = (e1 + e2) * 24 + (len(domains[k1]) + len(domains[k2])) * 24  # 2 ctrls
     n_ticks = int(duration * 0.5)
     assert stats.bytes_sync == n_ticks * per_tick

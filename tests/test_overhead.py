@@ -14,6 +14,7 @@ from eunomia.overhead import (
     evaluate,
     flow_overhead,
     hop_cost,
+    intra_domain_edges,
     route_costs,
     migration_overhead,
     objective,
@@ -349,6 +350,20 @@ def test_overhead_additivity_and_nonnegativity(desk_scenario_short):
     for value in (report.w_flow, report.w_sync_in, report.w_sync_out, report.w_mig,
                   report.w_cpt_intra, report.w_cpt_inter):
         assert value >= 0.0
+
+
+def test_intra_domain_edges_match_a_scan_per_domain(desk_scenario_short):
+    scn = desk_scenario_short
+    from eunomia.partition import greedy_partition
+
+    geom = scn.geometries[0]
+    snap = geom.slot.snapshot
+    a = greedy_partition(scn.ctx, geom.slot, geometry=geom)
+    counts = intra_domain_edges(a, snap)
+    assert list(counts) == list(a.domains()) and len(counts) > 1
+    for k, members in a.domains().items():
+        assert counts[k] == sum(1 for i, j in snap.isl_edges if i in members and j in members)
+    assert 0 < sum(counts.values()) < len(snap.isl_edges)
 
 
 def test_bandwidth_homogeneity():

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -550,3 +552,19 @@ def test_assignment_views():
     with pytest.raises(ValueError):
         a.x(1, 1)
     assert a.domains() == {10: (0, 1), 11: (2,)}
+
+
+def test_assignment_is_immutable_and_keeps_its_domain_view():
+    source = {0: 10, 1: 10, 2: 11}
+    a = DomainAssignment(0, source, strategy="greedy")
+    source[2] = 10  # the assignment holds its own copy
+    assert a.domain_of == {0: 10, 1: 10, 2: 11}
+    with pytest.raises(TypeError):
+        a.domain_of[2] = 10
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.slot_index = 1
+    assert a.domains() is a.domains()
+    moved = dataclasses.replace(a, domain_of={**a.domain_of, 2: 10})
+    assert moved.domains() == {10: (0, 1, 2)} and a.domains() == {10: (0, 1), 11: (2,)}
+    again = pickle.loads(pickle.dumps(a))
+    assert again == a and again.domains() == a.domains()
