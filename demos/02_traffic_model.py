@@ -10,6 +10,7 @@ from eunomia.constellation import LEO_SHELLS, Constellation
 from eunomia.traffic import (
     TrafficParams,
     build_grid,
+    cell_positions,
     city_density_field,
     demand_matrix,
     diurnal_factor,
@@ -32,16 +33,17 @@ for hour in range(0, 24, 3):
 
 const = Constellation.build(LEO_SHELLS["iridium780"], None, [])
 static = demand_matrix(cells, params)
+cell_pos = cell_positions(cells)
 print("\n=== Mapping onto the 66-switch shell at three instants ===")
 for t in (0.0, 1800.0, 3600.0):
-    tm = slot_traffic_matrix(cells, static, const.snapshot(t), 0, params)
+    tm = slot_traffic_matrix(cells, cell_pos, static, const.snapshot(t), 0, params)
     nz = (tm.rates > 0).sum()
     print(
         f"t={t:6.0f} s: total {tm.total_rate():6.2f} flows/s over {nz} pairs; "
         f"local {tm.local_rate:6.2f}, unserved {tm.unserved_rate:.4f}"
     )
 
-tm = slot_traffic_matrix(cells, static, const.snapshot(0.0), 0, params)
+tm = slot_traffic_matrix(cells, cell_pos, static, const.snapshot(0.0), 0, params)
 busiest = sorted(tm.nonzero_pairs(), key=lambda x: -x[2])[:5]
 print("\nbusiest switch pairs (src, dst, flows/s):")
 for src, dst, rate in busiest:

@@ -177,7 +177,22 @@ def _run_one(scn: Scenario, strategy: str, gamma: float, seed: int) -> RunResult
     return run_scenario(scn, strategy, [gamma], [seed])[0]
 
 
+# set only inside ``emulate --threads`` worker processes, once, by the pool initializer
+_worker_scenario: Scenario | None = None
+
+
+def _init_worker(scn: Scenario) -> None:
+    global _worker_scenario
+    _worker_scenario = scn
+
+
+def _run_in_worker(strategy: str, gamma: float, seed: int) -> RunResult:
+    return _run_one(_worker_scenario, strategy, gamma, seed)
+
+
 def cmd_emulate(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads: expected a positive worker count, got {args.threads}")
     config = _resolve_config(args.config)
     strategies = _strategies(args.strategies, config)
     gammas = _gammas(args.gamma) if args.gamma else config.gammas
@@ -189,8 +204,10 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     tasks = [(s, g, sd) for s in strategies for g in gammas for sd in seeds]
     results: list[RunResult] = []
     if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futures = [pool.submit(_run_one, scn, s, g, sd) for s, g, sd in tasks]
+        with ProcessPoolExecutor(
+            max_workers=args.threads, initializer=_init_worker, initargs=(scn,)
+        ) as pool:
+            futures = [pool.submit(_run_in_worker, s, g, sd) for s, g, sd in tasks]
             results = [f.result() for f in futures]
     else:
         for s, g, sd in tasks:

@@ -84,13 +84,14 @@ def pairwise_costs(
     row[list(traffic.index_of)] = list(traffic.index_of.values())
     i = row[np.where(is_leo[a], a, b)]
     j = row[np.where(is_leo[a], b, a)]
-    rates = traffic.rates
     # each switch's total rate (row sum plus column sum), once per switch; the
     # columns are summed as contiguous rows, which matches summing each column
     # alone bit for bit, where rates.sum(axis=0) adds row by row and does not
     uniq, inv = np.unique(i, return_inverse=True)
-    total = rates[uniq].sum(axis=1) + np.ascontiguousarray(rates[:, uniq].T).sum(axis=1)
-    lam = np.where(switch_pair, rates[i, j] + rates[j, i], total[inv].reshape(i.shape))
+    rows, cols = traffic.rows(uniq), traffic.cols(uniq)
+    total = rows.sum(axis=1) + np.ascontiguousarray(cols.T).sum(axis=1)
+    mutual = traffic.at(i, j) + traffic.at(j, i)
+    lam = np.where(switch_pair, mutual, total[inv].reshape(i.shape))
     w_flow = lam * hop_cost(snapshot, params, a, b, params.m_fl_bytes)
     w_sync = params.f_sync_hz * hop_cost(snapshot, params, a, b, params.m_sync_bytes)
 

@@ -142,8 +142,9 @@ def generate_arrivals(
     gamma values, which makes drop counts comparable across traffic scales.
     """
     rng = np.random.default_rng([seed, slot_index])
-    src_nz, dst_nz = np.nonzero(base_traffic.rates)
-    lam = base_traffic.rates[src_nz, dst_nz] * duration_s
+    a, b = np.nonzero(base_traffic.rates)  # row-major over the block, so over leo_ids too
+    lam = base_traffic.rates[a, b] * duration_s
+    src_nz, dst_nz = base_traffic.active[a], base_traffic.active[b]
     counts = rng.poisson(lam)
     total = int(counts.sum())
     srcs = np.repeat(src_nz, counts)

@@ -366,7 +366,7 @@ def _domain_rates(
     out: dict[int, tuple[float, float]] = {}
     for label, k in enumerate(keys):
         mine = labels == label
-        rows = traffic.rates[mine]
+        rows = traffic.rows(mine)
         intra = float(rows[:, mine].sum())
         inter = float(rows[:, assigned & ~mine].sum())
         out[k] = (intra, inter)

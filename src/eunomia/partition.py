@@ -283,7 +283,7 @@ class MarginalObjective:
         n_domains: int,
         domain_of: dict[int, int],
     ):
-        self.rates = traffic.rates
+        self.traffic = traffic
         self.index_of = traffic.index_of
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
@@ -305,7 +305,8 @@ class MarginalObjective:
             members.setdefault(self.column[k], []).append(self.index_of[leo])
         for c, idx in members.items():
             idx.sort()
-            self.intra[c] = float(self.rates[np.ix_(idx, idx)].sum(axis=0).sum())
+            among = np.ascontiguousarray(traffic.rows(idx)[:, idx])  # C order, as np.ix_ gives
+            self.intra[c] = float(among.sum(axis=0).sum())
             self.size[c] = len(idx)
             self.label[idx] = c
 
@@ -316,9 +317,9 @@ class MarginalObjective:
             return self._last[1]
         n_ctrl = len(self.size)
         idx = np.array([self.index_of[i] for i in leos], dtype=int)
-        block = self.rates[idx]
+        block = self.traffic.rows(idx)
         rows = block.sum(axis=0)
-        cols = self.rates[:, idx].sum(axis=1)
+        cols = self.traffic.cols(idx).sum(axis=1)
         to_dom = np.bincount(self.label, weights=rows, minlength=n_ctrl + 1)[:n_ctrl]
         from_dom = np.bincount(self.label, weights=cols, minlength=n_ctrl + 1)[:n_ctrl]
         flows = (idx, block.sum(axis=1), to_dom, from_dom, float(rows[idx].sum()))

@@ -32,6 +32,7 @@ from .traffic import (
     TrafficMatrix,
     TrafficParams,
     build_grid,
+    cell_positions,
     city_density_field,
     demand_matrix,
     slot_traffic_matrix,
@@ -443,9 +444,10 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
     cells = build_grid(
         city_density_field(config.traffic.city_sigma_deg, config.traffic.background_density)
     )
+    cell_pos = cell_positions(cells)
     static = demand_matrix(cells, config.traffic)
     base_traffic = [
-        slot_traffic_matrix(cells, static, slot.snapshot, slot.index, config.traffic)
+        slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, slot.index, config.traffic)
         for slot in slots
     ]
     return Scenario(

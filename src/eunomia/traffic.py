@@ -7,6 +7,14 @@ area-corrected by cos latitude). Cell-pair demand follows a gravity law
 G * w_i * w_j / d^2, modulated by a diurnal factor peaking at 14:00 local
 solar time, and is mapped onto satellites by serving each cell with its
 maximum-elevation visible LEO. Rates are new-flow arrivals per second.
+
+Only a LEO that serves a cell carries traffic, at most one per cell, so a
+slot's rates are stored as the dense block among those serving LEOs (the
+``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
+the |V|-wide view through ``TrafficMatrix.rows`` and ``cols``, which return
+what indexing the full matrix would, memory order included, so that every
+sum over a gathered row or column runs in the same order as over the full
+matrix and gives the same bits.
 """
 from __future__ import annotations
 
@@ -47,18 +55,72 @@ class TrafficParams:
 
 @dataclass
 class TrafficMatrix:
-    """Per-slot flow arrival rates between LEO pairs (flows/second)."""
+    """Per-slot flow arrival rates between LEO pairs (flows/second).
+
+    Rows and columns of the full matrix are positions in ``leo_ids`` (looked
+    up through ``index_of``). Only the ``active`` rows, sorted, can carry a
+    rate; ``rates`` is the k x k block among them, and every other entry of
+    the full matrix is zero. ``rows(idx)`` and ``cols(idx)`` rebuild
+    ``full[idx]`` and ``full[:, idx]`` with their gather layout (C order for
+    rows, F order for columns), so reductions over them match the full
+    matrix bit for bit.
+    """
 
     slot_index: int
     leo_ids: tuple[int, ...]
-    rates: np.ndarray  # dense |V| x |V|, zero diagonal
+    active: np.ndarray  # sorted positions in leo_ids of the LEOs that may carry traffic
+    rates: np.ndarray  # k x k block among the active LEOs
     unserved_rate: float = 0.0  # demand from cells with no visible LEO
     local_rate: float = 0.0  # demand whose endpoints map to the same LEO
     index_of: dict[int, int] = field(default_factory=dict)
+    # position in leo_ids -> row of the block, -1 for an inactive LEO
+    _block_row: np.ndarray = field(init=False, repr=False, compare=False)
+    # full[i].sum() for every position i, computed on first use
+    _outbound: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.index_of:
             self.index_of = {leo: k for k, leo in enumerate(self.leo_ids)}
+        k = len(self.active)
+        if self.rates.shape != (k, k):
+            raise ValueError(f"rates must be the {k} x {k} block, got {self.rates.shape}")
+        if k and not (np.all(np.diff(self.active) > 0) and 0 <= self.active[0]
+                      and self.active[-1] < len(self.leo_ids)):
+            raise ValueError("active must be increasing positions in leo_ids")
+        self._block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
+        self._block_row[self.active] = np.arange(k)
+
+    def rows(self, idx) -> np.ndarray:
+        """``full[idx]`` for an index array or mask over ``leo_ids``: shape
+        (len, |V|), C order."""
+        if len(self.active) == len(self.leo_ids):  # the block is the full matrix
+            return self.rates[idx]
+        pos = self._block_row[idx]
+        out = np.zeros((len(pos), len(self.leo_ids)))
+        hit = np.nonzero(pos >= 0)[0]
+        out[hit[:, None], self.active] = self.rates[pos[hit]]
+        return out
+
+    def cols(self, idx) -> np.ndarray:
+        """``full[:, idx]`` for an index array or mask over ``leo_ids``:
+        shape (|V|, len), F order."""
+        if len(self.active) == len(self.leo_ids):
+            return self.rates[:, idx]
+        pos = self._block_row[idx]
+        out = np.zeros((len(pos), len(self.leo_ids)))
+        hit = np.nonzero(pos >= 0)[0]
+        out[hit[:, None], self.active] = self.rates[:, pos[hit]].T
+        return out.T
+
+    def at(self, i, j) -> np.ndarray:
+        """``full[i, j]`` for equal-shape index arrays over ``leo_ids``."""
+        if len(self.active) == len(self.leo_ids):
+            return self.rates[i, j]
+        pi, pj = self._block_row[i], self._block_row[j]
+        out = np.zeros(pi.shape)
+        both = (pi >= 0) & (pj >= 0)
+        out[both] = self.rates[pi[both], pj[both]]
+        return out
 
     def total_rate(self) -> float:
         return float(self.rates.sum())
@@ -67,11 +129,16 @@ class TrafficMatrix:
         out = []
         src_idx, dst_idx = np.nonzero(self.rates)
         for a, b in zip(src_idx, dst_idx):
-            out.append((self.leo_ids[a], self.leo_ids[b], float(self.rates[a, b])))
+            src, dst = self.active[a], self.active[b]
+            out.append((self.leo_ids[src], self.leo_ids[dst], float(self.rates[a, b])))
         return out
 
     def outbound_rate(self, src: int) -> float:
-        return float(self.rates[self.index_of[src]].sum())
+        if self._outbound is None:
+            # each row of a C-order array is summed alone, as full[i].sum() does
+            self._outbound = np.zeros(len(self.leo_ids))
+            self._outbound[self.active] = self.rows(self.active).sum(axis=1)
+        return float(self._outbound[self.index_of[src]])
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""
@@ -87,9 +154,11 @@ def scale(matrix: TrafficMatrix, gamma: float) -> TrafficMatrix:
     return TrafficMatrix(
         slot_index=matrix.slot_index,
         leo_ids=matrix.leo_ids,
+        active=matrix.active,
         rates=matrix.rates * gamma,
         unserved_rate=matrix.unserved_rate * gamma,
         local_rate=matrix.local_rate * gamma,
+        index_of=matrix.index_of,
     )
 
 
@@ -196,10 +265,9 @@ def _diurnal_vector(cells: list[GroundCell], utc_s: float, floor: float) -> np.n
     )
 
 
-def serving_satellites(cells: list[GroundCell], snapshot: NetworkSnapshot) -> np.ndarray:
-    """Index (into snapshot.leo_ids) of each cell's maximum-elevation visible
-    LEO, or -1 when no LEO is above the horizon."""
-    cell_pos = np.array(
+def cell_positions(cells: list[GroundCell]) -> np.ndarray:
+    """ECEF position (km) of each cell centre on the spherical Earth, (C, 3)."""
+    return np.array(
         [
             R_EARTH_KM
             * np.array(
@@ -212,15 +280,21 @@ def serving_satellites(cells: list[GroundCell], snapshot: NetworkSnapshot) -> np
             for c in cells
         ]
     )
+
+
+def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.ndarray:
+    """Index (into snapshot.leo_ids) of the maximum-elevation visible LEO of
+    each cell at ``cell_pos`` (see ``cell_positions``), or -1 when no LEO is
+    above the horizon."""
     leo_pos = snapshot.positions[list(snapshot.leo_ids)]
     elev = elevation_matrix(cell_pos, leo_pos)
     best = np.argmax(elev, axis=1)
-    best[elev[np.arange(len(cells)), best] < 0.0] = -1
+    best[elev[np.arange(len(cell_pos)), best] < 0.0] = -1
     return best
 
 
 def map_to_satellites(
-    cells: list[GroundCell],
+    cell_pos: np.ndarray,
     demands: np.ndarray,
     snapshot: NetworkSnapshot,
     slot_index: int = 0,
@@ -228,24 +302,33 @@ def map_to_satellites(
     """Aggregate cell-pair demand onto (serving LEO, serving LEO) pairs.
 
     Pairs that land on a single LEO are local traffic and are dropped;
-    demand from cells with no visible LEO is dropped and reported.
+    demand from cells with no visible LEO is dropped and reported. Only the
+    serving LEOs' rows of the product are computed.
     """
-    serving = serving_satellites(cells, snapshot)
-    n_leo = len(snapshot.leo_ids)
+    serving = serving_satellites(cell_pos, snapshot)
     served = serving >= 0
 
     unserved = float(demands[~served, :].sum() + demands[:, ~served].sum()
                      - demands[np.ix_(~served, ~served)].sum())
 
-    sel = np.zeros((len(cells), n_leo))
+    sel = np.zeros((len(cell_pos), len(snapshot.leo_ids)))
     sel[np.nonzero(served)[0], serving[served]] = 1.0
-    rates = sel.T @ demands @ sel
-    local = float(np.trace(rates))
+    active = np.unique(serving[served])
+    # the active rows of sel.T @ demands @ sel: keeping all the columns of the
+    # last product keeps BLAS's tiling of them, so each entry is summed in the
+    # same order and to the same bits as in the all-LEO product (narrowing
+    # the columns to the active ones changes some of them in the last bit)
+    rates = (sel[:, active].T @ demands @ sel)[:, active]
+    # the trace over all LEOs: the diagonal in place among zeros, summed alike
+    diagonal = np.zeros(len(snapshot.leo_ids))
+    diagonal[active] = np.diagonal(rates)
+    local = float(diagonal.sum())
     np.fill_diagonal(rates, 0.0)
 
     return TrafficMatrix(
         slot_index=slot_index,
         leo_ids=snapshot.leo_ids,
+        active=active,
         rates=rates,
         unserved_rate=unserved,
         local_rate=local,
@@ -254,13 +337,15 @@ def map_to_satellites(
 
 def slot_traffic_matrix(
     cells: list[GroundCell],
+    cell_pos: np.ndarray,
     static_demand: np.ndarray,
     snapshot: NetworkSnapshot,
     slot_index: int,
     params: TrafficParams,
 ) -> TrafficMatrix:
     """Cell demand with the diurnal factor applied at both endpoints, mapped
-    onto the snapshot's serving satellites."""
+    onto the snapshot's serving satellites; ``cell_pos`` is
+    ``cell_positions(cells)``, computed once per grid."""
     f = _diurnal_vector(cells, snapshot.time_s, params.diurnal_floor)
     demands = static_demand * np.outer(f, f)
-    return map_to_satellites(cells, demands, snapshot, slot_index=slot_index)
+    return map_to_satellites(cell_pos, demands, snapshot, slot_index=slot_index)

@@ -5,6 +5,7 @@ import pytest
 
 from eunomia.constellation import NetworkSnapshot, Role
 from eunomia.scenario import build_scenario, desk_config
+from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import TimeSlot
 
 
@@ -49,6 +50,13 @@ def make_ring_snapshot(
         controller_ids=ctrl_ids,
         roles=(Role.LEO,) * n_leo + tuple(croles),
     )
+
+
+def compact_traffic(leo_ids, full: np.ndarray, slot_index: int = 0) -> TrafficMatrix:
+    """The |V| x |V| rate matrix ``full`` stored as its block among the LEOs
+    with a nonzero rate in their row or column."""
+    active = np.flatnonzero(full.any(axis=0) | full.any(axis=1))
+    return TrafficMatrix(slot_index, tuple(leo_ids), active, full[np.ix_(active, active)])
 
 
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:

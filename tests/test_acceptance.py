@@ -39,6 +39,7 @@ from eunomia.scenario import desk_config
 from eunomia.traffic import (
     TrafficParams,
     build_grid,
+    cell_positions,
     city_density_field,
     demand_matrix,
     scale,
@@ -453,6 +454,7 @@ def test_criterion_10_partitioner_scaling():
     cells = build_grid(city_density_field())
     params = TrafficParams(gravity_constant=1.25e6)
     static = demand_matrix(cells, params)
+    cell_pos = cell_positions(cells)
     timings = {}
     for name in ("iridium780", "telesat1015", "oneweb1200", "starlink550"):
         const = Constellation.build(LEO_SHELLS[name], MEO_SHELLS["meo10354"], NINE_CITIES)
@@ -464,7 +466,7 @@ def test_criterion_10_partitioner_scaling():
         )
         slot = TimeSlot(0, 0.0, 15.0, const.snapshot(0.0))
         geometry = build_slot_geometry(const, slot, ctx.thresholds, 30.0, step_s=15.0)
-        tm = slot_traffic_matrix(cells, static, slot.snapshot, 0, params)
+        tm = slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, 0, params)
         start = time.perf_counter()
         partition_slot(ctx, slot, tm, None, 1, geometry=geometry)
         timings[len(const.leo_nodes)] = time.perf_counter() - start

@@ -12,10 +12,9 @@ from eunomia.corg import (
     similarity,
 )
 from eunomia.overhead import OverheadParams
-from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import FovDomain, OverlapRegion
 
-from conftest import make_ring_snapshot
+from conftest import compact_traffic, make_ring_snapshot
 
 
 def _traffic(snap, entries):
@@ -23,7 +22,7 @@ def _traffic(snap, entries):
     rates = np.zeros((n, n))
     for (i, j), lam in entries.items():
         rates[i, j] = lam
-    return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+    return compact_traffic(snap.leo_ids, rates)
 
 
 def test_pairwise_comoving_satellites_have_zero_mobility_cost():

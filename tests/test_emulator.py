@@ -13,10 +13,10 @@ from eunomia.overhead import (
     flow_overhead,
 )
 from eunomia.partition import DomainAssignment
-from eunomia.traffic import TrafficMatrix, scale
+from eunomia.traffic import scale
 from eunomia.visibility import FovDomain
 
-from conftest import make_ring_snapshot, make_slot
+from conftest import compact_traffic, make_ring_snapshot, make_slot
 
 
 def _traffic(snap, entries):
@@ -24,7 +24,7 @@ def _traffic(snap, entries):
     rates = np.zeros((n, n))
     for (i, j), lam in entries.items():
         rates[i, j] = lam
-    return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+    return compact_traffic(snap.leo_ids, rates)
 
 
 def _pair_world(lam=1.0):

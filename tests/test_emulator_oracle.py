@@ -16,10 +16,9 @@ from eunomia.constellation import Role
 from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain, run_slot
 from eunomia.overhead import OverheadParams
 from eunomia.partition import DomainAssignment
-from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import FovDomain
 
-from conftest import make_ring_snapshot, make_slot
+from conftest import compact_traffic, make_ring_snapshot, make_slot
 from emulator_oracle import oracle_run_slot
 
 DURATION_S = 30.0
@@ -36,7 +35,7 @@ def _random_traffic(snap, rate, seed):
     """Every ordered pair, the diagonal (src == dst) included, at random rates."""
     n = len(snap.leo_ids)
     rates = np.random.default_rng(seed).random((n, n)) * rate
-    return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+    return compact_traffic(snap.leo_ids, rates)
 
 
 def _cut_world():

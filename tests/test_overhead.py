@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,10 +24,9 @@ from eunomia.overhead import (
     validate_assignment,
 )
 from eunomia.partition import DomainAssignment
-from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import FovDomain, compute_fov_domains
 
-from conftest import make_ring_snapshot
+from conftest import compact_traffic, make_ring_snapshot
 
 
 def _chain_snapshot(n=3, spacing_km=2000.0):
@@ -57,7 +57,7 @@ def _traffic(snap, entries):
     rates = np.zeros((n, n))
     for (i, j), lam in entries.items():
         rates[i, j] = lam
-    return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+    return compact_traffic(snap.leo_ids, rates)
 
 
 def test_hop_cost_matches_norm_oracle_on_every_link_class():
@@ -177,7 +177,7 @@ def test_flow_overhead_linear_in_rates():
     tm = _traffic(snap, {(0, 1): 1.5, (1, 0): 0.5})
     params = OverheadParams()
     w1 = flow_overhead(a, tm, snap, params, fov)
-    tm2 = TrafficMatrix(0, snap.leo_ids, tm.rates * 2.0)
+    tm2 = dataclasses.replace(tm, rates=tm.rates * 2.0)
     assert flow_overhead(a, tm2, snap, params, fov) == pytest.approx(2 * w1, rel=1e-12)
 
 

@@ -25,7 +25,6 @@ from eunomia.partition import (
     spectral_cluster,
     step1_exclusive_assign,
 )
-from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import (
     FovDomain,
     OverlapRegion,
@@ -36,7 +35,7 @@ from eunomia.visibility import (
     coverage_map,
 )
 
-from conftest import make_ring_snapshot, make_slot
+from conftest import compact_traffic, make_ring_snapshot, make_slot
 
 
 def _traffic(snap, entries=None, rng=None, scale=1.0):
@@ -48,7 +47,7 @@ def _traffic(snap, entries=None, rng=None, scale=1.0):
     if rng is not None:
         rates = rng.uniform(0.0, scale, size=(n, n))
         np.fill_diagonal(rates, 0.0)
-    return TrafficMatrix(slot_index=0, leo_ids=snap.leo_ids, rates=rates)
+    return compact_traffic(snap.leo_ids, rates)
 
 
 def _toy_ctx(thresholds=None, lookahead=0.0):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from eunomia import cli
 from eunomia.cli import main
 from eunomia.scenario import (
     ConfigError,
@@ -226,9 +227,31 @@ def test_cli_bad_number_in_config_exits_2(tmp_path, capsys):
         (["emulate", "--gamma", "1.5"], "--gamma"),
         (["emulate", "--gamma", "abc"], "--gamma"),
         (["partition", "--strategies", "eunomia,oracle"], "--strategies"),
+        (["emulate", "--threads", "0"], "--threads"),
+        (["emulate", "--threads", "-3"], "--threads"),
     ],
 )
 def test_cli_rejects_malformed_flags(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--config", str(TINY_CONFIG), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert flag in capsys.readouterr().err
+
+
+def test_threads_reject_before_a_pool_starts(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "build_scenario", no_pool)
+    argv = ["emulate", "--config", str(TINY_CONFIG), "--out-dir", str(tmp_path), "--threads"]
+    assert main(argv + ["0"]) == 2
+    assert main(argv + ["-3"]) == 2
+
+
+def test_threaded_emulate_writes_the_serial_bytes(tmp_path):
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    base = ["emulate", "--config", str(TINY_CONFIG)]
+    assert main(base + ["--out-dir", str(serial), "--threads", "1"]) == 0
+    assert main(base + ["--out-dir", str(pooled), "--threads", "2"]) == 0
+    for name in ("stats.csv", "overhead.json", "overhead.csv"):
+        assert (pooled / name).read_bytes() == (serial / name).read_bytes()

@@ -7,8 +7,10 @@ from eunomia.constellation import CITY_COORDS, LEO_SHELLS, Constellation
 from eunomia.traffic import (
     N_CELLS,
     GroundCell,
+    TrafficMatrix,
     TrafficParams,
     build_grid,
+    cell_positions,
     city_density_field,
     demand_matrix,
     diurnal_factor,
@@ -138,7 +140,7 @@ def test_mapping_single_cell_pair():
     cells = build_grid(lambda lat, lon: 1.0)
     demands = np.zeros((len(cells), len(cells)))
     demands[10, 600] = 5.0
-    tm = map_to_satellites(cells, demands, snap)
+    tm = map_to_satellites(cell_positions(cells), demands, snap)
     nz = tm.nonzero_pairs()
     assert len(nz) == 1
     assert nz[0][2] == pytest.approx(5.0)
@@ -149,7 +151,7 @@ def test_mapping_conservation():
     cells = build_grid(city_density_field())
     params = TrafficParams(gravity_constant=100.0)
     demands = demand_matrix(cells, params)
-    tm = map_to_satellites(cells, demands, snap)
+    tm = map_to_satellites(cell_positions(cells), demands, snap)
     assert tm.total_rate() + tm.local_rate + tm.unserved_rate == pytest.approx(
         demands.sum(), rel=1e-9
     )
@@ -160,7 +162,7 @@ def test_mapping_conservation():
 def test_serving_satellite_matches_max_elevation_oracle():
     _, snap = _small_world()
     cells = build_grid(lambda lat, lon: 1.0)
-    serving = serving_satellites(cells, snap)
+    serving = serving_satellites(cell_positions(cells), snap)
     rng = np.random.default_rng(11)
     from eunomia.constellation import geodetic_to_ecef
 
@@ -178,7 +180,7 @@ def test_serving_satellite_matches_max_elevation_oracle():
 def test_scale_examples():
     _, snap = _small_world()
     cells = build_grid(city_density_field())
-    tm = map_to_satellites(cells, demand_matrix(cells, TrafficParams()), snap)
+    tm = map_to_satellites(cell_positions(cells), demand_matrix(cells, TrafficParams()), snap)
     assert scale(tm, 0.0).total_rate() == 0.0
     assert np.array_equal(scale(tm, 1.0).rates, tm.rates)
     assert np.allclose(scale(tm, 0.5).rates, tm.rates * 0.5)
@@ -194,7 +196,7 @@ def test_matrix_csv_rows_cover_nonzero_pairs():
     demands = np.zeros((len(cells), len(cells)))
     demands[10, 600] = 5.0
     demands[600, 10] = 2.0
-    tm = map_to_satellites(cells, demands, snap, slot_index=7)
+    tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=7)
     rows = tm.to_csv_rows()
     assert all(row[0] == 7 for row in rows)
     assert sorted(r[3] for r in rows) == [2.0, 5.0]
@@ -205,6 +207,16 @@ def test_slot_traffic_deterministic():
     cells = build_grid(city_density_field())
     params = TrafficParams(gravity_constant=10.0)
     static = demand_matrix(cells, params)
-    a = slot_traffic_matrix(cells, static, snap, 0, params)
-    b = slot_traffic_matrix(cells, static, snap, 0, params)
+    a = slot_traffic_matrix(cells, cell_positions(cells), static, snap, 0, params)
+    b = slot_traffic_matrix(cells, cell_positions(cells), static, snap, 0, params)
     assert np.array_equal(a.rates, b.rates)
+
+
+@pytest.mark.parametrize(
+    "active, block",
+    [([0, 2], np.zeros((3, 3))), ([2, 0], np.zeros((2, 2))), ([1, 3], np.zeros((2, 2)))],
+    ids=["block shape", "unsorted", "out of range"],
+)
+def test_matrix_rejects_a_block_that_does_not_fit(active, block):
+    with pytest.raises(ValueError):
+        TrafficMatrix(0, (10, 11, 12), np.array(active), block)

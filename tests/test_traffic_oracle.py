@@ -1,0 +1,137 @@
+"""The compact traffic block against the dense mapping in ``traffic_oracle.py``.
+
+A ``default`` snapshot leaves most of its 1,584 LEOs without a cell to
+serve, so gathers there mix active and inactive rows; on the tiny scenario
+every LEO serves a cell and the block is the whole matrix. Values, shapes
+and memory order must match the dense matrix exactly, since consumers sum
+over the gathered rows and columns and pinned outputs depend on the bits.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from eunomia.constellation import Constellation
+from eunomia.emulator import generate_arrivals
+from eunomia.scenario import default_config, desk_config, load_config
+from eunomia.traffic import (
+    build_grid,
+    cell_positions,
+    city_density_field,
+    demand_matrix,
+    diurnal_factor,
+    map_to_satellites,
+    scale,
+)
+
+from traffic_oracle import oracle_generate_arrivals, oracle_map_to_satellites
+
+TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
+
+
+def _mapped(config, time_s):
+    """(compact matrix, dense oracle matrix) for one snapshot of ``config``."""
+    params = config.traffic
+    cells = build_grid(city_density_field(params.city_sigma_deg, params.background_density))
+    f = np.array([diurnal_factor(c, time_s, params.diurnal_floor) for c in cells])
+    demands = demand_matrix(cells, params) * np.outer(f, f)
+    const = Constellation.build(config.leo_shell, config.meo_shell, config.ground_stations)
+    snap = const.snapshot(time_s)
+    tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=3)
+    full, unserved, local = oracle_map_to_satellites(cells, demands, snap)
+    assert tm.unserved_rate == unserved and tm.local_rate == local
+    return tm, full
+
+
+@pytest.fixture(scope="module")
+def default_slot():
+    return _mapped(default_config(), 600.0)
+
+
+@pytest.fixture(scope="module")
+def tiny_slot():
+    """Every LEO serves a cell: the block is the whole matrix."""
+    return _mapped(load_config(TINY_CONFIG), 0.0)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("default", 1.0), ("default", 0.75), ("tiny", 1.0)],
+    ids=["default-gamma1", "default-gamma0.75", "tiny-gamma1"],
+)
+def scaled(request, default_slot, tiny_slot):
+    which, gamma = request.param
+    tm, full = default_slot if which == "default" else tiny_slot
+    return scale(tm, gamma), full * gamma
+
+
+# instants where a narrower product (tiny: every LEO active) or the block's
+# own trace (desk, default) would move the last bit of a rate or local_rate
+@pytest.mark.parametrize(
+    "config, time_s",
+    [(lambda: load_config(TINY_CONFIG), 0.0), (desk_config, 0.0), (default_config, 750.0)],
+    ids=["tiny", "desk", "default"],
+)
+def test_block_is_the_dense_product_among_serving_leos(config, time_s):
+    tm, full = _mapped(config(), time_s)
+    assert np.array_equal(tm.rates, full[np.ix_(tm.active, tm.active)])
+    rest = full.copy()
+    rest[np.ix_(tm.active, tm.active)] = 0.0
+    assert not rest.any()
+    assert np.all(np.diff(tm.active) > 0)
+    nz = np.nonzero(full)
+    assert tm.nonzero_pairs() == [
+        (tm.leo_ids[a], tm.leo_ids[b], float(full[a, b])) for a, b in zip(*nz)
+    ]
+
+
+def test_fixture_slots_have_and_lack_inactive_leos(default_slot, tiny_slot):
+    tm, _ = default_slot
+    assert 0 < len(tm.active) < len(tm.leo_ids) // 2
+    tm, _ = tiny_slot
+    assert len(tm.active) == len(tm.leo_ids)
+
+
+def _index_sets(tm):
+    inactive = np.setdiff1d(np.arange(len(tm.leo_ids)), tm.active)
+    mix = np.array([tm.active[5], *inactive[:1], tm.active[-1], *inactive[-3:-2], tm.active[0]])
+    mask = np.zeros(len(tm.leo_ids), dtype=bool)
+    mask[mix] = True
+    return {
+        "empty": np.array([], dtype=int),
+        "one inactive": inactive[:1],
+        "mix": mix,
+        "mask": mask,
+        "all": np.arange(len(tm.leo_ids)),
+    }
+
+
+@pytest.mark.parametrize("which", ["empty", "one inactive", "mix", "mask", "all"])
+def test_rows_and_cols_equal_the_dense_gathers(scaled, which):
+    tm, full = scaled
+    idx = _index_sets(tm)[which]
+    for got, want in ((tm.rows(idx), full[idx]), (tm.cols(idx), full[:, idx])):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def test_pairs_and_outbound_rates_equal_the_dense_matrix(scaled):
+    tm, full = scaled
+    rng = np.random.default_rng(5)
+    i = rng.integers(0, len(tm.leo_ids), size=(40, 3))
+    j = np.where(rng.random((40, 3)) < 0.5, rng.choice(tm.active, size=(40, 3)), i)
+    assert np.array_equal(tm.at(i, j), full[i, j])
+    assert [tm.outbound_rate(leo) for leo in tm.leo_ids] == [
+        float(full[k].sum()) for k in range(len(tm.leo_ids))
+    ]
+
+
+def test_generate_arrivals_equal_the_dense_draw(scaled):
+    tm, full = scaled
+    got = generate_arrivals(tm, 15.0, seed=2, slot_index=tm.slot_index)
+    want = oracle_generate_arrivals(full, 15.0, 2, tm.slot_index)
+    assert len(got[0]) > 0
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
