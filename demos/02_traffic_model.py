@@ -13,7 +13,7 @@ from eunomia.traffic import (
     cell_positions,
     city_density_field,
     demand_matrix,
-    diurnal_factor,
+    diurnal_factors,
     slot_traffic_matrix,
 )
 
@@ -27,7 +27,7 @@ print("heaviest cells (lat, lon):", [c.center for c in top])
 print("\n=== Diurnal factor over a day (London cell) ===")
 london = min(cells, key=lambda c: (c.center[0] - 51.5) ** 2 + (c.center[1] - (-0.1)) ** 2)
 for hour in range(0, 24, 3):
-    f = diurnal_factor(london, hour * 3600.0)
+    f = diurnal_factors([london], hour * 3600.0)[0]
     bar = "#" * int(40 * f)
     print(f"  {hour:02d}:00 UTC  {f:4.2f} {bar}")
 

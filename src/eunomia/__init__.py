@@ -20,7 +20,6 @@ from .overhead import (
     OverheadReport,
     control_efficiency,
     evaluate,
-    objective,
     validate_assignment,
 )
 from .partition import (
@@ -43,7 +42,6 @@ from .visibility import (
     TimeSlot,
     compute_fov_domains,
     compute_overlap_regions,
-    elevation_angle,
     segment_time_slots,
 )
 

@@ -252,22 +252,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # per (strategy, gamma, seed): totals over slots
+    summed = ("requests", "drops", "bytes_flow", "bytes_sync", "bytes_ho")
     per_seed: dict[tuple[str, float, int], dict[str, float]] = {}
     for row in rows:
         key = (row["strategy"], float(row["gamma"]), int(row["seed"]))
-        agg = per_seed.setdefault(
-            key,
-            {"requests": 0.0, "drops": 0.0, "resp_weighted": 0.0, "served": 0.0,
-             "bytes_flow": 0.0, "bytes_sync": 0.0, "bytes_ho": 0.0},
-        )
+        agg = per_seed.setdefault(key, dict.fromkeys((*summed, "served", "resp_weighted"), 0.0))
+        for name in summed:
+            agg[name] += float(row[name])
         served = float(row["requests"]) - float(row["drops"])
-        agg["requests"] += float(row["requests"])
-        agg["drops"] += float(row["drops"])
         agg["served"] += served
         agg["resp_weighted"] += float(row["mean_resp_s"]) * served
-        agg["bytes_flow"] += float(row["bytes_flow"])
-        agg["bytes_sync"] += float(row["bytes_sync"])
-        agg["bytes_ho"] += float(row["bytes_ho"])
 
     groups: dict[tuple[str, float], list[dict[str, float]]] = {}
     for (strategy, gamma, _seed), agg in sorted(per_seed.items()):
@@ -305,20 +299,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"{len(groups)} (strategy, gamma) groups -> {report_path}")
 
     if args.overhead:
-        oh_rows = []
+        oh_groups: dict[tuple[str, float], list[dict]] = {}
         for path in args.overhead:
-            payload = json.loads(Path(path).read_text())
-            for run in payload["runs"]:
-                for slot in run["slots"]:
-                    oh_rows.append((run["strategy"], run["gamma"], run["seed"], slot))
+            for run in json.loads(Path(path).read_text())["runs"]:
+                key = (run["strategy"], float(run["gamma"]))
+                oh_groups.setdefault(key, []).extend(run["slots"])
         oh_path = out_dir / "report_overhead.csv"
         with oh_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["strategy", "gamma", "w_flow_mean", "w_sync_mean",
                              "w_mig_mean", "w_ctl_mean", "w_cpt_mean", "eta_mean"])
-            oh_groups: dict[tuple[str, float], list[dict]] = {}
-            for strategy, gamma, _seed, slot in oh_rows:
-                oh_groups.setdefault((strategy, float(gamma)), []).append(slot)
             for (strategy, gamma), slots in sorted(oh_groups.items()):
                 writer.writerow([
                     strategy,

@@ -59,10 +59,6 @@ class ShellSpec:
     def orbital_radius_km(self) -> float:
         return R_EARTH_KM + self.altitude_km
 
-    @property
-    def total_sats(self) -> int:
-        return self.num_planes * self.sats_per_plane
-
     def effective_phasing(self) -> float:
         return 1.0 / self.num_planes if self.phasing_offset is None else self.phasing_offset
 
@@ -145,44 +141,11 @@ def generate_shell(spec: ShellSpec, start_id: int = 0) -> list[SatelliteNode]:
     return nodes
 
 
-def propagate_inertial(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Position/velocity (km, km/s) in the non-rotating frame at time t."""
-    rate = 2.0 * math.pi / node.period_s
-    u = node.phase0 + rate * t
-    cu, su = math.cos(u), math.sin(u)
-    co, so = math.cos(node.raan), math.sin(node.raan)
-    ci, si = math.cos(node.inclination_rad), math.sin(node.inclination_rad)
-    r = node.orbital_radius_km
-    pos = np.array(
-        [
-            r * (cu * co - su * so * ci),
-            r * (cu * so + su * co * ci),
-            r * su * si,
-        ]
-    )
-    speed = r * rate
-    vel = np.array(
-        [
-            speed * (-su * co - cu * so * ci),
-            speed * (-su * so + cu * co * ci),
-            speed * cu * si,
-        ]
-    )
-    return pos, vel
-
-
 def _ecef_rotation(t: float) -> np.ndarray:
     """Rotation matrix taking inertial vectors into Earth-fixed axes at time t."""
     phi = EARTH_ROTATION_RAD_S * t
     c, s = math.cos(phi), math.sin(phi)
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def propagate(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Earth-fixed position and orbital velocity (in Earth-fixed axes) at time t."""
-    pos, vel = propagate_inertial(node, t)
-    rot = _ecef_rotation(t)
-    return rot @ pos, rot @ vel
 
 
 def build_isl_topology(leo_nodes: list[SatelliteNode]) -> frozenset[tuple[int, int]]:

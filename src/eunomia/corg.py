@@ -46,10 +46,6 @@ class Corg:
     def virtual_ids(self) -> tuple[int, ...]:
         return tuple(i for i in self.node_ids if self.virtual_flags[i])
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        """(node, node, weight) rows, sorted, for debugging dumps."""
-        return [(a, b, xi) for (a, b), xi in sorted(self.edges.items())]
-
 
 @dataclass
 class SimilarityMatrix:

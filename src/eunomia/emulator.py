@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from .codecs import FlowRequest, encode_flow_request
+from .codecs import FLOW_REQUEST_FIXED_BYTES
 from .constellation import NetworkSnapshot
 from .overhead import (
     ConstraintViolationError,
@@ -256,10 +256,9 @@ def run_slot(
 
     routes = control_routes(assignment, snap, fov_domains)
     routed = [idx[leo] for leo in routes]
-    req_len = len(encode_flow_request(FlowRequest()))
     req_cost = np.zeros(n)
     mfl_cost = np.zeros(n)
-    req_cost[routed] = route_costs(list(routes.values()), snap, params, req_len)
+    req_cost[routed] = route_costs(list(routes.values()), snap, params, FLOW_REQUEST_FIXED_BYTES)
     mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
 
     ctrl_of = np.full(n, -1, dtype=np.int64)
@@ -325,7 +324,7 @@ def run_slot(
     path_len, delivery = _walk_paths(preds, src_rows, srcs[r_s], dsts[r_s], deliver, row_of[k_s])
     resp_at = ready + delivery
     resp = resp_at - times[r_s]
-    bytes_flow = req_len * len(managed) + params.m_fl_bytes * (
+    bytes_flow = FLOW_REQUEST_FIXED_BYTES * len(managed) + params.m_fl_bytes * (
         int(path_len.sum()) + 2 * int(np.count_nonzero(~intra_s))
     )
     dropped = int(np.count_nonzero(uncovered)) + len(queued) - len(served)

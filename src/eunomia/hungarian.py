@@ -1,127 +1,64 @@
-"""Minimum-cost perfect matching on square matrices (Kuhn-Munkres).
+"""Minimum-cost perfect matching (Kuhn-Munkres) with a deterministic tie-break.
 
-Classic O(n^3) potentials formulation. Infeasible pairs are passed as
-+inf and replaced internally by a finite sentinel; a matching that needs a
-sentinel edge is reported as infeasible.
+Optima come from LAPJVsp in ``scipy.sparse.csgraph``, which the emulator loads
+anyway; ``linear_sum_assignment`` would add 16 MiB of ``scipy.optimize`` to
+peak RSS. The tie-break loop is the only logic left here.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 class InfeasibleMatchingError(ValueError):
-    def __init__(self, rows: list[int]):
-        self.rows = rows
-        super().__init__(f"no feasible perfect matching; offending rows: {rows}")
+    """No perfect matching avoids every non-finite pair."""
 
 
-def _sentinel(cost: np.ndarray) -> float:
-    finite = cost[np.isfinite(cost)]
-    top = float(finite.max()) if finite.size else 0.0
-    span = float(finite.max() - finite.min()) if finite.size else 1.0
-    return top + (span + 1.0) * cost.shape[0]
+def _optimal(cost: np.ndarray) -> list[int]:
+    """Column of each row in a least-cost perfect matching; non-finite pairs are forbidden."""
+    finite = np.isfinite(cost)
+    # LAPJVsp reads a zero weight as a missing edge; every perfect matching
+    # has the same number of edges, so a constant shift keeps the optimum
+    weights = cost[finite] - cost[finite].min(initial=0.0) + 1.0
+    indptr = np.concatenate(([0], np.cumsum(finite.sum(axis=1))))
+    graph = csr_matrix((weights, np.nonzero(finite)[1], indptr), shape=cost.shape)
+    try:
+        return min_weight_full_bipartite_matching(graph)[1].tolist()
+    except ValueError as exc:  # "no full matching exists"
+        raise InfeasibleMatchingError(str(exc)) from exc
 
 
-def solve(cost: np.ndarray) -> list[int]:
-    """Column assigned to each row in a minimum-total-cost perfect matching."""
+def solve_lexicographic(cost: np.ndarray, tol: float = 1e-9) -> list[int]:
+    """Column assigned to each row in a minimum-total-cost perfect matching,
+    tie-broken to the lexicographically smallest among all optimal matchings.
+
+    Rows are fixed in order; each row greedily takes the smallest column index
+    that keeps the remaining subproblem at the optimal total. ``match`` always
+    holds an optimal completion of the rows fixed so far, so its own column
+    qualifies and only the free columns below it need a solve.
+    """
     cost = np.asarray(cost, dtype=float)
     n, m = cost.shape
     if n != m:
         raise ValueError(f"cost matrix must be square, got {n}x{m}")
-    big = _sentinel(cost)
-    a = np.where(np.isfinite(cost), cost, big)
-
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row matched to column j (1-based; 0 = free)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = a[i0 - 1]
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = row[j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-
-    match = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            match[p[j] - 1] = j - 1
-    bad = [i for i in range(n) if not np.isfinite(cost[i, match[i]])]
-    if bad:
-        raise InfeasibleMatchingError(bad)
-    return match
-
-
-def min_total_cost(cost: np.ndarray) -> float:
-    match = solve(cost)
-    return float(sum(cost[i, j] for i, j in enumerate(match)))
-
-
-def solve_lexicographic(cost: np.ndarray, tol: float = 1e-9) -> list[int]:
-    """Minimum-cost matching, tie-broken to the lexicographically smallest
-    assignment vector among all optimal matchings.
-
-    Rows are fixed in order; each row greedily takes the smallest column index
-    that keeps the remaining subproblem at the optimal total.
-    """
-    cost = np.asarray(cost, dtype=float)
-    n = cost.shape[0]
-    best = min_total_cost(cost)
+    match = _optimal(cost)
+    best = float(cost[range(n), match].sum())
     eps = tol * (1.0 + abs(best))
-
-    chosen: list[int] = []
-    free_cols = list(range(n))
-    fixed_cost = 0.0
-    for i in range(n):
-        remaining_rows = list(range(i + 1, n))
-        picked = None
-        for j in free_cols:
+    for i in range(n - 1):
+        free = sorted(match[i:])
+        fixed = float(cost[range(i), match[:i]].sum())
+        for j in free[: free.index(match[i])]:
             if not np.isfinite(cost[i, j]):
                 continue
-            if remaining_rows:
-                sub = cost[np.ix_(remaining_rows, [c for c in free_cols if c != j])]
+            others = [c for c in free if c != j]
+            rest = others  # with one row left, its one free column is the only completion
+            if len(others) > 1:
                 try:
-                    rest = min_total_cost(sub)
+                    rest = [others[c] for c in _optimal(cost[np.ix_(range(i + 1, n), others)])]
                 except InfeasibleMatchingError:
                     continue
-            else:
-                rest = 0.0
-            if fixed_cost + cost[i, j] + rest <= best + eps:
-                picked = j
+            if fixed + cost[i, j] + cost[range(i + 1, n), rest].sum() <= best + eps:
+                match[i:] = [j, *rest]
                 break
-        if picked is None:
-            raise InfeasibleMatchingError([i])
-        chosen.append(picked)
-        fixed_cost += float(cost[i, picked])
-        free_cols.remove(picked)
-    return chosen
+    return match

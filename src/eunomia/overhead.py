@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .codecs import EDGE_SYNC_BYTES, FLOW_UPDATE_BYTES
 from .constellation import C_LIGHT_KM_S, ROLE_CODE, NetworkSnapshot, Role, norm
 from .visibility import FovDomain
 
@@ -62,17 +63,17 @@ class ConstraintViolationError(ValueError):
 
 @dataclass(frozen=True)
 class MigrationParams:
-    flow_entry_bytes: int = 36
+    flow_entry_bytes: int = FLOW_UPDATE_BYTES
     state_bandwidth_bps: float = 1e10
-    ho_msg_bytes: int = 36
+    ho_msg_bytes: int = FLOW_UPDATE_BYTES
     per_sat_processing_s: float = 1e-4  # OpenFlow-style ops complete in under 100 us
     mean_flow_lifetime_s: float = 10.0
 
 
 @dataclass(frozen=True)
 class OverheadParams:
-    m_fl_bytes: int = 36
-    m_sync_bytes: int = 24
+    m_fl_bytes: int = FLOW_UPDATE_BYTES
+    m_sync_bytes: int = EDGE_SYNC_BYTES
     f_sync_hz: float = 0.5
     bandwidth_bps: dict[LinkClass, float] = field(
         default_factory=lambda: dict(DEFAULT_BANDWIDTH_BPS)
@@ -222,19 +223,6 @@ def route_costs(
     # a running sum adds one hop at a time; np.sum adds pairwise, which can
     # differ in the last bit on paths of more than eight hops
     return np.cumsum(costs, axis=1)[:, -1].tolist()
-
-
-def control_hops(
-    leo_id: int,
-    assignment: "DomainAssignment",
-    snapshot: NetworkSnapshot,
-    fov_domains: list[FovDomain],
-) -> int:
-    """Hop count of the control path from a LEO to its domain controller."""
-    if leo_id not in assignment.domain_of:
-        raise KeyError(f"LEO {leo_id} is not assigned to any domain")
-    routes = control_routes(assignment, snapshot, fov_domains)
-    return len(routes[leo_id]) - 1
 
 
 def flow_overhead(
@@ -564,23 +552,3 @@ def evaluate(
     report.eta_control = control_efficiency(report)
     return report
 
-
-def objective(
-    assignment: "DomainAssignment",
-    traffic: "TrafficMatrix",
-    snapshot: NetworkSnapshot,
-    params: OverheadParams,
-    fov_domains: list[FovDomain],
-    prev_assignment: "DomainAssignment | None" = None,
-    slot_duration_s: float = 1.0,
-) -> float:
-    """Objective value W_CTL + lambda * W_CPT; raises on constraint violations."""
-    return evaluate(
-        assignment,
-        traffic,
-        snapshot,
-        params,
-        fov_domains,
-        prev_assignment=prev_assignment,
-        slot_duration_s=slot_duration_s,
-    ).objective

@@ -79,17 +79,6 @@ class DomainAssignment:
         state["domain_of"] = dict(self.domain_of)
         return partial(type(self), **state), ()
 
-    def x(self, i: int, j: int) -> int:
-        """Same-domain indicator for two LEOs."""
-        if i == j:
-            raise ValueError("x is defined for distinct satellites")
-        a, b = self.domain_of.get(i), self.domain_of.get(j)
-        return int(a is not None and a == b)
-
-    def y(self, domain_controller: int, controller: int) -> int:
-        """Domain-to-controller indicator; domains are keyed by controller."""
-        return int(domain_controller == controller and domain_controller in self.domain_of.values())
-
     def domains(self) -> Mapping[int, tuple[int, ...]]:
         """Members of each domain in id order, keyed by controller in id order."""
         return self._domains

@@ -19,6 +19,7 @@ from .constellation import (
     LEO_SHELLS,
     MEO_SHELLS,
     Constellation,
+    GroundStationNode,
     Role,
     ShellSpec,
     orbital_period,
@@ -75,6 +76,13 @@ def _numbers(raw: dict, path: str, ints: tuple[str, ...] = (), keep: tuple[str, 
         k: v if k in keep else _number(v, f"{path}.{k}", int if k in ints else float)
         for k, v in raw.items()
     }
+
+
+def _number_list(value, path: str, kind: type = float) -> list:
+    """A list of numbers from the config, each parsed by ``_number``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return [_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value)]
 
 
 def _params_from(cls, raw: dict, path: str):
@@ -141,8 +149,15 @@ def _stations_from(value, path: str) -> list[tuple[str, float, float]]:
             lat, lon = CITY_COORDS[item]
             out.append((item, lat, lon))
         elif isinstance(item, dict):
-            _check_keys(item, {"name", "lat", "lon"}, f"{path}[{k}]")
-            out.append((str(item["name"]), float(item["lat"]), float(item["lon"])))
+            where = f"{path}[{k}]"
+            if set(item) != {"name", "lat", "lon"}:
+                raise ConfigError(f"{where}: expected exactly the keys name, lat and lon")
+            lat, lon = (float(_number(item[c], f"{where}.{c}")) for c in ("lat", "lon"))
+            try:
+                GroundStationNode(0, str(item["name"]), lat, lon)  # range checks
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            out.append((str(item["name"]), lat, lon))
         else:
             raise ConfigError(f"{path}[{k}]: expected a city name or mapping")
     return out
@@ -242,9 +257,10 @@ class ScenarioConfig:
 
         thr_raw = data.get("thresholds", {})
         _check_keys(thr_raw, {"meo_min_elevation_deg", "gs_min_elevation_deg"}, "thresholds")
+        thr = _numbers(thr_raw, "thresholds")
         thresholds = {
-            Role.MEO: float(thr_raw.get("meo_min_elevation_deg", 40.0)),
-            Role.GS: float(thr_raw.get("gs_min_elevation_deg", 0.0)),
+            Role.MEO: float(thr.get("meo_min_elevation_deg", 40.0)),
+            Role.GS: float(thr.get("gs_min_elevation_deg", 0.0)),
         }
 
         traffic = _params_from(TrafficParams, data.get("traffic", {}), "traffic")
@@ -312,21 +328,28 @@ class ScenarioConfig:
         for s in strategies:
             if s not in STRATEGIES:
                 raise ConfigError(f"strategies: unknown strategy {s!r}")
-        gammas = [float(g) for g in data.get("gammas", [1.0])]
+        gammas = [float(g) for g in _number_list(data.get("gammas", [1.0]), "gammas")]
         for g in gammas:
             if not 0.0 <= g <= 1.0:
                 raise ConfigError(f"gammas: {g} outside [0, 1]")
-        seeds = [int(s) for s in data.get("seeds", [0])]
+        seeds = [int(s) for s in _number_list(data.get("seeds", [0]), "seeds", int)]
 
+        step = float(_number(data.get("step_s", 15.0), "step_s"))
+        if step <= 0:
+            raise ConfigError(f"step_s: {step} is not positive")
         horizon = data.get("horizon_s")
+        if horizon is not None:
+            horizon = float(_number(horizon, "horizon_s"))
+            if horizon < step:
+                raise ConfigError(f"horizon_s: {horizon} is shorter than one step_s ({step})")
         return cls(
             name=str(data.get("name", "scenario")),
             leo_shell=leo,
             meo_shell=meo,
             ground_stations=stations,
             thresholds=thresholds,
-            horizon_s=None if horizon is None else float(horizon),
-            step_s=float(data.get("step_s", 15.0)),
+            horizon_s=horizon,
+            step_s=step,
             traffic=traffic,
             overhead=overhead,
             corg=corg,

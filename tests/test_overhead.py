@@ -11,14 +11,13 @@ from eunomia.overhead import (
     MigrationParams,
     OverheadParams,
     control_efficiency,
-    control_hops,
+    control_routes,
     evaluate,
     flow_overhead,
     hop_cost,
     intra_domain_edges,
     route_costs,
     migration_overhead,
-    objective,
     path_compute_overhead,
     sync_overhead,
     validate_assignment,
@@ -120,16 +119,15 @@ def test_control_hops_direct_is_one():
     snap = _chain_snapshot(n=1)
     fov = [FovDomain(1, frozenset({0}))]
     a = DomainAssignment(0, {0: 1})
-    assert control_hops(0, a, snap, fov) == 1
+    assert len(control_routes(a, snap, fov)[0]) - 1 == 1
 
 
 def test_control_hops_chain_of_three():
     snap = _chain_snapshot(n=3)
     fov = [FovDomain(3, frozenset({2}))]  # only the far end sees the controller
     a = DomainAssignment(0, {0: 3, 1: 3, 2: 3}, fov_waived=True)
-    assert control_hops(2, a, snap, fov) == 1
-    assert control_hops(1, a, snap, fov) == 2
-    assert control_hops(0, a, snap, fov) == 3
+    routes = control_routes(a, snap, fov)
+    assert [len(routes[leo]) - 1 for leo in (2, 1, 0)] == [1, 2, 3]
 
 
 def test_flow_overhead_zero_traffic():
@@ -311,7 +309,7 @@ def test_objective_flags_fov_violation():
     a = DomainAssignment(0, {0: k, 1: k, 2: k, 3: k})
     tm = _traffic(snap, {})
     with pytest.raises(ConstraintViolationError) as err:
-        objective(a, tm, snap, OverheadParams(), fov)
+        evaluate(a, tm, snap, OverheadParams(), fov).objective
     assert any(v.constraint == "fov_containment" for v in err.value.violations)
 
 

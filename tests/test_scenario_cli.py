@@ -195,6 +195,33 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
     assert path in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "keys, value, path",
+    [
+        (("thresholds", "meo_min_elevation_deg"), "high", "thresholds.meo_min_elevation_deg"),
+        (("horizon_s",), "long", "horizon_s"),
+        (("horizon_s",), 5.0, "horizon_s"),  # shorter than one step
+        (("step_s",), "often", "step_s"),
+        (("step_s",), -5, "step_s"),
+        (("gammas",), [0.5, "half"], "gammas[1]"),
+        (("seeds",), ["one"], "seeds[0]"),
+        (("seeds",), 3, "seeds"),
+        (("ground_stations",), [{"name": "x", "lat": 10.0}], "ground_stations[0]"),
+        (("ground_stations",), [{"name": "x", "lat": 95.0, "lon": 0.0}], "ground_stations[0]"),
+        (("ground_stations",), [{"name": "x", "lat": "n", "lon": 0.0}], "ground_stations[0].lat"),
+    ],
+)
+def test_bad_top_level_values_rejected_with_path(keys, value, path):
+    data = yaml.safe_load(TINY_CONFIG.read_text())
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict(data)
+    assert path in str(err.value)
+
+
 def test_unparsable_migration_number_rejected_with_path():
     data = yaml.safe_load(TINY_CONFIG.read_text())
     data["overhead"]["migration"] = {"ho_msg_bytes": "thirty-six"}
@@ -218,6 +245,13 @@ def test_cli_bad_number_in_config_exits_2(tmp_path, capsys):
     ))
     assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "traffic.gravity_constant" in capsys.readouterr().err
+
+
+def test_cli_negative_step_in_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(TINY_CONFIG.read_text().replace("step_s: 15.0", "step_s: -5"))
+    assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "step_s" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

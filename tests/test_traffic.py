@@ -13,15 +13,15 @@ from eunomia.traffic import (
     cell_positions,
     city_density_field,
     demand_matrix,
-    diurnal_factor,
-    gravity_demand,
-    great_circle_km,
+    diurnal_factors,
     map_to_satellites,
     scale,
     serving_satellites,
     slot_traffic_matrix,
 )
-from eunomia.visibility import elevation_angle
+
+from geometry_oracle import elevation_angle
+from traffic_oracle import diurnal_factor, gravity_demand
 
 
 def test_grid_cell_count():
@@ -128,6 +128,13 @@ def test_diurnal_antiphase_for_opposite_longitudes():
         fb = diurnal_factor(b, utc_h * 3600.0, floor=0.2)
         # antiphase: the cosine terms cancel
         assert fa + fb == pytest.approx(2 * (0.5 * 1.2), abs=1e-12)
+
+
+def test_diurnal_factors_match_per_cell_oracle():
+    cells = build_grid(lambda lat, lon: 1.0)
+    for utc_s in (0.0, 3600.0 * 7.5, 86399.0):
+        want = [diurnal_factor(c, utc_s, floor=0.3) for c in cells]
+        assert diurnal_factors(cells, utc_s, floor=0.3) == pytest.approx(want, abs=1e-15)
 
 
 def _small_world():

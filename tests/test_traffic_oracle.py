@@ -19,12 +19,11 @@ from eunomia.traffic import (
     cell_positions,
     city_density_field,
     demand_matrix,
-    diurnal_factor,
     map_to_satellites,
     scale,
 )
 
-from traffic_oracle import oracle_generate_arrivals, oracle_map_to_satellites
+from traffic_oracle import diurnal_factor, oracle_generate_arrivals, oracle_map_to_satellites
 
 TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
 

@@ -16,12 +16,12 @@ from eunomia.visibility import (
     compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
-    elevation_angle,
     membership_fingerprint,
     segment_time_slots,
 )
 
 from conftest import make_ring_snapshot
+from geometry_oracle import elevation_angle, overlap_regions
 
 
 def _at_alpha(alpha_deg, r_obs, r_tgt):
@@ -148,6 +148,12 @@ def test_overlap_regions_match_coverage_count_oracle(desk_scenario_short):
         for leo in region.leo_ids:
             assert set(cover[leo]) <= set(region.controller_ids)
     assert union == contested
+
+
+def test_overlap_regions_match_union_find_oracle(desk_scenario):
+    # list order matters: partition_slot seeds k-means with the region index
+    for geom in desk_scenario.geometries:
+        assert geom.regions == overlap_regions(geom.fov_domains, geom.slot.snapshot)
 
 
 def test_fov_positive_line_of_sight(desk_scenario_short):

@@ -6,6 +6,9 @@ selection matrix whether or not it serves a cell, and the full product
 ``sel.T @ demands @ sel`` is returned. Poisson arrivals are drawn from the
 nonzero entries of that full matrix. Tests compare the package's compact
 block, its row and column gathers and its arrivals against these.
+
+The gravity demand and the diurnal factor are also written per cell pair
+and per cell, as references for ``demand_matrix`` and ``diurnal_factors``.
 """
 import math
 
@@ -68,3 +71,35 @@ def oracle_generate_arrivals(full, duration_s, seed, slot_index):
     marks = rng.random(total)
     order = np.argsort(times, kind="stable")
     return times[order], srcs[order], dsts[order], marks[order]
+
+
+def great_circle_km(a: tuple[float, float], b: tuple[float, float]) -> float:
+    lat1, lon1 = map(math.radians, a)
+    lat2, lon2 = map(math.radians, b)
+    s = math.sin((lat2 - lat1) / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
+        (lon2 - lon1) / 2.0
+    ) ** 2
+    return 2.0 * R_EARTH_KM * math.asin(min(1.0, math.sqrt(s)))
+
+
+def gravity_demand(cell_i, cell_j, params) -> float:
+    """Pairwise demand G * w_i * w_j / distance^exponent, flows/second."""
+    if cell_i.index == cell_j.index:
+        raise ValueError("gravity demand is defined for distinct cells")
+    if cell_i.density_weight == 0.0 or cell_j.density_weight == 0.0:
+        return 0.0
+    d = great_circle_km(cell_i.center, cell_j.center)
+    return (
+        params.gravity_constant
+        * cell_i.density_weight
+        * cell_j.density_weight
+        / d**params.gravity_exponent
+    )
+
+
+def diurnal_factor(cell, utc_s: float, floor: float = 0.2) -> float:
+    """Daylight multiplier in [floor, 1], peaking at 14:00 local solar time."""
+    hour = (utc_s / 3600.0 + cell.center[1] / 15.0) % 24.0
+    return 0.5 * (1.0 + floor) + 0.5 * (1.0 - floor) * math.cos(
+        2.0 * math.pi * (hour - 14.0) / 24.0
+    )
