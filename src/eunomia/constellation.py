@@ -59,6 +59,10 @@ class ShellSpec:
     def orbital_radius_km(self) -> float:
         return R_EARTH_KM + self.altitude_km
 
+    @property
+    def total_sats(self) -> int:
+        return self.num_planes * self.sats_per_plane
+
     def effective_phasing(self) -> float:
         return 1.0 / self.num_planes if self.phasing_offset is None else self.phasing_offset
 

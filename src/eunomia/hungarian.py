@@ -1,8 +1,9 @@
-"""Minimum-cost perfect matching (Kuhn-Munkres) with a deterministic tie-break.
+"""Minimum-cost perfect matching with a deterministic tie-break.
 
-Optima come from LAPJVsp in ``scipy.sparse.csgraph``, which the emulator loads
-anyway; ``linear_sum_assignment`` would add 16 MiB of ``scipy.optimize`` to
-peak RSS. The tie-break loop is the only logic left here.
+Optima come from ``scipy.sparse.csgraph.min_weight_full_bipartite_matching``
+(LAPJVsp), which lives in a package the emulator loads anyway;
+``scipy.optimize.linear_sum_assignment`` would add about 16 MiB of
+``scipy.optimize`` to peak RSS. The tie-break loop is the only logic left here.
 """
 from __future__ import annotations
 
@@ -20,9 +21,7 @@ def _optimal(cost: np.ndarray) -> list[int]:
     finite = np.isfinite(cost)
     # LAPJVsp reads a zero weight as a missing edge; every perfect matching
     # has the same number of edges, so a constant shift keeps the optimum
-    weights = cost[finite] - cost[finite].min(initial=0.0) + 1.0
-    indptr = np.concatenate(([0], np.cumsum(finite.sum(axis=1))))
-    graph = csr_matrix((weights, np.nonzero(finite)[1], indptr), shape=cost.shape)
+    graph = csr_matrix(np.where(finite, cost - cost[finite].min(initial=0.0) + 1.0, 0.0))
     try:
         return min_weight_full_bipartite_matching(graph)[1].tolist()
     except ValueError as exc:  # "no full matching exists"

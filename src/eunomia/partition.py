@@ -15,6 +15,7 @@ enumerator serves as the small-instance optimality oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
@@ -79,6 +80,17 @@ class DomainAssignment:
         state["domain_of"] = dict(self.domain_of)
         return partial(type(self), **state), ()
 
+    def x(self, i: int, j: int) -> int:
+        """Same-domain indicator for two LEOs."""
+        if i == j:
+            raise ValueError("x is defined for distinct satellites")
+        a, b = self.domain_of.get(i), self.domain_of.get(j)
+        return int(a is not None and a == b)
+
+    def y(self, domain_controller: int, controller: int) -> int:
+        """Domain-to-controller indicator; domains are keyed by controller."""
+        return int(domain_controller == controller and domain_controller in self.domain_of.values())
+
     def domains(self) -> Mapping[int, tuple[int, ...]]:
         """Members of each domain in id order, keyed by controller in id order."""
         return self._domains
@@ -127,10 +139,7 @@ def step1_exclusive_assign(
     """
     cover = coverage_map(fov_domains)
     contested = {leo for r in regions for leo in r.leo_ids}
-    assigned: dict[int, int] = {}
-    for leo, ctrls in cover.items():
-        if len(ctrls) == 1:
-            assigned[leo] = ctrls[0]
+    assigned = {leo: ctrls[0] for leo, ctrls in cover.items() if len(ctrls) == 1}
     uncoverable = sorted(set(all_leo_ids) - cover.keys())
     return assigned, uncoverable, contested
 
@@ -140,13 +149,6 @@ def _by_distance(snapshot: NetworkSnapshot, node: int, candidates) -> list[int]:
     ks = np.array(candidates)
     dist = norm(snapshot.positions[node] - snapshot.positions[ks])
     return ks[np.lexsort((ks, dist))].tolist()
-
-
-def _uncovered_leos(snapshot: NetworkSnapshot, fov_domains: list[FovDomain]) -> list[int]:
-    covered = set()
-    for d in fov_domains:
-        covered |= d.member_leo_ids
-    return sorted(set(snapshot.leo_ids) - covered)
 
 
 def spectral_cluster(
@@ -461,11 +463,10 @@ def partition_slot(
     snap = slot.snapshot
     fov = geom.fov_domains
     regions = geom.regions
-    uncovered = _uncovered_leos(snap, fov)
+    assigned, uncovered, contested = step1_exclusive_assign(fov, regions, snap.leo_ids)
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    assigned, _, contested = step1_exclusive_assign(fov, regions, snap.leo_ids)
     cover = coverage_map(fov)
     fov_map = {d.controller_id: d.member_leo_ids for d in fov}
     n_domains = sum(1 for d in fov if d.member_leo_ids)
@@ -476,11 +477,7 @@ def partition_slot(
             assigned[leo] = k
         pricing.fix(leos, k)
 
-    signature: dict[int, frozenset[int]] = {}
-    for region in regions:
-        sig = frozenset(region.controller_ids)
-        for leo in region.leo_ids:
-            signature[leo] = sig
+    signature = {leo: frozenset(r.controller_ids) for r in regions for leo in r.leo_ids}
 
     if prev_assignment is not None:
         for leo in sorted(contested):
@@ -542,9 +539,7 @@ def odc_partition(ctx: PartitionContext, slot: TimeSlot) -> DomainAssignment:
     designated ground station, reached over the global ISL graph via the
     nearest ground-station relay (documented FOV waiver)."""
     snap = slot.snapshot
-    gs_ids = tuple(
-        k for k in snap.controller_ids if snap.roles[k] is Role.GS
-    )
+    gs_ids = tuple(k for k in snap.controller_ids if snap.roles[k] is Role.GS)
     central = gs_ids[0] if gs_ids else snap.controller_ids[0]
     relays = gs_ids if gs_ids else (central,)
     return DomainAssignment(
@@ -565,7 +560,7 @@ def greedy_partition(
     geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
     fov = geom.fov_domains
     cover = coverage_map(fov)
-    uncovered = _uncovered_leos(snap, fov)
+    uncovered = sorted(set(snap.leo_ids) - cover.keys())
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
@@ -576,13 +571,10 @@ def greedy_partition(
         if not ctrls:
             continue
         ranked = _by_distance(snap, leo, ctrls)
-        chosen = None
-        for k in ranked:
-            if ctx.greedy_cap is None or load[k] < ctx.greedy_cap:
-                chosen = k
-                break
-        if chosen is None:
-            chosen = ranked[0]  # every candidate at cap: overload the nearest
+        # the nearest controller under the cap; with every candidate at cap, the nearest
+        chosen = next(
+            (k for k in ranked if ctx.greedy_cap is None or load[k] < ctx.greedy_cap), ranked[0]
+        )
         assigned[leo] = chosen
         load[chosen] += 1
     return DomainAssignment(
@@ -614,14 +606,12 @@ def brute_force_partition(
     geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
     fov = geom.fov_domains
     cover = coverage_map(fov)
-    uncovered = _uncovered_leos(snap, fov)
+    uncovered = sorted(set(snap.leo_ids) - cover.keys())
     covered = [leo for leo in snap.leo_ids if leo in cover]
     if len(covered) > BRUTE_FORCE_MAX_LEOS:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_LEOS} LEOs")
     choice_lists = [sorted(cover[leo]) for leo in covered]
-    n_combos = 1
-    for c in choice_lists:
-        n_combos *= len(c)
+    n_combos = math.prod(len(c) for c in choice_lists)
     if n_combos > BRUTE_FORCE_MAX_COMBOS:
         raise ValueError(f"{n_combos} assignments exceed the enumeration cap")
 

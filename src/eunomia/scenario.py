@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -335,13 +336,14 @@ class ScenarioConfig:
         seeds = [int(s) for s in _number_list(data.get("seeds", [0]), "seeds", int)]
 
         step = float(_number(data.get("step_s", 15.0), "step_s"))
-        if step <= 0:
-            raise ConfigError(f"step_s: {step} is not positive")
+        if not 0.0 < step < math.inf:
+            raise ConfigError(f"step_s: {step} is not a positive finite number")
         horizon = data.get("horizon_s")
         if horizon is not None:
+            # 0 leaves the horizon to build_scenario (one LEO orbit), as None does
             horizon = float(_number(horizon, "horizon_s"))
-            if horizon < step:
-                raise ConfigError(f"horizon_s: {horizon} is shorter than one step_s ({step})")
+            if not (horizon == 0.0 or step <= horizon < math.inf):
+                raise ConfigError(f"horizon_s: {horizon} is neither 0 nor at least step_s ({step})")
         return cls(
             name=str(data.get("name", "scenario")),
             leo_shell=leo,

@@ -114,9 +114,9 @@ def compute_overlap_regions(
         covers[list(dom.member_leo_ids), c] = True
     a, b = snapshot.isl_edge_array.T
     keep = (pos[a] >= 0) & (pos[b] >= 0) & (covers[a] & covers[b]).any(axis=1)
-    rows = pos[a[keep]]  # ascending: the edges are sorted and pos increases with node id
-    indptr = np.searchsorted(rows, np.arange(len(contested) + 1))
-    graph = csr_matrix((np.ones(len(rows)), pos[b[keep]], indptr), shape=(len(contested),) * 2)
+    graph = csr_matrix(
+        (np.ones(keep.sum()), (pos[a[keep]], pos[b[keep]])), shape=(len(contested),) * 2
+    )
     _, labels = connected_components(graph, directed=False)
 
     # labels in order of first appearance, so regions sort by smallest member

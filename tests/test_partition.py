@@ -539,11 +539,17 @@ def test_bruteforce_not_worse_than_heuristics():
             assert best <= value + 1e-12
 
 
-# --------------------------------------------------------- domain view sanity
+# --------------------------------------------------------- x/y view sanity
 
 
 def test_assignment_views():
     a = DomainAssignment(0, {0: 10, 1: 10, 2: 11})
+    assert a.x(0, 1) == 1
+    assert a.x(0, 2) == 0
+    assert a.y(10, 10) == 1
+    assert a.y(10, 11) == 0
+    with pytest.raises(ValueError):
+        a.x(1, 1)
     assert a.domains() == {10: (0, 1), 11: (2,)}
 
 

@@ -201,8 +201,11 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("thresholds", "meo_min_elevation_deg"), "high", "thresholds.meo_min_elevation_deg"),
         (("horizon_s",), "long", "horizon_s"),
         (("horizon_s",), 5.0, "horizon_s"),  # shorter than one step
+        (("horizon_s",), -60.0, "horizon_s"),
+        (("horizon_s",), "inf", "horizon_s"),
         (("step_s",), "often", "step_s"),
         (("step_s",), -5, "step_s"),
+        (("step_s",), "nan", "step_s"),
         (("gammas",), [0.5, "half"], "gammas[1]"),
         (("seeds",), ["one"], "seeds[0]"),
         (("seeds",), 3, "seeds"),
@@ -220,6 +223,13 @@ def test_bad_top_level_values_rejected_with_path(keys, value, path):
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict(data)
     assert path in str(err.value)
+
+
+def test_zero_horizon_is_accepted_as_one_orbit():
+    # build_scenario reads a horizon of 0 as one LEO orbit, as it reads None
+    data = yaml.safe_load(TINY_CONFIG.read_text())
+    data["horizon_s"] = 0
+    assert ScenarioConfig.from_dict(data).horizon_s == 0.0
 
 
 def test_unparsable_migration_number_rejected_with_path():
