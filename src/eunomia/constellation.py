@@ -41,7 +41,7 @@ class ShellSpec:
     num_planes: int
     sats_per_plane: int
     phasing_offset: float | None = None  # fraction of in-plane spacing, [0, 1); None = 1/num_planes
-    role: Role = Role.LEO
+    role: Role = field(default=Role.LEO, metadata={"config": False})  # set by the scenario
     name: str = ""
     eccentricity: float = 0.0  # recorded from preset tables, not propagated
 
@@ -82,10 +82,10 @@ class SatelliteNode:
 
 @dataclass(frozen=True)
 class GroundStationNode:
-    id: int
+    id: int = field(metadata={"config": False})
     name: str
-    latitude_deg: float
-    longitude_deg: float
+    latitude_deg: float = field(metadata={"key": "lat"})
+    longitude_deg: float = field(metadata={"key": "lon"})
 
     def __post_init__(self) -> None:
         if abs(self.latitude_deg) > 90.0:

@@ -25,8 +25,8 @@ big-endian structured array for reproducibility checks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -57,7 +57,8 @@ from .visibility import FovDomain, TimeSlot, compute_fov_domains
 if TYPE_CHECKING:
     from .scenario import Scenario
 
-STRATEGIES = ("eunomia", "odc", "greedy")
+Strategy = Literal["eunomia", "odc", "greedy"]
+STRATEGIES: tuple[str, ...] = get_args(Strategy)
 
 # event codes for the trace
 EV_ARRIVAL = 1
@@ -402,13 +403,10 @@ def partition_chain(
     strategy: str,
     gamma: float,
     seed: int,
-    lookahead_override: float | None = None,
 ) -> list[DomainAssignment]:
     """Partition every slot in order, feeding each slot the previous slot's
     traffic and assignment."""
     ctx = scn.ctx
-    if lookahead_override is not None:
-        ctx = replace(ctx, lookahead_s=lookahead_override)
     assignments: list[DomainAssignment] = []
     prev: DomainAssignment | None = None
     for t, geom in enumerate(scn.geometries):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -80,11 +80,13 @@ class OverheadParams:
     )
     capacity_unit_ops: float = 1.0
     capacity_ratio: dict[Role, float] = field(
-        default_factory=lambda: dict(DEFAULT_CAPACITY_RATIO)
+        default_factory=lambda: dict(DEFAULT_CAPACITY_RATIO), metadata={"config": False}
     )
-    capacity_override_ops: dict[int, float] = field(default_factory=dict)
+    capacity_override_ops: dict[int, float] = field(
+        default_factory=dict, metadata={"config": False}
+    )
     tradeoff_lambda: float = 0.1  # control overhead dominates the objective
-    cpt_complexity: str = "quadratic"  # quadratic | nlogn | cubic
+    cpt_complexity: Literal["quadratic", "nlogn", "cubic"] = "quadratic"
     migration: MigrationParams = field(default_factory=MigrationParams)
 
     def capacity_of(self, controller_id: int, role: Role) -> float:

@@ -2,23 +2,42 @@
 
 A scenario bundles a constellation, visibility thresholds, traffic and
 overhead parameters, and the experiment grid (strategies, gammas, seeds).
-Configs are strict: unknown keys are rejected with their full path, and
-parse -> serialize -> parse is the identity on the parsed object.
+
+The config schema is not written out here. One parser (``_construct``) and
+one serializer (``_dump``) walk the fields and resolved annotations of
+``ScenarioConfig`` and the parameter dataclasses it holds, and each default
+is its field's own. Field metadata adjusts the layout:
+
+- ``config: False`` keeps a field out of the config;
+- ``key`` is a field's config key where it differs from the field name, and
+  ``key_format`` turns the enum members keying a dict field into keys;
+- ``section`` reads a field from a sub-mapping, where a dataclass field
+  lends the section its own keys;
+- ``presets`` names values accepted in place of a dataclass mapping, and
+  ``set`` holds constructor arguments that the containing field supplies.
+
+Configs are strict: unknown keys and values that do not fit the annotation
+are rejected with their key path, and parse -> serialize -> parse is the
+identity on the parsed object.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from contextlib import suppress
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .constellation import (
-    CITY_COORDS,
     LEO_SHELLS,
     MEO_SHELLS,
+    NINE_CITIES,
     Constellation,
     GroundStationNode,
     Role,
@@ -26,8 +45,8 @@ from .constellation import (
     orbital_period,
 )
 from .corg import CorgWeights
-from .emulator import STRATEGIES, EmulatorParams
-from .overhead import LinkClass, MigrationParams, OverheadParams
+from .emulator import EmulatorParams, Strategy
+from .overhead import OverheadParams
 from .partition import PartitionContext
 from .traffic import (
     GroundCell,
@@ -39,7 +58,13 @@ from .traffic import (
     demand_matrix,
     slot_traffic_matrix,
 )
-from .visibility import SlotGeometry, TimeSlot, build_slot_geometry, segment_time_slots
+from .visibility import (
+    DEFAULT_THRESHOLDS,
+    SlotGeometry,
+    TimeSlot,
+    build_slot_geometry,
+    segment_time_slots,
+)
 
 # Gravity constant calibrated so the desk scenario at gamma=1 offers roughly
 # twice the centralized baseline's service capacity (near saturation).
@@ -50,320 +75,203 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys at {path}: {sorted(unknown)}")
+_KIND = {dict: "a mapping", list: "a list", bool: "true or false", str: "a string"}
+_THRESHOLD_KEY = "{}_min_elevation_deg"
+_PARTITION = {"section": "partition"}
 
 
-def _number(value, path: str, kind: type = float):
-    """A number from the config, also where PyYAML read it as a string: YAML
-    1.1 reads ``1.25e6`` (no sign in the exponent) or a quoted number so."""
+def _error(path: str, message) -> ConfigError:
+    return ConfigError(f"{path}: {message}" if path else str(message))
+
+
+def _join(path: str, key: str) -> str:
+    return ".".join(p for p in (path, key) if p)
+
+
+def _typed(kind: type, value, path: str):
+    if not isinstance(value, kind):
+        raise _error(path, f"expected {_KIND[kind]}, got {value!r}")
+    return value
+
+
+def _number(value, kind: type, path: str):
+    """A finite float or an integral int, also where PyYAML read it as a
+    string: YAML 1.1 reads ``1.25e6`` (no sign in the exponent) or a quoted
+    number so."""
     if isinstance(value, str):
-        try:
-            return kind(value)
-        except ValueError:
-            pass
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        with suppress(ValueError):
+            value = float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf:
+        if kind is float:
+            return float(value)
+        if int(value) == value:
+            return int(value)
+    expected = "an integer" if kind is int else "a finite number"
+    raise _error(path, f"expected {expected}, got {value!r}")
+
+
+@cache
+def _hints(cls) -> dict:
+    return get_type_hints(cls)
+
+
+def _config_fields(cls) -> list[Field]:
+    return [f for f in fields(cls) if f.metadata.get("config", True)]
+
+
+def _key(f: Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def _entry_key(f: Field, member) -> str:
+    """The config key of the entry for enum ``member`` in dict field ``f``."""
+    return f.metadata.get("key_format", "{}").format(member.value)
+
+
+def _parse(tp, value, path: str, f: Field):
+    """``value`` from a config, checked and converted to the annotation ``tp``
+    of field ``f``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else _parse(args[0], value, path, f)
+    if origin is Literal:
+        if value not in args:
+            raise _error(path, f"expected one of {list(args)}, got {value!r}")
         return value
-    expected = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if origin is list:
+        items = _typed(list, value, path)
+        return [_parse(args[0], v, f"{path}[{i}]", f) for i, v in enumerate(items)]
+    if origin is dict:  # keyed by enum members, over the field's default
+        base = f.default_factory()
+        keys = {_entry_key(f, k): k for k in base}
+        given = _typed(dict, value, path)
+        if unknown := set(given) - set(keys):
+            raise _error(path, f"unknown keys {sorted(unknown, key=str)}")
+        return base | {keys[k]: _parse(args[1], v, _join(path, k), f) for k, v in given.items()}
+    if is_dataclass(tp):
+        presets = f.metadata.get("presets", {})
+        if isinstance(value, str) and presets:
+            if value not in presets:
+                raise _error(path, f"unknown preset {value!r}; expected one of {sorted(presets)}")
+            return presets[value]
+        return _construct(tp, value, path, f.metadata.get("set", {}))
+    if tp in (bool, str):
+        return _typed(tp, value, path)
+    return _number(value, tp, path)
 
 
-def _numbers(raw: dict, path: str, ints: tuple[str, ...] = (), keep: tuple[str, ...] = ()) -> dict:
-    """``raw`` with each value parsed by ``_number``, as an int for keys in
-    ``ints``; the values of keys in ``keep`` are left as they are."""
-    return {
-        k: v if k in keep else _number(v, f"{path}.{k}", int if k in ints else float)
-        for k, v in raw.items()
-    }
-
-
-def _number_list(value, path: str, kind: type = float) -> list:
-    """A list of numbers from the config, each parsed by ``_number``."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    return [_number(v, f"{path}[{i}]", kind) for i, v in enumerate(value)]
-
-
-def _params_from(cls, raw: dict, path: str):
-    """An all-numeric parameter dataclass from its config mapping: the keys are
-    its fields, and each value is parsed as a number of its default's type."""
-    kinds = {f.name: f.default for f in fields(cls)}
-    _check_keys(raw, set(kinds), path)
-    ints = tuple(k for k, default in kinds.items() if isinstance(default, int))
-    return cls(**_numbers(raw, path, ints=ints))
-
-
-def _shell_from(value, role: Role, path: str) -> ShellSpec | None:
-    if value is None:
-        return None
-    presets = LEO_SHELLS if role is Role.LEO else MEO_SHELLS
-    if isinstance(value, str):
-        if value not in presets:
-            raise ConfigError(
-                f"{path}: unknown preset {value!r}; expected one of {sorted(presets)}"
-            )
-        return presets[value]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a preset name or a mapping")
-    allowed = {
-        "altitude_km",
-        "inclination_deg",
-        "num_planes",
-        "sats_per_plane",
-        "phasing_offset",
-        "name",
-        "eccentricity",
-    }
-    _check_keys(value, allowed, path)
+def _construct(cls, raw, path: str, fixed: dict):
+    """``cls`` from its config mapping ``raw``. A field with a ``section`` is
+    read from that sub-mapping, where a dataclass field lends the section its
+    own keys; ``fixed`` holds the arguments set by the containing field."""
+    raw = _typed(dict, raw, path)
+    hints, kwargs, known = _hints(cls), dict(fixed), {"": set()}
+    for f in _config_fields(cls):
+        tp, section = hints[f.name], f.metadata.get("section", "")
+        where = _join(path, section)
+        src = _typed(dict, raw.get(section, {}), where) if section else raw
+        keys = known.setdefault(section, set())
+        if section:
+            known[""].add(section)
+        if section and is_dataclass(tp):
+            own = {_key(g) for g in _config_fields(tp)}
+            kwargs[f.name] = _construct(tp, {k: v for k, v in src.items() if k in own}, where, {})
+            keys |= own
+            continue
+        keys.add(_key(f))
+        if _key(f) in src:
+            kwargs[f.name] = _parse(tp, src[_key(f)], _join(where, _key(f)), f)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise _error(path, f"missing key {_key(f)!r}")
+    for section, keys in known.items():
+        if unknown := set(raw.get(section, {}) if section else raw) - keys:
+            raise _error(_join(path, section), f"unknown keys {sorted(unknown, key=str)}")
     try:
-        return ShellSpec(role=role, **value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise _error(path, exc) from exc
 
 
-def _shell_to(spec: ShellSpec | None) -> dict | None:
-    if spec is None:
-        return None
-    return {
-        "altitude_km": spec.altitude_km,
-        "inclination_deg": spec.inclination_deg,
-        "num_planes": spec.num_planes,
-        "sats_per_plane": spec.sats_per_plane,
-        "phasing_offset": spec.phasing_offset,
-        "name": spec.name,
-        "eccentricity": spec.eccentricity,
-    }
-
-
-def _stations_from(value, path: str) -> list[tuple[str, float, float]]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list")
-    out: list[tuple[str, float, float]] = []
-    for k, item in enumerate(value):
-        if isinstance(item, str):
-            if item not in CITY_COORDS:
-                raise ConfigError(
-                    f"{path}[{k}]: unknown city {item!r}; expected one of {sorted(CITY_COORDS)}"
-                )
-            lat, lon = CITY_COORDS[item]
-            out.append((item, lat, lon))
-        elif isinstance(item, dict):
-            where = f"{path}[{k}]"
-            if set(item) != {"name", "lat", "lon"}:
-                raise ConfigError(f"{where}: expected exactly the keys name, lat and lon")
-            lat, lon = (float(_number(item[c], f"{where}.{c}")) for c in ("lat", "lon"))
-            try:
-                GroundStationNode(0, str(item["name"]), lat, lon)  # range checks
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            out.append((str(item["name"]), lat, lon))
+def _dump(obj) -> dict:
+    """The config mapping of a parameter dataclass: the inverse of ``_construct``."""
+    out: dict = {}
+    for f in _config_fields(type(obj)):
+        value, section = getattr(obj, f.name), f.metadata.get("section")
+        target = out.setdefault(section, {}) if section else out
+        if section and is_dataclass(value):
+            target.update(_dump(value))
         else:
-            raise ConfigError(f"{path}[{k}]: expected a city name or mapping")
+            target[_key(f)] = _dump_value(value, f)
     return out
 
 
-@dataclass
+def _dump_value(value, f: Field):
+    if is_dataclass(value):
+        return _dump(value)
+    if isinstance(value, list):
+        return [_dump_value(v, f) for v in value]
+    if isinstance(value, dict):
+        return {_entry_key(f, k): v for k, v in value.items()}
+    return value
+
+
+CITY_STATIONS = {name: GroundStationNode(0, name, lat, lon) for name, lat, lon in NINE_CITIES}
+
+
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    name: str
-    leo_shell: ShellSpec
-    meo_shell: ShellSpec | None
-    ground_stations: list[tuple[str, float, float]]
-    thresholds: dict[Role, float]
-    horizon_s: float | None
-    step_s: float
-    traffic: TrafficParams
-    overhead: OverheadParams
-    corg: CorgWeights
-    lookahead_s: float
-    sigma: float | None
-    allow_uncovered: bool
-    greedy_cap: int | None
-    emulator: EmulatorParams
-    strategies: list[str]
-    gammas: list[float]
-    seeds: list[int]
+    """A scenario's parameters. The config schema is derived from the field
+    annotations of this class and of the parameter dataclasses it holds; the
+    defaults live on those fields."""
+
+    name: str = "scenario"
+    leo_shell: ShellSpec = field(metadata={"presets": LEO_SHELLS})
+    meo_shell: ShellSpec | None = field(
+        default=None, metadata={"presets": MEO_SHELLS, "set": {"role": Role.MEO}}
+    )
+    ground_stations: list[GroundStationNode] = field(
+        metadata={"presets": CITY_STATIONS, "set": {"id": 0}}
+    )
+    thresholds: dict[Role, float] = field(
+        default_factory=lambda: dict(DEFAULT_THRESHOLDS), metadata={"key_format": _THRESHOLD_KEY}
+    )
+    horizon_s: float | None = None  # None or 0: one LEO orbit
+    step_s: float = 15.0
+    traffic: TrafficParams = field(default_factory=TrafficParams)
+    overhead: OverheadParams = field(default_factory=OverheadParams)
+    corg: CorgWeights = field(default_factory=CorgWeights, metadata=_PARTITION)
+    lookahead_s: float = field(default=30.0, metadata=_PARTITION)
+    sigma: float | None = field(default=None, metadata=_PARTITION)
+    allow_uncovered: bool = field(default=True, metadata=_PARTITION)
+    greedy_cap: int | None = field(default=None, metadata=_PARTITION)
+    emulator: EmulatorParams = field(default_factory=EmulatorParams)
+    strategies: list[Strategy] = field(default_factory=lambda: ["eunomia"])
+    gammas: list[float] = field(default_factory=lambda: [1.0])
+    seeds: list[int] = field(default_factory=lambda: [0])
+
+    def __post_init__(self) -> None:
+        if not self.ground_stations:
+            raise ValueError("ground_stations: expected at least one station")
+        for role, deg in self.thresholds.items():
+            if not -90.0 <= deg <= 90.0:
+                key = _THRESHOLD_KEY.format(role.value)
+                raise ValueError(f"thresholds.{key}: {deg} outside [-90, 90]")
+        if not self.step_s > 0.0:
+            raise ValueError(f"step_s: {self.step_s} is not positive")
+        if self.horizon_s not in (None, 0.0) and not self.step_s <= self.horizon_s:
+            raise ValueError(
+                f"horizon_s: {self.horizon_s} is neither 0 nor at least step_s ({self.step_s})"
+            )
+        for g in self.gammas:
+            if not 0.0 <= g <= 1.0:
+                raise ValueError(f"gammas: {g} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "leo_shell": _shell_to(self.leo_shell),
-            "meo_shell": _shell_to(self.meo_shell),
-            "ground_stations": [
-                {"name": n, "lat": lat, "lon": lon} for n, lat, lon in self.ground_stations
-            ],
-            "thresholds": {
-                "meo_min_elevation_deg": self.thresholds[Role.MEO],
-                "gs_min_elevation_deg": self.thresholds[Role.GS],
-            },
-            "horizon_s": self.horizon_s,
-            "step_s": self.step_s,
-            "traffic": asdict(self.traffic),
-            "overhead": {
-                "m_fl_bytes": self.overhead.m_fl_bytes,
-                "m_sync_bytes": self.overhead.m_sync_bytes,
-                "f_sync_hz": self.overhead.f_sync_hz,
-                "tradeoff_lambda": self.overhead.tradeoff_lambda,
-                "cpt_complexity": self.overhead.cpt_complexity,
-                "capacity_unit_ops": self.overhead.capacity_unit_ops,
-                "bandwidth_bps": {
-                    lc.value: self.overhead.bandwidth_bps[lc] for lc in LinkClass
-                },
-                "migration": asdict(self.overhead.migration),
-            },
-            "partition": {
-                "alpha": self.corg.alpha,
-                "beta": self.corg.beta,
-                "mig_unit_s": self.corg.mig_unit_s,
-                "lookahead_s": self.lookahead_s,
-                "sigma": self.sigma,
-                "allow_uncovered": self.allow_uncovered,
-                "greedy_cap": self.greedy_cap,
-            },
-            "emulator": asdict(self.emulator),
-            "strategies": list(self.strategies),
-            "gammas": list(self.gammas),
-            "seeds": list(self.seeds),
-        }
+        return _dump(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a mapping")
-        allowed = {
-            "name",
-            "leo_shell",
-            "meo_shell",
-            "ground_stations",
-            "thresholds",
-            "horizon_s",
-            "step_s",
-            "traffic",
-            "overhead",
-            "partition",
-            "emulator",
-            "strategies",
-            "gammas",
-            "seeds",
-        }
-        _check_keys(data, allowed, "<root>")
-        if "leo_shell" not in data:
-            raise ConfigError("config requires a leo_shell")
-
-        leo = _shell_from(data["leo_shell"], Role.LEO, "leo_shell")
-        assert leo is not None
-        meo = _shell_from(data.get("meo_shell"), Role.MEO, "meo_shell")
-        stations = _stations_from(data.get("ground_stations", []), "ground_stations")
-
-        thr_raw = data.get("thresholds", {})
-        _check_keys(thr_raw, {"meo_min_elevation_deg", "gs_min_elevation_deg"}, "thresholds")
-        thr = _numbers(thr_raw, "thresholds")
-        thresholds = {
-            Role.MEO: float(thr.get("meo_min_elevation_deg", 40.0)),
-            Role.GS: float(thr.get("gs_min_elevation_deg", 0.0)),
-        }
-
-        traffic = _params_from(TrafficParams, data.get("traffic", {}), "traffic")
-
-        ov_raw = dict(data.get("overhead", {}))
-        _check_keys(
-            ov_raw,
-            {
-                "m_fl_bytes",
-                "m_sync_bytes",
-                "f_sync_hz",
-                "tradeoff_lambda",
-                "cpt_complexity",
-                "capacity_unit_ops",
-                "bandwidth_bps",
-                "migration",
-            },
-            "overhead",
-        )
-        bw_raw = ov_raw.pop("bandwidth_bps", {})
-        _check_keys(bw_raw, {lc.value for lc in LinkClass}, "overhead.bandwidth_bps")
-        bandwidth = {
-            lc: float(_number(bw_raw.get(lc.value, v), f"overhead.bandwidth_bps.{lc.value}"))
-            for lc, v in OverheadParams().bandwidth_bps.items()
-        }
-        migration = _params_from(
-            MigrationParams, ov_raw.pop("migration", {}), "overhead.migration"
-        )
-        overhead = OverheadParams(
-            bandwidth_bps=bandwidth,
-            migration=migration,
-            **_numbers(
-                ov_raw, "overhead", ints=("m_fl_bytes", "m_sync_bytes"), keep=("cpt_complexity",)
-            ),
-        )
-
-        part_raw = data.get("partition", {})
-        _check_keys(
-            part_raw,
-            {
-                "alpha",
-                "beta",
-                "mig_unit_s",
-                "lookahead_s",
-                "sigma",
-                "allow_uncovered",
-                "greedy_cap",
-            },
-            "partition",
-        )
-        optional = [k for k in ("sigma", "greedy_cap") if part_raw.get(k) is None]
-        part = _numbers(
-            part_raw, "partition", ints=("greedy_cap",), keep=("allow_uncovered", *optional)
-        )
-        try:
-            corg = CorgWeights(
-                alpha=float(part.get("alpha", 0.5)),
-                beta=float(part.get("beta", 0.3)),
-                mig_unit_s=float(part.get("mig_unit_s", 1.0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"partition: {exc}") from exc
-
-        strategies = list(data.get("strategies", ["eunomia"]))
-        for s in strategies:
-            if s not in STRATEGIES:
-                raise ConfigError(f"strategies: unknown strategy {s!r}")
-        gammas = [float(g) for g in _number_list(data.get("gammas", [1.0]), "gammas")]
-        for g in gammas:
-            if not 0.0 <= g <= 1.0:
-                raise ConfigError(f"gammas: {g} outside [0, 1]")
-        seeds = [int(s) for s in _number_list(data.get("seeds", [0]), "seeds", int)]
-
-        step = float(_number(data.get("step_s", 15.0), "step_s"))
-        if not 0.0 < step < math.inf:
-            raise ConfigError(f"step_s: {step} is not a positive finite number")
-        horizon = data.get("horizon_s")
-        if horizon is not None:
-            # 0 leaves the horizon to build_scenario (one LEO orbit), as None does
-            horizon = float(_number(horizon, "horizon_s"))
-            if not (horizon == 0.0 or step <= horizon < math.inf):
-                raise ConfigError(f"horizon_s: {horizon} is neither 0 nor at least step_s ({step})")
-        return cls(
-            name=str(data.get("name", "scenario")),
-            leo_shell=leo,
-            meo_shell=meo,
-            ground_stations=stations,
-            thresholds=thresholds,
-            horizon_s=horizon,
-            step_s=step,
-            traffic=traffic,
-            overhead=overhead,
-            corg=corg,
-            lookahead_s=float(part.get("lookahead_s", 30.0)),
-            sigma=None if part.get("sigma") is None else float(part["sigma"]),
-            allow_uncovered=bool(part.get("allow_uncovered", True)),
-            greedy_cap=None if part.get("greedy_cap") is None else int(part["greedy_cap"]),
-            emulator=_params_from(EmulatorParams, data.get("emulator", {}), "emulator"),
-            strategies=strategies,
-            gammas=gammas,
-            seeds=seeds,
-        )
+        return _construct(cls, data, "", {})
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -409,7 +317,7 @@ def default_config() -> ScenarioConfig:
             "name": "default",
             "leo_shell": "starlink550",
             "meo_shell": "meo10354",
-            "ground_stations": [name for name in CITY_COORDS],
+            "ground_stations": list(CITY_STATIONS),
             "step_s": 15.0,
             "horizon_s": 900.0,
             "traffic": {"gravity_constant": DESK_GRAVITY_CONSTANT},
@@ -442,7 +350,9 @@ class Scenario:
 
 def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Scenario:
     constellation = Constellation.build(
-        config.leo_shell, config.meo_shell, config.ground_stations
+        config.leo_shell,
+        config.meo_shell,
+        [(g.name, g.latitude_deg, g.longitude_deg) for g in config.ground_stations],
     )
     horizon = (
         horizon_s

@@ -6,6 +6,7 @@ and three ground stations over one full LEO orbital period at a 15 s step.
 """
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -434,9 +435,8 @@ def test_criterion_9_fine_tuning_migrations(desk_scenario):
         return total
 
     with_ft = windowed_migrations(partition_chain(scn, "eunomia", 1.0, 1))
-    without = windowed_migrations(
-        partition_chain(scn, "eunomia", 1.0, 1, lookahead_override=0.0)
-    )
+    no_tuning = replace(scn, ctx=replace(scn.ctx, lookahead_s=0.0))
+    without = windowed_migrations(partition_chain(no_tuning, "eunomia", 1.0, 1))
     reduction = (without - with_ft) / without if without else 0.0
     ok = with_ft <= without
     assert _report(

@@ -1,9 +1,14 @@
 import csv
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eunomia import cli
 from eunomia.cli import main
@@ -31,6 +36,51 @@ def test_tiny_config_round_trip_identity():
     cfg = load_config(TINY_CONFIG)
     again = ScenarioConfig.from_dict(yaml.safe_load(dump_config(cfg)))
     assert again == cfg
+
+
+# every float field's range check holds on [0.01, 0.5]
+_FLOATS = st.floats(0.01, 0.5)
+
+
+def _values(tp, f):
+    """Valid values of the annotation ``tp`` of config field ``f``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return st.none() | _values(args[0], f)
+    if origin is Literal:
+        return st.sampled_from(args)
+    if origin is list:
+        return st.lists(_values(args[0], f), min_size=1, max_size=3)
+    if origin is dict:
+        return st.fixed_dictionaries({k: _FLOATS for k in f.default_factory()})
+    if is_dataclass(tp):
+        return _objects(tp, f.metadata.get("set", {}))
+    return {bool: st.booleans(), str: st.text(max_size=8), int: st.integers(1, 9)}.get(tp, _FLOATS)
+
+
+def _build(cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError:  # a cross-field check, such as horizon_s >= step_s
+        return None
+
+
+def _objects(cls, fixed):
+    """Instances of a parameter dataclass drawn from its config fields' types,
+    with ``fixed`` set as the containing field sets it."""
+    hints = get_type_hints(cls)
+    drawn = {
+        f.name: _values(hints[f.name], f) for f in fields(cls) if f.metadata.get("config", True)
+    }
+    return st.fixed_dictionaries(drawn).map(lambda kw: _build(cls, kw | fixed)).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_objects(ScenarioConfig, {}))
+def test_drawn_configs_round_trip(cfg):
+    again = ScenarioConfig.from_dict(yaml.safe_load(dump_config(cfg)))
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
 
 
 def test_unknown_keys_rejected_with_path():
@@ -167,7 +217,9 @@ def test_numbers_read_as_strings_are_parsed():
     data["overhead"]["migration"] = {"state_bandwidth_bps": "1e10"}
     data["partition"]["sigma"] = "0.5"
     data["emulator"]["queue_window_s"] = "2"
+    data["leo_shell"]["num_planes"] = "2"
     cfg = ScenarioConfig.from_dict(data)
+    assert cfg.leo_shell.num_planes == 2 and isinstance(cfg.leo_shell.num_planes, int)
     assert cfg.traffic.gravity_constant == 1.25e6
     assert cfg.overhead.m_fl_bytes == 36 and isinstance(cfg.overhead.m_fl_bytes, int)
     assert cfg.overhead.migration.state_bandwidth_bps == 1e10
@@ -185,6 +237,12 @@ def test_numbers_read_as_strings_are_parsed():
         ("partition", "lookahead_s", [30], "partition.lookahead_s"),
         ("emulator", "queue_window_s", True, "emulator.queue_window_s"),
         ("partition", "alpha", 0.9, "partition"),  # alpha + beta > 1
+        ("overhead", "cpt_complexity", "foo", "overhead.cpt_complexity"),
+        ("leo_shell", "num_planes", 2.5, "leo_shell.num_planes"),
+        ("partition", "allow_uncovered", "no", "partition.allow_uncovered"),
+        ("partition", "greedy_cap", 2.5, "partition.greedy_cap"),
+        ("overhead", "m_fl_bytes", 36.5, "overhead.m_fl_bytes"),
+        ("traffic", "gravity_constant", float("nan"), "traffic.gravity_constant"),
     ],
 )
 def test_unparsable_numbers_rejected_with_path(section, key, value, path):
@@ -212,6 +270,10 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("ground_stations",), [{"name": "x", "lat": 10.0}], "ground_stations[0]"),
         (("ground_stations",), [{"name": "x", "lat": 95.0, "lon": 0.0}], "ground_stations[0]"),
         (("ground_stations",), [{"name": "x", "lat": "n", "lon": 0.0}], "ground_stations[0].lat"),
+        (("seeds",), [1.5], "seeds[0]"),
+        (("thresholds", "meo_min_elevation_deg"), 200, "thresholds.meo_min_elevation_deg"),
+        (("name",), [1], "name"),
+        (("strategies",), "eunomia", "strategies"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):
@@ -255,6 +317,15 @@ def test_cli_bad_number_in_config_exits_2(tmp_path, capsys):
     ))
     assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "traffic.gravity_constant" in capsys.readouterr().err
+
+
+def test_cli_unknown_cpt_complexity_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(TINY_CONFIG.read_text().replace(
+        "f_sync_hz: 0.5", "f_sync_hz: 0.5\n  cpt_complexity: foo"
+    ))
+    assert main(["emulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "overhead.cpt_complexity" in capsys.readouterr().err
 
 
 def test_cli_negative_step_in_config_exits_2(tmp_path, capsys):

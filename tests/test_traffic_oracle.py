@@ -34,7 +34,8 @@ def _mapped(config, time_s):
     cells = build_grid(city_density_field(params.city_sigma_deg, params.background_density))
     f = np.array([diurnal_factor(c, time_s, params.diurnal_floor) for c in cells])
     demands = demand_matrix(cells, params) * np.outer(f, f)
-    const = Constellation.build(config.leo_shell, config.meo_shell, config.ground_stations)
+    stations = [(g.name, g.latitude_deg, g.longitude_deg) for g in config.ground_stations]
+    const = Constellation.build(config.leo_shell, config.meo_shell, stations)
     snap = const.snapshot(time_s)
     tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=3)
     full, unserved, local = oracle_map_to_satellites(cells, demands, snap)
