@@ -50,7 +50,6 @@ class TrafficParams:
     diurnal_floor: float = 0.2
     city_sigma_deg: float = 10.0
     background_density: float = 0.05
-    mean_flow_lifetime_s: float = 10.0
 
 
 @dataclass
