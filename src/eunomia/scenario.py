@@ -178,11 +178,12 @@ def _construct(cls, raw, path: str, fixed: dict):
             kwargs[f.name] = _construct(tp, {k: v for k, v in src.items() if k in own}, where, {})
             keys |= own
             continue
-        keys.add(_key(f))
-        if _key(f) in src:
-            kwargs[f.name] = _parse(tp, src[_key(f)], _join(where, _key(f)), f)
+        key = _key(f)
+        keys.add(key)
+        if key in src:
+            kwargs[f.name] = _parse(tp, src[key], _join(where, key), f)
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise _error(path, f"missing key {_key(f)!r}")
+            raise _error(path, f"missing key {key!r}")
     for section, keys in known.items():
         if unknown := set(raw.get(section, {}) if section else raw) - keys:
             raise _error(_join(path, section), f"unknown keys {sorted(unknown, key=str)}")
