@@ -22,7 +22,7 @@ Flow table request (variable):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import IntEnum
 
 FLOW_UPDATE_BYTES = 36
@@ -91,26 +91,19 @@ class FlowRequest:
     payload: bytes = field(default=b"")
 
 
-def encode_flow_update(msg: FlowUpdate) -> bytes:
+def _pack(what: str, fmt: str, *values) -> bytes:
+    """``struct.pack``, raising CodecError for a value out of range. The
+    codecs pass each message's fields in declaration order, which is why the
+    dataclasses above list them in wire order."""
     try:
-        data = struct.pack(
-            _FLOW_UPDATE_FMT,
-            msg.command,
-            0,
-            msg.idle_timeout,
-            msg.hard_timeout,
-            msg.priority,
-            msg.buffer_id,
-            msg.out_port,
-            msg.out_group,
-            msg.cookie,
-            msg.flags,
-            msg.match_src,
-            msg.match_dst,
-            0,
-        )
+        return struct.pack(fmt, *values)
     except struct.error as exc:
-        raise CodecError(f"flow update field out of range: {exc}") from exc
+        raise CodecError(f"{what} field out of range: {exc}") from exc
+
+
+def encode_flow_update(msg: FlowUpdate) -> bytes:
+    command, *rest = astuple(msg)
+    data = _pack("flow update", _FLOW_UPDATE_FMT, command, 0, *rest, 0)
     assert len(data) == FLOW_UPDATE_BYTES
     return data
 
@@ -118,34 +111,8 @@ def encode_flow_update(msg: FlowUpdate) -> bytes:
 def decode_flow_update(data: bytes) -> FlowUpdate:
     if len(data) != FLOW_UPDATE_BYTES:
         raise CodecError(f"flow update must be {FLOW_UPDATE_BYTES} bytes, got {len(data)}")
-    (
-        command,
-        _reserved,
-        idle_timeout,
-        hard_timeout,
-        priority,
-        buffer_id,
-        out_port,
-        out_group,
-        cookie,
-        flags,
-        match_src,
-        match_dst,
-        _pad,
-    ) = struct.unpack(_FLOW_UPDATE_FMT, data)
-    return FlowUpdate(
-        command=command,
-        idle_timeout=idle_timeout,
-        hard_timeout=hard_timeout,
-        priority=priority,
-        buffer_id=buffer_id,
-        out_port=out_port,
-        out_group=out_group,
-        cookie=cookie,
-        flags=flags,
-        match_src=match_src,
-        match_dst=match_dst,
-    )
+    command, _reserved, *rest, _pad = struct.unpack(_FLOW_UPDATE_FMT, data)
+    return FlowUpdate(command, *rest)
 
 
 def encode_edge_sync(msg: EdgeSync) -> bytes:
@@ -154,18 +121,8 @@ def encode_edge_sync(msg: EdgeSync) -> bytes:
         raise CodecError(f"weight {msg.weight} outside fixed-point range")
     if not 0 <= msg.timestamp_ms < 2**48:
         raise CodecError(f"timestamp {msg.timestamp_ms} outside 48-bit range")
-    try:
-        head = struct.pack(
-            _EDGE_SYNC_FMT,
-            msg.link_type,
-            msg.status,
-            msg.bandwidth_kbps,
-            weight_milli,
-            msg.src_id,
-            msg.dst_id,
-        )
-    except struct.error as exc:
-        raise CodecError(f"edge sync field out of range: {exc}") from exc
+    head = _pack("edge sync", _EDGE_SYNC_FMT, msg.link_type, msg.status, msg.bandwidth_kbps,
+                 weight_milli, msg.src_id, msg.dst_id)
     data = head + msg.timestamp_ms.to_bytes(6, "big")
     assert len(data) == EDGE_SYNC_BYTES
     return data
@@ -179,13 +136,7 @@ def decode_edge_sync(data: bytes) -> EdgeSync:
     )
     timestamp_ms = int.from_bytes(data[18:], "big")
     return EdgeSync(
-        link_type=link_type,
-        status=status,
-        bandwidth_kbps=bandwidth_kbps,
-        weight=weight_milli / 1000.0,
-        src_id=src_id,
-        dst_id=dst_id,
-        timestamp_ms=timestamp_ms,
+        link_type, status, bandwidth_kbps, weight_milli / 1000.0, src_id, dst_id, timestamp_ms
     )
 
 
@@ -193,24 +144,10 @@ def encode_flow_request(msg: FlowRequest) -> bytes:
     total = FLOW_REQUEST_FIXED_BYTES + len(msg.payload)
     if total >= 2**16:
         raise CodecError(f"flow request of {total} bytes exceeds the length field")
-    try:
-        data = struct.pack(
-            _REQ_HEADER_FMT, PROTOCOL_VERSION, MessageKind.FLOW_REQUEST, total, msg.xid
-        ) + struct.pack(
-            _REQ_CONTENT_FMT,
-            msg.buffer_id,
-            msg.total_len,
-            msg.reason,
-            msg.table_id,
-            msg.cookie,
-            msg.eth_type,
-            msg.src_ip,
-            msg.dst_ip,
-            msg.src_port,
-            msg.dst_port,
-        ) + msg.payload
-    except struct.error as exc:
-        raise CodecError(f"flow request field out of range: {exc}") from exc
+    xid, *content, payload = astuple(msg)
+    header = (PROTOCOL_VERSION, MessageKind.FLOW_REQUEST, total, xid)
+    data = (_pack("flow request", _REQ_HEADER_FMT, *header)
+            + _pack("flow request", _REQ_CONTENT_FMT, *content) + payload)
     assert len(data) == total
     return data
 
@@ -227,31 +164,7 @@ def decode_flow_request(data: bytes) -> FlowRequest:
         raise CodecError(f"wrong type tag {kind} for a flow request")
     if length != len(data):
         raise CodecError(f"length field {length} disagrees with buffer of {len(data)}")
-    (
-        buffer_id,
-        total_len,
-        reason,
-        table_id,
-        cookie,
-        eth_type,
-        src_ip,
-        dst_ip,
-        src_port,
-        dst_port,
-    ) = struct.unpack(
+    content = struct.unpack(
         _REQ_CONTENT_FMT, data[FLOW_REQUEST_HEADER_BYTES:FLOW_REQUEST_FIXED_BYTES]
     )
-    return FlowRequest(
-        xid=xid,
-        buffer_id=buffer_id,
-        total_len=total_len,
-        reason=reason,
-        table_id=table_id,
-        cookie=cookie,
-        eth_type=eth_type,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        payload=data[FLOW_REQUEST_FIXED_BYTES:],
-    )
+    return FlowRequest(xid, *content, payload=data[FLOW_REQUEST_FIXED_BYTES:])

@@ -16,6 +16,7 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 R_EARTH_KM = 6371.0
 MU_KM3_S2 = 398600.4418
@@ -212,6 +213,18 @@ class NetworkSnapshot:
     def isl_edge_array(self) -> np.ndarray:
         """The ISL edges as an (E, 2) array of node ids, in sorted order."""
         return np.array(sorted(self.isl_edges), dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def isl_graph(self) -> csr_matrix:
+        """The ISL adjacency as a symmetric 0/1 sparse matrix over positions
+        in ``leo_ids``."""
+        position = np.full(len(self.roles), -1, dtype=np.int64)
+        position[list(self.leo_ids)] = np.arange(len(self.leo_ids))
+        ends = position[self.isl_edge_array]
+        n = len(self.leo_ids)
+        return csr_matrix(
+            (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
+        )
 
     @cached_property
     def role_codes(self) -> np.ndarray:

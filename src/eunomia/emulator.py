@@ -26,24 +26,23 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .codecs import FLOW_REQUEST_FIXED_BYTES
-from .constellation import NetworkSnapshot
 from .overhead import (
     ConstraintViolationError,
     OverheadParams,
-    control_routes,
+    SlotPlan,
     count_migrations,
     evaluate,
     hop_cost,
-    intra_domain_edges,
-    route_costs,
-    validate_assignment,
+    plan_key,
+    slot_plan,
+    validate_assignment,  # noqa: F401  (benchmarks/tests/test_bench_tracing.py patches it here)
 )
 from .partition import (
     DomainAssignment,
@@ -77,6 +76,16 @@ class EmulatorParams:
     queue_window_s: float = 1.0  # backlog bound, in seconds of controller capacity
 
 
+# stats.csv column -> EmulationStats field, in column order
+_CSV_FIELDS = {
+    "slot": "slot_index", "strategy": "strategy", "gamma": "gamma", "seed": "seed",
+    "requests": "requests_total", "drops": "requests_dropped", "drop_rate": "drop_rate",
+    "mean_resp_s": "resp_mean_s", "p95_resp_s": "resp_p95_s",
+    "sync_delay_s": "sync_delay_mean_s", "bytes_flow": "bytes_flow",
+    "bytes_sync": "bytes_sync", "bytes_ho": "bytes_handover",
+}
+
+
 @dataclass
 class EmulationStats:
     slot_index: int
@@ -99,38 +108,10 @@ class EmulationStats:
     trace_hash: str
 
     def to_row(self) -> dict:
-        return {
-            "slot": self.slot_index,
-            "strategy": self.strategy,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "requests": self.requests_total,
-            "drops": self.requests_dropped,
-            "drop_rate": self.drop_rate,
-            "mean_resp_s": self.resp_mean_s,
-            "p95_resp_s": self.resp_p95_s,
-            "sync_delay_s": self.sync_delay_mean_s,
-            "bytes_flow": self.bytes_flow,
-            "bytes_sync": self.bytes_sync,
-            "bytes_ho": self.bytes_handover,
-        }
+        return {column: getattr(self, name) for column, name in _CSV_FIELDS.items()}
 
 
-CSV_COLUMNS = [
-    "slot",
-    "strategy",
-    "gamma",
-    "seed",
-    "requests",
-    "drops",
-    "drop_rate",
-    "mean_resp_s",
-    "p95_resp_s",
-    "sync_delay_s",
-    "bytes_flow",
-    "bytes_sync",
-    "bytes_ho",
-]
+CSV_COLUMNS = list(_CSV_FIELDS)
 
 
 def generate_arrivals(
@@ -154,24 +135,6 @@ def generate_arrivals(
     marks = rng.random(total)
     order = np.argsort(times, kind="stable")
     return times[order], srcs[order], dsts[order], marks[order]
-
-
-def _isl_paths(
-    snapshot: NetworkSnapshot, index_of: dict[int, int], sources: np.ndarray
-) -> np.ndarray:
-    """Hop-count shortest-path predecessors over the ISL graph, one row per
-    source index (-9999 where a node is unreachable or is the source)."""
-    n = len(index_of)
-    lookup = np.full(len(snapshot.roles), -1, dtype=np.int64)
-    lookup[list(index_of)] = list(index_of.values())
-    ends = lookup[snapshot.isl_edge_array]
-    graph = csr_matrix(
-        (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
-    )
-    _, preds = shortest_path(
-        graph, method="D", unweighted=True, return_predecessors=True, indices=sources
-    )
-    return preds
 
 
 def _walk_paths(
@@ -240,54 +203,39 @@ def run_slot(
     prev_assignment: DomainAssignment | None = None,
     fov_domains: list[FovDomain] | None = None,
     strategy: str = "",
+    plan: SlotPlan | None = None,
+    arrivals: tuple[np.ndarray, ...] | None = None,
 ) -> EmulationStats:
-    """Emulate one slot under a fixed assignment; see the module docstring."""
+    """Emulate one slot under a fixed assignment; see the module docstring.
+
+    ``plan`` is the assignment's slot plan and ``arrivals`` the slot's
+    ``generate_arrivals`` draw for ``seed``; each is computed here when not
+    given.
+    """
     snap = slot.snapshot
     duration = slot.end_s - slot.start_s
-    if fov_domains is None:
-        fov_domains = compute_fov_domains(snap)
-    violations = validate_assignment(assignment, snap, fov_domains)
-    if violations:
-        raise ConstraintViolationError(violations)
+    if plan is None:
+        if fov_domains is None:
+            fov_domains = compute_fov_domains(snap)
+        plan = slot_plan(assignment, snap, params, fov_domains)
+    if plan.violations:
+        raise ConstraintViolationError(list(plan.violations))
+    if arrivals is None:
+        arrivals = generate_arrivals(base_traffic, duration, seed, slot.index)
 
     leo_ids = np.array(base_traffic.leo_ids, dtype=np.int64)
-    idx = base_traffic.index_of
-    n = len(leo_ids)
-    roles = snap.roles
-
-    routes = control_routes(assignment, snap, fov_domains)
-    routed = [idx[leo] for leo in routes]
-    req_cost = np.zeros(n)
-    mfl_cost = np.zeros(n)
-    req_cost[routed] = route_costs(list(routes.values()), snap, params, FLOW_REQUEST_FIXED_BYTES)
-    mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
-
-    ctrl_of = np.full(n, -1, dtype=np.int64)
-    ctrl_of[[idx[leo] for leo in assignment.domain_of]] = list(assignment.domain_of.values())
-
-    domains = assignment.domains()
-    active = sorted(domains)
-    nd = len(active)
-    act = np.array(active, dtype=np.int64)
-    row_of = np.zeros(len(roles), dtype=np.int64)  # controller id -> row of act
-    row_of[act] = np.arange(nd)
-    service_intra = np.array(
-        [params.cpt_cost(len(domains[k])) / params.capacity_of(k, roles[k]) for k in active]
-    )
-    service_inter = np.array(
-        [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
-    )
-    cc_hop = hop_cost(snap, params, act[:, None], act, params.m_fl_bytes)
-    cc_rtt = 2.0 * cc_hop
+    ctrl_of, row_of, act = plan.ctrl_of, plan.row_of, plan.active
+    nd = len(act)
+    cc_rtt = 2.0 * plan.cc_hop
 
     # flow-update delivery cost from each controller to each switch (one extra
     # controller hop when the switch belongs to another domain)
     deliver = hop_cost(snap, params, act[:, None], leo_ids, params.m_fl_bytes)
     if nd:
         relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
-        deliver = np.where(relayed, deliver + cc_hop[:, row_of[ctrl_of]], deliver)
+        deliver = np.where(relayed, deliver + plan.cc_hop[:, row_of[ctrl_of]], deliver)
 
-    times, srcs, dsts, marks = generate_arrivals(base_traffic, duration, seed, slot.index)
+    times, srcs, dsts, marks = arrivals
     keep = marks < gamma
     times, srcs, dsts = times[keep] + slot.start_s, srcs[keep], dsts[keep]
     requests_total = len(times)
@@ -299,14 +247,14 @@ def run_slot(
     # arrival, request)
     uncovered = src_ctrl < 0
     managed = np.flatnonzero(~uncovered)
-    t_at_ctrl = times[managed] + req_cost[srcs[managed]]
-    measured_flow_s = float(mfl_cost[srcs[managed]].sum())
+    t_at_ctrl = times[managed] + plan.req_cost[srcs[managed]]
+    measured_flow_s = float(plan.mfl_cost[srcs[managed]].sum())
     order = np.lexsort((np.arange(len(managed)), t_at_ctrl, src_ctrl[managed]))
     queued = managed[order]
     k_q, ta_q = src_ctrl[queued], t_at_ctrl[order]
     dst_k = ctrl_of[dsts[queued]]
     intra = dst_k == k_q
-    service = np.where(intra, service_intra[row_of[k_q]], service_inter[row_of[k_q]])
+    service = np.where(intra, plan.service_intra[row_of[k_q]], plan.service_inter[row_of[k_q]])
 
     # a request toward an unmanaged destination is dropped without touching
     # its controller's queue; every other request runs the FIFO recurrence
@@ -319,9 +267,12 @@ def run_slot(
     finish = done[served]
     ready = np.where(intra_s, finish, finish + cc_rtt[row_of[k_s], row_of[dst_k[served]]])
 
-    # flow updates reach every node of the data path
+    # flow updates reach every node of the data path, found by hop-count
+    # shortest paths from the requesting sources only
     sources, src_rows = np.unique(srcs[r_s], return_inverse=True)
-    preds = _isl_paths(snap, idx, sources)
+    _, preds = shortest_path(
+        snap.isl_graph, method="D", unweighted=True, return_predecessors=True, indices=sources
+    )
     path_len, delivery = _walk_paths(preds, src_rows, srcs[r_s], dsts[r_s], deliver, row_of[k_s])
     resp_at = ready + delivery
     resp = resp_at - times[r_s]
@@ -331,19 +282,8 @@ def run_slot(
     dropped = int(np.count_nonzero(uncovered)) + len(queued) - len(served)
 
     # edge synchronization ticks
-    e_counts = intra_domain_edges(assignment, snap)
-    intra_delay = {
-        k: hop_cost(snap, params, list(domains[k]), k, e_counts[k] * params.m_sync_bytes).max()
-        for k in active
-    }
     n_ticks = int(np.floor(duration * params.f_sync_hz + 1e-9))
-    per_tick_bytes = sum(e_counts[k] * params.m_sync_bytes for k in active)
-    if nd > 1:
-        per_tick_bytes += sum(
-            (nd - 1) * len(domains[k]) * params.m_sync_bytes for k in active
-        )
-    bytes_sync = n_ticks * per_tick_bytes
-    sync_delay_mean = float(np.mean([intra_delay[k] for k in active])) if active else 0.0
+    bytes_sync = n_ticks * plan.sync_bytes_per_tick
 
     # handover notifications at the slot boundary
     migrated = sum(count_migrations(prev_assignment, assignment).values())
@@ -378,7 +318,7 @@ def run_slot(
         resp_mean_s=float(resp.mean()) if resp.size else 0.0,
         resp_median_s=float(np.median(resp)) if resp.size else 0.0,
         resp_p95_s=float(np.percentile(resp, 95)) if resp.size else 0.0,
-        sync_delay_mean_s=sync_delay_mean,
+        sync_delay_mean_s=plan.sync_delay_mean,
         bytes_flow=int(bytes_flow),
         bytes_sync=int(bytes_sync),
         bytes_handover=int(bytes_ho),
@@ -405,7 +345,17 @@ def partition_chain(
     seed: int,
 ) -> list[DomainAssignment]:
     """Partition every slot in order, feeding each slot the previous slot's
-    traffic and assignment."""
+    traffic and assignment.
+
+    The odc and greedy partitioners read neither gamma nor seed, so their
+    chains are built once per scenario; an eunomia chain is built per call.
+    """
+    if strategy in ("odc", "greedy"):
+        return list(scn.memo(("chain", strategy), partial(_chain, scn, strategy, 1.0, 0)))
+    return _chain(scn, strategy, gamma, seed)
+
+
+def _chain(scn: "Scenario", strategy: str, gamma: float, seed: int) -> list[DomainAssignment]:
     ctx = scn.ctx
     assignments: list[DomainAssignment] = []
     prev: DomainAssignment | None = None
@@ -431,47 +381,57 @@ def run_scenario(
     gammas: list[float],
     seeds: list[int],
 ) -> list[RunResult]:
-    """Partition and emulate every slot for each (gamma, seed) combination."""
+    """Partition and emulate every slot for each (gamma, seed) combination.
+
+    Each slot's plan is built once per assignment content and its gamma = 1
+    arrivals once per seed, and both are kept on ``scn`` for later calls.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}, expected one of {STRATEGIES}")
+    params = scn.ctx.overhead_params
     results: list[RunResult] = []
-    static_chain: list[DomainAssignment] | None = None
     for gamma in gammas:
         for seed in seeds:
-            if strategy == "eunomia":
-                chain = partition_chain(scn, strategy, gamma, seed)
-            else:
-                if static_chain is None:
-                    static_chain = partition_chain(scn, strategy, gamma, seed)
-                chain = static_chain
+            chain = partition_chain(scn, strategy, gamma, seed)
             stats: list[EmulationStats] = []
             reports = []
             migrations = 0
             prev: DomainAssignment | None = None
             for t, geom in enumerate(scn.geometries):
                 slot = geom.slot
+                duration = slot.end_s - slot.start_s
                 assignment = chain[t]
+                plan = scn.memo(
+                    ("plan", t, plan_key(assignment)),
+                    partial(slot_plan, assignment, slot.snapshot, params, geom.fov_domains),
+                )
+                arrivals = scn.memo(
+                    ("arrivals", t, seed),
+                    partial(generate_arrivals, scn.base_traffic[t], duration, seed, slot.index),
+                )
                 st = run_slot(
                     slot,
                     assignment,
                     scn.base_traffic[t],
-                    scn.ctx.overhead_params,
+                    params,
                     scn.emu_params,
                     seed,
                     gamma=gamma,
                     prev_assignment=prev,
-                    fov_domains=geom.fov_domains,
                     strategy=strategy,
+                    plan=plan,
+                    arrivals=arrivals,
                 )
                 report = evaluate(
                     assignment,
                     scale(scn.base_traffic[t], gamma),
                     slot.snapshot,
-                    scn.ctx.overhead_params,
+                    params,
                     geom.fov_domains,
                     prev_assignment=prev,
-                    slot_duration_s=slot.end_s - slot.start_s,
+                    slot_duration_s=duration,
                     validate=False,
+                    plan=plan,
                 )
                 report.drop_rate = st.drop_rate
                 stats.append(st)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from .codecs import EDGE_SYNC_BYTES, FLOW_UPDATE_BYTES
+from .codecs import EDGE_SYNC_BYTES, FLOW_REQUEST_FIXED_BYTES, FLOW_UPDATE_BYTES
 from .constellation import C_LIGHT_KM_S, ROLE_CODE, NetworkSnapshot, Role, norm
 from .visibility import FovDomain
 
@@ -233,17 +233,20 @@ def flow_overhead(
     snapshot: NetworkSnapshot,
     params: OverheadParams,
     fov_domains: list[FovDomain],
+    plan: "SlotPlan | None" = None,
 ) -> float:
     """Flow-table request/update overhead: per-source control-path cost
-    weighted by the source's total flow arrival rate."""
-    routes = control_routes(assignment, snapshot, fov_domains)
-    costs = route_costs(list(routes.values()), snapshot, params, params.m_fl_bytes)
-    total = 0.0
-    for leo, cost in zip(routes, costs):
-        rate = traffic.outbound_rate(leo)
-        if rate > 0.0:
-            total += rate * cost
-    return total
+    weighted by the source's total flow arrival rate.
+
+    The path costs come from ``plan``, the slot plan of this assignment, or
+    from a fresh one when it is not given.
+    """
+    if plan is None:
+        plan = slot_plan(assignment, snapshot, params, fov_domains)
+    rates = traffic.outbound_rates[plan.routed]
+    weighted = np.where(rates > 0.0, rates * plan.mfl_cost[plan.routed], 0.0)
+    # summed in control_routes order, one source at a time
+    return float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
 
 
 def intra_domain_edges(
@@ -297,17 +300,10 @@ def count_migrations(
     prev: "DomainAssignment | None", current: "DomainAssignment"
 ) -> dict[int, int]:
     """Per (new) domain: members whose controller changed since the previous slot."""
-    changed: dict[int, int] = {}
-    if prev is None:
-        return {k: 0 for k in current.domains()}
-    for k, members in current.domains().items():
-        n = 0
-        for i in members:
-            before = prev.domain_of.get(i)
-            if before is not None and before != k:
-                n += 1
-        changed[k] = n
-    return changed
+    before = prev.domain_of if prev is not None else {}
+    return {
+        k: sum(before.get(i, k) != k for i in members) for k, members in current.domains().items()
+    }
 
 
 def migration_overhead(
@@ -388,8 +384,13 @@ def validate_assignment(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
     fov_domains: list[FovDomain],
+    routes: dict[int, tuple[int, ...]] | None = None,
 ) -> list[ConstraintViolation]:
-    """Check the five constraint families; empty list means valid."""
+    """Check the five constraint families; empty list means valid.
+
+    The connectivity check builds the control routes, unless ``routes``
+    already holds ``control_routes``' result for this assignment.
+    """
     violations: list[ConstraintViolation] = []
     fov = _fov_map(fov_domains)
     domains = assignment.domains()
@@ -454,12 +455,127 @@ def validate_assignment(
                     )
                 )
 
-    try:
-        control_routes(assignment, snapshot, fov_domains)
-    except DisconnectedDomainError as exc:
-        violations.append(ConstraintViolation("connectivity", str(exc)))
+    if routes is None:
+        try:
+            control_routes(assignment, snapshot, fov_domains)
+        except DisconnectedDomainError as exc:
+            violations.append(ConstraintViolation("connectivity", str(exc)))
 
     return violations
+
+
+def plan_key(assignment: "DomainAssignment") -> tuple:
+    """Everything of ``assignment`` that ``slot_plan`` reads: two assignments
+    of one slot with equal keys have equal plans. The domain view stands for
+    ``domain_of``, which it lists in a canonical order."""
+    return (
+        tuple(assignment.domains().items()),
+        assignment.uncovered,
+        assignment.fov_waived,
+        assignment.relay_controller_ids,
+    )
+
+
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class SlotPlan:
+    """What one slot's control plane costs under one assignment, before any
+    traffic: the validation verdict, the control-path costs, the controller
+    tables and the synchronization load. None of it depends on the traffic
+    scale, the seed or the previous slot, so one plan serves every run of
+    the same (slot, assignment content); see ``plan_key``.
+
+    Per-LEO arrays are indexed by position in ``snapshot.leo_ids``, which is
+    also the traffic matrices' ``leo_ids``; per-controller ones by row of
+    ``active``. A plan holds O(|LEO| + nd^2) numbers for nd active domains.
+    """
+
+    violations: tuple[ConstraintViolation, ...]
+    ctrl_of: np.ndarray  # each LEO's controller, -1 when unmanaged
+    routed: np.ndarray  # the managed LEOs, in control_routes order
+    req_cost: np.ndarray  # a flow request's cost over each LEO's control path
+    mfl_cost: np.ndarray  # a flow update's cost over the same path
+    active: np.ndarray  # controllers with a domain, in id order
+    row_of: np.ndarray  # node id -> row of active
+    service_intra: np.ndarray  # per-request service time, within the domain
+    service_inter: np.ndarray  # per-request service time, across domains
+    cc_hop: np.ndarray  # (nd, nd) one-hop cost of a flow update between controllers
+    sync_delay_mean: float  # mean over domains of the slowest intra-domain report
+    sync_bytes_per_tick: int
+    sync: tuple[float, float]  # sync_overhead's (w_in, w_out)
+
+
+def slot_plan(
+    assignment: "DomainAssignment",
+    snapshot: NetworkSnapshot,
+    params: OverheadParams,
+    fov_domains: list[FovDomain],
+) -> SlotPlan:
+    """Build the slot plan of ``assignment``: its control routes once, the
+    validation of the assignment on those routes, and the tables derived
+    from them. Raises ConstraintViolationError when some member cannot reach
+    its controller, since such a domain has no control routes."""
+    try:
+        routes = control_routes(assignment, snapshot, fov_domains)
+    except DisconnectedDomainError as exc:
+        raise ConstraintViolationError(
+            validate_assignment(assignment, snapshot, fov_domains)
+        ) from exc
+    violations = validate_assignment(assignment, snapshot, fov_domains, routes)
+
+    position = np.full(len(snapshot.roles), -1, dtype=np.int64)  # LEO id -> position
+    position[list(snapshot.leo_ids)] = np.arange(len(snapshot.leo_ids))
+    n = len(snapshot.leo_ids)
+    routed = position[list(routes)]
+    req_cost = np.zeros(n)
+    mfl_cost = np.zeros(n)
+    paths = list(routes.values())
+    req_cost[routed] = route_costs(paths, snapshot, params, FLOW_REQUEST_FIXED_BYTES)
+    mfl_cost[routed] = route_costs(paths, snapshot, params, params.m_fl_bytes)
+    ctrl_of = np.full(n, -1, dtype=np.int64)
+    ctrl_of[position[list(assignment.domain_of)]] = list(assignment.domain_of.values())
+
+    roles = snapshot.roles
+    domains = assignment.domains()
+    active = sorted(domains)
+    nd = len(active)
+    act = np.array(active, dtype=np.int64)
+    row_of = np.zeros(len(roles), dtype=np.int64)
+    row_of[act] = np.arange(nd)
+    service_intra = [
+        params.cpt_cost(len(domains[k])) / params.capacity_of(k, roles[k]) for k in active
+    ]
+    service_inter = [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
+
+    e_counts = intra_domain_edges(assignment, snapshot)
+    intra_delay = [
+        hop_cost(snapshot, params, list(domains[k]), k, e_counts[k] * params.m_sync_bytes).max()
+        for k in active
+    ]
+    per_tick_bytes = sum(e_counts[k] * params.m_sync_bytes for k in active)
+    if nd > 1:
+        per_tick_bytes += sum((nd - 1) * len(domains[k]) * params.m_sync_bytes for k in active)
+
+    return SlotPlan(
+        violations=tuple(violations),
+        ctrl_of=_frozen(ctrl_of),
+        routed=_frozen(routed),
+        req_cost=_frozen(req_cost),
+        mfl_cost=_frozen(mfl_cost),
+        active=_frozen(act),
+        row_of=_frozen(row_of),
+        service_intra=_frozen(np.array(service_intra)),
+        service_inter=_frozen(np.array(service_inter)),
+        cc_hop=_frozen(hop_cost(snapshot, params, act[:, None], act, params.m_fl_bytes)),
+        sync_delay_mean=float(np.mean(intra_delay)) if active else 0.0,
+        sync_bytes_per_tick=per_tick_bytes,
+        sync=sync_overhead(assignment, snapshot, params),
+    )
 
 
 @dataclass
@@ -523,18 +639,21 @@ def evaluate(
     prev_assignment: "DomainAssignment | None" = None,
     slot_duration_s: float = 1.0,
     validate: bool = True,
+    plan: SlotPlan | None = None,
 ) -> OverheadReport:
     """Evaluate every overhead component and the objective for one slot.
 
-    Raises ConstraintViolationError when the assignment breaks any of the
-    five constraint families (unless validation is disabled).
+    ``plan`` is the slot plan of this assignment; a fresh one is built when
+    it is not given. Raises ConstraintViolationError when the assignment
+    breaks any of the five constraint families (unless validation is
+    disabled), and always when a domain is disconnected.
     """
-    if validate:
-        violations = validate_assignment(assignment, snapshot, fov_domains)
-        if violations:
-            raise ConstraintViolationError(violations)
-    w_flow = flow_overhead(assignment, traffic, snapshot, params, fov_domains)
-    w_in, w_out = sync_overhead(assignment, snapshot, params)
+    if plan is None:
+        plan = slot_plan(assignment, snapshot, params, fov_domains)
+    if validate and plan.violations:
+        raise ConstraintViolationError(list(plan.violations))
+    w_flow = flow_overhead(assignment, traffic, snapshot, params, fov_domains, plan)
+    w_in, w_out = plan.sync
     w_mig = migration_overhead(
         prev_assignment, assignment, snapshot, traffic, params, slot_duration_s
     )

@@ -30,7 +30,7 @@ from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from types import UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Callable, Literal, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -347,6 +347,18 @@ class Scenario:
     emu_params: EmulatorParams
     horizon_s: float = 0.0
     config_hash: str = ""
+    # not pickled for worker processes, and not copied by dataclasses.replace
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key: tuple, build: Callable):
+        """``build()``, computed once per ``key``, which must cover every input
+        of ``build`` that varies within this scenario."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_memo": {}}
 
 
 def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Scenario:

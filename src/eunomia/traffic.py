@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot
-from .visibility import elevation_matrix
+from .visibility import elevation, separation
 
 N_LON = 36
 N_LAT = 18
@@ -74,8 +75,6 @@ class TrafficMatrix:
     index_of: dict[int, int] = field(default_factory=dict)
     # position in leo_ids -> row of the block, -1 for an inactive LEO
     _block_row: np.ndarray = field(init=False, repr=False, compare=False)
-    # full[i].sum() for every position i, computed on first use
-    _outbound: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.index_of:
@@ -132,12 +131,16 @@ class TrafficMatrix:
             out.append((self.leo_ids[src], self.leo_ids[dst], float(self.rates[a, b])))
         return out
 
+    @cached_property
+    def outbound_rates(self) -> np.ndarray:
+        """``full[i].sum()`` for every position ``i`` in ``leo_ids``."""
+        out = np.zeros(len(self.leo_ids))
+        # each row of a C-order array is summed alone, as full[i].sum() does
+        out[self.active] = self.rows(self.active).sum(axis=1)
+        return out
+
     def outbound_rate(self, src: int) -> float:
-        if self._outbound is None:
-            # each row of a C-order array is summed alone, as full[i].sum() does
-            self._outbound = np.zeros(len(self.leo_ids))
-            self._outbound[self.active] = self.rows(self.active).sum(axis=1)
-        return float(self._outbound[self.index_of[src]])
+        return float(self.outbound_rates[self.index_of[src]])
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""
@@ -251,9 +254,18 @@ def cell_positions(cells: list[GroundCell]) -> np.ndarray:
 def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.ndarray:
     """Index (into snapshot.leo_ids) of the maximum-elevation visible LEO of
     each cell at ``cell_pos`` (see ``cell_positions``), or -1 when no LEO is
-    above the horizon."""
+    above the horizon.
+
+    Elevations are computed only for the pairs with cos alpha >= rho - 1e-6,
+    a few percent of them: every other LEO is below the horizon by far more
+    than the rounding of the trigonometry, so it can neither serve nor be
+    the maximum of a cell that has a visible LEO.
+    """
     leo_pos = snapshot.positions[list(snapshot.leo_ids)]
-    elev = elevation_matrix(cell_pos, leo_pos)
+    cos_alpha, rho = separation(cell_pos, leo_pos)
+    near = np.nonzero(cos_alpha >= rho - 1e-6)
+    elev = np.full(cos_alpha.shape, -np.inf)
+    elev[near] = elevation(cos_alpha[near], rho[near])
     best = np.argmax(elev, axis=1)
     best[elev[np.arange(len(cell_pos)), best] < 0.0] = -1
     return best

@@ -48,15 +48,25 @@ class TimeSlot:
     snapshot: NetworkSnapshot
 
 
-def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
-    """Pairwise elevations (degrees) for rows of observers against rows of targets."""
+def separation(observer_pos: np.ndarray, target_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos alpha, rho) for rows of observers against rows of targets: the
+    cosine of the geocentric angle between them and |observer| / |target|.
+    The target is above the observer's horizon where cos alpha >= rho."""
     r_obs = np.linalg.norm(observer_pos, axis=1)
     r_tgt = np.linalg.norm(target_pos, axis=1)
     cos_alpha = (observer_pos @ target_pos.T) / np.outer(r_obs, r_tgt)
-    cos_alpha = np.clip(cos_alpha, -1.0, 1.0)
+    return np.clip(cos_alpha, -1.0, 1.0), np.outer(r_obs, 1.0 / r_tgt)
+
+
+def elevation(cos_alpha: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Elevations (degrees) from ``separation``'s arrays, elementwise."""
     alpha = np.arccos(cos_alpha)
-    rho = np.outer(r_obs, 1.0 / r_tgt)
     return np.degrees(np.arctan2(np.cos(alpha) - rho, np.sin(alpha)))
+
+
+def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
+    """Pairwise elevations (degrees) for rows of observers against rows of targets."""
+    return elevation(*separation(observer_pos, target_pos))
 
 
 def compute_fov_domains(

@@ -3,14 +3,16 @@
 One satellite, one observer-target pair or one ISL edge at a time, written
 the direct way: ``propagate`` against ``Constellation.snapshot``,
 ``elevation_angle`` against ``visibility.elevation_matrix``, and a union-find
-over the ISL edges against ``visibility.compute_overlap_regions``.
+over the ISL edges against ``visibility.compute_overlap_regions``. Also
+``serving_satellites``, the full cell x LEO elevation matrix against the
+narrowed ``traffic.serving_satellites``.
 """
 import math
 
 import numpy as np
 
 from eunomia.constellation import EARTH_ROTATION_RAD_S, SatelliteNode
-from eunomia.visibility import OverlapRegion, coverage_map
+from eunomia.visibility import OverlapRegion, coverage_map, elevation_matrix
 
 
 def propagate_inertial(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -58,6 +60,17 @@ def elevation_angle(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
     alpha = math.acos(cos_alpha)
     rho = r_obs / r_tgt
     return math.degrees(math.atan2(math.cos(alpha) - rho, math.sin(alpha)))
+
+
+def serving_satellites(cell_pos: np.ndarray, snapshot) -> np.ndarray:
+    """Index (into snapshot.leo_ids) of each cell's maximum-elevation LEO,
+    or -1 when no LEO is above the horizon: the argmax of every cell's row
+    of the full elevation matrix."""
+    leo_pos = snapshot.positions[list(snapshot.leo_ids)]
+    elev = elevation_matrix(cell_pos, leo_pos)
+    best = np.argmax(elev, axis=1)
+    best[elev[np.arange(len(cell_pos)), best] < 0.0] = -1
+    return best
 
 
 def overlap_regions(fov_domains, snapshot) -> list[OverlapRegion]:

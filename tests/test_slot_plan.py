@@ -1,0 +1,119 @@
+"""Slot plans, arrivals and baseline chains kept on a ``Scenario`` across runs.
+
+``run_scenario`` keeps each slot's plan per assignment content, each slot's
+gamma = 1 arrivals per seed, and the greedy and odc chains on the scenario.
+Reusing them must change no output bit, must not let an invalid assignment
+through on the strength of a valid one's plan, and must stay out of the
+pickles sent to ``emulate --threads`` workers.
+"""
+import dataclasses
+import pickle
+from pathlib import Path
+
+import pytest
+
+from eunomia import emulator, overhead
+from eunomia.emulator import STRATEGIES, run_scenario
+from eunomia.overhead import ConstraintViolationError, plan_key
+from eunomia.scenario import build_scenario, load_config
+
+TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
+GAMMAS = (0.0, 0.5, 1.0)
+SEEDS = (1, 2)
+
+
+def _outputs(scn, strategy, gamma, seed):
+    """Everything ``eunomia emulate`` writes for one (strategy, gamma, seed)."""
+    result = run_scenario(scn, strategy, [gamma], [seed])[0]
+    return (
+        [st.to_row() for st in result.stats],
+        [st.trace_hash for st in result.stats],
+        [rep.to_dict() for rep in result.reports],
+        result.migrations,
+    )
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the memoised builders, as ``run_scenario`` looks them up."""
+    out: dict[str, int] = {}
+    for name in ("slot_plan", "generate_arrivals", "greedy_partition", "odc_partition"):
+        _count_calls(monkeypatch, emulator, name, out)
+    return out
+
+
+def test_one_scenario_across_the_grid_gives_the_outputs_of_fresh_ones(counts):
+    config = load_config(TINY_CONFIG)
+    shared = build_scenario(config)
+    grid = [(s, g, sd) for s in STRATEGIES for g in GAMMAS for sd in SEEDS]
+    reused = [_outputs(shared, *point) for point in grid]
+    n_slots = len(shared.slots)
+    assert counts["generate_arrivals"] == n_slots * len(SEEDS)
+    assert counts["greedy_partition"] == counts["odc_partition"] == n_slots
+    # one plan per slot for each baseline chain, at most one per run for eunomia
+    assert counts["slot_plan"] <= n_slots * (2 + len(GAMMAS) * len(SEEDS))
+    for point, got in zip(grid, reused):
+        assert got == _outputs(build_scenario(config), *point), point
+
+
+def _moved_outside_fov(scn, assignment, t):
+    """``assignment`` with one LEO given to a controller that cannot see it."""
+    fov = {d.controller_id: d.member_leo_ids for d in scn.geometries[t].fov_domains}
+    for leo, k in sorted(assignment.domain_of.items()):
+        for other in sorted(fov):
+            if other != k and leo not in fov[other]:
+                moved = {**assignment.domain_of, leo: other}
+                return dataclasses.replace(assignment, domain_of=moved)
+    raise AssertionError("every controller sees every LEO")
+
+
+def test_a_cached_plan_does_not_validate_a_different_assignment(monkeypatch):
+    scn = build_scenario(load_config(TINY_CONFIG))
+    run_scenario(scn, "greedy", [1.0], [1])  # every slot's valid plan is cached
+    valid = emulator.partition_chain(scn, "greedy", 1.0, 1)
+    t = 1
+    invalid = _moved_outside_fov(scn, valid[t], t)
+    assert plan_key(invalid) != plan_key(valid[t])
+    assert overhead.validate_assignment(
+        invalid, scn.slots[t].snapshot, scn.geometries[t].fov_domains
+    )
+    chain = valid[:t] + [invalid] + valid[t + 1:]
+    monkeypatch.setattr(emulator, "partition_chain", lambda *args: chain)
+    with pytest.raises(ConstraintViolationError):
+        run_scenario(scn, "greedy", [1.0], [1])
+
+
+def test_assignments_with_equal_content_share_one_plan(monkeypatch, counts):
+    scn = build_scenario(load_config(TINY_CONFIG))
+    want = _outputs(scn, "greedy", 1.0, 1)
+    built = counts["slot_plan"]
+    # new objects with the same content, under other labels
+    copies = [
+        dataclasses.replace(a, strategy="copy", overlap_signature={0: frozenset()})
+        for a in emulator.partition_chain(scn, "greedy", 1.0, 1)
+    ]
+    monkeypatch.setattr(emulator, "partition_chain", lambda *args: copies)
+    assert _outputs(scn, "greedy", 1.0, 1) == want
+    assert counts["slot_plan"] == built
+
+
+def test_the_memo_stays_out_of_pickles():
+    scn = build_scenario(load_config(TINY_CONFIG))
+    # the first run also fills each snapshot's own lazily built ISL adjacency
+    run_scenario(scn, "odc", [1.0], [1])
+    before = len(pickle.dumps(scn))
+    run_scenario(scn, "eunomia", [0.5, 1.0], SEEDS)
+    run_scenario(scn, "greedy", [1.0], SEEDS)
+    assert len(pickle.dumps(scn)) == before
+    copy = pickle.loads(pickle.dumps(scn))
+    assert _outputs(copy, "eunomia", 0.5, 2) == _outputs(scn, "eunomia", 0.5, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eunomia.constellation import CITY_COORDS, LEO_SHELLS, Constellation
+from eunomia.scenario import PRESET_CONFIGS
 from eunomia.traffic import (
     N_CELLS,
     GroundCell,
@@ -20,7 +21,8 @@ from eunomia.traffic import (
     slot_traffic_matrix,
 )
 
-from geometry_oracle import elevation_angle
+from conftest import make_ring_snapshot
+from geometry_oracle import elevation_angle, serving_satellites as oracle_serving_satellites
 from traffic_oracle import diurnal_factor, gravity_demand
 
 
@@ -182,6 +184,30 @@ def test_serving_satellite_matches_max_elevation_oracle():
             if e >= 0.0 and (best < 0 or e > best_e):
                 best, best_e = j, e
         assert serving[idx] == best
+
+
+@pytest.mark.parametrize(
+    "preset, times",
+    [("desk", (0.0, 15.0, 300.0)), ("default", (0.0, 15.0, 30.0, 45.0))],
+)
+def test_serving_satellites_equal_the_full_elevation_argmax(preset, times):
+    config = PRESET_CONFIGS[preset]()
+    stations = [(g.name, g.latitude_deg, g.longitude_deg) for g in config.ground_stations]
+    const = Constellation.build(config.leo_shell, config.meo_shell, stations)
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    for t in times:
+        snap = const.snapshot(t)
+        assert np.array_equal(
+            serving_satellites(cell_pos, snap), oracle_serving_satellites(cell_pos, snap)
+        )
+
+
+def test_serving_satellites_mark_cells_without_a_visible_leo():
+    snap = make_ring_snapshot(n_leo=12)  # an equatorial ring: the poles see no LEO
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    serving = serving_satellites(cell_pos, snap)
+    assert np.array_equal(serving, oracle_serving_satellites(cell_pos, snap))
+    assert (serving == -1).any() and (serving >= 0).any()
 
 
 def test_scale_examples():

@@ -15,7 +15,8 @@ import math
 import numpy as np
 
 from eunomia.constellation import R_EARTH_KM
-from eunomia.visibility import elevation_matrix
+
+from geometry_oracle import serving_satellites
 
 
 def oracle_serving_satellites(cells, snapshot):
@@ -34,11 +35,7 @@ def oracle_serving_satellites(cells, snapshot):
             for c in cells
         ]
     )
-    leo_pos = snapshot.positions[list(snapshot.leo_ids)]
-    elev = elevation_matrix(cell_pos, leo_pos)
-    best = np.argmax(elev, axis=1)
-    best[elev[np.arange(len(cells)), best] < 0.0] = -1
-    return best
+    return serving_satellites(cell_pos, snapshot)
 
 
 def oracle_map_to_satellites(cells, demands, snapshot):
