@@ -15,7 +15,6 @@ from eunomia.partition import (
     step1_exclusive_assign,
 )
 from eunomia.scenario import build_scenario, desk_config
-from eunomia.visibility import coverage_map
 
 scn = build_scenario(desk_config(), horizon_s=300.0)
 geom = scn.geometries[0]
@@ -23,9 +22,7 @@ snap = geom.slot.snapshot
 traffic = scn.base_traffic[0]
 
 print("=== Step 1: exclusive zones ===")
-assigned, uncovered, contested = step1_exclusive_assign(
-    geom.fov_domains, geom.regions, snap.leo_ids
-)
+assigned, uncovered, contested = step1_exclusive_assign(geom.cover, geom.regions, snap.leo_ids)
 print(f"direct assignments: {len(assigned)}; contested: {len(contested)}; "
       f"uncovered: {len(uncovered)}")
 

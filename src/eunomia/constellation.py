@@ -185,12 +185,47 @@ def norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+@dataclass(frozen=True)
+class IslTopology:
+    """The ISL edges among ``leo_ids`` in the forms consumers read, each built
+    on first use; all snapshots of a constellation share its one topology."""
+
+    edges: frozenset[tuple[int, int]]
+    leo_ids: tuple[int, ...]
+
+    @cached_property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {i: [] for i in self.leo_ids}
+        for a, b in self.edge_array.tolist():
+            adj[a].append(b)
+            adj[b].append(a)
+        return {i: tuple(sorted(v)) for i, v in adj.items()}
+
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as an (E, 2) array of node ids, in sorted order."""
+        return np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
+
+    @cached_property
+    def graph(self) -> csr_matrix:
+        """The adjacency as a symmetric 0/1 sparse matrix over positions in
+        ``leo_ids``."""
+        position = np.full(max(self.leo_ids, default=-1) + 1, -1, dtype=np.int64)
+        position[list(self.leo_ids)] = np.arange(len(self.leo_ids))
+        ends = position[self.edge_array]
+        n = len(self.leo_ids)
+        return csr_matrix(
+            (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
+        )
+
+
 @dataclass
 class NetworkSnapshot:
     """All node positions, ISL edges and the controller/switch split at one instant.
 
     Node ids are contiguous, so ``positions`` and ``velocities`` are (N, 3)
-    arrays and ``roles`` a tuple, all indexed by node id.
+    arrays and ``roles`` a tuple, all indexed by node id. A snapshot given
+    no ``topology`` of its ``isl_edges`` and ``leo_ids`` builds its own.
     """
 
     time_s: float
@@ -200,31 +235,12 @@ class NetworkSnapshot:
     leo_ids: tuple[int, ...]
     controller_ids: tuple[int, ...]
     roles: tuple[Role, ...]
+    topology: IslTopology = field(default=None, repr=False, compare=False)  # type: ignore
 
-    @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {i: [] for i in self.leo_ids}
-        for a, b in sorted(self.isl_edges):
-            adj[a].append(b)
-            adj[b].append(a)
-        return {i: tuple(sorted(v)) for i, v in adj.items()}
-
-    @cached_property
-    def isl_edge_array(self) -> np.ndarray:
-        """The ISL edges as an (E, 2) array of node ids, in sorted order."""
-        return np.array(sorted(self.isl_edges), dtype=np.int64).reshape(-1, 2)
-
-    @cached_property
-    def isl_graph(self) -> csr_matrix:
-        """The ISL adjacency as a symmetric 0/1 sparse matrix over positions
-        in ``leo_ids``."""
-        position = np.full(len(self.roles), -1, dtype=np.int64)
-        position[list(self.leo_ids)] = np.arange(len(self.leo_ids))
-        ends = position[self.isl_edge_array]
-        n = len(self.leo_ids)
-        return csr_matrix(
-            (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
-        )
+    def __post_init__(self) -> None:
+        t = self.topology
+        if t is None or (t.edges, t.leo_ids) != (self.isl_edges, self.leo_ids):
+            self.topology = IslTopology(self.isl_edges, self.leo_ids)
 
     @cached_property
     def role_codes(self) -> np.ndarray:
@@ -255,6 +271,7 @@ class Constellation:
             [g.position_km() for g in self.ground_stations]
         ).reshape(-1, 3)
         self._roles = tuple(n.role for n in self._sats) + (Role.GS,) * len(self.ground_stations)
+        self.topology = IslTopology(self.isl_edges, self.leo_ids)
 
     @classmethod
     def build(
@@ -312,9 +329,10 @@ class Constellation:
             positions=np.vstack([pos @ rot, self._gs_pos]),
             velocities=np.vstack([vel @ rot, np.zeros_like(self._gs_pos)]),
             isl_edges=self.isl_edges,
-            leo_ids=self.leo_ids,
+            leo_ids=self.topology.leo_ids,
             controller_ids=self.controller_ids,
             roles=self._roles,
+            topology=self.topology,
         )
 
 

@@ -126,8 +126,10 @@ def build_corg(
     ctrls = list(region.controller_ids)
     fov = {d.controller_id: d.member_leo_ids for d in fov_domains}
 
-    leo_set = set(leos)
-    pairs = [(a, b) for a, b in sorted(snapshot.isl_edges) if a in leo_set and b in leo_set]
+    member = np.zeros(len(snapshot.roles), dtype=bool)
+    member[leos] = True
+    isl = snapshot.topology.edge_array  # in sorted order
+    pairs = list(map(tuple, isl[member[isl].all(axis=1)].tolist()))
     pairs += [(leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov[k]]
     edges: dict[tuple[int, int], float] = {}
     if pairs:

@@ -271,7 +271,7 @@ def run_slot(
     # shortest paths from the requesting sources only
     sources, src_rows = np.unique(srcs[r_s], return_inverse=True)
     _, preds = shortest_path(
-        snap.isl_graph, method="D", unweighted=True, return_predecessors=True, indices=sources
+        snap.topology.graph, method="D", unweighted=True, return_predecessors=True, indices=sources
     )
     path_len, delivery = _walk_paths(preds, src_rows, srcs[r_s], dsts[r_s], deliver, row_of[k_s])
     resp_at = ready + delivery

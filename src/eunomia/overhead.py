@@ -175,7 +175,7 @@ def control_routes(
     over intra-domain ISL edges to the nearest member holding a direct link.
     Raises DisconnectedDomainError when some member has no such path.
     """
-    neighbors = snapshot.neighbors
+    neighbors = snapshot.topology.neighbors
     direct = direct_link_map(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
     for k, members in assignment.domains().items():
@@ -255,33 +255,27 @@ def intra_domain_edges(
     """Per domain: ISL edges with both ends in it, counted in one edge pass."""
     label = np.full(len(snapshot.roles), -1, dtype=np.int64)
     label[list(assignment.domain_of)] = list(assignment.domain_of.values())
-    a, b = label[snapshot.isl_edge_array].T
+    a, b = label[snapshot.topology.edge_array].T
     keys, counts = np.unique(a[(a == b) & (a >= 0)], return_counts=True)
     out = dict.fromkeys(assignment.domains(), 0)
     out.update(zip(keys.tolist(), counts.tolist()))
     return out
 
 
-def sync_overhead(
-    assignment: "DomainAssignment",
-    snapshot: NetworkSnapshot,
-    params: OverheadParams,
-) -> tuple[float, float]:
-    """(intra, inter) synchronization overhead.
-
-    Intra: per domain, the slowest member's report of the whole domain edge
-    state. Inter: the worst controller's cost of pushing its domain view to
-    every other active controller. Both scale with the sync frequency.
-    """
+def _sync_terms(
+    assignment: "DomainAssignment", snapshot: NetworkSnapshot, params: OverheadParams
+) -> tuple[dict[int, int], list[float], tuple[float, float]]:
+    """Per domain, its intra-domain ISL edge count and its slowest member's
+    report time, in controller order; and ``sync_overhead``'s pair from them."""
     domains = assignment.domains()
     e_counts = intra_domain_edges(assignment, snapshot)
+    reports = [
+        float(hop_cost(snapshot, params, list(ms), k, e_counts[k] * params.m_sync_bytes).max())
+        for k, ms in domains.items()
+    ]
     w_in = 0.0
-    for k, members in domains.items():
-        if not members:
-            continue
-        e_d = e_counts[k]
-        worst = hop_cost(snapshot, params, list(members), k, e_d * params.m_sync_bytes).max()
-        w_in += params.f_sync_hz * float(worst)
+    for worst in reports:
+        w_in += params.f_sync_hz * worst
 
     active = np.array(sorted(k for k, members in domains.items() if members))
     w_out = 0.0
@@ -293,7 +287,19 @@ def sync_overhead(
         np.fill_diagonal(cost, 0.0)
         # summed in controller order, as a running sum
         w_out = params.f_sync_hz * float(np.cumsum(cost, axis=1)[:, -1].max())
-    return w_in, w_out
+    return e_counts, reports, (w_in, w_out)
+
+
+def sync_overhead(
+    assignment: "DomainAssignment", snapshot: NetworkSnapshot, params: OverheadParams
+) -> tuple[float, float]:
+    """(intra, inter) synchronization overhead.
+
+    Intra: per domain, the slowest member's report of the whole domain edge
+    state. Inter: the worst controller's cost of pushing its domain view to
+    every other active controller. Both scale with the sync frequency.
+    """
+    return _sync_terms(assignment, snapshot, params)[2]
 
 
 def count_migrations(
@@ -552,11 +558,7 @@ def slot_plan(
     ]
     service_inter = [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
 
-    e_counts = intra_domain_edges(assignment, snapshot)
-    intra_delay = [
-        hop_cost(snapshot, params, list(domains[k]), k, e_counts[k] * params.m_sync_bytes).max()
-        for k in active
-    ]
+    e_counts, intra_delay, sync = _sync_terms(assignment, snapshot, params)
     per_tick_bytes = sum(e_counts[k] * params.m_sync_bytes for k in active)
     if nd > 1:
         per_tick_bytes += sum((nd - 1) * len(domains[k]) * params.m_sync_bytes for k in active)
@@ -574,7 +576,7 @@ def slot_plan(
         cc_hop=_frozen(hop_cost(snapshot, params, act[:, None], act, params.m_fl_bytes)),
         sync_delay_mean=float(np.mean(intra_delay)) if active else 0.0,
         sync_bytes_per_tick=per_tick_bytes,
-        sync=sync_overhead(assignment, snapshot, params),
+        sync=sync,
     )
 
 

@@ -41,7 +41,6 @@ from .visibility import (
     SlotGeometry,
     TimeSlot,
     build_slot_geometry,
-    coverage_map,
 )
 
 
@@ -127,28 +126,31 @@ class PartitionContext:
 
 
 def step1_exclusive_assign(
-    fov_domains: list[FovDomain],
+    cover: dict[int, tuple[int, ...]],
     regions: list[OverlapRegion],
     all_leo_ids: tuple[int, ...] = (),
 ) -> tuple[dict[int, int], list[int], set[int]]:
     """Assign single-coverage LEOs to their only controller.
 
-    Returns (assignments, uncoverable LEOs, contested LEOs left for clustering).
-    LEOs in ``regions`` are exactly the multiply-covered ones; uncoverable ones
-    are those of ``all_leo_ids`` seen by no controller.
+    Returns (assignments, uncoverable LEOs, contested LEOs left for clustering)
+    from the slot's ``coverage_map``. LEOs in ``regions`` are exactly the
+    multiply-covered ones; uncoverable ones are those of ``all_leo_ids``.
     """
-    cover = coverage_map(fov_domains)
     contested = {leo for r in regions for leo in r.leo_ids}
     assigned = {leo: ctrls[0] for leo, ctrls in cover.items() if len(ctrls) == 1}
     uncoverable = sorted(set(all_leo_ids) - cover.keys())
     return assigned, uncoverable, contested
 
 
-def _by_distance(snapshot: NetworkSnapshot, node: int, candidates) -> list[int]:
-    """``candidates`` from the nearest to ``node`` to the farthest, ties by id."""
-    ks = np.array(candidates)
-    dist = norm(snapshot.positions[node] - snapshot.positions[ks])
-    return ks[np.lexsort((ks, dist))].tolist()
+def _by_distance(
+    snapshot: NetworkSnapshot, nodes: list[int], candidates: Mapping[int, tuple[int, ...]]
+) -> list[list[int]]:
+    """Each node's ``candidates`` from the nearest to the farthest, ties by id,
+    ranked from one node x candidate distance matrix."""
+    ks = np.array(sorted({k for node in nodes for k in candidates[node]}), dtype=np.int64)
+    dist = norm(snapshot.positions[nodes][:, None] - snapshot.positions[ks])
+    ranked = ks[np.lexsort((np.broadcast_to(ks, dist.shape), dist))].tolist()
+    return [[k for k in row if k in candidates[node]] for node, row in zip(nodes, ranked)]
 
 
 def spectral_cluster(
@@ -198,20 +200,20 @@ def spectral_cluster(
             v for vs in virtuals_by_label.values() if len(vs) > 1 for v in vs
         )
         if not conflicted:
+            # isolated LEOs rejoin the cluster of their nearest controller
+            flags = corg.virtual_flags
+            isolated = [v for i, v in enumerate(node_ids) if i not in label_of and not flags[v]]
+            pools = dict.fromkeys(isolated, corg.virtual_ids)
+            nearest = _by_distance(snapshot, isolated, pools) if isolated else []
             clusters = []
             for label in range(m):
-                v = virtuals_by_label[label][0]
-                ctrl = node_ids[v]
-                members = sorted(
+                ctrl = node_ids[virtuals_by_label[label][0]]
+                members = [
                     node_ids[i]
                     for i, lab in label_of.items()
-                    if lab == label and not corg.virtual_flags[node_ids[i]]
-                )
-                # isolated LEOs rejoin the cluster of their nearest controller
-                for i in range(n):
-                    if i not in label_of and not corg.virtual_flags[node_ids[i]]:
-                        if _by_distance(snapshot, node_ids[i], corg.virtual_ids)[0] == ctrl:
-                            members.append(node_ids[i])
+                    if lab == label and not flags[node_ids[i]]
+                ]
+                members += [leo for leo, ks in zip(isolated, nearest) if ks[0] == ctrl]
                 clusters.append(Cluster(tuple(sorted(members)), virtual_controller_id=ctrl))
             return clusters, False
 
@@ -235,13 +237,14 @@ def spectral_cluster(
 
 def _nearest_controller_clusters(corg: Corg, snapshot: NetworkSnapshot) -> list[Cluster]:
     """Fallback grouping: each LEO joins its geodesically nearest in-FOV controller."""
+    leos = [node for node in corg.node_ids if not corg.virtual_flags[node]]
+    pools = {
+        leo: [k for k in corg.virtual_ids if corg.xi(leo, k) is not None] or corg.virtual_ids
+        for leo in leos
+    }
     groups: dict[int, list[int]] = {k: [] for k in corg.virtual_ids}
-    for node in corg.node_ids:
-        if corg.virtual_flags[node]:
-            continue
-        covering = [k for k in corg.virtual_ids if corg.xi(node, k) is not None]
-        pool = covering or list(corg.virtual_ids)
-        groups[_by_distance(snapshot, node, pool)[0]].append(node)
+    for leo, ranked in zip(leos, _by_distance(snapshot, leos, pools)):
+        groups[ranked[0]].append(leo)
     return [Cluster(tuple(sorted(groups[k])), virtual_controller_id=k) for k in corg.virtual_ids]
 
 
@@ -306,16 +309,31 @@ class MarginalObjective:
         fixed domain, from each fixed domain, and among themselves."""
         if self._last is not None and self._last[0] == leos:
             return self._last[1]
-        n_ctrl = len(self.size)
         idx = np.array([self.index_of[i] for i in leos], dtype=int)
+        flows = self._flows_of_one(idx) if idx.size == 1 else self._flows_of_many(idx)
+        self._last = (leos, flows)
+        return flows
+
+    def _flows_of_many(self, idx: np.ndarray) -> tuple:
+        n_ctrl = len(self.size)
         block = self.traffic.rows(idx)
         rows = block.sum(axis=0)
         cols = self.traffic.cols(idx).sum(axis=1)
         to_dom = np.bincount(self.label, weights=rows, minlength=n_ctrl + 1)[:n_ctrl]
         from_dom = np.bincount(self.label, weights=cols, minlength=n_ctrl + 1)[:n_ctrl]
-        flows = (idx, block.sum(axis=1), to_dom, from_dom, float(rows[idx].sum()))
-        self._last = (leos, flows)
-        return flows
+        return idx, block.sum(axis=1), to_dom, from_dom, float(rows[idx].sum())
+
+    def _flows_of_one(self, idx: np.ndarray) -> tuple:
+        """``_flows_of_many`` for one LEO, from its row and column of the block:
+        the |V|-wide ones add only zeros, which leave a sum of rates as it is."""
+        n_ctrl = len(self.size)
+        r = self.traffic.block_row[idx[0]]
+        if r < 0:  # carries no traffic
+            return idx, np.zeros(1), np.zeros(n_ctrl), np.zeros(n_ctrl), 0.0
+        rates, label = self.traffic.rates, self.label[self.traffic.active]
+        to_dom = np.bincount(label, weights=rates[r], minlength=n_ctrl + 1)[:n_ctrl]
+        from_dom = np.bincount(label, weights=rates[:, r], minlength=n_ctrl + 1)[:n_ctrl]
+        return idx, self.traffic.outbound_rates[idx], to_dom, from_dom, float(rates[r, r])
 
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
@@ -325,7 +343,7 @@ class MarginalObjective:
         idx, outbound, to_dom, from_dom, among = self._flows(leos)
         inv_cap = self.inv_cap[cols]
         size, intra = self.size[cols], self.intra[cols]
-        w_flow = outbound @ self.hop[np.ix_(idx, cols)]
+        w_flow = outbound @ self.hop[idx][:, cols]
         d_intra = (
             self.cpt[size + idx.size] * (intra + to_dom[cols] + from_dom[cols] + among)
             - self.cpt[size] * intra
@@ -399,7 +417,7 @@ def fine_tune_boundaries(
     now_fov = {d.controller_id: d.member_leo_ids for d in geometry.fov_domains}
 
     domain_of = dict(assignment.domain_of)
-    neighbors = snapshot.neighbors
+    neighbors = snapshot.topology.neighbors
     budget = len(snapshot.leo_ids)
     moves = 0
     changed = True
@@ -463,12 +481,11 @@ def partition_slot(
     snap = slot.snapshot
     fov = geom.fov_domains
     regions = geom.regions
-    assigned, uncovered, contested = step1_exclusive_assign(fov, regions, snap.leo_ids)
+    cover = geom.cover
+    assigned, uncovered, contested = step1_exclusive_assign(cover, regions, snap.leo_ids)
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    cover = coverage_map(fov)
-    fov_map = {d.controller_id: d.member_leo_ids for d in fov}
     n_domains = sum(1 for d in fov if d.member_leo_ids)
     pricing = MarginalObjective(traffic_prev, snap, ctx.overhead_params, n_domains, assigned)
 
@@ -484,7 +501,7 @@ def partition_slot(
             k_prev = prev_assignment.domain_of.get(leo)
             if (
                 k_prev is not None
-                and leo in fov_map.get(k_prev, frozenset())
+                and k_prev in cover[leo]
                 and prev_assignment.overlap_signature.get(leo) == signature[leo]
             ):
                 ks = list(cover[leo])
@@ -514,8 +531,8 @@ def partition_slot(
         try:
             match = km_match(clusters, ctrls, fov, pricing)
         except InfeasibleMatchingError:
-            for leo in residual:
-                give((leo,), _by_distance(snap, leo, cover[leo])[0])
+            for leo, ranked in zip(residual, _by_distance(snap, list(residual), cover)):
+                give((leo,), ranked[0])
             continue
         for c, cluster in enumerate(clusters):
             give(cluster.member_leo_ids, match[c])
@@ -558,19 +575,15 @@ def greedy_partition(
     domain-size cap; overflow spills to the next-nearest visible controller."""
     snap = slot.snapshot
     geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
-    fov = geom.fov_domains
-    cover = coverage_map(fov)
+    cover = geom.cover
     uncovered = sorted(set(snap.leo_ids) - cover.keys())
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
     load: dict[int, int] = {k: 0 for k in snap.controller_ids}
     assigned: dict[int, int] = {}
-    for leo in sorted(snap.leo_ids):
-        ctrls = cover.get(leo)
-        if not ctrls:
-            continue
-        ranked = _by_distance(snap, leo, ctrls)
+    leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
+    for leo, ranked in zip(leos, _by_distance(snap, leos, cover)):
         # the nearest controller under the cap; with every candidate at cap, the nearest
         chosen = next(
             (k for k in ranked if ctx.greedy_cap is None or load[k] < ctx.greedy_cap), ranked[0]
@@ -605,7 +618,7 @@ def brute_force_partition(
     snap = slot.snapshot
     geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
     fov = geom.fov_domains
-    cover = coverage_map(fov)
+    cover = geom.cover
     uncovered = sorted(set(snap.leo_ids) - cover.keys())
     covered = [leo for leo in snap.leo_ids if leo in cover]
     if len(covered) > BRUTE_FORCE_MAX_LEOS:

@@ -74,7 +74,7 @@ class TrafficMatrix:
     local_rate: float = 0.0  # demand whose endpoints map to the same LEO
     index_of: dict[int, int] = field(default_factory=dict)
     # position in leo_ids -> row of the block, -1 for an inactive LEO
-    _block_row: np.ndarray = field(init=False, repr=False, compare=False)
+    block_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.index_of:
@@ -85,15 +85,15 @@ class TrafficMatrix:
         if k and not (np.all(np.diff(self.active) > 0) and 0 <= self.active[0]
                       and self.active[-1] < len(self.leo_ids)):
             raise ValueError("active must be increasing positions in leo_ids")
-        self._block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
-        self._block_row[self.active] = np.arange(k)
+        self.block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
+        self.block_row[self.active] = np.arange(k)
 
     def rows(self, idx) -> np.ndarray:
         """``full[idx]`` for an index array or mask over ``leo_ids``: shape
         (len, |V|), C order."""
         if len(self.active) == len(self.leo_ids):  # the block is the full matrix
             return self.rates[idx]
-        pos = self._block_row[idx]
+        pos = self.block_row[idx]
         out = np.zeros((len(pos), len(self.leo_ids)))
         hit = np.nonzero(pos >= 0)[0]
         out[hit[:, None], self.active] = self.rates[pos[hit]]
@@ -104,7 +104,7 @@ class TrafficMatrix:
         shape (|V|, len), F order."""
         if len(self.active) == len(self.leo_ids):
             return self.rates[:, idx]
-        pos = self._block_row[idx]
+        pos = self.block_row[idx]
         out = np.zeros((len(pos), len(self.leo_ids)))
         hit = np.nonzero(pos >= 0)[0]
         out[hit[:, None], self.active] = self.rates[:, pos[hit]].T
@@ -114,7 +114,7 @@ class TrafficMatrix:
         """``full[i, j]`` for equal-shape index arrays over ``leo_ids``."""
         if len(self.active) == len(self.leo_ids):
             return self.rates[i, j]
-        pi, pj = self._block_row[i], self._block_row[j]
+        pi, pj = self.block_row[i], self.block_row[j]
         out = np.zeros(pi.shape)
         both = (pi >= 0) & (pj >= 0)
         out[both] = self.rates[pi[both], pj[both]]

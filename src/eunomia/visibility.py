@@ -8,7 +8,7 @@ at the switch); for ground stations the observer is the station itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -115,14 +115,13 @@ def compute_overlap_regions(
     closure of that relation, so each region is connected through contested
     LEOs only.
     """
-    cover = coverage_map(fov_domains)
-    contested = sorted(leo for leo, ks in cover.items() if len(ks) >= 2)
-    pos = np.full(len(snapshot.roles), -1)  # node id -> index among contested
-    pos[contested] = np.arange(len(contested))
     covers = np.zeros((len(snapshot.roles), len(fov_domains)), dtype=bool)
     for c, dom in enumerate(fov_domains):
         covers[list(dom.member_leo_ids), c] = True
-    a, b = snapshot.isl_edge_array.T
+    contested = np.flatnonzero(covers.sum(axis=1) >= 2)
+    pos = np.full(len(snapshot.roles), -1)  # node id -> index among contested
+    pos[contested] = np.arange(len(contested))
+    a, b = snapshot.topology.edge_array.T
     keep = (pos[a] >= 0) & (pos[b] >= 0) & (covers[a] & covers[b]).any(axis=1)
     graph = csr_matrix(
         (np.ones(keep.sum()), (pos[a[keep]], pos[b[keep]])), shape=(len(contested),) * 2
@@ -131,12 +130,13 @@ def compute_overlap_regions(
 
     # labels in order of first appearance, so regions sort by smallest member
     groups: dict[int, list[int]] = {}
-    for leo, label in zip(contested, labels.tolist()):
+    for leo, label in zip(contested.tolist(), labels.tolist()):
         groups.setdefault(label, []).append(leo)
+    ctrl_ids = np.array([d.controller_id for d in fov_domains])
     return [
         OverlapRegion(
             leo_ids=frozenset(members),
-            controller_ids=tuple(sorted({k for leo in members for k in cover[leo]})),
+            controller_ids=tuple(sorted(set(ctrl_ids[covers[members].any(axis=0)].tolist()))),
         )
         for members in groups.values()
     ]
@@ -155,6 +155,10 @@ class SlotGeometry:
     regions: list[OverlapRegion]
     future_fov: dict[int, frozenset[int]]  # FOV membership at slot start + lookahead
     step_fov: dict[int, frozenset[int]]  # FOV membership at the next sampling instant
+    cover: dict[int, tuple[int, ...]] = field(init=False, repr=False)  # of fov_domains
+
+    def __post_init__(self) -> None:
+        self.cover = coverage_map(self.fov_domains)
 
 
 def _fov_membership_at(

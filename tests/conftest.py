@@ -1,12 +1,37 @@
+import ctypes
+import glob
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eunomia.constellation import NetworkSnapshot, Role
-from eunomia.scenario import build_scenario, desk_config
+from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import TimeSlot
+
+
+def openblas_corename() -> str | None:
+    """Name of the kernel numpy's bundled OpenBLAS runs on this CPU (found as
+    ``benchmarks/job.py`` finds its thread count), or None when there is none.
+
+    The pinned goldens and benchmark digests hold for one kernel: the BLAS
+    products in the traffic model and elsewhere round differently on others.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
+def pytest_report_header(config):
+    return f"openblas core: {openblas_corename()}"
 
 
 def make_ring_snapshot(
@@ -73,3 +98,9 @@ def desk_scenario():
 def desk_scenario_short():
     """Desk scenario truncated to a short horizon for cheaper tests."""
     return build_scenario(desk_config(), horizon_s=600.0)
+
+
+@pytest.fixture(scope="session")
+def default_scenario_short():
+    """The 1584-switch default scenario over 60 s (4 slots)."""
+    return build_scenario(default_config(), horizon_s=60.0)

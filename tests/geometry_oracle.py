@@ -5,13 +5,14 @@ the direct way: ``propagate`` against ``Constellation.snapshot``,
 ``elevation_angle`` against ``visibility.elevation_matrix``, and a union-find
 over the ISL edges against ``visibility.compute_overlap_regions``. Also
 ``serving_satellites``, the full cell x LEO elevation matrix against the
-narrowed ``traffic.serving_satellites``.
+narrowed ``traffic.serving_satellites``, and ``by_distance``, one node's
+candidates ranked alone, against the batched ``partition._by_distance``.
 """
 import math
 
 import numpy as np
 
-from eunomia.constellation import EARTH_ROTATION_RAD_S, SatelliteNode
+from eunomia.constellation import EARTH_ROTATION_RAD_S, SatelliteNode, norm
 from eunomia.visibility import OverlapRegion, coverage_map, elevation_matrix
 
 
@@ -103,3 +104,10 @@ def overlap_regions(fov_domains, snapshot) -> list[OverlapRegion]:
         )
         for root in sorted(groups)
     ]
+
+
+def by_distance(snapshot, node: int, candidates) -> list[int]:
+    """``candidates`` from the nearest to ``node`` to the farthest, ties by id."""
+    ks = np.array(candidates)
+    dist = norm(snapshot.positions[node] - snapshot.positions[ks])
+    return ks[np.lexsort((ks, dist))].tolist()

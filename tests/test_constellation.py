@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from eunomia.constellation import (
     NINE_CITIES,
     R_EARTH_KM,
     Constellation,
+    NetworkSnapshot,
     Role,
     ShellSpec,
     build_isl_topology,
@@ -209,3 +211,32 @@ def test_snapshot_matches_single_node_propagation():
         pos, vel = propagate(node, 321.5)
         assert snap.positions[node.id] == pytest.approx(pos, abs=1e-9)
         assert snap.velocities[node.id] == pytest.approx(vel, abs=1e-12)
+
+
+@pytest.mark.parametrize("leo", ["iridium780", "starlink550"])
+def test_snapshots_share_the_topology_a_snapshot_would_build(leo):
+    const = Constellation.build(LEO_SHELLS[leo], MEO_SHELLS["meo8070"], NINE_CITIES)
+    a, b = const.snapshot(0.0), const.snapshot(900.0)
+    assert a.topology is b.topology is const.topology
+    own = NetworkSnapshot(
+        a.time_s, a.positions, a.velocities, a.isl_edges, a.leo_ids, a.controller_ids, a.roles
+    )
+    assert own.topology is not a.topology
+    # each form against the per-snapshot build it replaces
+    edges = sorted(a.isl_edges)
+    adj = {i: [] for i in a.leo_ids}
+    for i, j in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    pos = {leo: p for p, leo in enumerate(a.leo_ids)}
+    dense = np.zeros((len(a.leo_ids),) * 2)
+    for i, j in edges:
+        dense[pos[i], pos[j]] = dense[pos[j], pos[i]] = 1
+    for topo in (a.topology, own.topology):
+        assert topo.neighbors == {i: tuple(sorted(v)) for i, v in adj.items()}
+        assert topo.edge_array.tolist() == [list(e) for e in edges]
+        assert np.array_equal(topo.graph.toarray(), dense)
+    # a snapshot of other edges builds its own topology, one of the same edges keeps it
+    cut = dataclasses.replace(a, isl_edges=a.isl_edges - {edges[0]})
+    assert cut.topology.edge_array.tolist() == [list(e) for e in edges[1:]]
+    assert dataclasses.replace(a, time_s=1.0).topology is a.topology

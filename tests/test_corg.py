@@ -132,6 +132,25 @@ def test_build_corg_matches_adjacency_oracle():
     assert set(corg.edges) == expected
 
 
+@pytest.mark.parametrize("scenario", ["desk_scenario_short", "default_scenario_short"])
+def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, request):
+    scn = request.getfixturevalue(scenario)
+    for geom, traffic in zip(scn.geometries[:2], scn.base_traffic):
+        snap, fov = geom.slot.snapshot, geom.fov_domains
+        fov_of = {d.controller_id: d.member_leo_ids for d in fov}
+        for region in geom.regions:
+            corg = build_corg(region, traffic, snap, scn.ctx.overhead_params, fov)
+            members = region.leo_ids
+            want = [(a, b) for a, b in sorted(snap.isl_edges) if a in members and b in members]
+            want += [
+                (min(leo, k), max(leo, k))
+                for k in region.controller_ids
+                for leo in sorted(members)
+                if leo in fov_of[k]
+            ]
+            assert list(corg.edges) == want
+
+
 def test_corg_weight_monotone_in_rate():
     snap, fov, region, _ = _two_leo_region()
     params = OverheadParams()

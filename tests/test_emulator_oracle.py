@@ -55,7 +55,7 @@ def _cut_world():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_matches_oracle_across_a_cut_with_self_flows(gamma, seed):
     snap, k1, fov, assignment = _cut_world()
-    a, b = snap.isl_edge_array.T
+    a, b = snap.topology.edge_array.T
     graph = csr_matrix((np.ones(len(a)), (a, b)), shape=(8, 8))
     assert connected_components(graph, directed=False)[0] == 2
     tm = _random_traffic(snap, 2.0, seed)

@@ -16,6 +16,7 @@ from eunomia.partition import (
     MarginalObjective,
     PartitionContext,
     UncoverableLeoError,
+    _by_distance,
     brute_force_partition,
     fine_tune_boundaries,
     greedy_partition,
@@ -36,6 +37,7 @@ from eunomia.visibility import (
 )
 
 from conftest import compact_traffic, make_ring_snapshot, make_slot
+from geometry_oracle import by_distance
 
 
 def _traffic(snap, entries=None, rng=None, scale=1.0):
@@ -65,7 +67,7 @@ def _toy_ctx(thresholds=None, lookahead=0.0):
 
 def test_step1_disjoint_fovs_assign_everything():
     fov = [FovDomain(10, frozenset({0, 1})), FovDomain(11, frozenset({2, 3}))]
-    assigned, uncovered, contested = step1_exclusive_assign(fov, [], (0, 1, 2, 3))
+    assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), [], (0, 1, 2, 3))
     assert assigned == {0: 10, 1: 10, 2: 11, 3: 11}
     assert uncovered == []
     assert contested == set()
@@ -74,7 +76,7 @@ def test_step1_disjoint_fovs_assign_everything():
 def test_step1_contested_leo_left_unassigned():
     fov = [FovDomain(10, frozenset({0, 1})), FovDomain(11, frozenset({1}))]
     regions = [OverlapRegion(frozenset({1}), (10, 11))]
-    assigned, uncovered, contested = step1_exclusive_assign(fov, regions, (0, 1, 2))
+    assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), regions, (0, 1, 2))
     assert assigned == {0: 10}
     assert uncovered == [2]
     assert contested == {1}
@@ -83,7 +85,7 @@ def test_step1_contested_leo_left_unassigned():
 def test_step1_matches_coverage_oracle(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
     assigned, uncovered, contested = step1_exclusive_assign(
-        geom.fov_domains, geom.regions, geom.slot.snapshot.leo_ids
+        geom.cover, geom.regions, geom.slot.snapshot.leo_ids
     )
     cover = coverage_map(geom.fov_domains)
     for leo in geom.slot.snapshot.leo_ids:
@@ -498,6 +500,68 @@ def test_greedy_cap_spills_to_second_nearest():
     assert a.domain_of[1] == k1
     assert a.domain_of[2] == k2  # nearest is k1 but the cap forces the spill
     assert a.domain_of[3] == k2
+
+
+def _greedy_oracle(snap, cover, cap):
+    """The per-LEO greedy loop: rank each LEO's covering controllers alone."""
+    load = dict.fromkeys(snap.controller_ids, 0)
+    out = {}
+    for leo in sorted(snap.leo_ids):
+        if leo not in cover:
+            continue
+        ranked = by_distance(snap, leo, cover[leo])
+        out[leo] = next((k for k in ranked if cap is None or load[k] < cap), ranked[0])
+        load[out[leo]] += 1
+    return out
+
+
+@pytest.mark.parametrize("scenario", ["desk_scenario_short", "default_scenario_short"])
+def test_batched_ranking_and_greedy_match_the_per_leo_oracle(scenario, request):
+    scn = request.getfixturevalue(scenario)
+    for geom in scn.geometries[:3]:
+        snap, cover = geom.slot.snapshot, geom.cover
+        leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
+        nearest = [by_distance(snap, leo, cover[leo]) for leo in leos]
+        assert _by_distance(snap, leos, cover) == nearest
+        # caps of 2 (desk) and 30 (default) spill some LEOs past their nearest
+        spills = 0
+        for greedy_cap in (None, 2, 30):
+            ctx = dataclasses.replace(scn.ctx, greedy_cap=greedy_cap)
+            got = greedy_partition(ctx, geom.slot, geometry=geom).domain_of
+            assert got == _greedy_oracle(snap, cover, greedy_cap)
+            spills += sum(got[leo] != ranked[0] for leo, ranked in zip(leos, nearest))
+        assert spills > 0
+
+
+def test_single_leo_price_matches_the_general_path(default_scenario_short):
+    scn = default_scenario_short
+    geom = scn.geometries[1]
+    snap, cover, traffic = geom.slot.snapshot, geom.cover, scn.base_traffic[0]
+    assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
+    params = scn.ctx.overhead_params
+    n_domains = sum(1 for d in geom.fov_domains if d.member_leo_ids)
+    fast, general = (
+        MarginalObjective(traffic, snap, params, n_domains, assigned) for _ in range(2)
+    )
+    general._flows_of_one = general._flows_of_many
+    leos = sorted(contested)
+    carries = [traffic.block_row[traffic.index_of[leo]] >= 0 for leo in leos]
+    assert any(carries) and not all(carries)
+    for step, leo in enumerate(leos):
+        ks = cover[leo]
+        assert np.array_equal(fast.cost((leo,), ks), general.cost((leo,), ks))
+        for a, b in zip(fast._flows((leo,)), general._flows((leo,))):
+            assert np.array_equal(a, b)
+        # fix every third LEO, and now and then a group, so the prices run
+        # against a growing set of fixed domains
+        if step % 3 == 0:
+            for pricing in (fast, general):
+                pricing.fix((leo,), ks[step % len(ks)])
+        if step % 50 == 49:
+            group = tuple(leos[step + 1 : step + 4])
+            for pricing in (fast, general):
+                pricing.fix(group, cover[group[0]][0])
+    assert fast.size.sum() > len(assigned) + len(leos) // 3
 
 
 # ------------------------------------------------------------- brute force
