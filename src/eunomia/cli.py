@@ -53,6 +53,15 @@ def _slot_range(text: str | None) -> tuple[int, int | None]:
         raise ConfigError(f"--slots: expected integer bounds start:end, got {text!r}") from None
 
 
+def _seeds(seed: int | None, config: ScenarioConfig) -> list[int]:
+    """``--seed``, a non-negative integer, or the config's seeds."""
+    if seed is None:
+        return config.seeds
+    if seed < 0:
+        raise ConfigError(f"--seed: expected a non-negative integer, got {seed}")
+    return [seed]
+
+
 def _strategies(text: str | None, config: ScenarioConfig) -> list[str]:
     """``--strategies``: comma-separated strategy names, or the config's."""
     if not text:
@@ -112,13 +121,15 @@ def _write_overhead_json(path: Path, scn: Scenario, results: list[RunResult]) ->
 def cmd_partition(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     strategies = _strategies(args.strategies, config)
-    seed = args.seed if args.seed is not None else config.seeds[0]
+    seed = _seeds(args.seed, config)[0]
     lo, hi = _slot_range(args.slots)
     scn = build_scenario(config)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if hi is None:
         hi = len(scn.slots)
+    if not 0 <= lo <= hi <= len(scn.slots):
+        raise ConfigError(f"--slots: {args.slots!r} is not a range within [0, {len(scn.slots)}]")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     any_violation = False
     report: dict = {"config_sha256": scn.config_hash, "seed": seed, "strategies": {}}
@@ -128,7 +139,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         violations_by_slot = {}
         for geom, assignment in list(zip(scn.geometries, chain))[lo:hi]:
             rows.extend(assignment.to_rows())
-            violations = validate_assignment(
+            # partition_slot has validated every eunomia assignment; it raises on a violation
+            violations = [] if strategy == "eunomia" else validate_assignment(
                 assignment, geom.slot.snapshot, geom.fov_domains
             )
             if violations:
@@ -196,7 +208,7 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args.config)
     strategies = _strategies(args.strategies, config)
     gammas = _gammas(args.gamma) if args.gamma else config.gammas
-    seeds = [args.seed] if args.seed is not None else config.seeds
+    seeds = _seeds(args.seed, config)
     scn = build_scenario(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

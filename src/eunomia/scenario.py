@@ -60,6 +60,7 @@ from .traffic import (
 )
 from .visibility import (
     DEFAULT_THRESHOLDS,
+    FovTimeline,
     SlotGeometry,
     TimeSlot,
     build_slot_geometry,
@@ -266,6 +267,9 @@ class ScenarioConfig:
         for g in self.gammas:
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"gammas: {g} outside [0, 1]")
+        for s in self.seeds:
+            if s < 0:
+                raise ValueError(f"seeds: {s} is negative")
 
     def to_dict(self) -> dict:
         return _dump(self)
@@ -372,7 +376,9 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
         or config.horizon_s
         or orbital_period(config.leo_shell.orbital_radius_km)
     )
-    slots = segment_time_slots(constellation, horizon, config.step_s, config.thresholds)
+    # one FOV computation per instant, shared by segmentation and slot geometry
+    timeline = FovTimeline(constellation, config.thresholds)
+    slots = segment_time_slots(constellation, horizon, config.step_s, config.thresholds, timeline)
     ctx = PartitionContext(
         constellation=constellation,
         thresholds=config.thresholds,
@@ -385,7 +391,7 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
     )
     geometries = [
         build_slot_geometry(
-            constellation, slot, config.thresholds, config.lookahead_s, step_s=config.step_s
+            constellation, slot, config.thresholds, config.lookahead_s, config.step_s, timeline
         )
         for slot in slots
     ]

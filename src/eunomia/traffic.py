@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot
-from .visibility import elevation, separation
+from .visibility import elevation
 
 N_LON = 36
 N_LAT = 18
@@ -259,15 +259,47 @@ def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.nd
     Elevations are computed only for the pairs with cos alpha >= rho - 1e-6,
     a few percent of them: every other LEO is below the horizon by far more
     than the rounding of the trigonometry, so it can neither serve nor be
-    the maximum of a cell that has a visible LEO.
+    the maximum of a cell that has a visible LEO. Those pairs are found
+    among candidates picked by one bound per cell on the dot product, and
+    only the candidates get ``separation``'s quotients; the result is the
+    argmax of the full elevation matrix, the lowest index winning a tie.
     """
     leo_pos = snapshot.positions[list(snapshot.leo_ids)]
-    cos_alpha, rho = separation(cell_pos, leo_pos)
-    near = np.nonzero(cos_alpha >= rho - 1e-6)
-    elev = np.full(cos_alpha.shape, -np.inf)
-    elev[near] = elevation(cos_alpha[near], rho[near])
-    best = np.argmax(elev, axis=1)
-    best[elev[np.arange(len(cell_pos)), best] < 0.0] = -1
+    r_obs = np.linalg.norm(cell_pos, axis=1)
+    r_tgt = np.linalg.norm(leo_pos, axis=1)
+    dot = cell_pos @ leo_pos.T  # the product ``separation`` divides, same bits
+    # Why every near pair is a candidate. A pair is near when c >= T, with
+    # c = clip(fl(d / fl(ro * rt)), -1, 1), R = fl(ro * fl(1 / rt)) and
+    # T = fl(R - m), m = 1e-6; ro, rt > 0 are the computed norms, d the
+    # computed dot product, and each fl() rounds by a factor in [1 - u, 1 + u],
+    # u = 2**-53. R > 0 gives T > -1, so the clip did not raise a near c and
+    # d >= fl(ro * rt) * T / (1 + e) with |e| <= u. Expanding the roundings
+    # one by one and bounding each error term by its absolute value (|T| and
+    # |R - m| are at most (1 + u)**2 * (ro / rt + m), whatever T's sign):
+    #     d >= ro**2 - m * ro * rt - 6u * (ro**2 + m * ro * rt).
+    # The right side falls as rt grows, so rt_max in place of rt gives one
+    # bound per cell. The slack of 1e-12 * ro * (ro + rt_max) is positive and
+    # exceeds both the 6u term and the rounding of evaluating ``bound``.
+    rt_max = r_tgt.max(initial=0.0)
+    bound = r_obs * (r_obs - 1e-6 * rt_max) - 1e-12 * r_obs * (r_obs + rt_max)
+    # flat positions, row-major: j increases within a row (a 1-d nonzero is
+    # several times faster than the 2-d one)
+    flat = np.flatnonzero(dot >= bound[:, None])
+    i, j = np.divmod(flat, len(r_tgt))
+    # separation's and the old filter's element-wise expressions, on the candidates
+    cos_alpha = np.clip(dot.ravel()[flat] / (r_obs[i] * r_tgt[j]), -1.0, 1.0)
+    rho = r_obs[i] * (1.0 / r_tgt)[j]
+    near = np.nonzero(cos_alpha >= rho - 1e-6)[0]
+    i, j = i[near], j[near]
+    elev = elevation(cos_alpha[near], rho[near])
+    top = np.full(len(cell_pos), -np.inf)
+    np.maximum.at(top, i, elev)
+    # the first candidate at its cell's maximum is the lowest index at it
+    at_top = np.nonzero(elev == top[i])[0]
+    cells, first = np.unique(i[at_top], return_index=True)
+    best = np.full(len(cell_pos), -1)
+    best[cells] = j[at_top[first]]
+    best[top < 0.0] = -1
     return best
 
 

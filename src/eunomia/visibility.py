@@ -161,29 +161,77 @@ class SlotGeometry:
         self.cover = coverage_map(self.fov_domains)
 
 
-def _fov_membership_at(
-    constellation: Constellation, t: float, thresholds: dict[Role, float] | None
-) -> dict[int, frozenset[int]]:
-    snap = constellation.snapshot(t)
-    return {d.controller_id: d.member_leo_ids for d in compute_fov_domains(snap, thresholds)}
+class FovTimeline:
+    """FOV domains of one constellation under one set of thresholds, each
+    instant computed once and kept by its exact time.
+
+    ``segment_time_slots`` fills it at its sampling instants ``k * step_s``;
+    ``build_slot_geometry`` reads a slot's start, +step and +lookahead back
+    wherever those times are equal floats, and computes (and keeps) any
+    other instant, such as one past the horizon or off a non-dyadic grid.
+    """
+
+    def __init__(
+        self, constellation: Constellation | None, thresholds: dict[Role, float] | None = None
+    ) -> None:
+        self.constellation = constellation
+        self.thresholds = thresholds
+        self._fov: dict[float, list[FovDomain]] = {}
+
+    def at(self, t: float, snapshot: NetworkSnapshot | None = None) -> list[FovDomain]:
+        """``compute_fov_domains`` at time ``t``; ``snapshot``, if given, is
+        the constellation's snapshot at ``t``."""
+        if t not in self._fov:
+            snap = self.constellation.snapshot(t) if snapshot is None else snapshot
+            self._fov[t] = compute_fov_domains(snap, self.thresholds)
+        return self._fov[t]
+
+
+def _timeline(
+    constellation: Constellation | None,
+    thresholds: dict[Role, float] | None,
+    timeline: FovTimeline | None,
+) -> FovTimeline:
+    """``timeline``, checked to belong to ``constellation`` and ``thresholds``,
+    or a new one for them."""
+    if timeline is None:
+        return FovTimeline(constellation, thresholds)
+    if constellation is not timeline.constellation or thresholds != timeline.thresholds:
+        raise ValueError("the FOV timeline belongs to another constellation or thresholds")
+    return timeline
+
+
+def _membership(fov_domains: list[FovDomain]) -> dict[int, frozenset[int]]:
+    return {d.controller_id: d.member_leo_ids for d in fov_domains}
 
 
 def build_slot_geometry(
-    constellation: Constellation,
+    constellation: Constellation | None,
     slot: TimeSlot,
     thresholds: dict[Role, float] | None = None,
     lookahead_s: float = 0.0,
     step_s: float | None = None,
+    timeline: FovTimeline | None = None,
 ) -> SlotGeometry:
-    fov = compute_fov_domains(slot.snapshot, thresholds)
+    """Overlap regions and FOV domains of ``slot``, with the FOV membership
+    at the next sampling instant (start + ``step_s``, by default half the
+    lookahead) and at start + ``lookahead_s`` when the lookahead is positive.
+
+    FOV domains are read from ``timeline`` (built for ``constellation`` and
+    ``thresholds``) at the instants it holds and computed at the others; the
+    three instants' results are the same either way. ``constellation`` is
+    only needed for instants after the slot start.
+    """
+    timeline = _timeline(constellation, thresholds, timeline)
+    t0 = slot.snapshot.time_s
+    fov = timeline.at(t0, slot.snapshot)
     regions = compute_overlap_regions(fov, slot.snapshot)
     future: dict[int, frozenset[int]] = {}
     step_future: dict[int, frozenset[int]] = {}
     if lookahead_s > 0:
-        t0 = slot.snapshot.time_s
-        future = _fov_membership_at(constellation, t0 + lookahead_s, thresholds)
+        future = _membership(timeline.at(t0 + lookahead_s))
         step = step_s if step_s is not None else lookahead_s / 2.0
-        step_future = _fov_membership_at(constellation, t0 + step, thresholds)
+        step_future = _membership(timeline.at(t0 + step))
     return SlotGeometry(
         slot=slot, fov_domains=fov, regions=regions, future_fov=future, step_fov=step_future
     )
@@ -194,14 +242,20 @@ def segment_time_slots(
     horizon_s: float,
     step_s: float,
     thresholds: dict[Role, float] | None = None,
+    timeline: FovTimeline | None = None,
 ) -> list[TimeSlot]:
     """Sample snapshots every ``step_s`` and open a new slot whenever any
-    controller's FOV membership changes. Slot durations are multiples of the step."""
+    controller's FOV membership changes. Slot durations are multiples of the step.
+
+    The FOV domains of every sampled instant are kept in ``timeline`` (built
+    for ``constellation`` and ``thresholds``), if one is given, for
+    ``build_slot_geometry`` to read back."""
     if step_s <= 0:
         raise ValueError("step must be positive")
     if horizon_s < step_s:
         raise ValueError("horizon shorter than one step")
 
+    timeline = _timeline(constellation, thresholds, timeline)
     n_samples = int(horizon_s // step_s)
     slots: list[TimeSlot] = []
     current_fp = None
@@ -211,7 +265,7 @@ def segment_time_slots(
     for k in range(n_samples):
         t = k * step_s
         snap = constellation.snapshot(t)
-        fp = membership_fingerprint(compute_fov_domains(snap, thresholds))
+        fp = membership_fingerprint(timeline.at(t, snap))
         if current_fp is None:
             current_fp, current_start, current_snapshot = fp, t, snap
         elif fp != current_fp:

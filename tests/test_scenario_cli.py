@@ -274,6 +274,7 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("thresholds", "meo_min_elevation_deg"), 200, "thresholds.meo_min_elevation_deg"),
         (("name",), [1], "name"),
         (("strategies",), "eunomia", "strategies"),
+        (("seeds",), [1, -3], "seeds"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):
@@ -344,12 +345,39 @@ def test_cli_negative_step_in_config_exits_2(tmp_path, capsys):
         (["partition", "--strategies", "eunomia,oracle"], "--strategies"),
         (["emulate", "--threads", "0"], "--threads"),
         (["emulate", "--threads", "-3"], "--threads"),
+        (["partition", "--slots", "0:100"], "--slots"),  # the tiny config has 4 slots
+        (["partition", "--slots", "3:1"], "--slots"),
+        (["partition", "--slots=-1:"], "--slots"),
+        (["partition", "--seed", "-1"], "--seed"),
+        (["emulate", "--seed", "-1"], "--seed"),
     ],
 )
 def test_cli_rejects_malformed_flags(tmp_path, capsys, argv, flag):
     rc = main(argv + ["--config", str(TINY_CONFIG), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert flag in capsys.readouterr().err
+
+
+def test_partition_slot_range_bounds_the_report(tmp_path):
+    assert main(["partition", "--config", str(TINY_CONFIG), "--out-dir", str(tmp_path),
+                 "--slots", "1:4"]) == 0
+    report = json.loads((tmp_path / "constraint_report.json").read_text())
+    assert {r["slots_checked"] for r in report["strategies"].values()} == {3}
+
+
+def test_partition_validates_only_what_the_partitioner_did_not(tmp_path, monkeypatch):
+    # partition_slot validates each eunomia assignment itself
+    checked = []
+    validate = cli.validate_assignment
+
+    def counted(assignment, *args, **kwargs):
+        checked.append(assignment.strategy)
+        return validate(assignment, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate_assignment", counted)
+    assert main(["partition", "--config", str(TINY_CONFIG), "--out-dir", str(tmp_path)]) == 0
+    n_slots = len(build_scenario(load_config(TINY_CONFIG)).slots)
+    assert sorted(checked) == ["greedy"] * n_slots + ["odc"] * n_slots
 
 
 def test_threads_reject_before_a_pool_starts(tmp_path, monkeypatch):

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eunomia.constellation import CITY_COORDS, LEO_SHELLS, Constellation
+from eunomia.constellation import (
+    CITY_COORDS,
+    LEO_SHELLS,
+    R_EARTH_KM,
+    Constellation,
+    NetworkSnapshot,
+    Role,
+)
 from eunomia.scenario import PRESET_CONFIGS
 from eunomia.traffic import (
     N_CELLS,
@@ -208,6 +217,79 @@ def test_serving_satellites_mark_cells_without_a_visible_leo():
     serving = serving_satellites(cell_pos, snap)
     assert np.array_equal(serving, oracle_serving_satellites(cell_pos, snap))
     assert (serving == -1).any() and (serving >= 0).any()
+
+
+def _leo_snapshot(leo_pos) -> NetworkSnapshot:
+    """LEOs at ``leo_pos`` (km, one row each) and one ground station."""
+    n = len(leo_pos)
+    positions = np.vstack([leo_pos, [[R_EARTH_KM, 0.0, 0.0]]])
+    return NetworkSnapshot(
+        time_s=0.0,
+        positions=positions,
+        velocities=np.zeros_like(positions),
+        isl_edges=frozenset(),
+        leo_ids=tuple(range(n)),
+        controller_ids=(n,),
+        roles=(Role.LEO,) * n + (Role.GS,),
+    )
+
+
+def _on_sphere(lat_deg, lon_deg, radius_km):
+    lat, lon = np.radians(lat_deg), np.radians(lon_deg)
+    return np.asarray(radius_km)[..., None] * np.stack(
+        [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], axis=-1
+    )
+
+
+def test_serving_satellites_give_a_tie_to_the_lower_index():
+    rng = np.random.default_rng(5)
+    shell = _on_sphere(rng.uniform(-80, 80, 40), rng.uniform(-180, 180, 40), 6921.0)
+    snap = _leo_snapshot(np.vstack([shell, shell]))  # LEO j and j + 40 coincide
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    serving = serving_satellites(cell_pos, snap)
+    assert np.array_equal(serving, oracle_serving_satellites(cell_pos, snap))
+    assert (serving >= 0).any() and serving.max() < 40
+
+
+def test_serving_satellites_at_the_horizon():
+    # LEOs around 0 degrees of elevation from one cell: exactly on its
+    # horizon, and a few rounding steps and micro-radians to either side
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    c = 300
+    up = cell_pos[c] / np.linalg.norm(cell_pos[c])
+    side = np.cross(up, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    r_leo = 6921.0
+    horizon = math.acos(np.linalg.norm(cell_pos[c]) / r_leo)
+    offsets = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+    for off in offsets:
+        a = horizon + off
+        leo = r_leo * (math.cos(a) * up + math.sin(a) * side)
+        snap = _leo_snapshot(leo[None, :])
+        if off == 0.0:
+            assert abs(elevation_angle(cell_pos[c], leo)) < 1e-9
+        serving = serving_satellites(cell_pos, snap)
+        assert np.array_equal(serving, oracle_serving_satellites(cell_pos, snap)), off
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-89.0, 89.0), st.floats(-180.0, 180.0), st.floats(6400.0, 45000.0)
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_serving_satellites_equal_the_argmax_on_shells_of_any_radii(leos):
+    # LEO radii differ, so the candidate bound meets a varying |target|
+    lat, lon, radius = (np.array(v) for v in zip(*leos))
+    snap = _leo_snapshot(_on_sphere(lat, lon, radius))
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    assert np.array_equal(
+        serving_satellites(cell_pos, snap), oracle_serving_satellites(cell_pos, snap)
+    )
 
 
 def test_scale_examples():

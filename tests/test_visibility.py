@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eunomia import visibility
 from eunomia.constellation import (
     LEO_SHELLS,
     MEO_SHELLS,
@@ -11,8 +13,11 @@ from eunomia.constellation import (
     ShellSpec,
     generate_shell,
 )
+from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.visibility import (
     DEFAULT_THRESHOLDS,
+    FovTimeline,
+    build_slot_geometry,
     compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
@@ -226,3 +231,77 @@ def test_segment_rejects_bad_arguments():
         segment_time_slots(const, 10.0, 15.0)
     with pytest.raises(ValueError):
         segment_time_slots(const, 100.0, 0.0)
+
+
+def _fresh_membership(scn, t):
+    fov = compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
+    return {d.controller_id: d.member_leo_ids for d in fov}
+
+
+def _assert_geometry_is_fresh(scn):
+    step, lookahead = scn.config.step_s, scn.config.lookahead_s
+    for geom in scn.geometries:
+        t0 = geom.slot.snapshot.time_s
+        assert geom.fov_domains == compute_fov_domains(geom.slot.snapshot, scn.config.thresholds)
+        assert geom.step_fov == _fresh_membership(scn, t0 + step)
+        assert geom.future_fov == _fresh_membership(scn, t0 + lookahead)
+
+
+def test_slot_geometry_equals_fresh_fov_on_desk(desk_scenario_short):
+    _assert_geometry_is_fresh(desk_scenario_short)
+
+
+def _build_counting_fov_times(monkeypatch, config, horizon_s):
+    """The scenario and the instant of every ``compute_fov_domains`` call
+    made while building it."""
+    times = []
+    compute = visibility.compute_fov_domains
+
+    def counted(snapshot, thresholds=None):
+        times.append(snapshot.time_s)
+        return compute(snapshot, thresholds)
+
+    monkeypatch.setattr(visibility, "compute_fov_domains", counted)
+    scn = build_scenario(config, horizon_s)
+    monkeypatch.undo()
+    return scn, times
+
+
+def _needed_instants(scn, horizon_s):
+    step, lookahead = scn.config.step_s, scn.config.lookahead_s
+    sampled = {k * step for k in range(int(horizon_s // step))}
+    starts = [g.slot.snapshot.time_s for g in scn.geometries]
+    return sampled | {t + step for t in starts} | {t + lookahead for t in starts}
+
+
+def test_each_fov_instant_is_computed_once_and_past_the_horizon_too(monkeypatch):
+    # default at 60 s: four sampled instants, each its own slot; the last
+    # slot's +15 s and the last two slots' +30 s lie past the horizon
+    scn, times = _build_counting_fov_times(monkeypatch, default_config(), 60.0)
+    assert len(scn.slots) == 4
+    assert sorted(times) == [0.0, 15.0, 30.0, 45.0, 60.0, 75.0]
+    assert set(times) == _needed_instants(scn, 60.0)
+    _assert_geometry_is_fresh(scn)
+
+
+def test_off_grid_instants_are_computed_on_a_non_dyadic_step(monkeypatch):
+    # with a step of 0.1 s, start + step and start + lookahead are not always
+    # a sampled k * 0.1 (0.7 + 0.1 != 8 * 0.1 and 0.3 != 3 * 0.1)
+    config = replace(desk_config(), step_s=0.1, lookahead_s=0.3)
+    scn, times = _build_counting_fov_times(monkeypatch, config, 6.0)
+    sampled = {k * 0.1 for k in range(60)}
+    starts = [g.slot.snapshot.time_s for g in scn.geometries]
+    assert any(t + 0.3 not in sampled for t in starts)
+    assert len(times) == len(set(times))
+    assert set(times) == _needed_instants(scn, 6.0)
+    _assert_geometry_is_fresh(scn)
+
+
+def test_slot_geometry_rejects_a_timeline_of_other_thresholds():
+    const = Constellation.build(LEO_SHELLS["iridium780"], None, [("g", 0.0, 0.0)])
+    timeline = FovTimeline(const, {Role.MEO: 40.0, Role.GS: 10.0})
+    slots = segment_time_slots(const, 60.0, 15.0, timeline.thresholds, timeline)
+    with pytest.raises(ValueError):
+        build_slot_geometry(const, slots[0], DEFAULT_THRESHOLDS, 30.0, 15.0, timeline)
+    with pytest.raises(ValueError):
+        segment_time_slots(const, 60.0, 15.0, None, timeline)
