@@ -19,7 +19,7 @@ header = f"{'strategy':8s} {'W_FLOW':>8s} {'W_SYNCi':>8s} {'W_SYNCo':>8s} {'W_MI
          f"{'W_CTL':>8s} {'W_CPT':>8s} {'eta':>6s}"
 print(header)
 for strategy in ("eunomia", "odc", "greedy"):
-    chain = partition_chain(scn, strategy, gamma=1.0, seed=1)
+    chain = partition_chain(scn, strategy, gamma=1.0)
     report = evaluate(
         chain[1],
         traffic,
@@ -38,7 +38,7 @@ for strategy in ("eunomia", "odc", "greedy"):
     )
 
 print("\n=== Traffic scaling (eunomia, gamma sweep) ===")
-chain = partition_chain(scn, "eunomia", gamma=1.0, seed=1)
+chain = partition_chain(scn, "eunomia", gamma=1.0)
 for gamma in (0.0, 0.25, 0.5, 1.0):
     report = evaluate(
         chain[1],

@@ -134,7 +134,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     any_violation = False
     report: dict = {"config_sha256": scn.config_hash, "seed": seed, "strategies": {}}
     for strategy in strategies:
-        chain = partition_chain(scn, strategy, gamma=1.0, seed=seed)
+        chain = partition_chain(scn, strategy, gamma=1.0)
         rows = []
         violations_by_slot = {}
         for geom, assignment in list(zip(scn.geometries, chain))[lo:hi]:
@@ -352,7 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
              f"defaults to ${CONFIG_ENV_VAR}",
     )
     common.add_argument("--out-dir", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, help="override config seeds")
+    common.add_argument("--seed", type=int, default=None,
+                        help="override config seeds (they seed the emulator's arrivals; "
+                             "partition assignments do not depend on them)")
     common.add_argument("--strategies", help="comma-separated strategy override")
 
     p_part = sub.add_parser("partition", parents=[common],

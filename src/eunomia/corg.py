@@ -6,6 +6,7 @@ The weights feed a Gaussian-kernel similarity matrix for spectral clustering.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +145,13 @@ def build_corg(
 
 def similarity(corg: Corg, sigma: float | None = None) -> SimilarityMatrix:
     """Gaussian-kernel similarity exp(-xi / (2 sigma^2)); absent pairs are 0,
-    the diagonal is 1. Sigma defaults to the median positive edge weight."""
+    the diagonal is 1. Sigma defaults to the square root of the median positive
+    edge weight, so that sigma^2 is on the scale of xi itself."""
     if not corg.node_ids:
         raise ValueError("similarity of an empty graph")
     if sigma is None:
         positive = [x for x in corg.edges.values() if x > 0.0]
-        sigma = float(np.median(positive)) if positive else 1.0
+        sigma = math.sqrt(np.median(positive)) if positive else 1.0
     n = len(corg.node_ids)
     index = {node: i for i, node in enumerate(corg.node_ids)}
     values = np.zeros((n, n))

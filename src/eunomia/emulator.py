@@ -342,20 +342,21 @@ def partition_chain(
     scn: "Scenario",
     strategy: str,
     gamma: float,
-    seed: int,
+    seed: int | None = None,
 ) -> list[DomainAssignment]:
     """Partition every slot in order, feeding each slot the previous slot's
     traffic and assignment.
 
-    The odc and greedy partitioners read neither gamma nor seed, so their
-    chains are built once per scenario; an eunomia chain is built per call.
+    No partitioner draws random numbers, so the chain ignores ``seed``. The
+    odc and greedy partitioners do not read gamma either. Each chain is built
+    once per (strategy, gamma) and kept on ``scn``.
     """
     if strategy in ("odc", "greedy"):
-        return list(scn.memo(("chain", strategy), partial(_chain, scn, strategy, 1.0, 0)))
-    return _chain(scn, strategy, gamma, seed)
+        gamma = 1.0
+    return list(scn.memo(("chain", strategy, gamma), partial(_chain, scn, strategy, gamma)))
 
 
-def _chain(scn: "Scenario", strategy: str, gamma: float, seed: int) -> list[DomainAssignment]:
+def _chain(scn: "Scenario", strategy: str, gamma: float) -> list[DomainAssignment]:
     ctx = scn.ctx
     assignments: list[DomainAssignment] = []
     prev: DomainAssignment | None = None
@@ -363,7 +364,7 @@ def _chain(scn: "Scenario", strategy: str, gamma: float, seed: int) -> list[Doma
         slot = geom.slot
         if strategy == "eunomia":
             traffic_in = scale(scn.base_traffic[max(t - 1, 0)], gamma)
-            current = partition_slot(ctx, slot, traffic_in, prev, seed, geometry=geom)
+            current = partition_slot(ctx, slot, traffic_in, prev, geometry=geom)
         elif strategy == "odc":
             current = odc_partition(ctx, slot)
         elif strategy == "greedy":
@@ -383,8 +384,9 @@ def run_scenario(
 ) -> list[RunResult]:
     """Partition and emulate every slot for each (gamma, seed) combination.
 
-    Each slot's plan is built once per assignment content and its gamma = 1
-    arrivals once per seed, and both are kept on ``scn`` for later calls.
+    The partition chain is built once per gamma, each slot's plan once per
+    assignment content and its gamma = 1 arrivals once per seed, and all are
+    kept on ``scn`` for later calls.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}, expected one of {STRATEGIES}")
@@ -392,7 +394,7 @@ def run_scenario(
     results: list[RunResult] = []
     for gamma in gammas:
         for seed in seeds:
-            chain = partition_chain(scn, strategy, gamma, seed)
+            chain = partition_chain(scn, strategy, gamma)
             stats: list[EmulationStats] = []
             reports = []
             migrations = 0

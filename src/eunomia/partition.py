@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from types import MappingProxyType
@@ -156,96 +157,49 @@ def _by_distance(
 def spectral_cluster(
     corg: Corg,
     m: int,
-    seed: int,
     snapshot: NetworkSnapshot,
     sigma: float | None = None,
 ) -> tuple[list[Cluster], bool]:
     """Cluster a CORG into m groups, one per virtual controller node.
 
-    When k-means lands two virtual nodes in one cluster, the most-similar edge
-    incident to a conflicted virtual node is removed and clustering reruns.
-    Returns (clusters, fallback_used); the fallback assigns every LEO to its
-    nearest in-FOV controller.
+    One eigensolve embeds the nodes of positive similarity degree, and a
+    k-means anchored on the m virtual nodes groups them, so each cluster holds
+    exactly one virtual node. LEOs of zero degree join the cluster of their
+    nearest virtual node. Returns (clusters, fallback_used): a virtual node of
+    zero degree cannot anchor a cluster, and then no clusters are returned and
+    the caller falls back.
     """
     node_ids = list(corg.node_ids)
-    n = len(node_ids)
     index = {node: i for i, node in enumerate(node_ids)}
     virtual_idx = [index[v] for v in corg.virtual_ids]
     if len(virtual_idx) != m:
         raise ValueError(f"expected {m} virtual controller nodes, found {len(virtual_idx)}")
 
-    sim = similarity(corg, sigma=sigma)
-    weights = sim.values.copy()
+    weights = similarity(corg, sigma=sigma).values
     np.fill_diagonal(weights, 0.0)
     if weights.max() > 0.0:
         # similarities this far below the strongest edge are numerically absent
         # and would overflow the normalized Laplacian's degree inversion
         weights[weights < 1e-15 * weights.max()] = 0.0
+    degree = weights.sum(axis=1)
+    if np.any(degree[virtual_idx] <= 0.0):
+        return [], True
+    active = np.flatnonzero(degree > 0.0)
+    _, embedding = spectral_embedding(weights[np.ix_(active, active)], m)
+    labels = np.full(len(node_ids), -1)
+    labels[active] = kmeans(embedding, np.searchsorted(active, virtual_idx))
 
-    for _attempt in range(n + 1):
-        degree = weights.sum(axis=1)
-        if any(degree[v] <= 0.0 for v in virtual_idx):
-            break
-        active = np.nonzero(degree > 0.0)[0]
-        if len(active) < m:
-            break
-        _, embedding = spectral_embedding(weights[np.ix_(active, active)], m)
-        labels = kmeans(embedding, m, seed)
-
-        label_of: dict[int, int] = {int(a): int(l) for a, l in zip(active, labels)}
-        virtuals_by_label: dict[int, list[int]] = {}
-        for v in virtual_idx:
-            virtuals_by_label.setdefault(label_of[v], []).append(v)
-        conflicted = sorted(
-            v for vs in virtuals_by_label.values() if len(vs) > 1 for v in vs
-        )
-        if not conflicted:
-            # isolated LEOs rejoin the cluster of their nearest controller
-            flags = corg.virtual_flags
-            isolated = [v for i, v in enumerate(node_ids) if i not in label_of and not flags[v]]
-            pools = dict.fromkeys(isolated, corg.virtual_ids)
-            nearest = _by_distance(snapshot, isolated, pools) if isolated else []
-            clusters = []
-            for label in range(m):
-                ctrl = node_ids[virtuals_by_label[label][0]]
-                members = [
-                    node_ids[i]
-                    for i, lab in label_of.items()
-                    if lab == label and not flags[node_ids[i]]
-                ]
-                members += [leo for leo, ks in zip(isolated, nearest) if ks[0] == ctrl]
-                clusters.append(Cluster(tuple(sorted(members)), virtual_controller_id=ctrl))
-            return clusters, False
-
-        # drop the most-similar edge touching a conflicted virtual node
-        best: tuple[float, tuple[int, int]] | None = None
-        for v in conflicted:
-            for other in range(n):
-                w = weights[v, other]
-                if w > 0.0:
-                    key = (min(v, other), max(v, other))
-                    if best is None or w > best[0] or (w == best[0] and key < best[1]):
-                        best = (w, key)
-        if best is None:
-            break
-        a, b = best[1]
-        weights[a, b] = 0.0
-        weights[b, a] = 0.0
-
-    return _nearest_controller_clusters(corg, snapshot), True
-
-
-def _nearest_controller_clusters(corg: Corg, snapshot: NetworkSnapshot) -> list[Cluster]:
-    """Fallback grouping: each LEO joins its geodesically nearest in-FOV controller."""
-    leos = [node for node in corg.node_ids if not corg.virtual_flags[node]]
-    pools = {
-        leo: [k for k in corg.virtual_ids if corg.xi(leo, k) is not None] or corg.virtual_ids
-        for leo in leos
-    }
-    groups: dict[int, list[int]] = {k: [] for k in corg.virtual_ids}
-    for leo, ranked in zip(leos, _by_distance(snapshot, leos, pools)):
-        groups[ranked[0]].append(leo)
-    return [Cluster(tuple(sorted(groups[k])), virtual_controller_id=k) for k in corg.virtual_ids]
+    virtual_ids = corg.virtual_ids
+    isolated = [node for node, lab in zip(node_ids, labels) if lab < 0]
+    if isolated:
+        pools = dict.fromkeys(isolated, virtual_ids)
+        for leo, ranked in zip(isolated, _by_distance(snapshot, isolated, pools)):
+            labels[index[leo]] = virtual_ids.index(ranked[0])
+    members: dict[int, list[int]] = {k: [] for k in virtual_ids}
+    for node, lab in zip(node_ids, labels):
+        if not corg.virtual_flags[node]:
+            members[virtual_ids[lab]].append(node)
+    return [Cluster(tuple(sorted(members[k])), k) for k in virtual_ids], False
 
 
 class MarginalObjective:
@@ -460,7 +414,6 @@ def partition_slot(
     slot: TimeSlot,
     traffic_prev: TrafficMatrix,
     prev_assignment: DomainAssignment | None,
-    seed: int,
     geometry: SlotGeometry | None = None,
 ) -> DomainAssignment:
     """Full three-step partition of one slot.
@@ -470,9 +423,12 @@ def partition_slot(
     keeps that controller unless another covering controller has a lower
     marginal objective (W_FLOW + lambda * W_CPT, see ``MarginalObjective``);
     migrations are thereby priced, not locked out. The remaining contested
-    LEOs are spectrally clustered per overlap region and the clusters are
-    matched to controllers on the same marginal objective. Every price uses
-    ``traffic_prev`` and the domains fixed so far in the slot. Boundary
+    LEOs are spectrally clustered per overlap region, by a k-means anchored
+    on the region's controllers (no seed, no random draw), and the clusters
+    are matched to controllers on the same marginal objective. Where the
+    clustering reports a fallback or no FOV-feasible matching exists, each
+    LEO of the region goes to its nearest covering controller. Every price
+    uses ``traffic_prev`` and the domains fixed so far in the slot. Boundary
     fine-tuning comes last.
     """
     geom = geometry or build_slot_geometry(
@@ -509,7 +465,7 @@ def partition_slot(
                 if costs[ks.index(k_prev)] <= costs.min():
                     give((leo,), k_prev)
 
-    for ridx, region in enumerate(regions):
+    for region in regions:
         residual = tuple(sorted(set(region.leo_ids) - assigned.keys()))
         if not residual:
             continue
@@ -521,16 +477,14 @@ def partition_slot(
         corg = build_corg(
             sub_region, traffic_prev, snap, ctx.overhead_params, fov, ctx.corg_weights
         )
-        clusters, used_fallback = spectral_cluster(
-            corg, len(ctrls), seed * 1000003 + ridx, snap, sigma=ctx.sigma
-        )
-        if used_fallback:
-            for cluster in clusters:
-                give(cluster.member_leo_ids, cluster.virtual_controller_id)  # type: ignore[arg-type]
-            continue
-        try:
-            match = km_match(clusters, ctrls, fov, pricing)
-        except InfeasibleMatchingError:
+        clusters, degenerate = spectral_cluster(corg, len(ctrls), snap, sigma=ctx.sigma)
+        match = None
+        if not degenerate:
+            with suppress(InfeasibleMatchingError):
+                match = km_match(clusters, ctrls, fov, pricing)
+        if match is None:
+            # no clusters, or no FOV-feasible matching: each LEO goes to its
+            # nearest covering controller
             for leo, ranked in zip(residual, _by_distance(snap, list(residual), cover)):
                 give((leo,), ranked[0])
             continue

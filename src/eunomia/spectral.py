@@ -1,9 +1,11 @@
-"""Normalized-Laplacian spectral embedding and a seeded k-means.
+"""Normalized-Laplacian spectral embedding and an anchored k-means.
 
 The embedding takes the eigenvectors of the m smallest eigenvalues of
-L_sym = D^{-1/2} (D - W) D^{-1/2} and row-normalizes them. k-means uses
-k-means++ initialization from a caller-supplied seed so that clustering is
-bit-reproducible; ties resolve to the lowest index throughout.
+L_sym = D^{-1/2} (D - W) D^{-1/2} and row-normalizes them (Ng, Jordan and
+Weiss, 2001). k-means is seeded and constrained by m anchor rows (Basu,
+Banerjee and Mooney, 2002): each cluster starts at its anchor's row and
+keeps that anchor, so two anchors never share a cluster. Nothing is drawn at
+random, and ties resolve to the lowest index throughout.
 """
 from __future__ import annotations
 
@@ -57,40 +59,27 @@ def spectral_embedding(weights: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     return vals, vecs / norms
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = KMEANS_MAX_ITER) -> np.ndarray:
-    """Seeded k-means++ labels for the rows of ``points``."""
-    n = points.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds {n} points")
-    rng = np.random.default_rng(seed)
+def kmeans(
+    points: np.ndarray, anchors: np.ndarray | list[int], max_iter: int = KMEANS_MAX_ITER
+) -> np.ndarray:
+    """k-means labels for the rows of ``points``, anchored on the rows ``anchors``.
 
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
-    for c in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with a center; pick lowest free index
-            taken = {tuple(centers[i]) for i in range(c)}
-            idx = next(
-                (i for i in range(n) if tuple(points[i]) not in taken), int(rng.integers(n))
-            )
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers[c] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[c]) ** 2).sum(axis=1))
-
-    labels = np.zeros(n, dtype=int)
-    for it in range(max_iter):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = dist.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and it > 0:
+    Cluster c starts at ``points[anchors[c]]`` and always keeps that row as a
+    member, so every cluster holds exactly one anchor and none empties. Ties
+    go to the lowest cluster index.
+    """
+    anchors = np.asarray(anchors, dtype=int)
+    k = len(anchors)
+    if np.unique(anchors).size != k:
+        raise ValueError(f"anchors must be distinct rows, got {anchors.tolist()}")
+    centers = points[anchors].copy()
+    labels = np.full(len(points), -1)
+    for _ in range(max_iter):
+        new_labels = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        new_labels[anchors] = np.arange(k)
+        if np.array_equal(new_labels, labels):
             break
         labels = new_labels
         for c in range(k):
-            members = labels == c
-            if np.any(members):
-                centers[c] = points[members].mean(axis=0)
-            # an emptied cluster keeps its center; callers detect degeneracy
+            centers[c] = points[labels == c].mean(axis=0)
     return labels

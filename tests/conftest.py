@@ -12,26 +12,41 @@ from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import TimeSlot
 
 
+def _openblas(symbols: tuple[str, ...], restype):
+    """Result of the first of ``symbols`` that numpy's bundled OpenBLAS
+    exports (found as ``benchmarks/job.py`` finds it), or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in symbols:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype = restype
+                return fn()
+    return None
+
+
 def openblas_corename() -> str | None:
-    """Name of the kernel numpy's bundled OpenBLAS runs on this CPU (found as
-    ``benchmarks/job.py`` finds its thread count), or None when there is none.
+    """Name of the kernel numpy's bundled OpenBLAS runs on this CPU.
 
     The pinned goldens and benchmark digests hold for one kernel: the BLAS
     products in the traffic model and elsewhere round differently on others.
     """
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in glob.glob(str(libs / "*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype = ctypes.c_char_p
-                return fn().decode()
-    return None
+    name = _openblas(("scipy_openblas_get_corename64_", "openblas_get_corename"), ctypes.c_char_p)
+    return name.decode() if name is not None else None
+
+
+def openblas_threads() -> int | None:
+    """Number of threads numpy's bundled OpenBLAS runs with. The traffic
+    blocks differ in their last bits between 1 and 2 threads, so a golden
+    can fail on the thread count alone."""
+    return _openblas(
+        ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"), ctypes.c_int
+    )
 
 
 def pytest_report_header(config):
-    return f"openblas core: {openblas_corename()}"
+    return f"openblas core: {openblas_corename()}, threads: {openblas_threads()}"
 
 
 def make_ring_snapshot(

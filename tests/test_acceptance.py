@@ -156,14 +156,14 @@ def test_criterion_4_spectral_oracle():
     ncut_matches = 0
     for t in range(20):
         corg = _planted_corg(1000 + t)
-        clusters, fallback = spectral_cluster(corg, 2, seed=t, snapshot=_FakeSnap(corg.node_ids))
+        clusters, fallback = spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids))
         split = {frozenset(c.member_leo_ids) for c in clusters}
         if not fallback and _ncut_oracle(corg) in split:
             ncut_matches += 1
     component_matches = 0
     for t in range(20):
         corg = _disconnected_corg(2000 + t)
-        clusters, fallback = spectral_cluster(corg, 2, seed=t, snapshot=_FakeSnap(corg.node_ids))
+        clusters, fallback = spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids))
         split = {frozenset(c.member_leo_ids): c.virtual_controller_id for c in clusters}
         if (
             not fallback
@@ -188,7 +188,7 @@ def test_criterion_5_end_to_end_oracle():
     for seed in range(10):
         snap, slot, geometry, tm = _toy_instance(seed + 100)
         ctx = _toy_ctx()
-        heuristic = partition_slot(ctx, slot, tm, None, seed=seed, geometry=geometry)
+        heuristic = partition_slot(ctx, slot, tm, None, geometry=geometry)
         _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
         got = evaluate(
             heuristic, tm, snap, ctx.overhead_params, geometry.fov_domains, validate=False
@@ -468,7 +468,7 @@ def test_criterion_10_partitioner_scaling():
         geometry = build_slot_geometry(const, slot, ctx.thresholds, 30.0, step_s=15.0)
         tm = slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, 0, params)
         start = time.perf_counter()
-        partition_slot(ctx, slot, tm, None, 1, geometry=geometry)
+        partition_slot(ctx, slot, tm, None, geometry=geometry)
         timings[len(const.leo_nodes)] = time.perf_counter() - start
     sizes = sorted(timings)
     slope = float(

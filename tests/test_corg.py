@@ -182,7 +182,7 @@ def test_similarity_sigma_defaults_to_median():
         virtual_flags={i: False for i in range(4)},
     )
     sim = similarity(corg)
-    assert sim.sigma == 2.0
+    assert sim.sigma == math.sqrt(2.0)  # sigma^2 is the median xi
 
 
 def test_similarity_zero_cost_graph_falls_back_to_unit_sigma():

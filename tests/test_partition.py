@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from eunomia import emulator, partition
 from eunomia.corg import Corg, similarity
 from eunomia.constellation import Role
 from eunomia.hungarian import InfeasibleMatchingError
@@ -160,7 +161,7 @@ def _ncut_oracle(corg):
 def test_spectral_cluster_matches_ncut_oracle_on_barbell():
     corg = _barbell_corg()
     snap = _FakeSnap(corg.node_ids)
-    clusters, fallback = spectral_cluster(corg, 2, seed=7, snapshot=snap)
+    clusters, fallback = spectral_cluster(corg, 2, snapshot=snap)
     assert not fallback
     split = {frozenset(c.member_leo_ids) for c in clusters}
     oracle_side = _ncut_oracle(corg)
@@ -181,7 +182,7 @@ def test_spectral_cluster_recovers_disconnected_components():
         edges=edges,
         virtual_flags={0: False, 1: False, 2: False, 3: False, 100: True, 101: True},
     )
-    clusters, fallback = spectral_cluster(corg, 2, seed=3, snapshot=_FakeSnap(corg.node_ids))
+    clusters, fallback = spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids))
     assert not fallback
     split = {frozenset(c.member_leo_ids): c.virtual_controller_id for c in clusters}
     assert split[frozenset({0, 1})] == 100
@@ -192,7 +193,46 @@ def test_spectral_cluster_requires_matching_virtual_count():
     corg = _barbell_corg()
     snap = _FakeSnap(corg.node_ids)
     with pytest.raises(ValueError):
-        spectral_cluster(corg, 3, seed=1, snapshot=snap)
+        spectral_cluster(corg, 3, snapshot=snap)
+
+
+def test_spectral_cluster_reports_a_virtual_node_without_similar_neighbours():
+    corg = _barbell_corg()
+    edges = {pair: xi for pair, xi in corg.edges.items() if 101 not in pair}
+    corg = Corg(corg.node_ids, edges, corg.virtual_flags)
+    assert spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids)) == ([], True)
+
+
+def test_partition_slot_gives_unclustered_leos_their_nearest_covering_controller(
+    desk_scenario_short, monkeypatch
+):
+    scn = desk_scenario_short
+    geom = scn.geometries[0]
+    snap, cover = geom.slot.snapshot, geom.cover
+    monkeypatch.setattr(partition, "spectral_cluster", lambda *args, **kwargs: ([], True))
+    ctx = dataclasses.replace(scn.ctx, lookahead_s=0.0)
+    a = partition_slot(ctx, geom.slot, scn.base_traffic[0], None, geometry=geom)
+    contested = sorted(leo for region in geom.regions for leo in region.leo_ids)
+    assert contested
+    assert [a.domain_of[leo] for leo in contested] == [
+        by_distance(snap, leo, cover[leo])[0] for leo in contested
+    ]
+
+
+@pytest.mark.parametrize("scenario", ["default_scenario_short", "desk_scenario_short"])
+def test_spectral_cluster_never_falls_back_on_the_preset_chains(scenario, request, monkeypatch):
+    scn = request.getfixturevalue(scenario)
+    fallbacks = []
+    original = partition.spectral_cluster
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        fallbacks.append(out[1])
+        return out
+
+    monkeypatch.setattr(partition, "spectral_cluster", recorded)
+    emulator._chain(scn, "eunomia", 1.0)  # not the chain kept on scn: every slot runs here
+    assert fallbacks and not any(fallbacks)
 
 
 # --------------------------------------------------------------- KM matching
@@ -311,7 +351,7 @@ def test_partition_slot_contested_leo_leaves_costlier_previous_controller():
             {0: k1, 1: k1, 2: k1, 3: k1, 4: k1, 5: k_prev, 6: k2, 7: k2},
             overlap_signature={5: frozenset({k1, k2})},
         )
-        a = partition_slot(_toy_ctx(), geometry.slot, tm, prev, seed=1, geometry=geometry)
+        a = partition_slot(_toy_ctx(), geometry.slot, tm, prev, geometry=geometry)
         assert a.domain_of[5] == k2  # kept on k2, moved off the loaded k1
 
 
@@ -381,23 +421,23 @@ def test_partition_slot_valid_on_toys():
     for seed in range(5):
         snap, slot, geometry, tm = _toy_instance(seed)
         ctx = _toy_ctx()
-        a = partition_slot(ctx, slot, tm, None, seed=seed, geometry=geometry)
+        a = partition_slot(ctx, slot, tm, None, geometry=geometry)
         assert validate_assignment(a, snap, geometry.fov_domains) == []
 
 
 def test_partition_slot_identical_snapshots_inherit_fully():
     snap, slot, geometry, tm = _toy_instance(3)
     ctx = _toy_ctx()
-    first = partition_slot(ctx, slot, tm, None, seed=1, geometry=geometry)
-    second = partition_slot(ctx, slot, tm, first, seed=99, geometry=geometry)
+    first = partition_slot(ctx, slot, tm, None, geometry=geometry)
+    second = partition_slot(ctx, slot, tm, first, geometry=geometry)
     assert second.domain_of == first.domain_of
 
 
 def test_partition_slot_deterministic():
     snap, slot, geometry, tm = _toy_instance(5)
     ctx = _toy_ctx()
-    a = partition_slot(ctx, slot, tm, None, seed=42, geometry=geometry)
-    b = partition_slot(ctx, slot, tm, None, seed=42, geometry=geometry)
+    a = partition_slot(ctx, slot, tm, None, geometry=geometry)
+    b = partition_slot(ctx, slot, tm, None, geometry=geometry)
     assert a.domain_of == b.domain_of
     assert a.uncovered == b.uncovered
 
@@ -405,7 +445,7 @@ def test_partition_slot_deterministic():
 def test_partition_slot_objective_close_to_bruteforce():
     snap, slot, geometry, tm = _toy_instance(11)
     ctx = _toy_ctx()
-    a = partition_slot(ctx, slot, tm, None, seed=1, geometry=geometry)
+    a = partition_slot(ctx, slot, tm, None, geometry=geometry)
     _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
     got = evaluate(
         a, tm, snap, ctx.overhead_params, geometry.fov_domains, validate=False
@@ -425,7 +465,7 @@ def test_partition_slot_raises_on_uncovered_when_strict():
     strict_geом = build_slot_geometry(None, slot, strict.thresholds, 0.0)
     if set(snap.leo_ids) - {l for d in strict_geом.fov_domains for l in d.member_leo_ids}:
         with pytest.raises(UncoverableLeoError):
-            partition_slot(strict, slot, tm, None, seed=0, geometry=strict_geом)
+            partition_slot(strict, slot, tm, None, geometry=strict_geом)
 
 
 # -------------------------------------------------------------- baselines
@@ -448,7 +488,7 @@ def test_odc_hops_at_least_eunomia(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
     odc = odc_partition(scn.ctx, geom.slot)
-    eu = partition_slot(scn.ctx, geom.slot, scn.base_traffic[0], None, 1, geometry=geom)
+    eu = partition_slot(scn.ctx, geom.slot, scn.base_traffic[0], None, geometry=geom)
     h_odc = max(
         len(r) - 1 for r in control_routes(odc, geom.slot.snapshot, geom.fov_domains).values()
     )
@@ -594,7 +634,7 @@ def test_bruteforce_not_worse_than_heuristics():
         ctx = _toy_ctx()
         _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
         for heuristic in (
-            partition_slot(ctx, slot, tm, None, seed=seed, geometry=geometry),
+            partition_slot(ctx, slot, tm, None, geometry=geometry),
             greedy_partition(ctx, slot, geometry=geometry),
         ):
             value = evaluate(

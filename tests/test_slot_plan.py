@@ -1,7 +1,8 @@
 """Slot plans, arrivals and baseline chains kept on a ``Scenario`` across runs.
 
 ``run_scenario`` keeps each slot's plan per assignment content, each slot's
-gamma = 1 arrivals per seed, and the greedy and odc chains on the scenario.
+gamma = 1 arrivals per seed, and each partition chain per (strategy, gamma)
+on the scenario.
 Reusing them must change no output bit, must not let an invalid assignment
 through on the strength of a valid one's plan, and must stay out of the
 pickles sent to ``emulate --threads`` workers.
@@ -47,7 +48,9 @@ def _count_calls(monkeypatch, module, name, counts):
 def counts(monkeypatch):
     """Calls of the memoised builders, as ``run_scenario`` looks them up."""
     out: dict[str, int] = {}
-    for name in ("slot_plan", "generate_arrivals", "greedy_partition", "odc_partition"):
+    for name in (
+        "slot_plan", "generate_arrivals", "greedy_partition", "odc_partition", "partition_slot"
+    ):
         _count_calls(monkeypatch, emulator, name, out)
     return out
 
@@ -64,6 +67,19 @@ def test_one_scenario_across_the_grid_gives_the_outputs_of_fresh_ones(counts):
     assert counts["slot_plan"] <= n_slots * (2 + len(GAMMAS) * len(SEEDS))
     for point, got in zip(grid, reused):
         assert got == _outputs(build_scenario(config), *point), point
+
+
+def test_eunomia_chain_is_built_once_per_gamma_for_any_seeds(counts):
+    scn = build_scenario(load_config(TINY_CONFIG))
+    n_slots = len(scn.slots)
+    run_scenario(scn, "eunomia", [1.0], [1, 2])
+    assert counts["partition_slot"] == n_slots
+    run_scenario(scn, "eunomia", [0.5, 1.0], [3])
+    assert counts["partition_slot"] == 2 * n_slots
+    # the seed is still accepted, and ignored
+    chain = emulator.partition_chain(scn, "eunomia", 0.5, seed=9)
+    assert chain == emulator.partition_chain(scn, "eunomia", 0.5)
+    assert counts["partition_slot"] == 2 * n_slots
 
 
 def _moved_outside_fov(scn, assignment, t):

@@ -53,33 +53,39 @@ def test_embedding_plus_kmeans_recovers_components():
     sizes = [3, 4, 5]
     w = _block_graph(sizes, intra=1.0, inter=0.0, seed=4)
     _, emb = spectral_embedding(w, 3)
-    labels = kmeans(emb, 3, seed=9)
-    start = 0
-    for s in sizes:
-        block = labels[start : start + s]
-        assert len(set(block.tolist())) == 1
-        start += s
-    assert len(set(labels.tolist())) == 3
+    labels = kmeans(emb, [2, 3, 11])  # one anchor per component, not its first row
+    assert labels.tolist() == [0] * 3 + [1] * 4 + [2] * 5
 
 
 def test_kmeans_is_deterministic():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(40, 3))
-    a = kmeans(pts, 4, seed=123)
-    b = kmeans(pts, 4, seed=123)
+    a = kmeans(pts, [0, 5, 17, 33])
+    b = kmeans(pts.copy(), [0, 5, 17, 33])  # no seed needed
     assert np.array_equal(a, b)
+    assert set(a.tolist()) == {0, 1, 2, 3}
 
 
 def test_kmeans_rejects_too_many_clusters():
+    # three anchors among two points repeat one of them
     with pytest.raises(ValueError):
-        kmeans(np.zeros((2, 2)), 3, seed=0)
+        kmeans(np.zeros((2, 2)), [0, 1, 1])
 
 
 def test_kmeans_separates_obvious_clusters():
     rng = np.random.default_rng(5)
     a = rng.normal(loc=0.0, scale=0.05, size=(10, 2))
     b = rng.normal(loc=5.0, scale=0.05, size=(10, 2))
-    labels = kmeans(np.vstack([a, b]), 2, seed=1)
-    assert len(set(labels[:10].tolist())) == 1
-    assert len(set(labels[10:].tolist())) == 1
-    assert labels[0] != labels[10]
+    labels = kmeans(np.vstack([a, b]), [14, 3])
+    assert labels.tolist() == [1] * 10 + [0] * 10
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-9, 0.05])
+def test_each_anchor_keeps_its_own_cluster_when_anchor_rows_are_close(gap):
+    rng = np.random.default_rng(6)
+    pts = np.vstack([rng.normal(0.0, 0.05, (10, 2)), rng.normal(5.0, 0.05, (10, 2))])
+    pts[1] = pts[0] + gap  # anchors 0 and 1 sit (almost) on one point of one group
+    labels = kmeans(pts, [0, 1, 12])
+    assert labels[[0, 1, 12]].tolist() == [0, 1, 2]
+    assert set(labels[10:].tolist()) == {2}
+    assert np.bincount(labels, minlength=3).min() >= 1
