@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 R_EARTH_KM = 6371.0
 MU_KM3_S2 = 398600.4418
@@ -217,6 +218,39 @@ class IslTopology:
         return csr_matrix(
             (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
         )
+
+    @cached_property
+    def _hop_trees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(predecessor rows, which rows are filled); zero pages until written."""
+        n = len(self.leo_ids)
+        return np.zeros((n, n), dtype=np.int32), np.zeros(n, dtype=bool)
+
+    def hop_predecessors(self, sources: np.ndarray) -> np.ndarray:
+        """Hop-count shortest-path predecessors over positions in ``leo_ids``:
+        row ``s`` is scipy's predecessor row from source ``s`` (-9999 at ``s``
+        and where unreachable), filled for every ``s`` in ``sources``; rows
+        not yet requested are zeros.
+
+        The rows missing so far come from one ``shortest_path`` call and are
+        kept, so each source's tree is computed once per topology. Dijkstra
+        runs each source on its own, so a row does not depend on which other
+        sources were requested with it.
+        """
+        preds, filled = self._hop_trees
+        want = np.zeros(len(filled), dtype=bool)
+        want[sources] = True
+        missing = np.flatnonzero(want & ~filled)
+        if missing.size:
+            _, preds[missing] = shortest_path(
+                self.graph, method="D", unweighted=True, return_predecessors=True,
+                indices=missing,
+            )
+            filled[missing] = True
+        return preds
+
+    def __getstate__(self) -> dict:
+        # the hop trees are rebuilt on demand, not sent to worker processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hop_trees"}
 
 
 @dataclass

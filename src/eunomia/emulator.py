@@ -15,10 +15,12 @@ migrated switch.
 
 The per-request work runs on arrays: controller and destination controller,
 intra/inter flag, service and ready times, the data path (shortest ISL hop
-paths from the requesting sources only, walked back from every destination
-at once), its delivery cost and the response time. The one sequential step
-is each controller's FIFO recurrence, busy = max(busy, arrival) + service,
-with the queue-window drop. The event trace is built as (time, code, node)
+paths, walked back from every destination at once over the requesting
+sources' predecessor trees, which the shared ISL topology computes once per
+source and keeps), its delivery cost from the slot plan's table and the
+response time. The one sequential step is each controller's FIFO
+recurrence, busy = max(busy, arrival) + service, with the queue-window
+drop. The event trace is built as (time, code, node)
 columns in generation order, stably sorted by time, and hashed as one
 big-endian structured array for reproducibility checks.
 """
@@ -30,7 +32,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Literal, get_args
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
 
 from .codecs import FLOW_REQUEST_FIXED_BYTES
 from .overhead import (
@@ -39,7 +40,6 @@ from .overhead import (
     SlotPlan,
     count_migrations,
     evaluate,
-    hop_cost,
     plan_key,
     slot_plan,
     validate_assignment,  # noqa: F401  (benchmarks/tests/test_bench_tracing.py patches it here)
@@ -50,7 +50,7 @@ from .partition import (
     odc_partition,
     partition_slot,
 )
-from .traffic import TrafficMatrix, scale
+from .traffic import TrafficMatrix, check_gamma, scale
 from .visibility import FovDomain, TimeSlot, compute_fov_domains
 
 if TYPE_CHECKING:
@@ -138,19 +138,21 @@ def generate_arrivals(
 
 
 def _walk_paths(
-    preds: np.ndarray, rows: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    preds: np.ndarray, src: np.ndarray, dst: np.ndarray,
     cost: np.ndarray, cost_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node count and largest ``cost[cost_rows[i], node]`` over the ISL path
-    of each flow ``src[i] -> dst[i]``, walking predecessors ``preds[rows[i]]``
-    back from the destination, all flows one hop per step. A flow to its own
-    source, or to a node it cannot reach, has the one-node path [src]."""
-    node = np.where(preds[rows, dst] >= 0, dst, src)
+    of each flow ``src[i] -> dst[i]``, walking predecessors ``preds[src[i]]``
+    (rows are source positions, as ``IslTopology.hop_predecessors`` gives
+    them) back from the destination, all flows one hop per step. A flow to
+    its own source, or to a node it cannot reach, has the one-node path
+    [src]."""
+    node = np.where(preds[src, dst] >= 0, dst, src)
     length = np.ones(len(node), dtype=np.int64)
     worst = cost[cost_rows, node]
     live = np.flatnonzero(node != src)
     while live.size:
-        node[live] = preds[rows[live], node[live]]
+        node[live] = preds[src[live], node[live]]
         length[live] += 1
         worst[live] = np.maximum(worst[live], cost[cost_rows[live], node[live]])
         live = live[node[live] != src[live]]
@@ -210,8 +212,9 @@ def run_slot(
 
     ``plan`` is the assignment's slot plan and ``arrivals`` the slot's
     ``generate_arrivals`` draw for ``seed``; each is computed here when not
-    given.
+    given. Raises ValueError unless gamma is in [0, 1].
     """
+    check_gamma(gamma)
     snap = slot.snapshot
     duration = slot.end_s - slot.start_s
     if plan is None:
@@ -224,16 +227,8 @@ def run_slot(
         arrivals = generate_arrivals(base_traffic, duration, seed, slot.index)
 
     leo_ids = np.array(base_traffic.leo_ids, dtype=np.int64)
-    ctrl_of, row_of, act = plan.ctrl_of, plan.row_of, plan.active
-    nd = len(act)
+    ctrl_of, row_of = plan.ctrl_of, plan.row_of
     cc_rtt = 2.0 * plan.cc_hop
-
-    # flow-update delivery cost from each controller to each switch (one extra
-    # controller hop when the switch belongs to another domain)
-    deliver = hop_cost(snap, params, act[:, None], leo_ids, params.m_fl_bytes)
-    if nd:
-        relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
-        deliver = np.where(relayed, deliver + plan.cc_hop[:, row_of[ctrl_of]], deliver)
 
     times, srcs, dsts, marks = arrivals
     keep = marks < gamma
@@ -268,12 +263,9 @@ def run_slot(
     ready = np.where(intra_s, finish, finish + cc_rtt[row_of[k_s], row_of[dst_k[served]]])
 
     # flow updates reach every node of the data path, found by hop-count
-    # shortest paths from the requesting sources only
-    sources, src_rows = np.unique(srcs[r_s], return_inverse=True)
-    _, preds = shortest_path(
-        snap.topology.graph, method="D", unweighted=True, return_predecessors=True, indices=sources
-    )
-    path_len, delivery = _walk_paths(preds, src_rows, srcs[r_s], dsts[r_s], deliver, row_of[k_s])
+    # shortest paths from the requesting sources
+    preds = snap.topology.hop_predecessors(srcs[r_s])
+    path_len, delivery = _walk_paths(preds, srcs[r_s], dsts[r_s], plan.deliver, row_of[k_s])
     resp_at = ready + delivery
     resp = resp_at - times[r_s]
     bytes_flow = FLOW_REQUEST_FIXED_BYTES * len(managed) + params.m_fl_bytes * (

@@ -345,7 +345,9 @@ def migration_overhead(
 def _domain_rates(
     assignment: "DomainAssignment", traffic: "TrafficMatrix"
 ) -> dict[int, tuple[float, float]]:
-    """Per domain: (intra-domain, inter-domain) flow request rates."""
+    """Per domain: (intra-domain, inter-domain) flow request rates, each the
+    sum of a ``TrafficMatrix.submatrix``, laid out as the full matrix's
+    masked gather is."""
     idx = traffic.index_of
     n = len(traffic.leo_ids)
     labels = np.full(n, -1, dtype=int)
@@ -358,9 +360,8 @@ def _domain_rates(
     out: dict[int, tuple[float, float]] = {}
     for label, k in enumerate(keys):
         mine = labels == label
-        rows = traffic.rows(mine)
-        intra = float(rows[:, mine].sum())
-        inter = float(rows[:, assigned & ~mine].sum())
+        intra = float(traffic.submatrix(mine, mine).sum())
+        inter = float(traffic.submatrix(mine, assigned & ~mine).sum())
         out[k] = (intra, inter)
     return out
 
@@ -498,7 +499,8 @@ class SlotPlan:
 
     Per-LEO arrays are indexed by position in ``snapshot.leo_ids``, which is
     also the traffic matrices' ``leo_ids``; per-controller ones by row of
-    ``active``. A plan holds O(|LEO| + nd^2) numbers for nd active domains.
+    ``active``. A plan holds O(nd * |LEO|) numbers for nd active domains,
+    most of them the ``deliver`` table.
     """
 
     violations: tuple[ConstraintViolation, ...]
@@ -511,6 +513,9 @@ class SlotPlan:
     service_intra: np.ndarray  # per-request service time, within the domain
     service_inter: np.ndarray  # per-request service time, across domains
     cc_hop: np.ndarray  # (nd, nd) one-hop cost of a flow update between controllers
+    # (nd, |LEO|) a flow update's delivery cost from each controller to each
+    # LEO, one controller hop more when the LEO is in another domain
+    deliver: np.ndarray
     sync_delay_mean: float  # mean over domains of the slowest intra-domain report
     sync_bytes_per_tick: int
     sync: tuple[float, float]  # sync_overhead's (w_in, w_out)
@@ -558,6 +563,13 @@ def slot_plan(
     ]
     service_inter = [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
 
+    cc_hop = hop_cost(snapshot, params, act[:, None], act, params.m_fl_bytes)
+    leo_ids = np.array(snapshot.leo_ids, dtype=np.int64)
+    deliver = hop_cost(snapshot, params, act[:, None], leo_ids, params.m_fl_bytes)
+    if nd:
+        relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
+        deliver = np.where(relayed, deliver + cc_hop[:, row_of[ctrl_of]], deliver)
+
     e_counts, intra_delay, sync = _sync_terms(assignment, snapshot, params)
     per_tick_bytes = sum(e_counts[k] * params.m_sync_bytes for k in active)
     if nd > 1:
@@ -573,7 +585,8 @@ def slot_plan(
         row_of=_frozen(row_of),
         service_intra=_frozen(np.array(service_intra)),
         service_inter=_frozen(np.array(service_inter)),
-        cc_hop=_frozen(hop_cost(snapshot, params, act[:, None], act, params.m_fl_bytes)),
+        cc_hop=_frozen(cc_hop),
+        deliver=_frozen(deliver),
         sync_delay_mean=float(np.mean(intra_delay)) if active else 0.0,
         sync_bytes_per_tick=per_tick_bytes,
         sync=sync,

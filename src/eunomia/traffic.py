@@ -11,10 +11,10 @@ maximum-elevation visible LEO. Rates are new-flow arrivals per second.
 Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
 ``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
-the |V|-wide view through ``TrafficMatrix.rows`` and ``cols``, which return
-what indexing the full matrix would, memory order included, so that every
-sum over a gathered row or column runs in the same order as over the full
-matrix and gives the same bits.
+the |V|-wide view through ``TrafficMatrix.rows``, ``cols`` and
+``submatrix``, which return what indexing the full matrix would, memory
+order included, so that every sum over a gathered row, column or submatrix
+runs in the same order as over the full matrix and gives the same bits.
 """
 from __future__ import annotations
 
@@ -61,9 +61,10 @@ class TrafficMatrix:
     up through ``index_of``). Only the ``active`` rows, sorted, can carry a
     rate; ``rates`` is the k x k block among them, and every other entry of
     the full matrix is zero. ``rows(idx)`` and ``cols(idx)`` rebuild
-    ``full[idx]`` and ``full[:, idx]`` with their gather layout (C order for
-    rows, F order for columns), so reductions over them match the full
-    matrix bit for bit.
+    ``full[idx]`` and ``full[:, idx]``, and ``submatrix(i, j)`` rebuilds
+    ``full[i][:, j]`` for two masks, each with its gather layout (C order
+    for rows, F order for columns and submatrices), so reductions over them
+    match the full matrix bit for bit.
     """
 
     slot_index: int
@@ -110,6 +111,21 @@ class TrafficMatrix:
         out[hit[:, None], self.active] = self.rates[:, pos[hit]].T
         return out.T
 
+    def submatrix(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``full[i][:, j]`` for masks ``i`` and ``j`` over ``leo_ids``:
+        shape (|i|, |j|), F order, as the masked gather lays it out.
+
+        Only the entries among active LEOs are copied from the block into
+        zeros; the |i| x |V| row gather is never built.
+        """
+        if len(self.active) == len(self.leo_ids):
+            return self.rates[i][:, j]
+        bi, bj = self.block_row[i], self.block_row[j]
+        out = np.zeros((len(bj), len(bi))).T
+        hit_i, hit_j = np.flatnonzero(bi >= 0), np.flatnonzero(bj >= 0)
+        out[np.ix_(hit_i, hit_j)] = self.rates[np.ix_(bi[hit_i], bj[hit_j])]
+        return out
+
     def at(self, i, j) -> np.ndarray:
         """``full[i, j]`` for equal-shape index arrays over ``leo_ids``."""
         if len(self.active) == len(self.leo_ids):
@@ -149,10 +165,15 @@ class TrafficMatrix:
         ]
 
 
-def scale(matrix: TrafficMatrix, gamma: float) -> TrafficMatrix:
-    """Uniformly scale every rate by gamma in [0, 1]."""
+def check_gamma(gamma: float) -> None:
+    """Raise ValueError unless the traffic scale ``gamma`` is in [0, 1]."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+
+
+def scale(matrix: TrafficMatrix, gamma: float) -> TrafficMatrix:
+    """Uniformly scale every rate by gamma in [0, 1]."""
+    check_gamma(gamma)
     return TrafficMatrix(
         slot_index=matrix.slot_index,
         leo_ids=matrix.leo_ids,

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
+from eunomia import constellation
 from eunomia.constellation import (
     LEO_SHELLS,
     MEO_SHELLS,
@@ -11,6 +14,7 @@ from eunomia.constellation import (
     NINE_CITIES,
     R_EARTH_KM,
     Constellation,
+    IslTopology,
     NetworkSnapshot,
     Role,
     ShellSpec,
@@ -19,9 +23,12 @@ from eunomia.constellation import (
     geodetic_to_ecef,
     orbital_period,
 )
+from eunomia.scenario import desk_config, load_config
 
+from emulator_oracle import _all_pairs_preds
 from geometry_oracle import propagate, propagate_inertial
 
+TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
 TABLE_PERIODS_MIN = {3000.0: 150.46, 6000.0: 228.23, 8070.0: 287.93, 10354.0: 358.76}
 
 
@@ -240,3 +247,43 @@ def test_snapshots_share_the_topology_a_snapshot_would_build(leo):
     cut = dataclasses.replace(a, isl_edges=a.isl_edges - {edges[0]})
     assert cut.topology.edge_array.tolist() == [list(e) for e in edges[1:]]
     assert dataclasses.replace(a, time_s=1.0).topology is a.topology
+
+
+def _preset_constellation(config):
+    stations = [(g.name, g.latitude_deg, g.longitude_deg) for g in config.ground_stations]
+    return Constellation.build(config.leo_shell, config.meo_shell, stations)
+
+
+@pytest.mark.parametrize(
+    "config", [lambda: load_config(TINY_CONFIG), desk_config], ids=["tiny", "desk"]
+)
+def test_hop_predecessors_equal_the_all_pairs_rows(config):
+    snap = _preset_constellation(config()).snapshot(0.0)
+    index_of = {leo: p for p, leo in enumerate(snap.leo_ids)}
+    want = _all_pairs_preds(snap, index_of)
+    topo = IslTopology(snap.isl_edges, snap.leo_ids)
+    n = len(snap.leo_ids)
+    # sources requested in overlapping, repeating batches, in no sorted order
+    for batch in (np.array([n - 1, 0, n - 1]), np.arange(n)[::-2], np.arange(n)):
+        preds = topo.hop_predecessors(batch)
+        assert preds.dtype == want.dtype
+        assert np.array_equal(preds[batch], want[batch])
+
+
+def test_hop_predecessors_compute_each_source_once(monkeypatch):
+    snap = _preset_constellation(desk_config()).snapshot(0.0)
+    topo = IslTopology(snap.isl_edges, snap.leo_ids)
+    asked = []
+
+    def recorded(*args, indices, **kwargs):
+        asked.append(indices.tolist())
+        return shortest_path(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(constellation, "shortest_path", recorded)
+    topo.hop_predecessors(np.array([7, 3, 7]))
+    topo.hop_predecessors(np.array([3, 7, 3]))
+    assert asked == [[3, 7]]
+    topo.hop_predecessors(np.array([9, 3, 1]))
+    assert asked == [[3, 7], [1, 9]]
+    topo.hop_predecessors(np.array([], dtype=np.int64))
+    assert len(asked) == 2

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eunomia import emulator
 from eunomia.codecs import FlowRequest, encode_flow_request
 from eunomia.constellation import C_LIGHT_KM_S, Role
 from eunomia.emulator import EmulatorParams, generate_arrivals, run_slot
@@ -109,6 +110,20 @@ def test_run_slot_rejects_invalid_assignment():
     with pytest.raises(ConstraintViolationError):
         run_slot(make_slot(snap), bad, tm, OverheadParams(), EmulatorParams(),
                  seed=1, fov_domains=fov)
+
+
+@pytest.mark.parametrize("gamma", [1.5, -0.5, math.nan])
+def test_run_slot_rejects_gamma_outside_unit_interval_before_any_work(gamma, monkeypatch):
+    snap, k, fov, assignment, tm = _pair_world()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_slot started work on a bad gamma")
+
+    for name in ("compute_fov_domains", "slot_plan", "generate_arrivals"):
+        monkeypatch.setattr(emulator, name, no_work)
+    with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got"):
+        run_slot(make_slot(snap), assignment, tm, OverheadParams(), EmulatorParams(),
+                 seed=1, gamma=gamma)
 
 
 def test_trace_hash_deterministic_and_seed_sensitive():

@@ -133,3 +133,16 @@ def test_the_memo_stays_out_of_pickles():
     assert len(pickle.dumps(scn)) == before
     copy = pickle.loads(pickle.dumps(scn))
     assert _outputs(copy, "eunomia", 0.5, 2) == _outputs(scn, "eunomia", 0.5, 2)
+
+
+def test_hop_trees_stay_out_of_pickles():
+    scn = build_scenario(load_config(TINY_CONFIG))
+    want = _outputs(scn, "greedy", 1.0, 1)
+    topology = scn.constellation.topology
+    assert all(slot.snapshot.topology is topology for slot in scn.slots)
+    _, filled = topology._hop_trees
+    assert filled.any()
+    copy = pickle.loads(pickle.dumps(scn))
+    assert "_hop_trees" not in copy.constellation.topology.__dict__
+    assert all(slot.snapshot.topology is copy.constellation.topology for slot in copy.slots)
+    assert _outputs(copy, "greedy", 1.0, 1) == want

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from eunomia.constellation import Constellation
-from eunomia.emulator import generate_arrivals
-from eunomia.scenario import default_config, desk_config, load_config
+from eunomia.emulator import STRATEGIES, generate_arrivals, partition_chain
+from eunomia.overhead import _domain_rates
+from eunomia.scenario import build_scenario, default_config, desk_config, load_config
 from eunomia.traffic import (
     build_grid,
     cell_positions,
@@ -115,6 +116,69 @@ def test_rows_and_cols_equal_the_dense_gathers(scaled, which):
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.flags.f_contiguous == want.flags.f_contiguous
+
+
+def _masks(tm):
+    out = {}
+    for name, idx in _index_sets(tm).items():
+        mask = np.zeros(len(tm.leo_ids), dtype=bool)
+        mask[idx] = True
+        out[name] = mask
+    out["active"] = np.zeros(len(tm.leo_ids), dtype=bool)
+    out["active"][tm.active] = True
+    return out
+
+
+@pytest.mark.parametrize("rows", ["empty", "one inactive", "mix", "active", "all"])
+def test_submatrix_equals_the_masked_gather(scaled, rows):
+    tm, full = scaled
+    masks = _masks(tm)
+    for cols in ("empty", "one inactive", "mix", "active", "all"):
+        i, j = masks[rows], masks[cols]
+        got, want = tm.submatrix(i, j), tm.rows(i)[:, j]
+        assert np.array_equal(want, full[i][:, j])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.sum().tobytes() == want.sum().tobytes()
+
+
+def _gathered_domain_rates(assignment, traffic):
+    """``overhead._domain_rates`` as the |D| x |V| row gather computed it."""
+    n = len(traffic.leo_ids)
+    labels = np.full(n, -1, dtype=int)
+    domains = assignment.domains()
+    keys = sorted(domains)
+    for label, k in enumerate(keys):
+        for i in domains[k]:
+            labels[traffic.index_of[i]] = label
+    assigned = labels >= 0
+    out = {}
+    for label, k in enumerate(keys):
+        mine = labels == label
+        rows = traffic.rows(mine)
+        out[k] = (float(rows[:, mine].sum()), float(rows[:, assigned & ~mine].sum()))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tiny_scenario():
+    return build_scenario(load_config(TINY_CONFIG))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("which", ["tiny", "default"])
+def test_domain_rates_equal_the_row_gather(which, strategy, request):
+    scn = request.getfixturevalue("tiny_scenario" if which == "tiny" else "default_scenario_short")
+    for gamma in (0.5, 1.0):
+        for t, assignment in enumerate(partition_chain(scn, strategy, gamma)):
+            tm = scale(scn.base_traffic[t], gamma)
+            got = _domain_rates(assignment, tm)
+            want = _gathered_domain_rates(assignment, tm)
+            assert [(k, *map(float.hex, v)) for k, v in got.items()] == [
+                (k, *map(float.hex, v)) for k, v in want.items()
+            ]
 
 
 def test_pairs_and_outbound_rates_equal_the_dense_matrix(scaled):
