@@ -6,7 +6,8 @@ density field (Gaussian bumps at nine cities plus a uniform background,
 area-corrected by cos latitude). Cell-pair demand follows a gravity law
 G * w_i * w_j / d^2, modulated by a diurnal factor peaking at 14:00 local
 solar time, and is mapped onto satellites by serving each cell with its
-maximum-elevation visible LEO. Rates are new-flow arrivals per second.
+maximum-elevation visible LEO, adding each LEO pair's cell pairs in
+ascending cell index on any BLAS. Rates are new-flow arrivals per second.
 
 Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
@@ -24,6 +25,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot
 from .visibility import elevation
@@ -332,9 +334,11 @@ def map_to_satellites(
 ) -> TrafficMatrix:
     """Aggregate cell-pair demand onto (serving LEO, serving LEO) pairs.
 
-    Pairs that land on a single LEO are local traffic and are dropped;
-    demand from cells with no visible LEO is dropped and reported. Only the
-    serving LEOs' rows of the product are computed.
+    The block is ``S @ demands @ S.T`` for the sparse k x C one-hot matrix
+    ``S`` of serving LEO by cell, taken rows first without BLAS: each rate
+    adds its source LEO's cells, then its destination LEO's cells, in
+    ascending cell index. Pairs on one LEO are local traffic and dropped;
+    demand from cells with no visible LEO is dropped and reported.
     """
     serving = serving_satellites(cell_pos, snapshot)
     served = serving >= 0
@@ -342,14 +346,10 @@ def map_to_satellites(
     unserved = float(demands[~served, :].sum() + demands[:, ~served].sum()
                      - demands[np.ix_(~served, ~served)].sum())
 
-    sel = np.zeros((len(cell_pos), len(snapshot.leo_ids)))
-    sel[np.nonzero(served)[0], serving[served]] = 1.0
-    active = np.unique(serving[served])
-    # the active rows of sel.T @ demands @ sel: keeping all the columns of the
-    # last product keeps BLAS's tiling of them, so each entry is summed in the
-    # same order and to the same bits as in the all-LEO product (narrowing
-    # the columns to the active ones changes some of them in the last bit)
-    rates = (sel[:, active].T @ demands @ sel)[:, active]
+    cells = np.flatnonzero(served)
+    active, block = np.unique(serving[cells], return_inverse=True)
+    S = csr_matrix((np.ones(len(cells)), (block, cells)), shape=(len(active), len(cell_pos)))
+    rates = np.ascontiguousarray((S @ (S @ demands).T).T)
     # the trace over all LEOs: the diagonal in place among zeros, summed alike
     diagonal = np.zeros(len(snapshot.leo_ids))
     diagonal[active] = np.diagonal(rates)

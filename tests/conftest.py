@@ -38,8 +38,8 @@ def openblas_corename() -> str | None:
 
 def openblas_threads() -> int | None:
     """Number of threads numpy's bundled OpenBLAS runs with. The traffic
-    blocks differ in their last bits between 1 and 2 threads, so a golden
-    can fail on the thread count alone."""
+    blocks are summed without BLAS, and the goldens hold at 1 and 2
+    threads; other BLAS calls may still round differently at other counts."""
     return _openblas(
         ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"), ctypes.c_int
     )

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eunomia
 from eunomia.constellation import (
     CITY_COORDS,
     LEO_SHELLS,
@@ -175,6 +180,48 @@ def test_mapping_conservation():
     )
     assert np.all(tm.rates >= 0.0)
     assert np.all(np.diag(tm.rates) == 0.0)
+
+
+# one desk snapshot's block (as a hash of its bytes), local and unserved rate
+_DESK_BLOCK = """
+import hashlib
+from eunomia.constellation import Constellation
+from eunomia.scenario import desk_config
+from eunomia.traffic import (
+    build_grid, cell_positions, city_density_field, demand_matrix, slot_traffic_matrix,
+)
+cfg, p = desk_config(), desk_config().traffic
+cells = build_grid(city_density_field(p.city_sigma_deg, p.background_density))
+stations = [(g.name, g.latitude_deg, g.longitude_deg) for g in cfg.ground_stations]
+snap = Constellation.build(cfg.leo_shell, cfg.meo_shell, stations).snapshot(300.0)
+tm = slot_traffic_matrix(cells, cell_positions(cells), demand_matrix(cells, p), snap, 0, p)
+assert tm.rates.flags.c_contiguous
+print(hashlib.sha256(tm.rates.tobytes()).hexdigest(), tm.local_rate.hex(), tm.unserved_rate.hex())
+"""
+
+
+def test_mapping_is_the_same_on_every_blas_core_and_thread_count():
+    src = str(Path(eunomia.__file__).resolve().parents[1])
+    outputs = set()
+    for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+                 {"OPENBLAS_CORETYPE": "Haswell"}):
+        env = {**os.environ, **blas, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _DESK_BLOCK], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
+
+
+def test_mapping_with_no_served_cell_is_all_unserved():
+    snap = make_ring_snapshot(n_leo=12)  # an equatorial ring: the poles see no LEO
+    cells = [c for c in build_grid(lambda lat, lon: 1.0) if abs(c.center[0]) > 60.0]
+    demands = np.random.default_rng(3).random((len(cells), len(cells)))
+    tm = map_to_satellites(cell_positions(cells), demands, snap)
+    assert tm.rates.shape == (0, 0) and len(tm.active) == 0
+    assert tm.unserved_rate == pytest.approx(demands.sum(), rel=1e-12)
+    assert tm.local_rate == 0.0
+    assert tm.rates.flags.c_contiguous
 
 
 def test_serving_satellite_matches_max_elevation_oracle():

@@ -66,8 +66,9 @@ def scaled(request, default_slot, tiny_slot):
     return scale(tm, gamma), full * gamma
 
 
-# instants where a narrower product (tiny: every LEO active) or the block's
-# own trace (desk, default) would move the last bit of a rate or local_rate
+# instants where summing cells in another order (tiny: every LEO active) or
+# the block's own trace (desk, default) would move the last bit of a rate or
+# local_rate
 @pytest.mark.parametrize(
     "config, time_s",
     [(lambda: load_config(TINY_CONFIG), 0.0), (desk_config, 0.0), (default_config, 750.0)],

@@ -1,11 +1,13 @@
 """Dense reference for ``traffic.map_to_satellites``: one |V| x |V| matrix.
 
 The mapping is written the direct way: every cell's position is rebuilt from
-its centre on each call, every LEO gets a column of the cell-to-satellite
-selection matrix whether or not it serves a cell, and the full product
-``sel.T @ demands @ sel`` is returned. Poisson arrivals are drawn from the
-nonzero entries of that full matrix. Tests compare the package's compact
-block, its row and column gathers and its arrivals against these.
+its centre on each call, every LEO gets a row and a column whether or not
+it serves a cell, and the full product ``sel.T @ demands @ sel`` with the
+one-hot cell-to-satellite matrix ``sel`` is returned, accumulated cell by
+cell in ascending index so that its bits depend on no BLAS kernel. Poisson
+arrivals are drawn from the nonzero entries of that full matrix. Tests
+compare the package's compact block, its row and column gathers and its
+arrivals against these.
 
 The gravity demand and the diurnal factor are also written per cell pair
 and per cell, as references for ``demand_matrix`` and ``diurnal_factors``.
@@ -47,9 +49,14 @@ def oracle_map_to_satellites(cells, demands, snapshot):
     unserved = float(demands[~served, :].sum() + demands[:, ~served].sum()
                      - demands[np.ix_(~served, ~served)].sum())
 
-    sel = np.zeros((len(cells), n_leo))
-    sel[np.nonzero(served)[0], serving[served]] = 1.0
-    rates = sel.T @ demands @ sel
+    # sel.T @ demands @ sel for the one-hot cell-to-LEO matrix sel, added up
+    # one served cell at a time in ascending index: rows, then columns
+    rows = np.zeros((n_leo, len(cells)))
+    for i in np.flatnonzero(served):
+        rows[serving[i]] += demands[i]
+    rates = np.zeros((n_leo, n_leo))
+    for j in np.flatnonzero(served):
+        rates[:, serving[j]] += rows[:, j]
     local = float(np.trace(rates))
     np.fill_diagonal(rates, 0.0)
     return rates, unserved, local
