@@ -45,9 +45,9 @@ exclusive = sum(1 for ks in cover.values() if len(ks) == 1)
 contested = sum(1 for ks in cover.values() if len(ks) >= 2)
 uncovered = len(snap.leo_ids) - len(cover)
 print(f"\n=== Field-of-view structure ===")
-for dom in fov:
-    role = snap.roles[dom.controller_id].value
-    print(f"controller {dom.controller_id} ({role}): sees {len(dom.member_leo_ids)} switches")
+for k, members in fov.items():
+    role = snap.roles[k].value
+    print(f"controller {k} ({role}): sees {len(members)} switches")
 print(f"exclusive {exclusive}, contested {contested}, uncovered {uncovered} "
       f"(the low-inclination controller shell cannot reach polar passes)")
 

@@ -37,7 +37,6 @@ from .partition import (
 from .scenario import Scenario, ScenarioConfig, build_scenario, desk_config, load_config
 from .traffic import TrafficMatrix, TrafficParams, build_grid, scale
 from .visibility import (
-    FovDomain,
     OverlapRegion,
     TimeSlot,
     compute_fov_domains,

@@ -209,11 +209,8 @@ class IslTopology:
 
     @cached_property
     def graph(self) -> csr_matrix:
-        """The adjacency as a symmetric 0/1 sparse matrix over positions in
-        ``leo_ids``."""
-        position = np.full(max(self.leo_ids, default=-1) + 1, -1, dtype=np.int64)
-        position[list(self.leo_ids)] = np.arange(len(self.leo_ids))
-        ends = position[self.edge_array]
+        """The adjacency as a symmetric 0/1 sparse matrix over LEO ids."""
+        ends = self.edge_array
         n = len(self.leo_ids)
         return csr_matrix(
             (np.ones(ends.size), (ends.ravel(), ends[:, ::-1].ravel())), shape=(n, n)
@@ -226,10 +223,10 @@ class IslTopology:
         return np.zeros((n, n), dtype=np.int32), np.zeros(n, dtype=bool)
 
     def hop_predecessors(self, sources: np.ndarray) -> np.ndarray:
-        """Hop-count shortest-path predecessors over positions in ``leo_ids``:
-        row ``s`` is scipy's predecessor row from source ``s`` (-9999 at ``s``
-        and where unreachable), filled for every ``s`` in ``sources``; rows
-        not yet requested are zeros.
+        """Hop-count shortest-path predecessors over LEO ids: row ``s`` is
+        scipy's predecessor row from source ``s`` (-9999 at ``s`` and where
+        unreachable), filled for every ``s`` in ``sources``; rows not yet
+        requested are zeros.
 
         The rows missing so far come from one ``shortest_path`` call and are
         kept, so each source's tree is computed once per topology. Dijkstra
@@ -258,8 +255,10 @@ class NetworkSnapshot:
     """All node positions, ISL edges and the controller/switch split at one instant.
 
     Node ids are contiguous, so ``positions`` and ``velocities`` are (N, 3)
-    arrays and ``roles`` a tuple, all indexed by node id. A snapshot given
-    no ``topology`` of its ``isl_edges`` and ``leo_ids`` builds its own.
+    arrays and ``roles`` a tuple, all indexed by node id. The LEOs come
+    first, ``leo_ids == (0, ..., n - 1)``, so a LEO id also indexes every
+    per-LEO array; any other layout raises ValueError. A snapshot given no
+    ``topology`` of its ``isl_edges`` and ``leo_ids`` builds its own.
     """
 
     time_s: float
@@ -272,6 +271,8 @@ class NetworkSnapshot:
     topology: IslTopology = field(default=None, repr=False, compare=False)  # type: ignore
 
     def __post_init__(self) -> None:
+        if self.leo_ids != tuple(range(len(self.leo_ids))):
+            raise ValueError(f"LEO ids must be 0..n-1 in order, got {self.leo_ids[:10]}")
         t = self.topology
         if t is None or (t.edges, t.leo_ids) != (self.isl_edges, self.leo_ids):
             self.topology = IslTopology(self.isl_edges, self.leo_ids)

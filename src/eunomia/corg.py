@@ -14,7 +14,7 @@ import numpy as np
 from .constellation import ROLE_CODE, NetworkSnapshot, Role, norm
 from .overhead import OverheadParams, hop_cost
 from .traffic import TrafficMatrix
-from .visibility import FovDomain, OverlapRegion
+from .visibility import OverlapRegion
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_BETA = 0.3
@@ -77,10 +77,10 @@ def pairwise_costs(
     codes = snapshot.role_codes
     is_leo = codes == ROLE_CODE[Role.LEO]
     switch_pair = is_leo[a] & is_leo[b]
-    row = np.zeros(len(codes), dtype=int)  # node id -> traffic row, for switches
-    row[list(traffic.index_of)] = list(traffic.index_of.values())
-    i = row[np.where(is_leo[a], a, b)]
-    j = row[np.where(is_leo[a], b, a)]
+    i = np.where(is_leo[a], a, b)
+    # the other switch of a switch pair; on an attachment edge the controller
+    # end is no traffic row, and ``mutual`` there is discarded, so reuse ``i``
+    j = np.where(switch_pair, np.where(is_leo[a], b, a), i)
     # each switch's total rate (row sum plus column sum), once per switch; the
     # columns are summed as contiguous rows, which matches summing each column
     # alone bit for bit, where rates.sum(axis=0) adds row by row and does not
@@ -117,7 +117,7 @@ def build_corg(
     traffic: TrafficMatrix,
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
     weights: CorgWeights | None = None,
 ) -> Corg:
     """CORG over one overlap region: ISL edges between member LEOs and a
@@ -125,13 +125,14 @@ def build_corg(
     w = weights or CorgWeights()
     leos = sorted(region.leo_ids)
     ctrls = list(region.controller_ids)
-    fov = {d.controller_id: d.member_leo_ids for d in fov_domains}
 
     member = np.zeros(len(snapshot.roles), dtype=bool)
     member[leos] = True
     isl = snapshot.topology.edge_array  # in sorted order
     pairs = list(map(tuple, isl[member[isl].all(axis=1)].tolist()))
-    pairs += [(leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov[k]]
+    pairs += [
+        (leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov_domains[k]
+    ]
     edges: dict[tuple[int, int], float] = {}
     if pairs:
         a, b = np.array(pairs).T

@@ -51,7 +51,7 @@ from .partition import (
     partition_slot,
 )
 from .traffic import TrafficMatrix, check_gamma, scale
-from .visibility import FovDomain, TimeSlot, compute_fov_domains
+from .visibility import TimeSlot, compute_fov_domains
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -117,14 +117,14 @@ CSV_COLUMNS = list(_CSV_FIELDS)
 def generate_arrivals(
     base_traffic: TrafficMatrix, duration_s: float, seed: int, slot_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson arrivals at the gamma=1 rates: (times, src idx, dst idx, marks).
+    """Poisson arrivals at the gamma=1 rates: (times, src ids, dst ids, marks).
 
     Marks are uniform [0, 1) thinning labels: keeping arrivals with
     mark < gamma yields exact Poisson(gamma * rate) processes nested across
     gamma values, which makes drop counts comparable across traffic scales.
     """
     rng = np.random.default_rng([seed, slot_index])
-    a, b = np.nonzero(base_traffic.rates)  # row-major over the block, so over leo_ids too
+    a, b = np.nonzero(base_traffic.rates)  # row-major over the block, so over LEO ids too
     lam = base_traffic.rates[a, b] * duration_s
     src_nz, dst_nz = base_traffic.active[a], base_traffic.active[b]
     counts = rng.poisson(lam)
@@ -143,7 +143,7 @@ def _walk_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node count and largest ``cost[cost_rows[i], node]`` over the ISL path
     of each flow ``src[i] -> dst[i]``, walking predecessors ``preds[src[i]]``
-    (rows are source positions, as ``IslTopology.hop_predecessors`` gives
+    (rows are source LEO ids, as ``IslTopology.hop_predecessors`` gives
     them) back from the destination, all flows one hop per step. A flow to
     its own source, or to a node it cannot reach, has the one-node path
     [src]."""
@@ -203,7 +203,7 @@ def run_slot(
     seed: int,
     gamma: float = 1.0,
     prev_assignment: DomainAssignment | None = None,
-    fov_domains: list[FovDomain] | None = None,
+    fov_domains: dict[int, frozenset[int]] | None = None,
     strategy: str = "",
     plan: SlotPlan | None = None,
     arrivals: tuple[np.ndarray, ...] | None = None,
@@ -226,7 +226,6 @@ def run_slot(
     if arrivals is None:
         arrivals = generate_arrivals(base_traffic, duration, seed, slot.index)
 
-    leo_ids = np.array(base_traffic.leo_ids, dtype=np.int64)
     ctrl_of, row_of = plan.ctrl_of, plan.row_of
     cc_rtt = 2.0 * plan.cc_hop
 
@@ -234,7 +233,6 @@ def run_slot(
     keep = marks < gamma
     times, srcs, dsts = times[keep] + slot.start_s, srcs[keep], dsts[keep]
     requests_total = len(times)
-    src_node = leo_ids[srcs]
     src_ctrl = ctrl_of[srcs]
 
     # uncovered sources never reach a controller; the rest arrive over their
@@ -285,14 +283,14 @@ def run_slot(
     # service followed by its response
     in_queue = np.argsort(np.concatenate([2 * np.arange(len(queued)), 2 * served + 1]))
     trace_hash = _trace_hash([
-        (times, EV_ARRIVAL, src_node),
-        (times[uncovered], EV_DROPPED, src_node[uncovered]),
+        (times, EV_ARRIVAL, srcs),
+        (times[uncovered], EV_DROPPED, srcs[uncovered]),
         (t_at_ctrl, EV_AT_CONTROLLER, src_ctrl[managed]),
         (
             np.concatenate([np.where(lost, ta_q, done), resp_at])[in_queue],
             np.concatenate([np.where(lost, EV_DROPPED, EV_SERVED),
                             np.full(len(served), EV_RESPONSE)])[in_queue],
-            np.concatenate([k_q, src_node[r_s]])[in_queue],
+            np.concatenate([k_q, srcs[r_s]])[in_queue],
         ),
         (slot.start_s + np.arange(n_ticks) / params.f_sync_hz, EV_SYNC, -1),
         (np.full(migrated, slot.end_s), EV_HANDOVER, -1),

@@ -18,7 +18,6 @@ import numpy as np
 
 from .codecs import EDGE_SYNC_BYTES, FLOW_REQUEST_FIXED_BYTES, FLOW_UPDATE_BYTES
 from .constellation import C_LIGHT_KM_S, ROLE_CODE, NetworkSnapshot, Role, norm
-from .visibility import FovDomain
 
 if TYPE_CHECKING:
     from .partition import DomainAssignment
@@ -136,12 +135,8 @@ def hop_cost(snapshot: NetworkSnapshot, params: OverheadParams, a, b, msg_bytes)
     ) / C_LIGHT_KM_S
 
 
-def _fov_map(fov_domains: list[FovDomain]) -> dict[int, frozenset[int]]:
-    return {d.controller_id: d.member_leo_ids for d in fov_domains}
-
-
 def direct_link_map(
-    assignment: "DomainAssignment", fov_domains: list[FovDomain]
+    assignment: "DomainAssignment", fov_domains: dict[int, frozenset[int]]
 ) -> dict[int, dict[int, int]]:
     """Per controller: {LEO with a usable direct link -> terminal controller id}.
 
@@ -149,25 +144,24 @@ def direct_link_map(
     centralized assignment the relay controllers' FOV members all act as entry
     points, each terminating at its nearest visible relay.
     """
-    fov = _fov_map(fov_domains)
     out: dict[int, dict[int, int]] = {}
     for k in assignment.domains():
         if assignment.fov_waived:
             relays = assignment.relay_controller_ids or (k,)
             seeds: dict[int, int] = {}
-            for leo in sorted(set().union(*(fov.get(r, frozenset()) for r in relays))):
-                visible = [r for r in relays if leo in fov.get(r, frozenset())]
+            for leo in sorted(set().union(*(fov_domains.get(r, frozenset()) for r in relays))):
+                visible = [r for r in relays if leo in fov_domains.get(r, frozenset())]
                 seeds[leo] = min(visible)  # deterministic relay choice
             out[k] = seeds
         else:
-            out[k] = {leo: k for leo in fov.get(k, frozenset())}
+            out[k] = {leo: k for leo in fov_domains.get(k, frozenset())}
     return out
 
 
 def control_routes(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
 ) -> dict[int, tuple[int, ...]]:
     """Control path for every assigned LEO: [leo, isl hops..., entry, controller].
 
@@ -232,7 +226,7 @@ def flow_overhead(
     traffic: "TrafficMatrix",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
     plan: "SlotPlan | None" = None,
 ) -> float:
     """Flow-table request/update overhead: per-source control-path cost
@@ -348,14 +342,11 @@ def _domain_rates(
     """Per domain: (intra-domain, inter-domain) flow request rates, each the
     sum of a ``TrafficMatrix.submatrix``, laid out as the full matrix's
     masked gather is."""
-    idx = traffic.index_of
-    n = len(traffic.leo_ids)
-    labels = np.full(n, -1, dtype=int)
+    labels = np.full(len(traffic.leo_ids), -1, dtype=int)
     domains = assignment.domains()
     keys = sorted(domains)
     for label, k in enumerate(keys):
-        for i in domains[k]:
-            labels[idx[i]] = label
+        labels[list(domains[k])] = label
     assigned = labels >= 0
     out: dict[int, tuple[float, float]] = {}
     for label, k in enumerate(keys):
@@ -390,7 +381,7 @@ def path_compute_overhead(
 def validate_assignment(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
     routes: dict[int, tuple[int, ...]] | None = None,
 ) -> list[ConstraintViolation]:
     """Check the five constraint families; empty list means valid.
@@ -399,7 +390,6 @@ def validate_assignment(
     already holds ``control_routes``' result for this assignment.
     """
     violations: list[ConstraintViolation] = []
-    fov = _fov_map(fov_domains)
     domains = assignment.domains()
 
     bad_ctrl = sorted(k for k in domains if k not in snapshot.controller_ids)
@@ -452,7 +442,7 @@ def validate_assignment(
 
     if not assignment.fov_waived:
         for k, members in domains.items():
-            outside = sorted(set(members) - fov.get(k, frozenset()))
+            outside = sorted(set(members) - fov_domains.get(k, frozenset()))
             if outside:
                 violations.append(
                     ConstraintViolation(
@@ -497,10 +487,9 @@ class SlotPlan:
     scale, the seed or the previous slot, so one plan serves every run of
     the same (slot, assignment content); see ``plan_key``.
 
-    Per-LEO arrays are indexed by position in ``snapshot.leo_ids``, which is
-    also the traffic matrices' ``leo_ids``; per-controller ones by row of
-    ``active``. A plan holds O(nd * |LEO|) numbers for nd active domains,
-    most of them the ``deliver`` table.
+    Per-LEO arrays are indexed by LEO id, as the traffic matrices are;
+    per-controller ones by row of ``active``. A plan holds O(nd * |LEO|)
+    numbers for nd active domains, most of them the ``deliver`` table.
     """
 
     violations: tuple[ConstraintViolation, ...]
@@ -525,7 +514,7 @@ def slot_plan(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
 ) -> SlotPlan:
     """Build the slot plan of ``assignment``: its control routes once, the
     validation of the assignment on those routes, and the tables derived
@@ -539,17 +528,15 @@ def slot_plan(
         ) from exc
     violations = validate_assignment(assignment, snapshot, fov_domains, routes)
 
-    position = np.full(len(snapshot.roles), -1, dtype=np.int64)  # LEO id -> position
-    position[list(snapshot.leo_ids)] = np.arange(len(snapshot.leo_ids))
     n = len(snapshot.leo_ids)
-    routed = position[list(routes)]
+    routed = np.array(list(routes), dtype=np.int64)
     req_cost = np.zeros(n)
     mfl_cost = np.zeros(n)
     paths = list(routes.values())
     req_cost[routed] = route_costs(paths, snapshot, params, FLOW_REQUEST_FIXED_BYTES)
     mfl_cost[routed] = route_costs(paths, snapshot, params, params.m_fl_bytes)
     ctrl_of = np.full(n, -1, dtype=np.int64)
-    ctrl_of[position[list(assignment.domain_of)]] = list(assignment.domain_of.values())
+    ctrl_of[list(assignment.domain_of)] = list(assignment.domain_of.values())
 
     roles = snapshot.roles
     domains = assignment.domains()
@@ -564,8 +551,7 @@ def slot_plan(
     service_inter = [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
 
     cc_hop = hop_cost(snapshot, params, act[:, None], act, params.m_fl_bytes)
-    leo_ids = np.array(snapshot.leo_ids, dtype=np.int64)
-    deliver = hop_cost(snapshot, params, act[:, None], leo_ids, params.m_fl_bytes)
+    deliver = hop_cost(snapshot, params, act[:, None], np.arange(n), params.m_fl_bytes)
     if nd:
         relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
         deliver = np.where(relayed, deliver + cc_hop[:, row_of[ctrl_of]], deliver)
@@ -650,7 +636,7 @@ def evaluate(
     traffic: "TrafficMatrix",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
     prev_assignment: "DomainAssignment | None" = None,
     slot_duration_s: float = 1.0,
     validate: bool = True,

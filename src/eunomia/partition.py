@@ -37,7 +37,6 @@ from .overhead import (
 from .spectral import kmeans, spectral_embedding
 from .traffic import TrafficMatrix
 from .visibility import (
-    FovDomain,
     OverlapRegion,
     SlotGeometry,
     TimeSlot,
@@ -232,7 +231,6 @@ class MarginalObjective:
         domain_of: dict[int, int],
     ):
         self.traffic = traffic
-        self.index_of = traffic.index_of
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
         self.column = {k: c for c, k in enumerate(ctrls)}
@@ -250,7 +248,7 @@ class MarginalObjective:
         self._last: tuple | None = None
         members: dict[int, list[int]] = {}
         for leo, k in domain_of.items():
-            members.setdefault(self.column[k], []).append(self.index_of[leo])
+            members.setdefault(self.column[k], []).append(leo)
         for c, idx in members.items():
             idx.sort()
             among = np.ascontiguousarray(traffic.rows(idx)[:, idx])  # C order, as np.ix_ gives
@@ -263,7 +261,7 @@ class MarginalObjective:
         fixed domain, from each fixed domain, and among themselves."""
         if self._last is not None and self._last[0] == leos:
             return self._last[1]
-        idx = np.array([self.index_of[i] for i in leos], dtype=int)
+        idx = np.array(leos, dtype=int)
         flows = self._flows_of_one(idx) if idx.size == 1 else self._flows_of_many(idx)
         self._last = (leos, flows)
         return flows
@@ -325,7 +323,7 @@ class MarginalObjective:
 def km_match(
     clusters: list[Cluster],
     controllers: list[int],
-    fov_domains: list[FovDomain],
+    fov_domains: dict[int, frozenset[int]],
     pricing: MarginalObjective,
 ) -> dict[int, int]:
     """Optimal cluster-to-controller matching on the marginal objective.
@@ -338,13 +336,12 @@ def km_match(
     """
     if len(clusters) != len(controllers):
         raise ValueError("need exactly one controller per cluster")
-    fov = {d.controller_id: d.member_leo_ids for d in fov_domains}
     m = len(clusters)
     cost = np.zeros((m, m))
     for c, cluster in enumerate(clusters):
         cost[c] = pricing.cost(cluster.member_leo_ids, controllers)
         for kx, k in enumerate(controllers):
-            if any(leo not in fov[k] for leo in cluster.member_leo_ids):
+            if any(leo not in fov_domains[k] for leo in cluster.member_leo_ids):
                 cost[c, kx] = np.inf
     match = solve_lexicographic(cost)
     return {c: controllers[kx] for c, kx in enumerate(match)}
@@ -368,7 +365,7 @@ def fine_tune_boundaries(
     snapshot = geometry.slot.snapshot
     future_fov = geometry.future_fov
     step_fov = geometry.step_fov or future_fov
-    now_fov = {d.controller_id: d.member_leo_ids for d in geometry.fov_domains}
+    now_fov = geometry.fov_domains
 
     domain_of = dict(assignment.domain_of)
     neighbors = snapshot.topology.neighbors
@@ -442,7 +439,7 @@ def partition_slot(
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    n_domains = sum(1 for d in fov if d.member_leo_ids)
+    n_domains = sum(1 for members in fov.values() if members)
     pricing = MarginalObjective(traffic_prev, snap, ctx.overhead_params, n_domains, assigned)
 
     def give(leos: tuple[int, ...], k: int) -> None:

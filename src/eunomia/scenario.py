@@ -264,6 +264,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"horizon_s: {self.horizon_s} is neither 0 nor at least step_s ({self.step_s})"
             )
+        if self.sigma is not None and not self.sigma > 0.0:
+            raise ValueError(f"partition.sigma: {self.sigma} is not positive")
+        if self.greedy_cap is not None and self.greedy_cap < 1:
+            raise ValueError(f"partition.greedy_cap: {self.greedy_cap} is less than 1")
         for g in self.gammas:
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"gammas: {g} outside [0, 1]")

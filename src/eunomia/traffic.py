@@ -59,10 +59,10 @@ class TrafficParams:
 class TrafficMatrix:
     """Per-slot flow arrival rates between LEO pairs (flows/second).
 
-    Rows and columns of the full matrix are positions in ``leo_ids`` (looked
-    up through ``index_of``). Only the ``active`` rows, sorted, can carry a
-    rate; ``rates`` is the k x k block among them, and every other entry of
-    the full matrix is zero. ``rows(idx)`` and ``cols(idx)`` rebuild
+    Rows and columns of the full matrix are LEO ids, 0..n-1 as in
+    ``leo_ids``. Only the ``active`` rows, sorted, can carry a rate;
+    ``rates`` is the k x k block among them, and every other entry of the
+    full matrix is zero. ``rows(idx)`` and ``cols(idx)`` rebuild
     ``full[idx]`` and ``full[:, idx]``, and ``submatrix(i, j)`` rebuilds
     ``full[i][:, j]`` for two masks, each with its gather layout (C order
     for rows, F order for columns and submatrices), so reductions over them
@@ -71,28 +71,25 @@ class TrafficMatrix:
 
     slot_index: int
     leo_ids: tuple[int, ...]
-    active: np.ndarray  # sorted positions in leo_ids of the LEOs that may carry traffic
+    active: np.ndarray  # sorted ids of the LEOs that may carry traffic
     rates: np.ndarray  # k x k block among the active LEOs
     unserved_rate: float = 0.0  # demand from cells with no visible LEO
     local_rate: float = 0.0  # demand whose endpoints map to the same LEO
-    index_of: dict[int, int] = field(default_factory=dict)
-    # position in leo_ids -> row of the block, -1 for an inactive LEO
+    # LEO id -> row of the block, -1 for an inactive LEO
     block_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.index_of:
-            self.index_of = {leo: k for k, leo in enumerate(self.leo_ids)}
         k = len(self.active)
         if self.rates.shape != (k, k):
             raise ValueError(f"rates must be the {k} x {k} block, got {self.rates.shape}")
         if k and not (np.all(np.diff(self.active) > 0) and 0 <= self.active[0]
                       and self.active[-1] < len(self.leo_ids)):
-            raise ValueError("active must be increasing positions in leo_ids")
+            raise ValueError("active must be increasing LEO ids")
         self.block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
         self.block_row[self.active] = np.arange(k)
 
     def rows(self, idx) -> np.ndarray:
-        """``full[idx]`` for an index array or mask over ``leo_ids``: shape
+        """``full[idx]`` for an index array or mask over LEO ids: shape
         (len, |V|), C order."""
         if len(self.active) == len(self.leo_ids):  # the block is the full matrix
             return self.rates[idx]
@@ -103,7 +100,7 @@ class TrafficMatrix:
         return out
 
     def cols(self, idx) -> np.ndarray:
-        """``full[:, idx]`` for an index array or mask over ``leo_ids``:
+        """``full[:, idx]`` for an index array or mask over LEO ids:
         shape (|V|, len), F order."""
         if len(self.active) == len(self.leo_ids):
             return self.rates[:, idx]
@@ -114,7 +111,7 @@ class TrafficMatrix:
         return out.T
 
     def submatrix(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``full[i][:, j]`` for masks ``i`` and ``j`` over ``leo_ids``:
+        """``full[i][:, j]`` for masks ``i`` and ``j`` over LEO ids:
         shape (|i|, |j|), F order, as the masked gather lays it out.
 
         Only the entries among active LEOs are copied from the block into
@@ -129,7 +126,7 @@ class TrafficMatrix:
         return out
 
     def at(self, i, j) -> np.ndarray:
-        """``full[i, j]`` for equal-shape index arrays over ``leo_ids``."""
+        """``full[i, j]`` for equal-shape index arrays over LEO ids."""
         if len(self.active) == len(self.leo_ids):
             return self.rates[i, j]
         pi, pj = self.block_row[i], self.block_row[j]
@@ -145,20 +142,19 @@ class TrafficMatrix:
         out = []
         src_idx, dst_idx = np.nonzero(self.rates)
         for a, b in zip(src_idx, dst_idx):
-            src, dst = self.active[a], self.active[b]
-            out.append((self.leo_ids[src], self.leo_ids[dst], float(self.rates[a, b])))
+            out.append((int(self.active[a]), int(self.active[b]), float(self.rates[a, b])))
         return out
 
     @cached_property
     def outbound_rates(self) -> np.ndarray:
-        """``full[i].sum()`` for every position ``i`` in ``leo_ids``."""
+        """``full[i].sum()`` for every LEO id ``i``."""
         out = np.zeros(len(self.leo_ids))
         # each row of a C-order array is summed alone, as full[i].sum() does
         out[self.active] = self.rows(self.active).sum(axis=1)
         return out
 
     def outbound_rate(self, src: int) -> float:
-        return float(self.outbound_rates[self.index_of[src]])
+        return float(self.outbound_rates[src])
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""
@@ -183,7 +179,6 @@ def scale(matrix: TrafficMatrix, gamma: float) -> TrafficMatrix:
         rates=matrix.rates * gamma,
         unserved_rate=matrix.unserved_rate * gamma,
         local_rate=matrix.local_rate * gamma,
-        index_of=matrix.index_of,
     )
 
 
@@ -275,9 +270,8 @@ def cell_positions(cells: list[GroundCell]) -> np.ndarray:
 
 
 def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.ndarray:
-    """Index (into snapshot.leo_ids) of the maximum-elevation visible LEO of
-    each cell at ``cell_pos`` (see ``cell_positions``), or -1 when no LEO is
-    above the horizon.
+    """Id of the maximum-elevation visible LEO of each cell at ``cell_pos``
+    (see ``cell_positions``), or -1 when no LEO is above the horizon.
 
     Elevations are computed only for the pairs with cos alpha >= rho - 1e-6,
     a few percent of them: every other LEO is below the horizon by far more
@@ -287,7 +281,7 @@ def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.nd
     only the candidates get ``separation``'s quotients; the result is the
     argmax of the full elevation matrix, the lowest index winning a tie.
     """
-    leo_pos = snapshot.positions[list(snapshot.leo_ids)]
+    leo_pos = snapshot.positions[: len(snapshot.leo_ids)]
     r_obs = np.linalg.norm(cell_pos, axis=1)
     r_tgt = np.linalg.norm(leo_pos, axis=1)
     dot = cell_pos @ leo_pos.T  # the product ``separation`` divides, same bits
@@ -343,8 +337,7 @@ def map_to_satellites(
     serving = serving_satellites(cell_pos, snapshot)
     served = serving >= 0
 
-    unserved = float(demands[~served, :].sum() + demands[:, ~served].sum()
-                     - demands[np.ix_(~served, ~served)].sum())
+    unserved = float(demands[~np.outer(served, served)].sum())
 
     cells = np.flatnonzero(served)
     active, block = np.unique(serving[cells], return_inverse=True)

@@ -22,14 +22,6 @@ DEFAULT_THRESHOLDS: dict[Role, float] = {Role.MEO: 40.0, Role.GS: 0.0}
 
 
 @dataclass(frozen=True)
-class FovDomain:
-    """All LEO switches a controller can reach directly."""
-
-    controller_id: int
-    member_leo_ids: frozenset[int]
-
-
-@dataclass(frozen=True)
 class OverlapRegion:
     """A maximal ISL-connected group of LEOs contested by two or more controllers."""
 
@@ -71,17 +63,18 @@ def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.nda
 
 def compute_fov_domains(
     snapshot: NetworkSnapshot, thresholds: dict[Role, float] | None = None
-) -> list[FovDomain]:
-    """FOV domain of every controller, ordered by controller id.
+) -> dict[int, frozenset[int]]:
+    """FOV domain of every controller: controller id -> the LEOs it can reach
+    directly, one key per controller in ascending id order, a controller
+    that sees no LEO included.
 
     The observer is chosen by role: the ground station itself, or the LEO
     switch for a controller satellite; one elevation matrix per role.
     """
     thr = DEFAULT_THRESHOLDS if thresholds is None else thresholds
-    leo_ids = np.array(snapshot.leo_ids)
-    leo_pos = snapshot.positions[leo_ids]
-    ctrls = np.array(snapshot.controller_ids)
-    visible = np.zeros((len(ctrls), len(leo_ids)), dtype=bool)
+    leo_pos = snapshot.positions[: len(snapshot.leo_ids)]
+    ctrls = np.sort(snapshot.controller_ids)
+    visible = np.zeros((len(ctrls), len(leo_pos)), dtype=bool)
     for role in {snapshot.roles[k] for k in ctrls}:
         sel = snapshot.role_codes[ctrls] == ROLE_CODE[role]
         ctrl_pos = snapshot.positions[ctrls[sel]]
@@ -90,23 +83,20 @@ def compute_fov_domains(
         else:
             elev = elevation_matrix(leo_pos, ctrl_pos).T
         visible[sel] = elev >= thr[role]
-    return [
-        FovDomain(controller_id=int(k), member_leo_ids=frozenset(leo_ids[row].tolist()))
-        for k, row in zip(ctrls, visible)
-    ]
+    return {k: frozenset(np.flatnonzero(row).tolist()) for k, row in zip(ctrls.tolist(), visible)}
 
 
-def coverage_map(fov_domains: list[FovDomain]) -> dict[int, tuple[int, ...]]:
+def coverage_map(fov_domains: dict[int, frozenset[int]]) -> dict[int, tuple[int, ...]]:
     """LEO id -> ordered tuple of controller ids that cover it."""
     cover: dict[int, list[int]] = {}
-    for dom in fov_domains:
-        for leo in dom.member_leo_ids:
-            cover.setdefault(leo, []).append(dom.controller_id)
+    for k, members in fov_domains.items():
+        for leo in members:
+            cover.setdefault(leo, []).append(k)
     return {leo: tuple(sorted(ks)) for leo, ks in cover.items()}
 
 
 def compute_overlap_regions(
-    fov_domains: list[FovDomain], snapshot: NetworkSnapshot
+    fov_domains: dict[int, frozenset[int]], snapshot: NetworkSnapshot
 ) -> list[OverlapRegion]:
     """Group multiply-covered LEOs into maximal regions.
 
@@ -116,8 +106,8 @@ def compute_overlap_regions(
     LEOs only.
     """
     covers = np.zeros((len(snapshot.roles), len(fov_domains)), dtype=bool)
-    for c, dom in enumerate(fov_domains):
-        covers[list(dom.member_leo_ids), c] = True
+    for c, members in enumerate(fov_domains.values()):
+        covers[list(members), c] = True
     contested = np.flatnonzero(covers.sum(axis=1) >= 2)
     pos = np.full(len(snapshot.roles), -1)  # node id -> index among contested
     pos[contested] = np.arange(len(contested))
@@ -132,7 +122,7 @@ def compute_overlap_regions(
     groups: dict[int, list[int]] = {}
     for leo, label in zip(contested.tolist(), labels.tolist()):
         groups.setdefault(label, []).append(leo)
-    ctrl_ids = np.array([d.controller_id for d in fov_domains])
+    ctrl_ids = np.array(list(fov_domains))
     return [
         OverlapRegion(
             leo_ids=frozenset(members),
@@ -142,16 +132,12 @@ def compute_overlap_regions(
     ]
 
 
-def membership_fingerprint(fov_domains: list[FovDomain]) -> tuple[frozenset[int], ...]:
-    return tuple(d.member_leo_ids for d in fov_domains)
-
-
 @dataclass
 class SlotGeometry:
     """Per-slot visibility products shared by partitioners and the emulator."""
 
     slot: TimeSlot
-    fov_domains: list[FovDomain]
+    fov_domains: dict[int, frozenset[int]]
     regions: list[OverlapRegion]
     future_fov: dict[int, frozenset[int]]  # FOV membership at slot start + lookahead
     step_fov: dict[int, frozenset[int]]  # FOV membership at the next sampling instant
@@ -176,9 +162,9 @@ class FovTimeline:
     ) -> None:
         self.constellation = constellation
         self.thresholds = thresholds
-        self._fov: dict[float, list[FovDomain]] = {}
+        self._fov: dict[float, dict[int, frozenset[int]]] = {}
 
-    def at(self, t: float, snapshot: NetworkSnapshot | None = None) -> list[FovDomain]:
+    def at(self, t: float, snapshot: NetworkSnapshot | None = None) -> dict[int, frozenset[int]]:
         """``compute_fov_domains`` at time ``t``; ``snapshot``, if given, is
         the constellation's snapshot at ``t``."""
         if t not in self._fov:
@@ -199,10 +185,6 @@ def _timeline(
     if constellation is not timeline.constellation or thresholds != timeline.thresholds:
         raise ValueError("the FOV timeline belongs to another constellation or thresholds")
     return timeline
-
-
-def _membership(fov_domains: list[FovDomain]) -> dict[int, frozenset[int]]:
-    return {d.controller_id: d.member_leo_ids for d in fov_domains}
 
 
 def build_slot_geometry(
@@ -229,9 +211,9 @@ def build_slot_geometry(
     future: dict[int, frozenset[int]] = {}
     step_future: dict[int, frozenset[int]] = {}
     if lookahead_s > 0:
-        future = _membership(timeline.at(t0 + lookahead_s))
+        future = timeline.at(t0 + lookahead_s)
         step = step_s if step_s is not None else lookahead_s / 2.0
-        step_future = _membership(timeline.at(t0 + step))
+        step_future = timeline.at(t0 + step)
     return SlotGeometry(
         slot=slot, fov_domains=fov, regions=regions, future_fov=future, step_fov=step_future
     )
@@ -258,21 +240,21 @@ def segment_time_slots(
     timeline = _timeline(constellation, thresholds, timeline)
     n_samples = int(horizon_s // step_s)
     slots: list[TimeSlot] = []
-    current_fp = None
+    current_fov = None
     current_start = 0.0
     current_snapshot = None
 
     for k in range(n_samples):
         t = k * step_s
         snap = constellation.snapshot(t)
-        fp = membership_fingerprint(timeline.at(t, snap))
-        if current_fp is None:
-            current_fp, current_start, current_snapshot = fp, t, snap
-        elif fp != current_fp:
+        fov = timeline.at(t, snap)
+        if current_fov is None:
+            current_fov, current_start, current_snapshot = fov, t, snap
+        elif fov != current_fov:
             slots.append(
                 TimeSlot(len(slots), current_start, t, current_snapshot)
             )
-            current_fp, current_start, current_snapshot = fp, t, snap
+            current_fov, current_start, current_snapshot = fov, t, snap
     assert current_snapshot is not None
     slots.append(TimeSlot(len(slots), current_start, n_samples * step_s, current_snapshot))
     return slots

@@ -43,12 +43,12 @@ class _Queue:
         self.busy_until = 0.0
 
 
-def _all_pairs_preds(snapshot, index_of):
-    n = len(index_of)
+def _all_pairs_preds(snapshot):
+    n = len(snapshot.leo_ids)
     rows, cols = [], []
     for a, b in snapshot.isl_edges:
-        rows += [index_of[a], index_of[b]]
-        cols += [index_of[b], index_of[a]]
+        rows += [a, b]
+        cols += [b, a]
     graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     _, preds = shortest_path(graph, method="D", unweighted=True, return_predecessors=True)
     return preds
@@ -81,12 +81,11 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0
         raise ConstraintViolationError(violations)
 
     leo_ids = base_traffic.leo_ids
-    idx = base_traffic.index_of
     n = len(leo_ids)
     roles = snap.roles
 
     routes = control_routes(assignment, snap, fov_domains)
-    routed = [idx[leo] for leo in routes]
+    routed = list(routes)
     req_len = len(encode_flow_request(FlowRequest()))
     req_cost = np.zeros(n)
     mfl_cost = np.zeros(n)
@@ -95,7 +94,7 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0
 
     ctrl_of = np.full(n, -1, dtype=np.int64)
     for leo, k in assignment.domain_of.items():
-        ctrl_of[idx[leo]] = k
+        ctrl_of[leo] = k
 
     domains = assignment.domains()
     active = sorted(domains)
@@ -114,7 +113,7 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0
         relayed = (ctrl_of >= 0) & (ctrl_of != act[:, None])
         deliver = np.where(relayed, deliver + cc_hop[:, owner_row], deliver)
 
-    preds = _all_pairs_preds(snap, idx)
+    preds = _all_pairs_preds(snap)
 
     times, srcs, dsts, marks = generate_arrivals(base_traffic, duration, seed, slot.index)
     keep = marks < gamma
@@ -129,12 +128,12 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0
 
     src_ctrl = ctrl_of[srcs]
     for r in range(requests_total):
-        events.append((float(times[r]), EV_ARRIVAL, int(leo_ids[srcs[r]])))
+        events.append((float(times[r]), EV_ARRIVAL, int(srcs[r])))
     queues = {k: _Queue(emu.queue_window_s) for k in active}
 
     for r in np.nonzero(src_ctrl < 0)[0]:
         dropped += 1
-        events.append((float(times[r]), EV_DROPPED, int(leo_ids[srcs[r]])))
+        events.append((float(times[r]), EV_DROPPED, int(srcs[r])))
 
     managed = np.nonzero(src_ctrl >= 0)[0]
     t_at_ctrl = times[managed] + req_cost[srcs[managed]]
@@ -171,7 +170,7 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0
             bytes_flow += 2 * params.m_fl_bytes
         resp_at = ready + float(deliver[ctrl_row[k], path].max())
         responses.append(resp_at - float(times[r]))
-        events.append((resp_at, EV_RESPONSE, int(leo_ids[srcs[r]])))
+        events.append((resp_at, EV_RESPONSE, int(srcs[r])))
 
     e_counts = {k: _intra_edges(set(domains[k]), snap) for k in active}
     intra_delay = {

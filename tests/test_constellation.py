@@ -25,6 +25,7 @@ from eunomia.constellation import (
 )
 from eunomia.scenario import desk_config, load_config
 
+from conftest import make_ring_snapshot
 from emulator_oracle import _all_pairs_preds
 from geometry_oracle import propagate, propagate_inertial
 
@@ -220,6 +221,19 @@ def test_snapshot_matches_single_node_propagation():
         assert snap.velocities[node.id] == pytest.approx(vel, abs=1e-12)
 
 
+def test_snapshot_rejects_leo_ids_other_than_0_to_n_minus_1():
+    ring = make_ring_snapshot(n_leo=3, ctrl_lons=(0.0,))
+    with pytest.raises(ValueError, match="LEO ids"):
+        dataclasses.replace(ring, leo_ids=(1, 2, 3))
+    # the same network with its LEOs numbered after the controller
+    order = [3, 0, 1, 2]
+    with pytest.raises(ValueError, match="LEO ids"):
+        NetworkSnapshot(
+            0.0, ring.positions[order], ring.velocities[order],
+            frozenset({(1, 2), (2, 3), (1, 3)}), (1, 2, 3), (0,), (Role.MEO,) + (Role.LEO,) * 3,
+        )
+
+
 @pytest.mark.parametrize("leo", ["iridium780", "starlink550"])
 def test_snapshots_share_the_topology_a_snapshot_would_build(leo):
     const = Constellation.build(LEO_SHELLS[leo], MEO_SHELLS["meo8070"], NINE_CITIES)
@@ -259,8 +273,7 @@ def _preset_constellation(config):
 )
 def test_hop_predecessors_equal_the_all_pairs_rows(config):
     snap = _preset_constellation(config()).snapshot(0.0)
-    index_of = {leo: p for p, leo in enumerate(snap.leo_ids)}
-    want = _all_pairs_preds(snap, index_of)
+    want = _all_pairs_preds(snap)
     topo = IslTopology(snap.isl_edges, snap.leo_ids)
     n = len(snap.leo_ids)
     # sources requested in overlapping, repeating batches, in no sorted order

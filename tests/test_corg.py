@@ -12,7 +12,7 @@ from eunomia.corg import (
     similarity,
 )
 from eunomia.overhead import OverheadParams
-from eunomia.visibility import FovDomain, OverlapRegion
+from eunomia.visibility import OverlapRegion
 
 from conftest import compact_traffic, make_ring_snapshot
 
@@ -86,7 +86,7 @@ def test_edge_weight_rejects_bad_weights():
 def _two_leo_region():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 45.0), ctrl_lons=(10.0, 35.0))
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k1, frozenset({0, 1})), FovDomain(k2, frozenset({0, 1}))]
+    fov = {k1: frozenset({0, 1}), k2: frozenset({0, 1})}
     region = OverlapRegion(frozenset({0, 1}), (k1, k2))
     tm = _traffic(snap, {(0, 1): 1.0})
     return snap, fov, region, tm
@@ -115,7 +115,7 @@ def test_build_corg_no_virtual_virtual_edges():
 def test_build_corg_matches_adjacency_oracle():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 90.0))
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k1, frozenset({0, 1, 2})), FovDomain(k2, frozenset({1, 2, 3}))]
+    fov = {k1: frozenset({0, 1, 2}), k2: frozenset({1, 2, 3})}
     region = OverlapRegion(frozenset({1, 2}), (k1, k2))
     tm = _traffic(snap, {})
     corg = build_corg(region, tm, snap, OverheadParams(), fov)
@@ -125,9 +125,8 @@ def test_build_corg_matches_adjacency_oracle():
         if a in members and b in members:
             expected.add((a, b))
     for k in (k1, k2):
-        fov_set = next(d.member_leo_ids for d in fov if d.controller_id == k)
         for leo in members:
-            if leo in fov_set:
+            if leo in fov[k]:
                 expected.add((min(leo, k), max(leo, k)))
     assert set(corg.edges) == expected
 
@@ -137,7 +136,6 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
     scn = request.getfixturevalue(scenario)
     for geom, traffic in zip(scn.geometries[:2], scn.base_traffic):
         snap, fov = geom.slot.snapshot, geom.fov_domains
-        fov_of = {d.controller_id: d.member_leo_ids for d in fov}
         for region in geom.regions:
             corg = build_corg(region, traffic, snap, scn.ctx.overhead_params, fov)
             members = region.leo_ids
@@ -146,7 +144,7 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
                 (min(leo, k), max(leo, k))
                 for k in region.controller_ids
                 for leo in sorted(members)
-                if leo in fov_of[k]
+                if leo in fov[k]
             ]
             assert list(corg.edges) == want
 

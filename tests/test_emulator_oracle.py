@@ -16,7 +16,6 @@ from eunomia.constellation import Role
 from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain, run_slot
 from eunomia.overhead import OverheadParams
 from eunomia.partition import DomainAssignment
-from eunomia.visibility import FovDomain
 
 from conftest import compact_traffic, make_ring_snapshot, make_slot
 from emulator_oracle import oracle_run_slot
@@ -44,7 +43,7 @@ def _cut_world():
     ring = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
     snap = replace(ring, isl_edges=ring.isl_edges - {(3, 4), (0, 7)})
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k, frozenset(snap.leo_ids)) for k in (k1, k2)]
+    fov = {k: frozenset(snap.leo_ids) for k in (k1, k2)}
     assignment = DomainAssignment(
         0, {0: k1, 1: k1, 4: k1, 5: k1, 2: k2, 3: k2, 7: k2}, uncovered=frozenset({6})
     )
@@ -88,7 +87,7 @@ def test_matches_oracle_on_a_waived_fov_centralized_assignment(gamma):
         n_leo=10, ctrl_lons=(0.0, 180.0), ctrl_roles=(Role.GS, Role.GS)
     )
     g1, g2 = snap.controller_ids
-    fov = [FovDomain(g1, frozenset({0, 1, 9})), FovDomain(g2, frozenset({4, 5, 6}))]
+    fov = {g1: frozenset({0, 1, 9}), g2: frozenset({4, 5, 6})}
     assignment = DomainAssignment(
         0, {leo: g1 for leo in snap.leo_ids}, fov_waived=True,
         relay_controller_ids=(g1, g2), strategy="odc",

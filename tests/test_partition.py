@@ -28,7 +28,6 @@ from eunomia.partition import (
     step1_exclusive_assign,
 )
 from eunomia.visibility import (
-    FovDomain,
     OverlapRegion,
     SlotGeometry,
     build_slot_geometry,
@@ -67,7 +66,7 @@ def _toy_ctx(thresholds=None, lookahead=0.0):
 
 
 def test_step1_disjoint_fovs_assign_everything():
-    fov = [FovDomain(10, frozenset({0, 1})), FovDomain(11, frozenset({2, 3}))]
+    fov = {10: frozenset({0, 1}), 11: frozenset({2, 3})}
     assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), [], (0, 1, 2, 3))
     assert assigned == {0: 10, 1: 10, 2: 11, 3: 11}
     assert uncovered == []
@@ -75,7 +74,7 @@ def test_step1_disjoint_fovs_assign_everything():
 
 
 def test_step1_contested_leo_left_unassigned():
-    fov = [FovDomain(10, frozenset({0, 1})), FovDomain(11, frozenset({1}))]
+    fov = {10: frozenset({0, 1}), 11: frozenset({1})}
     regions = [OverlapRegion(frozenset({1}), (10, 11))]
     assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), regions, (0, 1, 2))
     assert assigned == {0: 10}
@@ -248,7 +247,7 @@ def _pricing(snap):
 def test_km_match_single_pair():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    fov = [FovDomain(k, frozenset({0, 1}))]
+    fov = {k: frozenset({0, 1})}
     clusters = [Cluster((0, 1), k)]
     assert km_match(clusters, [k], fov, _pricing(snap)) == {0: k}
 
@@ -257,7 +256,7 @@ def test_km_match_prefers_nearby_controllers():
     snap = make_ring_snapshot(n_leo=4, leo_lons=(0.0, 10.0, 170.0, 180.0),
                               ctrl_lons=(5.0, 175.0))
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k1, frozenset(snap.leo_ids)), FovDomain(k2, frozenset(snap.leo_ids))]
+    fov = {k1: frozenset(snap.leo_ids), k2: frozenset(snap.leo_ids)}
     clusters = [
         Cluster((2, 3), k1),
         Cluster((0, 1), k2),
@@ -269,7 +268,7 @@ def test_km_match_prefers_nearby_controllers():
 def test_km_match_respects_fov_infeasibility():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k1, frozenset({0})), FovDomain(k2, frozenset({0, 1}))]
+    fov = {k1: frozenset({0}), k2: frozenset({0, 1})}
     clusters = [
         Cluster((0,), k1),
         Cluster((1,), k2),
@@ -281,7 +280,7 @@ def test_km_match_respects_fov_infeasibility():
 def test_km_match_raises_when_no_perfect_matching():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    fov = [FovDomain(k1, frozenset()), FovDomain(k2, frozenset({0, 1}))]
+    fov = {k1: frozenset(), k2: frozenset({0, 1})}
     clusters = [
         Cluster((0,), k1),
         Cluster((1,), k2),
@@ -302,10 +301,10 @@ def _loaded_meo_toy():
     k1, k2 = snap.controller_ids
     entries = {(i, j): 10.0 for i in range(5) for j in range(5) if i != j}
     entries.update({(5, j): 1.0 for j in range(5)})
-    fov = [
-        FovDomain(k1, frozenset({0, 1, 2, 3, 4, 5})),
-        FovDomain(k2, frozenset({5, 6, 7})),
-    ]
+    fov = {
+        k1: frozenset({0, 1, 2, 3, 4, 5}),
+        k2: frozenset({5, 6, 7}),
+    }
     return snap, _traffic(snap, entries), fov, k1, k2
 
 
@@ -363,7 +362,7 @@ def _fine_tune_geometry():
     k1, k2 = snap.controller_ids
     # LEO 0 flies north and is about to leave k1's view; k2 sits north-east
     snap.velocities[0] = np.array([0.0, 1.0, 7.4])
-    fov = [FovDomain(k1, frozenset({0, 1})), FovDomain(k2, frozenset({0, 2, 3}))]
+    fov = {k1: frozenset({0, 1}), k2: frozenset({0, 2, 3})}
     step_fov = {k1: frozenset({1}), k2: frozenset({0, 2, 3})}
     future_fov = {k1: frozenset({1}), k2: frozenset({0, 2, 3})}
     geometry = SlotGeometry(
@@ -462,10 +461,10 @@ def test_partition_slot_raises_on_uncovered_when_strict():
         lookahead_s=0.0,
         allow_uncovered=False,
     )
-    strict_geом = build_slot_geometry(None, slot, strict.thresholds, 0.0)
-    if set(snap.leo_ids) - {l for d in strict_geом.fov_domains for l in d.member_leo_ids}:
+    strict_geom = build_slot_geometry(None, slot, strict.thresholds, 0.0)
+    if set(snap.leo_ids) - set().union(*strict_geom.fov_domains.values()):
         with pytest.raises(UncoverableLeoError):
-            partition_slot(strict, slot, tm, None, geometry=strict_geом)
+            partition_slot(strict, slot, tm, None, geometry=strict_geom)
 
 
 # -------------------------------------------------------------- baselines
@@ -503,7 +502,7 @@ def test_greedy_respects_fov(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
     a = greedy_partition(scn.ctx, geom.slot, geometry=geom)
-    fov = {d.controller_id: d.member_leo_ids for d in geom.fov_domains}
+    fov = geom.fov_domains
     for leo, k in a.domain_of.items():
         assert leo in fov[k]
     assert validate_assignment(a, geom.slot.snapshot, geom.fov_domains) == []
@@ -579,13 +578,13 @@ def test_single_leo_price_matches_the_general_path(default_scenario_short):
     snap, cover, traffic = geom.slot.snapshot, geom.cover, scn.base_traffic[0]
     assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
     params = scn.ctx.overhead_params
-    n_domains = sum(1 for d in geom.fov_domains if d.member_leo_ids)
+    n_domains = sum(1 for members in geom.fov_domains.values() if members)
     fast, general = (
         MarginalObjective(traffic, snap, params, n_domains, assigned) for _ in range(2)
     )
     general._flows_of_one = general._flows_of_many
     leos = sorted(contested)
-    carries = [traffic.block_row[traffic.index_of[leo]] >= 0 for leo in leos]
+    carries = [traffic.block_row[leo] >= 0 for leo in leos]
     assert any(carries) and not all(carries)
     for step, leo in enumerate(leos):
         ks = cover[leo]

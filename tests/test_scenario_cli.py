@@ -275,6 +275,9 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("name",), [1], "name"),
         (("strategies",), "eunomia", "strategies"),
         (("seeds",), [1, -3], "seeds"),
+        (("partition", "sigma"), 0, "partition.sigma"),
+        (("partition", "sigma"), -1, "partition.sigma"),
+        (("partition", "greedy_cap"), -3, "partition.greedy_cap"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):

@@ -84,7 +84,7 @@ def test_eunomia_chain_is_built_once_per_gamma_for_any_seeds(counts):
 
 def _moved_outside_fov(scn, assignment, t):
     """``assignment`` with one LEO given to a controller that cannot see it."""
-    fov = {d.controller_id: d.member_leo_ids for d in scn.geometries[t].fov_domains}
+    fov = scn.geometries[t].fov_domains
     for leo, k in sorted(assignment.domain_of.items()):
         for other in sorted(fov):
             if other != k and leo not in fov[other]:

@@ -219,7 +219,7 @@ def test_mapping_with_no_served_cell_is_all_unserved():
     demands = np.random.default_rng(3).random((len(cells), len(cells)))
     tm = map_to_satellites(cell_positions(cells), demands, snap)
     assert tm.rates.shape == (0, 0) and len(tm.active) == 0
-    assert tm.unserved_rate == pytest.approx(demands.sum(), rel=1e-12)
+    assert tm.unserved_rate == demands.sum()
     assert tm.local_rate == 0.0
     assert tm.rates.flags.c_contiguous
 
@@ -381,4 +381,4 @@ def test_slot_traffic_deterministic():
 )
 def test_matrix_rejects_a_block_that_does_not_fit(active, block):
     with pytest.raises(ValueError):
-        TrafficMatrix(0, (10, 11, 12), np.array(active), block)
+        TrafficMatrix(0, (0, 1, 2), np.array(active), block)

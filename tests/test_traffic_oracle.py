@@ -153,7 +153,7 @@ def _gathered_domain_rates(assignment, traffic):
     keys = sorted(domains)
     for label, k in enumerate(keys):
         for i in domains[k]:
-            labels[traffic.index_of[i]] = label
+            labels[i] = label
     assigned = labels >= 0
     out = {}
     for label, k in enumerate(keys):

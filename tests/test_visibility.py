@@ -21,7 +21,6 @@ from eunomia.visibility import (
     compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
-    membership_fingerprint,
     segment_time_slots,
 )
 
@@ -99,28 +98,40 @@ def test_elevation_rejects_zero_vector():
 def test_fov_meo_directly_above():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    assert 0 in domains[0].member_leo_ids  # LEO 0 sits right under the controller
+    assert 0 in domains[snap.controller_ids[0]]  # LEO 0 sits right under the controller
+
+
+def test_fov_domains_key_every_controller_in_ascending_id_order():
+    # the ground station on the far side of the ring sees no LEO
+    snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 10.0), ctrl_lons=(180.0, 5.0),
+                              ctrl_roles=(Role.GS, Role.MEO))
+    gs, meo = snap.controller_ids
+    for s in (snap, replace(snap, controller_ids=(meo, gs))):
+        domains = compute_fov_domains(s, DEFAULT_THRESHOLDS)
+        assert list(domains) == [gs, meo]
+        assert all(type(members) is frozenset for members in domains.values())
+        assert domains == {gs: frozenset(), meo: frozenset({0, 1})}
 
 
 def test_fov_ground_station_far_side_excluded():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 180.0), ctrl_lons=(0.0,),
                               ctrl_roles=(Role.GS,))
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    assert 0 in domains[0].member_leo_ids
-    assert 1 not in domains[0].member_leo_ids
+    assert 0 in domains[snap.controller_ids[0]]
+    assert 1 not in domains[snap.controller_ids[0]]
 
 
 def test_fov_membership_matches_bruteforce_oracle():
     const = Constellation.build(LEO_SHELLS["iridium780"], MEO_SHELLS["meo10354"], [])
     snap = const.snapshot(300.0)
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    for dom in domains:
+    for k, members in domains.items():
         expected = set()
         for leo in snap.leo_ids:
-            e = elevation_angle(snap.positions[leo], snap.positions[dom.controller_id])
+            e = elevation_angle(snap.positions[leo], snap.positions[k])
             if e >= 40.0:
                 expected.add(leo)
-        assert dom.member_leo_ids == frozenset(expected)
+        assert members == frozenset(expected)
 
 
 def test_overlap_regions_disjoint_fovs_yield_none():
@@ -164,12 +175,12 @@ def test_overlap_regions_match_union_find_oracle(desk_scenario):
 def test_fov_positive_line_of_sight(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
     snap = geom.slot.snapshot
-    for dom in geom.fov_domains:
-        for leo in dom.member_leo_ids:
-            if snap.roles[dom.controller_id] is Role.GS:
-                e = elevation_angle(snap.positions[dom.controller_id], snap.positions[leo])
+    for k, members in geom.fov_domains.items():
+        for leo in members:
+            if snap.roles[k] is Role.GS:
+                e = elevation_angle(snap.positions[k], snap.positions[leo])
             else:
-                e = elevation_angle(snap.positions[leo], snap.positions[dom.controller_id])
+                e = elevation_angle(snap.positions[leo], snap.positions[k])
             assert e >= 0.0
 
 
@@ -202,8 +213,7 @@ def test_segment_boundaries_reproduce_membership_diff_oracle():
     )
     slots = segment_time_slots(const, config_horizon, step)
     fingerprints = [
-        membership_fingerprint(compute_fov_domains(const.snapshot(k * step)))
-        for k in range(int(config_horizon // step))
+        compute_fov_domains(const.snapshot(k * step)) for k in range(int(config_horizon // step))
     ]
     expected_starts = [0.0]
     for k in range(1, len(fingerprints)):
@@ -215,12 +225,10 @@ def test_segment_boundaries_reproduce_membership_diff_oracle():
 def test_membership_constant_within_slot(desk_scenario_short):
     scn = desk_scenario_short
     slot = scn.slots[0]
-    base = membership_fingerprint(compute_fov_domains(slot.snapshot, scn.config.thresholds))
+    base = compute_fov_domains(slot.snapshot, scn.config.thresholds)
     t = slot.start_s
     while t < slot.end_s:
-        fp = membership_fingerprint(
-            compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
-        )
+        fp = compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
         assert fp == base
         t += scn.config.step_s
 
@@ -234,8 +242,7 @@ def test_segment_rejects_bad_arguments():
 
 
 def _fresh_membership(scn, t):
-    fov = compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
-    return {d.controller_id: d.member_leo_ids for d in fov}
+    return compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
 
 
 def _assert_geometry_is_fresh(scn):

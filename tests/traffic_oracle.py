@@ -46,8 +46,8 @@ def oracle_map_to_satellites(cells, demands, snapshot):
     n_leo = len(snapshot.leo_ids)
     served = serving >= 0
 
-    unserved = float(demands[~served, :].sum() + demands[:, ~served].sum()
-                     - demands[np.ix_(~served, ~served)].sum())
+    # every cell pair with an unserved end, summed directly
+    unserved = float(demands[~np.outer(served, served)].sum())
 
     # sel.T @ demands @ sel for the one-hot cell-to-LEO matrix sel, added up
     # one served cell at a time in ascending index: rows, then columns
