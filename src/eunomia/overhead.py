@@ -173,8 +173,12 @@ def control_routes(
     direct = direct_link_map(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
     for k, members in assignment.domains().items():
+        entry = direct[k]
+        usable = {leo: entry[leo] for leo in members if leo in entry}
+        if len(usable) == len(members):  # every member has a direct link (FOV containment)
+            routes.update((leo, (leo, usable[leo])) for leo in members)
+            continue
         member_set = set(members)
-        usable = {leo: ctrl for leo, ctrl in direct[k].items() if leo in member_set}
         # multi-source BFS from all direct-link members, stepping only inside the domain
         parent: dict[int, int | None] = {leo: None for leo in usable}
         frontier = sorted(usable)

@@ -153,6 +153,22 @@ def _by_distance(
     return [[k for k in row if k in candidates[node]] for node, row in zip(nodes, ranked)]
 
 
+def _nearest(
+    snapshot: NetworkSnapshot, nodes: list[int], candidates: Mapping[int, tuple[int, ...]]
+) -> list[int]:
+    """Each node's nearest candidate, the lowest id on a tie: ``_by_distance``'s
+    first, from one masked argmin over the same distance matrix."""
+    if not nodes:
+        return []
+    ks = np.array(sorted({k for node in nodes for k in candidates[node]}), dtype=np.int64)
+    dist = norm(snapshot.positions[nodes][:, None] - snapshot.positions[ks])
+    lens = [len(candidates[node]) for node in nodes]
+    allowed = np.zeros(dist.shape, dtype=bool)
+    flat = np.fromiter(itertools.chain.from_iterable(candidates[n] for n in nodes), np.int64)
+    allowed[np.repeat(np.arange(len(nodes)), lens), np.searchsorted(ks, flat)] = True
+    return ks[np.where(allowed, dist, np.inf).argmin(axis=1)].tolist()
+
+
 def spectral_cluster(
     corg: Corg,
     m: int,
@@ -192,8 +208,8 @@ def spectral_cluster(
     isolated = [node for node, lab in zip(node_ids, labels) if lab < 0]
     if isolated:
         pools = dict.fromkeys(isolated, virtual_ids)
-        for leo, ranked in zip(isolated, _by_distance(snapshot, isolated, pools)):
-            labels[index[leo]] = virtual_ids.index(ranked[0])
+        for leo, k in zip(isolated, _nearest(snapshot, isolated, pools)):
+            labels[index[leo]] = virtual_ids.index(k)
     members: dict[int, list[int]] = {k: [] for k in virtual_ids}
     for node, lab in zip(node_ids, labels):
         if not corg.virtual_flags[node]:
@@ -210,8 +226,10 @@ class MarginalObjective:
     control path (FOV containment makes every control path a direct link).
     The path-computation term follows each controller's domain size and
     intra-domain rate, kept as running sums, and the rates between the priced
-    LEOs and the fixed domains, so one price costs one pass over the priced
-    LEOs' traffic rows and columns.
+    LEOs and the fixed domains. Those rates are read from the k x k traffic
+    block among serving LEOs, whose rows carry the fixed domains' labels; a
+    LEO with no block row carries no traffic and is priced without an array
+    operation. Each controller's terms are then a few float operations.
 
     Inter-domain requests are priced at a fixed domain count, ``n_domains``
     (the partitioner passes the number of controllers that see any LEO).
@@ -234,15 +252,19 @@ class MarginalObjective:
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
         self.column = {k: c for c, k in enumerate(ctrls)}
-        self.inv_cap = np.array([1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls])
+        self.inv_cap = [1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls]
+        self._inv_cap = np.array(self.inv_cap)
         self.inter_cpt = params.cpt_cost(n_domains)
-        self.cpt = np.array([params.cpt_cost(n) for n in range(len(traffic.leo_ids) + 1)])
+        self.cpt = [params.cpt_cost(n) for n in range(len(traffic.leo_ids) + 1)]
         # LEO x controller one-hop flow cost
         leos = np.array(traffic.leo_ids)[:, None]
         self.hop = hop_cost(snapshot, params, leos, np.array(ctrls), params.m_fl_bytes)
-        self.label = np.full(len(traffic.leo_ids), len(ctrls))  # len(ctrls): not fixed
-        self.size = np.zeros(len(ctrls), dtype=int)
-        self.intra = np.zeros(len(ctrls))
+        # fixed domain of each block row; len(ctrls): not fixed
+        self.label = np.full(len(traffic.active), len(ctrls))
+        self.size = [0] * len(ctrls)
+        self.intra = [0.0] * len(ctrls)
+        zeros = [0.0] * len(ctrls)
+        self._idle = ([], zeros, zeros, 0.0, 0.0, 0.0)  # no traffic
         # (leos, flows) of the last price: a LEO that is priced and then fixed
         # reuses them, since nothing was fixed in between
         self._last: tuple | None = None
@@ -251,72 +273,90 @@ class MarginalObjective:
             members.setdefault(self.column[k], []).append(leo)
         for c, idx in members.items():
             idx.sort()
-            among = np.ascontiguousarray(traffic.rows(idx)[:, idx])  # C order, as np.ix_ gives
-            self.intra[c] = float(among.sum(axis=0).sum())
+            pos = traffic.block_row[idx]
+            hit = np.flatnonzero(pos >= 0)
+            # C-order rows add one at a time, so rows of zeros can be left out;
+            # the pairwise total needs the zeros where they sit
+            among = np.zeros(len(idx))
+            among[hit] = traffic.rates[np.ix_(pos[hit], pos[hit])].sum(axis=0)
+            self.intra[c] = float(among.sum())
             self.size[c] = len(idx)
-            self.label[idx] = c
+            self.label[pos[hit]] = c
 
-    def _flows(self, leos) -> tuple:
-        """Indices of the LEOs, their outbound rates, and their rates to each
-        fixed domain, from each fixed domain, and among themselves."""
+    def _flows(self, leos: tuple[int, ...]) -> tuple:
+        """(block rows of the LEOs that carry traffic, their rate to each fixed
+        domain, their rate from each fixed domain, the sum over domains of the
+        rate from it times its inverse capacity, the sum of the rates to all
+        domains, their rate among themselves)."""
         if self._last is not None and self._last[0] == leos:
             return self._last[1]
-        idx = np.array(leos, dtype=int)
-        flows = self._flows_of_one(idx) if idx.size == 1 else self._flows_of_many(idx)
+        block_row, rates = self.traffic.block_row, self.traffic.rates
+        if len(leos) == 1:
+            r = int(block_row[leos[0]])
+            rows = [r] if r >= 0 else []
+        else:
+            pos = block_row[list(leos)]
+            rows = pos[pos >= 0].tolist()
+        if not rows:
+            flows = self._idle
+        else:
+            if len(rows) == 1:  # a sum of one row is that row, and zeros add nothing
+                r = rows[0]
+                to_leos, from_leos, among = rates[r], rates[:, r], float(rates[r, r])
+            else:  # summed as in __init__
+                to_leos, from_leos = rates[rows].sum(axis=0), rates.T[rows].sum(axis=0)
+                among = float(np.where(pos >= 0, to_leos[pos], 0.0).sum())
+            n_ctrl = len(self.size)
+            to_dom = np.bincount(self.label, weights=to_leos, minlength=n_ctrl + 1)[:n_ctrl]
+            from_dom = np.bincount(self.label, weights=from_leos, minlength=n_ctrl + 1)[:n_ctrl]
+            flows = (
+                rows,
+                to_dom.tolist(),
+                from_dom.tolist(),
+                float(from_dom @ self._inv_cap),
+                float(to_dom.sum()),
+                among,
+            )
         self._last = (leos, flows)
         return flows
 
-    def _flows_of_many(self, idx: np.ndarray) -> tuple:
-        n_ctrl = len(self.size)
-        block = self.traffic.rows(idx)
-        rows = block.sum(axis=0)
-        cols = self.traffic.cols(idx).sum(axis=1)
-        to_dom = np.bincount(self.label, weights=rows, minlength=n_ctrl + 1)[:n_ctrl]
-        from_dom = np.bincount(self.label, weights=cols, minlength=n_ctrl + 1)[:n_ctrl]
-        return idx, block.sum(axis=1), to_dom, from_dom, float(rows[idx].sum())
-
-    def _flows_of_one(self, idx: np.ndarray) -> tuple:
-        """``_flows_of_many`` for one LEO, from its row and column of the block:
-        the |V|-wide ones add only zeros, which leave a sum of rates as it is."""
-        n_ctrl = len(self.size)
-        r = self.traffic.block_row[idx[0]]
-        if r < 0:  # carries no traffic
-            return idx, np.zeros(1), np.zeros(n_ctrl), np.zeros(n_ctrl), 0.0
-        rates, label = self.traffic.rates, self.label[self.traffic.active]
-        to_dom = np.bincount(label, weights=rates[r], minlength=n_ctrl + 1)[:n_ctrl]
-        from_dom = np.bincount(label, weights=rates[:, r], minlength=n_ctrl + 1)[:n_ctrl]
-        return idx, self.traffic.outbound_rates[idx], to_dom, from_dom, float(rates[r, r])
-
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
-        cols = np.array([self.column[k] for k in controllers], dtype=int)
+        cols = [self.column[k] for k in controllers]
         if not leos:
             return np.zeros(len(cols))
-        idx, outbound, to_dom, from_dom, among = self._flows(leos)
-        inv_cap = self.inv_cap[cols]
-        size, intra = self.size[cols], self.intra[cols]
-        w_flow = outbound @ self.hop[idx][:, cols]
-        d_intra = (
-            self.cpt[size + idx.size] * (intra + to_dom[cols] + from_dom[cols] + among)
-            - self.cpt[size] * intra
-        ) * inv_cap
-        # the fixed domains start sending to these LEOs, and they to all but their own
-        d_inter = self.inter_cpt * (
-            float(from_dom @ self.inv_cap)
-            - from_dom[cols] * inv_cap
-            + (to_dom.sum() - to_dom[cols]) * inv_cap
-        )
-        return w_flow + self.lam * (d_intra + d_inter)
+        rows, to_dom, from_dom, from_all, to_all, among = self._flows(leos)
+        if not rows:  # no traffic, so no flow cost
+            w_flow = [0.0] * len(cols)
+        elif len(leos) == 1:
+            out, hop = float(self.traffic.outbound_rates[leos[0]]), self.hop[leos[0]].tolist()
+            w_flow = [out * hop[c] for c in cols]
+        else:
+            idx = list(leos)
+            w_flow = (self.traffic.outbound_rates[idx] @ self.hop[idx][:, cols]).tolist()
+        n, lam, inter_cpt, cpt = len(leos), self.lam, self.inter_cpt, self.cpt
+        prices = []
+        for w, c in zip(w_flow, cols):
+            size, intra, inv_cap = self.size[c], self.intra[c], self.inv_cap[c]
+            d_intra = (
+                cpt[size + n] * (intra + to_dom[c] + from_dom[c] + among) - cpt[size] * intra
+            ) * inv_cap
+            # the fixed domains start sending to these LEOs, and they to all but their own
+            d_inter = inter_cpt * (
+                from_all - from_dom[c] * inv_cap + (to_all - to_dom[c]) * inv_cap
+            )
+            prices.append(w + lam * (d_intra + d_inter))
+        return np.array(prices)
 
     def fix(self, leos: tuple[int, ...], controller: int) -> None:
         """Add ``leos`` to the controller's domain for all later prices."""
         if not leos:
             return
         c = self.column[controller]
-        idx, _, to_dom, from_dom, among = self._flows(leos)
+        rows, to_dom, from_dom, _, _, among = self._flows(leos)
         self.intra[c] += to_dom[c] + from_dom[c] + among
-        self.size[c] += idx.size
-        self.label[idx] = c
+        self.size[c] += len(leos)
+        self.label[rows] = c
         self._last = None
 
 
@@ -340,9 +380,13 @@ def km_match(
     cost = np.zeros((m, m))
     for c, cluster in enumerate(clusters):
         cost[c] = pricing.cost(cluster.member_leo_ids, controllers)
-        for kx, k in enumerate(controllers):
-            if any(leo not in fov_domains[k] for leo in cluster.member_leo_ids):
-                cost[c, kx] = np.inf
+    members = [leo for cluster in clusters for leo in cluster.member_leo_ids]
+    owner = np.repeat(np.arange(m), [len(cluster.member_leo_ids) for cluster in clusters])
+    seen = np.array([[leo in fov_domains[k] for k in controllers] for leo in members], dtype=bool)
+    # a pair is infeasible when any member of the cluster is outside the controller's FOV
+    blind = np.zeros((m, m), dtype=bool)
+    np.logical_or.at(blind, owner, ~seen.reshape(len(members), m))
+    cost[blind] = np.inf
     match = solve_lexicographic(cost)
     return {c: controllers[kx] for c, kx in enumerate(match)}
 
@@ -482,8 +526,8 @@ def partition_slot(
         if match is None:
             # no clusters, or no FOV-feasible matching: each LEO goes to its
             # nearest covering controller
-            for leo, ranked in zip(residual, _by_distance(snap, list(residual), cover)):
-                give((leo,), ranked[0])
+            for leo, k in zip(residual, _nearest(snap, list(residual), cover)):
+                give((leo,), k)
             continue
         for c, cluster in enumerate(clusters):
             give(cluster.member_leo_ids, match[c])
@@ -531,16 +575,17 @@ def greedy_partition(
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    load: dict[int, int] = {k: 0 for k in snap.controller_ids}
-    assigned: dict[int, int] = {}
     leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
-    for leo, ranked in zip(leos, _by_distance(snap, leos, cover)):
-        # the nearest controller under the cap; with every candidate at cap, the nearest
-        chosen = next(
-            (k for k in ranked if ctx.greedy_cap is None or load[k] < ctx.greedy_cap), ranked[0]
-        )
-        assigned[leo] = chosen
-        load[chosen] += 1
+    if ctx.greedy_cap is None:
+        assigned = dict(zip(leos, _nearest(snap, leos, cover)))
+    else:
+        load: dict[int, int] = {k: 0 for k in snap.controller_ids}
+        assigned = {}
+        for leo, ranked in zip(leos, _by_distance(snap, leos, cover)):
+            # the nearest controller under the cap; with every candidate at cap, the nearest
+            chosen = next((k for k in ranked if load[k] < ctx.greedy_cap), ranked[0])
+            assigned[leo] = chosen
+            load[chosen] += 1
     return DomainAssignment(
         slot_index=slot.index,
         domain_of=assigned,

@@ -60,13 +60,13 @@ class TrafficMatrix:
     """Per-slot flow arrival rates between LEO pairs (flows/second).
 
     Rows and columns of the full matrix are LEO ids, 0..n-1 as in
-    ``leo_ids``. Only the ``active`` rows, sorted, can carry a rate;
-    ``rates`` is the k x k block among them, and every other entry of the
-    full matrix is zero. ``rows(idx)`` and ``cols(idx)`` rebuild
-    ``full[idx]`` and ``full[:, idx]``, and ``submatrix(i, j)`` rebuilds
-    ``full[i][:, j]`` for two masks, each with its gather layout (C order
-    for rows, F order for columns and submatrices), so reductions over them
-    match the full matrix bit for bit.
+    ``leo_ids`` (other ids raise ValueError). Only the ``active`` rows,
+    sorted, can carry a rate; ``rates`` is the k x k block among them, and
+    every other entry of the full matrix is zero. ``rows(idx)`` and
+    ``cols(idx)`` rebuild ``full[idx]`` and ``full[:, idx]``, and
+    ``submatrix(i, j)`` rebuilds ``full[i][:, j]`` for two masks, each with
+    its gather layout (C order for rows, F order for columns and
+    submatrices), so reductions over them match the full matrix bit for bit.
     """
 
     slot_index: int
@@ -79,6 +79,8 @@ class TrafficMatrix:
     block_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.leo_ids != tuple(range(len(self.leo_ids))):
+            raise ValueError(f"LEO ids must be 0..n-1 in order, got {self.leo_ids[:10]}")
         k = len(self.active)
         if self.rates.shape != (k, k):
             raise ValueError(f"rates must be the {k} x {k} block, got {self.rates.shape}")
@@ -149,8 +151,13 @@ class TrafficMatrix:
     def outbound_rates(self) -> np.ndarray:
         """``full[i].sum()`` for every LEO id ``i``."""
         out = np.zeros(len(self.leo_ids))
-        # each row of a C-order array is summed alone, as full[i].sum() does
-        out[self.active] = self.rows(self.active).sum(axis=1)
+        # full[i] of 32 active LEOs at a time in one C-order buffer, whose
+        # inactive columns stay zero; each row is summed alone, as full[i].sum() is
+        buf = np.zeros((32, len(self.leo_ids)))
+        for start in range(0, len(self.active), 32):
+            block = self.rates[start : start + 32]
+            buf[: len(block), self.active] = block
+            out[self.active[start : start + 32]] = buf[: len(block)].sum(axis=1)
         return out
 
     def outbound_rate(self, src: int) -> float:

@@ -572,37 +572,6 @@ def test_batched_ranking_and_greedy_match_the_per_leo_oracle(scenario, request):
         assert spills > 0
 
 
-def test_single_leo_price_matches_the_general_path(default_scenario_short):
-    scn = default_scenario_short
-    geom = scn.geometries[1]
-    snap, cover, traffic = geom.slot.snapshot, geom.cover, scn.base_traffic[0]
-    assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
-    params = scn.ctx.overhead_params
-    n_domains = sum(1 for members in geom.fov_domains.values() if members)
-    fast, general = (
-        MarginalObjective(traffic, snap, params, n_domains, assigned) for _ in range(2)
-    )
-    general._flows_of_one = general._flows_of_many
-    leos = sorted(contested)
-    carries = [traffic.block_row[leo] >= 0 for leo in leos]
-    assert any(carries) and not all(carries)
-    for step, leo in enumerate(leos):
-        ks = cover[leo]
-        assert np.array_equal(fast.cost((leo,), ks), general.cost((leo,), ks))
-        for a, b in zip(fast._flows((leo,)), general._flows((leo,))):
-            assert np.array_equal(a, b)
-        # fix every third LEO, and now and then a group, so the prices run
-        # against a growing set of fixed domains
-        if step % 3 == 0:
-            for pricing in (fast, general):
-                pricing.fix((leo,), ks[step % len(ks)])
-        if step % 50 == 49:
-            group = tuple(leos[step + 1 : step + 4])
-            for pricing in (fast, general):
-                pricing.fix(group, cover[group[0]][0])
-    assert fast.size.sum() > len(assigned) + len(leos) // 3
-
-
 # ------------------------------------------------------------- brute force
 
 

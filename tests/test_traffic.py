@@ -375,10 +375,16 @@ def test_slot_traffic_deterministic():
 
 
 @pytest.mark.parametrize(
-    "active, block",
-    [([0, 2], np.zeros((3, 3))), ([2, 0], np.zeros((2, 2))), ([1, 3], np.zeros((2, 2)))],
-    ids=["block shape", "unsorted", "out of range"],
+    "leo_ids, active, block",
+    [
+        ((0, 1, 2), [0, 2], np.zeros((3, 3))),
+        ((0, 1, 2), [2, 0], np.zeros((2, 2))),
+        ((0, 1, 2), [1, 3], np.zeros((2, 2))),
+        ((10, 11, 12), [0, 2], np.zeros((2, 2))),
+        ((0, 2, 1), [0, 2], np.zeros((2, 2))),
+    ],
+    ids=["block shape", "unsorted", "out of range", "ids not from 0", "ids out of order"],
 )
-def test_matrix_rejects_a_block_that_does_not_fit(active, block):
+def test_matrix_rejects_a_block_that_does_not_fit(leo_ids, active, block):
     with pytest.raises(ValueError):
-        TrafficMatrix(0, (0, 1, 2), np.array(active), block)
+        TrafficMatrix(0, leo_ids, np.array(active), block)
