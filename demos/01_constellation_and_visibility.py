@@ -15,6 +15,7 @@ from eunomia.constellation import (
     orbital_period,
 )
 from eunomia.visibility import (
+    FovTimeline,
     compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
@@ -57,7 +58,7 @@ for region in regions:
     print(f"  {sorted(region.leo_ids)} contested by controllers {region.controller_ids}")
 
 print("\n=== Topology-stable time slots (first 10 over 30 min) ===")
-slots = segment_time_slots(const, 1800.0, 15.0)
+slots = segment_time_slots(FovTimeline(const), 1800.0, 15.0)
 for slot in slots[:10]:
     print(f"  slot {slot.index}: [{slot.start_s:7.1f} s, {slot.end_s:7.1f} s)")
 durations = [s.end_s - s.start_s for s in slots]

@@ -35,9 +35,9 @@ for region in geom.regions:
 
 print("\n=== Step 3: full pipeline and baselines ===")
 assignments = {
-    "eunomia": partition_slot(scn.ctx, geom.slot, traffic, None, geometry=geom),
-    "odc": odc_partition(scn.ctx, geom.slot),
-    "greedy": greedy_partition(scn.ctx, geom.slot, geometry=geom),
+    "eunomia": partition_slot(scn.ctx, geom, traffic, None),
+    "odc": odc_partition(scn.ctx, geom),
+    "greedy": greedy_partition(scn.ctx, geom),
 }
 for name, assignment in assignments.items():
     violations = validate_assignment(assignment, snap, geom.fov_domains)
@@ -57,8 +57,8 @@ from test_partition import _toy_ctx, _toy_instance  # noqa: E402
 
 toy_snap, toy_slot, toy_geom, toy_tm = _toy_instance(100)
 ctx = _toy_ctx()
-heuristic = partition_slot(ctx, toy_slot, toy_tm, None, geometry=toy_geom)
-optimal, best_value = brute_force_partition(ctx, toy_slot, toy_tm, geometry=toy_geom)
+heuristic = partition_slot(ctx, toy_geom, toy_tm, None)
+optimal, best_value = brute_force_partition(ctx, toy_geom, toy_tm)
 got = evaluate(
     heuristic, toy_tm, toy_snap, ctx.overhead_params, toy_geom.fov_domains, validate=False
 ).objective

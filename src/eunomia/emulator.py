@@ -1,6 +1,7 @@
 """Deterministic control-plane emulation.
 
-One slot is emulated as follows. Flow arrivals are Poisson processes drawn
+One slot is emulated on the slot plan and arrivals its caller built, which
+``run_scenario`` keeps on the scenario. Flow arrivals are Poisson processes drawn
 once per (slot, seed) at the gamma=1 rates and thinned per-arrival to the
 requested gamma, so runs with different strategies or traffic scales share
 the same underlying randomness. Each arrival sends a flow-table request over
@@ -51,7 +52,7 @@ from .partition import (
     partition_slot,
 )
 from .traffic import TrafficMatrix, check_gamma, scale
-from .visibility import TimeSlot, compute_fov_domains
+from .visibility import TimeSlot
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -197,34 +198,26 @@ def _trace_hash(blocks: list[tuple]) -> str:
 def run_slot(
     slot: TimeSlot,
     assignment: DomainAssignment,
-    base_traffic: TrafficMatrix,
+    plan: SlotPlan,
+    arrivals: tuple[np.ndarray, ...],
     params: OverheadParams,
     emu: EmulatorParams,
     seed: int,
     gamma: float = 1.0,
     prev_assignment: DomainAssignment | None = None,
-    fov_domains: dict[int, frozenset[int]] | None = None,
     strategy: str = "",
-    plan: SlotPlan | None = None,
-    arrivals: tuple[np.ndarray, ...] | None = None,
 ) -> EmulationStats:
     """Emulate one slot under a fixed assignment; see the module docstring.
 
-    ``plan`` is the assignment's slot plan and ``arrivals`` the slot's
-    ``generate_arrivals`` draw for ``seed``; each is computed here when not
-    given. Raises ValueError unless gamma is in [0, 1].
+    ``plan`` is the assignment's ``slot_plan`` and ``arrivals`` the slot's
+    ``generate_arrivals`` draw for ``seed``. Raises ValueError unless gamma
+    is in [0, 1], and ConstraintViolationError when the plan holds
+    violations.
     """
     check_gamma(gamma)
-    snap = slot.snapshot
     duration = slot.end_s - slot.start_s
-    if plan is None:
-        if fov_domains is None:
-            fov_domains = compute_fov_domains(snap)
-        plan = slot_plan(assignment, snap, params, fov_domains)
     if plan.violations:
         raise ConstraintViolationError(list(plan.violations))
-    if arrivals is None:
-        arrivals = generate_arrivals(base_traffic, duration, seed, slot.index)
 
     ctrl_of, row_of = plan.ctrl_of, plan.row_of
     cc_rtt = 2.0 * plan.cc_hop
@@ -262,7 +255,7 @@ def run_slot(
 
     # flow updates reach every node of the data path, found by hop-count
     # shortest paths from the requesting sources
-    preds = snap.topology.hop_predecessors(srcs[r_s])
+    preds = slot.snapshot.topology.hop_predecessors(srcs[r_s])
     path_len, delivery = _walk_paths(preds, srcs[r_s], dsts[r_s], plan.deliver, row_of[k_s])
     resp_at = ready + delivery
     resp = resp_at - times[r_s]
@@ -351,14 +344,13 @@ def _chain(scn: "Scenario", strategy: str, gamma: float) -> list[DomainAssignmen
     assignments: list[DomainAssignment] = []
     prev: DomainAssignment | None = None
     for t, geom in enumerate(scn.geometries):
-        slot = geom.slot
         if strategy == "eunomia":
             traffic_in = scale(scn.base_traffic[max(t - 1, 0)], gamma)
-            current = partition_slot(ctx, slot, traffic_in, prev, geometry=geom)
+            current = partition_slot(ctx, geom, traffic_in, prev)
         elif strategy == "odc":
-            current = odc_partition(ctx, slot)
+            current = odc_partition(ctx, geom)
         elif strategy == "greedy":
-            current = greedy_partition(ctx, slot, geometry=geom)
+            current = greedy_partition(ctx, geom)
         else:
             raise ValueError(f"unknown strategy: {strategy}")
         assignments.append(current)
@@ -404,15 +396,14 @@ def run_scenario(
                 st = run_slot(
                     slot,
                     assignment,
-                    scn.base_traffic[t],
+                    plan,
+                    arrivals,
                     params,
                     scn.emu_params,
                     seed,
                     gamma=gamma,
                     prev_assignment=prev,
                     strategy=strategy,
-                    plan=plan,
-                    arrivals=arrivals,
                 )
                 report = evaluate(
                     assignment,

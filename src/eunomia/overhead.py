@@ -330,7 +330,9 @@ def migration_overhead(
         if n_changed == 0:
             continue
         f_mig = n_changed / slot_duration_s
-        live_flows = sum(traffic.outbound_rate(i) for i in members) * mig.mean_flow_lifetime_s
+        # a running sum, one member at a time in id order
+        out_rate = float(np.cumsum(traffic.outbound_rates[list(members)])[-1])
+        live_flows = out_rate * mig.mean_flow_lifetime_s
         w_st = mig.flow_entry_bytes * 8.0 * live_flows / mig.state_bandwidth_bps
         ctrl_bw = params.bandwidth_bps[
             link_class(Role.LEO, snapshot.roles[k])
@@ -391,7 +393,9 @@ def validate_assignment(
     """Check the five constraint families; empty list means valid.
 
     The connectivity check builds the control routes, unless ``routes``
-    already holds ``control_routes``' result for this assignment.
+    already holds ``control_routes``' result for this assignment. It runs
+    only under a waived FOV or a failed FOV containment: a contained domain
+    gives every member a direct link, so no member can be cut off.
     """
     violations: list[ConstraintViolation] = []
     domains = assignment.domains()
@@ -444,10 +448,12 @@ def validate_assignment(
             )
             break
 
+    contained = True
     if not assignment.fov_waived:
         for k, members in domains.items():
             outside = sorted(set(members) - fov_domains.get(k, frozenset()))
             if outside:
+                contained = False
                 violations.append(
                     ConstraintViolation(
                         "fov_containment",
@@ -456,7 +462,7 @@ def validate_assignment(
                     )
                 )
 
-    if routes is None:
+    if routes is None and (assignment.fov_waived or not contained):
         try:
             control_routes(assignment, snapshot, fov_domains)
         except DisconnectedDomainError as exc:

@@ -10,7 +10,8 @@ pair costs the rise in W_FLOW + lambda * W_CPT of giving the cluster to that
 controller, and a contested LEO keeps last slot's controller only while no
 other covering controller would cost less. Baselines: a single-controller
 centralized scheme and a nearest-visible-controller greedy. A brute-force
-enumerator serves as the small-instance optimality oracle.
+enumerator serves as the small-instance optimality oracle. Every partitioner
+takes the slot's ``SlotGeometry``: the slot, its snapshot and its FOV products.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .constellation import Constellation, NetworkSnapshot, Role, norm
+from .constellation import NetworkSnapshot, Role, norm
 from .corg import Corg, CorgWeights, build_corg, similarity
 from .hungarian import InfeasibleMatchingError, solve_lexicographic
 from .overhead import (
@@ -36,12 +37,7 @@ from .overhead import (
 )
 from .spectral import kmeans, spectral_embedding
 from .traffic import TrafficMatrix
-from .visibility import (
-    OverlapRegion,
-    SlotGeometry,
-    TimeSlot,
-    build_slot_geometry,
-)
+from .visibility import OverlapRegion, SlotGeometry
 
 
 class UncoverableLeoError(RuntimeError):
@@ -113,10 +109,8 @@ class Cluster:
 
 @dataclass
 class PartitionContext:
-    """Everything the per-slot partitioners need besides the slot itself."""
+    """Everything the per-slot partitioners need besides the slot's geometry."""
 
-    constellation: Constellation
-    thresholds: dict[Role, float]
     overhead_params: OverheadParams
     corg_weights: CorgWeights = field(default_factory=CorgWeights)
     lookahead_s: float = 30.0
@@ -408,7 +402,7 @@ def fine_tune_boundaries(
         return assignment
     snapshot = geometry.slot.snapshot
     future_fov = geometry.future_fov
-    step_fov = geometry.step_fov or future_fov
+    step_fov = geometry.step_fov
     now_fov = geometry.fov_domains
 
     domain_of = dict(assignment.domain_of)
@@ -452,10 +446,9 @@ def fine_tune_boundaries(
 
 def partition_slot(
     ctx: PartitionContext,
-    slot: TimeSlot,
+    geom: SlotGeometry,
     traffic_prev: TrafficMatrix,
     prev_assignment: DomainAssignment | None,
-    geometry: SlotGeometry | None = None,
 ) -> DomainAssignment:
     """Full three-step partition of one slot.
 
@@ -472,10 +465,7 @@ def partition_slot(
     uses ``traffic_prev`` and the domains fixed so far in the slot. Boundary
     fine-tuning comes last.
     """
-    geom = geometry or build_slot_geometry(
-        ctx.constellation, slot, ctx.thresholds, ctx.lookahead_s
-    )
-    snap = slot.snapshot
+    snap = geom.slot.snapshot
     fov = geom.fov_domains
     regions = geom.regions
     cover = geom.cover
@@ -533,7 +523,7 @@ def partition_slot(
             give(cluster.member_leo_ids, match[c])
 
     assignment = DomainAssignment(
-        slot_index=slot.index,
+        slot_index=geom.slot.index,
         domain_of=assigned,
         uncovered=frozenset(uncovered),
         strategy="eunomia",
@@ -546,16 +536,16 @@ def partition_slot(
     return assignment
 
 
-def odc_partition(ctx: PartitionContext, slot: TimeSlot) -> DomainAssignment:
+def odc_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignment:
     """Centralized single-domain baseline: every LEO is managed by one
     designated ground station, reached over the global ISL graph via the
     nearest ground-station relay (documented FOV waiver)."""
-    snap = slot.snapshot
+    snap = geom.slot.snapshot
     gs_ids = tuple(k for k in snap.controller_ids if snap.roles[k] is Role.GS)
     central = gs_ids[0] if gs_ids else snap.controller_ids[0]
     relays = gs_ids if gs_ids else (central,)
     return DomainAssignment(
-        slot_index=slot.index,
+        slot_index=geom.slot.index,
         domain_of={leo: central for leo in snap.leo_ids},
         fov_waived=True,
         relay_controller_ids=relays,
@@ -563,13 +553,10 @@ def odc_partition(ctx: PartitionContext, slot: TimeSlot) -> DomainAssignment:
     )
 
 
-def greedy_partition(
-    ctx: PartitionContext, slot: TimeSlot, geometry: SlotGeometry | None = None
-) -> DomainAssignment:
+def greedy_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignment:
     """Nearest-visible-controller baseline with an optional per-controller
     domain-size cap; overflow spills to the next-nearest visible controller."""
-    snap = slot.snapshot
-    geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
+    snap = geom.slot.snapshot
     cover = geom.cover
     uncovered = sorted(set(snap.leo_ids) - cover.keys())
     if uncovered and not ctx.allow_uncovered:
@@ -587,7 +574,7 @@ def greedy_partition(
             assigned[leo] = chosen
             load[chosen] += 1
     return DomainAssignment(
-        slot_index=slot.index,
+        slot_index=geom.slot.index,
         domain_of=assigned,
         uncovered=frozenset(uncovered),
         strategy="greedy",
@@ -600,19 +587,17 @@ BRUTE_FORCE_MAX_COMBOS = 300_000
 
 def brute_force_partition(
     ctx: PartitionContext,
-    slot: TimeSlot,
+    geom: SlotGeometry,
     traffic: TrafficMatrix,
     prev_assignment: DomainAssignment | None = None,
     slot_duration_s: float = 1.0,
-    geometry: SlotGeometry | None = None,
 ) -> tuple[DomainAssignment, float]:
     """Exhaustive minimum-objective assignment for tiny instances.
 
     Enumerates every FOV-feasible assignment in lexicographic order and keeps
     the first one attaining the minimum objective. Oracle use only.
     """
-    snap = slot.snapshot
-    geom = geometry or build_slot_geometry(ctx.constellation, slot, ctx.thresholds)
+    snap = geom.slot.snapshot
     fov = geom.fov_domains
     cover = geom.cover
     uncovered = sorted(set(snap.leo_ids) - cover.keys())
@@ -628,7 +613,7 @@ def brute_force_partition(
     best: DomainAssignment | None = None
     for combo in itertools.product(*choice_lists):
         candidate = DomainAssignment(
-            slot_index=slot.index,
+            slot_index=geom.slot.index,
             domain_of=dict(zip(covered, combo)),
             uncovered=frozenset(uncovered),
             strategy="brute_force",

@@ -2,6 +2,8 @@
 
 A scenario bundles a constellation, visibility thresholds, traffic and
 overhead parameters, and the experiment grid (strategies, gammas, seeds).
+``build_scenario`` builds each per-slot input once: every slot's geometry
+from one ``FovTimeline``, and every slot's gamma = 1 traffic block.
 
 The config schema is not written out here. One parser (``_construct``) and
 one serializer (``_dump``) walk the fields and resolved annotations of
@@ -254,6 +256,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not self.ground_stations:
             raise ValueError("ground_stations: expected at least one station")
+        for key in ("strategies", "gammas", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"{key}: expected at least one value")
         for role, deg in self.thresholds.items():
             if not -90.0 <= deg <= 90.0:
                 key = _THRESHOLD_KEY.format(role.value)
@@ -382,10 +387,8 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
     )
     # one FOV computation per instant, shared by segmentation and slot geometry
     timeline = FovTimeline(constellation, config.thresholds)
-    slots = segment_time_slots(constellation, horizon, config.step_s, config.thresholds, timeline)
+    slots = segment_time_slots(timeline, horizon, config.step_s)
     ctx = PartitionContext(
-        constellation=constellation,
-        thresholds=config.thresholds,
         overhead_params=config.overhead,
         corg_weights=config.corg,
         lookahead_s=config.lookahead_s,
@@ -394,10 +397,7 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
         greedy_cap=config.greedy_cap,
     )
     geometries = [
-        build_slot_geometry(
-            constellation, slot, config.thresholds, config.lookahead_s, config.step_s, timeline
-        )
-        for slot in slots
+        build_slot_geometry(timeline, slot, config.step_s, config.lookahead_s) for slot in slots
     ]
     cells = build_grid(
         city_density_field(config.traffic.city_sigma_deg, config.traffic.background_density)

@@ -160,9 +160,6 @@ class TrafficMatrix:
             out[self.active[start : start + 32]] = buf[: len(block)].sum(axis=1)
         return out
 
-    def outbound_rate(self, src: int) -> float:
-        return float(self.outbound_rates[src])
-
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""
         return [

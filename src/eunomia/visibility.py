@@ -1,5 +1,6 @@
 """Elevation geometry, controller field-of-view domains, overlap regions,
-and topology-stable time-slot segmentation.
+and topology-stable time-slot segmentation. Segmentation and slot geometry
+read the constellation and thresholds from one ``FovTimeline``.
 
 Elevation is computed from the geocentric separation angle between observer
 and target position vectors. For controller satellites the observer is the
@@ -173,88 +174,49 @@ class FovTimeline:
         return self._fov[t]
 
 
-def _timeline(
-    constellation: Constellation | None,
-    thresholds: dict[Role, float] | None,
-    timeline: FovTimeline | None,
-) -> FovTimeline:
-    """``timeline``, checked to belong to ``constellation`` and ``thresholds``,
-    or a new one for them."""
-    if timeline is None:
-        return FovTimeline(constellation, thresholds)
-    if constellation is not timeline.constellation or thresholds != timeline.thresholds:
-        raise ValueError("the FOV timeline belongs to another constellation or thresholds")
-    return timeline
-
-
 def build_slot_geometry(
-    constellation: Constellation | None,
-    slot: TimeSlot,
-    thresholds: dict[Role, float] | None = None,
-    lookahead_s: float = 0.0,
-    step_s: float | None = None,
-    timeline: FovTimeline | None = None,
+    timeline: FovTimeline, slot: TimeSlot, step_s: float, lookahead_s: float = 0.0
 ) -> SlotGeometry:
     """Overlap regions and FOV domains of ``slot``, with the FOV membership
-    at the next sampling instant (start + ``step_s``, by default half the
-    lookahead) and at start + ``lookahead_s`` when the lookahead is positive.
+    at the next sampling instant (start + ``step_s``) and at start +
+    ``lookahead_s`` when the lookahead is positive.
 
-    FOV domains are read from ``timeline`` (built for ``constellation`` and
-    ``thresholds``) at the instants it holds and computed at the others; the
-    three instants' results are the same either way. ``constellation`` is
-    only needed for instants after the slot start.
+    FOV domains are read from ``timeline`` at the instants it holds and
+    computed at the others; the timeline's constellation is only needed for
+    instants after the slot start.
     """
-    timeline = _timeline(constellation, thresholds, timeline)
-    t0 = slot.snapshot.time_s
+    t0, ahead = slot.snapshot.time_s, lookahead_s > 0
     fov = timeline.at(t0, slot.snapshot)
-    regions = compute_overlap_regions(fov, slot.snapshot)
-    future: dict[int, frozenset[int]] = {}
-    step_future: dict[int, frozenset[int]] = {}
-    if lookahead_s > 0:
-        future = timeline.at(t0 + lookahead_s)
-        step = step_s if step_s is not None else lookahead_s / 2.0
-        step_future = timeline.at(t0 + step)
     return SlotGeometry(
-        slot=slot, fov_domains=fov, regions=regions, future_fov=future, step_fov=step_future
+        slot=slot,
+        fov_domains=fov,
+        regions=compute_overlap_regions(fov, slot.snapshot),
+        future_fov=timeline.at(t0 + lookahead_s) if ahead else {},
+        step_fov=timeline.at(t0 + step_s) if ahead else {},
     )
 
 
-def segment_time_slots(
-    constellation: Constellation,
-    horizon_s: float,
-    step_s: float,
-    thresholds: dict[Role, float] | None = None,
-    timeline: FovTimeline | None = None,
-) -> list[TimeSlot]:
-    """Sample snapshots every ``step_s`` and open a new slot whenever any
-    controller's FOV membership changes. Slot durations are multiples of the step.
+def segment_time_slots(timeline: FovTimeline, horizon_s: float, step_s: float) -> list[TimeSlot]:
+    """Sample the timeline's constellation every ``step_s`` and open a new
+    slot whenever any controller's FOV membership changes. Slot durations
+    are multiples of the step.
 
-    The FOV domains of every sampled instant are kept in ``timeline`` (built
-    for ``constellation`` and ``thresholds``), if one is given, for
+    The FOV domains of every sampled instant are kept in ``timeline`` for
     ``build_slot_geometry`` to read back."""
     if step_s <= 0:
         raise ValueError("step must be positive")
     if horizon_s < step_s:
         raise ValueError("horizon shorter than one step")
 
-    timeline = _timeline(constellation, thresholds, timeline)
     n_samples = int(horizon_s // step_s)
-    slots: list[TimeSlot] = []
+    starts: list[tuple[float, NetworkSnapshot]] = []
     current_fov = None
-    current_start = 0.0
-    current_snapshot = None
-
     for k in range(n_samples):
         t = k * step_s
-        snap = constellation.snapshot(t)
+        snap = timeline.constellation.snapshot(t)
         fov = timeline.at(t, snap)
-        if current_fov is None:
-            current_fov, current_start, current_snapshot = fov, t, snap
-        elif fov != current_fov:
-            slots.append(
-                TimeSlot(len(slots), current_start, t, current_snapshot)
-            )
-            current_fov, current_start, current_snapshot = fov, t, snap
-    assert current_snapshot is not None
-    slots.append(TimeSlot(len(slots), current_start, n_samples * step_s, current_snapshot))
-    return slots
+        if fov != current_fov:
+            starts.append((t, snap))
+            current_fov = fov
+    ends = [t for t, _ in starts[1:]] + [n_samples * step_s]
+    return [TimeSlot(i, t, end, snap) for i, ((t, snap), end) in enumerate(zip(starts, ends))]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from eunomia.constellation import NetworkSnapshot, Role
+from eunomia.emulator import EmulationStats, EmulatorParams, generate_arrivals, run_slot
+from eunomia.overhead import slot_plan
 from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import TimeSlot
@@ -101,6 +103,14 @@ def compact_traffic(leo_ids, full: np.ndarray, slot_index: int = 0) -> TrafficMa
 
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:
     return TimeSlot(index, snapshot.time_s, snapshot.time_s + duration_s, snapshot)
+
+
+def emulate(slot, assignment, traffic, params, fov_domains, seed, **kwargs) -> EmulationStats:
+    """``run_slot`` on the assignment's slot plan and the slot's gamma = 1
+    arrivals for ``seed``, as ``run_scenario`` builds them."""
+    plan = slot_plan(assignment, slot.snapshot, params, fov_domains)
+    arrivals = generate_arrivals(traffic, slot.end_s - slot.start_s, seed, slot.index)
+    return run_slot(slot, assignment, plan, arrivals, params, EmulatorParams(), seed, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from eunomia.overhead import (
     route_costs,
     validate_assignment,
 )
-from eunomia.visibility import compute_fov_domains
 
 
 class _Queue:
@@ -70,12 +69,10 @@ def _intra_edges(members, snapshot):
     return sum(1 for a, b in snapshot.isl_edges if a in members and b in members)
 
 
-def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, gamma=1.0,
-                    prev_assignment=None, fov_domains=None, strategy=""):
+def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domains, gamma=1.0,
+                    prev_assignment=None, strategy=""):
     snap = slot.snapshot
     duration = slot.end_s - slot.start_s
-    if fov_domains is None:
-        fov_domains = compute_fov_domains(snap)
     violations = validate_assignment(assignment, snap, fov_domains)
     if violations:
         raise ConstraintViolationError(violations)

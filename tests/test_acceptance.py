@@ -46,7 +46,7 @@ from eunomia.traffic import (
     scale,
     slot_traffic_matrix,
 )
-from eunomia.visibility import DEFAULT_THRESHOLDS, TimeSlot, build_slot_geometry
+from eunomia.visibility import DEFAULT_THRESHOLDS, FovTimeline, TimeSlot, build_slot_geometry
 
 from test_partition import _FakeSnap, _ncut_oracle, _toy_ctx, _toy_instance
 
@@ -188,8 +188,8 @@ def test_criterion_5_end_to_end_oracle():
     for seed in range(10):
         snap, slot, geometry, tm = _toy_instance(seed + 100)
         ctx = _toy_ctx()
-        heuristic = partition_slot(ctx, slot, tm, None, geometry=geometry)
-        _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
+        heuristic = partition_slot(ctx, geometry, tm, None)
+        _, best = brute_force_partition(ctx, geometry, tm)
         got = evaluate(
             heuristic, tm, snap, ctx.overhead_params, geometry.fov_domains, validate=False
         ).objective
@@ -241,7 +241,7 @@ def _odc_assignment(scn, t):
     if key not in _ODC_CACHE:
         from eunomia.partition import odc_partition
 
-        _ODC_CACHE[key] = odc_partition(scn.ctx, scn.slots[t])
+        _ODC_CACHE[key] = odc_partition(scn.ctx, scn.geometries[t])
     return _ODC_CACHE[key]
 
 
@@ -458,17 +458,13 @@ def test_criterion_10_partitioner_scaling():
     timings = {}
     for name in ("iridium780", "telesat1015", "oneweb1200", "starlink550"):
         const = Constellation.build(LEO_SHELLS[name], MEO_SHELLS["meo10354"], NINE_CITIES)
-        ctx = PartitionContext(
-            constellation=const,
-            thresholds=dict(DEFAULT_THRESHOLDS),
-            overhead_params=OverheadParams(),
-            allow_uncovered=True,
-        )
+        ctx = PartitionContext(overhead_params=OverheadParams(), allow_uncovered=True)
         slot = TimeSlot(0, 0.0, 15.0, const.snapshot(0.0))
-        geometry = build_slot_geometry(const, slot, ctx.thresholds, 30.0, step_s=15.0)
+        timeline = FovTimeline(const, dict(DEFAULT_THRESHOLDS))
+        geometry = build_slot_geometry(timeline, slot, 15.0, 30.0)
         tm = slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, 0, params)
         start = time.perf_counter()
-        partition_slot(ctx, slot, tm, None, geometry=geometry)
+        partition_slot(ctx, geometry, tm, None)
         timings[len(const.leo_nodes)] = time.perf_counter() - start
     sizes = sorted(timings)
     slope = float(

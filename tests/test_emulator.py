@@ -12,11 +12,12 @@ from eunomia.overhead import (
     LinkClass,
     OverheadParams,
     flow_overhead,
+    slot_plan,
 )
 from eunomia.partition import DomainAssignment
 from eunomia.traffic import scale
 
-from conftest import compact_traffic, make_ring_snapshot, make_slot
+from conftest import compact_traffic, emulate, make_ring_snapshot, make_slot
 
 
 def _traffic(snap, entries):
@@ -38,9 +39,9 @@ def _pair_world(lam=1.0):
 
 def test_gamma_zero_yields_no_requests_but_sync_bytes():
     snap, k, fov, assignment, tm = _pair_world()
-    stats = run_slot(
-        make_slot(snap, 120.0), assignment, tm, OverheadParams(), EmulatorParams(),
-        seed=1, gamma=0.0, fov_domains=fov,
+    stats = emulate(
+        make_slot(snap, 120.0), assignment, tm, OverheadParams(), fov,
+        seed=1, gamma=0.0,
     )
     assert stats.requests_total == 0
     assert stats.drop_rate == 0.0
@@ -59,9 +60,9 @@ def test_single_flow_response_delay_hand_value():
             chosen = seed
             break
     assert chosen is not None
-    stats = run_slot(
-        make_slot(snap, 100.0), assignment, tm, params, EmulatorParams(),
-        seed=chosen, gamma=1.0, fov_domains=fov,
+    stats = emulate(
+        make_slot(snap, 100.0), assignment, tm, params, fov,
+        seed=chosen, gamma=1.0,
     )
     assert stats.requests_total == 1
     assert stats.requests_dropped == 0
@@ -81,9 +82,9 @@ def test_single_flow_response_delay_hand_value():
 def test_saturated_controller_drops_most_requests():
     snap, k, fov, assignment, tm = _pair_world(lam=100.0)
     params = OverheadParams(capacity_override_ops={k: 1.0})  # f(2)/1 = 4 s per request
-    stats = run_slot(
-        make_slot(snap, 10.0), assignment, tm, params, EmulatorParams(),
-        seed=3, gamma=1.0, fov_domains=fov,
+    stats = emulate(
+        make_slot(snap, 10.0), assignment, tm, params, fov,
+        seed=3, gamma=1.0,
     )
     assert stats.requests_total > 500
     assert stats.drop_rate > 0.9
@@ -95,9 +96,9 @@ def test_uncovered_source_and_destination_drops():
     fov = {k: frozenset({0, 1})}
     assignment = DomainAssignment(0, {0: k, 1: k}, uncovered=frozenset({2}))
     tm = _traffic(snap, {(2, 0): 5.0, (0, 2): 5.0})
-    stats = run_slot(
-        make_slot(snap, 200.0), assignment, tm, OverheadParams(), EmulatorParams(),
-        seed=4, gamma=1.0, fov_domains=fov,
+    stats = emulate(
+        make_slot(snap, 200.0), assignment, tm, OverheadParams(), fov,
+        seed=4, gamma=1.0,
     )
     assert stats.requests_total > 0
     assert stats.drop_rate == 1.0  # every flow touches the unmanaged switch
@@ -107,33 +108,30 @@ def test_run_slot_rejects_invalid_assignment():
     snap, k, fov, assignment, tm = _pair_world()
     bad = DomainAssignment(0, {0: k})  # LEO 1 neither assigned nor uncovered
     with pytest.raises(ConstraintViolationError):
-        run_slot(make_slot(snap), bad, tm, OverheadParams(), EmulatorParams(),
-                 seed=1, fov_domains=fov)
+        emulate(make_slot(snap), bad, tm, OverheadParams(), fov, seed=1)
 
 
 @pytest.mark.parametrize("gamma", [1.5, -0.5, math.nan])
 def test_run_slot_rejects_gamma_outside_unit_interval_before_any_work(gamma, monkeypatch):
     snap, k, fov, assignment, tm = _pair_world()
+    plan = slot_plan(assignment, snap, OverheadParams(), fov)
+    arrivals = generate_arrivals(tm, 60.0, 1, 0)
 
     def no_work(*args, **kwargs):
         raise AssertionError("run_slot started work on a bad gamma")
 
-    for name in ("compute_fov_domains", "slot_plan", "generate_arrivals"):
+    for name in ("_serve_fifo", "_walk_paths", "_trace_hash"):
         monkeypatch.setattr(emulator, name, no_work)
     with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got"):
-        run_slot(make_slot(snap), assignment, tm, OverheadParams(), EmulatorParams(),
+        run_slot(make_slot(snap), assignment, plan, arrivals, OverheadParams(), EmulatorParams(),
                  seed=1, gamma=gamma)
 
 
 def test_trace_hash_deterministic_and_seed_sensitive():
     snap, k, fov, assignment, tm = _pair_world(lam=2.0)
-    kwargs = dict(fov_domains=fov, gamma=0.7)
-    a = run_slot(make_slot(snap, 300.0), assignment, tm, OverheadParams(),
-                 EmulatorParams(), seed=5, **kwargs)
-    b = run_slot(make_slot(snap, 300.0), assignment, tm, OverheadParams(),
-                 EmulatorParams(), seed=5, **kwargs)
-    c = run_slot(make_slot(snap, 300.0), assignment, tm, OverheadParams(),
-                 EmulatorParams(), seed=6, **kwargs)
+    a = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 5, gamma=0.7)
+    b = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 5, gamma=0.7)
+    c = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 6, gamma=0.7)
     assert a.trace_hash == b.trace_hash
     assert a.trace_hash != c.trace_hash
 
@@ -154,9 +152,9 @@ def test_drop_rate_nondecreasing_in_gamma():
     for seed in (1, 2, 3):
         drops = []
         for gamma in (0.25, 0.5, 0.75, 1.0):
-            stats = run_slot(
-                make_slot(snap, 120.0), assignment, tm, params, EmulatorParams(),
-                seed=seed, gamma=gamma, fov_domains=fov,
+            stats = emulate(
+                make_slot(snap, 120.0), assignment, tm, params, fov,
+                seed=seed, gamma=gamma,
             )
             drops.append(stats.drop_rate)
         assert drops == sorted(drops)
@@ -166,9 +164,9 @@ def test_measured_flow_overhead_matches_analytic_when_drop_free():
     snap, k, fov, assignment, tm = _pair_world(lam=1.0)
     params = OverheadParams(capacity_override_ops={k: 1e9})
     for seed in (1, 2, 3):
-        stats = run_slot(
-            make_slot(snap, 2000.0), assignment, tm, params, EmulatorParams(),
-            seed=seed, gamma=1.0, fov_domains=fov,
+        stats = emulate(
+            make_slot(snap, 2000.0), assignment, tm, params, fov,
+            seed=seed, gamma=1.0,
         )
         assert stats.requests_dropped == 0
         analytic = flow_overhead(assignment, tm, snap, params, fov)
@@ -186,9 +184,9 @@ def test_sync_and_handover_byte_accounting():
     tm = _traffic(snap, {})
     params = OverheadParams(f_sync_hz=0.5)
     duration = 60.0
-    stats = run_slot(
-        make_slot(snap, duration, index=1), cur, tm, params, EmulatorParams(),
-        seed=1, gamma=1.0, prev_assignment=prev, fov_domains=fov,
+    stats = emulate(
+        make_slot(snap, duration, index=1), cur, tm, params, fov,
+        seed=1, gamma=1.0, prev_assignment=prev,
     )
     domains = cur.domains()
     e1, e2 = (

@@ -13,19 +13,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from eunomia.constellation import Role
-from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain, run_slot
+from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain
 from eunomia.overhead import OverheadParams
 from eunomia.partition import DomainAssignment
 
-from conftest import compact_traffic, make_ring_snapshot, make_slot
+from conftest import compact_traffic, emulate, make_ring_snapshot, make_slot
 from emulator_oracle import oracle_run_slot
 
 DURATION_S = 30.0
 
 
-def _both(slot, assignment, tm, params, **kwargs):
-    new = run_slot(slot, assignment, tm, params, EmulatorParams(), **kwargs)
-    old = oracle_run_slot(slot, assignment, tm, params, EmulatorParams(), **kwargs)
+def _both(slot, assignment, tm, params, fov, seed, **kwargs):
+    new = emulate(slot, assignment, tm, params, fov, seed, **kwargs)
+    old = oracle_run_slot(slot, assignment, tm, params, EmulatorParams(), seed, fov, **kwargs)
     assert asdict(new) == asdict(old)
     return new
 
@@ -59,7 +59,7 @@ def test_matches_oracle_across_a_cut_with_self_flows(gamma, seed):
     assert connected_components(graph, directed=False)[0] == 2
     tm = _random_traffic(snap, 2.0, seed)
     stats = _both(make_slot(snap, DURATION_S), assignment, tm, OverheadParams(),
-                  seed=seed, gamma=gamma, fov_domains=fov)
+                  fov, seed, gamma=gamma)
     if gamma == 0.0:
         assert stats.requests_total == 0 and stats.bytes_flow == 0
     else:
@@ -71,7 +71,7 @@ def test_matches_oracle_with_window_and_unmanaged_destination_drops_on_one_contr
     tm = _random_traffic(snap, 20.0, 7)
     params = OverheadParams(capacity_override_ops={k1: 40.0})
     stats = _both(make_slot(snap, DURATION_S), assignment, tm, params,
-                  seed=3, gamma=1.0, fov_domains=fov)
+                  fov, 3, gamma=1.0)
     times, srcs, dsts, _ = generate_arrivals(tm, DURATION_S, 3, 0)
     from_k1 = np.isin(srcs, [0, 1, 4, 5])
     toward_unmanaged = int(np.count_nonzero(from_k1 & (dsts == 6)))
@@ -94,7 +94,7 @@ def test_matches_oracle_on_a_waived_fov_centralized_assignment(gamma):
     )
     tm = _random_traffic(snap, 3.0, 11)
     stats = _both(make_slot(snap, DURATION_S), assignment, tm, OverheadParams(),
-                  seed=5, gamma=gamma, fov_domains=fov)
+                  fov, 5, gamma=gamma)
     assert stats.requests_total > 0
 
 
@@ -106,6 +106,5 @@ def test_matches_oracle_on_desk_slots(desk_scenario_short, strategy):
     for t in range(3):
         geom = scn.geometries[t]
         _both(geom.slot, chain[t], scn.base_traffic[t], scn.ctx.overhead_params,
-              seed=2, gamma=0.5, prev_assignment=prev, fov_domains=geom.fov_domains,
-              strategy=strategy)
+              geom.fov_domains, 2, gamma=0.5, prev_assignment=prev, strategy=strategy)
         prev = chain[t]

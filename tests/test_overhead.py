@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from eunomia import overhead
 from eunomia.constellation import C_LIGHT_KM_S, NetworkSnapshot, Role
+from eunomia.emulator import partition_chain
 from eunomia.overhead import (
     ConstraintViolationError,
     LinkClass,
@@ -335,12 +337,37 @@ def test_validate_catches_disconnected_domain():
     assert "connectivity" in names
 
 
+def test_validate_reports_a_member_outside_the_fov_and_cut_off():
+    snap = _chain_snapshot(n=3)
+    k = snap.controller_ids[0]
+    fov = {k: frozenset({2})}
+    # no waiver: LEO 0 is outside the FOV, and LEO 1 is not there to relay it
+    a = DomainAssignment(0, {0: k, 2: k}, uncovered=frozenset({1}))
+    names = [v.constraint for v in validate_assignment(a, snap, fov)]
+    assert names == ["fov_containment", "connectivity"]
+
+
+@pytest.mark.parametrize("strategy", ["eunomia", "greedy"])
+def test_contained_assignments_validate_without_control_routes(
+    default_scenario_short, strategy, monkeypatch
+):
+    scn = default_scenario_short
+    chain = partition_chain(scn, strategy, 1.0)
+
+    def no_routes(*args, **kwargs):
+        raise AssertionError("control routes built for an FOV-contained assignment")
+
+    monkeypatch.setattr(overhead, "control_routes", no_routes)
+    for geom, assignment in zip(scn.geometries, chain):
+        assert validate_assignment(assignment, geom.slot.snapshot, geom.fov_domains) == []
+
+
 def test_overhead_additivity_and_nonnegativity(desk_scenario_short):
     scn = desk_scenario_short
     from eunomia.partition import greedy_partition
 
     geom = scn.geometries[0]
-    a = greedy_partition(scn.ctx, geom.slot, geometry=geom)
+    a = greedy_partition(scn.ctx, geom)
     report = evaluate(
         a, scn.base_traffic[0], geom.slot.snapshot, scn.ctx.overhead_params, geom.fov_domains
     )
@@ -356,7 +383,7 @@ def test_intra_domain_edges_match_a_scan_per_domain(desk_scenario_short):
 
     geom = scn.geometries[0]
     snap = geom.slot.snapshot
-    a = greedy_partition(scn.ctx, geom.slot, geometry=geom)
+    a = greedy_partition(scn.ctx, geom)
     counts = intra_domain_edges(a, snap)
     assert list(counts) == list(a.domains()) and len(counts) > 1
     for k, members in a.domains().items():

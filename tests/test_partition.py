@@ -28,10 +28,10 @@ from eunomia.partition import (
     step1_exclusive_assign,
 )
 from eunomia.visibility import (
+    FovTimeline,
     OverlapRegion,
     SlotGeometry,
     build_slot_geometry,
-    compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
 )
@@ -52,14 +52,15 @@ def _traffic(snap, entries=None, rng=None, scale=1.0):
     return compact_traffic(snap.leo_ids, rates)
 
 
-def _toy_ctx(thresholds=None, lookahead=0.0):
+def _toy_ctx(lookahead=0.0):
     return PartitionContext(
-        constellation=None,
-        thresholds=thresholds or {Role.MEO: 0.0, Role.GS: 0.0},
-        overhead_params=OverheadParams(),
-        lookahead_s=lookahead,
-        allow_uncovered=True,
+        overhead_params=OverheadParams(), lookahead_s=lookahead, allow_uncovered=True
     )
+
+
+def _geometry(slot, thresholds):
+    """The slot's geometry without lookahead, from its snapshot alone."""
+    return build_slot_geometry(FovTimeline(None, thresholds), slot, 15.0)
 
 
 # ---------------------------------------------------------------- step 1
@@ -210,7 +211,7 @@ def test_partition_slot_gives_unclustered_leos_their_nearest_covering_controller
     snap, cover = geom.slot.snapshot, geom.cover
     monkeypatch.setattr(partition, "spectral_cluster", lambda *args, **kwargs: ([], True))
     ctx = dataclasses.replace(scn.ctx, lookahead_s=0.0)
-    a = partition_slot(ctx, geom.slot, scn.base_traffic[0], None, geometry=geom)
+    a = partition_slot(ctx, geom, scn.base_traffic[0], None)
     contested = sorted(leo for region in geom.regions for leo in region.leo_ids)
     assert contested
     assert [a.domain_of[leo] for leo in contested] == [
@@ -350,7 +351,7 @@ def test_partition_slot_contested_leo_leaves_costlier_previous_controller():
             {0: k1, 1: k1, 2: k1, 3: k1, 4: k1, 5: k_prev, 6: k2, 7: k2},
             overlap_signature={5: frozenset({k1, k2})},
         )
-        a = partition_slot(_toy_ctx(), geometry.slot, tm, prev, geometry=geometry)
+        a = partition_slot(_toy_ctx(), geometry, tm, prev)
         assert a.domain_of[5] == k2  # kept on k2, moved off the loaded k1
 
 
@@ -411,7 +412,7 @@ def _toy_instance(seed, n_leo=8):
     ctrl_lons = tuple(rng.uniform(0.0, 360.0, 2))
     snap = make_ring_snapshot(n_leo=n_leo, leo_lons=leo_lons, ctrl_lons=ctrl_lons)
     slot = make_slot(snap)
-    geometry = build_slot_geometry(None, slot, {Role.MEO: 0.0, Role.GS: 0.0}, 0.0)
+    geometry = _geometry(slot, {Role.MEO: 0.0, Role.GS: 0.0})
     tm = _traffic(snap, rng=rng, scale=2.0)
     return snap, slot, geometry, tm
 
@@ -420,23 +421,23 @@ def test_partition_slot_valid_on_toys():
     for seed in range(5):
         snap, slot, geometry, tm = _toy_instance(seed)
         ctx = _toy_ctx()
-        a = partition_slot(ctx, slot, tm, None, geometry=geometry)
+        a = partition_slot(ctx, geometry, tm, None)
         assert validate_assignment(a, snap, geometry.fov_domains) == []
 
 
 def test_partition_slot_identical_snapshots_inherit_fully():
     snap, slot, geometry, tm = _toy_instance(3)
     ctx = _toy_ctx()
-    first = partition_slot(ctx, slot, tm, None, geometry=geometry)
-    second = partition_slot(ctx, slot, tm, first, geometry=geometry)
+    first = partition_slot(ctx, geometry, tm, None)
+    second = partition_slot(ctx, geometry, tm, first)
     assert second.domain_of == first.domain_of
 
 
 def test_partition_slot_deterministic():
     snap, slot, geometry, tm = _toy_instance(5)
     ctx = _toy_ctx()
-    a = partition_slot(ctx, slot, tm, None, geometry=geometry)
-    b = partition_slot(ctx, slot, tm, None, geometry=geometry)
+    a = partition_slot(ctx, geometry, tm, None)
+    b = partition_slot(ctx, geometry, tm, None)
     assert a.domain_of == b.domain_of
     assert a.uncovered == b.uncovered
 
@@ -444,8 +445,8 @@ def test_partition_slot_deterministic():
 def test_partition_slot_objective_close_to_bruteforce():
     snap, slot, geometry, tm = _toy_instance(11)
     ctx = _toy_ctx()
-    a = partition_slot(ctx, slot, tm, None, geometry=geometry)
-    _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
+    a = partition_slot(ctx, geometry, tm, None)
+    _, best = brute_force_partition(ctx, geometry, tm)
     got = evaluate(
         a, tm, snap, ctx.overhead_params, geometry.fov_domains, validate=False
     ).objective
@@ -455,16 +456,12 @@ def test_partition_slot_objective_close_to_bruteforce():
 def test_partition_slot_raises_on_uncovered_when_strict():
     snap, slot, geometry, tm = _toy_instance(2)
     strict = PartitionContext(
-        constellation=None,
-        thresholds={Role.MEO: 85.0, Role.GS: 85.0},  # barely any coverage
-        overhead_params=OverheadParams(),
-        lookahead_s=0.0,
-        allow_uncovered=False,
+        overhead_params=OverheadParams(), lookahead_s=0.0, allow_uncovered=False
     )
-    strict_geom = build_slot_geometry(None, slot, strict.thresholds, 0.0)
+    strict_geom = _geometry(slot, {Role.MEO: 85.0, Role.GS: 85.0})  # barely any coverage
     if set(snap.leo_ids) - set().union(*strict_geom.fov_domains.values()):
         with pytest.raises(UncoverableLeoError):
-            partition_slot(strict, slot, tm, None, geometry=strict_geom)
+            partition_slot(strict, strict_geom, tm, None)
 
 
 # -------------------------------------------------------------- baselines
@@ -473,7 +470,7 @@ def test_partition_slot_raises_on_uncovered_when_strict():
 def test_odc_single_domain_and_no_inter_sync(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
-    a = odc_partition(scn.ctx, geom.slot)
+    a = odc_partition(scn.ctx, geom)
     assert len(a.domains()) == 1
     assert a.fov_waived
     from eunomia.overhead import sync_overhead
@@ -486,8 +483,8 @@ def test_odc_single_domain_and_no_inter_sync(desk_scenario_short):
 def test_odc_hops_at_least_eunomia(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
-    odc = odc_partition(scn.ctx, geom.slot)
-    eu = partition_slot(scn.ctx, geom.slot, scn.base_traffic[0], None, geometry=geom)
+    odc = odc_partition(scn.ctx, geom)
+    eu = partition_slot(scn.ctx, geom, scn.base_traffic[0], None)
     h_odc = max(
         len(r) - 1 for r in control_routes(odc, geom.slot.snapshot, geom.fov_domains).values()
     )
@@ -501,7 +498,7 @@ def test_odc_hops_at_least_eunomia(desk_scenario_short):
 def test_greedy_respects_fov(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
-    a = greedy_partition(scn.ctx, geom.slot, geometry=geom)
+    a = greedy_partition(scn.ctx, geom)
     fov = geom.fov_domains
     for leo, k in a.domain_of.items():
         assert leo in fov[k]
@@ -511,10 +508,10 @@ def test_greedy_respects_fov(desk_scenario_short):
 def test_greedy_single_controller_matches_odc():
     snap = make_ring_snapshot(n_leo=4, leo_lons=(0.0, 10.0, 20.0, -10.0), ctrl_lons=(5.0,))
     slot = make_slot(snap)
-    geometry = build_slot_geometry(None, slot, {Role.MEO: 40.0, Role.GS: 0.0}, 0.0)
-    ctx = _toy_ctx(thresholds={Role.MEO: 40.0, Role.GS: 0.0})
-    greedy = greedy_partition(ctx, slot, geometry=geometry)
-    odc = odc_partition(ctx, slot)
+    geometry = _geometry(slot, {Role.MEO: 40.0, Role.GS: 0.0})
+    ctx = _toy_ctx()
+    greedy = greedy_partition(ctx, geometry)
+    odc = odc_partition(ctx, geometry)
     assert greedy.domain_of == odc.domain_of
 
 
@@ -524,17 +521,11 @@ def test_greedy_cap_spills_to_second_nearest():
     )
     k1, k2 = snap.controller_ids
     slot = make_slot(snap)
-    thresholds = {Role.MEO: 0.0, Role.GS: 0.0}
-    geometry = build_slot_geometry(None, slot, thresholds, 0.0)
+    geometry = _geometry(slot, {Role.MEO: 0.0, Role.GS: 0.0})
     ctx = PartitionContext(
-        constellation=None,
-        thresholds=thresholds,
-        overhead_params=OverheadParams(),
-        lookahead_s=0.0,
-        allow_uncovered=True,
-        greedy_cap=2,
+        overhead_params=OverheadParams(), lookahead_s=0.0, allow_uncovered=True, greedy_cap=2
     )
-    a = greedy_partition(ctx, slot, geometry=geometry)
+    a = greedy_partition(ctx, geometry)
     assert a.domain_of[0] == k1
     assert a.domain_of[1] == k1
     assert a.domain_of[2] == k2  # nearest is k1 but the cap forces the spill
@@ -566,7 +557,7 @@ def test_batched_ranking_and_greedy_match_the_per_leo_oracle(scenario, request):
         spills = 0
         for greedy_cap in (None, 2, 30):
             ctx = dataclasses.replace(scn.ctx, greedy_cap=greedy_cap)
-            got = greedy_partition(ctx, geom.slot, geometry=geom).domain_of
+            got = greedy_partition(ctx, geom).domain_of
             assert got == _greedy_oracle(snap, cover, greedy_cap)
             spills += sum(got[leo] != ranked[0] for leo, ranked in zip(leos, nearest))
         assert spills > 0
@@ -579,11 +570,10 @@ def test_bruteforce_single_leo_returns_only_coverer():
     snap = make_ring_snapshot(n_leo=1, leo_lons=(0.0,), ctrl_lons=(0.0, 180.0))
     k1, _ = snap.controller_ids
     slot = make_slot(snap)
-    thresholds = {Role.MEO: 40.0, Role.GS: 0.0}
-    geometry = build_slot_geometry(None, slot, thresholds, 0.0)
-    ctx = _toy_ctx(thresholds=thresholds)
+    geometry = _geometry(slot, {Role.MEO: 40.0, Role.GS: 0.0})
+    ctx = _toy_ctx()
     tm = _traffic(snap, {})
-    best, _ = brute_force_partition(ctx, slot, tm, geometry=geometry)
+    best, _ = brute_force_partition(ctx, geometry, tm)
     assert best.domain_of == {0: k1}
 
 
@@ -591,19 +581,19 @@ def test_bruteforce_rejects_large_instances():
     # high controllers see the whole ring, so all 13 LEOs are in scope
     snap = make_ring_snapshot(n_leo=13, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
     slot = make_slot(snap)
-    geometry = build_slot_geometry(None, slot, {Role.MEO: 0.0, Role.GS: 0.0}, 0.0)
+    geometry = _geometry(slot, {Role.MEO: 0.0, Role.GS: 0.0})
     with pytest.raises(ValueError):
-        brute_force_partition(_toy_ctx(), slot, _traffic(snap, {}), geometry=geometry)
+        brute_force_partition(_toy_ctx(), geometry, _traffic(snap, {}))
 
 
 def test_bruteforce_not_worse_than_heuristics():
     for seed in (21, 22, 23):
         snap, slot, geometry, tm = _toy_instance(seed)
         ctx = _toy_ctx()
-        _, best = brute_force_partition(ctx, slot, tm, geometry=geometry)
+        _, best = brute_force_partition(ctx, geometry, tm)
         for heuristic in (
-            partition_slot(ctx, slot, tm, None, geometry=geometry),
-            greedy_partition(ctx, slot, geometry=geometry),
+            partition_slot(ctx, geometry, tm, None),
+            greedy_partition(ctx, geometry),
         ):
             value = evaluate(
                 heuristic, tm, snap, ctx.overhead_params, geometry.fov_domains, validate=False

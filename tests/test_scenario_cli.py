@@ -278,6 +278,9 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("partition", "sigma"), 0, "partition.sigma"),
         (("partition", "sigma"), -1, "partition.sigma"),
         (("partition", "greedy_cap"), -3, "partition.greedy_cap"),
+        (("strategies",), [], "strategies"),
+        (("gammas",), [], "gammas"),
+        (("seeds",), [], "seeds"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):
@@ -337,6 +340,18 @@ def test_cli_negative_step_in_config_exits_2(tmp_path, capsys):
     path.write_text(TINY_CONFIG.read_text().replace("step_s: 15.0", "step_s: -5"))
     assert main(["partition", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
     assert "step_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["partition", "emulate"])
+@pytest.mark.parametrize("key", ["strategies", "gammas", "seeds"])
+def test_cli_empty_experiment_list_exits_2(key, command, tmp_path, capsys):
+    data = yaml.safe_load(TINY_CONFIG.read_text())
+    data[key] = []
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main([command, "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{key}: expected at least one value" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stats.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -188,7 +188,7 @@ def test_pairs_and_outbound_rates_equal_the_dense_matrix(scaled):
     i = rng.integers(0, len(tm.leo_ids), size=(40, 3))
     j = np.where(rng.random((40, 3)) < 0.5, rng.choice(tm.active, size=(40, 3)), i)
     assert np.array_equal(tm.at(i, j), full[i, j])
-    assert [tm.outbound_rate(leo) for leo in tm.leo_ids] == [
+    assert tm.outbound_rates.tolist() == [
         float(full[k].sum()) for k in range(len(tm.leo_ids))
     ]
 

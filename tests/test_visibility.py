@@ -17,7 +17,6 @@ from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.visibility import (
     DEFAULT_THRESHOLDS,
     FovTimeline,
-    build_slot_geometry,
     compute_fov_domains,
     compute_overlap_regions,
     coverage_map,
@@ -194,7 +193,7 @@ def test_segment_static_controllers_single_slot():
         None,
         [("gs0", 0.0, 0.0), ("gs1", 0.0, 180.0)],
     )
-    slots = segment_time_slots(const, 3000.0, 15.0)
+    slots = segment_time_slots(FovTimeline(const), 3000.0, 15.0)
     assert len(slots) == 1
 
 
@@ -211,7 +210,7 @@ def test_segment_boundaries_reproduce_membership_diff_oracle():
         LEO_SHELLS["iridium780"], MEO_SHELLS["meo10354"],
         [("new_york", 40.7128, -74.0060)],
     )
-    slots = segment_time_slots(const, config_horizon, step)
+    slots = segment_time_slots(FovTimeline(const), config_horizon, step)
     fingerprints = [
         compute_fov_domains(const.snapshot(k * step)) for k in range(int(config_horizon // step))
     ]
@@ -236,9 +235,9 @@ def test_membership_constant_within_slot(desk_scenario_short):
 def test_segment_rejects_bad_arguments():
     const = Constellation.build(ShellSpec(780.0, 50.0, 1, 4), None, [("g", 0.0, 0.0)])
     with pytest.raises(ValueError):
-        segment_time_slots(const, 10.0, 15.0)
+        segment_time_slots(FovTimeline(const), 10.0, 15.0)
     with pytest.raises(ValueError):
-        segment_time_slots(const, 100.0, 0.0)
+        segment_time_slots(FovTimeline(const), 100.0, 0.0)
 
 
 def _fresh_membership(scn, t):
@@ -303,12 +302,3 @@ def test_off_grid_instants_are_computed_on_a_non_dyadic_step(monkeypatch):
     assert set(times) == _needed_instants(scn, 6.0)
     _assert_geometry_is_fresh(scn)
 
-
-def test_slot_geometry_rejects_a_timeline_of_other_thresholds():
-    const = Constellation.build(LEO_SHELLS["iridium780"], None, [("g", 0.0, 0.0)])
-    timeline = FovTimeline(const, {Role.MEO: 40.0, Role.GS: 10.0})
-    slots = segment_time_slots(const, 60.0, 15.0, timeline.thresholds, timeline)
-    with pytest.raises(ValueError):
-        build_slot_geometry(const, slots[0], DEFAULT_THRESHOLDS, 30.0, 15.0, timeline)
-    with pytest.raises(ValueError):
-        segment_time_slots(const, 60.0, 15.0, None, timeline)
