@@ -1,11 +1,12 @@
 """Deterministic control-plane emulation.
 
-One slot is emulated on the slot plan and arrivals its caller built, which
-``run_scenario`` keeps on the scenario. Flow arrivals are Poisson processes drawn
-once per (slot, seed) at the gamma=1 rates and thinned per-arrival to the
-requested gamma, so runs with different strategies or traffic scales share
-the same underlying randomness. Each arrival sends a flow-table request over
-the source's control path; the controller serves requests FIFO, taking
+One slot is emulated on the queue its caller built from the slot plan and
+arrivals. Flow
+arrivals are Poisson processes drawn once per (slot, seed) at the gamma=1
+rates and thinned per-arrival to the requested gamma, so runs with
+different strategies or traffic scales share the same underlying
+randomness. Each arrival sends a flow-table request over the source's
+control path; the controller serves requests FIFO, taking
 f(|domain|)/capacity per intra-domain request and f(#domains)/capacity plus
 one controller-to-controller round trip per inter-domain request. A request
 whose queueing delay would exceed the queue window is dropped, as is any
@@ -14,21 +15,31 @@ updates go to every node of the data path; edge synchronization ticks at the
 sync frequency; handover notifications fire at the slot boundary for every
 migrated switch.
 
-The per-request work runs on arrays: controller and destination controller,
-intra/inter flag, service and ready times, the data path (shortest ISL hop
-paths, walked back from every destination at once over the requesting
-sources' predecessor trees, which the shared ISL topology computes once per
-source and keeps), its delivery cost from the slot plan's table and the
-response time. The one sequential step is each controller's FIFO
-recurrence, busy = max(busy, arrival) + service, with the queue-window
-drop. The event trace is built as (time, code, node)
-columns in generation order, stably sorted by time, and hashed as one
-big-endian structured array for reproducibility checks.
+The per-request work runs on arrays. A ``SlotQueue`` holds what does not
+depend on gamma: the gamma = 1 queue order by (controller, arrival at
+controller, index), and each served request's data path length and largest
+delivery cost. Thinning keeps arrival order and the queue key is a total
+order, so a gamma's queue is the subsequence of the gamma = 1 one that its
+marks keep. Data paths are shortest ISL hop paths, walked back from every
+destination at once over the requesting sources' predecessor trees (which
+the shared ISL topology computes once per source and keeps), and only for
+requests that no earlier run on the queue has served. The one sequential
+step is each controller's FIFO recurrence, busy = max(busy, arrival) +
+service, with the queue-window drop; requests that find their controller
+idle are served in one array step and only busy stretches run in Python.
+The event trace is built as (time, code, node) columns in generation
+order, stably sorted by time, and hashed as one big-endian structured
+array for reproducibility checks.
+
+``run_scenario`` keeps on the scenario, for later calls: each partition
+chain, each slot's plan per assignment content, its gamma = 1 arrivals per
+seed and its queue per (seed, assignment content), the gamma-scaled traffic
+per (slot, gamma), and each slot's overhead report per (chain, gamma).
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Literal, get_args
 
@@ -38,6 +49,7 @@ from .codecs import FLOW_REQUEST_FIXED_BYTES
 from .overhead import (
     ConstraintViolationError,
     OverheadParams,
+    OverheadReport,
     SlotPlan,
     count_migrations,
     evaluate,
@@ -168,38 +180,123 @@ def _serve_fifo(
     Requests come grouped by controller, in queue order within a group; each
     controller starts idle and serves FIFO, ``busy = max(busy, ta) + s``,
     dropping a request that would wait longer than ``window_s``.
+
+    A request finds its controller idle, and completes at ``ta + s``, when it
+    arrives after the busy time left by its predecessor in the group (0 for
+    the first) and is not dropped. Where that predecessor found it idle too,
+    the busy time is the predecessor's ``ta + s``, so all such requests are
+    settled in one array step; the recurrence runs in Python only from each
+    other request to the next one that finds its controller idle.
     """
-    done: list[float] = []
-    current, busy = None, 0.0
-    for k, ta, s in zip(ctrl.tolist(), arrive.tolist(), service.tolist()):
-        if k != current:
-            current, busy = k, 0.0
-        if busy - ta > window_s:
-            done.append(np.nan)
+    done = arrive + service
+    n = len(done)
+    opens = np.ones(n, dtype=bool)
+    opens[1:] = ctrl[1:] != ctrl[:-1]
+    before = np.zeros(n)
+    before[1:] = done[:-1]
+    before[opens] = 0.0
+    contended = np.flatnonzero(~((arrive > before) & ~(before - arrive > window_s)))
+    if not contended.size:
+        return done
+    # the end of each contended request's group
+    group_end = np.append(np.flatnonzero(opens)[1:], n)[np.cumsum(opens)[contended] - 1]
+    done_l, arrive_l, service_l = done.tolist(), arrive.tolist(), service.tolist()
+    settled = 0  # done_l[:settled] is final, and request settled - 1 found its controller idle
+    for c, end, first in zip(contended.tolist(), group_end.tolist(), opens[contended].tolist()):
+        if c < settled:
             continue
-        busy = max(busy, ta) + s
-        done.append(busy)
-    return np.array(done, dtype=float)
+        busy = 0.0 if first else done_l[c - 1]
+        for i in range(c, end):
+            ta = arrive_l[i]
+            if busy - ta > window_s:
+                done_l[i] = np.nan
+            elif ta > busy:  # idle: max(busy, ta) is ta
+                done_l[i] = busy = ta + service_l[i]
+                break
+            else:
+                done_l[i] = busy = busy + service_l[i]
+        settled = i + 1
+    return np.array(done_l)
 
 
 def _trace_hash(blocks: list[tuple]) -> str:
     """SHA-256 of the events of ``blocks``, (times, codes, nodes) with scalar
-    codes or nodes broadcast, stably sorted by time and packed as records."""
-    t = np.concatenate([times for times, _, _ in blocks])
+    codes or nodes repeated, laid end to end, stably sorted by time and
+    packed as records."""
+    total = sum(len(times) for times, _, _ in blocks)
+    t = np.empty(total)
+    codes = np.empty(total, dtype=np.int32)
+    nodes = np.empty(total, dtype=np.int32)
+    at = 0
+    for block_t, block_c, block_n in blocks:
+        end = at + len(block_t)
+        t[at:end], codes[at:end], nodes[at:end] = block_t, block_c, block_n
+        at = end
     by_time = np.argsort(t, kind="stable")
-    trace = np.empty(len(t), dtype=TRACE_DTYPE)
-    trace["t"] = t[by_time]
-    for name, col in (("c", 1), ("n", 2)):
-        values = [np.broadcast_to(block[col], len(block[0])) for block in blocks]
-        trace[name] = np.concatenate(values)[by_time]
+    trace = np.empty(total, dtype=TRACE_DTYPE)
+    trace["t"], trace["c"], trace["n"] = t[by_time], codes[by_time], nodes[by_time]
     return hashlib.sha256(trace.tobytes()).hexdigest()
+
+
+@dataclass(eq=False)
+class SlotQueue:
+    """One slot's gamma = 1 arrivals for one seed, queued under one slot plan.
+
+    ``order`` lists the managed arrivals (indices into ``arrivals``) by
+    (controller, arrival at controller, index); a gamma's queue is the
+    subsequence its marks keep. ``path_len`` and ``delivery`` hold each
+    queued request's data path length and largest delivery cost, filled
+    when a run first serves it (``path_len`` 0 until then).
+    """
+
+    plan: SlotPlan
+    arrivals: tuple[np.ndarray, ...]
+    order: np.ndarray
+    path_len: np.ndarray
+    delivery: np.ndarray
+
+
+def queue_arrivals(
+    slot: TimeSlot, plan: SlotPlan, arrivals: tuple[np.ndarray, ...]
+) -> SlotQueue:
+    """The ``SlotQueue`` of ``arrivals``, a ``generate_arrivals`` draw for
+    ``slot``, under ``plan``."""
+    times, srcs, _, _ = arrivals
+    src_ctrl = plan.ctrl_of[srcs]
+    managed = np.flatnonzero(src_ctrl >= 0)
+    t_at_ctrl = (times[managed] + slot.start_s) + plan.req_cost[srcs[managed]]
+    order = managed[np.lexsort((managed, t_at_ctrl, src_ctrl[managed]))]
+    return SlotQueue(
+        plan=plan,
+        arrivals=arrivals,
+        order=order,
+        path_len=np.zeros(len(order), dtype=np.int64),
+        delivery=np.zeros(len(order)),
+    )
+
+
+def _paths(
+    slot: TimeSlot, queue: SlotQueue, served: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Data path length and largest delivery cost of the requests at queue
+    positions ``served``, walking only those no earlier run has served."""
+    todo = served[queue.path_len[served] == 0]
+    if todo.size:
+        _, srcs, dsts, _ = queue.arrivals
+        flows = queue.order[todo]
+        src, dst = srcs[flows], dsts[flows]
+        plan = queue.plan
+        queue.path_len[todo], queue.delivery[todo] = _walk_paths(
+            slot.snapshot.topology.hop_predecessors(src), src, dst,
+            plan.deliver, plan.row_of[plan.ctrl_of[src]],
+        )
+    return queue.path_len[served], queue.delivery[served]
 
 
 def run_slot(
     slot: TimeSlot,
     assignment: DomainAssignment,
-    plan: SlotPlan,
-    arrivals: tuple[np.ndarray, ...],
+    queue: SlotQueue,
     params: OverheadParams,
     emu: EmulatorParams,
     seed: int,
@@ -209,36 +306,39 @@ def run_slot(
 ) -> EmulationStats:
     """Emulate one slot under a fixed assignment; see the module docstring.
 
-    ``plan`` is the assignment's ``slot_plan`` and ``arrivals`` the slot's
-    ``generate_arrivals`` draw for ``seed``. Raises ValueError unless gamma
-    is in [0, 1], and ConstraintViolationError when the plan holds
-    violations.
+    ``queue`` is the ``queue_arrivals`` of the assignment's ``slot_plan``
+    and the slot's ``generate_arrivals`` draw for ``seed``; it keeps the
+    data paths this run walks for later runs on it. Raises ValueError
+    unless gamma is in [0, 1], and ConstraintViolationError when the plan
+    holds violations.
     """
     check_gamma(gamma)
     duration = slot.end_s - slot.start_s
+    plan, arrivals = queue.plan, queue.arrivals
     if plan.violations:
         raise ConstraintViolationError(list(plan.violations))
 
     ctrl_of, row_of = plan.ctrl_of, plan.row_of
     cc_rtt = 2.0 * plan.cc_hop
 
-    times, srcs, dsts, marks = arrivals
+    all_times, all_srcs, all_dsts, marks = arrivals
     keep = marks < gamma
-    times, srcs, dsts = times[keep] + slot.start_s, srcs[keep], dsts[keep]
+    times, srcs = all_times[keep] + slot.start_s, all_srcs[keep]
     requests_total = len(times)
     src_ctrl = ctrl_of[srcs]
 
     # uncovered sources never reach a controller; the rest arrive over their
-    # control path and queue at their controller, ordered by (controller,
-    # arrival, request)
+    # control path and queue at their controller
     uncovered = src_ctrl < 0
     managed = np.flatnonzero(~uncovered)
     t_at_ctrl = times[managed] + plan.req_cost[srcs[managed]]
     measured_flow_s = float(plan.mfl_cost[srcs[managed]].sum())
-    order = np.lexsort((np.arange(len(managed)), t_at_ctrl, src_ctrl[managed]))
-    queued = managed[order]
-    k_q, ta_q = src_ctrl[queued], t_at_ctrl[order]
-    dst_k = ctrl_of[dsts[queued]]
+    # positions in the gamma = 1 queue, and the gamma = 1 arrivals there
+    in_queue = np.flatnonzero(keep[queue.order])
+    queued = queue.order[in_queue]
+    q_srcs = all_srcs[queued]
+    k_q, dst_k = ctrl_of[q_srcs], ctrl_of[all_dsts[queued]]
+    ta_q = (all_times[queued] + slot.start_s) + plan.req_cost[q_srcs]
     intra = dst_k == k_q
     service = np.where(intra, plan.service_intra[row_of[k_q]], plan.service_inter[row_of[k_q]])
 
@@ -253,12 +353,10 @@ def run_slot(
     finish = done[served]
     ready = np.where(intra_s, finish, finish + cc_rtt[row_of[k_s], row_of[dst_k[served]]])
 
-    # flow updates reach every node of the data path, found by hop-count
-    # shortest paths from the requesting sources
-    preds = slot.snapshot.topology.hop_predecessors(srcs[r_s])
-    path_len, delivery = _walk_paths(preds, srcs[r_s], dsts[r_s], plan.deliver, row_of[k_s])
+    # flow updates reach every node of the data path
+    path_len, delivery = _paths(slot, queue, in_queue[served])
     resp_at = ready + delivery
-    resp = resp_at - times[r_s]
+    resp = resp_at - (all_times[r_s] + slot.start_s)
     bytes_flow = FLOW_REQUEST_FIXED_BYTES * len(managed) + params.m_fl_bytes * (
         int(path_len.sum()) + 2 * int(np.count_nonzero(~intra_s))
     )
@@ -273,18 +371,22 @@ def run_slot(
     bytes_ho = migrated * params.migration.ho_msg_bytes
 
     # the trace in generation order; per queued request, its drop or its
-    # service followed by its response
-    in_queue = np.argsort(np.concatenate([2 * np.arange(len(queued)), 2 * served + 1]))
+    # service, and after a service the response
+    first = np.arange(len(queued))
+    first[1:] += np.cumsum(~lost[:-1])
+    q_t = np.empty(len(queued) + len(served))
+    q_c = np.empty(len(q_t), dtype=np.int32)
+    q_n = np.empty(len(q_t), dtype=np.int32)
+    q_t[first] = np.where(lost, ta_q, done)
+    q_c[first] = np.where(lost, EV_DROPPED, EV_SERVED)
+    q_n[first] = k_q
+    response = first[served] + 1
+    q_t[response], q_c[response], q_n[response] = resp_at, EV_RESPONSE, q_srcs[served]
     trace_hash = _trace_hash([
         (times, EV_ARRIVAL, srcs),
         (times[uncovered], EV_DROPPED, srcs[uncovered]),
         (t_at_ctrl, EV_AT_CONTROLLER, src_ctrl[managed]),
-        (
-            np.concatenate([np.where(lost, ta_q, done), resp_at])[in_queue],
-            np.concatenate([np.where(lost, EV_DROPPED, EV_SERVED),
-                            np.full(len(served), EV_RESPONSE)])[in_queue],
-            np.concatenate([k_q, srcs[r_s]])[in_queue],
-        ),
+        (q_t, q_c, q_n),
         (slot.start_s + np.arange(n_ticks) / params.f_sync_hz, EV_SYNC, -1),
         (np.full(migrated, slot.end_s), EV_HANDOVER, -1),
     ])
@@ -317,8 +419,14 @@ class RunResult:
     gamma: float
     seed: int
     stats: list[EmulationStats]
-    reports: list  # OverheadReport per slot
+    reports: list[OverheadReport]  # per slot
     migrations: int
+
+
+def _chain_gamma(strategy: str, gamma: float) -> float:
+    """The gamma a chain is built at: the odc and greedy partitioners do not
+    read it, so theirs is always 1."""
+    return 1.0 if strategy in ("odc", "greedy") else gamma
 
 
 def partition_chain(
@@ -330,13 +438,17 @@ def partition_chain(
     """Partition every slot in order, feeding each slot the previous slot's
     traffic and assignment.
 
-    No partitioner draws random numbers, so the chain ignores ``seed``. The
-    odc and greedy partitioners do not read gamma either. Each chain is built
-    once per (strategy, gamma) and kept on ``scn``.
+    No partitioner draws random numbers, so the chain ignores ``seed``. Each
+    chain is built once per (strategy, gamma) and kept on ``scn``; the odc
+    and greedy chains do not read gamma, so each has one.
     """
-    if strategy in ("odc", "greedy"):
-        gamma = 1.0
+    gamma = _chain_gamma(strategy, gamma)
     return list(scn.memo(("chain", strategy, gamma), partial(_chain, scn, strategy, gamma)))
+
+
+def _scaled(scn: "Scenario", t: int, gamma: float) -> TrafficMatrix:
+    """Slot ``t``'s traffic at ``gamma``, built once per (slot, gamma)."""
+    return scn.memo(("traffic", t, gamma), partial(scale, scn.base_traffic[t], gamma))
 
 
 def _chain(scn: "Scenario", strategy: str, gamma: float) -> list[DomainAssignment]:
@@ -345,8 +457,7 @@ def _chain(scn: "Scenario", strategy: str, gamma: float) -> list[DomainAssignmen
     prev: DomainAssignment | None = None
     for t, geom in enumerate(scn.geometries):
         if strategy == "eunomia":
-            traffic_in = scale(scn.base_traffic[max(t - 1, 0)], gamma)
-            current = partition_slot(ctx, geom, traffic_in, prev)
+            current = partition_slot(ctx, geom, _scaled(scn, max(t - 1, 0), gamma), prev)
         elif strategy == "odc":
             current = odc_partition(ctx, geom)
         elif strategy == "greedy":
@@ -366,38 +477,45 @@ def run_scenario(
 ) -> list[RunResult]:
     """Partition and emulate every slot for each (gamma, seed) combination.
 
-    The partition chain is built once per gamma, each slot's plan once per
-    assignment content and its gamma = 1 arrivals once per seed, and all are
-    kept on ``scn`` for later calls.
+    Everything a run builds that another run can reuse is kept on ``scn``
+    (see the module docstring); each run's reports are copies carrying its
+    own drop rates. Raises ValueError for an unknown strategy or a gamma
+    outside [0, 1] before any work.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}, expected one of {STRATEGIES}")
+    for gamma in gammas:
+        check_gamma(gamma)
     params = scn.ctx.overhead_params
     results: list[RunResult] = []
     for gamma in gammas:
+        chain_gamma = _chain_gamma(strategy, gamma)
         for seed in seeds:
             chain = partition_chain(scn, strategy, gamma)
             stats: list[EmulationStats] = []
-            reports = []
+            reports: list[OverheadReport] = []
             migrations = 0
             prev: DomainAssignment | None = None
             for t, geom in enumerate(scn.geometries):
                 slot = geom.slot
                 duration = slot.end_s - slot.start_s
                 assignment = chain[t]
+                key = plan_key(assignment)
                 plan = scn.memo(
-                    ("plan", t, plan_key(assignment)),
+                    ("plan", t, key),
                     partial(slot_plan, assignment, slot.snapshot, params, geom.fov_domains),
                 )
                 arrivals = scn.memo(
                     ("arrivals", t, seed),
                     partial(generate_arrivals, scn.base_traffic[t], duration, seed, slot.index),
                 )
+                queue = scn.memo(
+                    ("queue", t, seed, key), partial(queue_arrivals, slot, plan, arrivals)
+                )
                 st = run_slot(
                     slot,
                     assignment,
-                    plan,
-                    arrivals,
+                    queue,
                     params,
                     scn.emu_params,
                     seed,
@@ -405,20 +523,14 @@ def run_scenario(
                     prev_assignment=prev,
                     strategy=strategy,
                 )
-                report = evaluate(
-                    assignment,
-                    scale(scn.base_traffic[t], gamma),
-                    slot.snapshot,
-                    params,
-                    geom.fov_domains,
-                    prev_assignment=prev,
-                    slot_duration_s=duration,
-                    validate=False,
-                    plan=plan,
+                report = scn.memo(
+                    ("report", strategy, chain_gamma, gamma, t),
+                    partial(evaluate, assignment, _scaled(scn, t, gamma), slot.snapshot, params,
+                            geom.fov_domains, prev_assignment=prev, slot_duration_s=duration,
+                            validate=False, plan=plan),
                 )
-                report.drop_rate = st.drop_rate
                 stats.append(st)
-                reports.append(report)
+                reports.append(replace(report, drop_rate=st.drop_rate))
                 migrations += st.migrated
                 prev = assignment
             results.append(

@@ -603,7 +603,6 @@ class OverheadReport:
     objective: float
     eta_control: float | None
     drop_rate: float | None = None
-    per_domain: dict[int, dict[str, float]] = field(default_factory=dict)
 
     @property
     def w_ctl(self) -> float:

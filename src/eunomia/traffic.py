@@ -72,7 +72,7 @@ class TrafficMatrix:
     slot_index: int
     leo_ids: tuple[int, ...]
     active: np.ndarray  # sorted ids of the LEOs that may carry traffic
-    rates: np.ndarray  # k x k block among the active LEOs
+    rates: np.ndarray  # k x k block among the active LEOs, made read-only
     unserved_rate: float = 0.0  # demand from cells with no visible LEO
     local_rate: float = 0.0  # demand whose endpoints map to the same LEO
     # LEO id -> row of the block, -1 for an inactive LEO
@@ -87,6 +87,7 @@ class TrafficMatrix:
         if k and not (np.all(np.diff(self.active) > 0) and 0 <= self.active[0]
                       and self.active[-1] < len(self.leo_ids)):
             raise ValueError("active must be increasing LEO ids")
+        self.rates.flags.writeable = False
         self.block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
         self.block_row[self.active] = np.arange(k)
 
@@ -174,8 +175,11 @@ def check_gamma(gamma: float) -> None:
 
 
 def scale(matrix: TrafficMatrix, gamma: float) -> TrafficMatrix:
-    """Uniformly scale every rate by gamma in [0, 1]."""
+    """Uniformly scale every rate by gamma in [0, 1]; at gamma = 1 that is
+    ``matrix`` itself, whose block is read-only."""
     check_gamma(gamma)
+    if gamma == 1.0:
+        return matrix
     return TrafficMatrix(
         slot_index=matrix.slot_index,
         leo_ids=matrix.leo_ids,
@@ -232,17 +236,37 @@ def build_grid(density: DensityField) -> list[GroundCell]:
 
 
 def demand_matrix(cells: list[GroundCell], params: TrafficParams) -> np.ndarray:
-    """Static cell-pair gravity demands (no diurnal factor), zero diagonal."""
-    n = len(cells)
+    """Static cell-pair gravity demands (no diurnal factor), zero diagonal.
+
+    The haversine and gravity expressions run in place on two C x C buffers,
+    each element through the same operations in the same order as the
+    textbook expressions."""
     w = np.array([c.density_weight for c in cells])
     lat = np.radians(np.array([c.center[0] for c in cells]))
     lon = np.radians(np.array([c.center[1] for c in cells]))
-    sin_half_lat = np.sin((lat[:, None] - lat[None, :]) / 2.0) ** 2
-    sin_half_lon = np.sin((lon[:, None] - lon[None, :]) / 2.0) ** 2
-    h = sin_half_lat + np.outer(np.cos(lat), np.cos(lat)) * sin_half_lon
-    dist = 2.0 * R_EARTH_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    # h = sin(dlat / 2)**2 + cos(lat_i) * cos(lat_j) * sin(dlon / 2)**2
+    h = np.subtract.outer(lon, lon)
+    h /= 2.0
+    np.sin(h, out=h)
+    h **= 2
+    buf = np.outer(np.cos(lat), np.cos(lat))
+    buf *= h
+    np.subtract.outer(lat, lat, out=h)
+    h /= 2.0
+    np.sin(h, out=h)
+    h **= 2
+    h += buf
+    # dist = 2 R asin(sqrt(clip(h, 0, 1))), infinite on the diagonal
+    dist = np.clip(h, 0.0, 1.0, out=h)
+    np.sqrt(dist, out=dist)
+    np.arcsin(dist, out=dist)
+    dist *= 2.0 * R_EARTH_KM
     np.fill_diagonal(dist, np.inf)
-    demand = params.gravity_constant * np.outer(w, w) / dist**params.gravity_exponent
+    # demand = G * w_i * w_j / dist**exponent
+    demand = np.outer(w, w, out=buf)
+    demand *= params.gravity_constant
+    dist **= params.gravity_exponent
+    demand /= dist
     np.fill_diagonal(demand, 0.0)
     return demand
 

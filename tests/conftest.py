@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from eunomia.constellation import NetworkSnapshot, Role
-from eunomia.emulator import EmulationStats, EmulatorParams, generate_arrivals, run_slot
+from eunomia.emulator import (
+    EmulationStats,
+    EmulatorParams,
+    generate_arrivals,
+    queue_arrivals,
+    run_slot,
+)
 from eunomia.overhead import slot_plan
 from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.traffic import TrafficMatrix
@@ -106,11 +112,12 @@ def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 
 
 
 def emulate(slot, assignment, traffic, params, fov_domains, seed, **kwargs) -> EmulationStats:
-    """``run_slot`` on the assignment's slot plan and the slot's gamma = 1
-    arrivals for ``seed``, as ``run_scenario`` builds them."""
+    """``run_slot`` on the queue of the assignment's slot plan and the
+    slot's gamma = 1 arrivals for ``seed``, as ``run_scenario`` builds it."""
     plan = slot_plan(assignment, slot.snapshot, params, fov_domains)
     arrivals = generate_arrivals(traffic, slot.end_s - slot.start_s, seed, slot.index)
-    return run_slot(slot, assignment, plan, arrivals, params, EmulatorParams(), seed, **kwargs)
+    queue = queue_arrivals(slot, plan, arrivals)
+    return run_slot(slot, assignment, queue, params, EmulatorParams(), seed, **kwargs)
 
 
 @pytest.fixture(scope="session")

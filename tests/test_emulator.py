@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eunomia import emulator
 from eunomia.codecs import FlowRequest, encode_flow_request
 from eunomia.constellation import C_LIGHT_KM_S, Role
-from eunomia.emulator import EmulatorParams, generate_arrivals, run_slot
+from eunomia.emulator import EmulatorParams, generate_arrivals, queue_arrivals, run_slot
 from eunomia.overhead import (
     ConstraintViolationError,
     LinkClass,
@@ -114,17 +116,58 @@ def test_run_slot_rejects_invalid_assignment():
 @pytest.mark.parametrize("gamma", [1.5, -0.5, math.nan])
 def test_run_slot_rejects_gamma_outside_unit_interval_before_any_work(gamma, monkeypatch):
     snap, k, fov, assignment, tm = _pair_world()
+    slot = make_slot(snap)
     plan = slot_plan(assignment, snap, OverheadParams(), fov)
-    arrivals = generate_arrivals(tm, 60.0, 1, 0)
+    queue = queue_arrivals(slot, plan, generate_arrivals(tm, 60.0, 1, 0))
 
     def no_work(*args, **kwargs):
         raise AssertionError("run_slot started work on a bad gamma")
 
-    for name in ("_serve_fifo", "_walk_paths", "_trace_hash"):
+    for name in ("_serve_fifo", "_paths", "_walk_paths", "_trace_hash"):
         monkeypatch.setattr(emulator, name, no_work)
     with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got"):
-        run_slot(make_slot(snap), assignment, plan, arrivals, OverheadParams(), EmulatorParams(),
-                 seed=1, gamma=gamma)
+        run_slot(slot, assignment, queue, OverheadParams(), EmulatorParams(), seed=1, gamma=gamma)
+
+
+def _fifo_reference(ctrl, arrive, service, window_s):
+    """The FIFO recurrence one request at a time."""
+    done, current, busy = [], None, 0.0
+    for k, ta, s in zip(ctrl.tolist(), arrive.tolist(), service.tolist()):
+        if k != current:
+            current, busy = k, 0.0
+        if busy - ta > window_s:
+            done.append(math.nan)
+            continue
+        busy = max(busy, ta) + s
+        done.append(busy)
+    return np.array(done, dtype=float)
+
+
+# (controller, arrival, service) on a grid of ``unit``, so that arrivals tie
+# and services are zero often; a small window against long services drops,
+# and a negative one drops even requests that find their controller idle
+fifo_requests = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 30), st.integers(0, 6)), max_size=80
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fifo_requests,
+    st.sampled_from([-0.5, 0.0, 0.5, 1.0, 4.0]),
+    st.sampled_from([0.25, 0.1, 1.0 / 3.0]),
+    st.booleans(),
+)
+def test_serve_fifo_equals_the_sequential_recurrence(requests, window_s, unit, in_order):
+    # grouped by controller; within a group in arrival order, or as drawn
+    requests.sort(key=(lambda r: r[:2]) if in_order else (lambda r: r[0]))
+    ctrl = np.array([r[0] for r in requests], dtype=np.int64)
+    arrive = np.array([r[1] * unit for r in requests], dtype=float)
+    service = np.array([r[2] * unit for r in requests], dtype=float)
+    got = emulator._serve_fifo(ctrl, arrive, service, window_s)
+    want = _fifo_reference(ctrl, arrive, service, window_s)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_trace_hash_deterministic_and_seed_sensitive():

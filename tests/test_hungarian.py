@@ -1,8 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eunomia import hungarian
 from eunomia.hungarian import InfeasibleMatchingError, solve_lexicographic
 
 
@@ -95,3 +99,38 @@ def test_lexicographic_matches_bruteforce_first_optimum(trial):
             expected = list(perm)
             break
     assert solve_lexicographic(cost) == expected
+
+
+@st.composite
+def small_costs(draw):
+    """Square matrices up to ``SMALL_N`` of small integers, so that optimal
+    matchings tie often, with some non-finite entries."""
+    n = draw(st.integers(1, hungarian.SMALL_N))
+    entry = st.one_of(
+        st.integers(0, 3).map(float), st.sampled_from([math.inf, -math.inf, math.nan])
+    )
+    flat = draw(st.lists(st.one_of(entry, st.integers(0, 3).map(float)),
+                         min_size=n * n, max_size=n * n))
+    return np.array(flat).reshape(n, n)
+
+
+def _outcome(solve, cost):
+    try:
+        return solve(cost, 1e-9)
+    except InfeasibleMatchingError:
+        return "infeasible"
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_costs())
+def test_small_matchings_enumerate_to_the_row_fixing_answer(cost):
+    want = _outcome(hungarian._row_fixing, cost)
+    assert _outcome(hungarian._enumerated, cost) == want
+    assert _outcome(solve_lexicographic, cost) == want
+
+
+@pytest.mark.parametrize("n", [2, hungarian.SMALL_N + 1])
+def test_a_minus_inf_pair_in_the_last_row_is_forbidden(n):
+    cost = np.zeros((n, n))
+    cost[-1, -1] = -np.inf
+    assert solve_lexicographic(cost) == [*range(n - 2), n - 1, n - 2]

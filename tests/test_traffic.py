@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,36 @@ def test_demand_matrix_matches_pairwise_function():
             assert mat[i, j] == pytest.approx(
                 gravity_demand(cells[i], cells[j], params), rel=1e-9
             )
+
+
+@pytest.mark.parametrize("exponent", [2.0, 1.5])
+def test_demand_matrix_equals_the_textbook_expressions_bit_for_bit(exponent):
+    cells = build_grid(city_density_field())
+    params = TrafficParams(gravity_constant=3.0, gravity_exponent=exponent)
+    w = np.array([c.density_weight for c in cells])
+    lat = np.radians(np.array([c.center[0] for c in cells]))
+    lon = np.radians(np.array([c.center[1] for c in cells]))
+    sin_half_lat = np.sin((lat[:, None] - lat[None, :]) / 2.0) ** 2
+    sin_half_lon = np.sin((lon[:, None] - lon[None, :]) / 2.0) ** 2
+    h = sin_half_lat + np.outer(np.cos(lat), np.cos(lat)) * sin_half_lon
+    dist = 2.0 * R_EARTH_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    np.fill_diagonal(dist, np.inf)
+    want = params.gravity_constant * np.outer(w, w) / dist**params.gravity_exponent
+    np.fill_diagonal(want, 0.0)
+    got = demand_matrix(cells, params)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+def test_demand_matrix_peak_memory_is_at_most_three_cell_by_cell_arrays():
+    cells = build_grid(city_density_field())
+    tracemalloc.start()
+    try:
+        demand_matrix(cells, TrafficParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * N_CELLS * N_CELLS * 8
 
 
 def _cell_at(lon):
@@ -344,8 +375,11 @@ def test_scale_examples():
     cells = build_grid(city_density_field())
     tm = map_to_satellites(cell_positions(cells), demand_matrix(cells, TrafficParams()), snap)
     assert scale(tm, 0.0).total_rate() == 0.0
-    assert np.array_equal(scale(tm, 1.0).rates, tm.rates)
+    assert scale(tm, 1.0) is tm
     assert np.allclose(scale(tm, 0.5).rates, tm.rates * 0.5)
+    # blocks are read-only, so the gamma = 1 matrix can be shared
+    assert not tm.rates.flags.writeable
+    assert not scale(tm, 0.5).rates.flags.writeable
     with pytest.raises(ValueError):
         scale(tm, 2.0)
     with pytest.raises(ValueError):
