@@ -5,7 +5,7 @@ control-overhead relationship graph, optimal cluster-controller matching,
 movement-aware fine-tuning, and the constraint validation of the result.
 A small brute-force comparison puts the heuristic's objective in context.
 """
-from eunomia.corg import build_corg, similarity
+from eunomia.corg import build_corg, corg_edges, similarity
 from eunomia.overhead import evaluate, validate_assignment
 from eunomia.partition import (
     brute_force_partition,
@@ -27,11 +27,12 @@ print(f"direct assignments: {len(assigned)}; contested: {len(contested)}; "
       f"uncovered: {len(uncovered)}")
 
 print("\n=== Step 2: spectral clustering per overlap region ===")
+edges = corg_edges(geom.regions, traffic, snap, scn.ctx.overhead_params, geom.fov_domains)
 for region in geom.regions:
-    corg = build_corg(region, traffic, snap, scn.ctx.overhead_params, geom.fov_domains)
+    corg = build_corg(region, edges)
     sim = similarity(corg)
     print(f"region {sorted(region.leo_ids)} (controllers {region.controller_ids}): "
-          f"{len(corg.edges)} edges, kernel bandwidth {sim.sigma:.4f}")
+          f"{len(corg.xi)} edges, kernel bandwidth {sim.sigma:.4f}")
 
 print("\n=== Step 3: full pipeline and baselines ===")
 assignments = {

@@ -12,7 +12,7 @@ from .constellation import (
     ShellSpec,
     orbital_period,
 )
-from .corg import Corg, CorgWeights, SimilarityMatrix, build_corg, similarity
+from .corg import Corg, CorgEdges, CorgWeights, SimilarityMatrix, build_corg, corg_edges, similarity
 from .emulator import EmulationStats, EmulatorParams, run_scenario, run_slot
 from .overhead import (
     ConstraintViolationError,

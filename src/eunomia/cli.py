@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .scenario import (
     ScenarioConfig,
     build_scenario,
     load_config,
+    read_input,
 )
 
 CONFIG_ENV_VAR = "EUNOMIA_CONFIG"
@@ -246,8 +248,7 @@ def cmd_emulate(args: argparse.Namespace) -> int:
 
 
 def _read_stats_csv(path: Path) -> list[dict]:
-    with path.open() as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+    lines = [ln for ln in io.StringIO(read_input(path)) if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     if reader.fieldnames != CSV_COLUMNS:
         raise ConfigError(
@@ -313,7 +314,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.overhead:
         oh_groups: dict[tuple[str, float], list[dict]] = {}
         for path in args.overhead:
-            for run in json.loads(Path(path).read_text())["runs"]:
+            for run in json.loads(read_input(path))["runs"]:
                 key = (run["strategy"], float(run["gamma"]))
                 oh_groups.setdefault(key, []).extend(run["slots"])
         oh_path = out_dir / "report_overhead.csv"

@@ -3,6 +3,11 @@
 Nodes are the region's LEOs plus one virtual node per competing controller;
 edge weights combine pairwise flow, synchronization and mobility costs.
 The weights feed a Gaussian-kernel similarity matrix for spectral clustering.
+
+A slot's regions are disjoint, so every CORG edge of the slot is costed in
+one pass (``corg_edges``): the ISL edges between LEOs of one region and the
+(covering controller, LEO) attachment edges. ``build_corg`` then takes one
+region's edges from that table by mask. A CORG holds its edges as arrays.
 """
 from __future__ import annotations
 
@@ -36,16 +41,25 @@ class CorgWeights:
 
 @dataclass
 class Corg:
-    node_ids: tuple[int, ...]
-    edges: dict[tuple[int, int], float]  # (low id, high id) -> xi, seconds
-    virtual_flags: dict[int, bool]
-
-    def xi(self, a: int, b: int) -> float | None:
-        return self.edges.get((a, b) if a < b else (b, a))
+    leo_ids: tuple[int, ...]  # the region's LEOs, ascending
+    virtual_ids: tuple[int, ...]  # one virtual node per competing controller
+    pairs: np.ndarray  # (E, 2) node ids of each edge, low id first
+    xi: np.ndarray  # (E,) edge weight, seconds
 
     @property
-    def virtual_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in self.node_ids if self.virtual_flags[i])
+    def node_ids(self) -> tuple[int, ...]:
+        return self.leo_ids + self.virtual_ids
+
+
+@dataclass
+class CorgEdges:
+    """Every CORG edge of one slot's regions, costed in one pass: the ISL
+    edges between LEOs of one region in sorted order, then each region's
+    attachment edges by controller, then LEO."""
+
+    pairs: np.ndarray  # (E, 2) node ids, low id first
+    xi: np.ndarray  # (E,) edge weight, seconds
+    n_nodes: int
 
 
 @dataclass
@@ -81,14 +95,9 @@ def pairwise_costs(
     # the other switch of a switch pair; on an attachment edge the controller
     # end is no traffic row, and ``mutual`` there is discarded, so reuse ``i``
     j = np.where(switch_pair, np.where(is_leo[a], b, a), i)
-    # each switch's total rate (row sum plus column sum), once per switch; the
-    # columns are summed as contiguous rows, which matches summing each column
-    # alone bit for bit, where rates.sum(axis=0) adds row by row and does not
-    uniq, inv = np.unique(i, return_inverse=True)
-    rows, cols = traffic.rows(uniq), traffic.cols(uniq)
-    total = rows.sum(axis=1) + np.ascontiguousarray(cols.T).sum(axis=1)
+    total = traffic.outbound_rates[i] + traffic.inbound_rates[i]
     mutual = traffic.at(i, j) + traffic.at(j, i)
-    lam = np.where(switch_pair, mutual, total[inv].reshape(i.shape))
+    lam = np.where(switch_pair, mutual, total)
     w_flow = lam * hop_cost(snapshot, params, a, b, params.m_fl_bytes)
     w_sync = params.f_sync_hz * hop_cost(snapshot, params, a, b, params.m_sync_bytes)
 
@@ -112,53 +121,66 @@ def edge_weight(costs: tuple[float, float, float], weights: CorgWeights) -> floa
     )
 
 
-def build_corg(
-    region: OverlapRegion,
+def corg_edges(
+    regions: list[OverlapRegion],
     traffic: TrafficMatrix,
     snapshot: NetworkSnapshot,
     params: OverheadParams,
     fov_domains: dict[int, frozenset[int]],
     weights: CorgWeights | None = None,
-) -> Corg:
-    """CORG over one overlap region: ISL edges between member LEOs and a
+) -> CorgEdges:
+    """Every CORG edge of the disjoint ``regions``, costed in one
+    ``pairwise_costs`` call: the ISL edges between LEOs of one region and a
     virtual-controller edge for every in-FOV (controller, member) pair."""
     w = weights or CorgWeights()
-    leos = sorted(region.leo_ids)
-    ctrls = list(region.controller_ids)
-
-    member = np.zeros(len(snapshot.roles), dtype=bool)
-    member[leos] = True
+    region_of = np.full(len(snapshot.roles), -1)
+    for r, region in enumerate(regions):
+        region_of[list(region.leo_ids)] = r
     isl = snapshot.topology.edge_array  # in sorted order
-    pairs = list(map(tuple, isl[member[isl].all(axis=1)].tolist()))
-    pairs += [
-        (leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov_domains[k]
+    a, b = region_of[isl].T
+    attach = [
+        (leo, k)
+        for region in regions
+        for k in region.controller_ids
+        for leo in sorted(fov_domains[k].intersection(region.leo_ids))
     ]
-    edges: dict[tuple[int, int], float] = {}
-    if pairs:
-        a, b = np.array(pairs).T
-        xi = edge_weight(pairwise_costs(a, b, traffic, snapshot, params, w), w)
-        edges = dict(zip(pairs, xi.tolist()))
+    # low id first: a LEO id is below every controller id
+    pairs = np.concatenate(
+        [isl[(a >= 0) & (a == b)], np.array(attach, dtype=np.int64).reshape(-1, 2)]
+    )
+    xi = np.zeros(len(pairs))
+    if len(pairs):
+        xi = edge_weight(pairwise_costs(*pairs.T, traffic, snapshot, params, w), w)
+    return CorgEdges(pairs=pairs, xi=xi, n_nodes=len(snapshot.roles))
 
-    node_ids = tuple(leos + ctrls)
-    virtual_flags = {i: False for i in leos} | {k: True for k in ctrls}
-    return Corg(node_ids=node_ids, edges=edges, virtual_flags=virtual_flags)
+
+def build_corg(region: OverlapRegion, edges: CorgEdges) -> Corg:
+    """CORG over one overlap region: the edges of ``edges`` (the slot's
+    table, see ``corg_edges``) between the region's LEOs and controllers."""
+    leos = sorted(region.leo_ids)
+    ctrls = tuple(region.controller_ids)
+    member = np.zeros(edges.n_nodes, dtype=bool)
+    member[leos] = True
+    member[list(ctrls)] = True
+    mine = member[edges.pairs].all(axis=1)
+    return Corg(tuple(leos), ctrls, edges.pairs[mine], edges.xi[mine])
 
 
 def similarity(corg: Corg, sigma: float | None = None) -> SimilarityMatrix:
     """Gaussian-kernel similarity exp(-xi / (2 sigma^2)); absent pairs are 0,
     the diagonal is 1. Sigma defaults to the square root of the median positive
     edge weight, so that sigma^2 is on the scale of xi itself."""
-    if not corg.node_ids:
+    node_ids = corg.node_ids
+    if not node_ids:
         raise ValueError("similarity of an empty graph")
     if sigma is None:
-        positive = [x for x in corg.edges.values() if x > 0.0]
-        sigma = math.sqrt(np.median(positive)) if positive else 1.0
-    n = len(corg.node_ids)
-    index = {node: i for i, node in enumerate(corg.node_ids)}
+        positive = corg.xi[corg.xi > 0.0]
+        sigma = math.sqrt(np.median(positive)) if positive.size else 1.0
+    n = len(node_ids)
+    index = np.zeros(max(node_ids) + 1, dtype=np.int64)
+    index[list(node_ids)] = np.arange(n)
+    i, j = index[corg.pairs].T
     values = np.zeros((n, n))
     np.fill_diagonal(values, 1.0)
-    for (a, b), xi in corg.edges.items():
-        s = float(np.exp(-xi / (2.0 * sigma**2)))
-        values[index[a], index[b]] = s
-        values[index[b], index[a]] = s
-    return SimilarityMatrix(node_ids=corg.node_ids, values=values, sigma=sigma)
+    values[i, j] = values[j, i] = np.exp(-corg.xi / (2.0 * sigma**2))
+    return SimilarityMatrix(node_ids=node_ids, values=values, sigma=sigma)

@@ -39,6 +39,7 @@ per (slot, gamma), and each slot's overhead report per (chain, gamma).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Literal, get_args
@@ -238,6 +239,29 @@ def _trace_hash(blocks: list[tuple]) -> str:
     return hashlib.sha256(trace.tobytes()).hexdigest()
 
 
+def _median_p95(values: np.ndarray) -> tuple[float, float]:
+    """``np.median(values)`` and ``np.percentile(values, 95)`` from one
+    partition of the order statistics they read, by numpy's own formulas: the
+    mean of the middle pair (``_median``), and the linear method's lerp at the
+    virtual index (n - 1) * 0.95 (``_quantile`` with ``_get_indexes``,
+    ``_get_gamma`` and ``_lerp``). ``values`` is non-empty, with no NaN and no
+    -0.0 beside a 0.0, between which numpy's own partition order would pick."""
+    n = len(values)
+    mid = [n // 2 - 1, n // 2] if n % 2 == 0 else [n // 2]
+    virtual = (n - 1) * 0.95
+    lo = math.floor(virtual)
+    hi = lo + 1
+    if virtual >= n - 1:  # only at n = 1: both sides read the last value
+        lo = hi = -1
+    gamma = virtual - lo
+    s = np.partition(values, sorted({*mid, lo % n, hi % n})).tolist()
+    # the mean sums from the additive identity, so a -0.0 median reads 0.0
+    median = (0.0 + s[mid[0]] + s[mid[-1]]) / 2.0 if n % 2 == 0 else 0.0 + s[mid[0]]
+    a, b = s[lo], s[hi]
+    diff = b - a
+    return median, b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 @dataclass(eq=False)
 class SlotQueue:
     """One slot's gamma = 1 arrivals for one seed, queued under one slot plan.
@@ -391,6 +415,7 @@ def run_slot(
         (np.full(migrated, slot.end_s), EV_HANDOVER, -1),
     ])
 
+    median, p95 = _median_p95(resp) if resp.size else (0.0, 0.0)
     return EmulationStats(
         slot_index=slot.index,
         strategy=strategy or assignment.strategy,
@@ -401,8 +426,8 @@ def run_slot(
         requests_dropped=dropped,
         drop_rate=dropped / requests_total if requests_total else 0.0,
         resp_mean_s=float(resp.mean()) if resp.size else 0.0,
-        resp_median_s=float(np.median(resp)) if resp.size else 0.0,
-        resp_p95_s=float(np.percentile(resp, 95)) if resp.size else 0.0,
+        resp_median_s=median,
+        resp_p95_s=p95,
         sync_delay_mean_s=plan.sync_delay_mean,
         bytes_flow=int(bytes_flow),
         bytes_sync=int(bytes_sync),

@@ -109,6 +109,17 @@ class OverheadParams:
             return float(n**3)
         raise ValueError(f"unknown cpt_complexity: {self.cpt_complexity}")
 
+    def cpt_costs(self, n: int) -> list[float]:
+        """``cpt_cost(m)`` for every m in 0..n, at index m (the list may run
+        further): one table per params object, extended on demand."""
+        table = self.__dict__.setdefault("_cpt_costs", [])
+        table.extend(self.cpt_cost(m) for m in range(len(table), n + 1))
+        return table
+
+    def __getstate__(self) -> dict:
+        # the cpt_cost table is rebuilt on demand, not sent to worker processes
+        return {k: v for k, v in self.__dict__.items() if k != "_cpt_costs"}
+
 
 def link_class(role_a: Role, role_b: Role) -> LinkClass:
     pair = {role_a, role_b}
@@ -437,7 +448,9 @@ def validate_assignment(
     # checked per LEO rather than per pair
     listed = {j: k for k, members in domains.items() for j in members}
     duplicated = len(listed) != sum(len(members) for members in domains.values())
-    for i in sorted(assigned):
+    # with every LEO listed once under its own controller there is nothing to report
+    consistent = not duplicated and assignment.domain_of.items() <= listed.items()
+    for i in () if consistent else sorted(assigned):
         if duplicated or listed.get(i) != assignment.domain_of[i]:
             violations.append(
                 ConstraintViolation(
@@ -451,8 +464,9 @@ def validate_assignment(
     contained = True
     if not assignment.fov_waived:
         for k, members in domains.items():
-            outside = sorted(set(members) - fov_domains.get(k, frozenset()))
-            if outside:
+            seen = fov_domains.get(k, frozenset())
+            if not seen.issuperset(members):
+                outside = sorted(set(members) - seen)
                 contained = False
                 violations.append(
                     ConstraintViolation(

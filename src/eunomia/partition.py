@@ -1,8 +1,10 @@
 """Three-step movement-aware domain partitioning, baselines, and oracles.
 
 The pipeline assigns single-coverage LEOs directly, spectrally clusters each
-contested overlap region on its control-overhead relationship graph, matches
-clusters to controllers with a Kuhn-Munkres solver, and finally nudges
+contested overlap region on its control-overhead relationship graph (every
+region's edges taken from one slot edge table, costed once keep-or-release
+has fixed each region's residual), matches clusters to controllers with a
+Kuhn-Munkres solver, and finally nudges
 boundary satellites along their flight direction to avoid imminent
 field-of-view exits. Contested decisions are priced by the partitioning
 objective itself, W_CTL + lambda * W_CPT of ``overhead.evaluate``: a matching
@@ -26,7 +28,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .constellation import NetworkSnapshot, Role, norm
-from .corg import Corg, CorgWeights, build_corg, similarity
+from .corg import Corg, CorgWeights, build_corg, corg_edges, similarity
 from .hungarian import InfeasibleMatchingError, solve_lexicographic
 from .overhead import (
     ConstraintViolationError,
@@ -178,11 +180,11 @@ def spectral_cluster(
     zero degree cannot anchor a cluster, and then no clusters are returned and
     the caller falls back.
     """
-    node_ids = list(corg.node_ids)
-    index = {node: i for i, node in enumerate(node_ids)}
-    virtual_idx = [index[v] for v in corg.virtual_ids]
-    if len(virtual_idx) != m:
-        raise ValueError(f"expected {m} virtual controller nodes, found {len(virtual_idx)}")
+    n_leo = len(corg.leo_ids)
+    virtual_ids = corg.virtual_ids
+    if len(virtual_ids) != m:
+        raise ValueError(f"expected {m} virtual controller nodes, found {len(virtual_ids)}")
+    virtual_idx = np.arange(n_leo, n_leo + m)  # the virtual nodes follow the LEOs
 
     weights = similarity(corg, sigma=sigma).values
     np.fill_diagonal(weights, 0.0)
@@ -195,19 +197,19 @@ def spectral_cluster(
         return [], True
     active = np.flatnonzero(degree > 0.0)
     _, embedding = spectral_embedding(weights[np.ix_(active, active)], m)
-    labels = np.full(len(node_ids), -1)
+    labels = np.full(n_leo + m, -1)
     labels[active] = kmeans(embedding, np.searchsorted(active, virtual_idx))
 
-    virtual_ids = corg.virtual_ids
-    isolated = [node for node, lab in zip(node_ids, labels) if lab < 0]
+    leo_labels = labels[:n_leo].tolist()  # -1: zero degree
+    isolated = [x for x, lab in enumerate(leo_labels) if lab < 0]
     if isolated:
-        pools = dict.fromkeys(isolated, virtual_ids)
-        for leo, k in zip(isolated, _nearest(snapshot, isolated, pools)):
-            labels[index[leo]] = virtual_ids.index(k)
+        leos = [corg.leo_ids[x] for x in isolated]
+        pools = dict.fromkeys(leos, virtual_ids)
+        for x, k in zip(isolated, _nearest(snapshot, leos, pools)):
+            leo_labels[x] = virtual_ids.index(k)
     members: dict[int, list[int]] = {k: [] for k in virtual_ids}
-    for node, lab in zip(node_ids, labels):
-        if not corg.virtual_flags[node]:
-            members[virtual_ids[lab]].append(node)
+    for leo, lab in zip(corg.leo_ids, leo_labels):
+        members[virtual_ids[lab]].append(leo)
     return [Cluster(tuple(sorted(members[k])), k) for k in virtual_ids], False
 
 
@@ -223,7 +225,8 @@ class MarginalObjective:
     LEOs and the fixed domains. Those rates are read from the k x k traffic
     block among serving LEOs, whose rows carry the fixed domains' labels; a
     LEO with no block row carries no traffic and is priced without an array
-    operation. Each controller's terms are then a few float operations.
+    operation. Each controller's terms are then a few float operations, and
+    ``keeps`` decides keep-or-release on them without building an array.
 
     Inter-domain requests are priced at a fixed domain count, ``n_domains``
     (the partitioner passes the number of controllers that see any LEO).
@@ -249,10 +252,19 @@ class MarginalObjective:
         self.inv_cap = [1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls]
         self._inv_cap = np.array(self.inv_cap)
         self.inter_cpt = params.cpt_cost(n_domains)
-        self.cpt = [params.cpt_cost(n) for n in range(len(traffic.leo_ids) + 1)]
-        # LEO x controller one-hop flow cost
-        leos = np.array(traffic.leo_ids)[:, None]
-        self.hop = hop_cost(snapshot, params, leos, np.array(ctrls), params.m_fl_bytes)
+        self.cpt = params.cpt_costs(len(traffic.leo_ids))
+        # LEO x controller one-hop flow cost, kept as rows for the LEOs not
+        # fixed here (row -1: none); a LEO fixed here, if ever priced, is
+        # costed when priced, by the same elementwise hop_cost
+        self._hop_cost = partial(
+            hop_cost, snapshot, params, b=np.array(ctrls), msg_bytes=params.m_fl_bytes
+        )
+        fixed = np.zeros(len(traffic.leo_ids), dtype=bool)
+        fixed[list(domain_of)] = True
+        free = np.flatnonzero(~fixed)
+        self.hop_row = np.full(len(traffic.leo_ids), -1)
+        self.hop_row[free] = np.arange(len(free))
+        self.hop = self._hop_cost(a=free[:, None])
         # fixed domain of each block row; len(ctrls): not fixed
         self.label = np.full(len(traffic.active), len(ctrls))
         self.size = [0] * len(ctrls)
@@ -314,20 +326,37 @@ class MarginalObjective:
         self._last = (leos, flows)
         return flows
 
+    def _hop(self, idx: list[int]) -> np.ndarray:
+        """One-hop flow cost rows of the LEOs ``idx``, to every controller."""
+        rows = self.hop_row[idx]
+        if (rows >= 0).all():
+            return self.hop[rows]
+        return self._hop_cost(a=np.array(idx)[:, None])
+
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
-        cols = [self.column[k] for k in controllers]
+        return np.array(self._prices(leos, [self.column[k] for k in controllers]))
+
+    def keeps(self, leo: int, k: int, controllers: tuple[int, ...]) -> bool:
+        """Whether ``cost((leo,), controllers)`` is lowest at ``k``, in Python
+        floats: a LEO with no traffic is decided without an array."""
+        prices = self._prices((leo,), [self.column[c] for c in controllers])
+        return prices[controllers.index(k)] <= min(prices)
+
+    def _prices(self, leos: tuple[int, ...], cols: list[int]) -> list[float]:
+        """``cost`` at the controller columns ``cols``, as Python floats."""
         if not leos:
-            return np.zeros(len(cols))
+            return [0.0] * len(cols)
         rows, to_dom, from_dom, from_all, to_all, among = self._flows(leos)
         if not rows:  # no traffic, so no flow cost
             w_flow = [0.0] * len(cols)
         elif len(leos) == 1:
-            out, hop = float(self.traffic.outbound_rates[leos[0]]), self.hop[leos[0]].tolist()
+            out = float(self.traffic.outbound_rates[leos[0]])
+            hop = self._hop([leos[0]])[0].tolist()
             w_flow = [out * hop[c] for c in cols]
         else:
             idx = list(leos)
-            w_flow = (self.traffic.outbound_rates[idx] @ self.hop[idx][:, cols]).tolist()
+            w_flow = (self.traffic.outbound_rates[idx] @ self._hop(idx)[:, cols]).tolist()
         n, lam, inter_cpt, cpt = len(leos), self.lam, self.inter_cpt, self.cpt
         prices = []
         for w, c in zip(w_flow, cols):
@@ -340,7 +369,7 @@ class MarginalObjective:
                 from_all - from_dom[c] * inv_cap + (to_all - to_dom[c]) * inv_cap
             )
             prices.append(w + lam * (d_intra + d_inter))
-        return np.array(prices)
+        return prices
 
     def fix(self, leos: tuple[int, ...], controller: int) -> None:
         """Add ``leos`` to the controller's domain for all later prices."""
@@ -350,7 +379,8 @@ class MarginalObjective:
         rows, to_dom, from_dom, _, _, among = self._flows(leos)
         self.intra[c] += to_dom[c] + from_dom[c] + among
         self.size[c] += len(leos)
-        self.label[rows] = c
+        if rows:
+            self.label[rows] = c
         self._last = None
 
 
@@ -374,13 +404,10 @@ def km_match(
     cost = np.zeros((m, m))
     for c, cluster in enumerate(clusters):
         cost[c] = pricing.cost(cluster.member_leo_ids, controllers)
-    members = [leo for cluster in clusters for leo in cluster.member_leo_ids]
-    owner = np.repeat(np.arange(m), [len(cluster.member_leo_ids) for cluster in clusters])
-    seen = np.array([[leo in fov_domains[k] for k in controllers] for leo in members], dtype=bool)
     # a pair is infeasible when any member of the cluster is outside the controller's FOV
-    blind = np.zeros((m, m), dtype=bool)
-    np.logical_or.at(blind, owner, ~seen.reshape(len(members), m))
-    cost[blind] = np.inf
+    seen = [fov_domains[k] for k in controllers]
+    blind = [[not fov.issuperset(c.member_leo_ids) for fov in seen] for c in clusters]
+    cost[np.array(blind, dtype=bool).reshape(m, m)] = np.inf
     match = solve_lexicographic(cost)
     return {c: controllers[kx] for c, kx in enumerate(match)}
 
@@ -408,11 +435,14 @@ def fine_tune_boundaries(
     domain_of = dict(assignment.domain_of)
     neighbors = snapshot.topology.neighbors
     budget = len(snapshot.leo_ids)
+    # only a LEO whose controller loses sight of it can move, and a move ends
+    # that; the other LEOs never change controller, so they are scanned once
+    leaving = sorted(leo for leo, k in domain_of.items() if leo not in step_fov.get(k, ()))
     moves = 0
     changed = True
     while changed and moves < budget:
         changed = False
-        for leo in sorted(domain_of):
+        for leo in leaving:
             if moves >= budget:
                 break
             k = domain_of[leo]
@@ -457,7 +487,8 @@ def partition_slot(
     keeps that controller unless another covering controller has a lower
     marginal objective (W_FLOW + lambda * W_CPT, see ``MarginalObjective``);
     migrations are thereby priced, not locked out. The remaining contested
-    LEOs are spectrally clustered per overlap region, by a k-means anchored
+    LEOs are spectrally clustered per overlap region, on CORGs taken from
+    one slot edge table (``corg.corg_edges``), by a k-means anchored
     on the region's controllers (no seed, no random draw), and the clusters
     are matched to controllers on the same marginal objective. Where the
     clustering reports a fallback or no FOV-feasible matching exists, each
@@ -490,24 +521,28 @@ def partition_slot(
                 k_prev is not None
                 and k_prev in cover[leo]
                 and prev_assignment.overlap_signature.get(leo) == signature[leo]
+                and pricing.keeps(leo, k_prev, cover[leo])
             ):
-                ks = list(cover[leo])
-                costs = pricing.cost((leo,), ks)
-                if costs[ks.index(k_prev)] <= costs.min():
-                    give((leo,), k_prev)
+                give((leo,), k_prev)
 
+    # every region's residual is fixed now, so the slot's CORG edges are costed at once
+    residuals = []  # (LEOs in id order, the region they form) per region
     for region in regions:
         residual = tuple(sorted(set(region.leo_ids) - assigned.keys()))
-        if not residual:
-            continue
-        ctrls = sorted({k for leo in residual for k in cover[leo]})
+        if residual:
+            ctrls = tuple(sorted({k for leo in residual for k in cover[leo]}))
+            residuals.append((residual, OverlapRegion(frozenset(residual), ctrls)))
+    edges = corg_edges(
+        [sub for _, sub in residuals if len(sub.controller_ids) > 1],
+        traffic_prev, snap, ctx.overhead_params, fov, ctx.corg_weights,
+    )
+
+    for residual, sub_region in residuals:
+        ctrls = list(sub_region.controller_ids)
         if len(ctrls) == 1:
             give(residual, ctrls[0])
             continue
-        sub_region = OverlapRegion(frozenset(residual), tuple(ctrls))
-        corg = build_corg(
-            sub_region, traffic_prev, snap, ctx.overhead_params, fov, ctx.corg_weights
-        )
+        corg = build_corg(sub_region, edges)
         clusters, degenerate = spectral_cluster(corg, len(ctrls), snap, sigma=ctx.sigma)
         match = None
         if not degenerate:

@@ -293,8 +293,16 @@ class ScenarioConfig:
         ).hexdigest()
 
 
+def read_input(path: str | Path) -> str:
+    """The text of an input file; ConfigError names a path that cannot be read."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
+    text = read_input(path)
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:

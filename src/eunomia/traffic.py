@@ -12,10 +12,10 @@ ascending cell index on any BLAS. Rates are new-flow arrivals per second.
 Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
 ``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
-the |V|-wide view through ``TrafficMatrix.rows``, ``cols`` and
-``submatrix``, which return what indexing the full matrix would, memory
-order included, so that every sum over a gathered row, column or submatrix
-runs in the same order as over the full matrix and gives the same bits.
+the |V|-wide view through ``TrafficMatrix.submatrix``, ``at`` and the
+per-LEO ``outbound_rates`` and ``inbound_rates``, which give what the full
+matrix would, memory order included, so that every sum runs in the same
+order as over the full matrix and gives the same bits.
 """
 from __future__ import annotations
 
@@ -62,11 +62,9 @@ class TrafficMatrix:
     Rows and columns of the full matrix are LEO ids, 0..n-1 as in
     ``leo_ids`` (other ids raise ValueError). Only the ``active`` rows,
     sorted, can carry a rate; ``rates`` is the k x k block among them, and
-    every other entry of the full matrix is zero. ``rows(idx)`` and
-    ``cols(idx)`` rebuild ``full[idx]`` and ``full[:, idx]``, and
-    ``submatrix(i, j)`` rebuilds ``full[i][:, j]`` for two masks, each with
-    its gather layout (C order for rows, F order for columns and
-    submatrices), so reductions over them match the full matrix bit for bit.
+    every other entry of the full matrix is zero. ``submatrix(i, j)``
+    rebuilds ``full[i][:, j]`` for two masks in that gather's F-order layout,
+    so reductions over it match the full matrix bit for bit.
     """
 
     slot_index: int
@@ -90,28 +88,6 @@ class TrafficMatrix:
         self.rates.flags.writeable = False
         self.block_row = np.full(len(self.leo_ids), -1, dtype=np.int64)
         self.block_row[self.active] = np.arange(k)
-
-    def rows(self, idx) -> np.ndarray:
-        """``full[idx]`` for an index array or mask over LEO ids: shape
-        (len, |V|), C order."""
-        if len(self.active) == len(self.leo_ids):  # the block is the full matrix
-            return self.rates[idx]
-        pos = self.block_row[idx]
-        out = np.zeros((len(pos), len(self.leo_ids)))
-        hit = np.nonzero(pos >= 0)[0]
-        out[hit[:, None], self.active] = self.rates[pos[hit]]
-        return out
-
-    def cols(self, idx) -> np.ndarray:
-        """``full[:, idx]`` for an index array or mask over LEO ids:
-        shape (|V|, len), F order."""
-        if len(self.active) == len(self.leo_ids):
-            return self.rates[:, idx]
-        pos = self.block_row[idx]
-        out = np.zeros((len(pos), len(self.leo_ids)))
-        hit = np.nonzero(pos >= 0)[0]
-        out[hit[:, None], self.active] = self.rates[:, pos[hit]].T
-        return out.T
 
     def submatrix(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``full[i][:, j]`` for masks ``i`` and ``j`` over LEO ids:
@@ -151,15 +127,32 @@ class TrafficMatrix:
     @cached_property
     def outbound_rates(self) -> np.ndarray:
         """``full[i].sum()`` for every LEO id ``i``."""
+        return self._line_sums(self.rates)
+
+    @cached_property
+    def inbound_rates(self) -> np.ndarray:
+        """``full[:, j].sum()`` for every LEO id ``j``: each column summed as
+        one contiguous row, which matches summing the column alone bit for bit
+        (``full.sum(axis=0)`` adds row by row and does not)."""
+        return self._line_sums(self.rates.T)
+
+    def _line_sums(self, block: np.ndarray) -> np.ndarray:
+        """Each row of ``block`` (the rates or their transpose) summed as a
+        |V|-wide row of the full matrix, and zero for an inactive LEO."""
         out = np.zeros(len(self.leo_ids))
-        # full[i] of 32 active LEOs at a time in one C-order buffer, whose
-        # inactive columns stay zero; each row is summed alone, as full[i].sum() is
+        # 32 lines at a time in one C-order buffer, whose inactive columns
+        # stay zero; each line is summed alone, as full[i].sum() is
         buf = np.zeros((32, len(self.leo_ids)))
         for start in range(0, len(self.active), 32):
-            block = self.rates[start : start + 32]
-            buf[: len(block), self.active] = block
-            out[self.active[start : start + 32]] = buf[: len(block)].sum(axis=1)
+            lines = block[start : start + 32]
+            buf[: len(lines), self.active] = lines
+            out[self.active[start : start + 32]] = buf[: len(lines)].sum(axis=1)
         return out
+
+    def __getstate__(self) -> dict:
+        # the rate totals are rebuilt on demand, not sent to worker processes
+        cached = ("outbound_rates", "inbound_rates")
+        return {k: v for k, v in self.__dict__.items() if k not in cached}
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eunomia.constellation import NetworkSnapshot, Role
+from eunomia.corg import Corg
 from eunomia.emulator import (
     EmulationStats,
     EmulatorParams,
@@ -105,6 +106,13 @@ def compact_traffic(leo_ids, full: np.ndarray, slot_index: int = 0) -> TrafficMa
     with a nonzero rate in their row or column."""
     active = np.flatnonzero(full.any(axis=0) | full.any(axis=1))
     return TrafficMatrix(slot_index, tuple(leo_ids), active, full[np.ix_(active, active)])
+
+
+def corg_from_edges(leo_ids, virtual_ids, edges: dict[tuple[int, int], float]) -> Corg:
+    """A CORG over ``leo_ids`` and ``virtual_ids`` from a {(low id, high id): xi} dict."""
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    xi = np.array(list(edges.values()), dtype=float)
+    return Corg(tuple(leo_ids), tuple(virtual_ids), pairs, xi)
 
 
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:

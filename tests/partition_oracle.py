@@ -1,5 +1,11 @@
-"""Array references for the partitioner's keep-or-release pricing and for
+"""References for the partitioner's CORG, its keep-or-release pricing and
 the overhead model's control routes.
+
+``build_corg`` costs one region's edges on its own, totalling each switch's
+rate from |V|-wide row and column gathers, and ``similarity`` takes one
+scalar ``np.exp`` per edge, against ``corg.corg_edges``, which costs every
+edge of a slot in one pass from the traffic's rate vectors, and
+``corg.similarity``, which takes one ``np.exp`` over the edge array.
 
 ``MarginalObjective`` prices any set of LEOs from |V|-wide gathers of their
 traffic rows and columns, with every per-controller term as a numpy vector,
@@ -7,11 +13,82 @@ against ``partition.MarginalObjective``, which reads the k x k block among
 serving LEOs and works per controller in Python floats. ``control_routes``
 runs the multi-source BFS for every domain, against
 ``overhead.control_routes``, which skips it where every member of a domain
-has a direct link. Both must agree bit for bit, dict order included.
+has a direct link. Each pair must agree bit for bit, order included.
 """
+import math
+
 import numpy as np
 
+from eunomia.constellation import ROLE_CODE, Role, norm
+from eunomia.corg import CorgWeights, edge_weight
 from eunomia.overhead import DisconnectedDomainError, direct_link_map, hop_cost
+
+import traffic_oracle
+
+
+def pairwise_costs(a, b, traffic, snapshot, params, weights):
+    """(flow, sync, mobility) cost components of the CORG edges (a, b), each
+    switch's total rate summed from its gathered |V|-wide row and column."""
+    a, b = np.asarray(a), np.asarray(b)
+    codes = snapshot.role_codes
+    is_leo = codes == ROLE_CODE[Role.LEO]
+    switch_pair = is_leo[a] & is_leo[b]
+    i = np.where(is_leo[a], a, b)
+    j = np.where(switch_pair, np.where(is_leo[a], b, a), i)
+    uniq, inv = np.unique(i, return_inverse=True)
+    rows, cols = traffic_oracle.rows(traffic, uniq), traffic_oracle.cols(traffic, uniq)
+    total = rows.sum(axis=1) + np.ascontiguousarray(cols.T).sum(axis=1)
+    mutual = traffic.at(i, j) + traffic.at(j, i)
+    lam = np.where(switch_pair, mutual, total[inv].reshape(i.shape))
+    w_flow = lam * hop_cost(snapshot, params, a, b, params.m_fl_bytes)
+    w_sync = params.f_sync_hz * hop_cost(snapshot, params, a, b, params.m_sync_bytes)
+
+    va, vb = snapshot.velocities[a], snapshot.velocities[b]
+    na, nb = norm(va), norm(vb)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        divergence = norm(va / na[..., None] - vb / nb[..., None]) / 2.0
+    is_gs = codes == ROLE_CODE[Role.GS]
+    still = is_gs[a] | is_gs[b] | (na == 0.0) | (nb == 0.0)
+    w_mig = np.where(still, 0.0, divergence * weights.mig_unit_s)
+    return w_flow, w_sync, w_mig
+
+
+def build_corg(region, traffic, snapshot, params, fov_domains, weights=None):
+    """(node ids, {(low id, high id): xi}) of one region's CORG: the ISL edges
+    between member LEOs and every in-FOV (controller, member) pair."""
+    w = weights or CorgWeights()
+    leos = sorted(region.leo_ids)
+    ctrls = list(region.controller_ids)
+    member = np.zeros(len(snapshot.roles), dtype=bool)
+    member[leos] = True
+    isl = snapshot.topology.edge_array
+    pairs = list(map(tuple, isl[member[isl].all(axis=1)].tolist()))
+    pairs += [
+        (leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov_domains[k]
+    ]
+    edges = {}
+    if pairs:
+        a, b = np.array(pairs).T
+        xi = edge_weight(pairwise_costs(a, b, traffic, snapshot, params, w), w)
+        edges = dict(zip(pairs, xi.tolist()))
+    return tuple(leos + ctrls), edges
+
+
+def similarity(node_ids, edges, sigma=None) -> tuple[np.ndarray, float]:
+    """(values, sigma) of the Gaussian kernel exp(-xi / (2 sigma^2)), one
+    scalar exp per edge."""
+    if sigma is None:
+        positive = [x for x in edges.values() if x > 0.0]
+        sigma = math.sqrt(np.median(positive)) if positive else 1.0
+    n = len(node_ids)
+    index = {node: i for i, node in enumerate(node_ids)}
+    values = np.zeros((n, n))
+    np.fill_diagonal(values, 1.0)
+    for (a, b), xi in edges.items():
+        s = float(np.exp(-xi / (2.0 * sigma**2)))
+        values[index[a], index[b]] = s
+        values[index[b], index[a]] = s
+    return values, sigma
 
 
 class MarginalObjective:
@@ -36,7 +113,8 @@ class MarginalObjective:
             members.setdefault(self.column[k], []).append(leo)
         for c, idx in members.items():
             idx.sort()
-            among = np.ascontiguousarray(traffic.rows(idx)[:, idx])  # C order, as np.ix_ gives
+            # C order, as np.ix_ gives
+            among = np.ascontiguousarray(traffic_oracle.rows(traffic, idx)[:, idx])
             self.intra[c] = float(among.sum(axis=0).sum())
             self.size[c] = len(idx)
             self.label[idx] = c
@@ -46,12 +124,12 @@ class MarginalObjective:
         fixed domain, from each fixed domain, and among themselves."""
         n_ctrl = len(self.size)
         idx = np.array(leos, dtype=int)
-        block = self.traffic.rows(idx)
-        rows = block.sum(axis=0)
-        cols = self.traffic.cols(idx).sum(axis=1)
-        to_dom = np.bincount(self.label, weights=rows, minlength=n_ctrl + 1)[:n_ctrl]
-        from_dom = np.bincount(self.label, weights=cols, minlength=n_ctrl + 1)[:n_ctrl]
-        return idx, block.sum(axis=1), to_dom, from_dom, float(rows[idx].sum())
+        block = traffic_oracle.rows(self.traffic, idx)
+        to_leos = block.sum(axis=0)
+        from_leos = traffic_oracle.cols(self.traffic, idx).sum(axis=1)
+        to_dom = np.bincount(self.label, weights=to_leos, minlength=n_ctrl + 1)[:n_ctrl]
+        from_dom = np.bincount(self.label, weights=from_leos, minlength=n_ctrl + 1)[:n_ctrl]
+        return idx, block.sum(axis=1), to_dom, from_dom, float(to_leos[idx].sum())
 
     def cost(self, leos, controllers) -> np.ndarray:
         cols = np.array([self.column[k] for k in controllers], dtype=int)

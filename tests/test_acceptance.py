@@ -20,7 +20,6 @@ from eunomia.constellation import (
     Constellation,
     orbital_period,
 )
-from eunomia.corg import Corg
 from eunomia.emulator import partition_chain, run_scenario
 from eunomia.hungarian import solve_lexicographic
 from eunomia.overhead import (
@@ -48,6 +47,7 @@ from eunomia.traffic import (
 )
 from eunomia.visibility import DEFAULT_THRESHOLDS, FovTimeline, TimeSlot, build_slot_geometry
 
+from conftest import corg_from_edges
 from test_partition import _FakeSnap, _ncut_oracle, _toy_ctx, _toy_instance
 
 
@@ -136,8 +136,7 @@ def _planted_corg(seed):
         edges[(leo, 100)] = float(rng.uniform(0.05, 0.3))
     for leo in group_b:
         edges[(leo, 101)] = float(rng.uniform(0.05, 0.3))
-    flags = {**{i: False for i in range(6)}, 100: True, 101: True}
-    return Corg(tuple(range(6)) + (100, 101), edges, flags)
+    return corg_from_edges(range(6), (100, 101), edges)
 
 
 def _disconnected_corg(seed):
@@ -148,8 +147,7 @@ def _disconnected_corg(seed):
             edges[(a, b)] = float(rng.uniform(0.05, 0.5))
         for leo in grp:
             edges[(leo, virt)] = float(rng.uniform(0.05, 0.5))
-    flags = {**{i: False for i in range(6)}, 100: True, 101: True}
-    return Corg(tuple(range(6)) + (100, 101), edges, flags)
+    return corg_from_edges(range(6), (100, 101), edges)
 
 
 def test_criterion_4_spectral_oracle():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from eunomia.corg import (
-    Corg,
     CorgWeights,
     build_corg,
+    corg_edges,
     edge_weight,
     pairwise_costs,
     similarity,
@@ -14,7 +14,7 @@ from eunomia.corg import (
 from eunomia.overhead import OverheadParams
 from eunomia.visibility import OverlapRegion
 
-from conftest import compact_traffic, make_ring_snapshot
+from conftest import compact_traffic, corg_from_edges, make_ring_snapshot
 
 
 def _traffic(snap, entries):
@@ -83,6 +83,15 @@ def test_edge_weight_rejects_bad_weights():
         CorgWeights(alpha=-0.1, beta=0.3)
 
 
+def _corg(region, tm, snap, params, fov):
+    """The region's CORG, taken from a slot edge table over that region alone."""
+    return build_corg(region, corg_edges([region], tm, snap, params, fov))
+
+
+def _edges(corg) -> dict[tuple[int, int], float]:
+    return dict(zip(map(tuple, corg.pairs.tolist()), corg.xi.tolist()))
+
+
 def _two_leo_region():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 45.0), ctrl_lons=(10.0, 35.0))
     k1, k2 = snap.controller_ids
@@ -96,20 +105,20 @@ def test_build_corg_edge_enumeration():
     # 2 contested LEOs, 2 controllers seeing both: 1 switch-switch edge plus
     # 4 controller attachments
     snap, fov, region, tm = _two_leo_region()
-    corg = build_corg(region, tm, snap, OverheadParams(), fov)
+    corg = _corg(region, tm, snap, OverheadParams(), fov)
     assert len(corg.node_ids) == 4
-    assert len(corg.edges) == 5
-    leo_leo = [e for e in corg.edges if not corg.virtual_flags[e[0]] and not corg.virtual_flags[e[1]]]
-    ctrl_leo = [e for e in corg.edges if corg.virtual_flags[e[0]] != corg.virtual_flags[e[1]]]
+    assert len(corg.xi) == 5
+    virtual = np.isin(corg.pairs, corg.virtual_ids)
+    leo_leo = corg.pairs[~virtual.any(axis=1)]
+    ctrl_leo = corg.pairs[virtual[:, 0] != virtual[:, 1]]
     assert len(leo_leo) == 1
     assert len(ctrl_leo) == 4
 
 
 def test_build_corg_no_virtual_virtual_edges():
     snap, fov, region, tm = _two_leo_region()
-    corg = build_corg(region, tm, snap, OverheadParams(), fov)
-    for a, b in corg.edges:
-        assert not (corg.virtual_flags[a] and corg.virtual_flags[b])
+    corg = _corg(region, tm, snap, OverheadParams(), fov)
+    assert not np.isin(corg.pairs, corg.virtual_ids).all(axis=1).any()
 
 
 def test_build_corg_matches_adjacency_oracle():
@@ -118,7 +127,7 @@ def test_build_corg_matches_adjacency_oracle():
     fov = {k1: frozenset({0, 1, 2}), k2: frozenset({1, 2, 3})}
     region = OverlapRegion(frozenset({1, 2}), (k1, k2))
     tm = _traffic(snap, {})
-    corg = build_corg(region, tm, snap, OverheadParams(), fov)
+    corg = _corg(region, tm, snap, OverheadParams(), fov)
     expected = set()
     members = {1, 2}
     for a, b in snap.isl_edges:
@@ -128,7 +137,7 @@ def test_build_corg_matches_adjacency_oracle():
         for leo in members:
             if leo in fov[k]:
                 expected.add((min(leo, k), max(leo, k)))
-    assert set(corg.edges) == expected
+    assert set(_edges(corg)) == expected
 
 
 @pytest.mark.parametrize("scenario", ["desk_scenario_short", "default_scenario_short"])
@@ -136,8 +145,9 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
     scn = request.getfixturevalue(scenario)
     for geom, traffic in zip(scn.geometries[:2], scn.base_traffic):
         snap, fov = geom.slot.snapshot, geom.fov_domains
+        edges = corg_edges(geom.regions, traffic, snap, scn.ctx.overhead_params, fov)
         for region in geom.regions:
-            corg = build_corg(region, traffic, snap, scn.ctx.overhead_params, fov)
+            corg = build_corg(region, edges)
             members = region.leo_ids
             want = [(a, b) for a, b in sorted(snap.isl_edges) if a in members and b in members]
             want += [
@@ -146,23 +156,19 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
                 for leo in sorted(members)
                 if leo in fov[k]
             ]
-            assert list(corg.edges) == want
+            assert list(_edges(corg)) == want
 
 
 def test_corg_weight_monotone_in_rate():
     snap, fov, region, _ = _two_leo_region()
     params = OverheadParams()
-    low = build_corg(region, _traffic(snap, {(0, 1): 0.5}), snap, params, fov)
-    high = build_corg(region, _traffic(snap, {(0, 1): 5.0}), snap, params, fov)
-    assert high.xi(0, 1) > low.xi(0, 1)
+    low = _corg(region, _traffic(snap, {(0, 1): 0.5}), snap, params, fov)
+    high = _corg(region, _traffic(snap, {(0, 1): 5.0}), snap, params, fov)
+    assert _edges(high)[0, 1] > _edges(low)[0, 1]
 
 
 def test_similarity_examples():
-    corg = Corg(
-        node_ids=(0, 1, 2),
-        edges={(0, 1): 0.0, (1, 2): 4.0},
-        virtual_flags={0: False, 1: False, 2: True},
-    )
+    corg = corg_from_edges((0, 1), (2,), {(0, 1): 0.0, (1, 2): 4.0})
     sim = similarity(corg, sigma=math.sqrt(2.0))  # 2 sigma^2 = 4
     i = {n: k for k, n in enumerate(corg.node_ids)}
     assert sim.values[i[0], i[1]] == pytest.approx(1.0)  # zero cost, unit similarity
@@ -174,37 +180,29 @@ def test_similarity_examples():
 
 
 def test_similarity_sigma_defaults_to_median():
-    corg = Corg(
-        node_ids=(0, 1, 2, 3),
-        edges={(0, 1): 1.0, (1, 2): 2.0, (2, 3): 8.0},
-        virtual_flags={i: False for i in range(4)},
-    )
+    corg = corg_from_edges(range(4), (), {(0, 1): 1.0, (1, 2): 2.0, (2, 3): 8.0})
     sim = similarity(corg)
     assert sim.sigma == math.sqrt(2.0)  # sigma^2 is the median xi
 
 
 def test_similarity_zero_cost_graph_falls_back_to_unit_sigma():
-    corg = Corg(
-        node_ids=(0, 1),
-        edges={(0, 1): 0.0},
-        virtual_flags={0: False, 1: False},
-    )
+    corg = corg_from_edges((0, 1), (), {(0, 1): 0.0})
     assert similarity(corg).sigma == 1.0
 
 
 def test_edge_list_dump_is_sorted_and_complete():
     snap, fov, region, tm = _two_leo_region()
-    corg = build_corg(region, tm, snap, OverheadParams(), fov)
-    assert corg.edges
-    assert all(a < b for a, b in corg.edges)  # keyed (low id, high id)
-    assert all(corg.xi(b, a) == xi for (a, b), xi in corg.edges.items())
+    corg = _corg(region, tm, snap, OverheadParams(), fov)
+    assert corg.xi.size
+    assert all(a < b for a, b in corg.pairs.tolist())  # (low id, high id)
+    assert len(_edges(corg)) == len(corg.xi)  # each pair once
 
 
 def test_similarity_monotone_decreasing_in_cost():
     xs = [0.1, 0.5, 1.0, 3.0]
     sims = []
     for x in xs:
-        corg = Corg((0, 1), {(0, 1): x}, {0: False, 1: False})
+        corg = corg_from_edges((0, 1), (), {(0, 1): x})
         s = similarity(corg, sigma=1.0)
         sims.append(s.values[0, 1])
     assert sims == sorted(sims, reverse=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eunomia import emulator, partition
-from eunomia.corg import Corg, similarity
+from eunomia.corg import similarity
 from eunomia.constellation import Role
 from eunomia.hungarian import InfeasibleMatchingError
 from eunomia.overhead import OverheadParams, control_routes, evaluate, validate_assignment
@@ -36,7 +36,7 @@ from eunomia.visibility import (
     coverage_map,
 )
 
-from conftest import compact_traffic, make_ring_snapshot, make_slot
+from conftest import compact_traffic, corg_from_edges, make_ring_snapshot, make_slot
 from geometry_oracle import by_distance
 
 
@@ -127,11 +127,7 @@ def _barbell_corg(bridge_cost=3.0, seed=0):
         edges[(leo, 100)] = float(rng.uniform(0.05, 0.2))
     for leo in group_b:
         edges[(leo, 101)] = float(rng.uniform(0.05, 0.2))
-    return Corg(
-        node_ids=(0, 1, 2, 3, 4, 5, 100, 101),
-        edges=edges,
-        virtual_flags={**{i: False for i in range(6)}, 100: True, 101: True},
-    )
+    return corg_from_edges(range(6), (100, 101), edges)
 
 
 def _ncut_oracle(corg):
@@ -140,7 +136,7 @@ def _ncut_oracle(corg):
     w = sim.values.copy()
     np.fill_diagonal(w, 0.0)
     index = {node: i for i, node in enumerate(corg.node_ids)}
-    leos = [n for n in corg.node_ids if not corg.virtual_flags[n]]
+    leos = list(corg.leo_ids)
     v1, v2 = corg.virtual_ids
     best, best_split = np.inf, None
     for mask in range(2 ** len(leos)):
@@ -177,11 +173,7 @@ def test_spectral_cluster_recovers_disconnected_components():
         (2, 101): 0.3,
         (3, 101): 0.2,
     }
-    corg = Corg(
-        node_ids=(0, 1, 2, 3, 100, 101),
-        edges=edges,
-        virtual_flags={0: False, 1: False, 2: False, 3: False, 100: True, 101: True},
-    )
+    corg = corg_from_edges(range(4), (100, 101), edges)
     clusters, fallback = spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids))
     assert not fallback
     split = {frozenset(c.member_leo_ids): c.virtual_controller_id for c in clusters}
@@ -198,8 +190,8 @@ def test_spectral_cluster_requires_matching_virtual_count():
 
 def test_spectral_cluster_reports_a_virtual_node_without_similar_neighbours():
     corg = _barbell_corg()
-    edges = {pair: xi for pair, xi in corg.edges.items() if 101 not in pair}
-    corg = Corg(corg.node_ids, edges, corg.virtual_flags)
+    kept = ~(corg.pairs == 101).any(axis=1)
+    corg = dataclasses.replace(corg, pairs=corg.pairs[kept], xi=corg.xi[kept])
     assert spectral_cluster(corg, 2, snapshot=_FakeSnap(corg.node_ids)) == ([], True)
 
 

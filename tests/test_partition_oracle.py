@@ -1,9 +1,12 @@
-"""The partitioner's pricing, its nearest-controller pick and the control
-routes, checked bit for bit against their array and BFS references on
-``default`` slots."""
+"""The partitioner's CORG, its pricing and keep-or-release decision, its
+nearest-controller pick and the control routes, checked bit for bit against
+their per-region, array and BFS references on ``default`` slots and the
+desk orbit's eunomia chain."""
 import numpy as np
+import pytest
 
-from eunomia import emulator
+from eunomia import emulator, partition
+from eunomia.corg import build_corg, corg_edges, similarity
 from eunomia.overhead import control_routes
 from eunomia.partition import (
     MarginalObjective,
@@ -23,7 +26,7 @@ def _same_bits(a, b) -> bool:
 def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario_short):
     scn = default_scenario_short
     params = scn.ctx.overhead_params
-    kinds = {"idle": 0, "single": 0, "group": 0, "idle group": 0}
+    kinds = {"idle": 0, "single": 0, "group": 0, "idle group": 0, "fixed": 0}
     for t in (1, 2):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
         snap, cover = geom.slot.snapshot, geom.cover
@@ -62,6 +65,11 @@ def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario
         idle = tuple(leo for leo in leos if traffic.block_row[leo] < 0)[:5]
         check(idle, snap.controller_ids)
         kinds["idle group"] += 1
+        # LEOs fixed at construction keep no hop row, and still price the same
+        busy = [leo for leo in sorted(assigned) if traffic.block_row[leo] >= 0]
+        check((busy[0],), snap.controller_ids)
+        check((busy[1], leos[0]), snap.controller_ids)
+        kinds["fixed"] += 1
         # each region's still unfixed LEOs, as one cluster per controller
         fixed = _fixed(oracle)
         for region in geom.regions:
@@ -106,3 +114,91 @@ def test_nearest_is_the_first_of_the_ranking(default_scenario_short):
         nodes = list(pools)
         assert _nearest(snap, nodes, pools) == [r[0] for r in _by_distance(snap, nodes, pools)]
 
+
+def _check_corgs(regions, traffic, snap, params, fov, weights) -> int:
+    """Compare every region's CORG from the slot edge table, and its
+    similarity, with the per-region references; returns the edge count."""
+    edges = corg_edges(regions, traffic, snap, params, fov, weights)
+    n_edges = 0
+    for region in regions:
+        got = build_corg(region, edges)
+        node_ids, want = partition_oracle.build_corg(region, traffic, snap, params, fov, weights)
+        assert got.node_ids == node_ids
+        assert [tuple(p) for p in got.pairs.tolist()] == list(want)
+        assert _same_bits(got.xi, list(want.values()))
+        sim = similarity(got)
+        values, sigma = partition_oracle.similarity(node_ids, want)
+        assert sim.sigma == sigma
+        assert _same_bits(sim.values, values)
+        n_edges += len(want)
+    return n_edges
+
+
+def test_corgs_and_similarities_match_the_per_region_reference(default_scenario_short):
+    scn = default_scenario_short
+    n_regions = n_edges = 0
+    for geom, traffic in zip(scn.geometries[:2], scn.base_traffic):
+        n_edges += _check_corgs(
+            geom.regions, traffic, geom.slot.snapshot, scn.ctx.overhead_params,
+            geom.fov_domains, scn.ctx.corg_weights,
+        )
+        n_regions += len(geom.regions)
+    assert n_regions >= 30 and n_edges > 1000, (n_regions, n_edges)
+
+
+@pytest.mark.parametrize("scenario", ["desk_scenario", "default_scenario_short"])
+def test_eunomia_chains_cluster_on_the_reference_corgs(scenario, monkeypatch, request):
+    """Every residual region a eunomia chain clusters, and every
+    keep-or-release decision it makes, against the references: the desk
+    orbit and the four slots of ``default`` at 60 s."""
+    scn = request.getfixturevalue(scenario)
+    calls = {"regions": 0, "keeps": 0}
+    table = partition.corg_edges
+
+    def checked_table(regions, traffic, snap, params, fov, weights):
+        calls["regions"] += len(regions)
+        _check_corgs(regions, traffic, snap, params, fov, weights)
+        return table(regions, traffic, snap, params, fov, weights)
+
+    keeps = MarginalObjective.keeps
+
+    def checked_keeps(self, leo, k, controllers):
+        costs = self.cost((leo,), controllers)
+        want = costs[controllers.index(k)] <= costs.min()
+        calls["keeps"] += 1
+        assert keeps(self, leo, k, controllers) == want
+        return want
+
+    monkeypatch.setattr(partition, "corg_edges", checked_table)
+    monkeypatch.setattr(MarginalObjective, "keeps", checked_keeps)
+    chain = emulator._chain(scn, "eunomia", 1.0)  # not the chain kept on the scenario
+    assert [a.to_rows() for a in chain] == [
+        a.to_rows() for a in emulator.partition_chain(scn, "eunomia", 1.0)
+    ]
+    assert calls["regions"] > 40 and calls["keeps"] > 100, calls
+
+
+def test_keep_decisions_match_the_array_prices(default_scenario_short):
+    scn = default_scenario_short
+    params = scn.ctx.overhead_params
+    kinds = {"idle": 0, "single": 0, "kept": 0, "released": 0}
+    for t in (1, 2):
+        geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
+        snap, cover = geom.slot.snapshot, geom.cover
+        assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
+        n_domains = sum(1 for members in geom.fov_domains.values() if members)
+        pricing = MarginalObjective(traffic, snap, params, n_domains, assigned)
+        oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
+        for step, leo in enumerate(sorted(contested)):
+            ks = cover[leo]
+            costs = oracle.cost((leo,), ks)
+            for k in ks:
+                want = costs[ks.index(k)] <= costs.min()
+                assert pricing.keeps(leo, k, ks) == want
+                kinds["kept" if want else "released"] += 1
+            kinds["single" if traffic.block_row[leo] >= 0 else "idle"] += 1
+            if step % 3 == 0:  # price against a growing set of fixed domains
+                k = ks[int(np.argmin(costs))]
+                pricing.fix((leo,), k)
+                oracle.fix((leo,), k)
+    assert min(kinds.values()) > 0, kinds

@@ -196,6 +196,24 @@ def test_cmd_report_rejects_mixed_schema(tmp_path):
     assert main(["report", str(bad), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["partition", "--config", "{tmp}/absent.yaml"], "absent.yaml"),
+        (["emulate", "--config", "{tmp}"], "{tmp}"),  # a directory
+        (["report", "{tmp}/absent.csv"], "absent.csv"),
+        (["report", "{stats}", "--overhead", "{tmp}/absent.json"], "absent.json"),
+    ],
+)
+def test_cli_unreadable_input_file_exits_2_naming_it(argv, path, tmp_path, capsys):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(",".join(cli.CSV_COLUMNS) + "\n")
+    argv = [a.format(tmp=tmp_path, stats=stats) for a in argv]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and path.format(tmp=tmp_path) in err
+
+
 def test_missing_config_is_an_error(tmp_path, monkeypatch):
     monkeypatch.delenv("EUNOMIA_CONFIG", raising=False)
     assert main(["partition", "--out-dir", str(tmp_path)]) == 2

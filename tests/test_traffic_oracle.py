@@ -24,6 +24,7 @@ from eunomia.traffic import (
     scale,
 )
 
+import traffic_oracle
 from traffic_oracle import diurnal_factor, oracle_generate_arrivals, oracle_map_to_satellites
 
 TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
@@ -112,7 +113,8 @@ def _index_sets(tm):
 def test_rows_and_cols_equal_the_dense_gathers(scaled, which):
     tm, full = scaled
     idx = _index_sets(tm)[which]
-    for got, want in ((tm.rows(idx), full[idx]), (tm.cols(idx), full[:, idx])):
+    gathers = (traffic_oracle.rows(tm, idx), full[idx]), (traffic_oracle.cols(tm, idx), full[:, idx])
+    for got, want in gathers:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous
@@ -136,7 +138,7 @@ def test_submatrix_equals_the_masked_gather(scaled, rows):
     masks = _masks(tm)
     for cols in ("empty", "one inactive", "mix", "active", "all"):
         i, j = masks[rows], masks[cols]
-        got, want = tm.submatrix(i, j), tm.rows(i)[:, j]
+        got, want = tm.submatrix(i, j), traffic_oracle.rows(tm, i)[:, j]
         assert np.array_equal(want, full[i][:, j])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
@@ -158,8 +160,8 @@ def _gathered_domain_rates(assignment, traffic):
     out = {}
     for label, k in enumerate(keys):
         mine = labels == label
-        rows = traffic.rows(mine)
-        out[k] = (float(rows[:, mine].sum()), float(rows[:, assigned & ~mine].sum()))
+        gathered = traffic_oracle.rows(traffic, mine)
+        out[k] = (float(gathered[:, mine].sum()), float(gathered[:, assigned & ~mine].sum()))
     return out
 
 
@@ -190,6 +192,9 @@ def test_pairs_and_outbound_rates_equal_the_dense_matrix(scaled):
     assert np.array_equal(tm.at(i, j), full[i, j])
     assert tm.outbound_rates.tolist() == [
         float(full[k].sum()) for k in range(len(tm.leo_ids))
+    ]
+    assert tm.inbound_rates.tolist() == [
+        float(full[:, k].sum()) for k in range(len(tm.leo_ids))
     ]
 
 

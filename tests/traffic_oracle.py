@@ -6,8 +6,10 @@ it serves a cell, and the full product ``sel.T @ demands @ sel`` with the
 one-hot cell-to-satellite matrix ``sel`` is returned, accumulated cell by
 cell in ascending index so that its bits depend on no BLAS kernel. Poisson
 arrivals are drawn from the nonzero entries of that full matrix. Tests
-compare the package's compact block, its row and column gathers and its
-arrivals against these.
+compare the package's compact block, its gathers and its arrivals against
+these. ``rows`` and ``cols`` rebuild the full matrix's row and column
+gathers, memory order included, from a compact block, for the references
+that sum over them.
 
 The gravity demand and the diurnal factor are also written per cell pair
 and per cell, as references for ``demand_matrix`` and ``diurnal_factors``.
@@ -19,6 +21,30 @@ import numpy as np
 from eunomia.constellation import R_EARTH_KM
 
 from geometry_oracle import serving_satellites
+
+
+def rows(tm, idx) -> np.ndarray:
+    """``full[idx]`` of the traffic matrix ``tm`` for an index array or mask
+    over LEO ids: shape (len, |V|), C order."""
+    if len(tm.active) == len(tm.leo_ids):  # the block is the full matrix
+        return tm.rates[idx]
+    pos = tm.block_row[idx]
+    out = np.zeros((len(pos), len(tm.leo_ids)))
+    hit = np.nonzero(pos >= 0)[0]
+    out[hit[:, None], tm.active] = tm.rates[pos[hit]]
+    return out
+
+
+def cols(tm, idx) -> np.ndarray:
+    """``full[:, idx]`` of the traffic matrix ``tm`` for an index array or
+    mask over LEO ids: shape (|V|, len), F order."""
+    if len(tm.active) == len(tm.leo_ids):
+        return tm.rates[:, idx]
+    pos = tm.block_row[idx]
+    out = np.zeros((len(pos), len(tm.leo_ids)))
+    hit = np.nonzero(pos >= 0)[0]
+    out[hit[:, None], tm.active] = tm.rates[:, pos[hit]].T
+    return out.T
 
 
 def oracle_serving_satellites(cells, snapshot):
