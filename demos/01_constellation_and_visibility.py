@@ -38,7 +38,7 @@ const = Constellation.build(
 snap = const.snapshot(0.0)
 print(f"\n=== Snapshot at t=0 ===")
 print(f"{len(snap.leo_ids)} switches, {len(snap.controller_ids)} controllers, "
-      f"{len(snap.isl_edges)} inter-satellite links")
+      f"{len(snap.topology.edge_array)} inter-satellite links")
 
 fov = compute_fov_domains(snap)
 cover = coverage_map(fov)

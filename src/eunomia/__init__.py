@@ -8,7 +8,6 @@ from .constellation import (
     GroundStationNode,
     NetworkSnapshot,
     Role,
-    SatelliteNode,
     ShellSpec,
     orbital_period,
 )

@@ -7,6 +7,12 @@ but not propagated. Stored velocities are the orbital (inertial) velocity
 expressed in Earth-fixed axes: the frame-rotation transport term is omitted
 so that |v| = 2*pi*r/T and the sign of the latitude rate is preserved, which
 is what flight-direction classification consumes.
+
+The constellation is held as arrays only: one array per orbital element,
+indexed by satellite id (satellite ``s`` of plane ``p`` of a shell of ``S``
+satellites per plane is row ``p * S + s`` of that shell, LEOs first), and
+the LEO shell's +Grid links as one sorted (E, 2) array of (low, high) ids,
+which ``IslTopology`` holds and every snapshot shares.
 """
 from __future__ import annotations
 
@@ -43,19 +49,19 @@ class ShellSpec:
     num_planes: int
     sats_per_plane: int
     phasing_offset: float | None = None  # fraction of in-plane spacing, [0, 1); None = 1/num_planes
-    role: Role = field(default=Role.LEO, metadata={"config": False})  # set by the scenario
     name: str = ""
     eccentricity: float = 0.0  # recorded from preset tables, not propagated
 
     def __post_init__(self) -> None:
         if self.altitude_km <= 0:
-            raise ValueError(f"altitude must be positive, got {self.altitude_km}")
+            raise ValueError(f"altitude_km: {self.altitude_km} is not positive")
         if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError(f"inclination must be in [0, 180], got {self.inclination_deg}")
-        if self.num_planes < 1 or self.sats_per_plane < 1:
-            raise ValueError("num_planes and sats_per_plane must be >= 1")
+            raise ValueError(f"inclination_deg: {self.inclination_deg} outside [0, 180]")
+        for key in ("num_planes", "sats_per_plane"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: {getattr(self, key)} is less than 1")
         if self.phasing_offset is not None and not 0.0 <= self.phasing_offset < 1.0:
-            raise ValueError(f"phasing_offset must be in [0, 1), got {self.phasing_offset}")
+            raise ValueError(f"phasing_offset: {self.phasing_offset} outside [0, 1)")
 
     @property
     def orbital_radius_km(self) -> float:
@@ -70,19 +76,6 @@ class ShellSpec:
 
 
 @dataclass(frozen=True)
-class SatelliteNode:
-    id: int
-    role: Role
-    plane_index: int
-    slot_index: int
-    raan: float  # radians
-    phase0: float  # radians, argument of latitude at t=0
-    inclination_rad: float
-    orbital_radius_km: float
-    period_s: float
-
-
-@dataclass(frozen=True)
 class GroundStationNode:
     id: int = field(metadata={"config": False})
     name: str
@@ -91,9 +84,9 @@ class GroundStationNode:
 
     def __post_init__(self) -> None:
         if abs(self.latitude_deg) > 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude_deg}")
+            raise ValueError(f"lat: {self.latitude_deg} outside [-90, 90]")
         if abs(self.longitude_deg) > 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude_deg}")
+            raise ValueError(f"lon: {self.longitude_deg} outside [-180, 180]")
 
     def position_km(self) -> np.ndarray:
         return geodetic_to_ecef(self.latitude_deg, self.longitude_deg)
@@ -115,36 +108,28 @@ def geodetic_to_ecef(lat_deg: float, lon_deg: float) -> np.ndarray:
     )
 
 
-def generate_shell(spec: ShellSpec, start_id: int = 0) -> list[SatelliteNode]:
+def generate_shell(spec: ShellSpec) -> np.ndarray:
     """Lay out a Walker shell: RAAN spread over a full 2*pi, uniform in-plane
-    phases, and an inter-plane phase offset of ``phasing_offset`` in-plane slots."""
-    radius = spec.orbital_radius_km
-    period = orbital_period(radius)
-    incl = math.radians(spec.inclination_deg)
+    phases, and an inter-plane phase offset of ``phasing_offset`` in-plane slots.
+
+    Returns a (5, P * S) array whose rows are each satellite's RAAN, initial
+    argument of latitude (both radians), inclination (radians), orbital
+    radius (km) and angular rate (rad/s); column ``p * S + s`` is satellite
+    ``s`` of plane ``p``.
+    """
+    n = spec.total_sats
+    plane, slot = np.divmod(np.arange(n), spec.sats_per_plane)
     slot_step = 2.0 * math.pi / spec.sats_per_plane
     phase_shift = spec.effective_phasing() * slot_step
-
-    nodes: list[SatelliteNode] = []
-    node_id = start_id
-    for p in range(spec.num_planes):
-        raan = 2.0 * math.pi * p / spec.num_planes
-        for s in range(spec.sats_per_plane):
-            phase0 = (s * slot_step + p * phase_shift) % (2.0 * math.pi)
-            nodes.append(
-                SatelliteNode(
-                    id=node_id,
-                    role=spec.role,
-                    plane_index=p,
-                    slot_index=s,
-                    raan=raan,
-                    phase0=phase0,
-                    inclination_rad=incl,
-                    orbital_radius_km=radius,
-                    period_s=period,
-                )
-            )
-            node_id += 1
-    return nodes
+    return np.stack(
+        [
+            2.0 * math.pi * plane / spec.num_planes,
+            (slot * slot_step + plane * phase_shift) % (2.0 * math.pi),
+            np.full(n, math.radians(spec.inclination_deg)),
+            np.full(n, spec.orbital_radius_km),
+            np.full(n, 2.0 * math.pi / orbital_period(spec.orbital_radius_km)),
+        ]
+    )
 
 
 def _ecef_rotation(t: float) -> np.ndarray:
@@ -154,26 +139,15 @@ def _ecef_rotation(t: float) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def build_isl_topology(leo_nodes: list[SatelliteNode]) -> frozenset[tuple[int, int]]:
-    """+Grid inter-satellite links: ring neighbours within each plane plus the
-    same-slot satellite in each adjacent plane (both modular)."""
-    by_coord = {(n.plane_index, n.slot_index): n.id for n in leo_nodes}
-    planes = max(n.plane_index for n in leo_nodes) + 1
-    slots = max(n.slot_index for n in leo_nodes) + 1
-    edges: set[tuple[int, int]] = set()
-
-    def add(a: int, b: int) -> None:
-        if a != b:
-            edges.add((a, b) if a < b else (b, a))
-
-    for (p, s), nid in by_coord.items():
-        if slots > 1:
-            add(nid, by_coord[(p, (s + 1) % slots)])
-            add(nid, by_coord[(p, (s - 1) % slots)])
-        if planes > 1:
-            add(nid, by_coord[((p + 1) % planes, s)])
-            add(nid, by_coord[((p - 1) % planes, s)])
-    return frozenset(edges)
+def grid_edges(spec: ShellSpec) -> np.ndarray:
+    """+Grid inter-satellite links of a shell laid out by ``generate_shell``:
+    ring neighbours within each plane plus the same-slot satellite in each
+    adjacent plane (both modular), as a sorted (E, 2) array of (low, high) ids."""
+    ids = np.arange(spec.total_sats).reshape(spec.num_planes, spec.sats_per_plane)
+    nxt = np.stack([np.roll(ids, -1, axis=1), np.roll(ids, -1, axis=0)])  # next slot, next plane
+    pairs = np.sort(np.column_stack([np.broadcast_to(ids, nxt.shape).ravel(), nxt.ravel()]))
+    # a single-slot plane or a single plane links a satellite to itself: no link
+    return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
 def norm(v: np.ndarray) -> np.ndarray:
@@ -186,12 +160,14 @@ def norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IslTopology:
-    """The ISL edges among ``leo_ids`` in the forms consumers read, each built
-    on first use; all snapshots of a constellation share its one topology."""
+    """The ISL edges among ``leo_ids``, held once as ``edge_array``: a sorted
+    (E, 2) int64 array of (low id, high id) rows. The neighbour lists, the
+    sparse graph and the hop trees are views of it, each built on first use;
+    all snapshots of a constellation share its one topology."""
 
-    edges: frozenset[tuple[int, int]]
+    edge_array: np.ndarray
     leo_ids: tuple[int, ...]
 
     @cached_property
@@ -201,11 +177,6 @@ class IslTopology:
             adj[a].append(b)
             adj[b].append(a)
         return {i: tuple(sorted(v)) for i, v in adj.items()}
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """The edges as an (E, 2) array of node ids, in sorted order."""
-        return np.array(sorted(self.edges), dtype=np.int64).reshape(-1, 2)
 
     @cached_property
     def graph(self) -> csr_matrix:
@@ -252,30 +223,28 @@ class IslTopology:
 
 @dataclass
 class NetworkSnapshot:
-    """All node positions, ISL edges and the controller/switch split at one instant.
+    """All node positions, the ISL topology and the controller/switch split at one instant.
 
     Node ids are contiguous, so ``positions`` and ``velocities`` are (N, 3)
     arrays and ``roles`` a tuple, all indexed by node id. The LEOs come
     first, ``leo_ids == (0, ..., n - 1)``, so a LEO id also indexes every
-    per-LEO array; any other layout raises ValueError. A snapshot given no
-    ``topology`` of its ``isl_edges`` and ``leo_ids`` builds its own.
+    per-LEO array; any other layout, or a ``topology`` over other LEO ids,
+    raises ValueError.
     """
 
     time_s: float
     positions: np.ndarray
     velocities: np.ndarray
-    isl_edges: frozenset[tuple[int, int]]
+    topology: IslTopology = field(repr=False, compare=False)
     leo_ids: tuple[int, ...]
     controller_ids: tuple[int, ...]
     roles: tuple[Role, ...]
-    topology: IslTopology = field(default=None, repr=False, compare=False)  # type: ignore
 
     def __post_init__(self) -> None:
         if self.leo_ids != tuple(range(len(self.leo_ids))):
             raise ValueError(f"LEO ids must be 0..n-1 in order, got {self.leo_ids[:10]}")
-        t = self.topology
-        if t is None or (t.edges, t.leo_ids) != (self.isl_edges, self.leo_ids):
-            self.topology = IslTopology(self.isl_edges, self.leo_ids)
+        if self.topology.leo_ids != self.leo_ids:
+            raise ValueError("the topology's LEO ids are not the snapshot's")
 
     @cached_property
     def role_codes(self) -> np.ndarray:
@@ -283,30 +252,29 @@ class NetworkSnapshot:
         return np.array([ROLE_CODE[r] for r in self.roles])
 
 
-@dataclass
+@dataclass(eq=False)
 class Constellation:
-    """A LEO switch shell, controller satellites, and ground stations."""
+    """A LEO switch shell, controller satellites and ground stations.
 
-    leo_nodes: list[SatelliteNode]
-    meo_nodes: list[SatelliteNode]
+    The element arrays are indexed by satellite id, the LEO shell's first,
+    then the MEO shell's; ground stations take the ids after them.
+    ``topology`` holds the LEO shell's ISL edges.
+    """
+
+    raan: np.ndarray  # radians
+    phase0: np.ndarray  # argument of latitude at t = 0, radians
+    inclination: np.ndarray  # radians
+    radius_km: np.ndarray
+    rate: np.ndarray  # angular rate, rad/s
+    topology: IslTopology
     ground_stations: list[GroundStationNode]
-    isl_edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if not self.isl_edges and self.leo_nodes:
-            self.isl_edges = build_isl_topology(self.leo_nodes)
-        self._sats = self.leo_nodes + self.meo_nodes
-        # per-satellite parameter arrays, used by the vectorised snapshot path
-        self._raan = np.array([n.raan for n in self._sats])
-        self._phase0 = np.array([n.phase0 for n in self._sats])
-        self._incl = np.array([n.inclination_rad for n in self._sats])
-        self._radius = np.array([n.orbital_radius_km for n in self._sats])
-        self._rate = 2.0 * math.pi / np.array([n.period_s for n in self._sats])
-        self._gs_pos = np.array(
-            [g.position_km() for g in self.ground_stations]
-        ).reshape(-1, 3)
-        self._roles = tuple(n.role for n in self._sats) + (Role.GS,) * len(self.ground_stations)
-        self.topology = IslTopology(self.isl_edges, self.leo_ids)
+        n_leo, n_meo = len(self.leo_ids), len(self.raan) - len(self.leo_ids)
+        gs = self.ground_stations
+        self._gs_pos = np.array([g.position_km() for g in gs]).reshape(-1, 3)
+        self.controller_ids = tuple(range(n_leo, n_leo + n_meo)) + tuple(g.id for g in gs)
+        self._roles = (Role.LEO,) * n_leo + (Role.MEO,) * n_meo + (Role.GS,) * len(gs)
 
     @classmethod
     def build(
@@ -315,32 +283,26 @@ class Constellation:
         meo_spec: ShellSpec | None,
         stations: list[tuple[str, float, float]],
     ) -> "Constellation":
-        leos = generate_shell(leo_spec, start_id=0)
-        next_id = len(leos)
-        meos: list[SatelliteNode] = []
-        if meo_spec is not None:
-            meos = generate_shell(meo_spec, start_id=next_id)
-            next_id += len(meos)
+        shells = [leo_spec] if meo_spec is None else [leo_spec, meo_spec]
+        elements = np.hstack([generate_shell(spec) for spec in shells])
+        n_sat = elements.shape[1]
         gs = [
-            GroundStationNode(id=next_id + k, name=name, latitude_deg=lat, longitude_deg=lon)
+            GroundStationNode(id=n_sat + k, name=name, latitude_deg=lat, longitude_deg=lon)
             for k, (name, lat, lon) in enumerate(stations)
         ]
-        return cls(leo_nodes=leos, meo_nodes=meos, ground_stations=gs)
+        topology = IslTopology(grid_edges(leo_spec), tuple(range(leo_spec.total_sats)))
+        return cls(*elements, topology=topology, ground_stations=gs)
 
     @property
     def leo_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.leo_nodes)
-
-    @property
-    def controller_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.meo_nodes) + tuple(g.id for g in self.ground_stations)
+        return self.topology.leo_ids
 
     def snapshot(self, t: float) -> NetworkSnapshot:
-        u = self._phase0 + self._rate * t
+        u = self.phase0 + self.rate * t
         cu, su = np.cos(u), np.sin(u)
-        co, so = np.cos(self._raan), np.sin(self._raan)
-        ci, si = np.cos(self._incl), np.sin(self._incl)
-        r = self._radius
+        co, so = np.cos(self.raan), np.sin(self.raan)
+        ci, si = np.cos(self.inclination), np.sin(self.inclination)
+        r = self.radius_km
         pos = np.stack(
             [
                 r * (cu * co - su * so * ci),
@@ -349,7 +311,7 @@ class Constellation:
             ],
             axis=1,
         )
-        speed = r * self._rate
+        speed = r * self.rate
         vel = np.stack(
             [
                 speed * (-su * co - cu * so * ci),
@@ -363,29 +325,28 @@ class Constellation:
             time_s=t,
             positions=np.vstack([pos @ rot, self._gs_pos]),
             velocities=np.vstack([vel @ rot, np.zeros_like(self._gs_pos)]),
-            isl_edges=self.isl_edges,
+            topology=self.topology,
             leo_ids=self.topology.leo_ids,
             controller_ids=self.controller_ids,
             roles=self._roles,
-            topology=self.topology,
         )
 
 
 # Preset shells from published constellation parameters. Periods follow from
 # the circular model; eccentricities are kept for the record only.
 MEO_SHELLS: dict[str, ShellSpec] = {
-    "meo3000": ShellSpec(3000.0, 63.4, 6, 6, role=Role.MEO, name="meo3000", eccentricity=0.1),
-    "meo6000": ShellSpec(6000.0, 55.0, 4, 8, role=Role.MEO, name="meo6000", eccentricity=0.01),
-    "meo8070": ShellSpec(8070.0, 53.1, 5, 4, role=Role.MEO, name="meo8070", eccentricity=0.001),
-    "meo10354": ShellSpec(10354.0, 39.4, 2, 3, role=Role.MEO, name="meo10354", eccentricity=0.0001),
+    "meo3000": ShellSpec(3000.0, 63.4, 6, 6, name="meo3000", eccentricity=0.1),
+    "meo6000": ShellSpec(6000.0, 55.0, 4, 8, name="meo6000", eccentricity=0.01),
+    "meo8070": ShellSpec(8070.0, 53.1, 5, 4, name="meo8070", eccentricity=0.001),
+    "meo10354": ShellSpec(10354.0, 39.4, 2, 3, name="meo10354", eccentricity=0.0001),
 }
 
 LEO_SHELLS: dict[str, ShellSpec] = {
-    "iridium780": ShellSpec(780.0, 86.4, 6, 11, role=Role.LEO, name="iridium780"),
-    "telesat1015": ShellSpec(1015.0, 98.98, 27, 13, role=Role.LEO, name="telesat1015"),
-    "oneweb1200": ShellSpec(1200.0, 87.9, 18, 40, role=Role.LEO, name="oneweb1200"),
-    "starlink550": ShellSpec(550.0, 53.0, 72, 22, role=Role.LEO, name="starlink550"),
-    "cscn365": ShellSpec(365.0, 40.0, 33, 56, role=Role.LEO, name="cscn365"),
+    "iridium780": ShellSpec(780.0, 86.4, 6, 11, name="iridium780"),
+    "telesat1015": ShellSpec(1015.0, 98.98, 27, 13, name="telesat1015"),
+    "oneweb1200": ShellSpec(1200.0, 87.9, 18, 40, name="oneweb1200"),
+    "starlink550": ShellSpec(550.0, 53.0, 72, 22, name="starlink550"),
+    "cscn365": ShellSpec(365.0, 40.0, 33, 56, name="cscn365"),
 }
 
 # Nine densely populated cities used as the ground-station preset.

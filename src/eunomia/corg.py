@@ -34,8 +34,8 @@ class CorgWeights:
     def __post_init__(self) -> None:
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta > 1.0:
             raise ValueError(
-                f"weights must satisfy alpha, beta >= 0 and alpha + beta <= 1, "
-                f"got alpha={self.alpha}, beta={self.beta}"
+                f"alpha, beta: {self.alpha}, {self.beta} must be non-negative with a sum of "
+                f"at most 1"
             )
 
 

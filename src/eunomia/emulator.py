@@ -89,6 +89,10 @@ TRACE_DTYPE = np.dtype([("t", ">f8"), ("c", ">i4"), ("n", ">i4")])
 class EmulatorParams:
     queue_window_s: float = 1.0  # backlog bound, in seconds of controller capacity
 
+    def __post_init__(self) -> None:
+        if not self.queue_window_s >= 0.0:
+            raise ValueError(f"queue_window_s: {self.queue_window_s} is negative")
+
 
 # stats.csv column -> EmulationStats field, in column order
 _CSV_FIELDS = {

@@ -68,6 +68,10 @@ class MigrationParams:
     per_sat_processing_s: float = 1e-4  # OpenFlow-style ops complete in under 100 us
     mean_flow_lifetime_s: float = 10.0
 
+    def __post_init__(self) -> None:
+        if not self.state_bandwidth_bps > 0.0:
+            raise ValueError(f"state_bandwidth_bps: {self.state_bandwidth_bps} is not positive")
+
 
 @dataclass(frozen=True)
 class OverheadParams:
@@ -87,6 +91,15 @@ class OverheadParams:
     tradeoff_lambda: float = 0.1  # control overhead dominates the objective
     cpt_complexity: Literal["quadratic", "nlogn", "cubic"] = "quadratic"
     migration: MigrationParams = field(default_factory=MigrationParams)
+
+    def __post_init__(self) -> None:
+        if not self.f_sync_hz >= 0.0:
+            raise ValueError(f"f_sync_hz: {self.f_sync_hz} is negative")
+        if not self.capacity_unit_ops > 0.0:
+            raise ValueError(f"capacity_unit_ops: {self.capacity_unit_ops} is not positive")
+        for link, bps in self.bandwidth_bps.items():
+            if not bps > 0.0:
+                raise ValueError(f"bandwidth_bps.{link.value}: {bps} is not positive")
 
     def capacity_of(self, controller_id: int, role: Role) -> float:
         if controller_id in self.capacity_override_ops:
@@ -401,7 +414,13 @@ def validate_assignment(
     fov_domains: dict[int, frozenset[int]],
     routes: dict[int, tuple[int, ...]] | None = None,
 ) -> list[ConstraintViolation]:
-    """Check the five constraint families; empty list means valid.
+    """Check the constraint families; empty list means valid.
+
+    Four are checked here: one controller per domain, unique membership, FOV
+    containment and connectivity. The fifth, binary consistency (x(i, j) =
+    [domain_of[i] == domain_of[j]] agrees with the domain view), holds by
+    construction: ``domains()`` is derived from the read-only ``domain_of``,
+    so every LEO is listed once, under its own controller.
 
     The connectivity check builds the control routes, unless ``routes``
     already holds ``control_routes``' result for this assignment. It runs
@@ -442,24 +461,6 @@ def validate_assignment(
                 tuple(stray + missing),
             )
         )
-
-    # binary-consistency: x(i, j) = [domain_of[i] == domain_of[j]] agrees with
-    # the domain view when every LEO is listed once, under its own controller;
-    # checked per LEO rather than per pair
-    listed = {j: k for k, members in domains.items() for j in members}
-    duplicated = len(listed) != sum(len(members) for members in domains.values())
-    # with every LEO listed once under its own controller there is nothing to report
-    consistent = not duplicated and assignment.domain_of.items() <= listed.items()
-    for i in () if consistent else sorted(assigned):
-        if duplicated or listed.get(i) != assignment.domain_of[i]:
-            violations.append(
-                ConstraintViolation(
-                    "binary_consistency",
-                    f"x view inconsistent with domain of LEO {i}",
-                    (i,),
-                )
-            )
-            break
 
     contained = True
     if not assignment.fov_waived:
@@ -669,7 +670,7 @@ def evaluate(
 
     ``plan`` is the slot plan of this assignment; a fresh one is built when
     it is not given. Raises ConstraintViolationError when the assignment
-    breaks any of the five constraint families (unless validation is
+    breaks any of the constraint families (unless validation is
     disabled), and always when a domain is disconnected.
     """
     if plan is None:

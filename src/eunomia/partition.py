@@ -434,17 +434,14 @@ def fine_tune_boundaries(
 
     domain_of = dict(assignment.domain_of)
     neighbors = snapshot.topology.neighbors
-    budget = len(snapshot.leo_ids)
     # only a LEO whose controller loses sight of it can move, and a move ends
-    # that; the other LEOs never change controller, so they are scanned once
+    # that (its new controller sees it at the next sample), so each LEO moves
+    # at most once; the other LEOs never change controller
     leaving = sorted(leo for leo, k in domain_of.items() if leo not in step_fov.get(k, ()))
-    moves = 0
     changed = True
-    while changed and moves < budget:
+    while changed:
         changed = False
         for leo in leaving:
-            if moves >= budget:
-                break
             k = domain_of[leo]
             if leo in step_fov.get(k, frozenset()):
                 continue  # no imminent handover
@@ -469,7 +466,6 @@ def fine_tune_boundaries(
             northbound = snapshot.velocities[leo][2] >= 0.0
             ahead = -latitude if northbound else latitude
             domain_of[leo] = candidates[np.lexsort((candidates, ahead))[0]]
-            moves += 1
             changed = True
     return replace(assignment, domain_of=domain_of)
 

@@ -192,8 +192,8 @@ def _construct(cls, raw, path: str, fixed: dict):
             raise _error(_join(path, section), f"unknown keys {sorted(unknown, key=str)}")
     try:
         return cls(**kwargs)
-    except ValueError as exc:
-        raise _error(path, exc) from exc
+    except ValueError as exc:  # its message starts with the key it names
+        raise ConfigError(_join(path, str(exc))) from exc
 
 
 def _dump(obj) -> dict:
@@ -230,9 +230,7 @@ class ScenarioConfig:
 
     name: str = "scenario"
     leo_shell: ShellSpec = field(metadata={"presets": LEO_SHELLS})
-    meo_shell: ShellSpec | None = field(
-        default=None, metadata={"presets": MEO_SHELLS, "set": {"role": Role.MEO}}
-    )
+    meo_shell: ShellSpec | None = field(default=None, metadata={"presets": MEO_SHELLS})
     ground_stations: list[GroundStationNode] = field(
         metadata={"presets": CITY_STATIONS, "set": {"id": 0}}
     )

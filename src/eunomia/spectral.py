@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import eigsh
 
-DENSE_LIMIT = 512
 KMEANS_MAX_ITER = 100
 
 
@@ -40,20 +37,8 @@ def spectral_embedding(weights: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
     n = lap.shape[0]
     if m > n:
         raise ValueError(f"cannot extract {m} eigenvectors from {n} nodes")
-    if n <= DENSE_LIMIT or m >= n - 1:
-        vals, vecs = eigh(lap)
-        vals, vecs = vals[:m], vecs[:, :m]
-    else:
-        # deterministic start vector keeps reruns bit-identical
-        vals, vecs = eigsh(
-            csr_matrix(lap), k=m, sigma=-1e-3, which="LM", v0=np.ones(n) / np.sqrt(n)
-        )
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        residual = np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max()
-        if residual > 1e-8:
-            vals, vecs = eigh(lap)
-            vals, vecs = vals[:m], vecs[:, :m]
+    vals, vecs = eigh(lap)
+    vals, vecs = vals[:m], vecs[:, :m]
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return vals, vecs / norms

@@ -54,6 +54,13 @@ class TrafficParams:
     city_sigma_deg: float = 10.0
     background_density: float = 0.05
 
+    def __post_init__(self) -> None:
+        if not self.city_sigma_deg > 0.0:
+            raise ValueError(f"city_sigma_deg: {self.city_sigma_deg} is not positive")
+        for key in ("gravity_constant", "background_density"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key}: {getattr(self, key)} is negative")
+
 
 @dataclass
 class TrafficMatrix:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eunomia.constellation import NetworkSnapshot, Role
+from eunomia.constellation import IslTopology, NetworkSnapshot, Role
 from eunomia.corg import Corg
 from eunomia.emulator import (
     EmulationStats,
@@ -94,7 +94,7 @@ def make_ring_snapshot(
         time_s=time_s,
         positions=positions,
         velocities=velocities,
-        isl_edges=frozenset(edges),
+        topology=IslTopology(np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), leo_ids),
         leo_ids=leo_ids,
         controller_ids=ctrl_ids,
         roles=(Role.LEO,) * n_leo + tuple(croles),

@@ -45,7 +45,7 @@ class _Queue:
 def _all_pairs_preds(snapshot):
     n = len(snapshot.leo_ids)
     rows, cols = [], []
-    for a, b in snapshot.isl_edges:
+    for a, b in snapshot.topology.edge_array.tolist():
         rows += [a, b]
         cols += [b, a]
     graph = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
@@ -66,7 +66,9 @@ def _walk_path(preds, src, dst):
 
 
 def _intra_edges(members, snapshot):
-    return sum(1 for a, b in snapshot.isl_edges if a in members and b in members)
+    return sum(
+        1 for a, b in snapshot.topology.edge_array.tolist() if a in members and b in members
+    )
 
 
 def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domains, gamma=1.0,

@@ -1,29 +1,88 @@
 """Scalar references for the package's vectorised geometry.
 
 One satellite, one observer-target pair or one ISL edge at a time, written
-the direct way: ``propagate`` against ``Constellation.snapshot``,
-``elevation_angle`` against ``visibility.elevation_matrix``, and a union-find
-over the ISL edges against ``visibility.compute_overlap_regions``. Also
-``serving_satellites``, the full cell x LEO elevation matrix against the
-narrowed ``traffic.serving_satellites``, and ``by_distance``, one node's
-candidates ranked alone, against the batched ``partition._by_distance``.
+the direct way: ``shell_nodes`` and ``grid_edges``, a shell's elements and
++Grid links built node by node, against ``constellation.generate_shell`` and
+``constellation.grid_edges``; ``propagate`` against
+``Constellation.snapshot``; ``elevation_angle`` against
+``visibility.elevation_matrix``; and a union-find over the ISL edges against
+``visibility.compute_overlap_regions``. Also ``serving_satellites``, the
+full cell x LEO elevation matrix against the narrowed
+``traffic.serving_satellites``, and ``by_distance``, one node's candidates
+ranked alone, against the batched ``partition._by_distance``.
 """
 import math
 
 import numpy as np
 
-from eunomia.constellation import EARTH_ROTATION_RAD_S, SatelliteNode, norm
+from eunomia.constellation import EARTH_ROTATION_RAD_S, ShellSpec, norm, orbital_period
 from eunomia.visibility import OverlapRegion, coverage_map, elevation_matrix
 
+# one satellite's (RAAN, initial argument of latitude, inclination, orbital
+# radius in km, angular rate in rad/s), angles in radians
+Elements = tuple[float, float, float, float, float]
 
-def propagate_inertial(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
+
+def shell_nodes(spec: ShellSpec) -> list[Elements]:
+    """A Walker shell's satellites one at a time, plane by plane and slot by
+    slot within a plane."""
+    radius = spec.orbital_radius_km
+    period = orbital_period(radius)
+    incl = math.radians(spec.inclination_deg)
+    slot_step = 2.0 * math.pi / spec.sats_per_plane
+    phase_shift = spec.effective_phasing() * slot_step
+    nodes = []
+    for p in range(spec.num_planes):
+        raan = 2.0 * math.pi * p / spec.num_planes
+        for s in range(spec.sats_per_plane):
+            phase0 = (s * slot_step + p * phase_shift) % (2.0 * math.pi)
+            nodes.append((raan, phase0, incl, radius, 2.0 * math.pi / period))
+    return nodes
+
+
+def grid_edges(spec: ShellSpec) -> list[tuple[int, int]]:
+    """The sorted +Grid links of a shell whose satellite ``s`` of plane ``p``
+    has id ``p * S + s``, added node by node: ring neighbours within each
+    plane plus the same-slot satellite in each adjacent plane (both modular)."""
+    planes, slots = spec.num_planes, spec.sats_per_plane
+    by_coord = {(p, s): p * slots + s for p in range(planes) for s in range(slots)}
+    edges: set[tuple[int, int]] = set()
+
+    def add(a: int, b: int) -> None:
+        if a != b:
+            edges.add((a, b) if a < b else (b, a))
+
+    for (p, s), nid in by_coord.items():
+        if slots > 1:
+            add(nid, by_coord[(p, (s + 1) % slots)])
+            add(nid, by_coord[(p, (s - 1) % slots)])
+        if planes > 1:
+            add(nid, by_coord[((p + 1) % planes, s)])
+            add(nid, by_coord[((p - 1) % planes, s)])
+    return sorted(edges)
+
+
+def elements(constellation, i: int) -> Elements:
+    """Satellite ``i``'s elements, read from the constellation's arrays."""
+    return tuple(
+        float(a[i])
+        for a in (
+            constellation.raan,
+            constellation.phase0,
+            constellation.inclination,
+            constellation.radius_km,
+            constellation.rate,
+        )
+    )
+
+
+def propagate_inertial(node: Elements, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Position/velocity (km, km/s) in the non-rotating frame at time t."""
-    rate = 2.0 * math.pi / node.period_s
-    u = node.phase0 + rate * t
+    raan, phase0, incl, r, rate = node
+    u = phase0 + rate * t
     cu, su = math.cos(u), math.sin(u)
-    co, so = math.cos(node.raan), math.sin(node.raan)
-    ci, si = math.cos(node.inclination_rad), math.sin(node.inclination_rad)
-    r = node.orbital_radius_km
+    co, so = math.cos(raan), math.sin(raan)
+    ci, si = math.cos(incl), math.sin(incl)
     pos = np.array([r * (cu * co - su * so * ci), r * (cu * so + su * co * ci), r * su * si])
     speed = r * rate
     vel = np.array(
@@ -36,7 +95,7 @@ def propagate_inertial(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.nd
     return pos, vel
 
 
-def propagate(node: SatelliteNode, t: float) -> tuple[np.ndarray, np.ndarray]:
+def propagate(node: Elements, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Earth-fixed position and orbital velocity (in Earth-fixed axes) at time t."""
     pos, vel = propagate_inertial(node, t)
     phi = EARTH_ROTATION_RAD_S * t
@@ -88,7 +147,7 @@ def overlap_regions(fov_domains, snapshot) -> list[OverlapRegion]:
             x = parent[x]
         return x
 
-    for a, b in snapshot.isl_edges:
+    for a, b in snapshot.topology.edge_array.tolist():
         if a in contested_set and b in contested_set and set(cover[a]) & set(cover[b]):
             ra, rb = find(a), find(b)
             if ra != rb:

@@ -463,7 +463,7 @@ def test_criterion_10_partitioner_scaling():
         tm = slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, 0, params)
         start = time.perf_counter()
         partition_slot(ctx, geometry, tm, None)
-        timings[len(const.leo_nodes)] = time.perf_counter() - start
+        timings[len(const.leo_ids)] = time.perf_counter() - start
     sizes = sorted(timings)
     slope = float(
         np.polyfit(np.log([float(s) for s in sizes]), np.log([timings[s] for s in sizes]), 1)[0]

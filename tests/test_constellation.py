@@ -18,16 +18,17 @@ from eunomia.constellation import (
     NetworkSnapshot,
     Role,
     ShellSpec,
-    build_isl_topology,
     generate_shell,
     geodetic_to_ecef,
+    grid_edges,
     orbital_period,
 )
 from eunomia.scenario import desk_config, load_config
 
 from conftest import make_ring_snapshot
 from emulator_oracle import _all_pairs_preds
-from geometry_oracle import propagate, propagate_inertial
+import geometry_oracle
+from geometry_oracle import elements, propagate, propagate_inertial, shell_nodes
 
 TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
 TABLE_PERIODS_MIN = {3000.0: 150.46, 6000.0: 228.23, 8070.0: 287.93, 10354.0: 358.76}
@@ -52,33 +53,51 @@ def test_orbital_period_rejects_subsurface_radius():
 
 
 def test_generate_shell_starlink_counts():
-    nodes = generate_shell(LEO_SHELLS["starlink550"])
-    assert len(nodes) == 1584
-    per_plane = {}
-    for n in nodes:
-        per_plane.setdefault(n.plane_index, 0)
-        per_plane[n.plane_index] += 1
-    assert set(per_plane.values()) == {22}
-    assert len(per_plane) == 72
+    raan = generate_shell(LEO_SHELLS["starlink550"])[0]
+    assert raan.shape == (1584,)
+    planes, per_plane = np.unique(raan, return_counts=True)
+    assert len(planes) == 72 and set(per_plane.tolist()) == {22}
 
 
 def test_generate_shell_meo_counts():
-    nodes = generate_shell(MEO_SHELLS["meo10354"])
-    assert len(nodes) == 6
-    assert sum(1 for n in nodes if n.plane_index == 0) == 3
+    raan = generate_shell(MEO_SHELLS["meo10354"])[0]
+    assert len(raan) == 6
+    assert np.count_nonzero(raan == 0.0) == 3
 
 
 def test_generate_shell_single_node():
-    nodes = generate_shell(ShellSpec(780.0, 50.0, 1, 1))
-    assert len(nodes) == 1
-    assert nodes[0].raan == 0.0
-    assert nodes[0].phase0 == 0.0
+    raan, phase0, *_ = generate_shell(ShellSpec(780.0, 50.0, 1, 1))
+    assert raan.tolist() == [0.0]
+    assert phase0.tolist() == [0.0]
 
 
 def test_generate_shell_raan_spacing():
-    nodes = generate_shell(ShellSpec(780.0, 50.0, 4, 2))
-    raans = sorted({n.raan for n in nodes})
-    assert raans == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+    raan = generate_shell(ShellSpec(780.0, 50.0, 4, 2))[0]
+    assert np.unique(raan) == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
+
+
+SHELLS = {
+    **LEO_SHELLS,
+    **MEO_SHELLS,
+    **{f"{p}x{s}": ShellSpec(780.0, 50.0, p, s) for p, s in [(1, 1), (1, 4), (4, 1), (2, 2)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHELLS))
+def test_shell_arrays_equal_the_per_node_construction(name):
+    spec = SHELLS[name]
+    want = np.array(shell_nodes(spec)).T
+    assert generate_shell(spec).tobytes() == want.tobytes()
+    edges = grid_edges(spec)
+    assert edges.dtype == np.int64 and edges.shape[1] == 2
+    assert edges.tolist() == [list(e) for e in geometry_oracle.grid_edges(spec)]
+    # a constellation holds each shell's elements, the LEO shell's first
+    const = Constellation.build(spec, MEO_SHELLS["meo8070"], NINE_CITIES[:1])
+    want = np.hstack([want, np.array(shell_nodes(MEO_SHELLS["meo8070"])).T])
+    got = np.array([const.raan, const.phase0, const.inclination, const.radius_km, const.rate])
+    assert got.tobytes() == want.tobytes()
+    assert const.topology.edge_array.tolist() == edges.tolist()
+    assert const.leo_ids == tuple(range(spec.total_sats))
 
 
 def test_shell_spec_validation():
@@ -93,26 +112,29 @@ def test_shell_spec_validation():
 
 
 def test_propagation_periodicity_inertial():
-    node = generate_shell(LEO_SHELLS["iridium780"])[7]
+    node = shell_nodes(LEO_SHELLS["iridium780"])[7]
+    period = 2.0 * math.pi / node[4]
     p0, v0 = propagate_inertial(node, 0.0)
-    pT, vT = propagate_inertial(node, node.period_s)
+    pT, vT = propagate_inertial(node, period)
     assert np.linalg.norm(p0 - pT) < 1e-6
     assert np.linalg.norm(v0 - vT) < 1e-9
 
 
 def test_propagation_preserves_radius():
-    node = generate_shell(LEO_SHELLS["iridium780"])[3]
+    node = shell_nodes(LEO_SHELLS["iridium780"])[3]
+    radius, period = node[3], 2.0 * math.pi / node[4]
     rng = np.random.default_rng(42)
     worst = 0.0
-    for t in rng.uniform(0.0, 10 * node.period_s, 1000):
+    for t in rng.uniform(0.0, 10 * period, 1000):
         pos, _ = propagate(node, float(t))
-        worst = max(worst, abs(np.linalg.norm(pos) - node.orbital_radius_km))
+        worst = max(worst, abs(np.linalg.norm(pos) - radius))
     assert worst < 1e-6
 
 
 def test_propagation_speed_matches_circular_orbit():
-    node = generate_shell(MEO_SHELLS["meo10354"])[0]
-    expected = 2.0 * math.pi * node.orbital_radius_km / node.period_s
+    spec = MEO_SHELLS["meo10354"]
+    node = shell_nodes(spec)[0]
+    expected = 2.0 * math.pi * spec.orbital_radius_km / orbital_period(spec.orbital_radius_km)
     for t in (0.0, 517.3, 9000.0):
         _, vel = propagate(node, t)
         assert np.linalg.norm(vel) == pytest.approx(expected, rel=1e-9)
@@ -143,45 +165,43 @@ def _degrees(edges):
 
 
 def test_isl_topology_starlink_degree_four():
-    nodes = generate_shell(LEO_SHELLS["starlink550"])
-    deg = _degrees(build_isl_topology(nodes))
+    deg = _degrees(grid_edges(LEO_SHELLS["starlink550"]).tolist())
     assert set(deg.values()) == {4}
     assert len(deg) == 1584
 
 
 def test_isl_topology_single_plane_ring():
-    nodes = generate_shell(ShellSpec(780.0, 50.0, 1, 4))
-    deg = _degrees(build_isl_topology(nodes))
+    deg = _degrees(grid_edges(ShellSpec(780.0, 50.0, 1, 4)).tolist())
     assert set(deg.values()) == {2}
 
 
-def _connected(nodes, edges):
+def _connected(n, edges):
     adj = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    seen = {nodes[0].id}
-    stack = [nodes[0].id]
+    seen = {0}
+    stack = [0]
     while stack:
         for nb in adj.get(stack.pop(), []):
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return len(seen) == len(nodes)
+    return len(seen) == n
 
 
 def test_isl_topology_iridium_regular_and_connected():
-    nodes = generate_shell(LEO_SHELLS["iridium780"])
-    edges = build_isl_topology(nodes)
+    spec = LEO_SHELLS["iridium780"]
+    edges = grid_edges(spec).tolist()
     deg = _degrees(edges)
     assert set(deg.values()) == {4}
-    assert _connected(nodes, edges)
+    assert _connected(spec.total_sats, edges)
 
 
 @pytest.mark.parametrize("name", sorted(LEO_SHELLS))
 def test_isl_topology_connected_for_all_presets(name):
-    nodes = generate_shell(LEO_SHELLS[name])
-    assert _connected(nodes, build_isl_topology(nodes))
+    spec = LEO_SHELLS[name]
+    assert _connected(spec.total_sats, grid_edges(spec).tolist())
 
 
 def test_snapshot_is_pure_function_of_time():
@@ -201,10 +221,8 @@ def test_snapshot_satellite_radii_and_roles():
     )
     snap = const.snapshot(777.0)
     assert len(snap.positions) == len(snap.leo_ids) + len(snap.controller_ids)
-    for node in const.leo_nodes + const.meo_nodes:
-        assert abs(
-            np.linalg.norm(snap.positions[node.id]) - node.orbital_radius_km
-        ) < 1e-6
+    for i, radius in enumerate(const.radius_km):
+        assert abs(np.linalg.norm(snap.positions[i]) - radius) < 1e-6
     gs_ids = [g.id for g in const.ground_stations]
     assert all(snap.roles[g] is Role.GS for g in gs_ids)
     assert all(np.linalg.norm(snap.velocities[g]) == 0.0 for g in gs_ids)
@@ -215,10 +233,10 @@ def test_snapshot_matches_single_node_propagation():
         LEO_SHELLS["iridium780"], MEO_SHELLS["meo10354"], NINE_CITIES[:3]
     )
     snap = const.snapshot(321.5)
-    for node in (const.leo_nodes[13], const.meo_nodes[2]):
-        pos, vel = propagate(node, 321.5)
-        assert snap.positions[node.id] == pytest.approx(pos, abs=1e-9)
-        assert snap.velocities[node.id] == pytest.approx(vel, abs=1e-12)
+    for i in (13, len(const.leo_ids) + 2):  # a LEO and a MEO
+        pos, vel = propagate(elements(const, i), 321.5)
+        assert snap.positions[i] == pytest.approx(pos, abs=1e-9)
+        assert snap.velocities[i] == pytest.approx(vel, abs=1e-12)
 
 
 def test_snapshot_rejects_leo_ids_other_than_0_to_n_minus_1():
@@ -230,7 +248,8 @@ def test_snapshot_rejects_leo_ids_other_than_0_to_n_minus_1():
     with pytest.raises(ValueError, match="LEO ids"):
         NetworkSnapshot(
             0.0, ring.positions[order], ring.velocities[order],
-            frozenset({(1, 2), (2, 3), (1, 3)}), (1, 2, 3), (0,), (Role.MEO,) + (Role.LEO,) * 3,
+            IslTopology(np.array([[1, 2], [1, 3], [2, 3]]), (1, 2, 3)), (1, 2, 3), (0,),
+            (Role.MEO,) + (Role.LEO,) * 3,
         )
 
 
@@ -239,28 +258,27 @@ def test_snapshots_share_the_topology_a_snapshot_would_build(leo):
     const = Constellation.build(LEO_SHELLS[leo], MEO_SHELLS["meo8070"], NINE_CITIES)
     a, b = const.snapshot(0.0), const.snapshot(900.0)
     assert a.topology is b.topology is const.topology
-    own = NetworkSnapshot(
-        a.time_s, a.positions, a.velocities, a.isl_edges, a.leo_ids, a.controller_ids, a.roles
-    )
-    assert own.topology is not a.topology
-    # each form against the per-snapshot build it replaces
-    edges = sorted(a.isl_edges)
+    # each view against the per-snapshot build it replaces
+    edges = geometry_oracle.grid_edges(LEO_SHELLS[leo])
     adj = {i: [] for i in a.leo_ids}
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    pos = {leo: p for p, leo in enumerate(a.leo_ids)}
     dense = np.zeros((len(a.leo_ids),) * 2)
     for i, j in edges:
-        dense[pos[i], pos[j]] = dense[pos[j], pos[i]] = 1
-    for topo in (a.topology, own.topology):
-        assert topo.neighbors == {i: tuple(sorted(v)) for i, v in adj.items()}
-        assert topo.edge_array.tolist() == [list(e) for e in edges]
-        assert np.array_equal(topo.graph.toarray(), dense)
-    # a snapshot of other edges builds its own topology, one of the same edges keeps it
-    cut = dataclasses.replace(a, isl_edges=a.isl_edges - {edges[0]})
+        dense[i, j] = dense[j, i] = 1
+    topo = a.topology
+    assert topo.neighbors == {i: tuple(sorted(v)) for i, v in adj.items()}
+    assert topo.edge_array.tolist() == [list(e) for e in edges]
+    assert np.array_equal(topo.graph.toarray(), dense)
+    # a snapshot carries the topology it is given, and only one over its LEOs
+    cut_topology = IslTopology(topo.edge_array[1:], a.leo_ids)
+    cut = dataclasses.replace(a, topology=cut_topology)
+    assert cut.topology is cut_topology
     assert cut.topology.edge_array.tolist() == [list(e) for e in edges[1:]]
     assert dataclasses.replace(a, time_s=1.0).topology is a.topology
+    with pytest.raises(ValueError, match="topology"):
+        dataclasses.replace(a, topology=IslTopology(topo.edge_array, a.leo_ids[:-1]))
 
 
 def _preset_constellation(config):
@@ -274,7 +292,7 @@ def _preset_constellation(config):
 def test_hop_predecessors_equal_the_all_pairs_rows(config):
     snap = _preset_constellation(config()).snapshot(0.0)
     want = _all_pairs_preds(snap)
-    topo = IslTopology(snap.isl_edges, snap.leo_ids)
+    topo = IslTopology(snap.topology.edge_array, snap.leo_ids)
     n = len(snap.leo_ids)
     # sources requested in overlapping, repeating batches, in no sorted order
     for batch in (np.array([n - 1, 0, n - 1]), np.arange(n)[::-2], np.arange(n)):
@@ -285,7 +303,7 @@ def test_hop_predecessors_equal_the_all_pairs_rows(config):
 
 def test_hop_predecessors_compute_each_source_once(monkeypatch):
     snap = _preset_constellation(desk_config()).snapshot(0.0)
-    topo = IslTopology(snap.isl_edges, snap.leo_ids)
+    topo = IslTopology(snap.topology.edge_array, snap.leo_ids)
     asked = []
 
     def recorded(*args, indices, **kwargs):

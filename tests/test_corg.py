@@ -130,7 +130,7 @@ def test_build_corg_matches_adjacency_oracle():
     corg = _corg(region, tm, snap, OverheadParams(), fov)
     expected = set()
     members = {1, 2}
-    for a, b in snap.isl_edges:
+    for a, b in snap.topology.edge_array.tolist():
         if a in members and b in members:
             expected.add((a, b))
     for k in (k1, k2):
@@ -149,7 +149,8 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
         for region in geom.regions:
             corg = build_corg(region, edges)
             members = region.leo_ids
-            want = [(a, b) for a, b in sorted(snap.isl_edges) if a in members and b in members]
+            isl = sorted(map(tuple, snap.topology.edge_array.tolist()))
+            want = [(a, b) for a, b in isl if a in members and b in members]
             want += [
                 (min(leo, k), max(leo, k))
                 for k in region.controller_ids

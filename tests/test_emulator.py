@@ -233,7 +233,7 @@ def test_sync_and_handover_byte_accounting():
     )
     domains = cur.domains()
     e1, e2 = (
-        sum(1 for a, b in snap.isl_edges if a in domains[k] and b in domains[k])
+        sum(1 for a, b in snap.topology.edge_array.tolist() if a in domains[k] and b in domains[k])
         for k in (k1, k2)
     )
     per_tick = (e1 + e2) * 24 + (len(domains[k1]) + len(domains[k2])) * 24  # 2 ctrls

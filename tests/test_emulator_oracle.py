@@ -12,7 +12,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from eunomia.constellation import Role
+from eunomia.constellation import IslTopology, Role
 from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain
 from eunomia.overhead import OverheadParams
 from eunomia.partition import DomainAssignment
@@ -41,7 +41,8 @@ def _cut_world():
     """Ring of 8 LEOs cut into {0..3} and {4..7}; two far MEOs that see every
     LEO; LEO 6 unmanaged; each domain spans both halves of the cut."""
     ring = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
-    snap = replace(ring, isl_edges=ring.isl_edges - {(3, 4), (0, 7)})
+    cut = [e for e in ring.topology.edge_array.tolist() if e not in ([3, 4], [0, 7])]
+    snap = replace(ring, topology=IslTopology(np.array(cut), ring.leo_ids))
     k1, k2 = snap.controller_ids
     fov = {k: frozenset(snap.leo_ids) for k in (k1, k2)}
     assignment = DomainAssignment(

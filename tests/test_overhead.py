@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eunomia import overhead
-from eunomia.constellation import C_LIGHT_KM_S, NetworkSnapshot, Role
+from eunomia.constellation import C_LIGHT_KM_S, IslTopology, NetworkSnapshot, Role
 from eunomia.emulator import partition_chain
 from eunomia.overhead import (
     ConstraintViolationError,
@@ -41,12 +41,12 @@ def _chain_snapshot(n=3, spacing_km=2000.0):
     positions[k] = np.array([16725.0, -(n - 1) * spacing_km, 0.0])
     velocities[k] = np.array([0.0, 4.9, 0.0])
     roles = (Role.LEO,) * n + (Role.MEO,)
-    edges = frozenset((i, i + 1) for i in range(n - 1))
+    edges = np.array([(i, i + 1) for i in range(n - 1)], dtype=np.int64).reshape(-1, 2)
     return NetworkSnapshot(
         time_s=0.0,
         positions=positions,
         velocities=velocities,
-        isl_edges=edges,
+        topology=IslTopology(edges, tuple(range(n))),
         leo_ids=tuple(range(n)),
         controller_ids=(k,),
         roles=roles,
@@ -149,7 +149,8 @@ def test_flow_overhead_hand_value():
     ])
     velocities = np.zeros_like(positions)
     roles = (Role.LEO, Role.LEO, Role.GS)
-    snap = NetworkSnapshot(0.0, positions, velocities, frozenset(), (0, 1), (2,), roles)
+    no_isl = IslTopology(np.empty((0, 2), dtype=np.int64), (0, 1))
+    snap = NetworkSnapshot(0.0, positions, velocities, no_isl, (0, 1), (2,), roles)
     fov = {2: frozenset({0, 1})}
     a = DomainAssignment(0, {0: 2, 1: 2})
     tm = _traffic(snap, {(0, 1): 2.0})
@@ -387,8 +388,10 @@ def test_intra_domain_edges_match_a_scan_per_domain(desk_scenario_short):
     counts = intra_domain_edges(a, snap)
     assert list(counts) == list(a.domains()) and len(counts) > 1
     for k, members in a.domains().items():
-        assert counts[k] == sum(1 for i, j in snap.isl_edges if i in members and j in members)
-    assert 0 < sum(counts.values()) < len(snap.isl_edges)
+        assert counts[k] == sum(
+            1 for i, j in snap.topology.edge_array.tolist() if i in members and j in members
+        )
+    assert 0 < sum(counts.values()) < len(snap.topology.edge_array)
 
 
 def test_bandwidth_homogeneity():

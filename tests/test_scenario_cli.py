@@ -299,6 +299,15 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("strategies",), [], "strategies"),
         (("gammas",), [], "gammas"),
         (("seeds",), [], "seeds"),
+        (("overhead", "capacity_unit_ops"), 0, "overhead.capacity_unit_ops"),
+        (("overhead", "migration"), {"state_bandwidth_bps": 0},
+         "overhead.migration.state_bandwidth_bps"),
+        (("overhead", "bandwidth_bps"), {"isl": 0}, "overhead.bandwidth_bps.isl"),
+        (("traffic", "city_sigma_deg"), 0, "traffic.city_sigma_deg"),
+        (("traffic", "gravity_constant"), -1, "traffic.gravity_constant"),
+        (("traffic", "background_density"), -1, "traffic.background_density"),
+        (("emulator", "queue_window_s"), -1, "emulator.queue_window_s"),
+        (("overhead", "f_sync_hz"), -1, "overhead.f_sync_hz"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):

@@ -16,6 +16,7 @@ from eunomia.constellation import (
     LEO_SHELLS,
     R_EARTH_KM,
     Constellation,
+    IslTopology,
     NetworkSnapshot,
     Role,
 )
@@ -305,7 +306,7 @@ def _leo_snapshot(leo_pos) -> NetworkSnapshot:
         time_s=0.0,
         positions=positions,
         velocities=np.zeros_like(positions),
-        isl_edges=frozenset(),
+        topology=IslTopology(np.empty((0, 2), dtype=np.int64), tuple(range(n))),
         leo_ids=tuple(range(n)),
         controller_ids=(n,),
         roles=(Role.LEO,) * n + (Role.GS,),

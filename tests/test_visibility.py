@@ -11,7 +11,6 @@ from eunomia.constellation import (
     Constellation,
     Role,
     ShellSpec,
-    generate_shell,
 )
 from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.visibility import (
