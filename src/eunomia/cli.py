@@ -247,14 +247,64 @@ def cmd_emulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# the stats columns the report reads, and how each is parsed
+_REPORT_NUMBERS = {
+    "gamma": float, "seed": int, "requests": float, "drops": float, "mean_resp_s": float,
+    "bytes_flow": float, "bytes_sync": float, "bytes_ho": float,
+}
+
+
 def _read_stats_csv(path: Path) -> list[dict]:
+    """The rows of a stats file, with the columns the report reads parsed;
+    ConfigError names the path, the data row and the column of a value
+    that does not parse."""
     lines = [ln for ln in io.StringIO(read_input(path)) if not ln.startswith("#")]
     reader = csv.DictReader(lines)
     if reader.fieldnames != CSV_COLUMNS:
         raise ConfigError(
             f"{path}: unexpected columns {reader.fieldnames}, expected {CSV_COLUMNS}"
         )
-    return list(reader)
+    rows = list(reader)
+    for n, row in enumerate(rows, start=1):
+        for column, parse in _REPORT_NUMBERS.items():
+            try:
+                row[column] = parse(row[column])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{path}: row {n}: {column} = {row[column]!r} is not a number"
+                ) from None
+    return rows
+
+
+def _read_overhead_json(path: str) -> list[tuple[str, float, list[tuple]]]:
+    """(strategy, gamma, per-slot components) of each run of an overhead file,
+    the components as the report averages them: w_flow, w_sync, w_mig,
+    w_ctl, w_cpt and eta_control (None where undefined). ConfigError names
+    the path and what is missing or malformed."""
+    try:
+        return [
+            (
+                run["strategy"],
+                float(run["gamma"]),
+                [
+                    (s["w_flow"], s["w_sync_in"] + s["w_sync_out"], s["w_mig"], s["w_ctl"],
+                     s["w_cpt_intra"] + s["w_cpt_inter"], s["eta_control"])
+                    for s in run["slots"]
+                ],
+            )
+            for run in json.loads(read_input(path))["runs"]
+        ]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed runs: {exc}") from None
+
+
+def _mean_cell(values: list[float]) -> str:
+    """The mean as the report writes it, or an empty cell for no values."""
+    return repr(float(np.mean(values))) if values else ""
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -268,13 +318,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     summed = ("requests", "drops", "bytes_flow", "bytes_sync", "bytes_ho")
     per_seed: dict[tuple[str, float, int], dict[str, float]] = {}
     for row in rows:
-        key = (row["strategy"], float(row["gamma"]), int(row["seed"]))
+        key = (row["strategy"], row["gamma"], row["seed"])
         agg = per_seed.setdefault(key, dict.fromkeys((*summed, "served", "resp_weighted"), 0.0))
         for name in summed:
-            agg[name] += float(row[name])
-        served = float(row["requests"]) - float(row["drops"])
+            agg[name] += row[name]
+        served = row["requests"] - row["drops"]
         agg["served"] += served
-        agg["resp_weighted"] += float(row["mean_resp_s"]) * served
+        agg["resp_weighted"] += row["mean_resp_s"] * served
 
     groups: dict[tuple[str, float], list[dict[str, float]]] = {}
     for (strategy, gamma, _seed), agg in sorted(per_seed.items()):
@@ -312,27 +362,22 @@ def cmd_report(args: argparse.Namespace) -> int:
     print(f"{len(groups)} (strategy, gamma) groups -> {report_path}")
 
     if args.overhead:
-        oh_groups: dict[tuple[str, float], list[dict]] = {}
+        oh_groups: dict[tuple[str, float], list[tuple]] = {}
         for path in args.overhead:
-            for run in json.loads(read_input(path))["runs"]:
-                key = (run["strategy"], float(run["gamma"]))
-                oh_groups.setdefault(key, []).extend(run["slots"])
+            for strategy, gamma, slots in _read_overhead_json(path):
+                oh_groups.setdefault((strategy, gamma), []).extend(slots)
         oh_path = out_dir / "report_overhead.csv"
         with oh_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["strategy", "gamma", "w_flow_mean", "w_sync_mean",
                              "w_mig_mean", "w_ctl_mean", "w_cpt_mean", "eta_mean"])
             for (strategy, gamma), slots in sorted(oh_groups.items()):
+                *components, etas = zip(*slots) if slots else ([],) * 6
                 writer.writerow([
                     strategy,
                     repr(gamma),
-                    repr(float(np.mean([s["w_flow"] for s in slots]))),
-                    repr(float(np.mean([s["w_sync_in"] + s["w_sync_out"] for s in slots]))),
-                    repr(float(np.mean([s["w_mig"] for s in slots]))),
-                    repr(float(np.mean([s["w_ctl"] for s in slots]))),
-                    repr(float(np.mean([s["w_cpt_intra"] + s["w_cpt_inter"] for s in slots]))),
-                    repr(float(np.mean([s["eta_control"] for s in slots
-                                        if s["eta_control"] is not None]))),
+                    *(_mean_cell(list(c)) for c in components),
+                    _mean_cell([e for e in etas if e is not None]),
                 ])
         print(f"overhead aggregation -> {oh_path}")
     return 0

@@ -163,24 +163,18 @@ def norm(v: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class IslTopology:
     """The ISL edges among ``leo_ids``, held once as ``edge_array``: a sorted
-    (E, 2) int64 array of (low id, high id) rows. The neighbour lists, the
-    sparse graph and the hop trees are views of it, each built on first use;
-    all snapshots of a constellation share its one topology."""
+    (E, 2) int64 array of (low id, high id) rows. The sparse graph, whose
+    row ``i`` lists the neighbours of ``i`` in id order, and the hop trees are
+    views of it, each built on first use; all snapshots of a constellation
+    share its one topology."""
 
     edge_array: np.ndarray
     leo_ids: tuple[int, ...]
 
     @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {i: [] for i in self.leo_ids}
-        for a, b in self.edge_array.tolist():
-            adj[a].append(b)
-            adj[b].append(a)
-        return {i: tuple(sorted(v)) for i, v in adj.items()}
-
-    @cached_property
     def graph(self) -> csr_matrix:
-        """The adjacency as a symmetric 0/1 sparse matrix over LEO ids."""
+        """The adjacency as a symmetric 0/1 sparse matrix over LEO ids, in
+        canonical CSR form (each row's column indices sorted)."""
         ends = self.edge_array
         n = len(self.leo_ids)
         return csr_matrix(

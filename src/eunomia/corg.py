@@ -95,7 +95,9 @@ def pairwise_costs(
     # the other switch of a switch pair; on an attachment edge the controller
     # end is no traffic row, and ``mutual`` there is discarded, so reuse ``i``
     j = np.where(switch_pair, np.where(is_leo[a], b, a), i)
-    total = traffic.outbound_rates[i] + traffic.inbound_rates[i]
+    # each switch's total rate, its row and column summed once
+    switches, at = np.unique(i, return_inverse=True)
+    total = (traffic.outbound_of(switches) + traffic.inbound_of(switches))[at].reshape(i.shape)
     mutual = traffic.at(i, j) + traffic.at(j, i)
     lam = np.where(switch_pair, mutual, total)
     w_flow = lam * hop_cost(snapshot, params, a, b, params.m_fl_bytes)
@@ -174,8 +176,13 @@ def similarity(corg: Corg, sigma: float | None = None) -> SimilarityMatrix:
     if not node_ids:
         raise ValueError("similarity of an empty graph")
     if sigma is None:
-        positive = corg.xi[corg.xi > 0.0]
-        sigma = math.sqrt(np.median(positive)) if positive.size else 1.0
+        # np.median, as it computes it: the middle value, or the mean of the two
+        positive = np.sort(corg.xi[corg.xi > 0.0])
+        h = len(positive) // 2
+        if len(positive) % 2:
+            sigma = math.sqrt(positive[h])
+        else:
+            sigma = math.sqrt((positive[h - 1] + positive[h]) / 2.0) if h else 1.0
     n = len(node_ids)
     index = np.zeros(max(node_ids) + 1, dtype=np.int64)
     index[list(node_ids)] = np.arange(n)

@@ -193,7 +193,8 @@ def control_routes(
     over intra-domain ISL edges to the nearest member holding a direct link.
     Raises DisconnectedDomainError when some member has no such path.
     """
-    neighbors = snapshot.topology.neighbors
+    graph = snapshot.topology.graph
+    row_len = np.diff(graph.indptr)
     direct = direct_link_map(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
     for k, members in assignment.domains().items():
@@ -202,28 +203,34 @@ def control_routes(
         if len(usable) == len(members):  # every member has a direct link (FOV containment)
             routes.update((leo, (leo, usable[leo])) for leo in members)
             continue
-        member_set = set(members)
-        # multi-source BFS from all direct-link members, stepping only inside the domain
-        parent: dict[int, int | None] = {leo: None for leo in usable}
-        frontier = sorted(usable)
-        while frontier:
-            nxt: list[int] = []
-            for node in frontier:
-                for nb in neighbors.get(node, ()):
-                    if nb in member_set and nb not in parent:
-                        parent[nb] = node
-                        nxt.append(nb)
-            frontier = sorted(nxt)
-        missing = member_set - parent.keys()
-        if missing:
+        # multi-source BFS from all direct-link members, stepping only inside
+        # the domain, one level at a time over the rows of the ISL graph: a
+        # node's parent is the lowest-id frontier node next to it
+        inside = np.zeros(graph.shape[0], dtype=bool)
+        inside[list(members)] = True
+        parent = np.full(graph.shape[0], -2)  # -2: not reached, -1: a direct link
+        frontier = np.array(sorted(usable), dtype=np.int64)
+        parent[frontier] = -1
+        while frontier.size:
+            start, count = graph.indptr[frontier], row_len[frontier]
+            # each frontier node's row in turn, in id order
+            ends = np.cumsum(count)
+            nb = graph.indices[np.arange(ends[-1]) + np.repeat(start - ends + count, count)]
+            src = np.repeat(frontier, count)
+            new = inside[nb] & (parent[nb] == -2)
+            frontier, first = np.unique(nb[new], return_index=True)
+            parent[frontier] = src[new][first]
+        missing = np.flatnonzero(inside & (parent == -2))
+        if missing.size:
             raise DisconnectedDomainError(
-                f"domain of controller {k}: members {sorted(missing)} cannot reach a direct link"
+                f"domain of controller {k}: members {missing.tolist()} cannot reach a direct link"
             )
+        parent = parent.tolist()
         for leo in members:
             path = [leo]
             node = leo
-            while parent[node] is not None:
-                node = parent[node]  # type: ignore[assignment]
+            while parent[node] >= 0:
+                node = parent[node]
                 path.append(node)
             path.append(usable[node])
             routes[leo] = tuple(path)
@@ -430,7 +437,7 @@ def validate_assignment(
     violations: list[ConstraintViolation] = []
     domains = assignment.domains()
 
-    bad_ctrl = sorted(k for k in domains if k not in snapshot.controller_ids)
+    bad_ctrl = sorted(set(domains).difference(snapshot.controller_ids))
     if bad_ctrl:
         violations.append(
             ConstraintViolation(

@@ -10,16 +10,19 @@ field-of-view exits. Contested decisions are priced by the partitioning
 objective itself, W_CTL + lambda * W_CPT of ``overhead.evaluate``: a matching
 pair costs the rise in W_FLOW + lambda * W_CPT of giving the cluster to that
 controller, and a contested LEO keeps last slot's controller only while no
-other covering controller would cost less. Baselines: a single-controller
-centralized scheme and a nearest-visible-controller greedy. A brute-force
-enumerator serves as the small-instance optimality oracle. Every partitioner
-takes the slot's ``SlotGeometry``: the slot, its snapshot and its FOV products.
+other covering controller would cost less, decided and fixed in one scalar
+pass per LEO (``MarginalObjective.keep``). Baselines: a single-controller
+centralized scheme and a nearest-visible-controller greedy; the greedy and
+every nearest-controller fallback measure only the (LEO, controller) pairs
+in view. A brute-force enumerator serves as the small-instance optimality
+oracle. Every partitioner takes the slot's ``SlotGeometry``: the slot, its
+snapshot and its FOV products.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
@@ -95,12 +98,13 @@ class DomainAssignment:
     @cached_property
     def _domains(self) -> Mapping[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
-        for leo in sorted(self.domain_of):
-            out.setdefault(self.domain_of[leo], []).append(leo)
-        return MappingProxyType({k: tuple(v) for k, v in sorted(out.items())})
+        for leo, k in self.domain_of.items():
+            out.setdefault(k, []).append(leo)
+        return MappingProxyType({k: tuple(sorted(v)) for k, v in sorted(out.items())})
 
     def to_rows(self) -> list[tuple[int, int, int]]:
-        return [(self.slot_index, leo, self.domain_of[leo]) for leo in sorted(self.domain_of)]
+        slot, domain_of = self.slot_index, self.domain_of
+        return [(slot, leo, domain_of[leo]) for leo in sorted(domain_of)]
 
 
 @dataclass
@@ -132,7 +136,7 @@ def step1_exclusive_assign(
     from the slot's ``coverage_map``. LEOs in ``regions`` are exactly the
     multiply-covered ones; uncoverable ones are those of ``all_leo_ids``.
     """
-    contested = {leo for r in regions for leo in r.leo_ids}
+    contested = set().union(*(r.leo_ids for r in regions))
     assigned = {leo: ctrls[0] for leo, ctrls in cover.items() if len(ctrls) == 1}
     uncoverable = sorted(set(all_leo_ids) - cover.keys())
     return assigned, uncoverable, contested
@@ -150,19 +154,32 @@ def _by_distance(
 
 
 def _nearest(
-    snapshot: NetworkSnapshot, nodes: list[int], candidates: Mapping[int, tuple[int, ...]]
+    snapshot: NetworkSnapshot, nodes: list[int], reach: Mapping[int, Collection[int]]
 ) -> list[int]:
-    """Each node's nearest candidate, the lowest id on a tie: ``_by_distance``'s
-    first, from one masked argmin over the same distance matrix."""
+    """Each node's nearest candidate, the lowest id on a tie, where ``reach``
+    maps each candidate to the nodes it may take (others are ignored), such
+    as each controller to its FOV: ``_by_distance``'s first, from the
+    distances of the allowed (node, candidate) pairs only."""
     if not nodes:
         return []
-    ks = np.array(sorted({k for node in nodes for k in candidates[node]}), dtype=np.int64)
-    dist = norm(snapshot.positions[nodes][:, None] - snapshot.positions[ks])
-    lens = [len(candidates[node]) for node in nodes]
-    allowed = np.zeros(dist.shape, dtype=bool)
-    flat = np.fromiter(itertools.chain.from_iterable(candidates[n] for n in nodes), np.int64)
-    allowed[np.repeat(np.arange(len(nodes)), lens), np.searchsorted(ks, flat)] = True
-    return ks[np.where(allowed, dist, np.inf).argmin(axis=1)].tolist()
+    row = np.full(len(snapshot.roles), -1)
+    row[nodes] = np.arange(len(nodes))
+    ks = sorted(reach)
+    rows = [row[np.fromiter(reach[k], np.int64, len(reach[k]))] for k in ks]
+    a = np.concatenate(rows)
+    k = np.repeat(ks, [len(r) for r in rows])
+    a, k = a[a >= 0], k[a >= 0]
+    dist = norm(snapshot.positions[np.asarray(nodes)[a]] - snapshot.positions[k])
+    # each node's least distance, then the lowest candidate id at it
+    least = np.full(len(nodes), np.inf)
+    np.minimum.at(least, a, dist)
+    at_least = dist == least[a]
+    none = len(snapshot.roles)  # above every node id
+    best = np.full(len(nodes), none)
+    np.minimum.at(best, a[at_least], k[at_least])
+    if (best == none).any():
+        raise ValueError("a node without candidates")
+    return best.tolist()
 
 
 def spectral_cluster(
@@ -184,33 +201,33 @@ def spectral_cluster(
     virtual_ids = corg.virtual_ids
     if len(virtual_ids) != m:
         raise ValueError(f"expected {m} virtual controller nodes, found {len(virtual_ids)}")
-    virtual_idx = np.arange(n_leo, n_leo + m)  # the virtual nodes follow the LEOs
 
     weights = similarity(corg, sigma=sigma).values
     np.fill_diagonal(weights, 0.0)
-    if weights.max() > 0.0:
+    top = weights.max()
+    if top > 0.0:
         # similarities this far below the strongest edge are numerically absent
         # and would overflow the normalized Laplacian's degree inversion
-        weights[weights < 1e-15 * weights.max()] = 0.0
+        weights[weights < 1e-15 * top] = 0.0
     degree = weights.sum(axis=1)
-    if np.any(degree[virtual_idx] <= 0.0):
+    if degree[n_leo:].min() <= 0.0:  # the virtual nodes follow the LEOs
         return [], True
     active = np.flatnonzero(degree > 0.0)
-    _, embedding = spectral_embedding(weights[np.ix_(active, active)], m)
-    labels = np.full(n_leo + m, -1)
-    labels[active] = kmeans(embedding, np.searchsorted(active, virtual_idx))
+    if len(active) < len(degree):
+        weights = weights[np.ix_(active, active)]
+    _, embedding = spectral_embedding(weights, m)
+    # the virtual nodes are the last m active rows
+    labels = kmeans(embedding, np.arange(len(active) - m, len(active)))[:-m].tolist()
 
-    leo_labels = labels[:n_leo].tolist()  # -1: zero degree
-    isolated = [x for x, lab in enumerate(leo_labels) if lab < 0]
-    if isolated:
-        leos = [corg.leo_ids[x] for x in isolated]
-        pools = dict.fromkeys(leos, virtual_ids)
-        for x, k in zip(isolated, _nearest(snapshot, leos, pools)):
-            leo_labels[x] = virtual_ids.index(k)
-    members: dict[int, list[int]] = {k: [] for k in virtual_ids}
-    for leo, lab in zip(corg.leo_ids, leo_labels):
-        members[virtual_ids[lab]].append(leo)
-    return [Cluster(tuple(sorted(members[k])), k) for k in virtual_ids], False
+    members: list[list[int]] = [[] for _ in virtual_ids]
+    for x, lab in zip(active[:-m].tolist(), labels):
+        members[lab].append(corg.leo_ids[x])
+    if len(active) < len(degree):  # LEOs of zero degree join the nearest virtual node
+        leos = [corg.leo_ids[x] for x in np.setdiff1d(np.arange(n_leo), active).tolist()]
+        near = _nearest(snapshot, leos, dict.fromkeys(virtual_ids, leos))
+        for leo, k in zip(leos, near):
+            members[virtual_ids.index(k)].append(leo)
+    return [Cluster(tuple(sorted(ms)), k) for ms, k in zip(members, virtual_ids)], False
 
 
 class MarginalObjective:
@@ -223,10 +240,13 @@ class MarginalObjective:
     The path-computation term follows each controller's domain size and
     intra-domain rate, kept as running sums, and the rates between the priced
     LEOs and the fixed domains. Those rates are read from the k x k traffic
-    block among serving LEOs, whose rows carry the fixed domains' labels; a
-    LEO with no block row carries no traffic and is priced without an array
-    operation. Each controller's terms are then a few float operations, and
-    ``keeps`` decides keep-or-release on them without building an array.
+    block among serving LEOs, whose rows and columns carry the fixed domains'
+    labels, by one weighted ``np.bincount``; a LEO with no block row carries
+    no traffic and is priced without an array operation. The outbound rates
+    and hop costs are computed once, at construction, and only for the LEOs
+    that may be priced and carry traffic. Each controller's terms are then a
+    few float operations, and ``keep`` decides keep-or-release on them, and
+    fixes a kept LEO, without building an array.
 
     Inter-domain requests are priced at a fixed domain count, ``n_domains``
     (the partitioner passes the number of controllers that see any LEO).
@@ -244,119 +264,152 @@ class MarginalObjective:
         params: OverheadParams,
         n_domains: int,
         domain_of: dict[int, int],
+        priced: Collection[int],
     ):
         self.traffic = traffic
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
+        n_ctrl = len(ctrls)
         self.column = {k: c for c, k in enumerate(ctrls)}
         self.inv_cap = [1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls]
         self._inv_cap = np.array(self.inv_cap)
         self.inter_cpt = params.cpt_cost(n_domains)
         self.cpt = params.cpt_costs(len(traffic.leo_ids))
-        # LEO x controller one-hop flow cost, kept as rows for the LEOs not
-        # fixed here (row -1: none); a LEO fixed here, if ever priced, is
-        # costed when priced, by the same elementwise hop_cost
+        # outbound rate and LEO x controller one-hop flow cost of each LEO of
+        # ``priced`` (the LEOs the caller will price) that carries traffic, at
+        # row hop_row[leo]; the other LEOs of ``priced`` share the last row,
+        # zeros, as their zero outbound rate zeroes any finite hop cost. Any
+        # other LEO (row -1) is costed when priced, by the same line sum and
+        # hop_cost
         self._hop_cost = partial(
             hop_cost, snapshot, params, b=np.array(ctrls), msg_bytes=params.m_fl_bytes
         )
-        fixed = np.zeros(len(traffic.leo_ids), dtype=bool)
-        fixed[list(domain_of)] = True
-        free = np.flatnonzero(~fixed)
+        priced = np.fromiter(priced, np.int64, len(priced))
+        busy = priced[traffic.block_row[priced] >= 0]
         self.hop_row = np.full(len(traffic.leo_ids), -1)
-        self.hop_row[free] = np.arange(len(free))
-        self.hop = self._hop_cost(a=free[:, None])
-        # fixed domain of each block row; len(ctrls): not fixed
-        self.label = np.full(len(traffic.active), len(ctrls))
-        self.size = [0] * len(ctrls)
-        self.intra = [0.0] * len(ctrls)
-        zeros = [0.0] * len(ctrls)
+        self.hop_row[priced] = len(busy)
+        self.hop_row[busy] = np.arange(len(busy))
+        self.outbound = np.append(traffic.outbound_of(busy), 0.0)
+        self.hop = np.zeros((len(busy) + 1, n_ctrl))
+        self.hop[:-1] = self._hop_cost(a=busy[:, None])
+        self.block_row = traffic.block_row.tolist()
+        zeros = [0.0] * n_ctrl
         self._idle = ([], zeros, zeros, 0.0, 0.0, 0.0)  # no traffic
-        # (leos, flows) of the last price: a LEO that is priced and then fixed
-        # reuses them, since nothing was fixed in between
-        self._last: tuple | None = None
-        members: dict[int, list[int]] = {}
-        for leo, k in domain_of.items():
-            members.setdefault(self.column[k], []).append(leo)
-        for c, idx in members.items():
-            idx.sort()
-            pos = traffic.block_row[idx]
-            hit = np.flatnonzero(pos >= 0)
-            # C-order rows add one at a time, so rows of zeros can be left out;
-            # the pairwise total needs the zeros where they sit
-            among = np.zeros(len(idx))
-            among[hit] = traffic.rates[np.ix_(pos[hit], pos[hit])].sum(axis=0)
-            self.intra[c] = float(among.sum())
-            self.size[c] = len(idx)
-            self.label[pos[hit]] = c
+
+        # fixed domain of each block row (n_ctrl: not fixed), then of each
+        # block column, offset by n_ctrl + 1: one bincount over them,
+        # weighted by a row of the block followed by its column, gives the
+        # rates to and then from every fixed domain
+        column = np.zeros(len(snapshot.roles), dtype=np.int64)
+        column[list(ctrls)] = np.arange(n_ctrl)
+        leos = np.fromiter(domain_of, np.int64, len(domain_of))
+        cols = column[np.fromiter(domain_of.values(), np.int64, len(domain_of))]
+        order = np.lexsort((leos, cols))  # by domain, then by id
+        leos, cols = leos[order], cols[order]
+        pos = traffic.block_row[leos]
+        hit = np.flatnonzero(pos >= 0)
+        p, c = pos[hit], cols[hit]
+        label = np.full(len(traffic.active), n_ctrl)
+        label[p] = c
+        self.labels = np.concatenate([label, label + n_ctrl + 1])
+        self.size = np.bincount(cols, minlength=n_ctrl).tolist()
+        # each fixed LEO's rate from its own domain: its block column summed
+        # over the domain's rows in order, by one bincount over the (row,
+        # column) pairs within each domain's run of ``p``, column by column
+        start = np.searchsorted(c, c)
+        run = np.searchsorted(c, c, side="right") - start
+        col = np.repeat(np.arange(len(c)), run)
+        row = np.repeat(start - np.cumsum(run) + run, run) + np.arange(len(col))
+        own = np.zeros(len(leos))
+        own[hit] = np.bincount(col, weights=traffic.rates[p[row], p[col]], minlength=len(c))
+        # summed over each domain's members in id order, the zeros where they sit
+        bounds = np.cumsum([0] + self.size).tolist()
+        self.intra = [float(own[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:])]
 
     def _flows(self, leos: tuple[int, ...]) -> tuple:
         """(block rows of the LEOs that carry traffic, their rate to each fixed
         domain, their rate from each fixed domain, the sum over domains of the
         rate from it times its inverse capacity, the sum of the rates to all
         domains, their rate among themselves)."""
-        if self._last is not None and self._last[0] == leos:
-            return self._last[1]
-        block_row, rates = self.traffic.block_row, self.traffic.rates
         if len(leos) == 1:
-            r = int(block_row[leos[0]])
+            r = self.block_row[leos[0]]
             rows = [r] if r >= 0 else []
         else:
-            pos = block_row[list(leos)]
+            pos = self.traffic.block_row[list(leos)]
             rows = pos[pos >= 0].tolist()
         if not rows:
-            flows = self._idle
-        else:
-            if len(rows) == 1:  # a sum of one row is that row, and zeros add nothing
-                r = rows[0]
-                to_leos, from_leos, among = rates[r], rates[:, r], float(rates[r, r])
-            else:  # summed as in __init__
-                to_leos, from_leos = rates[rows].sum(axis=0), rates.T[rows].sum(axis=0)
-                among = float(np.where(pos >= 0, to_leos[pos], 0.0).sum())
-            n_ctrl = len(self.size)
-            to_dom = np.bincount(self.label, weights=to_leos, minlength=n_ctrl + 1)[:n_ctrl]
-            from_dom = np.bincount(self.label, weights=from_leos, minlength=n_ctrl + 1)[:n_ctrl]
-            flows = (
-                rows,
-                to_dom.tolist(),
-                from_dom.tolist(),
-                float(from_dom @ self._inv_cap),
-                float(to_dom.sum()),
-                among,
-            )
-        self._last = (leos, flows)
-        return flows
+            return self._idle
+        rates = self.traffic.rates
+        if len(rows) == 1:  # a sum of one row is that row, and zeros add nothing
+            r = rows[0]
+            lines, among = (rates[r], rates[:, r]), float(rates[r, r])
+        else:  # C-order rows add one at a time, as in __init__
+            to_leos = rates[rows].sum(axis=0)
+            lines = (to_leos, rates.T[rows].sum(axis=0))
+            among = float(np.where(pos >= 0, to_leos[pos], 0.0).sum())
+        n = len(self.size)
+        dom = np.bincount(self.labels, weights=np.concatenate(lines), minlength=2 * n + 2)
+        to_dom, from_dom = dom[:n], dom[n + 1 : -1]
+        both = dom.tolist()
+        return (
+            rows,
+            both[:n],
+            both[n + 1 : -1],
+            float(from_dom @ self._inv_cap),
+            float(to_dom.sum()),
+            among,
+        )
 
-    def _hop(self, idx: list[int]) -> np.ndarray:
-        """One-hop flow cost rows of the LEOs ``idx``, to every controller."""
-        rows = self.hop_row[idx]
+    def _flow_costs(self, leos: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Outbound rates of ``leos``, and their one-hop flow cost rows to
+        every controller."""
+        if len(leos) == 1 and (r := self.hop_row[leos[0]]) >= 0:
+            return self.outbound[r : r + 1], self.hop[r : r + 1]
+        rows = self.hop_row[list(leos)]
         if (rows >= 0).all():
-            return self.hop[rows]
-        return self._hop_cost(a=np.array(idx)[:, None])
+            return self.outbound[rows], self.hop[rows]
+        idx = np.array(leos)
+        return self.traffic.outbound_of(idx), self._hop_cost(a=idx[:, None])
 
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
-        return np.array(self._prices(leos, [self.column[k] for k in controllers]))
-
-    def keeps(self, leo: int, k: int, controllers: tuple[int, ...]) -> bool:
-        """Whether ``cost((leo,), controllers)`` is lowest at ``k``, in Python
-        floats: a LEO with no traffic is decided without an array."""
-        prices = self._prices((leo,), [self.column[c] for c in controllers])
-        return prices[controllers.index(k)] <= min(prices)
-
-    def _prices(self, leos: tuple[int, ...], cols: list[int]) -> list[float]:
-        """``cost`` at the controller columns ``cols``, as Python floats."""
+        cols = [self.column[k] for k in controllers]
         if not leos:
-            return [0.0] * len(cols)
-        rows, to_dom, from_dom, from_all, to_all, among = self._flows(leos)
+            return np.zeros(len(cols))
+        return np.array(self._prices(leos, self._flows(leos), cols))
+
+    def keep(self, leo: int, k: int, controllers: tuple[int, ...]) -> bool:
+        """Keep-or-release of one LEO in one scalar pass: fix ``leo`` at ``k``
+        when ``cost((leo,), controllers)`` is lowest there, and say whether it
+        was. The prices are Python floats, from one bincount for a LEO that
+        carries traffic and from no array operation for one that does not."""
+        cols = [self.column[c] for c in controllers]
+        flows = self._flows((leo,))
+        prices = self._prices((leo,), flows, cols)
+        at = controllers.index(k)
+        kept = prices[at] <= min(prices)
+        if kept:
+            self._fix((leo,), flows, cols[at])
+        return kept
+
+    def fix(self, leos: tuple[int, ...], controller: int) -> None:
+        """Add ``leos`` to the controller's domain for all later prices."""
+        if leos:
+            self._fix(leos, self._flows(leos), self.column[controller])
+
+    def _prices(self, leos: tuple[int, ...], flows: tuple, cols: list[int]) -> list[float]:
+        """``cost`` at the controller columns ``cols``, as Python floats, from
+        the ``_flows`` of ``leos``."""
+        rows, to_dom, from_dom, from_all, to_all, among = flows
         if not rows:  # no traffic, so no flow cost
             w_flow = [0.0] * len(cols)
-        elif len(leos) == 1:
-            out = float(self.traffic.outbound_rates[leos[0]])
-            hop = self._hop([leos[0]])[0].tolist()
-            w_flow = [out * hop[c] for c in cols]
         else:
-            idx = list(leos)
-            w_flow = (self.traffic.outbound_rates[idx] @ self._hop(idx)[:, cols]).tolist()
+            out, hop = self._flow_costs(leos)
+            if len(leos) == 1:  # one product per controller, as the matmul of one row
+                out, hop = float(out[0]), hop[0].tolist()
+                w_flow = [out * hop[c] for c in cols]
+            else:
+                w_flow = (out @ hop[:, cols]).tolist()
         n, lam, inter_cpt, cpt = len(leos), self.lam, self.inter_cpt, self.cpt
         prices = []
         for w, c in zip(w_flow, cols):
@@ -371,17 +424,14 @@ class MarginalObjective:
             prices.append(w + lam * (d_intra + d_inter))
         return prices
 
-    def fix(self, leos: tuple[int, ...], controller: int) -> None:
-        """Add ``leos`` to the controller's domain for all later prices."""
-        if not leos:
-            return
-        c = self.column[controller]
-        rows, to_dom, from_dom, _, _, among = self._flows(leos)
+    def _fix(self, leos: tuple[int, ...], flows: tuple, c: int) -> None:
+        """``fix`` at the controller column ``c``, from the ``_flows`` of ``leos``."""
+        rows, to_dom, from_dom, _, _, among = flows
         self.intra[c] += to_dom[c] + from_dom[c] + among
         self.size[c] += len(leos)
-        if rows:
-            self.label[rows] = c
-        self._last = None
+        for r in rows:
+            self.labels[r] = c
+            self.labels[r + len(self.traffic.active)] = c + len(self.size) + 1
 
 
 def km_match(
@@ -433,7 +483,7 @@ def fine_tune_boundaries(
     now_fov = geometry.fov_domains
 
     domain_of = dict(assignment.domain_of)
-    neighbors = snapshot.topology.neighbors
+    graph = snapshot.topology.graph
     # only a LEO whose controller loses sight of it can move, and a move ends
     # that (its new controller sees it at the next sample), so each LEO moves
     # at most once; the other LEOs never change controller
@@ -448,7 +498,7 @@ def fine_tune_boundaries(
             neighbor_ctrls = sorted(
                 {
                     domain_of[nb]
-                    for nb in neighbors.get(leo, ())
+                    for nb in graph.indices[graph.indptr[leo] : graph.indptr[leo + 1]].tolist()
                     if nb in domain_of and domain_of[nb] != k
                 }
             )
@@ -501,25 +551,29 @@ def partition_slot(
         raise UncoverableLeoError(uncovered)
 
     n_domains = sum(1 for members in fov.values() if members)
-    pricing = MarginalObjective(traffic_prev, snap, ctx.overhead_params, n_domains, assigned)
+    pricing = MarginalObjective(
+        traffic_prev, snap, ctx.overhead_params, n_domains, assigned, sorted(contested)
+    )
 
     def give(leos: tuple[int, ...], k: int) -> None:
         for leo in leos:
             assigned[leo] = k
         pricing.fix(leos, k)
 
-    signature = {leo: frozenset(r.controller_ids) for r in regions for leo in r.leo_ids}
+    signature: dict[int, frozenset[int]] = {}
+    for region in regions:
+        signature.update(dict.fromkeys(region.leo_ids, frozenset(region.controller_ids)))
 
     if prev_assignment is not None:
+        prev_of, prev_signature = prev_assignment.domain_of, prev_assignment.overlap_signature
         for leo in sorted(contested):
-            k_prev = prev_assignment.domain_of.get(leo)
+            k_prev, ctrls = prev_of.get(leo), cover[leo]
             if (
-                k_prev is not None
-                and k_prev in cover[leo]
-                and prev_assignment.overlap_signature.get(leo) == signature[leo]
-                and pricing.keeps(leo, k_prev, cover[leo])
+                k_prev in ctrls
+                and prev_signature.get(leo) == signature[leo]
+                and pricing.keep(leo, k_prev, ctrls)
             ):
-                give((leo,), k_prev)
+                assigned[leo] = k_prev
 
     # every region's residual is fixed now, so the slot's CORG edges are costed at once
     residuals = []  # (LEOs in id order, the region they form) per region
@@ -547,7 +601,8 @@ def partition_slot(
         if match is None:
             # no clusters, or no FOV-feasible matching: each LEO goes to its
             # nearest covering controller
-            for leo, k in zip(residual, _nearest(snap, list(residual), cover)):
+            reach = {k: fov[k] for k in ctrls}
+            for leo, k in zip(residual, _nearest(snap, list(residual), reach)):
                 give((leo,), k)
             continue
         for c, cluster in enumerate(clusters):
@@ -593,9 +648,9 @@ def greedy_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignm
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
+    leos = sorted(cover)
     if ctx.greedy_cap is None:
-        assigned = dict(zip(leos, _nearest(snap, leos, cover)))
+        assigned = dict(zip(leos, _nearest(snap, leos, geom.fov_domains)))
     else:
         load: dict[int, int] = {k: 0 for k in snap.controller_ids}
         assigned = {}

@@ -24,11 +24,14 @@ def normalized_laplacian(weights: np.ndarray) -> np.ndarray:
     w = np.array(weights, dtype=float)
     np.fill_diagonal(w, 0.0)
     degree = w.sum(axis=1)
-    if np.any(degree <= 0.0):
+    if degree.min(initial=np.inf) <= 0.0:
         raise ValueError("zero-degree node in Laplacian; drop isolated nodes first")
     inv_sqrt = 1.0 / np.sqrt(degree)
-    lap = np.diag(degree) - w
-    return lap * np.outer(inv_sqrt, inv_sqrt)
+    # diag(degree) - w, built in place: 0 - w off the diagonal, d - 0 = d on it
+    lap = np.subtract(0.0, w, out=w)
+    np.fill_diagonal(lap, degree)
+    lap *= inv_sqrt[:, None] * inv_sqrt  # the outer product
+    return lap
 
 
 def spectral_embedding(weights: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +42,8 @@ def spectral_embedding(weights: np.ndarray, m: int) -> tuple[np.ndarray, np.ndar
         raise ValueError(f"cannot extract {m} eigenvectors from {n} nodes")
     vals, vecs = eigh(lap)
     vals, vecs = vals[:m], vecs[:, :m]
-    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    # np.linalg.norm(vecs, axis=1, keepdims=True), as that function computes it
+    norms = np.sqrt(np.add.reduce(vecs * vecs, axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     return vals, vecs / norms
 
@@ -51,20 +55,27 @@ def kmeans(
 
     Cluster c starts at ``points[anchors[c]]`` and always keeps that row as a
     member, so every cluster holds exactly one anchor and none empties. Ties
-    go to the lowest cluster index.
+    go to the lowest cluster index. Each centre is its members' sum, added
+    row by row in one weighted ``np.bincount``, over their count: for points
+    of two or more columns that is ``points[labels == c].mean(axis=0)``.
     """
     anchors = np.asarray(anchors, dtype=int)
     k = len(anchors)
-    if np.unique(anchors).size != k:
+    if len(set(anchors.tolist())) != k:
         raise ValueError(f"anchors must be distinct rows, got {anchors.tolist()}")
-    centers = points[anchors].copy()
-    labels = np.full(len(points), -1)
+    n, dim = points.shape
+    centers = points[anchors]
+    labels = np.full(n, -1)
+    own = np.arange(k)
+    cells = np.arange(dim)  # bin of (cluster c, coordinate d): c * dim + d
     for _ in range(max_iter):
         new_labels = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-        new_labels[anchors] = np.arange(k)
-        if np.array_equal(new_labels, labels):
+        new_labels[anchors] = own
+        if (new_labels == labels).all():
             break
         labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
+        sums = np.bincount(
+            (labels[:, None] * dim + cells).ravel(), weights=points.ravel(), minlength=k * dim
+        )
+        centers = sums.reshape(k, dim) / np.bincount(labels, minlength=k)[:, None]
     return labels

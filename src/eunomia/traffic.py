@@ -15,7 +15,10 @@ slot's rates are stored as the dense block among those serving LEOs (the
 the |V|-wide view through ``TrafficMatrix.submatrix``, ``at`` and the
 per-LEO ``outbound_rates`` and ``inbound_rates``, which give what the full
 matrix would, memory order included, so that every sum runs in the same
-order as over the full matrix and gives the same bits.
+order as over the full matrix and gives the same bits. A consumer that
+needs the totals of a few LEOs only, such as the partitioner, sums just
+their lines (``outbound_of`` and ``inbound_of``), each as the full vectors
+sum it.
 """
 from __future__ import annotations
 
@@ -134,26 +137,37 @@ class TrafficMatrix:
     @cached_property
     def outbound_rates(self) -> np.ndarray:
         """``full[i].sum()`` for every LEO id ``i``."""
-        return self._line_sums(self.rates)
+        return self.outbound_of(np.arange(len(self.leo_ids)))
 
     @cached_property
     def inbound_rates(self) -> np.ndarray:
         """``full[:, j].sum()`` for every LEO id ``j``: each column summed as
         one contiguous row, which matches summing the column alone bit for bit
         (``full.sum(axis=0)`` adds row by row and does not)."""
-        return self._line_sums(self.rates.T)
+        return self.inbound_of(np.arange(len(self.leo_ids)))
 
-    def _line_sums(self, block: np.ndarray) -> np.ndarray:
-        """Each row of ``block`` (the rates or their transpose) summed as a
-        |V|-wide row of the full matrix, and zero for an inactive LEO."""
-        out = np.zeros(len(self.leo_ids))
+    def outbound_of(self, ids: np.ndarray) -> np.ndarray:
+        """``outbound_rates[ids]``, summing only the rows of ``ids``."""
+        return self._line_sums(self.rates, ids)
+
+    def inbound_of(self, ids: np.ndarray) -> np.ndarray:
+        """``inbound_rates[ids]``, summing only the columns of ``ids``."""
+        return self._line_sums(self.rates.T, ids)
+
+    def _line_sums(self, block: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """For each LEO id of ``ids``, its row of ``block`` (the rates or
+        their transpose) summed as a |V|-wide row of the full matrix; zero
+        for an inactive LEO."""
+        rows = self.block_row[ids]
+        out = np.zeros(len(rows))
+        hit = np.flatnonzero(rows >= 0)
         # 32 lines at a time in one C-order buffer, whose inactive columns
         # stay zero; each line is summed alone, as full[i].sum() is
-        buf = np.zeros((32, len(self.leo_ids)))
-        for start in range(0, len(self.active), 32):
-            lines = block[start : start + 32]
-            buf[: len(lines), self.active] = lines
-            out[self.active[start : start + 32]] = buf[: len(lines)].sum(axis=1)
+        buf = np.zeros((min(32, len(hit)), len(self.leo_ids)))
+        for start in range(0, len(hit), 32):
+            at = hit[start : start + 32]
+            buf[: len(at), self.active] = block[rows[at]]
+            out[at] = buf[: len(at)].sum(axis=1)
         return out
 
     def __getstate__(self) -> dict:

@@ -141,6 +141,13 @@ def desk_scenario_short():
 
 
 @pytest.fixture(scope="session")
+def default_scenario_partition():
+    """The 1584-switch default scenario over 240 s (16 slots), as the
+    default-partition benchmark builds it."""
+    return build_scenario(default_config(), horizon_s=240.0)
+
+
+@pytest.fixture(scope="session")
 def default_scenario_short():
     """The 1584-switch default scenario over 60 s (4 slots)."""
     return build_scenario(default_config(), horizon_s=60.0)

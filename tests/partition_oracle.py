@@ -7,6 +7,13 @@ scalar ``np.exp`` per edge, against ``corg.corg_edges``, which costs every
 edge of a slot in one pass from the traffic's rate vectors, and
 ``corg.similarity``, which takes one ``np.exp`` over the edge array.
 
+``spectral_cluster`` takes the similarity's sigma from ``np.median``, builds
+the Laplacian from ``np.diag`` and ``np.outer``, row-normalises with
+``np.linalg.norm`` and moves each k-means centre to its masked mean,
+against ``partition.spectral_cluster``, which runs the same steps with
+fewer array calls: a sorted middle, an in-place Laplacian, the norm's own
+reduction and one bincount of the centres.
+
 ``MarginalObjective`` prices any set of LEOs from |V|-wide gathers of their
 traffic rows and columns, with every per-controller term as a numpy vector,
 against ``partition.MarginalObjective``, which reads the k x k block among
@@ -18,11 +25,14 @@ has a direct link. Each pair must agree bit for bit, order included.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 
 from eunomia.constellation import ROLE_CODE, Role, norm
 from eunomia.corg import CorgWeights, edge_weight
 from eunomia.overhead import DisconnectedDomainError, direct_link_map, hop_cost
+from eunomia.partition import Cluster
 
+import geometry_oracle
 import traffic_oracle
 
 
@@ -89,6 +99,61 @@ def similarity(node_ids, edges, sigma=None) -> tuple[np.ndarray, float]:
         values[index[a], index[b]] = s
         values[index[b], index[a]] = s
     return values, sigma
+
+
+def spectral_cluster(corg, m, snapshot, sigma=None):
+    """(clusters, fallback_used) of ``corg`` in m groups, one per virtual
+    controller node (see ``partition.spectral_cluster``)."""
+    n_leo = len(corg.leo_ids)
+    virtual_ids = corg.virtual_ids
+    virtual_idx = np.arange(n_leo, n_leo + m)
+    if sigma is None:
+        positive = corg.xi[corg.xi > 0.0]
+        sigma = math.sqrt(np.median(positive)) if positive.size else 1.0
+    node_ids = corg.node_ids
+    index = np.zeros(max(node_ids) + 1, dtype=np.int64)
+    index[list(node_ids)] = np.arange(len(node_ids))
+    i, j = index[corg.pairs].T
+    weights = np.zeros((len(node_ids), len(node_ids)))
+    weights[i, j] = weights[j, i] = np.exp(-corg.xi / (2.0 * sigma**2))
+    if weights.max() > 0.0:
+        weights[weights < 1e-15 * weights.max()] = 0.0
+    degree = weights.sum(axis=1)
+    if np.any(degree[virtual_idx] <= 0.0):
+        return [], True
+    active = np.flatnonzero(degree > 0.0)
+    w = weights[np.ix_(active, active)]
+    inv_sqrt = 1.0 / np.sqrt(w.sum(axis=1))
+    lap = (np.diag(w.sum(axis=1)) - w) * np.outer(inv_sqrt, inv_sqrt)
+    _, vecs = eigh(lap)
+    vecs = vecs[:, :m]
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    labels = np.full(n_leo + m, -1)
+    labels[active] = kmeans(vecs / norms, np.searchsorted(active, virtual_idx))
+    members = {k: [] for k in virtual_ids}
+    for x, leo in enumerate(corg.leo_ids):
+        if labels[x] >= 0:
+            members[virtual_ids[labels[x]]].append(leo)
+        else:  # a LEO of zero degree joins its nearest virtual node
+            members[geometry_oracle.by_distance(snapshot, leo, virtual_ids)[0]].append(leo)
+    return [Cluster(tuple(sorted(members[k])), k) for k in virtual_ids], False
+
+
+def kmeans(points, anchors, max_iter=100):
+    """Anchored k-means labels, each centre moved to its cluster's masked mean."""
+    k = len(anchors)
+    centers = points[anchors].copy()
+    labels = np.full(len(points), -1)
+    for _ in range(max_iter):
+        new_labels = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        new_labels[anchors] = np.arange(k)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels
 
 
 class MarginalObjective:
@@ -163,7 +228,7 @@ class MarginalObjective:
 def control_routes(assignment, snapshot, fov_domains) -> dict[int, tuple[int, ...]]:
     """Control path of every assigned LEO, by a multi-source BFS from each
     domain's direct-link members over intra-domain ISL edges."""
-    neighbors = snapshot.topology.neighbors
+    graph = snapshot.topology.graph
     direct = direct_link_map(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
     for k, members in assignment.domains().items():
@@ -174,7 +239,7 @@ def control_routes(assignment, snapshot, fov_domains) -> dict[int, tuple[int, ..
         while frontier:
             nxt: list[int] = []
             for node in frontier:
-                for nb in neighbors.get(node, ()):
+                for nb in graph.indices[graph.indptr[node] : graph.indptr[node + 1]].tolist():
                     if nb in member_set and nb not in parent:
                         parent[nb] = node
                         nxt.append(nb)

@@ -37,6 +37,7 @@ from eunomia.visibility import (
 )
 
 from conftest import compact_traffic, corg_from_edges, make_ring_snapshot, make_slot
+import partition_oracle
 from geometry_oracle import by_distance
 
 
@@ -181,6 +182,15 @@ def test_spectral_cluster_recovers_disconnected_components():
     assert split[frozenset({2, 3})] == 101
 
 
+def test_spectral_cluster_gives_leos_of_zero_degree_their_nearest_virtual_node():
+    snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 180.0))
+    edges = {(0, 1): 0.5, (0, 6): 0.3, (1, 6): 0.4, (3, 4): 0.5, (3, 7): 0.3, (4, 7): 0.2}
+    corg = corg_from_edges(range(6), (6, 7), edges)  # LEOs 2 (at 120 deg) and 5 (300) have none
+    got = spectral_cluster(corg, 2, snapshot=snap)
+    assert got == ([Cluster((0, 1, 5), 6), Cluster((2, 3, 4), 7)], False)
+    assert got == partition_oracle.spectral_cluster(corg, 2, snap)
+
+
 def test_spectral_cluster_requires_matching_virtual_count():
     corg = _barbell_corg()
     snap = _FakeSnap(corg.node_ids)
@@ -234,7 +244,9 @@ def _pricing(snap):
     """Pricing against no fixed domains under uniform all-pairs traffic."""
     n = len(snap.leo_ids)
     tm = _traffic(snap, {(i, j): 1.0 for i in range(n) for j in range(n) if i != j})
-    return MarginalObjective(tm, snap, OverheadParams(), len(snap.controller_ids), {})
+    return MarginalObjective(
+        tm, snap, OverheadParams(), len(snap.controller_ids), {}, snap.leo_ids
+    )
 
 
 def test_km_match_single_pair():
@@ -309,7 +321,7 @@ def test_marginal_objective_matches_evaluate_differences():
         report = evaluate(DomainAssignment(0, domain_of), tm, snap, params, fov, validate=False)
         return report.w_flow + params.tradeoff_lambda * (report.w_cpt_intra + report.w_cpt_inter)
 
-    pricing = MarginalObjective(tm, snap, params, 2, {leo: k1 for leo in range(5)})
+    pricing = MarginalObjective(tm, snap, params, 2, {leo: k1 for leo in range(5)}, (5, 6, 7))
     pricing.fix((6,), k2)
     fixed = {leo: k1 for leo in range(5)} | {6: k2}
     for leos, ctrls in (((5,), [k1, k2]), ((5, 7), [k2]), ((7,), [k2])):
@@ -323,7 +335,8 @@ def test_km_match_avoids_nearer_loaded_meo():
     clusters = [Cluster((5,)), Cluster(())]
     for load_k1, want in ((False, k1), (True, k2)):
         fixed = {leo: k1 for leo in range(5)} if load_k1 else {}
-        pricing = MarginalObjective(tm, snap, OverheadParams(), 2, fixed)
+        free = [leo for leo in snap.leo_ids if leo not in fixed]
+        pricing = MarginalObjective(tm, snap, OverheadParams(), 2, fixed, free)
         match = km_match(clusters, [k1, k2], fov, pricing)
         assert match[0] == want  # the nearer k1, unless it already carries LEOs 0-4
 

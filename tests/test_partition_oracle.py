@@ -1,6 +1,7 @@
-"""The partitioner's CORG, its pricing and keep-or-release decision, its
-nearest-controller pick and the control routes, checked bit for bit against
-their per-region, array and BFS references on ``default`` slots and the
+"""The partitioner's CORG, its spectral clusters, its pricing and
+keep-or-release decision, its nearest-controller pick (greedy's too) and the
+control routes, checked bit for bit against their per-region, reference
+pipeline, array, scalar and BFS references on ``default`` slots and the
 desk orbit's eunomia chain."""
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eunomia.partition import (
     step1_exclusive_assign,
 )
 
+import geometry_oracle
 import partition_oracle
 
 
@@ -32,7 +34,7 @@ def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario
         snap, cover = geom.slot.snapshot, geom.cover
         assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
         n_domains = sum(1 for members in geom.fov_domains.values() if members)
-        fast = MarginalObjective(traffic, snap, params, n_domains, assigned)
+        fast = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
 
         def check(leos, ks):
@@ -108,11 +110,25 @@ def test_nearest_is_the_first_of_the_ranking(default_scenario_short):
     for geom in scn.geometries[:2]:
         snap, cover = geom.slot.snapshot, geom.cover
         leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
-        assert _nearest(snap, leos, cover) == [r[0] for r in _by_distance(snap, leos, cover)]
+        ranked = _by_distance(snap, leos, cover)
+        assert ranked == [geometry_oracle.by_distance(snap, leo, cover[leo]) for leo in leos]
+        assert _nearest(snap, leos, geom.fov_domains) == [r[0] for r in ranked]
         # every controller as a candidate, as the spectral rejoin ranks them
-        pools = dict.fromkeys(leos[::7], snap.controller_ids)
-        nodes = list(pools)
-        assert _nearest(snap, nodes, pools) == [r[0] for r in _by_distance(snap, nodes, pools)]
+        nodes = leos[::7]
+        pools = dict.fromkeys(nodes, snap.controller_ids)
+        reach = dict.fromkeys(snap.controller_ids, nodes)
+        assert _nearest(snap, nodes, reach) == [r[0] for r in _by_distance(snap, nodes, pools)]
+    with pytest.raises(ValueError, match="without candidates"):
+        _nearest(snap, nodes, {snap.controller_ids[0]: nodes[1:]})
+
+
+def test_greedy_picks_the_nearest_covering_controller(default_scenario_short):
+    scn = default_scenario_short
+    chain = emulator.partition_chain(scn, "greedy", 1.0)
+    for geom, assignment in zip(scn.geometries, chain):
+        snap, cover = geom.slot.snapshot, geom.cover
+        want = {leo: geometry_oracle.by_distance(snap, leo, cover[leo])[0] for leo in cover}
+        assert dict(assignment.domain_of) == want
 
 
 def _check_corgs(regions, traffic, snap, params, fov, weights) -> int:
@@ -160,17 +176,17 @@ def test_eunomia_chains_cluster_on_the_reference_corgs(scenario, monkeypatch, re
         _check_corgs(regions, traffic, snap, params, fov, weights)
         return table(regions, traffic, snap, params, fov, weights)
 
-    keeps = MarginalObjective.keeps
+    keep = MarginalObjective.keep
 
-    def checked_keeps(self, leo, k, controllers):
+    def checked_keep(self, leo, k, controllers):
         costs = self.cost((leo,), controllers)
         want = costs[controllers.index(k)] <= costs.min()
         calls["keeps"] += 1
-        assert keeps(self, leo, k, controllers) == want
+        assert keep(self, leo, k, controllers) == want
         return want
 
     monkeypatch.setattr(partition, "corg_edges", checked_table)
-    monkeypatch.setattr(MarginalObjective, "keeps", checked_keeps)
+    monkeypatch.setattr(MarginalObjective, "keep", checked_keep)
     chain = emulator._chain(scn, "eunomia", 1.0)  # not the chain kept on the scenario
     assert [a.to_rows() for a in chain] == [
         a.to_rows() for a in emulator.partition_chain(scn, "eunomia", 1.0)
@@ -178,27 +194,56 @@ def test_eunomia_chains_cluster_on_the_reference_corgs(scenario, monkeypatch, re
     assert calls["regions"] > 40 and calls["keeps"] > 100, calls
 
 
+@pytest.mark.parametrize(
+    "scenario, regions", [("desk_scenario", 100), ("default_scenario_partition", 151)]
+)
+def test_spectral_clusters_match_the_reference_on_every_region(
+    scenario, regions, monkeypatch, request
+):
+    """Every region a eunomia chain clusters, against the reference
+    pipeline: the desk orbit, and the 151 regions of ``default`` at 240 s."""
+    scn = request.getfixturevalue(scenario)
+    cluster = partition.spectral_cluster
+    sizes = []
+
+    def checked(corg, m, snapshot, sigma=None):
+        got = cluster(corg, m, snapshot, sigma=sigma)
+        assert got == partition_oracle.spectral_cluster(corg, m, snapshot, sigma)
+        sizes.append(len(corg.leo_ids))
+        return got
+
+    monkeypatch.setattr(partition, "spectral_cluster", checked)
+    emulator._chain(scn, "eunomia", 1.0)
+    if scenario == "default_scenario_partition":
+        assert len(sizes) == regions and max(sizes) > 100, sizes
+    else:
+        assert len(sizes) >= regions, sizes
+
+
 def test_keep_decisions_match_the_array_prices(default_scenario_short):
+    """Every contested LEO of three ``default`` slots, kept or released by
+    ``keep`` against the oracle's array prices, and each kept LEO fixed alike."""
     scn = default_scenario_short
     params = scn.ctx.overhead_params
     kinds = {"idle": 0, "single": 0, "kept": 0, "released": 0}
-    for t in (1, 2):
+    for t in (1, 2, 3):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
         snap, cover = geom.slot.snapshot, geom.cover
         assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
         n_domains = sum(1 for members in geom.fov_domains.values() if members)
-        pricing = MarginalObjective(traffic, snap, params, n_domains, assigned)
+        pricing = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
         for step, leo in enumerate(sorted(contested)):
             ks = cover[leo]
             costs = oracle.cost((leo,), ks)
-            for k in ks:
-                want = costs[ks.index(k)] <= costs.min()
-                assert pricing.keeps(leo, k, ks) == want
-                kinds["kept" if want else "released"] += 1
-            kinds["single" if traffic.block_row[leo] >= 0 else "idle"] += 1
-            if step % 3 == 0:  # price against a growing set of fixed domains
-                k = ks[int(np.argmin(costs))]
-                pricing.fix((leo,), k)
+            # the cheapest controller now and then, so that LEOs are kept
+            k = ks[int(np.argmin(costs))] if step % 3 == 0 else ks[step % len(ks)]
+            want = bool(costs[ks.index(k)] <= costs.min())
+            assert pricing.keep(leo, k, ks) == want
+            if want:
                 oracle.fix((leo,), k)
+            kinds["kept" if want else "released"] += 1
+            kinds["single" if traffic.block_row[leo] >= 0 else "idle"] += 1
+        assert _same_bits(pricing.intra, oracle.intra)
+        assert list(pricing.size) == oracle.size.tolist()
     assert min(kinds.values()) > 0, kinds

@@ -214,6 +214,56 @@ def test_cli_unreadable_input_file_exits_2_naming_it(argv, path, tmp_path, capsy
     assert err.startswith("config error: ") and path.format(tmp=tmp_path) in err
 
 
+def _stats_row(**values) -> str:
+    row = dict.fromkeys(cli.CSV_COLUMNS, "0")
+    row.update(strategy="eunomia", gamma="1.0", seed="1", requests="10", drops="1")
+    row.update(values)
+    return ",".join(row[c] for c in cli.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "stats, overhead, named",
+    [
+        (_stats_row(gamma="abc"), None, ["stats.csv", "row 1", "gamma", "'abc'"]),
+        (_stats_row(seed="1.5"), None, ["stats.csv", "row 1", "seed"]),
+        (_stats_row(), '{"strategies": []}', ["overhead.json", "'runs'"]),
+        (_stats_row(), '{"runs": [{"strategy": "eunomia", "gamma": 1.0}]}',
+         ["overhead.json", "'slots'"]),
+        (_stats_row(), "not json", ["overhead.json", "not JSON"]),
+    ],
+    ids=["gamma", "seed", "no-runs", "no-slots", "not-json"],
+)
+def test_report_rejects_malformed_inputs_naming_them(stats, overhead, named, tmp_path, capsys):
+    stats_path = tmp_path / "stats.csv"
+    stats_path.write_text(",".join(cli.CSV_COLUMNS) + "\n" + stats + "\n")
+    argv = ["report", str(stats_path), "--out-dir", str(tmp_path / "out")]
+    if overhead is not None:
+        (tmp_path / "overhead.json").write_text(overhead)
+        argv += ["--overhead", str(tmp_path / "overhead.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    for part in named:
+        assert part in err
+
+
+def test_report_leaves_eta_empty_when_no_slot_defines_it(tmp_path, recwarn):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(",".join(cli.CSV_COLUMNS) + "\n" + _stats_row() + "\n")
+    slot = dict.fromkeys(
+        ("w_flow", "w_sync_in", "w_sync_out", "w_mig", "w_ctl", "w_cpt_intra", "w_cpt_inter"), 1.0
+    )
+    runs = [{"strategy": "eunomia", "gamma": 1.0, "slots": [{**slot, "eta_control": None}]}]
+    (tmp_path / "overhead.json").write_text(json.dumps({"runs": runs}))
+    argv = ["report", str(stats), "--overhead", str(tmp_path / "overhead.json"),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    with (tmp_path / "out" / "report_overhead.csv").open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["eta_mean"] == "" and row["w_sync_mean"] == "2.0"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_missing_config_is_an_error(tmp_path, monkeypatch):
     monkeypatch.delenv("EUNOMIA_CONFIG", raising=False)
     assert main(["partition", "--out-dir", str(tmp_path)]) == 2
