@@ -18,7 +18,6 @@ from eunomia.visibility import (
     FovTimeline,
     compute_fov_domains,
     compute_overlap_regions,
-    coverage_map,
     segment_time_slots,
 )
 
@@ -40,15 +39,15 @@ print(f"\n=== Snapshot at t=0 ===")
 print(f"{len(snap.leo_ids)} switches, {len(snap.controller_ids)} controllers, "
       f"{len(snap.topology.edge_array)} inter-satellite links")
 
-fov = compute_fov_domains(snap)
-cover = coverage_map(fov)
-exclusive = sum(1 for ks in cover.values() if len(ks) == 1)
-contested = sum(1 for ks in cover.values() if len(ks) >= 2)
-uncovered = len(snap.leo_ids) - len(cover)
+fov = compute_fov_domains(snap)  # (controller x switch), row c is controller n_LEO + c
+n_cover = fov.sum(axis=0)
+exclusive = int((n_cover == 1).sum())
+contested = int((n_cover >= 2).sum())
+uncovered = int((n_cover == 0).sum())
 print(f"\n=== Field-of-view structure ===")
-for k, members in fov.items():
+for k, row in enumerate(fov, start=len(snap.leo_ids)):
     role = snap.roles[k].value
-    print(f"controller {k} ({role}): sees {len(members)} switches")
+    print(f"controller {k} ({role}): sees {row.sum()} switches")
 print(f"exclusive {exclusive}, contested {contested}, uncovered {uncovered} "
       f"(the low-inclination controller shell cannot reach polar passes)")
 

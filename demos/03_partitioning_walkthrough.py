@@ -22,7 +22,7 @@ snap = geom.slot.snapshot
 traffic = scn.base_traffic[0]
 
 print("=== Step 1: exclusive zones ===")
-assigned, uncovered, contested = step1_exclusive_assign(geom.cover, geom.regions, snap.leo_ids)
+assigned, uncovered, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
 print(f"direct assignments: {len(assigned)}; contested: {len(contested)}; "
       f"uncovered: {len(uncovered)}")
 

@@ -222,8 +222,8 @@ class NetworkSnapshot:
     Node ids are contiguous, so ``positions`` and ``velocities`` are (N, 3)
     arrays and ``roles`` a tuple, all indexed by node id. The LEOs come
     first, ``leo_ids == (0, ..., n - 1)``, so a LEO id also indexes every
-    per-LEO array; any other layout, or a ``topology`` over other LEO ids,
-    raises ValueError.
+    per-LEO array, and controller ``k`` is row ``k - n`` of a per-controller
+    one; any other layout, or a ``topology`` over other LEO ids, raises ValueError.
     """
 
     time_s: float
@@ -237,6 +237,8 @@ class NetworkSnapshot:
     def __post_init__(self) -> None:
         if self.leo_ids != tuple(range(len(self.leo_ids))):
             raise ValueError(f"LEO ids must be 0..n-1 in order, got {self.leo_ids[:10]}")
+        if sorted(self.controller_ids) != list(range(len(self.leo_ids), len(self.roles))):
+            raise ValueError("controller ids must be the node ids after the LEOs")
         if self.topology.leo_ids != self.leo_ids:
             raise ValueError("the topology's LEO ids are not the snapshot's")
 

@@ -6,8 +6,9 @@ The weights feed a Gaussian-kernel similarity matrix for spectral clustering.
 
 A slot's regions are disjoint, so every CORG edge of the slot is costed in
 one pass (``corg_edges``): the ISL edges between LEOs of one region and the
-(covering controller, LEO) attachment edges. ``build_corg`` then takes one
-region's edges from that table by mask. A CORG holds its edges as arrays.
+(covering controller, LEO) attachment edges read from the FOV array.
+``build_corg`` then takes one region's edges from that table by mask. A
+CORG holds its edges as arrays.
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ class CorgWeights:
                 f"alpha, beta: {self.alpha}, {self.beta} must be non-negative with a sum of "
                 f"at most 1"
             )
+        if not self.mig_unit_s >= 0.0:
+            raise ValueError(f"mig_unit_s: {self.mig_unit_s} is negative")
 
 
 @dataclass
@@ -128,28 +131,26 @@ def corg_edges(
     traffic: TrafficMatrix,
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
     weights: CorgWeights | None = None,
 ) -> CorgEdges:
     """Every CORG edge of the disjoint ``regions``, costed in one
     ``pairwise_costs`` call: the ISL edges between LEOs of one region and a
     virtual-controller edge for every in-FOV (controller, member) pair."""
     w = weights or CorgWeights()
-    region_of = np.full(len(snapshot.roles), -1)
+    n_leo = fov_domains.shape[1]
+    region_of = np.full(n_leo, -1)
     for r, region in enumerate(regions):
         region_of[list(region.leo_ids)] = r
     isl = snapshot.topology.edge_array  # in sorted order
     a, b = region_of[isl].T
-    attach = [
-        (leo, k)
-        for region in regions
-        for k in region.controller_ids
-        for leo in sorted(fov_domains[k].intersection(region.leo_ids))
-    ]
+    # one row per (region, controller), its members in view by LEO id
+    r, k = np.array(
+        [(r, k) for r, region in enumerate(regions) for k in region.controller_ids], np.int64
+    ).reshape(-1, 2).T
+    row, leo = np.divmod(np.flatnonzero(fov_domains[k - n_leo] & (region_of == r[:, None])), n_leo)
     # low id first: a LEO id is below every controller id
-    pairs = np.concatenate(
-        [isl[(a >= 0) & (a == b)], np.array(attach, dtype=np.int64).reshape(-1, 2)]
-    )
+    pairs = np.concatenate([isl[(a >= 0) & (a == b)], np.stack([leo, k[row]], axis=1)])
     xi = np.zeros(len(pairs))
     if len(pairs):
         xi = edge_weight(pairwise_costs(*pairs.T, traffic, snapshot, params, w), w)

@@ -4,10 +4,12 @@ Every component is expressed in seconds of control-plane work per second of
 operation: flow rates (1/s) multiply per-message times (s), and the sync and
 migration terms multiply per-event times by event frequencies. The total
 splits as W_CTL = W_FLOW + W_SYNC_in + W_SYNC_out + W_MIG, with path
-computation W_CPT weighted into the objective by a tradeoff factor.
+computation W_CPT weighted into the objective by a tradeoff factor. Direct
+links and FOV containment read ``visibility.compute_fov_domains``' array.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -71,6 +73,10 @@ class MigrationParams:
     def __post_init__(self) -> None:
         if not self.state_bandwidth_bps > 0.0:
             raise ValueError(f"state_bandwidth_bps: {self.state_bandwidth_bps} is not positive")
+        keys = ("flow_entry_bytes", "ho_msg_bytes", "per_sat_processing_s", "mean_flow_lifetime_s")
+        for key in keys:
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key}: {getattr(self, key)} is negative")
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,9 @@ class OverheadParams:
     migration: MigrationParams = field(default_factory=MigrationParams)
 
     def __post_init__(self) -> None:
-        if not self.f_sync_hz >= 0.0:
-            raise ValueError(f"f_sync_hz: {self.f_sync_hz} is negative")
+        for key in ("f_sync_hz", "tradeoff_lambda", "m_fl_bytes", "m_sync_bytes"):
+            if not getattr(self, key) >= 0.0:
+                raise ValueError(f"{key}: {getattr(self, key)} is negative")
         if not self.capacity_unit_ops > 0.0:
             raise ValueError(f"capacity_unit_ops: {self.capacity_unit_ops} is not positive")
         for link, bps in self.bandwidth_bps.items():
@@ -160,32 +167,31 @@ def hop_cost(snapshot: NetworkSnapshot, params: OverheadParams, a, b, msg_bytes)
 
 
 def direct_link_map(
-    assignment: "DomainAssignment", fov_domains: dict[int, frozenset[int]]
+    assignment: "DomainAssignment", fov_domains: np.ndarray
 ) -> dict[int, dict[int, int]]:
     """Per controller: {LEO with a usable direct link -> terminal controller id}.
 
     Normally the terminal is the domain controller itself. Under a waived-FOV
     centralized assignment the relay controllers' FOV members all act as entry
-    points, each terminating at its nearest visible relay.
+    points, each terminating at the lowest-id relay that sees it.
     """
-    out: dict[int, dict[int, int]] = {}
-    for k in assignment.domains():
-        if assignment.fov_waived:
-            relays = assignment.relay_controller_ids or (k,)
-            seeds: dict[int, int] = {}
-            for leo in sorted(set().union(*(fov_domains.get(r, frozenset()) for r in relays))):
-                visible = [r for r in relays if leo in fov_domains.get(r, frozenset())]
-                seeds[leo] = min(visible)  # deterministic relay choice
-            out[k] = seeds
-        else:
-            out[k] = {leo: k for leo in fov_domains.get(k, frozenset())}
-    return out
+    n_ctrl, n_leo = fov_domains.shape
+
+    def members(k: int) -> list[int]:  # none for a node that is not a controller
+        return fov_domains[k - n_leo].nonzero()[0].tolist() if 0 <= k - n_leo < n_ctrl else []
+
+    if not assignment.fov_waived or not assignment.relay_controller_ids:
+        return {k: dict.fromkeys(members(k), k) for k in assignment.domains()}
+    seeds: dict[int, int] = {}
+    for r in sorted(set(assignment.relay_controller_ids), reverse=True):  # the lowest id wins
+        seeds.update(dict.fromkeys(members(r), r))
+    return dict.fromkeys(assignment.domains(), seeds)
 
 
 def control_routes(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
 ) -> dict[int, tuple[int, ...]]:
     """Control path for every assigned LEO: [leo, isl hops..., entry, controller].
 
@@ -261,7 +267,7 @@ def flow_overhead(
     traffic: "TrafficMatrix",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
     plan: "SlotPlan | None" = None,
 ) -> float:
     """Flow-table request/update overhead: per-source control-path cost
@@ -418,7 +424,7 @@ def path_compute_overhead(
 def validate_assignment(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
     routes: dict[int, tuple[int, ...]] | None = None,
 ) -> list[ConstraintViolation]:
     """Check the constraint families; empty list means valid.
@@ -471,18 +477,26 @@ def validate_assignment(
 
     contained = True
     if not assignment.fov_waived:
-        for k, members in domains.items():
-            seen = fov_domains.get(k, frozenset())
-            if not seen.issuperset(members):
-                outside = sorted(set(members) - seen)
-                contained = False
-                violations.append(
-                    ConstraintViolation(
-                        "fov_containment",
-                        f"LEOs {outside} assigned to controller {k} outside its FOV",
-                        tuple(outside),
-                    )
+        n_ctrl, n_leo = fov_domains.shape
+        sizes = [len(members) for members in domains.values()]
+        leos = np.fromiter(itertools.chain(*domains.values()), np.int64, sum(sizes))
+        ks = np.repeat(np.array(list(domains), dtype=np.int64), sizes)
+        row = ks - n_leo
+        # every member against its controller's row; a stray LEO id or a
+        # non-controller key is in no FOV
+        ok = (leos >= 0) & (leos < n_leo) & (row >= 0) & (row < n_ctrl)
+        inside = ok & fov_domains[np.where(ok, row, 0), np.where(ok, leos, 0)]
+        bad = (~inside).nonzero()[0]
+        contained = not bad.size
+        for k in sorted(set(ks[bad].tolist())):
+            outside = leos[bad[ks[bad] == k]].tolist()
+            violations.append(
+                ConstraintViolation(
+                    "fov_containment",
+                    f"LEOs {outside} assigned to controller {k} outside its FOV",
+                    tuple(outside),
                 )
+            )
 
     if routes is None and (assignment.fov_waived or not contained):
         try:
@@ -546,7 +560,7 @@ def slot_plan(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
 ) -> SlotPlan:
     """Build the slot plan of ``assignment``: its control routes once, the
     validation of the assignment on those routes, and the tables derived
@@ -667,7 +681,7 @@ def evaluate(
     traffic: "TrafficMatrix",
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
     prev_assignment: "DomainAssignment | None" = None,
     slot_duration_s: float = 1.0,
     validate: bool = True,

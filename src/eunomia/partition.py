@@ -16,7 +16,7 @@ centralized scheme and a nearest-visible-controller greedy; the greedy and
 every nearest-controller fallback measure only the (LEO, controller) pairs
 in view. A brute-force enumerator serves as the small-instance optimality
 oracle. Every partitioner takes the slot's ``SlotGeometry``: the slot, its
-snapshot and its FOV products.
+snapshot and its FOV products, each one (controller x LEO) boolean array.
 """
 from __future__ import annotations
 
@@ -80,17 +80,6 @@ class DomainAssignment:
         state["domain_of"] = dict(self.domain_of)
         return partial(type(self), **state), ()
 
-    def x(self, i: int, j: int) -> int:
-        """Same-domain indicator for two LEOs."""
-        if i == j:
-            raise ValueError("x is defined for distinct satellites")
-        a, b = self.domain_of.get(i), self.domain_of.get(j)
-        return int(a is not None and a == b)
-
-    def y(self, domain_controller: int, controller: int) -> int:
-        """Domain-to-controller indicator; domains are keyed by controller."""
-        return int(domain_controller == controller and domain_controller in self.domain_of.values())
-
     def domains(self) -> Mapping[int, tuple[int, ...]]:
         """Members of each domain in id order, keyed by controller in id order."""
         return self._domains
@@ -126,49 +115,44 @@ class PartitionContext:
 
 
 def step1_exclusive_assign(
-    cover: dict[int, tuple[int, ...]],
-    regions: list[OverlapRegion],
-    all_leo_ids: tuple[int, ...] = (),
+    fov_domains: np.ndarray, regions: list[OverlapRegion]
 ) -> tuple[dict[int, int], list[int], set[int]]:
     """Assign single-coverage LEOs to their only controller.
 
     Returns (assignments, uncoverable LEOs, contested LEOs left for clustering)
-    from the slot's ``coverage_map``. LEOs in ``regions`` are exactly the
-    multiply-covered ones; uncoverable ones are those of ``all_leo_ids``.
+    from the slot's (controller x LEO) FOV array. LEOs in ``regions`` are
+    exactly the multiply-covered ones.
     """
+    count = fov_domains.sum(axis=0)
+    single = np.flatnonzero(count == 1)
+    ctrl = fov_domains.shape[1] + fov_domains[:, single].argmax(axis=0)
     contested = set().union(*(r.leo_ids for r in regions))
-    assigned = {leo: ctrls[0] for leo, ctrls in cover.items() if len(ctrls) == 1}
-    uncoverable = sorted(set(all_leo_ids) - cover.keys())
-    return assigned, uncoverable, contested
+    return dict(zip(single.tolist(), ctrl.tolist())), np.flatnonzero(count == 0).tolist(), contested
 
 
 def _by_distance(
-    snapshot: NetworkSnapshot, nodes: list[int], candidates: Mapping[int, tuple[int, ...]]
+    snapshot: NetworkSnapshot, nodes: list[int], candidates: np.ndarray, reach: np.ndarray
 ) -> list[list[int]]:
-    """Each node's ``candidates`` from the nearest to the farthest, ties by id,
-    ranked from one node x candidate distance matrix."""
-    ks = np.array(sorted({k for node in nodes for k in candidates[node]}), dtype=np.int64)
-    dist = norm(snapshot.positions[nodes][:, None] - snapshot.positions[ks])
-    ranked = ks[np.lexsort((np.broadcast_to(ks, dist.shape), dist))].tolist()
-    return [[k for k in row if k in candidates[node]] for node, row in zip(nodes, ranked)]
+    """Each node's reachable ``candidates`` from the nearest to the farthest,
+    ties by id, ranked from one node x candidate distance matrix. ``reach``
+    is a boolean (candidate x node) array of the pairs allowed."""
+    dist = norm(snapshot.positions[nodes][:, None] - snapshot.positions[candidates])
+    dist[~reach.T] = np.inf  # the pairs out of reach rank last
+    ranked = candidates[np.lexsort((np.broadcast_to(candidates, dist.shape), dist))].tolist()
+    return [row[:n] for row, n in zip(ranked, reach.sum(axis=0).tolist())]
 
 
 def _nearest(
-    snapshot: NetworkSnapshot, nodes: list[int], reach: Mapping[int, Collection[int]]
+    snapshot: NetworkSnapshot, nodes: list[int], candidates: np.ndarray, reach: np.ndarray
 ) -> list[int]:
     """Each node's nearest candidate, the lowest id on a tie, where ``reach``
-    maps each candidate to the nodes it may take (others are ignored), such
-    as each controller to its FOV: ``_by_distance``'s first, from the
-    distances of the allowed (node, candidate) pairs only."""
+    is a boolean (candidate x node) array of the pairs allowed, such as the
+    controllers' FOV rows: ``_by_distance``'s first, from the distances of
+    the allowed (node, candidate) pairs only."""
     if not nodes:
         return []
-    row = np.full(len(snapshot.roles), -1)
-    row[nodes] = np.arange(len(nodes))
-    ks = sorted(reach)
-    rows = [row[np.fromiter(reach[k], np.int64, len(reach[k]))] for k in ks]
-    a = np.concatenate(rows)
-    k = np.repeat(ks, [len(r) for r in rows])
-    a, k = a[a >= 0], k[a >= 0]
+    k, a = np.divmod(np.flatnonzero(reach), len(nodes))
+    k = np.asarray(candidates)[k]
     dist = norm(snapshot.positions[np.asarray(nodes)[a]] - snapshot.positions[k])
     # each node's least distance, then the lowest candidate id at it
     least = np.full(len(nodes), np.inf)
@@ -224,7 +208,7 @@ def spectral_cluster(
         members[lab].append(corg.leo_ids[x])
     if len(active) < len(degree):  # LEOs of zero degree join the nearest virtual node
         leos = [corg.leo_ids[x] for x in np.setdiff1d(np.arange(n_leo), active).tolist()]
-        near = _nearest(snapshot, leos, dict.fromkeys(virtual_ids, leos))
+        near = _nearest(snapshot, leos, np.array(virtual_ids), np.ones((m, len(leos)), bool))
         for leo, k in zip(leos, near):
             members[virtual_ids.index(k)].append(leo)
     return [Cluster(tuple(sorted(ms)), k) for ms, k in zip(members, virtual_ids)], False
@@ -268,9 +252,9 @@ class MarginalObjective:
     ):
         self.traffic = traffic
         self.lam = params.tradeoff_lambda
-        ctrls = snapshot.controller_ids
+        self.n_leo = len(snapshot.leo_ids)
+        ctrls = range(self.n_leo, len(snapshot.roles))  # controller k at column k - n_leo
         n_ctrl = len(ctrls)
-        self.column = {k: c for c, k in enumerate(ctrls)}
         self.inv_cap = [1.0 / params.capacity_of(k, snapshot.roles[k]) for k in ctrls]
         self._inv_cap = np.array(self.inv_cap)
         self.inter_cpt = params.cpt_cost(n_domains)
@@ -300,10 +284,8 @@ class MarginalObjective:
         # block column, offset by n_ctrl + 1: one bincount over them,
         # weighted by a row of the block followed by its column, gives the
         # rates to and then from every fixed domain
-        column = np.zeros(len(snapshot.roles), dtype=np.int64)
-        column[list(ctrls)] = np.arange(n_ctrl)
         leos = np.fromiter(domain_of, np.int64, len(domain_of))
-        cols = column[np.fromiter(domain_of.values(), np.int64, len(domain_of))]
+        cols = np.fromiter(domain_of.values(), np.int64, len(domain_of)) - self.n_leo
         order = np.lexsort((leos, cols))  # by domain, then by id
         leos, cols = leos[order], cols[order]
         pos = traffic.block_row[leos]
@@ -373,7 +355,7 @@ class MarginalObjective:
 
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
-        cols = [self.column[k] for k in controllers]
+        cols = [k - self.n_leo for k in controllers]
         if not leos:
             return np.zeros(len(cols))
         return np.array(self._prices(leos, self._flows(leos), cols))
@@ -383,7 +365,7 @@ class MarginalObjective:
         when ``cost((leo,), controllers)`` is lowest there, and say whether it
         was. The prices are Python floats, from one bincount for a LEO that
         carries traffic and from no array operation for one that does not."""
-        cols = [self.column[c] for c in controllers]
+        cols = [c - self.n_leo for c in controllers]
         flows = self._flows((leo,))
         prices = self._prices((leo,), flows, cols)
         at = controllers.index(k)
@@ -395,7 +377,7 @@ class MarginalObjective:
     def fix(self, leos: tuple[int, ...], controller: int) -> None:
         """Add ``leos`` to the controller's domain for all later prices."""
         if leos:
-            self._fix(leos, self._flows(leos), self.column[controller])
+            self._fix(leos, self._flows(leos), controller - self.n_leo)
 
     def _prices(self, leos: tuple[int, ...], flows: tuple, cols: list[int]) -> list[float]:
         """``cost`` at the controller columns ``cols``, as Python floats, from
@@ -437,7 +419,7 @@ class MarginalObjective:
 def km_match(
     clusters: list[Cluster],
     controllers: list[int],
-    fov_domains: dict[int, frozenset[int]],
+    fov_domains: np.ndarray,
     pricing: MarginalObjective,
 ) -> dict[int, int]:
     """Optimal cluster-to-controller matching on the marginal objective.
@@ -452,12 +434,11 @@ def km_match(
         raise ValueError("need exactly one controller per cluster")
     m = len(clusters)
     cost = np.zeros((m, m))
+    seen = fov_domains[np.array(controllers) - fov_domains.shape[1]]
     for c, cluster in enumerate(clusters):
         cost[c] = pricing.cost(cluster.member_leo_ids, controllers)
-    # a pair is infeasible when any member of the cluster is outside the controller's FOV
-    seen = [fov_domains[k] for k in controllers]
-    blind = [[not fov.issuperset(c.member_leo_ids) for fov in seen] for c in clusters]
-    cost[np.array(blind, dtype=bool).reshape(m, m)] = np.inf
+        # a pair is infeasible when any member of the cluster is outside the controller's FOV
+        cost[c, ~seen.take(cluster.member_leo_ids, axis=1).all(axis=1)] = np.inf
     match = solve_lexicographic(cost)
     return {c: controllers[kx] for c, kx in enumerate(match)}
 
@@ -475,25 +456,30 @@ def fine_tune_boundaries(
     along its flight direction. Each accepted move replaces a handover that
     was about to happen anyway, so moves never increase predicted handovers.
     """
-    if ctx.lookahead_s <= 0 or not geometry.future_fov:
+    if ctx.lookahead_s <= 0 or geometry.future_fov is None:
         return assignment
     snapshot = geometry.slot.snapshot
-    future_fov = geometry.future_fov
     step_fov = geometry.step_fov
-    now_fov = geometry.fov_domains
+    n_leo = step_fov.shape[1]
+    # the controllers that see each LEO now, at the next sample and at the horizon
+    may_take = geometry.fov_domains & step_fov & geometry.future_fov
 
     domain_of = dict(assignment.domain_of)
     graph = snapshot.topology.graph
     # only a LEO whose controller loses sight of it can move, and a move ends
     # that (its new controller sees it at the next sample), so each LEO moves
     # at most once; the other LEOs never change controller
-    leaving = sorted(leo for leo, k in domain_of.items() if leo not in step_fov.get(k, ()))
+    leos = np.fromiter(domain_of, np.int64, len(domain_of))
+    rows = np.fromiter(domain_of.values(), np.int64, len(domain_of)) - n_leo
+    if not ((rows >= 0) & (rows < len(step_fov))).all():
+        raise ValueError("every domain must be keyed by a controller")
+    leaving = np.sort(leos[~step_fov[rows, leos]]).tolist()
     changed = True
     while changed:
         changed = False
         for leo in leaving:
             k = domain_of[leo]
-            if leo in step_fov.get(k, frozenset()):
+            if step_fov[k - n_leo, leo]:
                 continue  # no imminent handover
             neighbor_ctrls = sorted(
                 {
@@ -502,13 +488,7 @@ def fine_tune_boundaries(
                     if nb in domain_of and domain_of[nb] != k
                 }
             )
-            candidates = [
-                k2
-                for k2 in neighbor_ctrls
-                if leo in now_fov.get(k2, frozenset())
-                and leo in step_fov.get(k2, frozenset())
-                and leo in future_fov.get(k2, frozenset())
-            ]
+            candidates = [k2 for k2 in neighbor_ctrls if may_take[k2 - n_leo, leo]]
             if not candidates:
                 continue
             pos = snapshot.positions[candidates]
@@ -544,15 +524,16 @@ def partition_slot(
     """
     snap = geom.slot.snapshot
     fov = geom.fov_domains
+    n_leo = fov.shape[1]
     regions = geom.regions
-    cover = geom.cover
-    assigned, uncovered, contested = step1_exclusive_assign(cover, regions, snap.leo_ids)
+    assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
+    contested = sorted(contested)
 
-    n_domains = sum(1 for members in fov.values() if members)
+    n_domains = int(fov.any(axis=1).sum())
     pricing = MarginalObjective(
-        traffic_prev, snap, ctx.overhead_params, n_domains, assigned, sorted(contested)
+        traffic_prev, snap, ctx.overhead_params, n_domains, assigned, contested
     )
 
     def give(leos: tuple[int, ...], k: int) -> None:
@@ -566,8 +547,12 @@ def partition_slot(
 
     if prev_assignment is not None:
         prev_of, prev_signature = prev_assignment.domain_of, prev_assignment.overlap_signature
-        for leo in sorted(contested):
-            k_prev, ctrls = prev_of.get(leo), cover[leo]
+        # each contested LEO's covering controllers, in one pass over the slot
+        at = np.flatnonzero(fov.T[contested])
+        ctrl = (n_leo + at % len(fov)).tolist()
+        bounds = np.searchsorted(at, len(fov) * np.arange(len(contested) + 1)).tolist()
+        for leo, lo, hi in zip(contested, bounds, bounds[1:]):
+            k_prev, ctrls = prev_of.get(leo), tuple(ctrl[lo:hi])
             if (
                 k_prev in ctrls
                 and prev_signature.get(leo) == signature[leo]
@@ -580,7 +565,8 @@ def partition_slot(
     for region in regions:
         residual = tuple(sorted(set(region.leo_ids) - assigned.keys()))
         if residual:
-            ctrls = tuple(sorted({k for leo in residual for k in cover[leo]}))
+            seen = fov.take(residual, axis=1).any(axis=1)
+            ctrls = tuple((n_leo + np.flatnonzero(seen)).tolist())
             residuals.append((residual, OverlapRegion(frozenset(residual), ctrls)))
     edges = corg_edges(
         [sub for _, sub in residuals if len(sub.controller_ids) > 1],
@@ -601,8 +587,9 @@ def partition_slot(
         if match is None:
             # no clusters, or no FOV-feasible matching: each LEO goes to its
             # nearest covering controller
-            reach = {k: fov[k] for k in ctrls}
-            for leo, k in zip(residual, _nearest(snap, list(residual), reach)):
+            ks = np.array(ctrls)
+            reach = fov[ks - n_leo].take(residual, axis=1)
+            for leo, k in zip(residual, _nearest(snap, list(residual), ks, reach)):
                 give((leo,), k)
             continue
         for c, cluster in enumerate(clusters):
@@ -643,18 +630,20 @@ def greedy_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignm
     """Nearest-visible-controller baseline with an optional per-controller
     domain-size cap; overflow spills to the next-nearest visible controller."""
     snap = geom.slot.snapshot
-    cover = geom.cover
-    uncovered = sorted(set(snap.leo_ids) - cover.keys())
+    fov = geom.fov_domains
+    covered = fov.any(axis=0)
+    uncovered = np.flatnonzero(~covered).tolist()
     if uncovered and not ctx.allow_uncovered:
         raise UncoverableLeoError(uncovered)
 
-    leos = sorted(cover)
+    leos = np.flatnonzero(covered).tolist()
+    ks, reach = fov.shape[1] + np.arange(len(fov)), fov[:, covered]  # controller of each row
     if ctx.greedy_cap is None:
-        assigned = dict(zip(leos, _nearest(snap, leos, geom.fov_domains)))
+        assigned = dict(zip(leos, _nearest(snap, leos, ks, reach)))
     else:
         load: dict[int, int] = {k: 0 for k in snap.controller_ids}
         assigned = {}
-        for leo, ranked in zip(leos, _by_distance(snap, leos, cover)):
+        for leo, ranked in zip(leos, _by_distance(snap, leos, ks, reach)):
             # the nearest controller under the cap; with every candidate at cap, the nearest
             chosen = next((k for k in ranked if load[k] < ctx.greedy_cap), ranked[0])
             assigned[leo] = chosen
@@ -685,12 +674,11 @@ def brute_force_partition(
     """
     snap = geom.slot.snapshot
     fov = geom.fov_domains
-    cover = geom.cover
-    uncovered = sorted(set(snap.leo_ids) - cover.keys())
-    covered = [leo for leo in snap.leo_ids if leo in cover]
+    seen = fov.any(axis=0)
+    covered, uncovered = np.flatnonzero(seen).tolist(), np.flatnonzero(~seen).tolist()
     if len(covered) > BRUTE_FORCE_MAX_LEOS:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_LEOS} LEOs")
-    choice_lists = [sorted(cover[leo]) for leo in covered]
+    choice_lists = [(fov.shape[1] + np.flatnonzero(col)).tolist() for col in fov.T[seen]]
     n_combos = math.prod(len(c) for c in choice_lists)
     if n_combos > BRUTE_FORCE_MAX_COMBOS:
         raise ValueError(f"{n_combos} assignments exceed the enumeration cap")

@@ -261,6 +261,8 @@ class ScenarioConfig:
             if not -90.0 <= deg <= 90.0:
                 key = _THRESHOLD_KEY.format(role.value)
                 raise ValueError(f"thresholds.{key}: {deg} outside [-90, 90]")
+        if not self.lookahead_s >= 0.0:
+            raise ValueError(f"partition.lookahead_s: {self.lookahead_s} is negative")
         if not self.step_s > 0.0:
             raise ValueError(f"step_s: {self.step_s} is not positive")
         if self.horizon_s not in (None, 0.0) and not self.step_s <= self.horizon_s:
@@ -359,7 +361,6 @@ class Scenario:
     config: ScenarioConfig
     constellation: Constellation
     ctx: PartitionContext
-    slots: list[TimeSlot]
     geometries: list[SlotGeometry]
     cells: list[GroundCell]
     base_traffic: list[TrafficMatrix]  # per slot, at gamma = 1
@@ -368,6 +369,11 @@ class Scenario:
     config_hash: str = ""
     # not pickled for worker processes, and not copied by dataclasses.replace
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def slots(self) -> tuple[TimeSlot, ...]:
+        """Each slot, read from its geometry."""
+        return tuple(g.slot for g in self.geometries)
 
     def memo(self, key: tuple, build: Callable):
         """``build()``, computed once per ``key``, which must cover every input
@@ -419,7 +425,6 @@ def build_scenario(config: ScenarioConfig, horizon_s: float | None = None) -> Sc
         config=config,
         constellation=constellation,
         ctx=ctx,
-        slots=slots,
         geometries=geometries,
         cells=cells,
         base_traffic=base_traffic,

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot
+from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot, geodetic_to_ecef
 from .visibility import elevation
 
 N_LON = 36
@@ -63,6 +63,8 @@ class TrafficParams:
         for key in ("gravity_constant", "background_density"):
             if not getattr(self, key) >= 0.0:
                 raise ValueError(f"{key}: {getattr(self, key)} is negative")
+        if not 0.0 <= self.diurnal_floor <= 1.0:
+            raise ValueError(f"diurnal_floor: {self.diurnal_floor} outside [0, 1]")
 
 
 @dataclass
@@ -296,19 +298,7 @@ def diurnal_factors(cells: list[GroundCell], utc_s: float, floor: float = 0.2) -
 
 def cell_positions(cells: list[GroundCell]) -> np.ndarray:
     """ECEF position (km) of each cell centre on the spherical Earth, (C, 3)."""
-    return np.array(
-        [
-            R_EARTH_KM
-            * np.array(
-                [
-                    math.cos(math.radians(c.center[0])) * math.cos(math.radians(c.center[1])),
-                    math.cos(math.radians(c.center[0])) * math.sin(math.radians(c.center[1])),
-                    math.sin(math.radians(c.center[0])),
-                ]
-            )
-            for c in cells
-        ]
-    )
+    return np.array([geodetic_to_ecef(*c.center) for c in cells])
 
 
 def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Elevation geometry, controller field-of-view domains, overlap regions,
 and topology-stable time-slot segmentation. Segmentation and slot geometry
-read the constellation and thresholds from one ``FovTimeline``.
+read the constellation and thresholds from one ``FovTimeline``, which holds
+each instant's FOV domains as one read-only (controller x LEO) boolean array.
 
 Elevation is computed from the geocentric separation angle between observer
 and target position vectors. For controller satellites the observer is the
@@ -9,7 +10,7 @@ at the switch); for ground stations the observer is the station itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -64,56 +65,45 @@ def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.nda
 
 def compute_fov_domains(
     snapshot: NetworkSnapshot, thresholds: dict[Role, float] | None = None
-) -> dict[int, frozenset[int]]:
-    """FOV domain of every controller: controller id -> the LEOs it can reach
-    directly, one key per controller in ascending id order, a controller
-    that sees no LEO included.
+) -> np.ndarray:
+    """FOV domain of every controller, as one read-only boolean array of
+    shape (controllers, LEOs): entry [c, leo] says whether controller
+    ``n_LEO + c`` (the c-th in ascending id order) reaches ``leo`` directly.
 
     The observer is chosen by role: the ground station itself, or the LEO
     switch for a controller satellite; one elevation matrix per role.
     """
     thr = DEFAULT_THRESHOLDS if thresholds is None else thresholds
-    leo_pos = snapshot.positions[: len(snapshot.leo_ids)]
-    ctrls = np.sort(snapshot.controller_ids)
-    visible = np.zeros((len(ctrls), len(leo_pos)), dtype=bool)
-    for role in {snapshot.roles[k] for k in ctrls}:
-        sel = snapshot.role_codes[ctrls] == ROLE_CODE[role]
-        ctrl_pos = snapshot.positions[ctrls[sel]]
+    n_leo = len(snapshot.leo_ids)
+    leo_pos, ctrl_pos = snapshot.positions[:n_leo], snapshot.positions[n_leo:]
+    visible = np.zeros((len(ctrl_pos), n_leo), dtype=bool)
+    for role in set(snapshot.roles[n_leo:]):
+        sel = snapshot.role_codes[n_leo:] == ROLE_CODE[role]
         if role is Role.GS:
-            elev = elevation_matrix(ctrl_pos, leo_pos)
+            elev = elevation_matrix(ctrl_pos[sel], leo_pos)
         else:
-            elev = elevation_matrix(leo_pos, ctrl_pos).T
+            elev = elevation_matrix(leo_pos, ctrl_pos[sel]).T
         visible[sel] = elev >= thr[role]
-    return {k: frozenset(np.flatnonzero(row).tolist()) for k, row in zip(ctrls.tolist(), visible)}
-
-
-def coverage_map(fov_domains: dict[int, frozenset[int]]) -> dict[int, tuple[int, ...]]:
-    """LEO id -> ordered tuple of controller ids that cover it."""
-    cover: dict[int, list[int]] = {}
-    for k, members in fov_domains.items():
-        for leo in members:
-            cover.setdefault(leo, []).append(k)
-    return {leo: tuple(sorted(ks)) for leo, ks in cover.items()}
+    visible.flags.writeable = False
+    return visible
 
 
 def compute_overlap_regions(
-    fov_domains: dict[int, frozenset[int]], snapshot: NetworkSnapshot
+    fov_domains: np.ndarray, snapshot: NetworkSnapshot
 ) -> list[OverlapRegion]:
-    """Group multiply-covered LEOs into maximal regions.
+    """Group multiply-covered LEOs of a FOV array into maximal regions.
 
     Two overlap LEOs belong to the same region when they are ISL-adjacent and
     their covering-controller sets intersect; regions are the transitive
     closure of that relation, so each region is connected through contested
     LEOs only.
     """
-    covers = np.zeros((len(snapshot.roles), len(fov_domains)), dtype=bool)
-    for c, members in enumerate(fov_domains.values()):
-        covers[list(members), c] = True
-    contested = np.flatnonzero(covers.sum(axis=1) >= 2)
-    pos = np.full(len(snapshot.roles), -1)  # node id -> index among contested
+    n_leo = fov_domains.shape[1]
+    contested = np.flatnonzero(fov_domains.sum(axis=0) >= 2)
+    pos = np.full(n_leo, -1)  # LEO id -> index among contested
     pos[contested] = np.arange(len(contested))
     a, b = snapshot.topology.edge_array.T
-    keep = (pos[a] >= 0) & (pos[b] >= 0) & (covers[a] & covers[b]).any(axis=1)
+    keep = (pos[a] >= 0) & (pos[b] >= 0) & (fov_domains[:, a] & fov_domains[:, b]).any(axis=0)
     graph = csr_matrix(
         (np.ones(keep.sum()), (pos[a[keep]], pos[b[keep]])), shape=(len(contested),) * 2
     )
@@ -123,11 +113,12 @@ def compute_overlap_regions(
     groups: dict[int, list[int]] = {}
     for leo, label in zip(contested.tolist(), labels.tolist()):
         groups.setdefault(label, []).append(leo)
-    ctrl_ids = np.array(list(fov_domains))
     return [
         OverlapRegion(
             leo_ids=frozenset(members),
-            controller_ids=tuple(sorted(set(ctrl_ids[covers[members].any(axis=0)].tolist()))),
+            controller_ids=tuple(
+                (n_leo + np.flatnonzero(fov_domains[:, members].any(axis=1))).tolist()
+            ),
         )
         for members in groups.values()
     ]
@@ -135,17 +126,14 @@ def compute_overlap_regions(
 
 @dataclass
 class SlotGeometry:
-    """Per-slot visibility products shared by partitioners and the emulator."""
+    """Per-slot visibility products shared by partitioners and the emulator;
+    each FOV is a ``compute_fov_domains`` array, None without a lookahead."""
 
     slot: TimeSlot
-    fov_domains: dict[int, frozenset[int]]
+    fov_domains: np.ndarray
     regions: list[OverlapRegion]
-    future_fov: dict[int, frozenset[int]]  # FOV membership at slot start + lookahead
-    step_fov: dict[int, frozenset[int]]  # FOV membership at the next sampling instant
-    cover: dict[int, tuple[int, ...]] = field(init=False, repr=False)  # of fov_domains
-
-    def __post_init__(self) -> None:
-        self.cover = coverage_map(self.fov_domains)
+    future_fov: np.ndarray | None  # FOV membership at slot start + lookahead
+    step_fov: np.ndarray | None  # FOV membership at the next sampling instant
 
 
 class FovTimeline:
@@ -163,9 +151,9 @@ class FovTimeline:
     ) -> None:
         self.constellation = constellation
         self.thresholds = thresholds
-        self._fov: dict[float, dict[int, frozenset[int]]] = {}
+        self._fov: dict[float, np.ndarray] = {}
 
-    def at(self, t: float, snapshot: NetworkSnapshot | None = None) -> dict[int, frozenset[int]]:
+    def at(self, t: float, snapshot: NetworkSnapshot | None = None) -> np.ndarray:
         """``compute_fov_domains`` at time ``t``; ``snapshot``, if given, is
         the constellation's snapshot at ``t``."""
         if t not in self._fov:
@@ -191,8 +179,8 @@ def build_slot_geometry(
         slot=slot,
         fov_domains=fov,
         regions=compute_overlap_regions(fov, slot.snapshot),
-        future_fov=timeline.at(t0 + lookahead_s) if ahead else {},
-        step_fov=timeline.at(t0 + step_s) if ahead else {},
+        future_fov=timeline.at(t0 + lookahead_s) if ahead else None,
+        step_fov=timeline.at(t0 + step_s) if ahead else None,
     )
 
 
@@ -215,7 +203,7 @@ def segment_time_slots(timeline: FovTimeline, horizon_s: float, step_s: float) -
         t = k * step_s
         snap = timeline.constellation.snapshot(t)
         fov = timeline.at(t, snap)
-        if fov != current_fov:
+        if current_fov is None or not np.array_equal(fov, current_fov):
             starts.append((t, snap))
             current_fov = fov
     ends = [t for t, _ in starts[1:]] + [n_samples * step_s]

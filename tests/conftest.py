@@ -115,6 +115,17 @@ def corg_from_edges(leo_ids, virtual_ids, edges: dict[tuple[int, int], float]) -
     return Corg(tuple(leo_ids), tuple(virtual_ids), pairs, xi)
 
 
+def fov_array(snapshot: NetworkSnapshot, members: dict[int, set[int]]) -> np.ndarray:
+    """A read-only (controller x LEO) FOV array of ``snapshot`` from
+    controller id -> the LEOs it sees; a controller not given sees none."""
+    n_leo = len(snapshot.leo_ids)
+    fov = np.zeros((len(snapshot.roles) - n_leo, n_leo), dtype=bool)
+    for k, leos in members.items():
+        fov[k - n_leo, list(leos)] = True
+    fov.flags.writeable = False
+    return fov
+
+
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:
     return TimeSlot(index, snapshot.time_s, snapshot.time_s + duration_s, snapshot)
 

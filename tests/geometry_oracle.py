@@ -5,7 +5,9 @@ the direct way: ``shell_nodes`` and ``grid_edges``, a shell's elements and
 +Grid links built node by node, against ``constellation.generate_shell`` and
 ``constellation.grid_edges``; ``propagate`` against
 ``Constellation.snapshot``; ``elevation_angle`` against
-``visibility.elevation_matrix``; and a union-find over the ISL edges against
+``visibility.elevation_matrix``; ``fov_sets``, each controller's FOV as a
+set from its own elevation row, against ``visibility.compute_fov_domains``;
+and a union-find over the ISL edges against
 ``visibility.compute_overlap_regions``. Also ``serving_satellites``, the
 full cell x LEO elevation matrix against the narrowed
 ``traffic.serving_satellites``, and ``by_distance``, one node's candidates
@@ -15,8 +17,8 @@ import math
 
 import numpy as np
 
-from eunomia.constellation import EARTH_ROTATION_RAD_S, ShellSpec, norm, orbital_period
-from eunomia.visibility import OverlapRegion, coverage_map, elevation_matrix
+from eunomia.constellation import EARTH_ROTATION_RAD_S, Role, ShellSpec, norm, orbital_period
+from eunomia.visibility import OverlapRegion, elevation_matrix
 
 # one satellite's (RAAN, initial argument of latitude, inclination, orbital
 # radius in km, angular rate in rad/s), angles in radians
@@ -133,10 +135,43 @@ def serving_satellites(cell_pos: np.ndarray, snapshot) -> np.ndarray:
     return best
 
 
-def overlap_regions(fov_domains, snapshot) -> list[OverlapRegion]:
+def fov_sets(snapshot, thresholds) -> dict[int, frozenset[int]]:
+    """Controller id -> the LEOs at or above its role's minimum elevation,
+    one controller at a time, from that controller's own elevation row."""
+    leo_pos = snapshot.positions[list(snapshot.leo_ids)]
+    out = {}
+    for k in sorted(snapshot.controller_ids):
+        role, own = snapshot.roles[k], snapshot.positions[k][None]
+        if role is Role.GS:
+            elev = elevation_matrix(own, leo_pos)[0]
+        else:
+            elev = elevation_matrix(leo_pos, own)[:, 0]
+        threshold = thresholds[role]
+        out[k] = frozenset(leo for leo, e in zip(snapshot.leo_ids, elev.tolist()) if e >= threshold)
+    return out
+
+
+def as_sets(fov) -> dict[int, frozenset[int]]:
+    """A (controller x LEO) FOV array as controller id -> set of LEOs."""
+    n_leo = fov.shape[1]
+    return {n_leo + c: frozenset(np.flatnonzero(row).tolist()) for c, row in enumerate(fov)}
+
+
+def coverage(fov_sets) -> dict[int, tuple[int, ...]]:
+    """LEO id -> ascending ids of the controllers whose FOV sets hold it;
+    a LEO in no set is not a key."""
+    cover: dict[int, list[int]] = {}
+    for k in sorted(fov_sets):
+        for leo in fov_sets[k]:
+            cover.setdefault(leo, []).append(k)
+    return {leo: tuple(ks) for leo, ks in cover.items()}
+
+
+def overlap_regions(fov_sets, snapshot) -> list[OverlapRegion]:
     """Union-find over ISL edges between contested LEOs that share a
-    covering controller; regions ordered by their smallest member."""
-    cover = coverage_map(fov_domains)
+    covering controller, from each controller's FOV set; regions ordered by
+    their smallest member."""
+    cover = coverage(fov_sets)
     contested = sorted(leo for leo, ks in cover.items() if len(ks) >= 2)
     contested_set = set(contested)
     parent = {leo: leo for leo in contested}

@@ -63,9 +63,10 @@ def pairwise_costs(a, b, traffic, snapshot, params, weights):
     return w_flow, w_sync, w_mig
 
 
-def build_corg(region, traffic, snapshot, params, fov_domains, weights=None):
+def build_corg(region, traffic, snapshot, params, fov_sets, weights=None):
     """(node ids, {(low id, high id): xi}) of one region's CORG: the ISL edges
-    between member LEOs and every in-FOV (controller, member) pair."""
+    between member LEOs and every in-FOV (controller, member) pair, from
+    controller id -> the set of LEOs it sees."""
     w = weights or CorgWeights()
     leos = sorted(region.leo_ids)
     ctrls = list(region.controller_ids)
@@ -74,7 +75,7 @@ def build_corg(region, traffic, snapshot, params, fov_domains, weights=None):
     isl = snapshot.topology.edge_array
     pairs = list(map(tuple, isl[member[isl].all(axis=1)].tolist()))
     pairs += [
-        (leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov_domains[k]
+        (leo, k) if leo < k else (k, leo) for k in ctrls for leo in leos if leo in fov_sets[k]
     ]
     edges = {}
     if pairs:

@@ -14,7 +14,7 @@ from eunomia.corg import (
 from eunomia.overhead import OverheadParams
 from eunomia.visibility import OverlapRegion
 
-from conftest import compact_traffic, corg_from_edges, make_ring_snapshot
+from conftest import compact_traffic, corg_from_edges, fov_array, make_ring_snapshot
 
 
 def _traffic(snap, entries):
@@ -95,7 +95,7 @@ def _edges(corg) -> dict[tuple[int, int], float]:
 def _two_leo_region():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 45.0), ctrl_lons=(10.0, 35.0))
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset({0, 1}), k2: frozenset({0, 1})}
+    fov = fov_array(snap, {k1: {0, 1}, k2: {0, 1}})
     region = OverlapRegion(frozenset({0, 1}), (k1, k2))
     tm = _traffic(snap, {(0, 1): 1.0})
     return snap, fov, region, tm
@@ -124,7 +124,7 @@ def test_build_corg_no_virtual_virtual_edges():
 def test_build_corg_matches_adjacency_oracle():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 90.0))
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset({0, 1, 2}), k2: frozenset({1, 2, 3})}
+    fov = fov_array(snap, {k1: {0, 1, 2}, k2: {1, 2, 3}})
     region = OverlapRegion(frozenset({1, 2}), (k1, k2))
     tm = _traffic(snap, {})
     corg = _corg(region, tm, snap, OverheadParams(), fov)
@@ -135,7 +135,7 @@ def test_build_corg_matches_adjacency_oracle():
             expected.add((a, b))
     for k in (k1, k2):
         for leo in members:
-            if leo in fov[k]:
+            if fov[k - len(snap.leo_ids), leo]:
                 expected.add((min(leo, k), max(leo, k)))
     assert set(_edges(corg)) == expected
 
@@ -155,7 +155,7 @@ def test_build_corg_lists_edges_in_the_order_of_the_sorted_edge_set(scenario, re
                 (min(leo, k), max(leo, k))
                 for k in region.controller_ids
                 for leo in sorted(members)
-                if leo in fov[k]
+                if fov[k - len(snap.leo_ids), leo]
             ]
             assert list(_edges(corg)) == want
 

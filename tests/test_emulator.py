@@ -19,7 +19,7 @@ from eunomia.overhead import (
 from eunomia.partition import DomainAssignment
 from eunomia.traffic import scale
 
-from conftest import compact_traffic, emulate, make_ring_snapshot, make_slot
+from conftest import compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
 
 
 def _traffic(snap, entries):
@@ -33,7 +33,7 @@ def _traffic(snap, entries):
 def _pair_world(lam=1.0):
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 20.0), ctrl_lons=(10.0,))
     k = snap.controller_ids[0]
-    fov = {k: frozenset({0, 1})}
+    fov = fov_array(snap, {k: {0, 1}})
     assignment = DomainAssignment(0, {0: k, 1: k})
     tm = _traffic(snap, {(0, 1): lam})
     return snap, k, fov, assignment, tm
@@ -95,7 +95,7 @@ def test_saturated_controller_drops_most_requests():
 def test_uncovered_source_and_destination_drops():
     snap = make_ring_snapshot(n_leo=3, leo_lons=(0.0, 20.0, 180.0), ctrl_lons=(10.0,))
     k = snap.controller_ids[0]
-    fov = {k: frozenset({0, 1})}
+    fov = fov_array(snap, {k: {0, 1}})
     assignment = DomainAssignment(0, {0: k, 1: k}, uncovered=frozenset({2}))
     tm = _traffic(snap, {(2, 0): 5.0, (0, 2): 5.0})
     stats = emulate(
@@ -219,7 +219,7 @@ def test_measured_flow_overhead_matches_analytic_when_drop_free():
 def test_sync_and_handover_byte_accounting():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset(snap.leo_ids), k2: frozenset(snap.leo_ids)}
+    fov = fov_array(snap, {k1: snap.leo_ids, k2: snap.leo_ids})
     prev = DomainAssignment(0, {i: k1 for i in snap.leo_ids})
     cur = DomainAssignment(
         1, {i: (k1 if i < 3 else k2) for i in snap.leo_ids}

@@ -17,7 +17,7 @@ from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain
 from eunomia.overhead import OverheadParams
 from eunomia.partition import DomainAssignment
 
-from conftest import compact_traffic, emulate, make_ring_snapshot, make_slot
+from conftest import compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
 from emulator_oracle import oracle_run_slot
 
 DURATION_S = 30.0
@@ -44,7 +44,7 @@ def _cut_world():
     cut = [e for e in ring.topology.edge_array.tolist() if e not in ([3, 4], [0, 7])]
     snap = replace(ring, topology=IslTopology(np.array(cut), ring.leo_ids))
     k1, k2 = snap.controller_ids
-    fov = {k: frozenset(snap.leo_ids) for k in (k1, k2)}
+    fov = fov_array(snap, {k: snap.leo_ids for k in (k1, k2)})
     assignment = DomainAssignment(
         0, {0: k1, 1: k1, 4: k1, 5: k1, 2: k2, 3: k2, 7: k2}, uncovered=frozenset({6})
     )
@@ -88,7 +88,7 @@ def test_matches_oracle_on_a_waived_fov_centralized_assignment(gamma):
         n_leo=10, ctrl_lons=(0.0, 180.0), ctrl_roles=(Role.GS, Role.GS)
     )
     g1, g2 = snap.controller_ids
-    fov = {g1: frozenset({0, 1, 9}), g2: frozenset({4, 5, 6})}
+    fov = fov_array(snap, {g1: {0, 1, 9}, g2: {4, 5, 6}})
     assignment = DomainAssignment(
         0, {leo: g1 for leo in snap.leo_ids}, fov_waived=True,
         relay_controller_ids=(g1, g2), strategy="odc",

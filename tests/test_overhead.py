@@ -27,7 +27,8 @@ from eunomia.overhead import (
 from eunomia.partition import DomainAssignment
 from eunomia.visibility import compute_fov_domains
 
-from conftest import compact_traffic, make_ring_snapshot
+from conftest import compact_traffic, fov_array, make_ring_snapshot
+from geometry_oracle import as_sets
 
 
 def _chain_snapshot(n=3, spacing_km=2000.0):
@@ -119,14 +120,14 @@ def test_route_costs_sum_hops_in_path_order():
 
 def test_control_hops_direct_is_one():
     snap = _chain_snapshot(n=1)
-    fov = {1: frozenset({0})}
+    fov = fov_array(snap, {1: {0}})
     a = DomainAssignment(0, {0: 1})
     assert len(control_routes(a, snap, fov)[0]) - 1 == 1
 
 
 def test_control_hops_chain_of_three():
     snap = _chain_snapshot(n=3)
-    fov = {3: frozenset({2})}  # only the far end sees the controller
+    fov = fov_array(snap, {3: {2}})  # only the far end sees the controller
     a = DomainAssignment(0, {0: 3, 1: 3, 2: 3}, fov_waived=True)
     routes = control_routes(a, snap, fov)
     assert [len(routes[leo]) - 1 for leo in (2, 1, 0)] == [1, 2, 3]
@@ -134,7 +135,7 @@ def test_control_hops_chain_of_three():
 
 def test_flow_overhead_zero_traffic():
     snap = _chain_snapshot(n=2)
-    fov = {2: frozenset({0, 1})}
+    fov = fov_array(snap, {2: {0, 1}})
     a = DomainAssignment(0, {0: 2, 1: 2})
     tm = _traffic(snap, {})
     assert flow_overhead(a, tm, snap, OverheadParams(), fov) == 0.0
@@ -151,7 +152,7 @@ def test_flow_overhead_hand_value():
     roles = (Role.LEO, Role.LEO, Role.GS)
     no_isl = IslTopology(np.empty((0, 2), dtype=np.int64), (0, 1))
     snap = NetworkSnapshot(0.0, positions, velocities, no_isl, (0, 1), (2,), roles)
-    fov = {2: frozenset({0, 1})}
+    fov = fov_array(snap, {2: {0, 1}})
     a = DomainAssignment(0, {0: 2, 1: 2})
     tm = _traffic(snap, {(0, 1): 2.0})
     params = OverheadParams(
@@ -169,10 +170,11 @@ def test_flow_overhead_hand_value():
 def test_flow_overhead_linear_in_rates():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 180.0))
     fov = compute_fov_domains(snap)
-    cover = set().union(*fov.values())
+    sets = as_sets(fov)
+    cover = set().union(*sets.values())
     a = DomainAssignment(
         0,
-        {leo: min(k for k, members in fov.items() if leo in members) for leo in cover},
+        {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
         uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 1.5, (1, 0): 0.5})
@@ -293,10 +295,11 @@ def test_path_compute_scales_with_capacity():
 def test_objective_reduces_to_wctl_when_lambda_zero():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0, 180.0))
     fov = compute_fov_domains(snap)
-    cover = set().union(*fov.values())
+    sets = as_sets(fov)
+    cover = set().union(*sets.values())
     a = DomainAssignment(
         0,
-        {leo: min(k for k, members in fov.items() if leo in members) for leo in cover},
+        {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
         uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 2.0})
@@ -308,7 +311,7 @@ def test_objective_reduces_to_wctl_when_lambda_zero():
 def test_objective_flags_fov_violation():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    fov = {k: frozenset({0})}
+    fov = fov_array(snap, {k: {0}})
     a = DomainAssignment(0, {0: k, 1: k, 2: k, 3: k})
     tm = _traffic(snap, {})
     with pytest.raises(ConstraintViolationError) as err:
@@ -319,7 +322,7 @@ def test_objective_flags_fov_violation():
 def test_validate_catches_unassigned_and_stray():
     snap = make_ring_snapshot(n_leo=3, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    fov = {k: frozenset({0, 1, 2})}
+    fov = fov_array(snap, {k: {0, 1, 2}})
     missing = DomainAssignment(0, {0: k})
     names = {v.constraint for v in validate_assignment(missing, snap, fov)}
     assert "unique_membership" in names
@@ -331,7 +334,7 @@ def test_validate_catches_unassigned_and_stray():
 def test_validate_catches_disconnected_domain():
     snap = _chain_snapshot(n=3)
     k = snap.controller_ids[0]
-    fov = {k: frozenset({2})}
+    fov = fov_array(snap, {k: {2}})
     # LEO 0 assigned but the intermediate LEO 1 is not: 0 cannot reach the seed
     a = DomainAssignment(0, {0: k, 2: k}, uncovered=frozenset({1}), fov_waived=True)
     names = {v.constraint for v in validate_assignment(a, snap, fov)}
@@ -341,7 +344,7 @@ def test_validate_catches_disconnected_domain():
 def test_validate_reports_a_member_outside_the_fov_and_cut_off():
     snap = _chain_snapshot(n=3)
     k = snap.controller_ids[0]
-    fov = {k: frozenset({2})}
+    fov = fov_array(snap, {k: {2}})
     # no waiver: LEO 0 is outside the FOV, and LEO 1 is not there to relay it
     a = DomainAssignment(0, {0: k, 2: k}, uncovered=frozenset({1}))
     names = [v.constraint for v in validate_assignment(a, snap, fov)]
@@ -397,10 +400,11 @@ def test_intra_domain_edges_match_a_scan_per_domain(desk_scenario_short):
 def test_bandwidth_homogeneity():
     snap = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0))
     fov = compute_fov_domains(snap)
-    cover = set().union(*fov.values())
+    sets = as_sets(fov)
+    cover = set().union(*sets.values())
     a = DomainAssignment(
         0,
-        {leo: min(k for k, members in fov.items() if leo in members) for leo in cover},
+        {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
         uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 2.0, (1, 3): 1.0})

@@ -33,12 +33,11 @@ from eunomia.visibility import (
     SlotGeometry,
     build_slot_geometry,
     compute_overlap_regions,
-    coverage_map,
 )
 
-from conftest import compact_traffic, corg_from_edges, make_ring_snapshot, make_slot
+from conftest import compact_traffic, corg_from_edges, fov_array, make_ring_snapshot, make_slot
 import partition_oracle
-from geometry_oracle import by_distance
+from geometry_oracle import as_sets, by_distance, coverage
 
 
 def _traffic(snap, entries=None, rng=None, scale=1.0):
@@ -68,28 +67,26 @@ def _geometry(slot, thresholds):
 
 
 def test_step1_disjoint_fovs_assign_everything():
-    fov = {10: frozenset({0, 1}), 11: frozenset({2, 3})}
-    assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), [], (0, 1, 2, 3))
-    assert assigned == {0: 10, 1: 10, 2: 11, 3: 11}
+    fov = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)  # controllers 4 and 5
+    assigned, uncovered, contested = step1_exclusive_assign(fov, [])
+    assert assigned == {0: 4, 1: 4, 2: 5, 3: 5}
     assert uncovered == []
     assert contested == set()
 
 
 def test_step1_contested_leo_left_unassigned():
-    fov = {10: frozenset({0, 1}), 11: frozenset({1})}
-    regions = [OverlapRegion(frozenset({1}), (10, 11))]
-    assigned, uncovered, contested = step1_exclusive_assign(coverage_map(fov), regions, (0, 1, 2))
-    assert assigned == {0: 10}
+    fov = np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)  # controllers 3 and 4
+    regions = [OverlapRegion(frozenset({1}), (3, 4))]
+    assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
+    assert assigned == {0: 3}
     assert uncovered == [2]
     assert contested == {1}
 
 
 def test_step1_matches_coverage_oracle(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
-    assigned, uncovered, contested = step1_exclusive_assign(
-        geom.cover, geom.regions, geom.slot.snapshot.leo_ids
-    )
-    cover = coverage_map(geom.fov_domains)
+    assigned, uncovered, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+    cover = coverage(as_sets(geom.fov_domains))
     for leo in geom.slot.snapshot.leo_ids:
         ks = cover.get(leo, ())
         if len(ks) == 1:
@@ -210,7 +207,7 @@ def test_partition_slot_gives_unclustered_leos_their_nearest_covering_controller
 ):
     scn = desk_scenario_short
     geom = scn.geometries[0]
-    snap, cover = geom.slot.snapshot, geom.cover
+    snap, cover = geom.slot.snapshot, coverage(as_sets(geom.fov_domains))
     monkeypatch.setattr(partition, "spectral_cluster", lambda *args, **kwargs: ([], True))
     ctx = dataclasses.replace(scn.ctx, lookahead_s=0.0)
     a = partition_slot(ctx, geom, scn.base_traffic[0], None)
@@ -252,7 +249,7 @@ def _pricing(snap):
 def test_km_match_single_pair():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    fov = {k: frozenset({0, 1})}
+    fov = fov_array(snap, {k: {0, 1}})
     clusters = [Cluster((0, 1), k)]
     assert km_match(clusters, [k], fov, _pricing(snap)) == {0: k}
 
@@ -261,7 +258,7 @@ def test_km_match_prefers_nearby_controllers():
     snap = make_ring_snapshot(n_leo=4, leo_lons=(0.0, 10.0, 170.0, 180.0),
                               ctrl_lons=(5.0, 175.0))
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset(snap.leo_ids), k2: frozenset(snap.leo_ids)}
+    fov = fov_array(snap, {k1: snap.leo_ids, k2: snap.leo_ids})
     clusters = [
         Cluster((2, 3), k1),
         Cluster((0, 1), k2),
@@ -273,7 +270,7 @@ def test_km_match_prefers_nearby_controllers():
 def test_km_match_respects_fov_infeasibility():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset({0}), k2: frozenset({0, 1})}
+    fov = fov_array(snap, {k1: {0}, k2: {0, 1}})
     clusters = [
         Cluster((0,), k1),
         Cluster((1,), k2),
@@ -285,7 +282,7 @@ def test_km_match_respects_fov_infeasibility():
 def test_km_match_raises_when_no_perfect_matching():
     snap = make_ring_snapshot(n_leo=2, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    fov = {k1: frozenset(), k2: frozenset({0, 1})}
+    fov = fov_array(snap, {k2: {0, 1}})
     clusters = [
         Cluster((0,), k1),
         Cluster((1,), k2),
@@ -306,10 +303,7 @@ def _loaded_meo_toy():
     k1, k2 = snap.controller_ids
     entries = {(i, j): 10.0 for i in range(5) for j in range(5) if i != j}
     entries.update({(5, j): 1.0 for j in range(5)})
-    fov = {
-        k1: frozenset({0, 1, 2, 3, 4, 5}),
-        k2: frozenset({5, 6, 7}),
-    }
+    fov = fov_array(snap, {k1: {0, 1, 2, 3, 4, 5}, k2: {5, 6, 7}})
     return snap, _traffic(snap, entries), fov, k1, k2
 
 
@@ -347,8 +341,8 @@ def test_partition_slot_contested_leo_leaves_costlier_previous_controller():
         slot=make_slot(snap),
         fov_domains=fov,
         regions=[OverlapRegion(frozenset({5}), (k1, k2))],
-        future_fov={},
-        step_fov={},
+        future_fov=None,
+        step_fov=None,
     )
     for k_prev in (k1, k2):
         prev = DomainAssignment(
@@ -368,9 +362,8 @@ def _fine_tune_geometry():
     k1, k2 = snap.controller_ids
     # LEO 0 flies north and is about to leave k1's view; k2 sits north-east
     snap.velocities[0] = np.array([0.0, 1.0, 7.4])
-    fov = {k1: frozenset({0, 1}), k2: frozenset({0, 2, 3})}
-    step_fov = {k1: frozenset({1}), k2: frozenset({0, 2, 3})}
-    future_fov = {k1: frozenset({1}), k2: frozenset({0, 2, 3})}
+    fov = fov_array(snap, {k1: {0, 1}, k2: {0, 2, 3}})
+    step_fov = future_fov = fov_array(snap, {k1: {1}, k2: {0, 2, 3}})
     geometry = SlotGeometry(
         slot=make_slot(snap),
         fov_domains=fov,
@@ -392,8 +385,8 @@ def test_fine_tune_moves_exiting_leo_to_neighbor_domain():
 
 def test_fine_tune_no_exit_no_change():
     snap, geometry, k1, k2 = _fine_tune_geometry()
-    geometry.step_fov[k1] = frozenset({0, 1})
-    geometry.future_fov[k1] = frozenset({0, 1})
+    ahead = fov_array(snap, {k1: {0, 1}, k2: {0, 2, 3}})
+    geometry = dataclasses.replace(geometry, step_fov=ahead, future_fov=ahead)
     a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
     tuned = fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
     assert tuned.domain_of == a.domain_of
@@ -401,11 +394,18 @@ def test_fine_tune_no_exit_no_change():
 
 def test_fine_tune_skips_moves_without_valid_candidate():
     snap, geometry, k1, k2 = _fine_tune_geometry()
-    geometry.step_fov[k2] = frozenset({2, 3})  # k2 cannot take LEO 0 either
-    geometry.future_fov[k2] = frozenset({2, 3})
+    ahead = fov_array(snap, {k1: {1}, k2: {2, 3}})  # k2 cannot take LEO 0 either
+    geometry = dataclasses.replace(geometry, step_fov=ahead, future_fov=ahead)
     a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
     tuned = fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
     assert tuned.domain_of == a.domain_of
+
+
+def test_fine_tune_rejects_a_domain_keyed_by_a_non_controller():
+    snap, geometry, k1, k2 = _fine_tune_geometry()
+    a = DomainAssignment(0, {0: 1, 1: k1, 2: k2, 3: k2})  # LEO 0 keyed by LEO 1
+    with pytest.raises(ValueError, match="keyed by a controller"):
+        fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
 
 
 # ----------------------------------------------------------- partition_slot
@@ -464,7 +464,7 @@ def test_partition_slot_raises_on_uncovered_when_strict():
         overhead_params=OverheadParams(), lookahead_s=0.0, allow_uncovered=False
     )
     strict_geom = _geometry(slot, {Role.MEO: 85.0, Role.GS: 85.0})  # barely any coverage
-    if set(snap.leo_ids) - set().union(*strict_geom.fov_domains.values()):
+    if not strict_geom.fov_domains.any(axis=0).all():
         with pytest.raises(UncoverableLeoError):
             partition_slot(strict, strict_geom, tm, None)
 
@@ -505,8 +505,9 @@ def test_greedy_respects_fov(desk_scenario_short):
     geom = scn.geometries[0]
     a = greedy_partition(scn.ctx, geom)
     fov = geom.fov_domains
+    n_leo = fov.shape[1]
     for leo, k in a.domain_of.items():
-        assert leo in fov[k]
+        assert fov[k - n_leo, leo]
     assert validate_assignment(a, geom.slot.snapshot, geom.fov_domains) == []
 
 
@@ -554,10 +555,12 @@ def _greedy_oracle(snap, cover, cap):
 def test_batched_ranking_and_greedy_match_the_per_leo_oracle(scenario, request):
     scn = request.getfixturevalue(scenario)
     for geom in scn.geometries[:3]:
-        snap, cover = geom.slot.snapshot, geom.cover
+        snap, fov = geom.slot.snapshot, geom.fov_domains
+        cover = coverage(as_sets(fov))
         leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
         nearest = [by_distance(snap, leo, cover[leo]) for leo in leos]
-        assert _by_distance(snap, leos, cover) == nearest
+        ks = np.array(sorted(snap.controller_ids))
+        assert _by_distance(snap, leos, ks, fov[:, leos]) == nearest
         # caps of 2 (desk) and 30 (default) spill some LEOs past their nearest
         spills = 0
         for greedy_cap in (None, 2, 30):
@@ -611,12 +614,6 @@ def test_bruteforce_not_worse_than_heuristics():
 
 def test_assignment_views():
     a = DomainAssignment(0, {0: 10, 1: 10, 2: 11})
-    assert a.x(0, 1) == 1
-    assert a.x(0, 2) == 0
-    assert a.y(10, 10) == 1
-    assert a.y(10, 11) == 0
-    with pytest.raises(ValueError):
-        a.x(1, 1)
     assert a.domains() == {10: (0, 1), 11: (2,)}
 
 

@@ -20,6 +20,11 @@ import geometry_oracle
 import partition_oracle
 
 
+def _cover(geom) -> dict[int, tuple[int, ...]]:
+    """LEO id -> the ids of the controllers that see it, in the slot's geometry."""
+    return geometry_oracle.coverage(geometry_oracle.as_sets(geom.fov_domains))
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -31,9 +36,9 @@ def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario
     kinds = {"idle": 0, "single": 0, "group": 0, "idle group": 0, "fixed": 0}
     for t in (1, 2):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
-        snap, cover = geom.slot.snapshot, geom.cover
-        assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
-        n_domains = sum(1 for members in geom.fov_domains.values() if members)
+        snap, cover = geom.slot.snapshot, _cover(geom)
+        assigned, _, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+        n_domains = int(geom.fov_domains.any(axis=1).sum())
         fast = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
 
@@ -108,25 +113,28 @@ def test_control_routes_match_the_bfs_oracle(default_scenario_short):
 def test_nearest_is_the_first_of_the_ranking(default_scenario_short):
     scn = default_scenario_short
     for geom in scn.geometries[:2]:
-        snap, cover = geom.slot.snapshot, geom.cover
+        snap, cover, fov = geom.slot.snapshot, _cover(geom), geom.fov_domains
+        ks = np.array(sorted(snap.controller_ids))
         leos = [leo for leo in sorted(snap.leo_ids) if leo in cover]
-        ranked = _by_distance(snap, leos, cover)
+        ranked = _by_distance(snap, leos, ks, fov[:, leos])
         assert ranked == [geometry_oracle.by_distance(snap, leo, cover[leo]) for leo in leos]
-        assert _nearest(snap, leos, geom.fov_domains) == [r[0] for r in ranked]
+        assert _nearest(snap, leos, ks, fov[:, leos]) == [r[0] for r in ranked]
         # every controller as a candidate, as the spectral rejoin ranks them
         nodes = leos[::7]
-        pools = dict.fromkeys(nodes, snap.controller_ids)
-        reach = dict.fromkeys(snap.controller_ids, nodes)
-        assert _nearest(snap, nodes, reach) == [r[0] for r in _by_distance(snap, nodes, pools)]
+        reach = np.ones((len(ks), len(nodes)), dtype=bool)
+        assert _nearest(snap, nodes, ks, reach) == [
+            r[0] for r in _by_distance(snap, nodes, ks, reach)
+        ]
+    reach[:, 0] = False
     with pytest.raises(ValueError, match="without candidates"):
-        _nearest(snap, nodes, {snap.controller_ids[0]: nodes[1:]})
+        _nearest(snap, nodes, ks, reach)
 
 
 def test_greedy_picks_the_nearest_covering_controller(default_scenario_short):
     scn = default_scenario_short
     chain = emulator.partition_chain(scn, "greedy", 1.0)
     for geom, assignment in zip(scn.geometries, chain):
-        snap, cover = geom.slot.snapshot, geom.cover
+        snap, cover = geom.slot.snapshot, _cover(geom)
         want = {leo: geometry_oracle.by_distance(snap, leo, cover[leo])[0] for leo in cover}
         assert dict(assignment.domain_of) == want
 
@@ -135,10 +143,11 @@ def _check_corgs(regions, traffic, snap, params, fov, weights) -> int:
     """Compare every region's CORG from the slot edge table, and its
     similarity, with the per-region references; returns the edge count."""
     edges = corg_edges(regions, traffic, snap, params, fov, weights)
+    sets = geometry_oracle.as_sets(fov)
     n_edges = 0
     for region in regions:
         got = build_corg(region, edges)
-        node_ids, want = partition_oracle.build_corg(region, traffic, snap, params, fov, weights)
+        node_ids, want = partition_oracle.build_corg(region, traffic, snap, params, sets, weights)
         assert got.node_ids == node_ids
         assert [tuple(p) for p in got.pairs.tolist()] == list(want)
         assert _same_bits(got.xi, list(want.values()))
@@ -228,9 +237,9 @@ def test_keep_decisions_match_the_array_prices(default_scenario_short):
     kinds = {"idle": 0, "single": 0, "kept": 0, "released": 0}
     for t in (1, 2, 3):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
-        snap, cover = geom.slot.snapshot, geom.cover
-        assigned, _, contested = step1_exclusive_assign(cover, geom.regions, snap.leo_ids)
-        n_domains = sum(1 for members in geom.fov_domains.values() if members)
+        snap, cover = geom.slot.snapshot, _cover(geom)
+        assigned, _, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+        n_domains = int(geom.fov_domains.any(axis=1).sum())
         pricing = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
         for step, leo in enumerate(sorted(contested)):

@@ -358,6 +358,20 @@ def test_unparsable_numbers_rejected_with_path(section, key, value, path):
         (("traffic", "background_density"), -1, "traffic.background_density"),
         (("emulator", "queue_window_s"), -1, "emulator.queue_window_s"),
         (("overhead", "f_sync_hz"), -1, "overhead.f_sync_hz"),
+        (("partition", "lookahead_s"), -15, "partition.lookahead_s"),
+        (("overhead", "tradeoff_lambda"), -0.1, "overhead.tradeoff_lambda"),
+        (("overhead", "m_fl_bytes"), -1, "overhead.m_fl_bytes"),
+        (("overhead", "m_sync_bytes"), -1, "overhead.m_sync_bytes"),
+        (("traffic", "diurnal_floor"), 1.5, "traffic.diurnal_floor"),
+        (("traffic", "diurnal_floor"), -0.2, "traffic.diurnal_floor"),
+        (("partition", "mig_unit_s"), -1, "partition.mig_unit_s"),
+        (("overhead", "migration"), {"flow_entry_bytes": -1},
+         "overhead.migration.flow_entry_bytes"),
+        (("overhead", "migration"), {"ho_msg_bytes": -1}, "overhead.migration.ho_msg_bytes"),
+        (("overhead", "migration"), {"per_sat_processing_s": -1e-4},
+         "overhead.migration.per_sat_processing_s"),
+        (("overhead", "migration"), {"mean_flow_lifetime_s": -10},
+         "overhead.migration.mean_flow_lifetime_s"),
     ],
 )
 def test_bad_top_level_values_rejected_with_path(keys, value, path):

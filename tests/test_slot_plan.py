@@ -85,9 +85,10 @@ def test_eunomia_chain_is_built_once_per_gamma_for_any_seeds(counts):
 def _moved_outside_fov(scn, assignment, t):
     """``assignment`` with one LEO given to a controller that cannot see it."""
     fov = scn.geometries[t].fov_domains
+    n_leo = fov.shape[1]
     for leo, k in sorted(assignment.domain_of.items()):
-        for other in sorted(fov):
-            if other != k and leo not in fov[other]:
+        for other in range(n_leo, n_leo + len(fov)):
+            if other != k and not fov[other - n_leo, leo]:
                 moved = {**assignment.domain_of, leo: other}
                 return dataclasses.replace(assignment, domain_of=moved)
     raise AssertionError("every controller sees every LEO")

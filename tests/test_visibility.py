@@ -16,14 +16,15 @@ from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.visibility import (
     DEFAULT_THRESHOLDS,
     FovTimeline,
+    build_slot_geometry,
     compute_fov_domains,
     compute_overlap_regions,
-    coverage_map,
     segment_time_slots,
 )
+from eunomia.partition import step1_exclusive_assign
 
 from conftest import make_ring_snapshot
-from geometry_oracle import elevation_angle, overlap_regions
+from geometry_oracle import as_sets, coverage, elevation_angle, fov_sets, overlap_regions
 
 
 def _at_alpha(alpha_deg, r_obs, r_tgt):
@@ -96,7 +97,7 @@ def test_elevation_rejects_zero_vector():
 def test_fov_meo_directly_above():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    assert 0 in domains[snap.controller_ids[0]]  # LEO 0 sits right under the controller
+    assert domains[0, 0]  # LEO 0 sits right under the controller
 
 
 def test_fov_domains_key_every_controller_in_ascending_id_order():
@@ -104,26 +105,27 @@ def test_fov_domains_key_every_controller_in_ascending_id_order():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 10.0), ctrl_lons=(180.0, 5.0),
                               ctrl_roles=(Role.GS, Role.MEO))
     gs, meo = snap.controller_ids
+    assert (gs, meo) == (2, 3)
     for s in (snap, replace(snap, controller_ids=(meo, gs))):
         domains = compute_fov_domains(s, DEFAULT_THRESHOLDS)
-        assert list(domains) == [gs, meo]
-        assert all(type(members) is frozenset for members in domains.values())
-        assert domains == {gs: frozenset(), meo: frozenset({0, 1})}
+        assert domains.dtype == bool and not domains.flags.writeable
+        # row c is controller n_LEO + c: the station, then the MEO
+        assert domains.tolist() == [[False, False], [True, True]]
 
 
 def test_fov_ground_station_far_side_excluded():
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 180.0), ctrl_lons=(0.0,),
                               ctrl_roles=(Role.GS,))
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    assert 0 in domains[snap.controller_ids[0]]
-    assert 1 not in domains[snap.controller_ids[0]]
+    assert domains[0, 0]
+    assert not domains[0, 1]
 
 
 def test_fov_membership_matches_bruteforce_oracle():
     const = Constellation.build(LEO_SHELLS["iridium780"], MEO_SHELLS["meo10354"], [])
     snap = const.snapshot(300.0)
     domains = compute_fov_domains(snap, DEFAULT_THRESHOLDS)
-    for k, members in domains.items():
+    for k, members in as_sets(domains).items():
         expected = set()
         for leo in snap.leo_ids:
             e = elevation_angle(snap.positions[leo], snap.positions[k])
@@ -142,7 +144,7 @@ def test_overlap_regions_single_shared_leo():
     # two controllers whose narrow cones share exactly the equatorial LEO between them
     snap = make_ring_snapshot(n_leo=8, ctrl_lons=(22.5, 67.5))
     domains = compute_fov_domains(snap, {Role.MEO: 40.0, Role.GS: 0.0})
-    cover = coverage_map(domains)
+    cover = coverage(as_sets(domains))
     shared = [leo for leo, ks in cover.items() if len(ks) >= 2]
     regions = compute_overlap_regions(domains, snap)
     if shared:
@@ -153,7 +155,7 @@ def test_overlap_regions_single_shared_leo():
 def test_overlap_regions_match_coverage_count_oracle(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
     snap = geom.slot.snapshot
-    cover = coverage_map(geom.fov_domains)
+    cover = coverage(as_sets(geom.fov_domains))
     contested = {leo for leo, ks in cover.items() if len(ks) >= 2}
     union = set()
     for region in geom.regions:
@@ -167,13 +169,13 @@ def test_overlap_regions_match_coverage_count_oracle(desk_scenario_short):
 def test_overlap_regions_match_union_find_oracle(desk_scenario):
     # list order matters: partition_slot seeds k-means with the region index
     for geom in desk_scenario.geometries:
-        assert geom.regions == overlap_regions(geom.fov_domains, geom.slot.snapshot)
+        assert geom.regions == overlap_regions(as_sets(geom.fov_domains), geom.slot.snapshot)
 
 
 def test_fov_positive_line_of_sight(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
     snap = geom.slot.snapshot
-    for k, members in geom.fov_domains.items():
+    for k, members in as_sets(geom.fov_domains).items():
         for leo in members:
             if snap.roles[k] is Role.GS:
                 e = elevation_angle(snap.positions[k], snap.positions[leo])
@@ -215,7 +217,7 @@ def test_segment_boundaries_reproduce_membership_diff_oracle():
     ]
     expected_starts = [0.0]
     for k in range(1, len(fingerprints)):
-        if fingerprints[k] != fingerprints[k - 1]:
+        if not np.array_equal(fingerprints[k], fingerprints[k - 1]):
             expected_starts.append(k * step)
     assert [s.start_s for s in slots] == expected_starts
 
@@ -227,7 +229,7 @@ def test_membership_constant_within_slot(desk_scenario_short):
     t = slot.start_s
     while t < slot.end_s:
         fp = compute_fov_domains(scn.constellation.snapshot(t), scn.config.thresholds)
-        assert fp == base
+        assert np.array_equal(fp, base)
         t += scn.config.step_s
 
 
@@ -247,9 +249,10 @@ def _assert_geometry_is_fresh(scn):
     step, lookahead = scn.config.step_s, scn.config.lookahead_s
     for geom in scn.geometries:
         t0 = geom.slot.snapshot.time_s
-        assert geom.fov_domains == compute_fov_domains(geom.slot.snapshot, scn.config.thresholds)
-        assert geom.step_fov == _fresh_membership(scn, t0 + step)
-        assert geom.future_fov == _fresh_membership(scn, t0 + lookahead)
+        fresh = compute_fov_domains(geom.slot.snapshot, scn.config.thresholds)
+        assert np.array_equal(geom.fov_domains, fresh)
+        assert np.array_equal(geom.step_fov, _fresh_membership(scn, t0 + step))
+        assert np.array_equal(geom.future_fov, _fresh_membership(scn, t0 + lookahead))
 
 
 def test_slot_geometry_equals_fresh_fov_on_desk(desk_scenario_short):
@@ -301,3 +304,34 @@ def test_off_grid_instants_are_computed_on_a_non_dyadic_step(monkeypatch):
     assert set(times) == _needed_instants(scn, 6.0)
     _assert_geometry_is_fresh(scn)
 
+
+
+@pytest.mark.parametrize("scenario", ["desk_scenario", "default_scenario_partition"])
+def test_fov_array_and_its_products_match_the_per_controller_sets(scenario, request):
+    # every sampled instant of desk's orbit and of default at 240 s
+    scn = request.getfixturevalue(scenario)
+    thresholds, step = scn.config.thresholds, scn.config.step_s
+    for k in range(int(scn.horizon_s // step)):
+        snap = scn.constellation.snapshot(k * step)
+        fov = compute_fov_domains(snap, thresholds)
+        sets = fov_sets(snap, thresholds)
+        assert fov.shape == (len(snap.controller_ids), len(snap.leo_ids))
+        assert as_sets(fov) == sets
+        cover = coverage(sets)
+        regions = compute_overlap_regions(fov, snap)
+        assert regions == overlap_regions(sets, snap)
+        assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
+        assert assigned == {leo: ks[0] for leo, ks in cover.items() if len(ks) == 1}
+        assert uncovered == sorted(set(snap.leo_ids) - cover.keys())
+        assert contested == {leo for leo, ks in cover.items() if len(ks) >= 2}
+
+
+def test_held_fov_arrays_are_read_only(desk_scenario_short):
+    scn = desk_scenario_short
+    timeline = FovTimeline(scn.constellation, scn.config.thresholds)
+    geom = build_slot_geometry(timeline, scn.slots[0], scn.config.step_s, scn.config.lookahead_s)
+    held = [geom.fov_domains, geom.step_fov, geom.future_fov, timeline.at(0.0)]
+    held += [g.fov_domains for g in scn.geometries]
+    for fov in held:
+        with pytest.raises(ValueError, match="read-only"):
+            fov[0, 0] = not fov[0, 0]
