@@ -22,9 +22,10 @@ snap = geom.slot.snapshot
 traffic = scn.base_traffic[0]
 
 print("=== Step 1: exclusive zones ===")
-assigned, uncovered, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
-print(f"direct assignments: {len(assigned)}; contested: {len(contested)}; "
-      f"uncovered: {len(uncovered)}")
+assigned = step1_exclusive_assign(geom.fov_domains)
+count = geom.fov_domains.sum(axis=0)
+print(f"direct assignments: {(assigned >= 0).sum()}; contested: {(count >= 2).sum()}; "
+      f"uncovered: {(count == 0).sum()}")
 
 print("\n=== Step 2: spectral clustering per overlap region ===")
 edges = corg_edges(geom.regions, traffic, snap, scn.ctx.overhead_params, geom.fov_domains)

@@ -34,7 +34,9 @@ array for reproducibility checks.
 ``run_scenario`` keeps on the scenario, for later calls: each partition
 chain, each slot's plan per assignment content, its gamma = 1 arrivals per
 seed and its queue per (seed, assignment content), the gamma-scaled traffic
-per (slot, gamma), and each slot's overhead report per (chain, gamma).
+per (slot, gamma), and each slot's overhead report per (chain, gamma). The
+assignment content is ``overhead.plan_key``: the bytes of the assignment's
+controller array, its FOV waiver and its relay controllers.
 """
 from __future__ import annotations
 

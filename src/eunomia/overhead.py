@@ -9,8 +9,8 @@ links and FOV containment read ``visibility.compute_fov_domains``' array.
 """
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -278,7 +278,7 @@ def flow_overhead(
     """
     if plan is None:
         plan = slot_plan(assignment, snapshot, params, fov_domains)
-    rates = traffic.outbound_rates[plan.routed]
+    rates = traffic.outbound_of(plan.routed)
     weighted = np.where(rates > 0.0, rates * plan.mfl_cost[plan.routed], 0.0)
     # summed in control_routes order, one source at a time
     return float(np.cumsum(weighted)[-1]) if weighted.size else 0.0
@@ -288,9 +288,7 @@ def intra_domain_edges(
     assignment: "DomainAssignment", snapshot: NetworkSnapshot
 ) -> dict[int, int]:
     """Per domain: ISL edges with both ends in it, counted in one edge pass."""
-    label = np.full(len(snapshot.roles), -1, dtype=np.int64)
-    label[list(assignment.domain_of)] = list(assignment.domain_of.values())
-    a, b = label[snapshot.topology.edge_array].T
+    a, b = assignment.controller[snapshot.topology.edge_array].T
     keys, counts = np.unique(a[(a == b) & (a >= 0)], return_counts=True)
     out = dict.fromkeys(assignment.domains(), 0)
     out.update(zip(keys.tolist(), counts.tolist()))
@@ -340,11 +338,13 @@ def sync_overhead(
 def count_migrations(
     prev: "DomainAssignment | None", current: "DomainAssignment"
 ) -> dict[int, int]:
-    """Per (new) domain: members whose controller changed since the previous slot."""
-    before = prev.domain_of if prev is not None else {}
-    return {
-        k: sum(before.get(i, k) != k for i in members) for k, members in current.domains().items()
-    }
+    """Per (new) domain: members whose controller changed since the previous
+    slot; a LEO unmanaged in either slot has not changed controller."""
+    out = dict.fromkeys(current.domains(), 0)
+    if prev is not None:
+        before, now = prev.controller, current.controller
+        out.update(Counter(now[(before != now) & (before >= 0) & (now >= 0)].tolist()))
+    return out
 
 
 def migration_overhead(
@@ -357,18 +357,18 @@ def migration_overhead(
 ) -> float:
     """State-transfer plus handover-notification cost of controller changes,
     scaled by each domain's migration frequency over the slot."""
-    if prev is None:
+    changed = {k: n for k, n in count_migrations(prev, current).items() if n}
+    if not changed:  # no previous slot, or no LEO changed controller
         return 0.0
     mig = params.migration
-    changed = count_migrations(prev, current)
+    # the outbound rates of every member of a domain that changed, in id order
+    members = np.flatnonzero(np.isin(current.controller, list(changed)))
+    rates, owner = traffic.outbound_of(members), current.controller[members]
     total = 0.0
-    for k, members in current.domains().items():
-        n_changed = changed[k]
-        if n_changed == 0:
-            continue
+    for k, n_changed in changed.items():
         f_mig = n_changed / slot_duration_s
         # a running sum, one member at a time in id order
-        out_rate = float(np.cumsum(traffic.outbound_rates[list(members)])[-1])
+        out_rate = float(np.cumsum(rates[owner == k])[-1])
         live_flows = out_rate * mig.mean_flow_lifetime_s
         w_st = mig.flow_entry_bytes * 8.0 * live_flows / mig.state_bandwidth_bps
         ctrl_bw = params.bandwidth_bps[
@@ -385,12 +385,9 @@ def _domain_rates(
     """Per domain: (intra-domain, inter-domain) flow request rates, each the
     sum of a ``TrafficMatrix.submatrix``, laid out as the full matrix's
     masked gather is."""
-    labels = np.full(len(traffic.leo_ids), -1, dtype=int)
-    domains = assignment.domains()
-    keys = sorted(domains)
-    for label, k in enumerate(keys):
-        labels[list(domains[k])] = label
-    assigned = labels >= 0
+    keys = list(assignment.domains())
+    assigned = assignment.controller >= 0
+    labels = np.where(assigned, np.searchsorted(keys, assignment.controller), -1)
     out: dict[int, tuple[float, float]] = {}
     for label, k in enumerate(keys):
         mine = labels == label
@@ -429,21 +426,35 @@ def validate_assignment(
 ) -> list[ConstraintViolation]:
     """Check the constraint families; empty list means valid.
 
-    Four are checked here: one controller per domain, unique membership, FOV
-    containment and connectivity. The fifth, binary consistency (x(i, j) =
-    [domain_of[i] == domain_of[j]] agrees with the domain view), holds by
-    construction: ``domains()`` is derived from the read-only ``domain_of``,
-    so every LEO is listed once, under its own controller.
+    Unique membership and binary consistency (x(i, j) = [controller[i] ==
+    controller[j]] agrees with the domain view) hold by construction: the
+    read-only ``controller`` array holds one entry per LEO, and ``domains()``
+    is derived from it. What is checked here:
+
+    - unique membership: an array whose length is not the LEO count, and a
+      LEO left unmanaged (-1) although some controller sees it;
+    - one controller per domain: a value that is neither -1 nor a controller id;
+    - FOV containment, and connectivity.
 
     The connectivity check builds the control routes, unless ``routes``
     already holds ``control_routes``' result for this assignment. It runs
     only under a waived FOV or a failed FOV containment: a contained domain
     gives every member a direct link, so no member can be cut off.
     """
+    controller = assignment.controller
+    n_ctrl, n_leo = fov_domains.shape
+    if len(controller) != len(snapshot.leo_ids):
+        return [
+            ConstraintViolation(
+                "unique_membership",
+                f"{len(controller)} controller entries for {len(snapshot.leo_ids)} LEOs",
+            )
+        ]
     violations: list[ConstraintViolation] = []
-    domains = assignment.domains()
 
-    bad_ctrl = sorted(set(domains).difference(snapshot.controller_ids))
+    row = controller - n_leo
+    is_ctrl = (row >= 0) & (row < n_ctrl)
+    bad_ctrl = np.unique(controller[~is_ctrl & (controller != -1)]).tolist()
     if bad_ctrl:
         violations.append(
             ConstraintViolation(
@@ -453,43 +464,25 @@ def validate_assignment(
             )
         )
 
-    assigned = set(assignment.domain_of)
-    uncovered = set(assignment.uncovered)
-    leo_set = set(snapshot.leo_ids)
-    if assigned & uncovered:
+    lost = np.flatnonzero((controller == -1) & fov_domains.any(axis=0)).tolist()
+    if lost:
         violations.append(
             ConstraintViolation(
                 "unique_membership",
-                f"LEOs both assigned and uncovered: {sorted(assigned & uncovered)}",
-                tuple(sorted(assigned & uncovered)),
-            )
-        )
-    stray = sorted((assigned | uncovered) - leo_set)
-    missing = sorted(leo_set - assigned - uncovered)
-    if stray or missing:
-        violations.append(
-            ConstraintViolation(
-                "unique_membership",
-                f"assignment does not partition the LEO set (stray={stray}, missing={missing})",
-                tuple(stray + missing),
+                f"LEOs seen by a controller but unmanaged: {lost}",
+                tuple(lost),
             )
         )
 
     contained = True
     if not assignment.fov_waived:
-        n_ctrl, n_leo = fov_domains.shape
-        sizes = [len(members) for members in domains.values()]
-        leos = np.fromiter(itertools.chain(*domains.values()), np.int64, sum(sizes))
-        ks = np.repeat(np.array(list(domains), dtype=np.int64), sizes)
-        row = ks - n_leo
-        # every member against its controller's row; a stray LEO id or a
-        # non-controller key is in no FOV
-        ok = (leos >= 0) & (leos < n_leo) & (row >= 0) & (row < n_ctrl)
-        inside = ok & fov_domains[np.where(ok, row, 0), np.where(ok, leos, 0)]
-        bad = (~inside).nonzero()[0]
+        # every member against its controller's row; a non-controller key is in no FOV
+        leos = np.flatnonzero(controller != -1)
+        inside = is_ctrl[leos] & fov_domains[np.where(is_ctrl[leos], row[leos], 0), leos]
+        bad = leos[~inside]
         contained = not bad.size
-        for k in sorted(set(ks[bad].tolist())):
-            outside = leos[bad[ks[bad] == k]].tolist()
+        for k in np.unique(controller[bad]).tolist():
+            outside = bad[controller[bad] == k].tolist()
             violations.append(
                 ConstraintViolation(
                     "fov_containment",
@@ -509,11 +502,9 @@ def validate_assignment(
 
 def plan_key(assignment: "DomainAssignment") -> tuple:
     """Everything of ``assignment`` that ``slot_plan`` reads: two assignments
-    of one slot with equal keys have equal plans. The domain view stands for
-    ``domain_of``, which it lists in a canonical order."""
+    of one slot with equal keys have equal plans."""
     return (
-        tuple(assignment.domains().items()),
-        assignment.uncovered,
+        assignment.controller.tobytes(),
         assignment.fov_waived,
         assignment.relay_controller_ids,
     )
@@ -581,8 +572,7 @@ def slot_plan(
     paths = list(routes.values())
     req_cost[routed] = route_costs(paths, snapshot, params, FLOW_REQUEST_FIXED_BYTES)
     mfl_cost[routed] = route_costs(paths, snapshot, params, params.m_fl_bytes)
-    ctrl_of = np.full(n, -1, dtype=np.int64)
-    ctrl_of[list(assignment.domain_of)] = list(assignment.domain_of.values())
+    ctrl_of = assignment.controller
 
     roles = snapshot.roles
     domains = assignment.domains()

@@ -17,16 +17,17 @@ every nearest-controller fallback measure only the (LEO, controller) pairs
 in view. A brute-force enumerator serves as the small-instance optimality
 oracle. Every partitioner takes the slot's ``SlotGeometry``: the slot, its
 snapshot and its FOV products, each one (controller x LEO) boolean array.
+Each builds its result as one controller-per-LEO array, the
+``DomainAssignment.controller`` it returns.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Collection, Mapping
+from collections.abc import Collection
 from contextlib import suppress
-from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, partial
-from types import MappingProxyType
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -53,47 +54,56 @@ class UncoverableLeoError(RuntimeError):
         super().__init__(f"{len(leo_ids)} LEOs covered by no controller: {leo_ids[:10]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainAssignment:
     """Controller assignment for one time slot.
 
-    ``domain_of`` maps every managed LEO to its controller; LEOs visible to no
-    controller are listed in ``uncovered`` and stay unmanaged for the slot.
-    An assignment is immutable: ``domain_of`` is a read-only view, the domain
-    view is built once, and a changed copy comes from ``dataclasses.replace``.
+    ``controller`` holds each LEO's controller id at the LEO's id, or -1 for
+    a LEO that stays unmanaged for the slot (one that no controller sees),
+    so every LEO sits in at most one domain by construction. It is a
+    read-only copy of the array given; a changed assignment comes from
+    ``dataclasses.replace``. ``signature``, kept by eunomia for the next
+    slot, holds each LEO's overlap-region controller mask (zeros outside
+    every region), packed by ``np.packbits`` along the controller axis.
     """
 
     slot_index: int
-    domain_of: Mapping[int, int]
-    uncovered: frozenset[int] = frozenset()
+    controller: np.ndarray
     fov_waived: bool = False
     relay_controller_ids: tuple[int, ...] = ()
     strategy: str = ""
-    overlap_signature: dict[int, frozenset[int]] = field(default_factory=dict)
+    signature: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_of", MappingProxyType(dict(self.domain_of)))
+        controller = np.array(self.controller, dtype=np.int64)
+        controller.flags.writeable = False
+        object.__setattr__(self, "controller", controller)
 
-    def __reduce__(self):
-        # a mappingproxy does not pickle; rebuild through __init__ from a dict
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["domain_of"] = dict(self.domain_of)
-        return partial(type(self), **state), ()
+    def __setstate__(self, state: dict) -> None:
+        # an array unpickled under protocols before 5 is writeable again
+        self.__dict__.update(state)
+        self.controller.flags.writeable = False
 
-    def domains(self) -> Mapping[int, tuple[int, ...]]:
+    @property
+    def uncovered(self) -> tuple[int, ...]:
+        """The unmanaged LEOs, in id order."""
+        return tuple(np.flatnonzero(self.controller < 0).tolist())
+
+    def domains(self) -> dict[int, tuple[int, ...]]:
         """Members of each domain in id order, keyed by controller in id order."""
-        return self._domains
+        return dict(self._domains)
 
     @cached_property
-    def _domains(self) -> Mapping[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for leo, k in self.domain_of.items():
-            out.setdefault(k, []).append(leo)
-        return MappingProxyType({k: tuple(sorted(v)) for k, v in sorted(out.items())})
+    def _domains(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        leos = np.flatnonzero(self.controller >= 0)
+        leos = leos[np.argsort(self.controller[leos], kind="stable")]
+        ks, start = np.unique(self.controller[leos], return_index=True)
+        return tuple(zip(ks.tolist(), (tuple(m.tolist()) for m in np.split(leos, start[1:]))))
 
     def to_rows(self) -> list[tuple[int, int, int]]:
-        slot, domain_of = self.slot_index, self.domain_of
-        return [(slot, leo, domain_of[leo]) for leo in sorted(domain_of)]
+        leos = np.flatnonzero(self.controller >= 0)
+        ks = self.controller[leos].tolist()
+        return [(self.slot_index, leo, k) for leo, k in zip(leos.tolist(), ks)]
 
 
 @dataclass
@@ -114,20 +124,15 @@ class PartitionContext:
     greedy_cap: int | None = None
 
 
-def step1_exclusive_assign(
-    fov_domains: np.ndarray, regions: list[OverlapRegion]
-) -> tuple[dict[int, int], list[int], set[int]]:
+def step1_exclusive_assign(fov_domains: np.ndarray) -> np.ndarray:
     """Assign single-coverage LEOs to their only controller.
 
-    Returns (assignments, uncoverable LEOs, contested LEOs left for clustering)
-    from the slot's (controller x LEO) FOV array. LEOs in ``regions`` are
-    exactly the multiply-covered ones.
+    Returns a controller-per-LEO array, as ``DomainAssignment.controller``,
+    from the slot's (controller x LEO) FOV array: a LEO that exactly one
+    controller sees holds that controller, every other LEO holds -1.
     """
-    count = fov_domains.sum(axis=0)
-    single = np.flatnonzero(count == 1)
-    ctrl = fov_domains.shape[1] + fov_domains[:, single].argmax(axis=0)
-    contested = set().union(*(r.leo_ids for r in regions))
-    return dict(zip(single.tolist(), ctrl.tolist())), np.flatnonzero(count == 0).tolist(), contested
+    single = fov_domains.sum(axis=0) == 1
+    return np.where(single, fov_domains.shape[1] + fov_domains.argmax(axis=0), -1)
 
 
 def _by_distance(
@@ -218,7 +223,8 @@ class MarginalObjective:
     """Prices giving LEOs to a controller by the rise in W_FLOW + lambda * W_CPT.
 
     The terms are those of ``overhead.evaluate``, taken against the domains
-    already fixed in the slot: ``domain_of`` at construction, then every
+    already fixed in the slot: the managed LEOs of ``controller`` (a
+    ``DomainAssignment.controller`` array) at construction, then every
     ``fix``. The flow term is each LEO's outbound rate times its one-hop
     control path (FOV containment makes every control path a direct link).
     The path-computation term follows each controller's domain size and
@@ -228,7 +234,8 @@ class MarginalObjective:
     labels, by one weighted ``np.bincount``; a LEO with no block row carries
     no traffic and is priced without an array operation. The outbound rates
     and hop costs are computed once, at construction, and only for the LEOs
-    that may be priced and carry traffic. Each controller's terms are then a
+    that may be priced (``priced``) and carry traffic; pricing any other LEO
+    that carries traffic raises ValueError. Each controller's terms are then a
     few float operations, and ``keep`` decides keep-or-release on them, and
     fixes a kept LEO, without building an array.
 
@@ -247,7 +254,7 @@ class MarginalObjective:
         snapshot: NetworkSnapshot,
         params: OverheadParams,
         n_domains: int,
-        domain_of: dict[int, int],
+        controller: np.ndarray,
         priced: Collection[int],
     ):
         self.traffic = traffic
@@ -263,19 +270,17 @@ class MarginalObjective:
         # ``priced`` (the LEOs the caller will price) that carries traffic, at
         # row hop_row[leo]; the other LEOs of ``priced`` share the last row,
         # zeros, as their zero outbound rate zeroes any finite hop cost. Any
-        # other LEO (row -1) is costed when priced, by the same line sum and
-        # hop_cost
-        self._hop_cost = partial(
-            hop_cost, snapshot, params, b=np.array(ctrls), msg_bytes=params.m_fl_bytes
-        )
-        priced = np.fromiter(priced, np.int64, len(priced))
+        # other LEO has row -1, and pricing it with traffic raises
+        priced = np.asarray(priced, dtype=np.int64)
         busy = priced[traffic.block_row[priced] >= 0]
         self.hop_row = np.full(len(traffic.leo_ids), -1)
         self.hop_row[priced] = len(busy)
         self.hop_row[busy] = np.arange(len(busy))
         self.outbound = np.append(traffic.outbound_of(busy), 0.0)
         self.hop = np.zeros((len(busy) + 1, n_ctrl))
-        self.hop[:-1] = self._hop_cost(a=busy[:, None])
+        self.hop[:-1] = hop_cost(
+            snapshot, params, busy[:, None], np.array(ctrls), params.m_fl_bytes
+        )
         self.block_row = traffic.block_row.tolist()
         zeros = [0.0] * n_ctrl
         self._idle = ([], zeros, zeros, 0.0, 0.0, 0.0)  # no traffic
@@ -284,10 +289,9 @@ class MarginalObjective:
         # block column, offset by n_ctrl + 1: one bincount over them,
         # weighted by a row of the block followed by its column, gives the
         # rates to and then from every fixed domain
-        leos = np.fromiter(domain_of, np.int64, len(domain_of))
-        cols = np.fromiter(domain_of.values(), np.int64, len(domain_of)) - self.n_leo
-        order = np.lexsort((leos, cols))  # by domain, then by id
-        leos, cols = leos[order], cols[order]
+        leos = np.flatnonzero(controller >= 0)
+        leos = leos[np.argsort(controller[leos], kind="stable")]  # by domain, then by id
+        cols = controller[leos] - self.n_leo
         pos = traffic.block_row[leos]
         hit = np.flatnonzero(pos >= 0)
         p, c = pos[hit], cols[hit]
@@ -350,8 +354,7 @@ class MarginalObjective:
         rows = self.hop_row[list(leos)]
         if (rows >= 0).all():
             return self.outbound[rows], self.hop[rows]
-        idx = np.array(leos)
-        return self.traffic.outbound_of(idx), self._hop_cost(a=idx[:, None])
+        raise ValueError(f"LEO {leos[int(np.argmin(rows))]} is not among the priced LEOs")
 
     def cost(self, leos: tuple[int, ...], controllers) -> np.ndarray:
         """Marginal objective of giving all of ``leos`` to each controller."""
@@ -464,28 +467,28 @@ def fine_tune_boundaries(
     # the controllers that see each LEO now, at the next sample and at the horizon
     may_take = geometry.fov_domains & step_fov & geometry.future_fov
 
-    domain_of = dict(assignment.domain_of)
     graph = snapshot.topology.graph
     # only a LEO whose controller loses sight of it can move, and a move ends
     # that (its new controller sees it at the next sample), so each LEO moves
     # at most once; the other LEOs never change controller
-    leos = np.fromiter(domain_of, np.int64, len(domain_of))
-    rows = np.fromiter(domain_of.values(), np.int64, len(domain_of)) - n_leo
+    leos = np.flatnonzero(assignment.controller >= 0)
+    rows = assignment.controller[leos] - n_leo
     if not ((rows >= 0) & (rows < len(step_fov))).all():
         raise ValueError("every domain must be keyed by a controller")
-    leaving = np.sort(leos[~step_fov[rows, leos]]).tolist()
+    leaving = leos[~step_fov[rows, leos]].tolist()
+    controller = assignment.controller.tolist()  # a copy, edited in place
     changed = True
     while changed:
         changed = False
         for leo in leaving:
-            k = domain_of[leo]
+            k = controller[leo]
             if step_fov[k - n_leo, leo]:
                 continue  # no imminent handover
             neighbor_ctrls = sorted(
                 {
-                    domain_of[nb]
+                    controller[nb]
                     for nb in graph.indices[graph.indptr[leo] : graph.indptr[leo + 1]].tolist()
-                    if nb in domain_of and domain_of[nb] != k
+                    if controller[nb] not in (-1, k)
                 }
             )
             candidates = [k2 for k2 in neighbor_ctrls if may_take[k2 - n_leo, leo]]
@@ -495,9 +498,9 @@ def fine_tune_boundaries(
             latitude = np.degrees(np.arcsin(pos[:, 2] / norm(pos)))
             northbound = snapshot.velocities[leo][2] >= 0.0
             ahead = -latitude if northbound else latitude
-            domain_of[leo] = candidates[np.lexsort((candidates, ahead))[0]]
+            controller[leo] = candidates[np.lexsort((candidates, ahead))[0]]
             changed = True
-    return replace(assignment, domain_of=domain_of)
+    return replace(assignment, controller=controller)
 
 
 def partition_slot(
@@ -509,9 +512,10 @@ def partition_slot(
     """Full three-step partition of one slot.
 
     Single-coverage LEOs go to their only controller. A contested LEO whose
-    previous controller still sees it, under an unchanged overlap signature,
-    keeps that controller unless another covering controller has a lower
-    marginal objective (W_FLOW + lambda * W_CPT, see ``MarginalObjective``);
+    previous controller still sees it, under an unchanged overlap signature
+    (its region's controllers, against the previous assignment's
+    ``signature``), keeps that controller unless another covering controller
+    has a lower marginal objective (W_FLOW + lambda * W_CPT, see ``MarginalObjective``);
     migrations are thereby priced, not locked out. The remaining contested
     LEOs are spectrally clustered per overlap region, on CORGs taken from
     one slot edge table (``corg.corg_edges``), by a k-means anchored
@@ -526,44 +530,47 @@ def partition_slot(
     fov = geom.fov_domains
     n_leo = fov.shape[1]
     regions = geom.regions
-    assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
-    if uncovered and not ctx.allow_uncovered:
-        raise UncoverableLeoError(uncovered)
-    contested = sorted(contested)
+    count = fov.sum(axis=0)
+    if not ctx.allow_uncovered and not count.all():
+        raise UncoverableLeoError(np.flatnonzero(count == 0).tolist())
+    contested = np.flatnonzero(count >= 2)
+    controller = step1_exclusive_assign(fov)
 
     n_domains = int(fov.any(axis=1).sum())
     pricing = MarginalObjective(
-        traffic_prev, snap, ctx.overhead_params, n_domains, assigned, contested
+        traffic_prev, snap, ctx.overhead_params, n_domains, controller, contested
     )
 
     def give(leos: tuple[int, ...], k: int) -> None:
-        for leo in leos:
-            assigned[leo] = k
+        controller[list(leos)] = k
         pricing.fix(leos, k)
 
-    signature: dict[int, frozenset[int]] = {}
+    region_mask = np.zeros(fov.shape, dtype=bool)
     for region in regions:
-        signature.update(dict.fromkeys(region.leo_ids, frozenset(region.controller_ids)))
+        region_mask[np.ix_(np.array(region.controller_ids) - n_leo, list(region.leo_ids))] = True
+    signature = np.packbits(region_mask, axis=0)
 
-    if prev_assignment is not None:
-        prev_of, prev_signature = prev_assignment.domain_of, prev_assignment.overlap_signature
-        # each contested LEO's covering controllers, in one pass over the slot
-        at = np.flatnonzero(fov.T[contested])
+    if prev_assignment is not None and prev_assignment.signature is not None:
+        # the contested LEOs whose previous controller still sees them, under
+        # an unchanged overlap signature
+        k_prev = prev_assignment.controller[contested]
+        same = (prev_assignment.signature[:, contested] == signature[:, contested]).all(axis=0)
+        held = np.flatnonzero(same & (k_prev >= 0))
+        held = held[fov[k_prev[held] - n_leo, contested[held]]]
+        leos, k_prev = contested[held], k_prev[held]
+        # each one's covering controllers, in one pass over the slot
+        at = np.flatnonzero(fov.T[leos])
         ctrl = (n_leo + at % len(fov)).tolist()
-        bounds = np.searchsorted(at, len(fov) * np.arange(len(contested) + 1)).tolist()
-        for leo, lo, hi in zip(contested, bounds, bounds[1:]):
-            k_prev, ctrls = prev_of.get(leo), tuple(ctrl[lo:hi])
-            if (
-                k_prev in ctrls
-                and prev_signature.get(leo) == signature[leo]
-                and pricing.keep(leo, k_prev, ctrls)
-            ):
-                assigned[leo] = k_prev
+        bounds = np.searchsorted(at, len(fov) * np.arange(len(leos) + 1)).tolist()
+        for leo, k, lo, hi in zip(leos.tolist(), k_prev.tolist(), bounds, bounds[1:]):
+            if pricing.keep(leo, k, tuple(ctrl[lo:hi])):
+                controller[leo] = k
 
     # every region's residual is fixed now, so the slot's CORG edges are costed at once
     residuals = []  # (LEOs in id order, the region they form) per region
     for region in regions:
-        residual = tuple(sorted(set(region.leo_ids) - assigned.keys()))
+        members = np.array(sorted(region.leo_ids))
+        residual = tuple(members[controller[members] < 0].tolist())
         if residual:
             seen = fov.take(residual, axis=1).any(axis=1)
             ctrls = tuple((n_leo + np.flatnonzero(seen)).tolist())
@@ -597,10 +604,9 @@ def partition_slot(
 
     assignment = DomainAssignment(
         slot_index=geom.slot.index,
-        domain_of=assigned,
-        uncovered=frozenset(uncovered),
+        controller=controller,
         strategy="eunomia",
-        overlap_signature=signature,
+        signature=signature,
     )
     assignment = fine_tune_boundaries(assignment, geom, ctx)
     violations = validate_assignment(assignment, snap, fov)
@@ -619,7 +625,7 @@ def odc_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignment
     relays = gs_ids if gs_ids else (central,)
     return DomainAssignment(
         slot_index=geom.slot.index,
-        domain_of={leo: central for leo in snap.leo_ids},
+        controller=np.full(len(snap.leo_ids), central),
         fov_waived=True,
         relay_controller_ids=relays,
         strategy="odc",
@@ -638,22 +644,17 @@ def greedy_partition(ctx: PartitionContext, geom: SlotGeometry) -> DomainAssignm
 
     leos = np.flatnonzero(covered).tolist()
     ks, reach = fov.shape[1] + np.arange(len(fov)), fov[:, covered]  # controller of each row
+    controller = np.full(fov.shape[1], -1)
     if ctx.greedy_cap is None:
-        assigned = dict(zip(leos, _nearest(snap, leos, ks, reach)))
+        controller[covered] = _nearest(snap, leos, ks, reach)
     else:
         load: dict[int, int] = {k: 0 for k in snap.controller_ids}
-        assigned = {}
         for leo, ranked in zip(leos, _by_distance(snap, leos, ks, reach)):
             # the nearest controller under the cap; with every candidate at cap, the nearest
             chosen = next((k for k in ranked if load[k] < ctx.greedy_cap), ranked[0])
-            assigned[leo] = chosen
+            controller[leo] = chosen
             load[chosen] += 1
-    return DomainAssignment(
-        slot_index=geom.slot.index,
-        domain_of=assigned,
-        uncovered=frozenset(uncovered),
-        strategy="greedy",
-    )
+    return DomainAssignment(slot_index=geom.slot.index, controller=controller, strategy="greedy")
 
 
 BRUTE_FORCE_MAX_LEOS = 10
@@ -675,7 +676,7 @@ def brute_force_partition(
     snap = geom.slot.snapshot
     fov = geom.fov_domains
     seen = fov.any(axis=0)
-    covered, uncovered = np.flatnonzero(seen).tolist(), np.flatnonzero(~seen).tolist()
+    covered = np.flatnonzero(seen)
     if len(covered) > BRUTE_FORCE_MAX_LEOS:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_LEOS} LEOs")
     choice_lists = [(fov.shape[1] + np.flatnonzero(col)).tolist() for col in fov.T[seen]]
@@ -685,12 +686,11 @@ def brute_force_partition(
 
     best_value = np.inf
     best: DomainAssignment | None = None
+    controller = np.full(fov.shape[1], -1)
     for combo in itertools.product(*choice_lists):
+        controller[covered] = combo
         candidate = DomainAssignment(
-            slot_index=geom.slot.index,
-            domain_of=dict(zip(covered, combo)),
-            uncovered=frozenset(uncovered),
-            strategy="brute_force",
+            slot_index=geom.slot.index, controller=controller, strategy="brute_force"
         )
         report = evaluate(
             candidate,

@@ -13,18 +13,15 @@ Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
 ``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
 the |V|-wide view through ``TrafficMatrix.submatrix``, ``at`` and the
-per-LEO ``outbound_rates`` and ``inbound_rates``, which give what the full
-matrix would, memory order included, so that every sum runs in the same
-order as over the full matrix and gives the same bits. A consumer that
-needs the totals of a few LEOs only, such as the partitioner, sums just
-their lines (``outbound_of`` and ``inbound_of``), each as the full vectors
-sum it.
+per-LEO line sums ``outbound_of`` and ``inbound_of``, which give what the
+full matrix would, memory order included, so that every sum runs in the
+same order as over the full matrix and gives the same bits. A line sum is
+taken only for the LEOs asked for.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -136,24 +133,14 @@ class TrafficMatrix:
             out.append((int(self.active[a]), int(self.active[b]), float(self.rates[a, b])))
         return out
 
-    @cached_property
-    def outbound_rates(self) -> np.ndarray:
-        """``full[i].sum()`` for every LEO id ``i``."""
-        return self.outbound_of(np.arange(len(self.leo_ids)))
-
-    @cached_property
-    def inbound_rates(self) -> np.ndarray:
-        """``full[:, j].sum()`` for every LEO id ``j``: each column summed as
-        one contiguous row, which matches summing the column alone bit for bit
-        (``full.sum(axis=0)`` adds row by row and does not)."""
-        return self.inbound_of(np.arange(len(self.leo_ids)))
-
     def outbound_of(self, ids: np.ndarray) -> np.ndarray:
-        """``outbound_rates[ids]``, summing only the rows of ``ids``."""
+        """``full[i].sum()`` for each LEO id ``i`` of ``ids``."""
         return self._line_sums(self.rates, ids)
 
     def inbound_of(self, ids: np.ndarray) -> np.ndarray:
-        """``inbound_rates[ids]``, summing only the columns of ``ids``."""
+        """``full[:, j].sum()`` for each LEO id ``j`` of ``ids``: each column
+        summed as one contiguous row, which matches summing the column alone
+        bit for bit (``full.sum(axis=0)`` adds row by row and does not)."""
         return self._line_sums(self.rates.T, ids)
 
     def _line_sums(self, block: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -171,11 +158,6 @@ class TrafficMatrix:
             buf[: len(at), self.active] = block[rows[at]]
             out[at] = buf[: len(at)].sum(axis=1)
         return out
-
-    def __getstate__(self) -> dict:
-        # the rate totals are rebuilt on demand, not sent to worker processes
-        cached = ("outbound_rates", "inbound_rates")
-        return {k: v for k, v in self.__dict__.items() if k not in cached}
 
     def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
         """(slot, src, dst, rate) rows for every nonzero pair."""

@@ -16,6 +16,7 @@ from eunomia.emulator import (
     run_slot,
 )
 from eunomia.overhead import slot_plan
+from eunomia.partition import DomainAssignment
 from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.traffic import TrafficMatrix
 from eunomia.visibility import TimeSlot
@@ -124,6 +125,14 @@ def fov_array(snapshot: NetworkSnapshot, members: dict[int, set[int]]) -> np.nda
         fov[k - n_leo, list(leos)] = True
     fov.flags.writeable = False
     return fov
+
+
+def assignment(n_leo: int, controller_of: dict[int, int], slot_index: int = 0, **kw):
+    """A ``DomainAssignment`` of ``n_leo`` LEOs from LEO id -> controller id;
+    a LEO not given is unmanaged. ``kw`` holds its other fields."""
+    controller = np.full(n_leo, -1)
+    controller[list(controller_of)] = list(controller_of.values())
+    return DomainAssignment(slot_index, controller, **kw)
 
 
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:

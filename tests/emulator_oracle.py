@@ -92,8 +92,8 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domai
     mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
 
     ctrl_of = np.full(n, -1, dtype=np.int64)
-    for leo, k in assignment.domain_of.items():
-        ctrl_of[leo] = k
+    for k, members in assignment.domains().items():
+        ctrl_of[list(members)] = k
 
     domains = assignment.domains()
     active = sorted(domains)

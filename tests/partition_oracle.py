@@ -161,7 +161,7 @@ class MarginalObjective:
     """Rise in W_FLOW + lambda * W_CPT of giving LEOs to each controller,
     against the domains fixed so far (see ``partition.MarginalObjective``)."""
 
-    def __init__(self, traffic, snapshot, params, n_domains, domain_of):
+    def __init__(self, traffic, snapshot, params, n_domains, controller):
         self.traffic = traffic
         self.lam = params.tradeoff_lambda
         ctrls = snapshot.controller_ids
@@ -175,8 +175,9 @@ class MarginalObjective:
         self.size = np.zeros(len(ctrls), dtype=int)
         self.intra = np.zeros(len(ctrls))
         members: dict[int, list[int]] = {}
-        for leo, k in domain_of.items():
-            members.setdefault(self.column[k], []).append(leo)
+        for leo, k in enumerate(controller.tolist()):
+            if k >= 0:
+                members.setdefault(self.column[k], []).append(leo)
         for c, idx in members.items():
             idx.sort()
             # C order, as np.ix_ gives

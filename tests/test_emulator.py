@@ -16,10 +16,9 @@ from eunomia.overhead import (
     flow_overhead,
     slot_plan,
 )
-from eunomia.partition import DomainAssignment
 from eunomia.traffic import scale
 
-from conftest import compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
+from conftest import assignment, compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
 
 
 def _traffic(snap, entries):
@@ -34,9 +33,9 @@ def _pair_world(lam=1.0):
     snap = make_ring_snapshot(n_leo=2, leo_lons=(0.0, 20.0), ctrl_lons=(10.0,))
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {0, 1}})
-    assignment = DomainAssignment(0, {0: k, 1: k})
+    a = assignment(2, {0: k, 1: k})
     tm = _traffic(snap, {(0, 1): lam})
-    return snap, k, fov, assignment, tm
+    return snap, k, fov, a, tm
 
 
 def test_gamma_zero_yields_no_requests_but_sync_bytes():
@@ -96,10 +95,10 @@ def test_uncovered_source_and_destination_drops():
     snap = make_ring_snapshot(n_leo=3, leo_lons=(0.0, 20.0, 180.0), ctrl_lons=(10.0,))
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {0, 1}})
-    assignment = DomainAssignment(0, {0: k, 1: k}, uncovered=frozenset({2}))
+    a = assignment(3, {0: k, 1: k})
     tm = _traffic(snap, {(2, 0): 5.0, (0, 2): 5.0})
     stats = emulate(
-        make_slot(snap, 200.0), assignment, tm, OverheadParams(), fov,
+        make_slot(snap, 200.0), a, tm, OverheadParams(), fov,
         seed=4, gamma=1.0,
     )
     assert stats.requests_total > 0
@@ -107,8 +106,8 @@ def test_uncovered_source_and_destination_drops():
 
 
 def test_run_slot_rejects_invalid_assignment():
-    snap, k, fov, assignment, tm = _pair_world()
-    bad = DomainAssignment(0, {0: k})  # LEO 1 neither assigned nor uncovered
+    snap, k, fov, _, tm = _pair_world()
+    bad = assignment(2, {0: k})  # LEO 1 unmanaged, though the controller sees it
     with pytest.raises(ConstraintViolationError):
         emulate(make_slot(snap), bad, tm, OverheadParams(), fov, seed=1)
 
@@ -220,10 +219,8 @@ def test_sync_and_handover_byte_accounting():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
     k1, k2 = snap.controller_ids
     fov = fov_array(snap, {k1: snap.leo_ids, k2: snap.leo_ids})
-    prev = DomainAssignment(0, {i: k1 for i in snap.leo_ids})
-    cur = DomainAssignment(
-        1, {i: (k1 if i < 3 else k2) for i in snap.leo_ids}
-    )
+    prev = assignment(6, {i: k1 for i in snap.leo_ids})
+    cur = assignment(6, {i: (k1 if i < 3 else k2) for i in snap.leo_ids}, slot_index=1)
     tm = _traffic(snap, {})
     params = OverheadParams(f_sync_hz=0.5)
     duration = 60.0

@@ -15,9 +15,8 @@ from scipy.sparse.csgraph import connected_components
 from eunomia.constellation import IslTopology, Role
 from eunomia.emulator import EmulatorParams, generate_arrivals, partition_chain
 from eunomia.overhead import OverheadParams
-from eunomia.partition import DomainAssignment
 
-from conftest import compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
+from conftest import assignment, compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
 from emulator_oracle import oracle_run_slot
 
 DURATION_S = 30.0
@@ -39,16 +38,14 @@ def _random_traffic(snap, rate, seed):
 
 def _cut_world():
     """Ring of 8 LEOs cut into {0..3} and {4..7}; two far MEOs that see every
-    LEO; LEO 6 unmanaged; each domain spans both halves of the cut."""
+    LEO but 6, which is unmanaged; each domain spans both halves of the cut."""
     ring = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0), ctrl_radius_km=1e5)
     cut = [e for e in ring.topology.edge_array.tolist() if e not in ([3, 4], [0, 7])]
     snap = replace(ring, topology=IslTopology(np.array(cut), ring.leo_ids))
     k1, k2 = snap.controller_ids
-    fov = fov_array(snap, {k: snap.leo_ids for k in (k1, k2)})
-    assignment = DomainAssignment(
-        0, {0: k1, 1: k1, 4: k1, 5: k1, 2: k2, 3: k2, 7: k2}, uncovered=frozenset({6})
-    )
-    return snap, k1, fov, assignment
+    fov = fov_array(snap, {k: set(snap.leo_ids) - {6} for k in (k1, k2)})
+    cut_assignment = assignment(8, {0: k1, 1: k1, 4: k1, 5: k1, 2: k2, 3: k2, 7: k2})
+    return snap, k1, fov, cut_assignment
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
@@ -89,12 +86,12 @@ def test_matches_oracle_on_a_waived_fov_centralized_assignment(gamma):
     )
     g1, g2 = snap.controller_ids
     fov = fov_array(snap, {g1: {0, 1, 9}, g2: {4, 5, 6}})
-    assignment = DomainAssignment(
-        0, {leo: g1 for leo in snap.leo_ids}, fov_waived=True,
+    centralized = assignment(
+        10, {leo: g1 for leo in snap.leo_ids}, fov_waived=True,
         relay_controller_ids=(g1, g2), strategy="odc",
     )
     tm = _random_traffic(snap, 3.0, 11)
-    stats = _both(make_slot(snap, DURATION_S), assignment, tm, OverheadParams(),
+    stats = _both(make_slot(snap, DURATION_S), centralized, tm, OverheadParams(),
                   fov, 5, gamma=gamma)
     assert stats.requests_total > 0
 

@@ -24,10 +24,10 @@ from eunomia.overhead import (
     sync_overhead,
     validate_assignment,
 )
-from eunomia.partition import DomainAssignment
+from eunomia.partition import greedy_partition
 from eunomia.visibility import compute_fov_domains
 
-from conftest import compact_traffic, fov_array, make_ring_snapshot
+from conftest import assignment, compact_traffic, fov_array, make_ring_snapshot
 from geometry_oracle import as_sets
 
 
@@ -121,14 +121,14 @@ def test_route_costs_sum_hops_in_path_order():
 def test_control_hops_direct_is_one():
     snap = _chain_snapshot(n=1)
     fov = fov_array(snap, {1: {0}})
-    a = DomainAssignment(0, {0: 1})
+    a = assignment(1, {0: 1})
     assert len(control_routes(a, snap, fov)[0]) - 1 == 1
 
 
 def test_control_hops_chain_of_three():
     snap = _chain_snapshot(n=3)
     fov = fov_array(snap, {3: {2}})  # only the far end sees the controller
-    a = DomainAssignment(0, {0: 3, 1: 3, 2: 3}, fov_waived=True)
+    a = assignment(3, {0: 3, 1: 3, 2: 3}, fov_waived=True)
     routes = control_routes(a, snap, fov)
     assert [len(routes[leo]) - 1 for leo in (2, 1, 0)] == [1, 2, 3]
 
@@ -136,7 +136,7 @@ def test_control_hops_chain_of_three():
 def test_flow_overhead_zero_traffic():
     snap = _chain_snapshot(n=2)
     fov = fov_array(snap, {2: {0, 1}})
-    a = DomainAssignment(0, {0: 2, 1: 2})
+    a = assignment(2, {0: 2, 1: 2})
     tm = _traffic(snap, {})
     assert flow_overhead(a, tm, snap, OverheadParams(), fov) == 0.0
 
@@ -153,7 +153,7 @@ def test_flow_overhead_hand_value():
     no_isl = IslTopology(np.empty((0, 2), dtype=np.int64), (0, 1))
     snap = NetworkSnapshot(0.0, positions, velocities, no_isl, (0, 1), (2,), roles)
     fov = fov_array(snap, {2: {0, 1}})
-    a = DomainAssignment(0, {0: 2, 1: 2})
+    a = assignment(2, {0: 2, 1: 2})
     tm = _traffic(snap, {(0, 1): 2.0})
     params = OverheadParams(
         bandwidth_bps={
@@ -172,10 +172,9 @@ def test_flow_overhead_linear_in_rates():
     fov = compute_fov_domains(snap)
     sets = as_sets(fov)
     cover = set().union(*sets.values())
-    a = DomainAssignment(
-        0,
+    a = assignment(
+        len(snap.leo_ids),
         {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
-        uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 1.5, (1, 0): 0.5})
     params = OverheadParams()
@@ -186,7 +185,7 @@ def test_flow_overhead_linear_in_rates():
 
 def test_sync_single_domain_has_no_inter_term():
     snap = _chain_snapshot(n=3)
-    a = DomainAssignment(0, {0: 3, 1: 3, 2: 3})
+    a = assignment(3, {0: 3, 1: 3, 2: 3})
     w_in, w_out = sync_overhead(a, snap, OverheadParams())
     assert w_out == 0.0
     assert w_in > 0.0
@@ -195,7 +194,7 @@ def test_sync_single_domain_has_no_inter_term():
 def test_sync_hand_example_two_domains():
     snap = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    a = DomainAssignment(0, {0: k1, 1: k1, 2: k1, 3: k2, 4: k2, 5: k2, 6: k2, 7: k2})
+    a = assignment(8, {0: k1, 1: k1, 2: k1, 3: k2, 4: k2, 5: k2, 6: k2, 7: k2})
     params = OverheadParams(f_sync_hz=2.0)
     w_in, w_out = sync_overhead(a, snap, params)
 
@@ -217,7 +216,7 @@ def test_sync_hand_example_two_domains():
 def test_sync_scales_with_frequency():
     snap = make_ring_snapshot(n_leo=8, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    a = DomainAssignment(0, {i: (k1 if i < 4 else k2) for i in range(8)})
+    a = assignment(8, {i: (k1 if i < 4 else k2) for i in range(8)})
     w1 = sync_overhead(a, snap, OverheadParams(f_sync_hz=1.0))
     w2 = sync_overhead(a, snap, OverheadParams(f_sync_hz=2.0))
     assert w2[0] == pytest.approx(2 * w1[0])
@@ -227,8 +226,8 @@ def test_sync_scales_with_frequency():
 def test_migration_identical_assignments_is_zero():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
-    b = DomainAssignment(1, dict(a.domain_of))
+    a = assignment(4, {0: k1, 1: k1, 2: k2, 3: k2})
+    b = dataclasses.replace(a, slot_index=1)
     tm = _traffic(snap, {(0, 2): 1.0})
     assert migration_overhead(a, b, snap, tm, OverheadParams(), 30.0) == 0.0
 
@@ -236,8 +235,8 @@ def test_migration_identical_assignments_is_zero():
 def test_migration_hand_value_single_handover():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    prev = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
-    cur = DomainAssignment(1, {0: k1, 1: k2, 2: k2, 3: k2})  # LEO 1 handed over
+    prev = assignment(4, {0: k1, 1: k1, 2: k2, 3: k2})
+    cur = assignment(4, {0: k1, 1: k2, 2: k2, 3: k2}, slot_index=1)  # LEO 1 handed over
     tm = _traffic(snap, {(1, 0): 3.0, (2, 0): 1.0})
     mig = MigrationParams(
         flow_entry_bytes=36,
@@ -259,14 +258,12 @@ def test_migration_hand_value_single_handover():
 def test_migration_monotone_in_changes():
     snap = make_ring_snapshot(n_leo=6, ctrl_lons=(0.0, 180.0))
     k1, k2 = snap.controller_ids
-    prev = DomainAssignment(0, {i: k1 for i in range(6)})
+    prev = assignment(6, {i: k1 for i in range(6)})
     tm = _traffic(snap, {(0, 1): 1.0})
     params = OverheadParams()
     values = []
     for moved in range(4):
-        cur = DomainAssignment(
-            1, {i: (k2 if i < moved else k1) for i in range(6)}
-        )
+        cur = assignment(6, {i: (k2 if i < moved else k1) for i in range(6)}, slot_index=1)
         values.append(migration_overhead(prev, cur, snap, tm, params, 10.0))
     assert values == sorted(values)
     assert values[0] == 0.0
@@ -275,7 +272,7 @@ def test_migration_monotone_in_changes():
 def test_path_compute_hand_value():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    a = DomainAssignment(0, {i: k for i in range(4)})
+    a = assignment(4, {i: k for i in range(4)})
     tm = _traffic(snap, {(0, 1): 10.0})  # 10 intra requests/s
     w_intra, w_inter = path_compute_overhead(a, tm, OverheadParams(), snap)
     assert w_intra == pytest.approx(10 * 16 / 100.0, rel=1e-12)  # f(4)=16, C_MEO=100
@@ -285,7 +282,7 @@ def test_path_compute_hand_value():
 def test_path_compute_scales_with_capacity():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
-    a = DomainAssignment(0, {i: k for i in range(4)})
+    a = assignment(4, {i: k for i in range(4)})
     tm = _traffic(snap, {(0, 1): 10.0})
     w1, _ = path_compute_overhead(a, tm, OverheadParams(capacity_unit_ops=1.0), snap)
     w2, _ = path_compute_overhead(a, tm, OverheadParams(capacity_unit_ops=2.0), snap)
@@ -297,10 +294,9 @@ def test_objective_reduces_to_wctl_when_lambda_zero():
     fov = compute_fov_domains(snap)
     sets = as_sets(fov)
     cover = set().union(*sets.values())
-    a = DomainAssignment(
-        0,
+    a = assignment(
+        len(snap.leo_ids),
         {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
-        uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 2.0})
     params = OverheadParams(tradeoff_lambda=0.0)
@@ -312,7 +308,7 @@ def test_objective_flags_fov_violation():
     snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {0}})
-    a = DomainAssignment(0, {0: k, 1: k, 2: k, 3: k})
+    a = assignment(4, {0: k, 1: k, 2: k, 3: k})
     tm = _traffic(snap, {})
     with pytest.raises(ConstraintViolationError) as err:
         evaluate(a, tm, snap, OverheadParams(), fov).objective
@@ -323,11 +319,8 @@ def test_validate_catches_unassigned_and_stray():
     snap = make_ring_snapshot(n_leo=3, ctrl_lons=(0.0,))
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {0, 1, 2}})
-    missing = DomainAssignment(0, {0: k})
+    missing = assignment(3, {0: k})
     names = {v.constraint for v in validate_assignment(missing, snap, fov)}
-    assert "unique_membership" in names
-    overlap = DomainAssignment(0, {0: k, 1: k, 2: k}, uncovered=frozenset({2}))
-    names = {v.constraint for v in validate_assignment(overlap, snap, fov)}
     assert "unique_membership" in names
 
 
@@ -336,7 +329,7 @@ def test_validate_catches_disconnected_domain():
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {2}})
     # LEO 0 assigned but the intermediate LEO 1 is not: 0 cannot reach the seed
-    a = DomainAssignment(0, {0: k, 2: k}, uncovered=frozenset({1}), fov_waived=True)
+    a = assignment(3, {0: k, 2: k}, fov_waived=True)
     names = {v.constraint for v in validate_assignment(a, snap, fov)}
     assert "connectivity" in names
 
@@ -346,9 +339,39 @@ def test_validate_reports_a_member_outside_the_fov_and_cut_off():
     k = snap.controller_ids[0]
     fov = fov_array(snap, {k: {2}})
     # no waiver: LEO 0 is outside the FOV, and LEO 1 is not there to relay it
-    a = DomainAssignment(0, {0: k, 2: k}, uncovered=frozenset({1}))
+    a = assignment(3, {0: k, 2: k})
     names = [v.constraint for v in validate_assignment(a, snap, fov)]
     assert names == ["fov_containment", "connectivity"]
+
+
+@pytest.mark.parametrize(
+    "mutation, constraint",
+    [
+        ("a covered LEO unmanaged", "unique_membership"),
+        ("a LEO id as a controller", "one_controller_per_domain"),
+        ("one entry short", "unique_membership"),
+    ],
+)
+def test_validate_names_each_broken_controller_array(desk_scenario_short, mutation, constraint):
+    geom = desk_scenario_short.geometries[0]
+    snap, fov = geom.slot.snapshot, geom.fov_domains
+    valid = greedy_partition(desk_scenario_short.ctx, geom)
+    assert validate_assignment(valid, snap, fov) == []
+    controller = valid.controller.copy()
+    leo = int(np.flatnonzero(controller >= 0)[0])
+    if mutation == "a covered LEO unmanaged":
+        controller[leo] = -1
+    elif mutation == "a LEO id as a controller":
+        controller[leo] = leo + 1
+    else:
+        controller = controller[:-1]
+    broken = dataclasses.replace(valid, controller=controller)
+    named = [v for v in validate_assignment(broken, snap, fov) if v.constraint == constraint]
+    assert len(named) == 1
+    if mutation == "a covered LEO unmanaged":
+        assert named[0].offenders == (leo,)
+    elif mutation == "a LEO id as a controller":
+        assert named[0].offenders == (leo + 1,)
 
 
 @pytest.mark.parametrize("strategy", ["eunomia", "greedy"])
@@ -402,10 +425,9 @@ def test_bandwidth_homogeneity():
     fov = compute_fov_domains(snap)
     sets = as_sets(fov)
     cover = set().union(*sets.values())
-    a = DomainAssignment(
-        0,
+    a = assignment(
+        len(snap.leo_ids),
         {leo: min(k for k, members in sets.items() if leo in members) for leo in cover},
-        uncovered=frozenset(set(snap.leo_ids) - cover),
     )
     tm = _traffic(snap, {(0, 1): 2.0, (1, 3): 1.0})
 

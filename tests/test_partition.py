@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 
@@ -35,7 +36,14 @@ from eunomia.visibility import (
     compute_overlap_regions,
 )
 
-from conftest import compact_traffic, corg_from_edges, fov_array, make_ring_snapshot, make_slot
+from conftest import (
+    assignment,
+    compact_traffic,
+    corg_from_edges,
+    fov_array,
+    make_ring_snapshot,
+    make_slot,
+)
 import partition_oracle
 from geometry_oracle import as_sets, by_distance, coverage
 
@@ -68,33 +76,23 @@ def _geometry(slot, thresholds):
 
 def test_step1_disjoint_fovs_assign_everything():
     fov = np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)  # controllers 4 and 5
-    assigned, uncovered, contested = step1_exclusive_assign(fov, [])
-    assert assigned == {0: 4, 1: 4, 2: 5, 3: 5}
-    assert uncovered == []
-    assert contested == set()
+    assert step1_exclusive_assign(fov).tolist() == [4, 4, 5, 5]
 
 
 def test_step1_contested_leo_left_unassigned():
     fov = np.array([[1, 1, 0], [0, 1, 0]], dtype=bool)  # controllers 3 and 4
-    regions = [OverlapRegion(frozenset({1}), (3, 4))]
-    assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
-    assert assigned == {0: 3}
-    assert uncovered == [2]
-    assert contested == {1}
+    assert step1_exclusive_assign(fov).tolist() == [3, -1, -1]  # LEO 1 contested, 2 unseen
 
 
 def test_step1_matches_coverage_oracle(desk_scenario_short):
     geom = desk_scenario_short.geometries[0]
-    assigned, uncovered, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+    assigned = step1_exclusive_assign(geom.fov_domains).tolist()
     cover = coverage(as_sets(geom.fov_domains))
-    for leo in geom.slot.snapshot.leo_ids:
-        ks = cover.get(leo, ())
-        if len(ks) == 1:
-            assert assigned[leo] == ks[0]
-        elif len(ks) == 0:
-            assert leo in uncovered
-        else:
-            assert leo in contested
+    assert assigned == [
+        ks[0] if len(ks) == 1 else -1
+        for ks in (cover.get(leo, ()) for leo in geom.slot.snapshot.leo_ids)
+    ]
+    assert -1 in assigned and len(set(assigned)) > 2
 
 
 # ------------------------------------------------------- spectral clustering
@@ -213,7 +211,7 @@ def test_partition_slot_gives_unclustered_leos_their_nearest_covering_controller
     a = partition_slot(ctx, geom, scn.base_traffic[0], None)
     contested = sorted(leo for region in geom.regions for leo in region.leo_ids)
     assert contested
-    assert [a.domain_of[leo] for leo in contested] == [
+    assert a.controller[contested].tolist() == [
         by_distance(snap, leo, cover[leo])[0] for leo in contested
     ]
 
@@ -242,7 +240,7 @@ def _pricing(snap):
     n = len(snap.leo_ids)
     tm = _traffic(snap, {(i, j): 1.0 for i in range(n) for j in range(n) if i != j})
     return MarginalObjective(
-        tm, snap, OverheadParams(), len(snap.controller_ids), {}, snap.leo_ids
+        tm, snap, OverheadParams(), len(snap.controller_ids), np.full(n, -1), snap.leo_ids
     )
 
 
@@ -311,11 +309,12 @@ def test_marginal_objective_matches_evaluate_differences():
     snap, tm, fov, k1, k2 = _loaded_meo_toy()
     params = OverheadParams()
 
-    def partial_objective(domain_of):
-        report = evaluate(DomainAssignment(0, domain_of), tm, snap, params, fov, validate=False)
+    def partial_objective(controller_of):
+        report = evaluate(assignment(8, controller_of), tm, snap, params, fov, validate=False)
         return report.w_flow + params.tradeoff_lambda * (report.w_cpt_intra + report.w_cpt_inter)
 
-    pricing = MarginalObjective(tm, snap, params, 2, {leo: k1 for leo in range(5)}, (5, 6, 7))
+    on_k1 = assignment(8, {leo: k1 for leo in range(5)}).controller
+    pricing = MarginalObjective(tm, snap, params, 2, on_k1, (5, 6, 7))
     pricing.fix((6,), k2)
     fixed = {leo: k1 for leo in range(5)} | {6: k2}
     for leos, ctrls in (((5,), [k1, k2]), ((5, 7), [k2]), ((7,), [k2])):
@@ -328,8 +327,8 @@ def test_km_match_avoids_nearer_loaded_meo():
     snap, tm, fov, k1, k2 = _loaded_meo_toy()
     clusters = [Cluster((5,)), Cluster(())]
     for load_k1, want in ((False, k1), (True, k2)):
-        fixed = {leo: k1 for leo in range(5)} if load_k1 else {}
-        free = [leo for leo in snap.leo_ids if leo not in fixed]
+        fixed = assignment(8, {leo: k1 for leo in range(5)} if load_k1 else {}).controller
+        free = np.flatnonzero(fixed < 0)
         pricing = MarginalObjective(tm, snap, OverheadParams(), 2, fixed, free)
         match = km_match(clusters, [k1, k2], fov, pricing)
         assert match[0] == want  # the nearer k1, unless it already carries LEOs 0-4
@@ -345,13 +344,13 @@ def test_partition_slot_contested_leo_leaves_costlier_previous_controller():
         step_fov=None,
     )
     for k_prev in (k1, k2):
-        prev = DomainAssignment(
-            0,
+        prev = assignment(
+            8,
             {0: k1, 1: k1, 2: k1, 3: k1, 4: k1, 5: k_prev, 6: k2, 7: k2},
-            overlap_signature={5: frozenset({k1, k2})},
+            signature=np.packbits([[0, 0, 0, 0, 0, 1, 0, 0]] * 2, axis=0),  # LEO 5 under k1, k2
         )
         a = partition_slot(_toy_ctx(), geometry, tm, prev)
-        assert a.domain_of[5] == k2  # kept on k2, moved off the loaded k1
+        assert a.controller[5] == k2  # kept on k2, moved off the loaded k1
 
 
 # ---------------------------------------------------------------- fine-tuning
@@ -376,34 +375,34 @@ def _fine_tune_geometry():
 
 def test_fine_tune_moves_exiting_leo_to_neighbor_domain():
     snap, geometry, k1, k2 = _fine_tune_geometry()
-    a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
+    a = assignment(4, {0: k1, 1: k1, 2: k2, 3: k2})
     ctx = _toy_ctx(lookahead=30.0)
     tuned = fine_tune_boundaries(a, geometry, ctx)
-    assert tuned.domain_of[0] == k2
-    assert tuned.domain_of[1] == k1
+    assert tuned.controller.tolist() == [k2, k1, k2, k2]
+    assert a.controller.tolist() == [k1, k1, k2, k2]  # the input is left as it was
 
 
 def test_fine_tune_no_exit_no_change():
     snap, geometry, k1, k2 = _fine_tune_geometry()
     ahead = fov_array(snap, {k1: {0, 1}, k2: {0, 2, 3}})
     geometry = dataclasses.replace(geometry, step_fov=ahead, future_fov=ahead)
-    a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
+    a = assignment(4, {0: k1, 1: k1, 2: k2, 3: k2})
     tuned = fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
-    assert tuned.domain_of == a.domain_of
+    assert np.array_equal(tuned.controller, a.controller)
 
 
 def test_fine_tune_skips_moves_without_valid_candidate():
     snap, geometry, k1, k2 = _fine_tune_geometry()
     ahead = fov_array(snap, {k1: {1}, k2: {2, 3}})  # k2 cannot take LEO 0 either
     geometry = dataclasses.replace(geometry, step_fov=ahead, future_fov=ahead)
-    a = DomainAssignment(0, {0: k1, 1: k1, 2: k2, 3: k2})
+    a = assignment(4, {0: k1, 1: k1, 2: k2, 3: k2})
     tuned = fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
-    assert tuned.domain_of == a.domain_of
+    assert np.array_equal(tuned.controller, a.controller)
 
 
 def test_fine_tune_rejects_a_domain_keyed_by_a_non_controller():
     snap, geometry, k1, k2 = _fine_tune_geometry()
-    a = DomainAssignment(0, {0: 1, 1: k1, 2: k2, 3: k2})  # LEO 0 keyed by LEO 1
+    a = assignment(4, {0: 1, 1: k1, 2: k2, 3: k2})  # LEO 0 keyed by LEO 1
     with pytest.raises(ValueError, match="keyed by a controller"):
         fine_tune_boundaries(a, geometry, _toy_ctx(lookahead=30.0))
 
@@ -435,7 +434,7 @@ def test_partition_slot_identical_snapshots_inherit_fully():
     ctx = _toy_ctx()
     first = partition_slot(ctx, geometry, tm, None)
     second = partition_slot(ctx, geometry, tm, first)
-    assert second.domain_of == first.domain_of
+    assert np.array_equal(second.controller, first.controller)
 
 
 def test_partition_slot_deterministic():
@@ -443,7 +442,7 @@ def test_partition_slot_deterministic():
     ctx = _toy_ctx()
     a = partition_slot(ctx, geometry, tm, None)
     b = partition_slot(ctx, geometry, tm, None)
-    assert a.domain_of == b.domain_of
+    assert np.array_equal(a.controller, b.controller)
     assert a.uncovered == b.uncovered
 
 
@@ -506,7 +505,7 @@ def test_greedy_respects_fov(desk_scenario_short):
     a = greedy_partition(scn.ctx, geom)
     fov = geom.fov_domains
     n_leo = fov.shape[1]
-    for leo, k in a.domain_of.items():
+    for _, leo, k in a.to_rows():
         assert fov[k - n_leo, leo]
     assert validate_assignment(a, geom.slot.snapshot, geom.fov_domains) == []
 
@@ -518,7 +517,7 @@ def test_greedy_single_controller_matches_odc():
     ctx = _toy_ctx()
     greedy = greedy_partition(ctx, geometry)
     odc = odc_partition(ctx, geometry)
-    assert greedy.domain_of == odc.domain_of
+    assert np.array_equal(greedy.controller, odc.controller)
 
 
 def test_greedy_cap_spills_to_second_nearest():
@@ -532,10 +531,10 @@ def test_greedy_cap_spills_to_second_nearest():
         overhead_params=OverheadParams(), lookahead_s=0.0, allow_uncovered=True, greedy_cap=2
     )
     a = greedy_partition(ctx, geometry)
-    assert a.domain_of[0] == k1
-    assert a.domain_of[1] == k1
-    assert a.domain_of[2] == k2  # nearest is k1 but the cap forces the spill
-    assert a.domain_of[3] == k2
+    assert a.controller[0] == k1
+    assert a.controller[1] == k1
+    assert a.controller[2] == k2  # nearest is k1 but the cap forces the spill
+    assert a.controller[3] == k2
 
 
 def _greedy_oracle(snap, cover, cap):
@@ -565,7 +564,7 @@ def test_batched_ranking_and_greedy_match_the_per_leo_oracle(scenario, request):
         spills = 0
         for greedy_cap in (None, 2, 30):
             ctx = dataclasses.replace(scn.ctx, greedy_cap=greedy_cap)
-            got = greedy_partition(ctx, geom).domain_of
+            got = {leo: k for _, leo, k in greedy_partition(ctx, geom).to_rows()}
             assert got == _greedy_oracle(snap, cover, greedy_cap)
             spills += sum(got[leo] != ranked[0] for leo, ranked in zip(leos, nearest))
         assert spills > 0
@@ -582,7 +581,7 @@ def test_bruteforce_single_leo_returns_only_coverer():
     ctx = _toy_ctx()
     tm = _traffic(snap, {})
     best, _ = brute_force_partition(ctx, geometry, tm)
-    assert best.domain_of == {0: k1}
+    assert best.controller.tolist() == [k1]
 
 
 def test_bruteforce_rejects_large_instances():
@@ -613,21 +612,62 @@ def test_bruteforce_not_worse_than_heuristics():
 
 
 def test_assignment_views():
-    a = DomainAssignment(0, {0: 10, 1: 10, 2: 11})
+    a = assignment(4, {0: 10, 1: 10, 2: 11})
     assert a.domains() == {10: (0, 1), 11: (2,)}
+    assert a.uncovered == (3,)
+    assert a.to_rows() == [(0, 0, 10), (0, 1, 10), (0, 2, 11)]
 
 
 def test_assignment_is_immutable_and_keeps_its_domain_view():
-    source = {0: 10, 1: 10, 2: 11}
+    source = np.array([10, 10, 11])
     a = DomainAssignment(0, source, strategy="greedy")
     source[2] = 10  # the assignment holds its own copy
-    assert a.domain_of == {0: 10, 1: 10, 2: 11}
-    with pytest.raises(TypeError):
-        a.domain_of[2] = 10
+    assert a.controller.tolist() == [10, 10, 11]
+    with pytest.raises(ValueError, match="read-only"):
+        a.controller[2] = 10
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.slot_index = 1
-    assert a.domains() is a.domains()
-    moved = dataclasses.replace(a, domain_of={**a.domain_of, 2: 10})
+    a.domains()[11] = (0,)  # each call builds a new dict from the array
+    assert a.domains() == {10: (0, 1), 11: (2,)}
+    moved = dataclasses.replace(a, controller=[10, 10, 10])
     assert moved.domains() == {10: (0, 1, 2)} and a.domains() == {10: (0, 1), 11: (2,)}
-    again = pickle.loads(pickle.dumps(a))
-    assert again == a and again.domains() == a.domains()
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(a, protocol))
+        assert np.array_equal(again.controller, a.controller)
+        assert not again.controller.flags.writeable
+        assert again.domains() == a.domains() and again.strategy == a.strategy
+
+
+@pytest.mark.parametrize("strategy", ["eunomia", "greedy", "odc"])
+@pytest.mark.parametrize("scenario", ["desk_scenario", "default_scenario_partition"])
+def test_every_slot_holds_one_read_only_controller_array(scenario, strategy, request):
+    # every slot of desk's full orbit and of default at 240 s
+    scn = request.getfixturevalue(scenario)
+    chain = emulator.partition_chain(scn, strategy, 1.0)
+    assert len(chain) == len(scn.geometries) >= 16
+    for geom, a in zip(scn.geometries, chain):
+        fov = geom.fov_domains
+        controller = a.controller
+        assert controller.shape == (fov.shape[1],) and controller.dtype == np.int64
+        assert not controller.flags.writeable
+        # unmanaged exactly where no controller sees the LEO; odc manages every LEO
+        unmanaged = controller == -1
+        if strategy == "odc":
+            assert not unmanaged.any()
+        else:
+            assert np.array_equal(unmanaged, ~fov.any(axis=0))
+        assert a.uncovered == tuple(np.flatnonzero(unmanaged).tolist())
+        domains = a.domains()
+        assert list(domains) == sorted(domains)
+        for k, members in domains.items():
+            assert list(members) == sorted(members)
+            assert (controller[list(members)] == k).all()
+        assert sum(len(members) for members in domains.values()) == (~unmanaged).sum()
+        rows = a.to_rows()
+        assert rows == [
+            (geom.slot.index, leo, k) for leo, k in enumerate(controller.tolist()) if k >= 0
+        ]
+        assert all(type(x) is int for row in rows for x in row)
+        assert all(type(x) is int for k, ms in domains.items() for x in (k, *ms))
+        assert json.loads(json.dumps(rows)) == [list(row) for row in rows]
+        assert json.loads(json.dumps(domains)) == {str(k): list(ms) for k, ms in domains.items()}

@@ -37,9 +37,13 @@ def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario
     for t in (1, 2):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
         snap, cover = geom.slot.snapshot, _cover(geom)
-        assigned, _, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+        assigned = step1_exclusive_assign(geom.fov_domains)
+        contested = np.flatnonzero(geom.fov_domains.sum(axis=0) >= 2).tolist()
         n_domains = int(geom.fov_domains.any(axis=1).sum())
-        fast = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
+        # LEOs fixed at construction that carry traffic: two priced, one not
+        busy = [leo for leo in np.flatnonzero(assigned >= 0) if traffic.block_row[leo] >= 0][:3]
+        priced = contested + busy[:2]
+        fast = MarginalObjective(traffic, snap, params, n_domains, assigned, priced)
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
 
         def check(leos, ks):
@@ -72,10 +76,11 @@ def test_prices_match_the_array_oracle_over_a_sequence_of_fixes(default_scenario
         idle = tuple(leo for leo in leos if traffic.block_row[leo] < 0)[:5]
         check(idle, snap.controller_ids)
         kinds["idle group"] += 1
-        # LEOs fixed at construction keep no hop row, and still price the same
-        busy = [leo for leo in sorted(assigned) if traffic.block_row[leo] >= 0]
+        # LEOs fixed at construction price the same, and one outside ``priced`` raises
         check((busy[0],), snap.controller_ids)
         check((busy[1], leos[0]), snap.controller_ids)
+        with pytest.raises(ValueError, match=f"LEO {busy[2]} is not among the priced"):
+            fast.cost((leos[0], busy[2]), snap.controller_ids)
         kinds["fixed"] += 1
         # each region's still unfixed LEOs, as one cluster per controller
         fixed = _fixed(oracle)
@@ -136,7 +141,7 @@ def test_greedy_picks_the_nearest_covering_controller(default_scenario_short):
     for geom, assignment in zip(scn.geometries, chain):
         snap, cover = geom.slot.snapshot, _cover(geom)
         want = {leo: geometry_oracle.by_distance(snap, leo, cover[leo])[0] for leo in cover}
-        assert dict(assignment.domain_of) == want
+        assert {leo: k for _, leo, k in assignment.to_rows()} == want
 
 
 def _check_corgs(regions, traffic, snap, params, fov, weights) -> int:
@@ -238,9 +243,10 @@ def test_keep_decisions_match_the_array_prices(default_scenario_short):
     for t in (1, 2, 3):
         geom, traffic = scn.geometries[t], scn.base_traffic[t - 1]
         snap, cover = geom.slot.snapshot, _cover(geom)
-        assigned, _, contested = step1_exclusive_assign(geom.fov_domains, geom.regions)
+        assigned = step1_exclusive_assign(geom.fov_domains)
+        contested = np.flatnonzero(geom.fov_domains.sum(axis=0) >= 2).tolist()
         n_domains = int(geom.fov_domains.any(axis=1).sum())
-        pricing = MarginalObjective(traffic, snap, params, n_domains, assigned, sorted(contested))
+        pricing = MarginalObjective(traffic, snap, params, n_domains, assigned, contested)
         oracle = partition_oracle.MarginalObjective(traffic, snap, params, n_domains, assigned)
         for step, leo in enumerate(sorted(contested)):
             ks = cover[leo]

@@ -11,6 +11,7 @@ import dataclasses
 import pickle
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eunomia import emulator, overhead
@@ -86,11 +87,12 @@ def _moved_outside_fov(scn, assignment, t):
     """``assignment`` with one LEO given to a controller that cannot see it."""
     fov = scn.geometries[t].fov_domains
     n_leo = fov.shape[1]
-    for leo, k in sorted(assignment.domain_of.items()):
+    for _, leo, k in assignment.to_rows():
         for other in range(n_leo, n_leo + len(fov)):
             if other != k and not fov[other - n_leo, leo]:
-                moved = {**assignment.domain_of, leo: other}
-                return dataclasses.replace(assignment, domain_of=moved)
+                moved = assignment.controller.copy()
+                moved[leo] = other
+                return dataclasses.replace(assignment, controller=moved)
     raise AssertionError("every controller sees every LEO")
 
 
@@ -116,7 +118,7 @@ def test_assignments_with_equal_content_share_one_plan(monkeypatch, counts):
     built = counts["slot_plan"]
     # new objects with the same content, under other labels
     copies = [
-        dataclasses.replace(a, strategy="copy", overlap_signature={0: frozenset()})
+        dataclasses.replace(a, strategy="copy", signature=np.ones((1, len(a.controller)), np.uint8))
         for a in emulator.partition_chain(scn, "greedy", 1.0, 1)
     ]
     monkeypatch.setattr(emulator, "partition_chain", lambda *args: copies)

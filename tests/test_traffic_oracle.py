@@ -190,29 +190,27 @@ def test_pairs_and_outbound_rates_equal_the_dense_matrix(scaled):
     i = rng.integers(0, len(tm.leo_ids), size=(40, 3))
     j = np.where(rng.random((40, 3)) < 0.5, rng.choice(tm.active, size=(40, 3)), i)
     assert np.array_equal(tm.at(i, j), full[i, j])
-    assert tm.outbound_rates.tolist() == [
-        float(full[k].sum()) for k in range(len(tm.leo_ids))
-    ]
-    assert tm.inbound_rates.tolist() == [
-        float(full[:, k].sum()) for k in range(len(tm.leo_ids))
-    ]
+    every = np.arange(len(tm.leo_ids))
+    assert tm.outbound_of(every).tolist() == [float(full[k].sum()) for k in every]
+    assert tm.inbound_of(every).tolist() == [float(full[:, k].sum()) for k in every]
 
 
 @pytest.mark.parametrize("scenario", ["desk_scenario", "default_scenario_partition"])
 def test_line_sums_of_the_priced_leos_equal_the_full_vectors(scenario, request):
-    """``outbound_of`` and ``inbound_of`` on the contested LEOs of each slot
-    (those the partitioner prices), and on every LEO, against the full
-    vectors, and those against the dense rows and columns, bit for bit."""
+    """``outbound_of`` and ``inbound_of`` on every LEO against the dense rows
+    and columns, and on the contested LEOs of each slot (those the
+    partitioner prices) against the sums of every LEO, bit for bit."""
     scn = request.getfixturevalue(scenario)
     n_matrices = 0
     for geom, tm in zip(scn.geometries, scn.base_traffic):
         every = np.arange(len(tm.leo_ids))
         contested = np.array(sorted(leo for r in geom.regions for leo in r.leo_ids), dtype=int)
-        assert tm.outbound_rates.tobytes() == traffic_oracle.rows(tm, every).sum(axis=1).tobytes()
-        assert tm.inbound_rates.tobytes() == traffic_oracle.cols(tm, every).sum(axis=0).tobytes()
-        for ids in (contested, contested[::-7], every, every[:0]):
-            assert tm.outbound_of(ids).tobytes() == tm.outbound_rates[ids].tobytes()
-            assert tm.inbound_of(ids).tobytes() == tm.inbound_rates[ids].tobytes()
+        outbound, inbound = tm.outbound_of(every), tm.inbound_of(every)
+        assert outbound.tobytes() == traffic_oracle.rows(tm, every).sum(axis=1).tobytes()
+        assert inbound.tobytes() == traffic_oracle.cols(tm, every).sum(axis=0).tobytes()
+        for ids in (contested, contested[::-7], every[:0]):
+            assert tm.outbound_of(ids).tobytes() == outbound[ids].tobytes()
+            assert tm.inbound_of(ids).tobytes() == inbound[ids].tobytes()
         n_matrices += 1
     assert n_matrices == len(scn.base_traffic) >= 16
 

@@ -320,10 +320,13 @@ def test_fov_array_and_its_products_match_the_per_controller_sets(scenario, requ
         cover = coverage(sets)
         regions = compute_overlap_regions(fov, snap)
         assert regions == overlap_regions(sets, snap)
-        assigned, uncovered, contested = step1_exclusive_assign(fov, regions)
-        assert assigned == {leo: ks[0] for leo, ks in cover.items() if len(ks) == 1}
-        assert uncovered == sorted(set(snap.leo_ids) - cover.keys())
-        assert contested == {leo for leo, ks in cover.items() if len(ks) >= 2}
+        assigned = step1_exclusive_assign(fov).tolist()
+        assert assigned == [
+            ks[0] if len(ks) == 1 else -1 for ks in (cover.get(leo, ()) for leo in snap.leo_ids)
+        ]
+        assert set().union(*(r.leo_ids for r in regions)) == {
+            leo for leo, ks in cover.items() if len(ks) >= 2
+        }
 
 
 def test_held_fov_arrays_are_read_only(desk_scenario_short):
