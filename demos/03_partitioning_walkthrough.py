@@ -5,6 +5,8 @@ control-overhead relationship graph, optimal cluster-controller matching,
 movement-aware fine-tuning, and the constraint validation of the result.
 A small brute-force comparison puts the heuristic's objective in context.
 """
+import numpy as np
+
 from eunomia.corg import build_corg, corg_edges, similarity
 from eunomia.overhead import evaluate, validate_assignment
 from eunomia.partition import (
@@ -46,7 +48,8 @@ for name, assignment in assignments.items():
     report = evaluate(
         assignment, traffic, snap, scn.ctx.overhead_params, geom.fov_domains, validate=False
     )
-    sizes = sorted(len(m) for m in assignment.domains().values())
+    managed = assignment.controller[assignment.controller >= 0]
+    sizes = sorted(np.unique(managed, return_counts=True)[1].tolist())
     print(f"{name:8s} domains {sizes}  W_CTL {report.w_ctl:7.3f} s/s  "
           f"objective {report.objective:7.3f}  violations {len(violations)}")
 

@@ -5,12 +5,13 @@ operation: flow rates (1/s) multiply per-message times (s), and the sync and
 migration terms multiply per-event times by event frequencies. The total
 splits as W_CTL = W_FLOW + W_SYNC_in + W_SYNC_out + W_MIG, with path
 computation W_CPT weighted into the objective by a tradeoff factor. Direct
-links and FOV containment read ``visibility.compute_fov_domains``' array.
+links and FOV containment read ``visibility.compute_fov_domains``' array;
+every per-domain term (keys, sizes, members, direct links and control
+routes) is read from the assignment's controller-per-LEO array.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -166,26 +167,27 @@ def hop_cost(snapshot: NetworkSnapshot, params: OverheadParams, a, b, msg_bytes)
     ) / C_LIGHT_KM_S
 
 
-def direct_link_map(
-    assignment: "DomainAssignment", fov_domains: np.ndarray
-) -> dict[int, dict[int, int]]:
-    """Per controller: {LEO with a usable direct link -> terminal controller id}.
+def direct_link_map(assignment: "DomainAssignment", fov_domains: np.ndarray) -> np.ndarray:
+    """Per LEO: the controller its direct control link terminates at, or -1
+    when it has none (an unmanaged LEO has none).
 
-    Normally the terminal is the domain controller itself. Under a waived-FOV
-    centralized assignment the relay controllers' FOV members all act as entry
-    points, each terminating at the lowest-id relay that sees it.
+    Normally the terminal is the LEO's own controller, where that
+    controller's FOV row sees the LEO. Under a waived-FOV centralized
+    assignment the relay controllers' FOV members all act as entry points,
+    each terminating at the lowest-id relay that sees it.
     """
+    controller = assignment.controller
     n_ctrl, n_leo = fov_domains.shape
-
-    def members(k: int) -> list[int]:  # none for a node that is not a controller
-        return fov_domains[k - n_leo].nonzero()[0].tolist() if 0 <= k - n_leo < n_ctrl else []
-
-    if not assignment.fov_waived or not assignment.relay_controller_ids:
-        return {k: dict.fromkeys(members(k), k) for k in assignment.domains()}
-    seeds: dict[int, int] = {}
-    for r in sorted(set(assignment.relay_controller_ids), reverse=True):  # the lowest id wins
-        seeds.update(dict.fromkeys(members(r), r))
-    return dict.fromkeys(assignment.domains(), seeds)
+    if assignment.fov_waived and assignment.relay_controller_ids:
+        relays = np.unique(assignment.relay_controller_ids)
+        relays = relays[(relays >= n_leo) & (relays < n_leo + n_ctrl)]  # a non-controller sees none
+        # each LEO's lowest-id relay that sees it, else a last row, -1, that sees every LEO
+        sees = np.vstack([fov_domains[relays - n_leo], np.ones(n_leo, dtype=bool)])
+        return np.where(controller >= 0, np.append(relays, -1)[sees.argmax(axis=0)], -1)
+    row = controller - n_leo
+    is_ctrl = (row >= 0) & (row < n_ctrl)
+    sees = is_ctrl & fov_domains[np.where(is_ctrl, row, 0), np.arange(n_leo)]
+    return np.where(sees, controller, -1)
 
 
 def control_routes(
@@ -193,53 +195,53 @@ def control_routes(
     snapshot: NetworkSnapshot,
     fov_domains: np.ndarray,
 ) -> dict[int, tuple[int, ...]]:
-    """Control path for every assigned LEO: [leo, isl hops..., entry, controller].
+    """Control path for every managed LEO, in (controller, LEO id) order:
+    [leo, isl hops..., entry, terminal controller].
 
-    A LEO with a direct link gets [leo, controller]; otherwise the path runs
-    over intra-domain ISL edges to the nearest member holding a direct link.
-    Raises DisconnectedDomainError when some member has no such path.
+    A LEO with a direct link gets [leo, terminal]; otherwise the path runs
+    over intra-domain ISL edges to the nearest member holding a direct link,
+    found by one multi-source BFS for the whole slot that steps only along
+    edges whose two ends share a controller. Raises DisconnectedDomainError,
+    naming the lowest-id controller with members that have no such path.
     """
-    graph = snapshot.topology.graph
-    row_len = np.diff(graph.indptr)
-    direct = direct_link_map(assignment, fov_domains)
-    routes: dict[int, tuple[int, ...]] = {}
-    for k, members in assignment.domains().items():
-        entry = direct[k]
-        usable = {leo: entry[leo] for leo in members if leo in entry}
-        if len(usable) == len(members):  # every member has a direct link (FOV containment)
-            routes.update((leo, (leo, usable[leo])) for leo in members)
-            continue
-        # multi-source BFS from all direct-link members, stepping only inside
-        # the domain, one level at a time over the rows of the ISL graph: a
-        # node's parent is the lowest-id frontier node next to it
-        inside = np.zeros(graph.shape[0], dtype=bool)
-        inside[list(members)] = True
-        parent = np.full(graph.shape[0], -2)  # -2: not reached, -1: a direct link
-        frontier = np.array(sorted(usable), dtype=np.int64)
-        parent[frontier] = -1
+    controller = assignment.controller
+    terminal = direct_link_map(assignment, fov_domains)
+    # the managed LEOs in (controller, id) order: the unmanaged (-1) sort first
+    leos = np.argsort(controller, kind="stable")[np.count_nonzero(controller < 0) :]
+    parent = np.where(terminal >= 0, -1, -2)  # -2: not reached, -1: a direct link
+    frontier = np.flatnonzero(terminal >= 0)
+    if frontier.size < leos.size:  # not every member has a direct link
+        # one level at a time over the rows of the ISL graph, from every
+        # direct-link LEO at once: a node's parent is the lowest-id frontier
+        # node next to it in its own domain
+        graph = snapshot.topology.graph
+        row_len = np.diff(graph.indptr)
         while frontier.size:
             start, count = graph.indptr[frontier], row_len[frontier]
             # each frontier node's row in turn, in id order
             ends = np.cumsum(count)
             nb = graph.indices[np.arange(ends[-1]) + np.repeat(start - ends + count, count)]
             src = np.repeat(frontier, count)
-            new = inside[nb] & (parent[nb] == -2)
+            new = (controller[nb] == controller[src]) & (parent[nb] == -2)
             frontier, first = np.unique(nb[new], return_index=True)
             parent[frontier] = src[new][first]
-        missing = np.flatnonzero(inside & (parent == -2))
+        missing = np.flatnonzero((controller >= 0) & (parent == -2))
         if missing.size:
+            k = controller[missing].min()
             raise DisconnectedDomainError(
-                f"domain of controller {k}: members {missing.tolist()} cannot reach a direct link"
+                f"domain of controller {k}: members "
+                f"{missing[controller[missing] == k].tolist()} cannot reach a direct link"
             )
-        parent = parent.tolist()
-        for leo in members:
-            path = [leo]
-            node = leo
-            while parent[node] >= 0:
-                node = parent[node]
-                path.append(node)
-            path.append(usable[node])
-            routes[leo] = tuple(path)
+    parent, terminal = parent.tolist(), terminal.tolist()
+    routes: dict[int, tuple[int, ...]] = {}
+    for leo in leos.tolist():
+        path = [leo]
+        node = leo
+        while parent[node] >= 0:
+            node = parent[node]
+            path.append(node)
+        path.append(terminal[node])
+        routes[leo] = tuple(path)
     return routes
 
 
@@ -287,35 +289,37 @@ def flow_overhead(
 def intra_domain_edges(
     assignment: "DomainAssignment", snapshot: NetworkSnapshot
 ) -> dict[int, int]:
-    """Per domain: ISL edges with both ends in it, counted in one edge pass."""
-    a, b = assignment.controller[snapshot.topology.edge_array].T
-    keys, counts = np.unique(a[(a == b) & (a >= 0)], return_counts=True)
-    out = dict.fromkeys(assignment.domains(), 0)
-    out.update(zip(keys.tolist(), counts.tolist()))
-    return out
+    """Per domain, in controller order: ISL edges with both ends in it,
+    counted in one edge pass."""
+    controller = assignment.controller
+    keys = np.unique(controller[controller >= 0])
+    a, b = controller[snapshot.topology.edge_array].T
+    counts = np.bincount(np.searchsorted(keys, a[(a == b) & (a >= 0)]), minlength=len(keys))
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def _sync_terms(
     assignment: "DomainAssignment", snapshot: NetworkSnapshot, params: OverheadParams
-) -> tuple[dict[int, int], list[float], tuple[float, float]]:
+) -> tuple[dict[int, int], np.ndarray, tuple[float, float]]:
     """Per domain, its intra-domain ISL edge count and its slowest member's
     report time, in controller order; and ``sync_overhead``'s pair from them."""
-    domains = assignment.domains()
+    controller = assignment.controller
+    leos = np.argsort(controller, kind="stable")[np.count_nonzero(controller < 0) :]
+    keys, start, size = np.unique(controller[leos], return_index=True, return_counts=True)
     e_counts = intra_domain_edges(assignment, snapshot)
-    reports = [
-        float(hop_cost(snapshot, params, list(ms), k, e_counts[k] * params.m_sync_bytes).max())
-        for k, ms in domains.items()
-    ]
+    # every member's report of its domain's edge state in one batch, then
+    # the slowest of each domain
+    edges = np.repeat(np.fromiter(e_counts.values(), np.int64, len(keys)), size)
+    cost = hop_cost(snapshot, params, leos, controller[leos], edges * params.m_sync_bytes)
+    reports = np.maximum.reduceat(cost, start) if leos.size else cost
     w_in = 0.0
-    for worst in reports:
+    for worst in reports.tolist():
         w_in += params.f_sync_hz * worst
 
-    active = np.array(sorted(k for k, members in domains.items() if members))
     w_out = 0.0
-    if len(active) > 1:
-        size = np.array([len(domains[k]) for k in active])
+    if len(keys) > 1:
         cost = hop_cost(
-            snapshot, params, active[:, None], active, size[:, None] * params.m_sync_bytes
+            snapshot, params, keys[:, None], keys, size[:, None] * params.m_sync_bytes
         )
         np.fill_diagonal(cost, 0.0)
         # summed in controller order, as a running sum
@@ -338,13 +342,13 @@ def sync_overhead(
 def count_migrations(
     prev: "DomainAssignment | None", current: "DomainAssignment"
 ) -> dict[int, int]:
-    """Per (new) domain: members whose controller changed since the previous
-    slot; a LEO unmanaged in either slot has not changed controller."""
-    out = dict.fromkeys(current.domains(), 0)
-    if prev is not None:
-        before, now = prev.controller, current.controller
-        out.update(Counter(now[(before != now) & (before >= 0) & (now >= 0)].tolist()))
-    return out
+    """Per (new) domain that gained a LEO from another controller since the
+    previous slot, in controller order: how many it gained. A LEO unmanaged
+    in either slot has not changed controller."""
+    now = current.controller
+    before = now if prev is None else prev.controller
+    keys, counts = np.unique(now[(before != now) & (before >= 0) & (now >= 0)], return_counts=True)
+    return dict(zip(keys.tolist(), counts.tolist()))
 
 
 def migration_overhead(
@@ -357,7 +361,7 @@ def migration_overhead(
 ) -> float:
     """State-transfer plus handover-notification cost of controller changes,
     scaled by each domain's migration frequency over the slot."""
-    changed = {k: n for k, n in count_migrations(prev, current).items() if n}
+    changed = count_migrations(prev, current)
     if not changed:  # no previous slot, or no LEO changed controller
         return 0.0
     mig = params.migration
@@ -385,11 +389,11 @@ def _domain_rates(
     """Per domain: (intra-domain, inter-domain) flow request rates, each the
     sum of a ``TrafficMatrix.submatrix``, laid out as the full matrix's
     masked gather is."""
-    keys = list(assignment.domains())
     assigned = assignment.controller >= 0
+    keys = np.unique(assignment.controller[assigned])
     labels = np.where(assigned, np.searchsorted(keys, assignment.controller), -1)
     out: dict[int, tuple[float, float]] = {}
-    for label, k in enumerate(keys):
+    for label, k in enumerate(keys.tolist()):
         mine = labels == label
         intra = float(traffic.submatrix(mine, mine).sum())
         inter = float(traffic.submatrix(mine, assigned & ~mine).sum())
@@ -404,17 +408,15 @@ def path_compute_overhead(
     snapshot: NetworkSnapshot,
 ) -> tuple[float, float]:
     """(intra, inter) route-computation load across controllers."""
-    domains = assignment.domains()
-    n_domains = sum(1 for members in domains.values() if members)
+    controller = assignment.controller
+    keys, sizes = np.unique(controller[controller >= 0], return_counts=True)
     rates = _domain_rates(assignment, traffic)
     w_intra = w_inter = 0.0
-    for k, members in domains.items():
-        if not members:
-            continue
+    for k, size in zip(keys.tolist(), sizes.tolist()):
         cap = params.capacity_of(k, snapshot.roles[k])
         f_prop, f_inter = rates[k]
-        w_intra += params.cpt_cost(len(members)) / cap * f_prop
-        w_inter += params.cpt_cost(n_domains) / cap * f_inter
+        w_intra += params.cpt_cost(size) / cap * f_prop
+        w_inter += params.cpt_cost(len(keys)) / cap * f_inter
     return w_intra, w_inter
 
 
@@ -427,9 +429,9 @@ def validate_assignment(
     """Check the constraint families; empty list means valid.
 
     Unique membership and binary consistency (x(i, j) = [controller[i] ==
-    controller[j]] agrees with the domain view) hold by construction: the
-    read-only ``controller`` array holds one entry per LEO, and ``domains()``
-    is derived from it. What is checked here:
+    controller[j]]) hold by construction: the read-only ``controller`` array
+    holds one entry per LEO, and every domain is read from it. What is
+    checked here:
 
     - unique membership: an array whose length is not the LEO count, and a
       LEO left unmanaged (-1) although some controller sees it;
@@ -452,8 +454,7 @@ def validate_assignment(
         ]
     violations: list[ConstraintViolation] = []
 
-    row = controller - n_leo
-    is_ctrl = (row >= 0) & (row < n_ctrl)
+    is_ctrl = (controller >= n_leo) & (controller < n_leo + n_ctrl)
     bad_ctrl = np.unique(controller[~is_ctrl & (controller != -1)]).tolist()
     if bad_ctrl:
         violations.append(
@@ -476,10 +477,8 @@ def validate_assignment(
 
     contained = True
     if not assignment.fov_waived:
-        # every member against its controller's row; a non-controller key is in no FOV
-        leos = np.flatnonzero(controller != -1)
-        inside = is_ctrl[leos] & fov_domains[np.where(is_ctrl[leos], row[leos], 0), leos]
-        bad = leos[~inside]
+        # a member without a direct link is outside its controller's FOV
+        bad = np.flatnonzero((controller != -1) & (direct_link_map(assignment, fov_domains) < 0))
         contained = not bad.size
         for k in np.unique(controller[bad]).tolist():
             outside = bad[controller[bad] == k].tolist()
@@ -555,8 +554,11 @@ def slot_plan(
 ) -> SlotPlan:
     """Build the slot plan of ``assignment``: its control routes once, the
     validation of the assignment on those routes, and the tables derived
-    from them. Raises ConstraintViolationError when some member cannot reach
-    its controller, since such a domain has no control routes."""
+    from them. Raises ConstraintViolationError when the controller array
+    does not hold one entry per LEO, or when some member cannot reach its
+    controller, since such an assignment has no control routes."""
+    if len(assignment.controller) != len(snapshot.leo_ids):
+        raise ConstraintViolationError(validate_assignment(assignment, snapshot, fov_domains))
     try:
         routes = control_routes(assignment, snapshot, fov_domains)
     except DisconnectedDomainError as exc:
@@ -575,14 +577,13 @@ def slot_plan(
     ctrl_of = assignment.controller
 
     roles = snapshot.roles
-    domains = assignment.domains()
-    active = sorted(domains)
+    act, sizes = np.unique(ctrl_of[ctrl_of >= 0], return_counts=True)
+    active, sizes = act.tolist(), sizes.tolist()
     nd = len(active)
-    act = np.array(active, dtype=np.int64)
     row_of = np.zeros(len(roles), dtype=np.int64)
     row_of[act] = np.arange(nd)
     service_intra = [
-        params.cpt_cost(len(domains[k])) / params.capacity_of(k, roles[k]) for k in active
+        params.cpt_cost(m) / params.capacity_of(k, roles[k]) for k, m in zip(active, sizes)
     ]
     service_inter = [params.cpt_cost(nd) / params.capacity_of(k, roles[k]) for k in active]
 
@@ -593,9 +594,9 @@ def slot_plan(
         deliver = np.where(relayed, deliver + cc_hop[:, row_of[ctrl_of]], deliver)
 
     e_counts, intra_delay, sync = _sync_terms(assignment, snapshot, params)
-    per_tick_bytes = sum(e_counts[k] * params.m_sync_bytes for k in active)
+    per_tick_bytes = sum(e * params.m_sync_bytes for e in e_counts.values())
     if nd > 1:
-        per_tick_bytes += sum((nd - 1) * len(domains[k]) * params.m_sync_bytes for k in active)
+        per_tick_bytes += sum((nd - 1) * m * params.m_sync_bytes for m in sizes)
 
     return SlotPlan(
         violations=tuple(violations),
@@ -609,7 +610,7 @@ def slot_plan(
         service_inter=_frozen(np.array(service_inter)),
         cc_hop=_frozen(cc_hop),
         deliver=_frozen(deliver),
-        sync_delay_mean=float(np.mean(intra_delay)) if active else 0.0,
+        sync_delay_mean=float(np.mean(intra_delay)) if nd else 0.0,
         sync_bytes_per_tick=per_tick_bytes,
         sync=sync,
     )

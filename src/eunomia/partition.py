@@ -27,7 +27,6 @@ import math
 from collections.abc import Collection
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +59,9 @@ class DomainAssignment:
 
     ``controller`` holds each LEO's controller id at the LEO's id, or -1 for
     a LEO that stays unmanaged for the slot (one that no controller sees),
-    so every LEO sits in at most one domain by construction. It is a
-    read-only copy of the array given; a changed assignment comes from
+    so every LEO sits in at most one domain by construction, and a domain is
+    the set of LEOs that hold its controller's id. It is a read-only copy of
+    the array given; a changed assignment comes from
     ``dataclasses.replace``. ``signature``, kept by eunomia for the next
     slot, holds each LEO's overlap-region controller mask (zeros outside
     every region), packed by ``np.packbits`` along the controller axis.
@@ -88,17 +88,6 @@ class DomainAssignment:
     def uncovered(self) -> tuple[int, ...]:
         """The unmanaged LEOs, in id order."""
         return tuple(np.flatnonzero(self.controller < 0).tolist())
-
-    def domains(self) -> dict[int, tuple[int, ...]]:
-        """Members of each domain in id order, keyed by controller in id order."""
-        return dict(self._domains)
-
-    @cached_property
-    def _domains(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        leos = np.flatnonzero(self.controller >= 0)
-        leos = leos[np.argsort(self.controller[leos], kind="stable")]
-        ks, start = np.unique(self.controller[leos], return_index=True)
-        return tuple(zip(ks.tolist(), (tuple(m.tolist()) for m in np.split(leos, start[1:]))))
 
     def to_rows(self) -> list[tuple[int, int, int]]:
         leos = np.flatnonzero(self.controller >= 0)

@@ -135,6 +135,17 @@ def assignment(n_leo: int, controller_of: dict[int, int], slot_index: int = 0, *
     return DomainAssignment(slot_index, controller, **kw)
 
 
+def domains(a: DomainAssignment) -> dict[int, tuple[int, ...]]:
+    """The members of each domain of ``a`` in id order, keyed by controller
+    in id order, all as Python ints: a dict-of-tuples view rebuilt from the
+    controller array one LEO at a time."""
+    members: dict[int, list[int]] = {}
+    for leo, k in enumerate(a.controller.tolist()):
+        if k >= 0:
+            members.setdefault(k, []).append(leo)
+    return {k: tuple(members[k]) for k in sorted(members)}
+
+
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:
     return TimeSlot(index, snapshot.time_s, snapshot.time_s + duration_s, snapshot)
 

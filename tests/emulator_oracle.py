@@ -35,6 +35,8 @@ from eunomia.overhead import (
     validate_assignment,
 )
 
+import conftest
+
 
 class _Queue:
     def __init__(self, window_s):
@@ -91,11 +93,11 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domai
     req_cost[routed] = route_costs(list(routes.values()), snap, params, req_len)
     mfl_cost[routed] = route_costs(list(routes.values()), snap, params, params.m_fl_bytes)
 
+    domains = conftest.domains(assignment)
     ctrl_of = np.full(n, -1, dtype=np.int64)
-    for k, members in assignment.domains().items():
+    for k, members in domains.items():
         ctrl_of[list(members)] = k
 
-    domains = assignment.domains()
     active = sorted(domains)
     nd = len(active)
     ctrl_row = {k: r for r, k in enumerate(active)}

@@ -18,9 +18,12 @@ reduction and one bincount of the centres.
 traffic rows and columns, with every per-controller term as a numpy vector,
 against ``partition.MarginalObjective``, which reads the k x k block among
 serving LEOs and works per controller in Python floats. ``control_routes``
-runs the multi-source BFS for every domain, against
-``overhead.control_routes``, which skips it where every member of a domain
-has a direct link. Each pair must agree bit for bit, order included.
+runs one multi-source BFS per domain in Python, from per-controller direct
+links read off the FOV rows, against ``overhead.control_routes``, which runs
+one BFS for the whole slot over a per-LEO direct-link array and skips it
+where every managed LEO has a direct link. Each pair must agree bit for
+bit, order included, and both raise the same message for a disconnected
+domain.
 """
 import math
 
@@ -29,11 +32,12 @@ from scipy.linalg import eigh
 
 from eunomia.constellation import ROLE_CODE, Role, norm
 from eunomia.corg import CorgWeights, edge_weight
-from eunomia.overhead import DisconnectedDomainError, direct_link_map, hop_cost
+from eunomia.overhead import DisconnectedDomainError, hop_cost
 from eunomia.partition import Cluster
 
 import geometry_oracle
 import traffic_oracle
+from conftest import domains
 
 
 def pairwise_costs(a, b, traffic, snapshot, params, weights):
@@ -227,13 +231,33 @@ class MarginalObjective:
         self.label[idx] = c
 
 
+def direct_links(assignment, fov_domains) -> dict[int, dict[int, int]]:
+    """Per controller with a domain: {LEO with a usable direct link ->
+    terminal controller id}. Normally the FOV row of the domain's own
+    controller; under a waived FOV every relay's FOV members, each
+    terminating at the lowest-id relay that sees it."""
+    n_ctrl, n_leo = fov_domains.shape
+
+    def seen_by(k: int) -> list[int]:  # none for a node that is not a controller
+        return fov_domains[k - n_leo].nonzero()[0].tolist() if 0 <= k - n_leo < n_ctrl else []
+
+    keys = domains(assignment)
+    if not assignment.fov_waived or not assignment.relay_controller_ids:
+        return {k: {leo: k for leo in seen_by(k)} for k in keys}
+    relayed: dict[int, int] = {}
+    for r in sorted(set(assignment.relay_controller_ids)):
+        for leo in seen_by(r):
+            relayed.setdefault(leo, r)  # the lowest id wins
+    return {k: relayed for k in keys}
+
+
 def control_routes(assignment, snapshot, fov_domains) -> dict[int, tuple[int, ...]]:
     """Control path of every assigned LEO, by a multi-source BFS from each
     domain's direct-link members over intra-domain ISL edges."""
     graph = snapshot.topology.graph
-    direct = direct_link_map(assignment, fov_domains)
+    direct = direct_links(assignment, fov_domains)
     routes: dict[int, tuple[int, ...]] = {}
-    for k, members in assignment.domains().items():
+    for k, members in domains(assignment).items():
         member_set = set(members)
         usable = {leo: ctrl for leo, ctrl in direct[k].items() if leo in member_set}
         parent: dict[int, int | None] = {leo: None for leo in usable}
@@ -248,7 +272,9 @@ def control_routes(assignment, snapshot, fov_domains) -> dict[int, tuple[int, ..
             frontier = sorted(nxt)
         missing = member_set - parent.keys()
         if missing:
-            raise DisconnectedDomainError(f"domain of controller {k}: {sorted(missing)}")
+            raise DisconnectedDomainError(
+                f"domain of controller {k}: members {sorted(missing)} cannot reach a direct link"
+            )
         for leo in members:
             path = [leo]
             node = leo

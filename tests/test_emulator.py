@@ -18,7 +18,15 @@ from eunomia.overhead import (
 )
 from eunomia.traffic import scale
 
-from conftest import assignment, compact_traffic, emulate, fov_array, make_ring_snapshot, make_slot
+from conftest import (
+    assignment,
+    compact_traffic,
+    domains,
+    emulate,
+    fov_array,
+    make_ring_snapshot,
+    make_slot,
+)
 
 
 def _traffic(snap, entries):
@@ -228,12 +236,12 @@ def test_sync_and_handover_byte_accounting():
         make_slot(snap, duration, index=1), cur, tm, params, fov,
         seed=1, gamma=1.0, prev_assignment=prev,
     )
-    domains = cur.domains()
+    members = domains(cur)
     e1, e2 = (
-        sum(1 for a, b in snap.topology.edge_array.tolist() if a in domains[k] and b in domains[k])
+        sum(1 for a, b in snap.topology.edge_array.tolist() if a in members[k] and b in members[k])
         for k in (k1, k2)
     )
-    per_tick = (e1 + e2) * 24 + (len(domains[k1]) + len(domains[k2])) * 24  # 2 ctrls
+    per_tick = (e1 + e2) * 24 + (len(members[k1]) + len(members[k2])) * 24  # 2 ctrls
     n_ticks = int(duration * 0.5)
     assert stats.bytes_sync == n_ticks * per_tick
     assert stats.migrated == 3

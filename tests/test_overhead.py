@@ -27,7 +27,7 @@ from eunomia.overhead import (
 from eunomia.partition import greedy_partition
 from eunomia.visibility import compute_fov_domains
 
-from conftest import assignment, compact_traffic, fov_array, make_ring_snapshot
+from conftest import assignment, compact_traffic, domains, fov_array, make_ring_snapshot
 from geometry_oracle import as_sets
 
 
@@ -374,6 +374,28 @@ def test_validate_names_each_broken_controller_array(desk_scenario_short, mutati
         assert named[0].offenders == (leo + 1,)
 
 
+def test_slot_plan_rejects_a_wrong_length_array_with_its_violation(monkeypatch):
+    snap = make_ring_snapshot(n_leo=4, ctrl_lons=(0.0,))
+    (k,) = snap.controller_ids
+    fov = fov_array(snap, {k: snap.leo_ids})
+    short = assignment(3, {0: k, 1: k, 2: k})
+    tm = compact_traffic(snap.leo_ids, np.ones((4, 4)))
+
+    def no_routes(*args, **kwargs):
+        raise AssertionError("control routes built for a wrong-length array")
+
+    monkeypatch.setattr(overhead, "control_routes", no_routes)
+    want = validate_assignment(short, snap, fov)
+    assert [v.constraint for v in want] == ["unique_membership"]
+    for build in (
+        lambda: overhead.slot_plan(short, snap, OverheadParams(), fov),
+        lambda: evaluate(short, tm, snap, OverheadParams(), fov),
+    ):
+        with pytest.raises(ConstraintViolationError, match="unique_membership") as exc:
+            build()
+        assert exc.value.violations == want
+
+
 @pytest.mark.parametrize("strategy", ["eunomia", "greedy"])
 def test_contained_assignments_validate_without_control_routes(
     default_scenario_short, strategy, monkeypatch
@@ -412,8 +434,8 @@ def test_intra_domain_edges_match_a_scan_per_domain(desk_scenario_short):
     snap = geom.slot.snapshot
     a = greedy_partition(scn.ctx, geom)
     counts = intra_domain_edges(a, snap)
-    assert list(counts) == list(a.domains()) and len(counts) > 1
-    for k, members in a.domains().items():
+    assert list(counts) == list(domains(a)) and len(counts) > 1
+    for k, members in domains(a).items():
         assert counts[k] == sum(
             1 for i, j in snap.topology.edge_array.tolist() if i in members and j in members
         )

@@ -40,6 +40,7 @@ from conftest import (
     assignment,
     compact_traffic,
     corg_from_edges,
+    domains,
     fov_array,
     make_ring_snapshot,
     make_slot,
@@ -475,7 +476,7 @@ def test_odc_single_domain_and_no_inter_sync(desk_scenario_short):
     scn = desk_scenario_short
     geom = scn.geometries[0]
     a = odc_partition(scn.ctx, geom)
-    assert len(a.domains()) == 1
+    assert len(domains(a)) == 1
     assert a.fov_waived
     from eunomia.overhead import sync_overhead
 
@@ -613,7 +614,8 @@ def test_bruteforce_not_worse_than_heuristics():
 
 def test_assignment_views():
     a = assignment(4, {0: 10, 1: 10, 2: 11})
-    assert a.domains() == {10: (0, 1), 11: (2,)}
+    assert domains(a) == {10: (0, 1), 11: (2,)}
+    assert not hasattr(a, "domains")  # every domain is read from the array
     assert a.uncovered == (3,)
     assert a.to_rows() == [(0, 0, 10), (0, 1, 10), (0, 2, 11)]
 
@@ -627,15 +629,13 @@ def test_assignment_is_immutable_and_keeps_its_domain_view():
         a.controller[2] = 10
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.slot_index = 1
-    a.domains()[11] = (0,)  # each call builds a new dict from the array
-    assert a.domains() == {10: (0, 1), 11: (2,)}
     moved = dataclasses.replace(a, controller=[10, 10, 10])
-    assert moved.domains() == {10: (0, 1, 2)} and a.domains() == {10: (0, 1), 11: (2,)}
+    assert domains(moved) == {10: (0, 1, 2)} and domains(a) == {10: (0, 1), 11: (2,)}
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
         again = pickle.loads(pickle.dumps(a, protocol))
         assert np.array_equal(again.controller, a.controller)
         assert not again.controller.flags.writeable
-        assert again.domains() == a.domains() and again.strategy == a.strategy
+        assert domains(again) == domains(a) and again.strategy == a.strategy
 
 
 @pytest.mark.parametrize("strategy", ["eunomia", "greedy", "odc"])
@@ -657,17 +657,17 @@ def test_every_slot_holds_one_read_only_controller_array(scenario, strategy, req
         else:
             assert np.array_equal(unmanaged, ~fov.any(axis=0))
         assert a.uncovered == tuple(np.flatnonzero(unmanaged).tolist())
-        domains = a.domains()
-        assert list(domains) == sorted(domains)
-        for k, members in domains.items():
+        view = domains(a)
+        assert list(view) == sorted(view)
+        for k, members in view.items():
             assert list(members) == sorted(members)
             assert (controller[list(members)] == k).all()
-        assert sum(len(members) for members in domains.values()) == (~unmanaged).sum()
+        assert sum(len(members) for members in view.values()) == (~unmanaged).sum()
         rows = a.to_rows()
         assert rows == [
             (geom.slot.index, leo, k) for leo, k in enumerate(controller.tolist()) if k >= 0
         ]
         assert all(type(x) is int for row in rows for x in row)
-        assert all(type(x) is int for k, ms in domains.items() for x in (k, *ms))
+        assert all(type(x) is int for k, ms in view.items() for x in (k, *ms))
         assert json.loads(json.dumps(rows)) == [list(row) for row in rows]
-        assert json.loads(json.dumps(domains)) == {str(k): list(ms) for k, ms in domains.items()}
+        assert json.loads(json.dumps(view)) == {str(k): list(ms) for k, ms in view.items()}

@@ -3,12 +3,14 @@ keep-or-release decision, its nearest-controller pick (greedy's too) and the
 control routes, checked bit for bit against their per-region, reference
 pipeline, array, scalar and BFS references on ``default`` slots and the
 desk orbit's eunomia chain."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eunomia import emulator, partition
 from eunomia.corg import build_corg, corg_edges, similarity
-from eunomia.overhead import control_routes
+from eunomia.overhead import DisconnectedDomainError, control_routes
 from eunomia.partition import (
     MarginalObjective,
     _by_distance,
@@ -98,7 +100,58 @@ def _fixed(oracle) -> set[int]:
     return set(np.flatnonzero(oracle.label < len(oracle.size)).tolist())
 
 
-def test_control_routes_match_the_bfs_oracle(default_scenario_short):
+def _moved_across_the_boundary(assignment, snap, fov) -> np.ndarray:
+    """The controller array of ``assignment`` (FOV-contained) with each
+    boundary LEO that an ISL neighbour's controller does not see moved to
+    that controller, at most once per LEO and never one that another moved
+    LEO hangs on: every moved LEO is reached over ISL hops, some over two."""
+    controller = assignment.controller.copy()
+    n_leo = fov.shape[1]
+    ends = snap.topology.edge_array
+    moved, anchors = set(), set()
+    for i, j in np.concatenate([ends, ends[:, ::-1]]).tolist():
+        k = controller[j]
+        if i in moved | anchors or min(controller[i], k) < 0 or controller[i] == k:
+            continue
+        if not fov[k - n_leo, i]:
+            controller[i] = k
+            moved.add(i)
+            anchors.add(j)
+    return controller
+
+
+def _cut_off(assignment, snap, fov) -> tuple[np.ndarray, int, list[int]]:
+    """The controller array of ``assignment`` (FOV-contained) with the two
+    lowest-id controllers each given LEOs that they do not see and that have
+    no ISL neighbour in their domain: two disconnected domains. Also returns
+    the lower controller and its cut-off members."""
+    controller = assignment.controller.copy()
+    n_leo = fov.shape[1]
+    graph = snap.topology.graph
+    low, high = np.unique(controller[controller >= 0])[:2].tolist()
+    taken = {low: [], high: []}
+    for leo in np.flatnonzero(controller >= 0).tolist():
+        nbrs = graph.indices[graph.indptr[leo] : graph.indptr[leo + 1]]
+        for k in (low, high):
+            free = controller[leo] not in (low, high) and not fov[k - n_leo, leo]
+            if free and len(taken[k]) < 2 and not (assignment.controller[nbrs] == k).any():
+                taken[k].append(leo)
+                break
+    for k, leos in taken.items():
+        controller[leos] = k
+    assert len(taken[low]) == 2 and taken[high]
+    return controller, low, taken[low]
+
+
+def _routes_or_error(routes, *args) -> list | str:
+    """``routes(*args)`` as a list of items, or its DisconnectedDomainError message."""
+    try:
+        return list(routes(*args).items())
+    except DisconnectedDomainError as exc:
+        return str(exc)
+
+
+def test_control_routes_match_the_bfs_oracle(default_scenario_short, desk_scenario_short):
     scn = default_scenario_short
     shortcut = bfs = 0
     for strategy in ("eunomia", "greedy", "odc"):
@@ -113,6 +166,32 @@ def test_control_routes_match_the_bfs_oracle(default_scenario_short):
             shortcut += hops.count(1)
             bfs += len(hops) - hops.count(1)
     assert shortcut > 0 and bfs > 0
+
+    # desk: several domains that need ISL hops at once, then two cut-off domains
+    geom = desk_scenario_short.geometries[0]
+    snap, fov = geom.slot.snapshot, geom.fov_domains
+    greedy = partition.greedy_partition(desk_scenario_short.ctx, geom)
+    across = dataclasses.replace(
+        greedy, controller=_moved_across_the_boundary(greedy, snap, fov)
+    )
+    got = control_routes(across, snap, fov)
+    assert list(got.items()) == list(partition_oracle.control_routes(across, snap, fov).items())
+    assert len({route[-1] for route in got.values() if len(route) > 2}) >= 2
+    assert max(len(route) for route in got.values()) > 3  # a route of two ISL hops
+
+    # a relay id that is no controller gives no direct link
+    odc = partition.odc_partition(desk_scenario_short.ctx, geom)
+    for relays in ((0,) + odc.relay_controller_ids, (0, len(snap.roles))):
+        stray = dataclasses.replace(odc, relay_controller_ids=relays)
+        assert _routes_or_error(control_routes, stray, snap, fov) == _routes_or_error(
+            partition_oracle.control_routes, stray, snap, fov
+        )
+
+    controller, low, cut = _cut_off(greedy, snap, fov)
+    split = dataclasses.replace(greedy, controller=controller)
+    message = f"domain of controller {low}: members {sorted(cut)} cannot reach a direct link"
+    for routes in (control_routes, partition_oracle.control_routes):
+        assert _routes_or_error(routes, split, snap, fov) == message
 
 
 def test_nearest_is_the_first_of_the_ranking(default_scenario_short):

@@ -25,6 +25,7 @@ from eunomia.traffic import (
 )
 
 import traffic_oracle
+from conftest import domains
 from traffic_oracle import diurnal_factor, oracle_generate_arrivals, oracle_map_to_satellites
 
 TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
@@ -151,10 +152,10 @@ def _gathered_domain_rates(assignment, traffic):
     """``overhead._domain_rates`` as the |D| x |V| row gather computed it."""
     n = len(traffic.leo_ids)
     labels = np.full(n, -1, dtype=int)
-    domains = assignment.domains()
-    keys = sorted(domains)
+    members = domains(assignment)
+    keys = sorted(members)
     for label, k in enumerate(keys):
-        for i in domains[k]:
+        for i in members[k]:
             labels[i] = label
     assigned = labels >= 0
     out = {}
