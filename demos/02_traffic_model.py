@@ -39,12 +39,14 @@ for t in (0.0, 1800.0, 3600.0):
     tm = slot_traffic_matrix(cells, cell_pos, static, const.snapshot(t), 0, params)
     nz = (tm.rates > 0).sum()
     print(
-        f"t={t:6.0f} s: total {tm.total_rate():6.2f} flows/s over {nz} pairs; "
+        f"t={t:6.0f} s: total {tm.rates.sum():6.2f} flows/s over {nz} pairs; "
         f"local {tm.local_rate:6.2f}, unserved {tm.unserved_rate:.4f}"
     )
 
 tm = slot_traffic_matrix(cells, cell_pos, static, const.snapshot(0.0), 0, params)
-busiest = sorted(tm.nonzero_pairs(), key=lambda x: -x[2])[:5]
+src, dst = np.nonzero(tm.rates)  # block rows and columns, ids in tm.active
+pairs = zip(tm.active[src].tolist(), tm.active[dst].tolist(), tm.rates[src, dst].tolist())
+busiest = sorted(pairs, key=lambda x: -x[2])[:5]
 print("\nbusiest switch pairs (src, dst, flows/s):")
 for src, dst, rate in busiest:
     print(f"  {src:3d} -> {dst:3d}  {rate:7.3f}")

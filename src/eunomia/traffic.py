@@ -9,6 +9,11 @@ solar time, and is mapped onto satellites by serving each cell with its
 maximum-elevation visible LEO, adding each LEO pair's cell pairs in
 ascending cell index on any BLAS. Rates are new-flow arrivals per second.
 
+A cell's serving LEO gets an elevation only where that decides it: for the
+few LEOs whose sine of elevation, taken without trigonometry, is within a
+rounding margin of the cell's largest (the margin's argument is written out
+in ``serving_satellites``), so it is the full elevation matrix's argmax.
+
 Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
 ``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
@@ -123,16 +128,6 @@ class TrafficMatrix:
         out[both] = self.rates[pi[both], pj[both]]
         return out
 
-    def total_rate(self) -> float:
-        return float(self.rates.sum())
-
-    def nonzero_pairs(self) -> list[tuple[int, int, float]]:
-        out = []
-        src_idx, dst_idx = np.nonzero(self.rates)
-        for a, b in zip(src_idx, dst_idx):
-            out.append((int(self.active[a]), int(self.active[b]), float(self.rates[a, b])))
-        return out
-
     def outbound_of(self, ids: np.ndarray) -> np.ndarray:
         """``full[i].sum()`` for each LEO id ``i`` of ``ids``."""
         return self._line_sums(self.rates, ids)
@@ -158,12 +153,6 @@ class TrafficMatrix:
             buf[: len(at), self.active] = block[rows[at]]
             out[at] = buf[: len(at)].sum(axis=1)
         return out
-
-    def to_csv_rows(self) -> list[tuple[int, int, int, float]]:
-        """(slot, src, dst, rate) rows for every nonzero pair."""
-        return [
-            (self.slot_index, src, dst, rate) for src, dst, rate in self.nonzero_pairs()
-        ]
 
 
 def check_gamma(gamma: float) -> None:
@@ -233,27 +222,36 @@ def build_grid(density: DensityField) -> list[GroundCell]:
     return cells
 
 
+def _half_angle_sin2(angles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i, j] = sin((angles[i] - angles[j]) / 2)**2``, the sines taken
+    once per pair of distinct angles and gathered 64 rows at a time, so
+    that no temporary grows with the square of the cell count."""
+    distinct, k = np.unique(angles, return_inverse=True)
+    s = np.subtract.outer(distinct, distinct)
+    s /= 2.0
+    np.sin(s, out=s)
+    s **= 2
+    for lo in range(0, len(k), 64):  # "clip" writes out unbuffered
+        s[k[lo : lo + 64]].take(k, axis=1, out=out[lo : lo + 64], mode="clip")
+    return out
+
+
 def demand_matrix(cells: list[GroundCell], params: TrafficParams) -> np.ndarray:
     """Static cell-pair gravity demands (no diurnal factor), zero diagonal.
 
     The haversine and gravity expressions run in place on two C x C buffers,
     each element through the same operations in the same order as the
-    textbook expressions."""
+    textbook expressions. The half-angle sines depend on a pair of
+    latitudes or of longitudes alone, so they are taken once per pair of
+    distinct values (18 and 36 of them on the grid) and gathered."""
     w = np.array([c.density_weight for c in cells])
     lat = np.radians(np.array([c.center[0] for c in cells]))
     lon = np.radians(np.array([c.center[1] for c in cells]))
     # h = sin(dlat / 2)**2 + cos(lat_i) * cos(lat_j) * sin(dlon / 2)**2
-    h = np.subtract.outer(lon, lon)
-    h /= 2.0
-    np.sin(h, out=h)
-    h **= 2
+    h = _half_angle_sin2(lon, np.empty((len(cells), len(cells))))
     buf = np.outer(np.cos(lat), np.cos(lat))
-    buf *= h
-    np.subtract.outer(lat, lat, out=h)
-    h /= 2.0
-    np.sin(h, out=h)
-    h **= 2
-    h += buf
+    h *= buf
+    h += _half_angle_sin2(lat, buf)
     # dist = 2 R asin(sqrt(clip(h, 0, 1))), infinite on the diagonal
     dist = np.clip(h, 0.0, 1.0, out=h)
     np.sqrt(dist, out=dist)
@@ -283,52 +281,95 @@ def cell_positions(cells: list[GroundCell]) -> np.ndarray:
     return np.array([geodetic_to_ecef(*c.center) for c in cells])
 
 
+# entries of one row block of the cell x LEO dot products (1 MiB of float64)
+_BLOCK_ENTRIES = 1 << 17
+
+
 def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.ndarray:
     """Id of the maximum-elevation visible LEO of each cell at ``cell_pos``
     (see ``cell_positions``), or -1 when no LEO is above the horizon.
 
-    Elevations are computed only for the pairs with cos alpha >= rho - 1e-6,
-    a few percent of them: every other LEO is below the horizon by far more
-    than the rounding of the trigonometry, so it can neither serve nor be
-    the maximum of a cell that has a visible LEO. Those pairs are found
-    among candidates picked by one bound per cell on the dot product, and
-    only the candidates get ``separation``'s quotients; the result is the
-    argmax of the full elevation matrix, the lowest index winning a tie.
+    The result is the argmax of the full elevation matrix, the lowest index
+    winning a tie, with elevations computed for about one LEO per cell. The
+    cell x LEO dot products are taken in row blocks of about 2**17 entries,
+    and only the candidate pairs, picked by one bound per block, are kept:
+    every other LEO has cos alpha < rho - 1e-6, below the horizon by far
+    more than the rounding of the trigonometry, so it can neither serve nor
+    be the maximum of a cell that has a visible LEO. A candidate's sine of
+    elevation, (cos alpha - rho) / |(cos alpha - rho, sin alpha)|, takes no
+    trigonometry, and only the candidates whose sine lies within a rounding
+    margin of their cell's largest get ``elevation``.
     """
     leo_pos = snapshot.positions[: len(snapshot.leo_ids)]
     r_obs = np.linalg.norm(cell_pos, axis=1)
     r_tgt = np.linalg.norm(leo_pos, axis=1)
-    dot = cell_pos @ leo_pos.T  # the product ``separation`` divides, same bits
-    # Why every near pair is a candidate. A pair is near when c >= T, with
-    # c = clip(fl(d / fl(ro * rt)), -1, 1), R = fl(ro * fl(1 / rt)) and
-    # T = fl(R - m), m = 1e-6; ro, rt > 0 are the computed norms, d the
+    n_cells, n_leo = len(cell_pos), len(r_tgt)
+    # Why every pair with cos alpha >= rho - 1e-6 is a candidate. That is
+    # c >= T, with c = clip(fl(d / fl(ro * rt)), -1, 1), R = fl(ro * fl(1 / rt))
+    # and T = fl(R - m), m = 1e-6; ro, rt > 0 are the computed norms, d the
     # computed dot product, and each fl() rounds by a factor in [1 - u, 1 + u],
-    # u = 2**-53. R > 0 gives T > -1, so the clip did not raise a near c and
+    # u = 2**-53. R > 0 gives T > -1, so the clip did not raise such a c and
     # d >= fl(ro * rt) * T / (1 + e) with |e| <= u. Expanding the roundings
     # one by one and bounding each error term by its absolute value (|T| and
     # |R - m| are at most (1 + u)**2 * (ro / rt + m), whatever T's sign):
     #     d >= ro**2 - m * ro * rt - 6u * (ro**2 + m * ro * rt).
     # The right side falls as rt grows, so rt_max in place of rt gives one
     # bound per cell. The slack of 1e-12 * ro * (ro + rt_max) is positive and
-    # exceeds both the 6u term and the rounding of evaluating ``bound``.
+    # exceeds both the 6u term and the rounding of evaluating ``bound``. A
+    # block compares with the least bound of its cells, a scalar (cells on
+    # one sphere have bounds that differ in the last bits).
     rt_max = r_tgt.max(initial=0.0)
     bound = r_obs * (r_obs - 1e-6 * rt_max) - 1e-12 * r_obs * (r_obs + rt_max)
-    # flat positions, row-major: j increases within a row (a 1-d nonzero is
-    # several times faster than the 2-d one)
-    flat = np.flatnonzero(dot >= bound[:, None])
-    i, j = np.divmod(flat, len(r_tgt))
-    # separation's and the old filter's element-wise expressions, on the candidates
-    cos_alpha = np.clip(dot.ravel()[flat] / (r_obs[i] * r_tgt[j]), -1.0, 1.0)
+    # A block of two or more rows gives each dot product the bits of the
+    # one matrix product ``separation`` takes (a single row would take the
+    # matrix-vector kernel), so a lone last row joins the block before it.
+    rows = max(2, _BLOCK_ENTRIES // max(n_leo, 1))
+    starts = list(range(0, n_cells, rows))
+    if len(starts) > 1 and n_cells - starts[-1] == 1:
+        starts.pop()
+    buf = np.empty((min(rows + 1, n_cells), n_leo))
+    flat, dots = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for lo, hi in zip(starts, starts[1:] + [n_cells]):
+        dot = np.matmul(cell_pos[lo:hi], leo_pos.T, out=buf[: hi - lo])
+        # positions in the block, row-major: j increases within a row (a
+        # 1-d nonzero is several times faster than the 2-d one)
+        at = np.flatnonzero(dot >= bound[lo:hi].min())
+        dots.append(dot.ravel()[at])
+        flat.append(at + lo * n_leo)
+    i, j = np.divmod(np.concatenate(flat), n_leo)
+    # separation's element-wise expressions, on the candidates
+    cos_alpha = np.clip(np.concatenate(dots) / (r_obs[i] * r_tgt[j]), -1.0, 1.0)
     rho = r_obs[i] * (1.0 / r_tgt)[j]
-    near = np.nonzero(cos_alpha >= rho - 1e-6)[0]
-    i, j = i[near], j[near]
-    elev = elevation(cos_alpha[near], rho[near])
-    top = np.full(len(cell_pos), -np.inf)
+    # Why the candidates left out cannot reach their cell's maximum. With c
+    # and rho as computed, let E = atan2(y, x), y = c - rho, x = sqrt(1 - c**2),
+    # be the exact elevation of those inputs and n = |(y, x)| <= 1 + rho.
+    # ``elevation`` takes arccos, cos, sin and arctan2, each within an ulp,
+    # so its cos and sin are within 9u and its numerator within (10 + rho)u;
+    # its radians are then within 25 * (1 + rho) * u / n of E, and rounding
+    # them to degrees merges values at most 4u apart. ``sine`` below is
+    # sin E = y / n to within 8u. sin is 1-Lipschitz, so a pair whose
+    # elevation in degrees is at least another's has a sine at most
+    # margin_a + margin_b below the other's, with
+    # margin = 1e-12 * (1 + rho) / n over 200 times those bounds. The pairs
+    # kept are those within their margin of some pair's sine minus its own,
+    # which holds every pair at the cell's maximum; a pair with n = 0, an
+    # observer on its target, gets NaN, which fmax skips, and is kept.
+    y = cos_alpha - rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n = np.sqrt(y * y + (1.0 - cos_alpha) * (1.0 + cos_alpha))
+        sine = y / n
+        margin = 1e-12 * (1.0 + rho) / n
+    floor = np.full(n_cells, -np.inf)
+    np.fmax.at(floor, i, sine - margin)
+    keep = np.flatnonzero(~(sine + margin < floor[i]))
+    i, j = i[keep], j[keep]
+    elev = elevation(cos_alpha[keep], rho[keep])
+    top = np.full(n_cells, -np.inf)
     np.maximum.at(top, i, elev)
     # the first candidate at its cell's maximum is the lowest index at it
     at_top = np.nonzero(elev == top[i])[0]
     cells, first = np.unique(i[at_top], return_index=True)
-    best = np.full(len(cell_pos), -1)
+    best = np.full(n_cells, -1)
     best[cells] = j[at_top[first]]
     best[top < 0.0] = -1
     return best

@@ -7,9 +7,16 @@ Elevation is computed from the geocentric separation angle between observer
 and target position vectors. For controller satellites the observer is the
 LEO switch (the inter-layer antenna cone is expressed as a minimum elevation
 at the switch); for ground stations the observer is the station itself.
+
+FOV membership is an elevation at or above a threshold. It is decided by
+the sign of sin(elevation) - sin(threshold), which takes a square root but
+no trigonometry, wherever that sign clears a rounding margin; only the pairs
+inside the margin, next to the threshold, get ``elevation``. The margin's
+rounding argument is written out in ``_at_or_above``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +65,32 @@ def elevation(cos_alpha: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(np.cos(alpha) - rho, np.sin(alpha)))
 
 
-def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
-    """Pairwise elevations (degrees) for rows of observers against rows of targets."""
-    return elevation(*separation(observer_pos, target_pos))
+def _at_or_above(cos_alpha: np.ndarray, rho: np.ndarray, threshold: float) -> np.ndarray:
+    """``elevation(cos_alpha, rho) >= threshold``, elementwise, with the
+    trigonometry taken only for the pairs within a rounding margin of the
+    threshold.
+
+    Why the sign of g decides every other pair. With c and rho as computed,
+    let E = atan2(y, x), y = c - rho, x = sqrt(1 - c**2), be the exact
+    elevation of those inputs and n = |(y, x)| <= 1 + rho; E >= t exactly
+    where g = y - sin(t) * n >= 0, sin being increasing on [-90, 90] degrees,
+    and |E - t| >= |g| / n, sin being 1-Lipschitz. ``elevation``'s radians
+    are within 25 * (1 + rho) * u / n of E (u = 2**-53; see
+    ``traffic.serving_satellites``), and its degrees and t's radians differ
+    from exact conversions by at most 4u. g below is within 14 * (1 + rho)
+    * u of the exact g, so where |g| exceeds 1e-12 * (1 + rho), over 200
+    times the sum of those bounds, its sign is the comparison's. A threshold
+    beyond +-90 degrees takes the sine of the nearer end, which no elevation
+    passes (or fails) outside the margin either.
+    """
+    y = cos_alpha - rho
+    n = np.sqrt(y * y + (1.0 - cos_alpha) * (1.0 + cos_alpha))
+    g = y - math.sin(math.radians(min(max(threshold, -90.0), 90.0))) * n
+    margin = 1e-12 * (1.0 + rho)
+    visible = g > margin
+    near = np.flatnonzero(np.abs(g) <= margin)
+    visible.flat[near] = elevation(cos_alpha.flat[near], rho.flat[near]) >= threshold
+    return visible
 
 
 def compute_fov_domains(
@@ -71,7 +101,8 @@ def compute_fov_domains(
     ``n_LEO + c`` (the c-th in ascending id order) reaches ``leo`` directly.
 
     The observer is chosen by role: the ground station itself, or the LEO
-    switch for a controller satellite; one elevation matrix per role.
+    switch for a controller satellite; one ``separation`` per role, with
+    elevations computed only for the pairs next to the role's threshold.
     """
     thr = DEFAULT_THRESHOLDS if thresholds is None else thresholds
     n_leo = len(snapshot.leo_ids)
@@ -80,10 +111,9 @@ def compute_fov_domains(
     for role in set(snapshot.roles[n_leo:]):
         sel = snapshot.role_codes[n_leo:] == ROLE_CODE[role]
         if role is Role.GS:
-            elev = elevation_matrix(ctrl_pos[sel], leo_pos)
+            visible[sel] = _at_or_above(*separation(ctrl_pos[sel], leo_pos), thr[role])
         else:
-            elev = elevation_matrix(leo_pos, ctrl_pos[sel]).T
-        visible[sel] = elev >= thr[role]
+            visible[sel] = _at_or_above(*separation(leo_pos, ctrl_pos[sel]), thr[role]).T
     visible.flags.writeable = False
     return visible
 

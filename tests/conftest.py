@@ -102,6 +102,21 @@ def make_ring_snapshot(
     )
 
 
+def make_snapshot(leo_pos, ctrl_pos, ctrl_roles) -> NetworkSnapshot:
+    """LEOs and controllers at the given positions (km, one row each), with
+    no ISL edges."""
+    n, positions = len(leo_pos), np.vstack([leo_pos, ctrl_pos])
+    return NetworkSnapshot(
+        time_s=0.0,
+        positions=positions,
+        velocities=np.zeros_like(positions),
+        topology=IslTopology(np.empty((0, 2), dtype=np.int64), tuple(range(n))),
+        leo_ids=tuple(range(n)),
+        controller_ids=tuple(range(n, len(positions))),
+        roles=(Role.LEO,) * n + tuple(ctrl_roles),
+    )
+
+
 def compact_traffic(leo_ids, full: np.ndarray, slot_index: int = 0) -> TrafficMatrix:
     """The |V| x |V| rate matrix ``full`` stored as its block among the LEOs
     with a nonzero rate in their row or column."""

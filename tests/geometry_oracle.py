@@ -4,10 +4,11 @@ One satellite, one observer-target pair or one ISL edge at a time, written
 the direct way: ``shell_nodes`` and ``grid_edges``, a shell's elements and
 +Grid links built node by node, against ``constellation.generate_shell`` and
 ``constellation.grid_edges``; ``propagate`` against
-``Constellation.snapshot``; ``elevation_angle`` against
-``visibility.elevation_matrix``; ``fov_sets``, each controller's FOV as a
-set from its own elevation row, against ``visibility.compute_fov_domains``;
-and a union-find over the ISL edges against
+``Constellation.snapshot``; ``elevation_angle`` against ``elevation_matrix``,
+the elevation of every observer-target pair; ``fov_sets``, each controller's
+FOV as a set from its own elevation row, against
+``visibility.compute_fov_domains``, which takes elevations only next to the
+threshold; and a union-find over the ISL edges against
 ``visibility.compute_overlap_regions``. Also ``serving_satellites``, the
 full cell x LEO elevation matrix against the narrowed
 ``traffic.serving_satellites``, and ``by_distance``, one node's candidates
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 from eunomia.constellation import EARTH_ROTATION_RAD_S, Role, ShellSpec, norm, orbital_period
-from eunomia.visibility import OverlapRegion, elevation_matrix
+from eunomia.visibility import OverlapRegion, elevation, separation
 
 # one satellite's (RAAN, initial argument of latitude, inclination, orbital
 # radius in km, angular rate in rad/s), angles in radians
@@ -122,6 +123,12 @@ def elevation_angle(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
     alpha = math.acos(cos_alpha)
     rho = r_obs / r_tgt
     return math.degrees(math.atan2(math.cos(alpha) - rho, math.sin(alpha)))
+
+
+def elevation_matrix(observer_pos: np.ndarray, target_pos: np.ndarray) -> np.ndarray:
+    """Pairwise elevations (degrees) for rows of observers against rows of
+    targets: ``elevation`` over every pair of ``separation``."""
+    return elevation(*separation(observer_pos, target_pos))
 
 
 def serving_satellites(cell_pos: np.ndarray, snapshot) -> np.ndarray:

@@ -16,7 +16,6 @@ from eunomia.constellation import (
     LEO_SHELLS,
     R_EARTH_KM,
     Constellation,
-    IslTopology,
     NetworkSnapshot,
     Role,
 )
@@ -36,10 +35,11 @@ from eunomia.traffic import (
     serving_satellites,
     slot_traffic_matrix,
 )
+from eunomia.visibility import separation
 
-from conftest import make_ring_snapshot
+from conftest import make_ring_snapshot, make_snapshot
 from geometry_oracle import elevation_angle, serving_satellites as oracle_serving_satellites
-from traffic_oracle import diurnal_factor, gravity_demand
+from traffic_oracle import diurnal_factor, gravity_demand, nonzero_pairs
 
 
 def test_grid_cell_count():
@@ -196,7 +196,7 @@ def test_mapping_single_cell_pair():
     demands = np.zeros((len(cells), len(cells)))
     demands[10, 600] = 5.0
     tm = map_to_satellites(cell_positions(cells), demands, snap)
-    nz = tm.nonzero_pairs()
+    nz = nonzero_pairs(tm)
     assert len(nz) == 1
     assert nz[0][2] == pytest.approx(5.0)
 
@@ -207,7 +207,7 @@ def test_mapping_conservation():
     params = TrafficParams(gravity_constant=100.0)
     demands = demand_matrix(cells, params)
     tm = map_to_satellites(cell_positions(cells), demands, snap)
-    assert tm.total_rate() + tm.local_rate + tm.unserved_rate == pytest.approx(
+    assert tm.rates.sum() + tm.local_rate + tm.unserved_rate == pytest.approx(
         demands.sum(), rel=1e-9
     )
     assert np.all(tm.rates >= 0.0)
@@ -300,17 +300,7 @@ def test_serving_satellites_mark_cells_without_a_visible_leo():
 
 def _leo_snapshot(leo_pos) -> NetworkSnapshot:
     """LEOs at ``leo_pos`` (km, one row each) and one ground station."""
-    n = len(leo_pos)
-    positions = np.vstack([leo_pos, [[R_EARTH_KM, 0.0, 0.0]]])
-    return NetworkSnapshot(
-        time_s=0.0,
-        positions=positions,
-        velocities=np.zeros_like(positions),
-        topology=IslTopology(np.empty((0, 2), dtype=np.int64), tuple(range(n))),
-        leo_ids=tuple(range(n)),
-        controller_ids=(n,),
-        roles=(Role.LEO,) * n + (Role.GS,),
-    )
+    return make_snapshot(leo_pos, [[R_EARTH_KM, 0.0, 0.0]], (Role.GS,))
 
 
 def _on_sphere(lat_deg, lon_deg, radius_km):
@@ -351,6 +341,41 @@ def test_serving_satellites_at_the_horizon():
         assert np.array_equal(serving, oracle_serving_satellites(cell_pos, snap)), off
 
 
+def test_serving_satellites_on_near_coincident_leos_at_differing_radii():
+    # above each of 108 cells, 40 LEOs within 1e-14 rad of one direction and
+    # 1e-11 km of one radius: their sines of elevation, and their elevations,
+    # differ in the last bits, and often not in the same order
+    rng = np.random.default_rng(0)
+    cells = build_grid(lambda lat, lon: 1.0)
+    obs = cell_positions(cells)[[c.index for c in cells if abs(c.center[0]) < 60][::4]]
+    up = obs / np.linalg.norm(obs, axis=1)[:, None]
+    side = np.cross(up, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side, axis=1)[:, None]
+    n = 40
+    a = rng.uniform(0.0, 0.03, (len(obs), 1)) + rng.uniform(-1e-14, 1e-14, (len(obs), n))
+    r = rng.uniform(6900.0, 8000.0, (len(obs), 1)) + rng.uniform(-1e-11, 1e-11, (len(obs), n))
+    leo = r[..., None] * (np.cos(a)[..., None] * up[:, None] + np.sin(a)[..., None] * side[:, None])
+    snap = _leo_snapshot(leo.reshape(-1, 3))
+    want = oracle_serving_satellites(obs, snap)
+    assert np.array_equal(serving_satellites(obs, snap), want)
+    assert np.array_equal(want // n, np.arange(len(obs)))  # each cell's own group
+    # the largest sine of elevation is not always the lowest-index maximum
+    cos_alpha, rho = separation(obs, snap.positions[: len(snap.leo_ids)])
+    y = cos_alpha - rho
+    sine = y / np.sqrt(y * y + (1.0 - cos_alpha) * (1.0 + cos_alpha))
+    assert (np.argmax(sine, axis=1) != want).any()
+
+
+def test_serving_satellites_without_leos_mark_every_cell():
+    snap = _leo_snapshot(np.empty((0, 3)))
+    cell_pos = cell_positions(build_grid(lambda lat, lon: 1.0))
+    with np.errstate(all="raise"):
+        serving = serving_satellites(cell_pos, snap)
+    assert serving.tolist() == [-1] * len(cell_pos)
+    # and no cells: an empty result
+    assert serving_satellites(cell_pos[:0], make_ring_snapshot(n_leo=12)).shape == (0,)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
@@ -375,7 +400,7 @@ def test_scale_examples():
     _, snap = _small_world()
     cells = build_grid(city_density_field())
     tm = map_to_satellites(cell_positions(cells), demand_matrix(cells, TrafficParams()), snap)
-    assert scale(tm, 0.0).total_rate() == 0.0
+    assert scale(tm, 0.0).rates.sum() == 0.0
     assert scale(tm, 1.0) is tm
     assert np.allclose(scale(tm, 0.5).rates, tm.rates * 0.5)
     # blocks are read-only, so the gamma = 1 matrix can be shared
@@ -394,7 +419,7 @@ def test_matrix_csv_rows_cover_nonzero_pairs():
     demands[10, 600] = 5.0
     demands[600, 10] = 2.0
     tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=7)
-    rows = tm.to_csv_rows()
+    rows = [(tm.slot_index, src, dst, rate) for src, dst, rate in nonzero_pairs(tm)]
     assert all(row[0] == 7 for row in rows)
     assert sorted(r[3] for r in rows) == [2.0, 5.0]
 

@@ -26,7 +26,12 @@ from eunomia.traffic import (
 
 import traffic_oracle
 from conftest import domains
-from traffic_oracle import diurnal_factor, oracle_generate_arrivals, oracle_map_to_satellites
+from traffic_oracle import (
+    diurnal_factor,
+    nonzero_pairs,
+    oracle_generate_arrivals,
+    oracle_map_to_satellites,
+)
 
 TINY_CONFIG = Path(__file__).parent / "data" / "tiny_config.yaml"
 
@@ -84,7 +89,7 @@ def test_block_is_the_dense_product_among_serving_leos(config, time_s):
     assert not rest.any()
     assert np.all(np.diff(tm.active) > 0)
     nz = np.nonzero(full)
-    assert tm.nonzero_pairs() == [
+    assert nonzero_pairs(tm) == [
         (tm.leo_ids[a], tm.leo_ids[b], float(full[a, b])) for a, b in zip(*nz)
     ]
 

@@ -8,6 +8,7 @@ from eunomia import visibility
 from eunomia.constellation import (
     LEO_SHELLS,
     MEO_SHELLS,
+    R_EARTH_KM,
     Constellation,
     Role,
     ShellSpec,
@@ -23,7 +24,7 @@ from eunomia.visibility import (
 )
 from eunomia.partition import step1_exclusive_assign
 
-from conftest import make_ring_snapshot
+from conftest import make_ring_snapshot, make_snapshot
 from geometry_oracle import as_sets, coverage, elevation_angle, fov_sets, overlap_regions
 
 
@@ -132,6 +133,90 @@ def test_fov_membership_matches_bruteforce_oracle():
             if e >= 40.0:
                 expected.add(leo)
         assert members == frozenset(expected)
+
+
+def _directions(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+FOV_EDGE_THRESHOLDS = [-90.0, 0.0, 40.0, 89.999, 90.0]
+
+
+@pytest.mark.parametrize("threshold", FOV_EDGE_THRESHOLDS + [-120.0, 120.0])
+def test_fov_domains_equal_the_per_controller_sets_on_random_shells(threshold):
+    # LEOs at mixed radii seen by MEOs and ground stations, plus LEOs at the
+    # zenith and the nadir of one controller of each role: on one axis, so
+    # that cos alpha is +-1 exactly whatever kernel takes the dot product.
+    # Thresholds past +-90 degrees pass every pair or none.
+    thresholds = {Role.MEO: threshold, Role.GS: threshold}
+    ends = np.array([[0.0, 0.0, 7000.0], [0.0, 0.0, -7000.0], [7000.0, 0.0, 0.0],
+                     [-7000.0, 0.0, 0.0]])
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        leo = _directions(rng, 300) * rng.uniform(6500.0, 8500.0, (300, 1))
+        meo = _directions(rng, 6) * rng.uniform(10000.0, 30000.0, (6, 1))
+        gs = _directions(rng, 4) * R_EARTH_KM
+        meo[0], gs[0] = [0.0, 0.0, 20000.0], [R_EARTH_KM, 0.0, 0.0]
+        snap = make_snapshot(np.vstack([leo, ends]), np.vstack([meo, gs]),
+                         (Role.MEO,) * 6 + (Role.GS,) * 4)
+        assert as_sets(compute_fov_domains(snap, thresholds)) == fov_sets(snap, thresholds)
+
+
+def _around_the_threshold(offsets, meo_deg, gs_deg, leo_r=7151.0, meo_r=16725.0):
+    """One MEO and one ground station on one axis, and LEOs at radius
+    ``leo_r`` placed at each geocentric ``offsets`` (rad) from where the MEO,
+    then where the station, sees a LEO at its threshold elevation."""
+    up = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    side = np.cross(up, [0.0, 0.0, 1.0])
+    side /= np.linalg.norm(side)
+    leos = []
+    # the MEO observes the LEOs from above, the station from below; an
+    # observer at radius ro sees a target at radius rt at elevation t from
+    # the geocentric angle pi/2 - t - asin(ro / rt * cos t)
+    for axis, deg, ro, rt in ((up, meo_deg, leo_r, meo_r), (-up, gs_deg, R_EARTH_KM, leo_r)):
+        t = math.radians(deg)
+        alpha = math.pi / 2 - t - math.asin(ro / rt * math.cos(t))
+        a = alpha + np.asarray(offsets)[:, None]
+        leos.append(leo_r * (np.cos(a) * axis + np.sin(a) * side))
+    return make_snapshot(np.vstack(leos), np.vstack([meo_r * up, -R_EARTH_KM * up]),
+                     (Role.MEO, Role.GS))
+
+
+@pytest.mark.parametrize("threshold", FOV_EDGE_THRESHOLDS)
+def test_fov_domains_at_the_threshold(threshold):
+    # LEOs exactly at the elevation threshold of one MEO and one ground
+    # station, and a few rounding steps and micro-radians to either side
+    offsets = [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+    snap = _around_the_threshold(offsets, threshold, threshold)
+    thresholds = {Role.MEO: threshold, Role.GS: threshold}
+    fov = compute_fov_domains(snap, thresholds)
+    assert as_sets(fov) == fov_sets(snap, thresholds)
+    if -90.0 < threshold < 90.0:  # the micro-radian offsets fall on either side
+        n = len(offsets)
+        assert fov[0, n - 1] and not fov[0, n - 2]
+        assert fov[1, 2 * n - 1] and not fov[1, 2 * n - 2]
+
+
+def test_fov_domains_within_rounding_of_random_thresholds():
+    # LEOs 1e-17 to 1e-13 rad from random thresholds, where the sign of
+    # sin(elevation) - sin(threshold), taken without trigonometry, and the
+    # rounded elevation's comparison sometimes disagree
+    rng = np.random.default_rng(1)
+    disagree = 0
+    for _ in range(20):
+        meo_deg, gs_deg = rng.uniform(-89.9, 89.9, 2)
+        offsets = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.uniform(-17.0, -13.0, 200)
+        snap = _around_the_threshold(offsets, meo_deg, gs_deg, leo_r=rng.uniform(6500.0, 8000.0))
+        thresholds = {Role.MEO: meo_deg, Role.GS: gs_deg}
+        assert as_sets(compute_fov_domains(snap, thresholds)) == fov_sets(snap, thresholds)
+        leo_pos, (meo, gs) = snap.positions[:400], snap.positions[400:]
+        for obs, tgt, deg in ((leo_pos, meo[None], meo_deg), (gs[None], leo_pos, gs_deg)):
+            c, rho = visibility.separation(obs, tgt)
+            y = c - rho
+            g = y - math.sin(math.radians(deg)) * np.sqrt(y * y + (1.0 - c) * (1.0 + c))
+            disagree += ((g != 0.0) & ((g > 0.0) != (visibility.elevation(c, rho) >= deg))).sum()
+    assert disagree > 0
 
 
 def test_overlap_regions_disjoint_fovs_yield_none():

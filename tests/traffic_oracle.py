@@ -9,7 +9,7 @@ arrivals are drawn from the nonzero entries of that full matrix. Tests
 compare the package's compact block, its gathers and its arrivals against
 these. ``rows`` and ``cols`` rebuild the full matrix's row and column
 gathers, memory order included, from a compact block, for the references
-that sum over them.
+that sum over them, and ``nonzero_pairs`` lists its nonzero rates by LEO id.
 
 The gravity demand and the diurnal factor are also written per cell pair
 and per cell, as references for ``demand_matrix`` and ``diurnal_factors``.
@@ -45,6 +45,15 @@ def cols(tm, idx) -> np.ndarray:
     hit = np.nonzero(pos >= 0)[0]
     out[hit[:, None], tm.active] = tm.rates[:, pos[hit]].T
     return out.T
+
+
+def nonzero_pairs(tm) -> list[tuple[int, int, float]]:
+    """(src, dst, rate) for every nonzero rate of the traffic matrix ``tm``,
+    row-major, read from its block and its ``active`` ids."""
+    src, dst = np.nonzero(tm.rates)
+    return [
+        (int(tm.active[a]), int(tm.active[b]), float(tm.rates[a, b])) for a, b in zip(src, dst)
+    ]
 
 
 def oracle_serving_satellites(cells, snapshot):
