@@ -190,19 +190,36 @@ def direct_link_map(assignment: "DomainAssignment", fov_domains: np.ndarray) -> 
     return np.where(sees, controller, -1)
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class ControlRoutes:
+    """Every managed LEO's control path, as arrays over LEO ids: a path runs
+    from its LEO along ``parent`` to a LEO with a direct link, then to that
+    LEO's ``terminal`` controller."""
+
+    routed: np.ndarray  # the managed LEOs, in (controller, LEO id) order
+    parent: np.ndarray  # next LEO on the path; -1 at a direct link, -2 unmanaged
+    terminal: np.ndarray  # the controller of each LEO's direct link, -1 for none
+
+
 def control_routes(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
     fov_domains: np.ndarray,
-) -> dict[int, tuple[int, ...]]:
-    """Control path for every managed LEO, in (controller, LEO id) order:
-    [leo, isl hops..., entry, terminal controller].
+) -> ControlRoutes:
+    """Control paths of every managed LEO.
 
-    A LEO with a direct link gets [leo, terminal]; otherwise the path runs
-    over intra-domain ISL edges to the nearest member holding a direct link,
-    found by one multi-source BFS for the whole slot that steps only along
-    edges whose two ends share a controller. Raises DisconnectedDomainError,
-    naming the lowest-id controller with members that have no such path.
+    A LEO with a direct link reaches its terminal controller in one hop;
+    otherwise the path runs over intra-domain ISL edges to the nearest
+    member holding a direct link, found by one multi-source BFS for the
+    whole slot that steps only along edges whose two ends share a
+    controller. Raises DisconnectedDomainError, naming the lowest-id
+    controller with members that have no such path.
     """
     controller = assignment.controller
     terminal = direct_link_map(assignment, fov_domains)
@@ -232,36 +249,43 @@ def control_routes(
                 f"domain of controller {k}: members "
                 f"{missing[controller[missing] == k].tolist()} cannot reach a direct link"
             )
-    parent, terminal = parent.tolist(), terminal.tolist()
-    routes: dict[int, tuple[int, ...]] = {}
-    for leo in leos.tolist():
-        path = [leo]
-        node = leo
-        while parent[node] >= 0:
-            node = parent[node]
-            path.append(node)
-        path.append(terminal[node])
-        routes[leo] = tuple(path)
-    return routes
+    return ControlRoutes(routed=_frozen(leos), parent=_frozen(parent), terminal=_frozen(terminal))
 
 
-def route_costs(
-    routes: list[tuple[int, ...]],
+def path_costs(
+    routes: ControlRoutes,
     snapshot: NetworkSnapshot,
     params: OverheadParams,
-    msg_bytes: int,
-) -> list[float]:
-    """Cost of each control path: its hop costs summed in path order."""
-    if not routes:
-        return []
-    length = max(len(r) for r in routes)
-    # repeat each route's last node up to the common length; the padding hops cost 0
-    padded = np.array([r + r[-1:] * (length - len(r)) for r in routes])
-    src, dst = padded[:, :-1], padded[:, 1:]
-    costs = np.where(src == dst, 0.0, hop_cost(snapshot, params, src, dst, msg_bytes))
-    # a running sum adds one hop at a time; np.sum adds pairwise, which can
-    # differ in the last bit on paths of more than eight hops
-    return np.cumsum(costs, axis=1)[:, -1].tolist()
+    sizes: tuple[int, ...],
+) -> list[np.ndarray]:
+    """Per LEO id, for each message size of ``sizes``: that message's cost
+    over the LEO's control path, 0.0 for an unmanaged LEO.
+
+    Each LEO's next hop is costed once, by ``hop_cost``'s expression with
+    its propagation term shared by the sizes. The paths are then walked
+    together along ``parent``, every LEO one hop per step, adding the hops
+    in path order as a running sum does (``np.sum`` adds pairwise, which
+    can differ in the last bit on paths of more than eight hops).
+    """
+    leos, parent = routes.routed, routes.parent
+    up = parent[leos]
+    nxt = np.where(up >= 0, up, routes.terminal[leos])
+    codes, pos = snapshot.role_codes, snapshot.positions
+    bw = params.bandwidth_by_role[codes[leos], codes[nxt]]
+    prop = norm(pos[leos] - pos[nxt]) / C_LIGHT_KM_S
+    hops = []
+    for size in sizes:
+        hop = np.zeros(len(parent))
+        hop[leos] = size * 8.0 / bw + prop
+        hops.append(hop)
+    totals = [hop.copy() for hop in hops]  # each path's first hop
+    at, node = leos[up >= 0], up[up >= 0]  # the LEOs still walking, and where they are
+    while at.size:
+        for total, hop in zip(totals, hops):
+            total[at] += hop[node]
+        node = parent[node]
+        at, node = at[node >= 0], node[node >= 0]
+    return totals
 
 
 def flow_overhead(
@@ -387,17 +411,16 @@ def _domain_rates(
     assignment: "DomainAssignment", traffic: "TrafficMatrix"
 ) -> dict[int, tuple[float, float]]:
     """Per domain: (intra-domain, inter-domain) flow request rates, each the
-    sum of a ``TrafficMatrix.submatrix``, laid out as the full matrix's
-    masked gather is."""
+    sum of the full matrix's masked gather (the domain's rows, and its own
+    or the other managed LEOs' columns) as ``TrafficMatrix.gather_sum``
+    takes it, piece by piece from the block."""
     assigned = assignment.controller >= 0
     keys = np.unique(assignment.controller[assigned])
     labels = np.where(assigned, np.searchsorted(keys, assignment.controller), -1)
     out: dict[int, tuple[float, float]] = {}
     for label, k in enumerate(keys.tolist()):
         mine = labels == label
-        intra = float(traffic.submatrix(mine, mine).sum())
-        inter = float(traffic.submatrix(mine, assigned & ~mine).sum())
-        out[k] = (intra, inter)
+        out[k] = (traffic.gather_sum(mine, mine), traffic.gather_sum(mine, assigned & ~mine))
     return out
 
 
@@ -424,7 +447,7 @@ def validate_assignment(
     assignment: "DomainAssignment",
     snapshot: NetworkSnapshot,
     fov_domains: np.ndarray,
-    routes: dict[int, tuple[int, ...]] | None = None,
+    routes: ControlRoutes | None = None,
 ) -> list[ConstraintViolation]:
     """Check the constraint families; empty list means valid.
 
@@ -509,12 +532,6 @@ def plan_key(assignment: "DomainAssignment") -> tuple:
     )
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.asarray(a)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class SlotPlan:
     """What one slot's control plane costs under one assignment, before any
@@ -524,8 +541,10 @@ class SlotPlan:
     the same (slot, assignment content); see ``plan_key``.
 
     Per-LEO arrays are indexed by LEO id, as the traffic matrices are;
-    per-controller ones by row of ``active``. A plan holds O(nd * |LEO|)
-    numbers for nd active domains, most of them the ``deliver`` table.
+    per-controller ones by row of ``active``. The path costs come from the
+    ``control_routes`` arrays by ``path_costs``' walk, with no per-path
+    tuple built. A plan holds O(nd * |LEO|) numbers for nd active domains,
+    most of them the ``deliver`` table.
     """
 
     violations: tuple[ConstraintViolation, ...]
@@ -552,11 +571,12 @@ def slot_plan(
     params: OverheadParams,
     fov_domains: np.ndarray,
 ) -> SlotPlan:
-    """Build the slot plan of ``assignment``: its control routes once, the
-    validation of the assignment on those routes, and the tables derived
-    from them. Raises ConstraintViolationError when the controller array
-    does not hold one entry per LEO, or when some member cannot reach its
-    controller, since such an assignment has no control routes."""
+    """Build the slot plan of ``assignment``: its control routes once, as
+    arrays, the validation of the assignment on those routes, and the
+    tables derived from them. Raises ConstraintViolationError when the
+    controller array does not hold one entry per LEO, or when some member
+    cannot reach its controller, since such an assignment has no control
+    routes."""
     if len(assignment.controller) != len(snapshot.leo_ids):
         raise ConstraintViolationError(validate_assignment(assignment, snapshot, fov_domains))
     try:
@@ -568,12 +588,9 @@ def slot_plan(
     violations = validate_assignment(assignment, snapshot, fov_domains, routes)
 
     n = len(snapshot.leo_ids)
-    routed = np.array(list(routes), dtype=np.int64)
-    req_cost = np.zeros(n)
-    mfl_cost = np.zeros(n)
-    paths = list(routes.values())
-    req_cost[routed] = route_costs(paths, snapshot, params, FLOW_REQUEST_FIXED_BYTES)
-    mfl_cost[routed] = route_costs(paths, snapshot, params, params.m_fl_bytes)
+    req_cost, mfl_cost = path_costs(
+        routes, snapshot, params, (FLOW_REQUEST_FIXED_BYTES, params.m_fl_bytes)
+    )
     ctrl_of = assignment.controller
 
     roles = snapshot.roles
@@ -601,7 +618,7 @@ def slot_plan(
     return SlotPlan(
         violations=tuple(violations),
         ctrl_of=_frozen(ctrl_of),
-        routed=_frozen(routed),
+        routed=routes.routed,
         req_cost=_frozen(req_cost),
         mfl_cost=_frozen(mfl_cost),
         active=_frozen(act),

@@ -15,7 +15,7 @@ from eunomia.emulator import (
     queue_arrivals,
     run_slot,
 )
-from eunomia.overhead import slot_plan
+from eunomia.overhead import ControlRoutes, slot_plan
 from eunomia.partition import DomainAssignment
 from eunomia.scenario import build_scenario, default_config, desk_config
 from eunomia.traffic import TrafficMatrix
@@ -159,6 +159,19 @@ def domains(a: DomainAssignment) -> dict[int, tuple[int, ...]]:
         if k >= 0:
             members.setdefault(k, []).append(leo)
     return {k: tuple(members[k]) for k in sorted(members)}
+
+
+def route_paths(routes: ControlRoutes) -> dict[int, tuple[int, ...]]:
+    """The control path of every managed LEO of ``routes``, in its
+    ``routed`` order, as (leo, ISL hops..., entry, terminal controller)."""
+    parent, terminal = routes.parent.tolist(), routes.terminal.tolist()
+    out: dict[int, tuple[int, ...]] = {}
+    for leo in routes.routed.tolist():
+        path = [leo]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        out[leo] = (*path, terminal[path[-1]])
+    return out
 
 
 def make_slot(snapshot: NetworkSnapshot, duration_s: float = 60.0, index: int = 0) -> TimeSlot:

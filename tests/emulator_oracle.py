@@ -3,9 +3,11 @@
 The per-request pipeline is written the direct way: an all-pairs hop-count
 Dijkstra over the ISL graph, each flow path walked node by node, one FIFO
 queue object per controller, every event appended to a list, the list sorted
-by time and packed into the hash one event at a time. The slot tables
-(control routes, route costs, delivery and controller round-trip costs) come
-from the package, so a mismatch points at the per-request pipeline.
+by time and packed into the hash one event at a time. The control routes,
+delivery and controller round-trip costs come from the package, so a
+mismatch points at the per-request pipeline. ``route_costs`` prices each
+route as a tuple of node ids, padded to a common length and summed by a
+running ``cumsum``: the reference for ``overhead.path_costs``' walk.
 """
 import hashlib
 import struct
@@ -31,7 +33,6 @@ from eunomia.overhead import (
     control_routes,
     count_migrations,
     hop_cost,
-    route_costs,
     validate_assignment,
 )
 
@@ -73,6 +74,20 @@ def _intra_edges(members, snapshot):
     )
 
 
+def route_costs(routes, snapshot, params, msg_bytes) -> list[float]:
+    """Cost of each control path, a tuple of node ids: its hop costs summed
+    in path order."""
+    if not routes:
+        return []
+    length = max(len(r) for r in routes)
+    # repeat each route's last node up to the common length; the padding hops cost 0
+    padded = np.array([r + r[-1:] * (length - len(r)) for r in routes])
+    src, dst = padded[:, :-1], padded[:, 1:]
+    costs = np.where(src == dst, 0.0, hop_cost(snapshot, params, src, dst, msg_bytes))
+    # a running sum adds one hop at a time
+    return np.cumsum(costs, axis=1)[:, -1].tolist()
+
+
 def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domains, gamma=1.0,
                     prev_assignment=None, strategy=""):
     snap = slot.snapshot
@@ -85,7 +100,7 @@ def oracle_run_slot(slot, assignment, base_traffic, params, emu, seed, fov_domai
     n = len(leo_ids)
     roles = snap.roles
 
-    routes = control_routes(assignment, snap, fov_domains)
+    routes = conftest.route_paths(control_routes(assignment, snap, fov_domains))
     routed = list(routes)
     req_len = len(encode_flow_request(FlowRequest()))
     req_cost = np.zeros(n)

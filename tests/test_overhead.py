@@ -1,33 +1,44 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eunomia import overhead
+from eunomia.codecs import FLOW_REQUEST_FIXED_BYTES
 from eunomia.constellation import C_LIGHT_KM_S, IslTopology, NetworkSnapshot, Role
-from eunomia.emulator import partition_chain
+from eunomia.emulator import STRATEGIES, partition_chain
 from eunomia.overhead import (
     ConstraintViolationError,
     LinkClass,
     MigrationParams,
     OverheadParams,
     control_efficiency,
+    ControlRoutes,
     control_routes,
     evaluate,
     flow_overhead,
     hop_cost,
     intra_domain_edges,
-    route_costs,
     migration_overhead,
     path_compute_overhead,
+    path_costs,
     sync_overhead,
     validate_assignment,
 )
 from eunomia.partition import greedy_partition
 from eunomia.visibility import compute_fov_domains
 
-from conftest import assignment, compact_traffic, domains, fov_array, make_ring_snapshot
+from conftest import (
+    assignment,
+    compact_traffic,
+    domains,
+    fov_array,
+    make_ring_snapshot,
+    route_paths,
+)
+from emulator_oracle import route_costs
 from geometry_oracle import as_sets
 
 
@@ -108,28 +119,85 @@ def test_hop_cost_matches_norm_oracle_on_every_link_class():
 
 
 def test_route_costs_sum_hops_in_path_order():
-    # routes of 1 to 14 hops along a chain; a Python sum over scalar hop costs
-    # is the reference, so the running sum must match it exactly
+    # routes of 1 to 14 hops along a chain, each LEO's parent the next one
+    # and the last LEO linked to the controller; a Python sum over scalar hop
+    # costs is the reference, so the walk must match it exactly
     snap = _chain_snapshot(n=14, spacing_km=1234.5)
     params = OverheadParams()
     k = snap.controller_ids[0]
-    routes = [tuple(range(start, 14)) + (k,) for start in range(13, -1, -1)]
-    want = [sum(float(hop_cost(snap, params, a, b, 36)) for a, b in zip(r, r[1:])) for r in routes]
-    assert route_costs(routes, snap, params, 36) == want
+    routes = ControlRoutes(
+        routed=np.arange(13, -1, -1),
+        parent=np.array([*range(1, 14), -1]),
+        terminal=np.array([-1] * 13 + [k]),
+    )
+    paths = route_paths(routes)
+    assert paths == {start: tuple(range(start, 14)) + (k,) for start in range(13, -1, -1)}
+    for size in (36, 24):
+        want = [
+            sum(float(hop_cost(snap, params, a, b, size)) for a, b in zip(r, r[1:]))
+            for r in paths.values()
+        ]
+        assert path_costs(routes, snap, params, (size,))[0][routes.routed].tolist() == want
+    req, mfl = path_costs(routes, snap, params, (36, 24))
+    assert req.tolist() == path_costs(routes, snap, params, (36,))[0].tolist()
+    assert mfl.tolist() == path_costs(routes, snap, params, (24,))[0].tolist()
+
+
+@pytest.mark.parametrize("scenario", ["desk_scenario_short", "default_scenario_short"])
+def test_plan_path_costs_equal_the_padded_cumsum(scenario, request):
+    """Every plan's request and update costs against the padded running sum
+    over each route's tuple, bit for bit: odc's routes run to 6 hops on
+    desk and 9 on ``default``, where a pairwise sum could differ."""
+    scn = request.getfixturevalue(scenario)
+    params = scn.ctx.overhead_params
+    longest = 0
+    for strategy in STRATEGIES:
+        for geom, a in zip(scn.geometries, partition_chain(scn, strategy, 1.0)):
+            snap, fov = geom.slot.snapshot, geom.fov_domains
+            plan = overhead.slot_plan(a, snap, params, fov)
+            paths = route_paths(control_routes(a, snap, fov))
+            assert plan.routed.tolist() == list(paths)
+            routes = list(paths.values())
+            sizes = (FLOW_REQUEST_FIXED_BYTES, params.m_fl_bytes)
+            for got, size in zip((plan.req_cost, plan.mfl_cost), sizes):
+                assert got[plan.routed].tolist() == route_costs(routes, snap, params, size)
+                assert not np.delete(got, plan.routed).any()
+            longest = max(longest, max(len(r) - 1 for r in routes))
+    assert longest >= (6 if scenario == "desk_scenario_short" else 9)
+
+
+def test_odc_evaluate_builds_nothing_switch_count_squared(default_scenario_short):
+    """One odc ``evaluate`` on a ``default`` slot, its plan prebuilt, peaks
+    under 4 MiB: its single domain's rate sum never holds the 1,584 x 1,584
+    gather (19.1 MiB)."""
+    scn = default_scenario_short
+    geom, tm = scn.geometries[0], scn.base_traffic[0]
+    odc = partition_chain(scn, "odc", 1.0)[0]
+    snap, fov, params = geom.slot.snapshot, geom.fov_domains, scn.ctx.overhead_params
+    plan = overhead.slot_plan(odc, snap, params, fov)
+    assert np.count_nonzero(odc.controller >= 0) == len(snap.leo_ids) == 1584
+    tracemalloc.start()
+    try:
+        report = evaluate(odc, tm, snap, params, fov, validate=False, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.w_cpt_intra > 0.0
+    assert peak < 4 * 2**20
 
 
 def test_control_hops_direct_is_one():
     snap = _chain_snapshot(n=1)
     fov = fov_array(snap, {1: {0}})
     a = assignment(1, {0: 1})
-    assert len(control_routes(a, snap, fov)[0]) - 1 == 1
+    assert len(route_paths(control_routes(a, snap, fov))[0]) - 1 == 1
 
 
 def test_control_hops_chain_of_three():
     snap = _chain_snapshot(n=3)
     fov = fov_array(snap, {3: {2}})  # only the far end sees the controller
     a = assignment(3, {0: 3, 1: 3, 2: 3}, fov_waived=True)
-    routes = control_routes(a, snap, fov)
+    routes = route_paths(control_routes(a, snap, fov))
     assert [len(routes[leo]) - 1 for leo in (2, 1, 0)] == [1, 2, 3]
 
 

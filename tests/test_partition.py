@@ -44,6 +44,7 @@ from conftest import (
     fov_array,
     make_ring_snapshot,
     make_slot,
+    route_paths,
 )
 import partition_oracle
 from geometry_oracle import as_sets, by_distance, coverage
@@ -490,12 +491,9 @@ def test_odc_hops_at_least_eunomia(desk_scenario_short):
     geom = scn.geometries[0]
     odc = odc_partition(scn.ctx, geom)
     eu = partition_slot(scn.ctx, geom, scn.base_traffic[0], None)
-    h_odc = max(
-        len(r) - 1 for r in control_routes(odc, geom.slot.snapshot, geom.fov_domains).values()
-    )
-    h_eu = max(
-        len(r) - 1 for r in control_routes(eu, geom.slot.snapshot, geom.fov_domains).values()
-    )
+    snap, fov = geom.slot.snapshot, geom.fov_domains
+    h_odc = max(len(r) - 1 for r in route_paths(control_routes(odc, snap, fov)).values())
+    h_eu = max(len(r) - 1 for r in route_paths(control_routes(eu, snap, fov)).values())
     assert h_odc >= h_eu
     assert h_eu == 1  # FOV containment puts every switch one hop from its controller
 

@@ -20,6 +20,7 @@ from eunomia.partition import (
 
 import geometry_oracle
 import partition_oracle
+from conftest import route_paths
 
 
 def _cover(geom) -> dict[int, tuple[int, ...]]:
@@ -143,6 +144,11 @@ def _cut_off(assignment, snap, fov) -> tuple[np.ndarray, int, list[int]]:
     return controller, low, taken[low]
 
 
+def _paths(*args) -> dict[int, tuple[int, ...]]:
+    """``control_routes(*args)`` as one path tuple per LEO."""
+    return route_paths(control_routes(*args))
+
+
 def _routes_or_error(routes, *args) -> list | str:
     """``routes(*args)`` as a list of items, or its DisconnectedDomainError message."""
     try:
@@ -158,7 +164,7 @@ def test_control_routes_match_the_bfs_oracle(default_scenario_short, desk_scenar
         chain = emulator.partition_chain(scn, strategy, 1.0)
         for geom, assignment in list(zip(scn.geometries, chain))[:2]:
             snap, fov = geom.slot.snapshot, geom.fov_domains
-            got = control_routes(assignment, snap, fov)
+            got = route_paths(control_routes(assignment, snap, fov))
             assert list(got.items()) == list(
                 partition_oracle.control_routes(assignment, snap, fov).items()
             )
@@ -174,7 +180,7 @@ def test_control_routes_match_the_bfs_oracle(default_scenario_short, desk_scenar
     across = dataclasses.replace(
         greedy, controller=_moved_across_the_boundary(greedy, snap, fov)
     )
-    got = control_routes(across, snap, fov)
+    got = route_paths(control_routes(across, snap, fov))
     assert list(got.items()) == list(partition_oracle.control_routes(across, snap, fov).items())
     assert len({route[-1] for route in got.values() if len(route) > 2}) >= 2
     assert max(len(route) for route in got.values()) > 3  # a route of two ISL hops
@@ -183,14 +189,14 @@ def test_control_routes_match_the_bfs_oracle(default_scenario_short, desk_scenar
     odc = partition.odc_partition(desk_scenario_short.ctx, geom)
     for relays in ((0,) + odc.relay_controller_ids, (0, len(snap.roles))):
         stray = dataclasses.replace(odc, relay_controller_ids=relays)
-        assert _routes_or_error(control_routes, stray, snap, fov) == _routes_or_error(
+        assert _routes_or_error(_paths, stray, snap, fov) == _routes_or_error(
             partition_oracle.control_routes, stray, snap, fov
         )
 
     controller, low, cut = _cut_off(greedy, snap, fov)
     split = dataclasses.replace(greedy, controller=controller)
     message = f"domain of controller {low}: members {sorted(cut)} cannot reach a direct link"
-    for routes in (control_routes, partition_oracle.control_routes):
+    for routes in (_paths, partition_oracle.control_routes):
         assert _routes_or_error(routes, split, snap, fov) == message
 
 

@@ -15,7 +15,9 @@ from eunomia.constellation import Constellation
 from eunomia.emulator import STRATEGIES, generate_arrivals, partition_chain
 from eunomia.overhead import _domain_rates
 from eunomia.scenario import build_scenario, default_config, desk_config, load_config
+from eunomia import traffic
 from eunomia.traffic import (
+    TrafficMatrix,
     build_grid,
     cell_positions,
     city_density_field,
@@ -144,13 +146,97 @@ def test_submatrix_equals_the_masked_gather(scaled, rows):
     masks = _masks(tm)
     for cols in ("empty", "one inactive", "mix", "active", "all"):
         i, j = masks[rows], masks[cols]
-        got, want = tm.submatrix(i, j), traffic_oracle.rows(tm, i)[:, j]
+        got, want = traffic_oracle.submatrix(tm, i, j), traffic_oracle.rows(tm, i)[:, j]
         assert np.array_equal(want, full[i][:, j])
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.flags.c_contiguous == want.flags.c_contiguous
         assert got.flags.f_contiguous == want.flags.f_contiguous
         assert got.sum().tobytes() == want.sum().tobytes()
+        assert tm.gather_sum(i, j).hex() == float(want.sum()).hex()
+
+
+def _assert_gather_sums(tm, pairs):
+    """``gather_sum`` of each (i, j) mask pair against the sum of the
+    masked gather of the full matrix's rows, bit for bit."""
+    for i, j in pairs:
+        want = float(traffic_oracle.rows(tm, i)[:, j].sum())
+        assert tm.gather_sum(i, j).hex() == want.hex()
+
+
+def _random_masks(tm, rng, n_pairs):
+    """Mask pairs of random density, and pairs whose columns are inactive
+    LEOs but for a few active ones, so that some pieces hold no active LEO."""
+    n = len(tm.leo_ids)
+    inactive = np.ones(n, dtype=bool)
+    inactive[tm.active] = False
+    pairs = []
+    for _ in range(n_pairs):
+        i, j = (rng.random(n) < rng.choice([0.01, 0.2, 0.6, 1.0]) for _ in range(2))
+        sparse = inactive & (rng.random(n) < 0.9)
+        sparse[rng.choice(tm.active, size=min(3, len(tm.active)), replace=False)] = True
+        pairs += [(i, j), (i, sparse), (rng.random(n) < 0.9, sparse)]
+    return pairs
+
+
+def test_gather_sums_of_random_masks_equal_the_row_gather(default_slot, desk_scenario_short):
+    rng = np.random.default_rng(11)
+    desk = desk_scenario_short.base_traffic
+    for tm in (default_slot[0], scale(default_slot[0], 0.25), desk[0], desk[-1]):
+        _assert_gather_sums(tm, _random_masks(tm, rng, 8))
+
+
+def _synthetic(n_leo, n_active, seed):
+    """A traffic matrix over ``n_leo`` LEOs with random rates, spread over
+    nine decades, among ``n_active`` of them chosen at random."""
+    rng = np.random.default_rng(seed)
+    active = np.sort(rng.choice(n_leo, size=n_active, replace=False))
+    rates = rng.random((n_active, n_active)) * 10.0 ** rng.integers(-6, 3, (n_active, n_active))
+    np.fill_diagonal(rates, 0.0)
+    return TrafficMatrix(slot_index=0, leo_ids=tuple(range(n_leo)), active=active, rates=rates)
+
+
+PIECE = traffic._PIECE_ENTRIES
+
+
+@pytest.mark.parametrize("size", [PIECE - 8, PIECE, PIECE + 1, 2 * PIECE + 7])
+def test_gather_sums_about_one_piece_equal_the_row_gather(size):
+    """Gathers of about one piece, as |i| x |j| with the largest |i| of at
+    most 64 that divides the size, so that most pieces start and end inside
+    a column of the gather."""
+    m = max(d for d in range(1, 65) if size % d == 0)
+    tm = _synthetic(size // m + 50, 400, seed=size)
+    rng = np.random.default_rng(size)
+    pairs = []
+    for _ in range(3):
+        i, j = (np.zeros(len(tm.leo_ids), dtype=bool) for _ in range(2))
+        i[rng.choice(len(tm.leo_ids), size=m, replace=False)] = True
+        j[rng.choice(len(tm.leo_ids), size=size // m, replace=False)] = True
+        assert np.count_nonzero(i) * np.count_nonzero(j) == size
+        pairs.append((i, j))
+    _assert_gather_sums(tm, pairs)
+
+
+def test_gather_sums_with_every_leo_active_and_with_no_active_row(tiny_slot):
+    """Every LEO active (the block is the full matrix), on the tiny slot and
+    on a matrix whose gathers span several pieces; then empty masks and
+    masks with no active row, whose sums are 0.0."""
+    rng = np.random.default_rng(3)
+    tiny = tiny_slot[0]
+    n = len(tiny.leo_ids)
+    _assert_gather_sums(tiny, [(rng.random(n) < 0.5, rng.random(n) < 0.5) for _ in range(8)])
+    dense = _synthetic(800, 800, seed=1)
+    every = np.ones(800, dtype=bool)
+    assert 800 * 800 > 4 * PIECE
+    _assert_gather_sums(dense, [(every, every), (every, rng.random(800) < 0.5)])
+
+    tm = _synthetic(900, 200, seed=2)
+    none = np.zeros(900, dtype=bool)
+    inactive = np.ones(900, dtype=bool)
+    inactive[tm.active] = False
+    for i, j in ((none, none), (none, ~none), (~none, none), (inactive, ~none)):
+        assert tm.gather_sum(i, j).hex() == (0.0).hex()
+    _assert_gather_sums(tm, [(none, ~none), (inactive, ~none), (~none, none)])
 
 
 def _gathered_domain_rates(assignment, traffic):

@@ -9,7 +9,9 @@ arrivals are drawn from the nonzero entries of that full matrix. Tests
 compare the package's compact block, its gathers and its arrivals against
 these. ``rows`` and ``cols`` rebuild the full matrix's row and column
 gathers, memory order included, from a compact block, for the references
-that sum over them, and ``nonzero_pairs`` lists its nonzero rates by LEO id.
+that sum over them; ``submatrix`` builds the masked gather ``full[i][:, j]``
+whole, straight from the block and laid out as the gather is; and
+``nonzero_pairs`` lists its nonzero rates by LEO id.
 
 The gravity demand and the diurnal factor are also written per cell pair
 and per cell, as references for ``demand_matrix`` and ``diurnal_factors``.
@@ -45,6 +47,20 @@ def cols(tm, idx) -> np.ndarray:
     hit = np.nonzero(pos >= 0)[0]
     out[hit[:, None], tm.active] = tm.rates[:, pos[hit]].T
     return out.T
+
+
+def submatrix(tm, i, j) -> np.ndarray:
+    """``full[i][:, j]`` of the traffic matrix ``tm`` for masks ``i`` and
+    ``j`` over LEO ids: shape (|i|, |j|), F order, as the masked gather lays
+    it out, with only the entries among active LEOs copied from the block
+    into zeros."""
+    if len(tm.active) == len(tm.leo_ids):
+        return tm.rates[i][:, j]
+    bi, bj = tm.block_row[i], tm.block_row[j]
+    out = np.zeros((len(bj), len(bi))).T
+    hit_i, hit_j = np.flatnonzero(bi >= 0), np.flatnonzero(bj >= 0)
+    out[np.ix_(hit_i, hit_j)] = tm.rates[np.ix_(bi[hit_i], bj[hit_j])]
+    return out
 
 
 def nonzero_pairs(tm) -> list[tuple[int, int, float]]:
