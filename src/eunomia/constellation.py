@@ -160,13 +160,25 @@ def norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+@dataclass(eq=False)
+class _HopTrees:
+    """The hop trees computed so far: ``store[:count]`` holds one predecessor
+    row per source, in order of computation, and ``row[s]`` is source ``s``'s
+    row (-1 until computed). The store's capacity doubles as it fills, so
+    computing every source copies O(|V|^2) entries in all."""
+
+    row: np.ndarray
+    store: np.ndarray
+    count: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class IslTopology:
     """The ISL edges among ``leo_ids``, held once as ``edge_array``: a sorted
     (E, 2) int64 array of (low id, high id) rows. The sparse graph, whose
-    row ``i`` lists the neighbours of ``i`` in id order, and the hop trees are
-    views of it, each built on first use; all snapshots of a constellation
-    share its one topology."""
+    row ``i`` lists the neighbours of ``i`` in id order, is a view of it,
+    built on first use, and the hop trees are computed once per source and
+    kept; all snapshots of a constellation share its one topology."""
 
     edge_array: np.ndarray
     leo_ids: tuple[int, ...]
@@ -182,33 +194,38 @@ class IslTopology:
         )
 
     @cached_property
-    def _hop_trees(self) -> tuple[np.ndarray, np.ndarray]:
-        """(predecessor rows, which rows are filled); zero pages until written."""
+    def _hop_trees(self) -> _HopTrees:
         n = len(self.leo_ids)
-        return np.zeros((n, n), dtype=np.int32), np.zeros(n, dtype=bool)
+        return _HopTrees(np.full(n, -1, dtype=np.intp), np.empty((0, n), dtype=np.int32))
 
-    def hop_predecessors(self, sources: np.ndarray) -> np.ndarray:
-        """Hop-count shortest-path predecessors over LEO ids: row ``s`` is
-        scipy's predecessor row from source ``s`` (-9999 at ``s`` and where
-        unreachable), filled for every ``s`` in ``sources``; rows not yet
-        requested are zeros.
+    def hop_predecessors(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hop-count shortest-path predecessor trees of ``sources`` over LEO
+        ids, as ``(trees, rows)``: ``trees[rows[i]]`` is scipy's predecessor
+        row from source ``sources[i]`` (-9999 at the source and where
+        unreachable).
 
-        The rows missing so far come from one ``shortest_path`` call and are
-        kept, so each source's tree is computed once per topology. Dijkstra
-        runs each source on its own, so a row does not depend on which other
-        sources were requested with it.
+        Only the trees of requested sources are held. Those missing so far
+        come from one ``shortest_path`` call and are kept, so each source's
+        tree is computed once per topology. Dijkstra runs each source on its
+        own, so a row does not depend on which other sources were requested
+        with it.
         """
-        preds, filled = self._hop_trees
-        want = np.zeros(len(filled), dtype=bool)
-        want[sources] = True
-        missing = np.flatnonzero(want & ~filled)
+        trees = self._hop_trees
+        missing = np.unique(sources[trees.row[sources] < 0])
         if missing.size:
-            _, preds[missing] = shortest_path(
+            _, preds = shortest_path(
                 self.graph, method="D", unweighted=True, return_predecessors=True,
                 indices=missing,
             )
-            filled[missing] = True
-        return preds
+            end = trees.count + missing.size
+            if end > len(trees.store):
+                grown = np.empty((max(end, 2 * len(trees.store)), len(trees.row)), np.int32)
+                grown[: trees.count] = trees.store[: trees.count]
+                trees.store = grown
+            trees.store[trees.count : end] = preds
+            trees.row[missing] = np.arange(trees.count, end)
+            trees.count = end
+        return trees.store[: trees.count], trees.row[sources]
 
     def __getstate__(self) -> dict:
         # the hop trees are rebuilt on demand, not sent to worker processes

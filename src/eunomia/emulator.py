@@ -22,8 +22,9 @@ delivery cost. Thinning keeps arrival order and the queue key is a total
 order, so a gamma's queue is the subsequence of the gamma = 1 one that its
 marks keep. Data paths are shortest ISL hop paths, walked back from every
 destination at once over the requesting sources' predecessor trees (which
-the shared ISL topology computes once per source and keeps), and only for
-requests that no earlier run on the queue has served. The one sequential
+the shared ISL topology computes once per source and keeps, holding no
+tree of a source that never sent a served request), and only for requests
+that no earlier run on the queue has served. The one sequential
 step is each controller's FIFO recurrence, busy = max(busy, arrival) +
 service, with the queue-window drop; requests that find their controller
 idle are served in one array step and only busy stretches run in Python.
@@ -85,6 +86,9 @@ EV_SYNC = 6
 EV_HANDOVER = 7
 # one trace record: the 16 bytes of struct.pack(">dii", t, code, node)
 TRACE_DTYPE = np.dtype([("t", ">f8"), ("c", ">i4"), ("n", ">i4")])
+# traffic block rows per Poisson draw in generate_arrivals: the draw's
+# temporaries stay small however many rates the slot has
+_ARRIVAL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,29 @@ def generate_arrivals(
     Marks are uniform [0, 1) thinning labels: keeping arrivals with
     mark < gamma yields exact Poisson(gamma * rate) processes nested across
     gamma values, which makes drop counts comparable across traffic scales.
+
+    The counts are drawn over the block's nonzero rates in row-major order
+    (so over LEO ids too), ``_ARRIVAL_ROWS`` block rows per ``rng.poisson``
+    call, keeping only the entries drawn positive. The generator draws
+    element by element in C order, so the calls consume it exactly as one
+    call over every nonzero rate would.
     """
     rng = np.random.default_rng([seed, slot_index])
-    a, b = np.nonzero(base_traffic.rates)  # row-major over the block, so over LEO ids too
-    lam = base_traffic.rates[a, b] * duration_s
-    src_nz, dst_nz = base_traffic.active[a], base_traffic.active[b]
-    counts = rng.poisson(lam)
-    total = int(counts.sum())
-    srcs = np.repeat(src_nz, counts)
-    dsts = np.repeat(dst_nz, counts)
+    rates = base_traffic.rates
+    k = len(rates)
+    picks, counts = [], []
+    for lo in range(0, max(k, 1), _ARRIVAL_ROWS):  # one empty block when k = 0
+        flat = rates[lo : lo + _ARRIVAL_ROWS].ravel()
+        nz = np.flatnonzero(flat)
+        drawn = rng.poisson(flat[nz] * duration_s)
+        hit = drawn > 0
+        picks.append(lo * k + nz[hit])
+        counts.append(drawn[hit])
+    a, b = np.divmod(np.concatenate(picks), k)
+    count = np.concatenate(counts)
+    total = int(count.sum())
+    srcs = np.repeat(base_traffic.active[a], count)
+    dsts = np.repeat(base_traffic.active[b], count)
     times = rng.random(total) * duration_s
     marks = rng.random(total)
     order = np.argsort(times, kind="stable")
@@ -158,21 +176,21 @@ def generate_arrivals(
 
 
 def _walk_paths(
-    preds: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    trees: np.ndarray, rows: np.ndarray, src: np.ndarray, dst: np.ndarray,
     cost: np.ndarray, cost_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Node count and largest ``cost[cost_rows[i], node]`` over the ISL path
-    of each flow ``src[i] -> dst[i]``, walking predecessors ``preds[src[i]]``
-    (rows are source LEO ids, as ``IslTopology.hop_predecessors`` gives
-    them) back from the destination, all flows one hop per step. A flow to
-    its own source, or to a node it cannot reach, has the one-node path
-    [src]."""
-    node = np.where(preds[src, dst] >= 0, dst, src)
+    of each flow ``src[i] -> dst[i]``, walking the predecessor tree
+    ``trees[rows[i]]`` of its source (as ``IslTopology.hop_predecessors``
+    gives them) back from the destination, all flows one hop per step. A
+    flow to its own source, or to a node it cannot reach, has the one-node
+    path [src]."""
+    node = np.where(trees[rows, dst] >= 0, dst, src)
     length = np.ones(len(node), dtype=np.int64)
     worst = cost[cost_rows, node]
     live = np.flatnonzero(node != src)
     while live.size:
-        node[live] = preds[src[live], node[live]]
+        node[live] = trees[rows[live], node[live]]
         length[live] += 1
         worst[live] = np.maximum(worst[live], cost[cost_rows[live], node[live]])
         live = live[node[live] != src[live]]
@@ -317,7 +335,7 @@ def _paths(
         src, dst = srcs[flows], dsts[flows]
         plan = queue.plan
         queue.path_len[todo], queue.delivery[todo] = _walk_paths(
-            slot.snapshot.topology.hop_predecessors(src), src, dst,
+            *slot.snapshot.topology.hop_predecessors(src), src, dst,
             plan.deliver, plan.row_of[plan.ctrl_of[src]],
         )
     return queue.path_len[served], queue.delivery[served]

@@ -296,11 +296,19 @@ def test_hop_predecessors_equal_the_all_pairs_rows(config):
     want = _all_pairs_preds(snap)
     topo = IslTopology(snap.topology.edge_array, snap.leo_ids)
     n = len(snap.leo_ids)
+    asked = set()
     # sources requested in overlapping, repeating batches, in no sorted order
-    for batch in (np.array([n - 1, 0, n - 1]), np.arange(n)[::-2], np.arange(n)):
-        preds = topo.hop_predecessors(batch)
-        assert preds.dtype == want.dtype
-        assert np.array_equal(preds[batch], want[batch])
+    for batch in (np.array([], dtype=np.int64), np.array([n - 1, 0, n - 1]),
+                  np.arange(n)[::-2], np.arange(n)):
+        trees, rows = topo.hop_predecessors(batch)
+        assert trees.dtype == want.dtype
+        assert np.array_equal(trees[rows], want[batch])
+        # the store holds one tree for each distinct source asked for, and no other
+        asked.update(batch.tolist())
+        held = topo._hop_trees.row
+        assert set(np.flatnonzero(held >= 0).tolist()) == asked
+        assert len(trees) == len(asked)
+        assert sorted(held[held >= 0].tolist()) == list(range(len(asked)))
 
 
 def test_hop_predecessors_compute_each_source_once(monkeypatch):

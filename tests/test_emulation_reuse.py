@@ -54,9 +54,9 @@ def test_a_run_alone_walks_the_paths_of_exactly_its_served_requests(monkeypatch)
     walked = []
     original = emulator._walk_paths
 
-    def counted(preds, src, *args):
+    def counted(trees, rows, src, *args):
         walked.append(len(src))
-        return original(preds, src, *args)
+        return original(trees, rows, src, *args)
 
     monkeypatch.setattr(emulator, "_walk_paths", counted)
     scn = build_scenario(desk_config(), HORIZON_S)

@@ -143,8 +143,7 @@ def test_hop_trees_stay_out_of_pickles():
     want = _outputs(scn, "greedy", 1.0, 1)
     topology = scn.constellation.topology
     assert all(slot.snapshot.topology is topology for slot in scn.slots)
-    _, filled = topology._hop_trees
-    assert filled.any()
+    assert (topology._hop_trees.row >= 0).any()
     copy = pickle.loads(pickle.dumps(scn))
     assert "_hop_trees" not in copy.constellation.topology.__dict__
     assert all(slot.snapshot.topology is copy.constellation.topology for slot in copy.slots)

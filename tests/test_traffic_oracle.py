@@ -6,12 +6,14 @@ every LEO serves a cell and the block is the whole matrix. Values, shapes
 and memory order must match the dense matrix exactly, since consumers sum
 over the gathered rows and columns and pinned outputs depend on the bits.
 """
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eunomia.constellation import Constellation
+from eunomia import emulator
 from eunomia.emulator import STRATEGIES, generate_arrivals, partition_chain
 from eunomia.overhead import _domain_rates
 from eunomia.scenario import build_scenario, default_config, desk_config, load_config
@@ -314,3 +316,44 @@ def test_generate_arrivals_equal_the_dense_draw(scaled):
     assert len(got[0]) > 0
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+BLOCK = emulator._ARRIVAL_ROWS
+
+
+@pytest.mark.parametrize("duration_s", [15.0, 0.0])
+@pytest.mark.parametrize("k", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_generate_arrivals_in_row_blocks_equal_the_dense_draw(k, duration_s):
+    """Blocks of every fill, ending on and off ``_ARRIVAL_ROWS``, with rows
+    and a whole block of zero rates; a rate of 2/s draws through numpy's
+    other Poisson method (lam >= 10)."""
+    rng = np.random.default_rng(k)
+    n = 2 * k + 5
+    active = np.sort(rng.choice(n, size=k, replace=False))
+    rates = rng.uniform(0.0, 0.1, size=(k, k)) * (rng.random((k, k)) < 0.5)
+    rates[1::3] = 0.0
+    rates[BLOCK : 2 * BLOCK] = 0.0
+    rates[:1, :1] = 2.0
+    tm = TrafficMatrix(5, tuple(range(n)), active, rates)
+    full = np.zeros((n, n))
+    full[np.ix_(active, active)] = rates
+    got = generate_arrivals(tm, duration_s, seed=4, slot_index=5)
+    want = oracle_generate_arrivals(full, duration_s, 4, 5)
+    assert (len(got[0]) > 0) == (k > 0 and duration_s > 0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_generate_arrivals_allocate_little_beyond_what_they_return(default_scenario_short):
+    """One draw on a ``default`` slot (about 197K nonzero rates) keeps about
+    40 KiB; a draw over every nonzero rate at once peaks at about 9 MiB."""
+    scn = default_scenario_short
+    slot, tm = scn.slots[0], scn.base_traffic[0]
+    tracemalloc.start()
+    try:
+        arrivals = generate_arrivals(tm, slot.end_s - slot.start_s, 1, slot.index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(arrivals[0]) > 0
+    assert peak < 2 * 2**20
