@@ -14,6 +14,15 @@ few LEOs whose sine of elevation, taken without trigonometry, is within a
 rounding margin of the cell's largest (the margin's argument is written out
 in ``serving_satellites``), so it is the full elevation matrix's argmax.
 
+A slot's cell x cell demand, the static demand times the diurnal factors
+of both ends, is never built whole, nor is any C x C, k x C or second
+k x k array for k serving LEOs: ``aggregate`` takes the demand rows of a
+few dozen LEOs' cells at a time into reused buffers and writes each
+finished row block into the one block it returns, and sums the unserved
+demand a piece of its gather at a time. One ``slot_traffic_matrix`` call
+on a ``default`` slot peaks at about 1.3 MiB of tracemalloc beyond its
+1.5 MiB block, against 7.6 MiB when the demand was built whole.
+
 Only a LEO that serves a cell carries traffic, at most one per cell, so a
 slot's rates are stored as the dense block among those serving LEOs (the
 ``active`` rows of ``leo_ids``), not as a |V| x |V| matrix. Consumers read
@@ -32,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .constellation import CITY_COORDS, R_EARTH_KM, NetworkSnapshot, geodetic_to_ecef
 from .visibility import elevation
@@ -380,19 +388,6 @@ def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.nd
     starts = list(range(0, n_cells, rows))
     if len(starts) > 1 and n_cells - starts[-1] == 1:
         starts.pop()
-    buf = np.empty((min(rows + 1, n_cells), n_leo))
-    flat, dots = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for lo, hi in zip(starts, starts[1:] + [n_cells]):
-        dot = np.matmul(cell_pos[lo:hi], leo_pos.T, out=buf[: hi - lo])
-        # positions in the block, row-major: j increases within a row (a
-        # 1-d nonzero is several times faster than the 2-d one)
-        at = np.flatnonzero(dot >= bound[lo:hi].min())
-        dots.append(dot.ravel()[at])
-        flat.append(at + lo * n_leo)
-    i, j = np.divmod(np.concatenate(flat), n_leo)
-    # separation's element-wise expressions, on the candidates
-    cos_alpha = np.clip(np.concatenate(dots) / (r_obs[i] * r_tgt[j]), -1.0, 1.0)
-    rho = r_obs[i] * (1.0 / r_tgt)[j]
     # Why the candidates left out cannot reach their cell's maximum. With c
     # and rho as computed, let E = atan2(y, x), y = c - rho, x = sqrt(1 - c**2),
     # be the exact elevation of those inputs and n = |(y, x)| <= 1 + rho.
@@ -406,17 +401,32 @@ def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.nd
     # margin = 1e-12 * (1 + rho) / n over 200 times those bounds. The pairs
     # kept are those within their margin of some pair's sine minus its own,
     # which holds every pair at the cell's maximum; a pair with n = 0, an
-    # observer on its target, gets NaN, which fmax skips, and is kept.
-    y = cos_alpha - rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n = np.sqrt(y * y + (1.0 - cos_alpha) * (1.0 + cos_alpha))
-        sine = y / n
-        margin = 1e-12 * (1.0 + rho) / n
+    # observer on its target, gets NaN, which fmax skips, and is kept. A
+    # cell's candidates all lie in its block, so each block keeps its own.
+    inv_rt = 1.0 / r_tgt
     floor = np.full(n_cells, -np.inf)
-    np.fmax.at(floor, i, sine - margin)
-    keep = np.flatnonzero(~(sine + margin < floor[i]))
-    i, j = i[keep], j[keep]
-    elev = elevation(cos_alpha[keep], rho[keep])
+    buf = np.empty((min(rows + 1, n_cells), n_leo))
+    kept = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 2]
+    for lo, hi in zip(starts, starts[1:] + [n_cells]):
+        dot = np.matmul(cell_pos[lo:hi], leo_pos.T, out=buf[: hi - lo])
+        # positions in the block, row-major: j increases within a row (a
+        # 1-d nonzero is several times faster than the 2-d one)
+        at = np.flatnonzero(dot >= bound[lo:hi].min())
+        i, j = np.divmod(at, n_leo)
+        i += lo
+        # separation's element-wise expressions, on the candidates
+        cos_alpha = np.clip(dot.ravel()[at] / (r_obs[i] * r_tgt[j]), -1.0, 1.0)
+        rho = r_obs[i] * inv_rt[j]
+        y = cos_alpha - rho
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n = np.sqrt(y * y + (1.0 - cos_alpha) * (1.0 + cos_alpha))
+            sine = y / n
+            margin = 1e-12 * (1.0 + rho) / n
+        np.fmax.at(floor, i, sine - margin)
+        keep = np.flatnonzero(~(sine + margin < floor[i]))
+        kept.append((i[keep], j[keep], cos_alpha[keep], rho[keep]))
+    i, j, cos_alpha, rho = map(np.concatenate, zip(*kept))
+    elev = elevation(cos_alpha, rho)
     top = np.full(n_cells, -np.inf)
     np.maximum.at(top, i, elev)
     # the first candidate at its cell's maximum is the lowest index at it
@@ -428,43 +438,163 @@ def serving_satellites(cell_pos: np.ndarray, snapshot: NetworkSnapshot) -> np.nd
     return best
 
 
-def map_to_satellites(
-    cell_pos: np.ndarray,
-    demands: np.ndarray,
-    snapshot: NetworkSnapshot,
+# LEO rows of the block built at a time: its three buffers of that many
+# cell rows hold 1.2 MiB on the 648-cell grid, and a desk slot's 66 LEOs
+# fit one block
+_BLOCK_ROWS = 80
+
+
+def _rows(buf: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first ``n * width`` entries of ``buf`` as a C-order n x width array."""
+    return buf.reshape(-1)[: n * width].reshape(n, width)
+
+
+def _unserved_sum(static_demand: np.ndarray, factors: np.ndarray, served: np.ndarray) -> float:
+    """``demand[~np.outer(served, served)].sum()`` for the demand
+    ``static_demand * np.outer(factors, factors)``, bit for bit, with at most
+    one piece of that row-major 1-D gather built at a time.
+
+    The gather is numpy's sum of one contiguous run, so it is walked as in
+    ``TrafficMatrix.gather_sum``: each node of the pairwise tree of at most
+    ``_PIECE_ENTRIES`` entries is built and summed by numpy alone. Row i of
+    the gather is every column of an unserved cell's row, or the unserved
+    columns of a served cell's row; a piece is built from the runs of like
+    rows that it spans, whole rows, each entry as
+    ``static_demand[i, j] * (factors[i] * factors[j])``.
+    """
+    lost = np.flatnonzero(~served)
+    if not len(lost):
+        return 0.0
+    n = len(served)
+    width = np.where(served, len(lost), n)  # entries of each row in the gather
+    ends = np.cumsum(width)
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(served)) + 1, [n]))  # runs of like rows
+    size = int(ends[-1])
+    buf = np.empty(min(size, _PIECE_ENTRIES) + 2 * n)
+
+    def piece(start: int, count: int) -> float:
+        r0, r1 = np.searchsorted(ends, [start, start + count - 1], side="right")
+        at = 0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            a, b = max(a, r0), min(b, r1 + 1)
+            if a >= b:
+                continue
+            cols = lost if served[a] else np.arange(n)
+            part = _rows(buf[at:], b - a, len(cols))
+            np.take(static_demand[a:b], cols, axis=1, out=part, mode="clip")
+            part *= np.multiply.outer(factors[a:b], factors[cols])
+            at += part.size
+        skip = start - (int(ends[r0]) - int(width[r0]))
+        return float(buf[skip : skip + count].sum())
+
+    return _pairwise_sum(piece, 0, size)
+
+
+def aggregate(
+    serving: np.ndarray,
+    static_demand: np.ndarray,
+    factors: np.ndarray,
+    leo_ids: tuple[int, ...],
     slot_index: int = 0,
 ) -> TrafficMatrix:
     """Aggregate cell-pair demand onto (serving LEO, serving LEO) pairs.
 
-    The block is ``S @ demands @ S.T`` for the sparse k x C one-hot matrix
-    ``S`` of serving LEO by cell, taken rows first without BLAS: each rate
-    adds its source LEO's cells, then its destination LEO's cells, in
-    ascending cell index. Pairs on one LEO are local traffic and dropped;
-    demand from cells with no visible LEO is dropped and reported.
-    """
-    serving = serving_satellites(cell_pos, snapshot)
-    served = serving >= 0
+    Cells i and j demand ``static_demand[i, j] * (factors[i] * factors[j])``,
+    the entries of ``static_demand * np.outer(factors, factors)``; cell i is
+    served by LEO ``serving[i]`` (an index into ``leo_ids``), or by none at
+    -1. The rate of (s, d) adds from 0, over d's cells c in ascending index,
+    the sum from 0 over s's cells j in ascending index of demand (j, c):
+    the bits of ``S @ demand @ S.T`` for the one-hot k x C matrix ``S``,
+    taken rows first without BLAS. Pairs on one LEO are local traffic, the
+    block's trace, and are dropped; demand with an unserved end is dropped
+    and reported as numpy's sum of its row-major gather (``_unserved_sum``).
 
-    unserved = float(demands[~np.outer(served, served)].sum())
+    The block is written ``_BLOCK_ROWS`` rows at a time, with nothing larger
+    than three buffers of that many cell rows beside it. A LEO's cells are
+    added rank by rank: the first cell of every LEO, then the second of
+    those that have one, and so on, so each sum runs in ascending cell
+    index; with LEO rows taken by decreasing cell count, the LEOs of a rank
+    are a prefix. A row's source sums are its cells' demand rows, added in
+    place; each rate then adds its destination's columns of them. A rate
+    starts as 0.0 plus its first term; a source sum starts as its first
+    term, which differs from 0.0 plus it only in the sign of a zero, a sign
+    the rate's own 0.0 then clears.
+    """
+    served = serving >= 0
+    unserved = _unserved_sum(static_demand, factors, served)
 
     cells = np.flatnonzero(served)
-    active, block = np.unique(serving[cells], return_inverse=True)
-    S = csr_matrix((np.ones(len(cells)), (block, cells)), shape=(len(active), len(cell_pos)))
-    rates = np.ascontiguousarray((S @ (S @ demands).T).T)
+    active, block, count = np.unique(serving[cells], return_inverse=True, return_counts=True)
+    k, n_cells = len(active), len(serving)
+    # LEO rows by decreasing cell count, so that the LEOs with an r-th cell
+    # come first; the served cells rank-major, in that order within a rank
+    by_count = np.argsort(-count, kind="stable")
+    place = np.empty(k, dtype=np.int64)
+    place[by_count] = np.arange(k)
+    grouped = np.argsort(block, kind="stable")  # by LEO, ascending cell
+    leo = block[grouped]
+    rank = np.arange(len(leo)) - (np.cumsum(count) - count)[leo]
+    seq = cells[grouped][np.argsort(rank * k + place[leo])]
+    width = np.bincount(rank)  # LEOs with an r-th cell
+    offset = np.concatenate(([0], np.cumsum(width)))
+    first = seq[place]  # each LEO's first cell, in LEO order
+
+    rates = np.empty((k, k))
+    # per LEO row its cells' row sum; one rank's demand rows; their factors
+    y_buf, d_buf, f_buf = (np.empty((min(k, _BLOCK_ROWS), n_cells)) for _ in range(3))
+    for lo in range(0, k, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, k)
+        y = y_buf[: hi - lo]
+        for r in range(len(width)):
+            m = min(hi, width[r]) - lo
+            if m <= 0:
+                break
+            src = seq[offset[r] + lo : offset[r] + lo + m]
+            scaled = f_buf[:m]
+            np.copyto(scaled, factors)
+            scaled *= factors[src, None]
+            d = y if r == 0 else d_buf[:m]
+            np.take(static_demand, src, axis=0, out=d, mode="clip")
+            d *= scaled
+            if r:
+                y[:m] += d
+        # each LEO column adds its cells' columns, rank by rank
+        out = _rows(f_buf, hi - lo, k)
+        np.take(y, first, axis=1, out=out, mode="clip")
+        out += 0.0
+        for r in range(1, len(width)):
+            out[:, by_count[: width[r]]] += y[:, seq[offset[r] : offset[r + 1]]]
+        rates[by_count[lo:hi]] = out
     # the trace over all LEOs: the diagonal in place among zeros, summed alike
-    diagonal = np.zeros(len(snapshot.leo_ids))
+    diagonal = np.zeros(len(leo_ids))
     diagonal[active] = np.diagonal(rates)
     local = float(diagonal.sum())
     np.fill_diagonal(rates, 0.0)
 
     return TrafficMatrix(
         slot_index=slot_index,
-        leo_ids=snapshot.leo_ids,
+        leo_ids=leo_ids,
         active=active,
         rates=rates,
         unserved_rate=unserved,
         local_rate=local,
     )
+
+
+def map_to_satellites(
+    cell_pos: np.ndarray,
+    static_demand: np.ndarray,
+    factors: np.ndarray,
+    snapshot: NetworkSnapshot,
+    slot_index: int = 0,
+) -> TrafficMatrix:
+    """The demand ``static_demand * np.outer(factors, factors)`` of the
+    cells at ``cell_pos`` aggregated onto their serving satellites in
+    ``snapshot`` by ``aggregate``: each rate adds its source LEO's cells,
+    then its destination LEO's cells, in ascending cell index, and no C x C,
+    k x C or second k x k array is built."""
+    serving = serving_satellites(cell_pos, snapshot)
+    return aggregate(serving, static_demand, factors, snapshot.leo_ids, slot_index)
 
 
 def slot_traffic_matrix(
@@ -476,8 +606,10 @@ def slot_traffic_matrix(
     params: TrafficParams,
 ) -> TrafficMatrix:
     """Cell demand with the diurnal factor applied at both endpoints, mapped
-    onto the snapshot's serving satellites; ``cell_pos`` is
-    ``cell_positions(cells)``, computed once per grid."""
+    onto the snapshot's serving satellites by ``map_to_satellites``, in the
+    same order and to the same bits as the dense product; ``cell_pos`` is
+    ``cell_positions(cells)``, computed once per grid. The demand is taken a
+    few dozen cell rows at a time, so a call holds at most about 1.3 MiB of
+    temporaries beside the block it returns on ``default`` (tracemalloc)."""
     f = diurnal_factors(cells, snapshot.time_s, params.diurnal_floor)
-    demands = static_demand * np.outer(f, f)
-    return map_to_satellites(cell_pos, demands, snapshot, slot_index=slot_index)
+    return map_to_satellites(cell_pos, static_demand, f, snapshot, slot_index=slot_index)

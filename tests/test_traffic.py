@@ -195,7 +195,7 @@ def test_mapping_single_cell_pair():
     cells = build_grid(lambda lat, lon: 1.0)
     demands = np.zeros((len(cells), len(cells)))
     demands[10, 600] = 5.0
-    tm = map_to_satellites(cell_positions(cells), demands, snap)
+    tm = map_to_satellites(cell_positions(cells), demands, np.ones(len(cells)), snap)
     nz = nonzero_pairs(tm)
     assert len(nz) == 1
     assert nz[0][2] == pytest.approx(5.0)
@@ -206,7 +206,7 @@ def test_mapping_conservation():
     cells = build_grid(city_density_field())
     params = TrafficParams(gravity_constant=100.0)
     demands = demand_matrix(cells, params)
-    tm = map_to_satellites(cell_positions(cells), demands, snap)
+    tm = map_to_satellites(cell_positions(cells), demands, np.ones(len(cells)), snap)
     assert tm.rates.sum() + tm.local_rate + tm.unserved_rate == pytest.approx(
         demands.sum(), rel=1e-9
     )
@@ -249,7 +249,7 @@ def test_mapping_with_no_served_cell_is_all_unserved():
     snap = make_ring_snapshot(n_leo=12)  # an equatorial ring: the poles see no LEO
     cells = [c for c in build_grid(lambda lat, lon: 1.0) if abs(c.center[0]) > 60.0]
     demands = np.random.default_rng(3).random((len(cells), len(cells)))
-    tm = map_to_satellites(cell_positions(cells), demands, snap)
+    tm = map_to_satellites(cell_positions(cells), demands, np.ones(len(cells)), snap)
     assert tm.rates.shape == (0, 0) and len(tm.active) == 0
     assert tm.unserved_rate == demands.sum()
     assert tm.local_rate == 0.0
@@ -399,7 +399,8 @@ def test_serving_satellites_equal_the_argmax_on_shells_of_any_radii(leos):
 def test_scale_examples():
     _, snap = _small_world()
     cells = build_grid(city_density_field())
-    tm = map_to_satellites(cell_positions(cells), demand_matrix(cells, TrafficParams()), snap)
+    static = demand_matrix(cells, TrafficParams())
+    tm = map_to_satellites(cell_positions(cells), static, np.ones(len(cells)), snap)
     assert scale(tm, 0.0).rates.sum() == 0.0
     assert scale(tm, 1.0) is tm
     assert np.allclose(scale(tm, 0.5).rates, tm.rates * 0.5)
@@ -418,7 +419,7 @@ def test_matrix_csv_rows_cover_nonzero_pairs():
     demands = np.zeros((len(cells), len(cells)))
     demands[10, 600] = 5.0
     demands[600, 10] = 2.0
-    tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=7)
+    tm = map_to_satellites(cell_positions(cells), demands, np.ones(len(cells)), snap, slot_index=7)
     rows = [(tm.slot_index, src, dst, rate) for src, dst, rate in nonzero_pairs(tm)]
     assert all(row[0] == 7 for row in rows)
     assert sorted(r[3] for r in rows) == [2.0, 5.0]

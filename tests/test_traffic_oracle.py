@@ -19,13 +19,16 @@ from eunomia.overhead import _domain_rates
 from eunomia.scenario import build_scenario, default_config, desk_config, load_config
 from eunomia import traffic
 from eunomia.traffic import (
+    N_CELLS,
     TrafficMatrix,
+    aggregate,
     build_grid,
     cell_positions,
     city_density_field,
     demand_matrix,
     map_to_satellites,
     scale,
+    slot_traffic_matrix,
 )
 
 import traffic_oracle
@@ -33,6 +36,7 @@ from conftest import domains
 from traffic_oracle import (
     diurnal_factor,
     nonzero_pairs,
+    oracle_aggregate,
     oracle_generate_arrivals,
     oracle_map_to_satellites,
 )
@@ -45,11 +49,12 @@ def _mapped(config, time_s):
     params = config.traffic
     cells = build_grid(city_density_field(params.city_sigma_deg, params.background_density))
     f = np.array([diurnal_factor(c, time_s, params.diurnal_floor) for c in cells])
-    demands = demand_matrix(cells, params) * np.outer(f, f)
+    static = demand_matrix(cells, params)
+    demands = static * np.outer(f, f)
     stations = [(g.name, g.latitude_deg, g.longitude_deg) for g in config.ground_stations]
     const = Constellation.build(config.leo_shell, config.meo_shell, stations)
     snap = const.snapshot(time_s)
-    tm = map_to_satellites(cell_positions(cells), demands, snap, slot_index=3)
+    tm = map_to_satellites(cell_positions(cells), static, f, snap, slot_index=3)
     full, unserved, local = oracle_map_to_satellites(cells, demands, snap)
     assert tm.unserved_rate == unserved and tm.local_rate == local
     return tm, full
@@ -96,6 +101,93 @@ def test_block_is_the_dense_product_among_serving_leos(config, time_s):
     assert nonzero_pairs(tm) == [
         (tm.leo_ids[a], tm.leo_ids[b], float(full[a, b])) for a, b in zip(*nz)
     ]
+
+
+ROWS = traffic._BLOCK_ROWS
+# every cell served by k LEOs
+K_CASES = {"k = chunk - 1": ROWS - 1, "k = chunk": ROWS, "k = chunk + 1": ROWS + 1}
+
+
+def _serving(case):
+    """(serving LEO of each of the 648 cells, -1 for none; LEO count) of
+    one crafted case. Cells are dealt to LEOs in a random order, so that a
+    LEO's cells lie far apart in cell index."""
+    rng = np.random.default_rng(len(case) * 7 + sum(map(ord, case)))
+    n_leo = 1000
+    if case == "no cell served":
+        return np.full(N_CELLS, -1), n_leo
+    if case in K_CASES:
+        k = K_CASES[case]
+        sizes = np.ones(k, dtype=int) + np.bincount(rng.integers(0, k, N_CELLS - k), minlength=k)
+    elif case == "ranks straddle a chunk":
+        # the LEOs with a third cell, and those with a second, run past the
+        # first block of LEO rows
+        sizes = np.array([3] * (ROWS + 2) + [2] * 5 + [1] * (ROWS + 9))
+    elif case == "one LEO serves 16 cells":
+        sizes = np.array([16] + [1] * 300)
+    elif case == "every other cell unserved":
+        sizes = np.array([4] * 40 + [2] * 20 + [1] * 124)
+    ids = np.sort(rng.choice(n_leo, size=len(sizes), replace=False))
+    leo = np.repeat(ids, rng.permutation(sizes))
+    cells = rng.permutation(N_CELLS)[: len(leo)]
+    if case == "every other cell unserved":
+        cells = rng.permutation(np.arange(0, N_CELLS, 2))
+    serving = np.full(N_CELLS, -1)
+    serving[cells] = leo
+    return serving, n_leo
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ranks straddle a chunk", *K_CASES, "one LEO serves 16 cells",
+     "every other cell unserved", "no cell served"],
+)
+def test_aggregate_equals_the_dense_product_at_block_edges(case):
+    """Crafted serving vectors against the dense product, bit for bit: rates,
+    local and unserved rate, on a random asymmetric demand and random
+    factors. ``_BLOCK_ROWS`` LEO rows are built at a time, and the unserved
+    gather is summed in pieces of at most ``_PIECE_ENTRIES`` entries (the
+    last two cases span several)."""
+    serving, n_leo = _serving(case)
+    rng = np.random.default_rng(5)
+    static = rng.random((N_CELLS, N_CELLS)) * 10.0 ** rng.integers(-4, 2, (N_CELLS, N_CELLS))
+    np.fill_diagonal(static, 0.0)
+    factors = rng.uniform(0.2, 1.0, N_CELLS)
+    tm = aggregate(serving, static, factors, tuple(range(n_leo)), slot_index=4)
+    full, unserved, local = oracle_aggregate(serving, static * np.outer(factors, factors), n_leo)
+    active = np.unique(serving[serving >= 0])
+    assert np.array_equal(tm.active, active) and tm.slot_index == 4
+    assert tm.rates.flags.c_contiguous
+    assert tm.rates.tobytes() == full[np.ix_(active, active)].tobytes()
+    rest = full.copy()
+    rest[np.ix_(active, active)] = 0.0
+    assert not rest.any()
+    assert tm.unserved_rate.hex() == unserved.hex()
+    assert tm.local_rate.hex() == local.hex()
+    if case in K_CASES:
+        assert len(active) == K_CASES[case] and (serving >= 0).all()
+
+
+@pytest.mark.parametrize("scenario", ["default_scenario_partition", "desk_scenario_short"])
+def test_slot_traffic_matrix_allocates_little_beyond_its_block(scenario, request):
+    """One call on a ``default`` 240 s slot and on a desk slot peaks under
+    2 MiB of tracemalloc beyond the block it returns (about 7.6 MiB on
+    ``default`` when the cell x cell demand was built whole) and equals the
+    scenario's own block."""
+    scn = request.getfixturevalue(scenario)
+    params = scn.config.traffic
+    cells = scn.cells
+    cell_pos, static = cell_positions(cells), demand_matrix(cells, params)
+    t = len(scn.slots) // 2
+    slot = scn.slots[t]
+    tracemalloc.start()
+    try:
+        tm = slot_traffic_matrix(cells, cell_pos, static, slot.snapshot, slot.index, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.rates.tobytes() == scn.base_traffic[t].rates.tobytes()
+    assert peak - tm.rates.nbytes < 2 * 2**20
 
 
 def test_fixture_slots_have_and_lack_inactive_leos(default_slot, tiny_slot):

@@ -1,4 +1,5 @@
-"""Dense reference for ``traffic.map_to_satellites``: one |V| x |V| matrix.
+"""Dense reference for ``traffic.map_to_satellites`` and ``traffic.aggregate``:
+one |V| x |V| matrix.
 
 The mapping is written the direct way: every cell's position is rebuilt from
 its centre on each call, every LEO gets a row and a column whether or not
@@ -94,7 +95,12 @@ def oracle_serving_satellites(cells, snapshot):
 def oracle_map_to_satellites(cells, demands, snapshot):
     """(dense rates, unserved rate, local rate) over all LEOs of ``snapshot``."""
     serving = oracle_serving_satellites(cells, snapshot)
-    n_leo = len(snapshot.leo_ids)
+    return oracle_aggregate(serving, demands, len(snapshot.leo_ids))
+
+
+def oracle_aggregate(serving, demands, n_leo):
+    """(dense rates, unserved rate, local rate) over ``n_leo`` LEOs for the
+    cell demand ``demands`` and each cell's serving LEO (-1 for none)."""
     served = serving >= 0
 
     # every cell pair with an unserved end, summed directly
@@ -102,7 +108,7 @@ def oracle_map_to_satellites(cells, demands, snapshot):
 
     # sel.T @ demands @ sel for the one-hot cell-to-LEO matrix sel, added up
     # one served cell at a time in ascending index: rows, then columns
-    rows = np.zeros((n_leo, len(cells)))
+    rows = np.zeros((n_leo, len(serving)))
     for i in np.flatnonzero(served):
         rows[serving[i]] += demands[i]
     rates = np.zeros((n_leo, n_leo))
