@@ -34,15 +34,16 @@ array for reproducibility checks.
 
 ``run_scenario`` keeps on the scenario, for later calls: each partition
 chain, each slot's plan per assignment content, its gamma = 1 arrivals per
-seed and its queue per (seed, assignment content), the gamma-scaled traffic
-per (slot, gamma), and each slot's overhead report per (chain, gamma). The
-assignment content is ``overhead.plan_key``: the bytes of the assignment's
-controller array, its FOV waiver and its relay controllers.
+seed and its queue per (seed, assignment content), and each slot's overhead
+report per (chain, gamma). The assignment content is ``overhead.plan_key``:
+the bytes of the assignment's controller array, its FOV waiver and its
+relay controllers.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Literal, get_args
@@ -294,7 +295,8 @@ class SlotQueue:
     (controller, arrival at controller, index); a gamma's queue is the
     subsequence its marks keep. ``path_len`` and ``delivery`` hold each
     queued request's data path length and largest delivery cost, filled
-    when a run first serves it (``path_len`` 0 until then).
+    when a run first serves it (``path_len`` 0 until then). ``order`` and
+    ``path_len`` are int32.
     """
 
     plan: SlotPlan
@@ -317,8 +319,8 @@ def queue_arrivals(
     return SlotQueue(
         plan=plan,
         arrivals=arrivals,
-        order=order,
-        path_len=np.zeros(len(order), dtype=np.int64),
+        order=order.astype(np.int32),
+        path_len=np.zeros(len(order), dtype=np.int32),
         delivery=np.zeros(len(order)),
     )
 
@@ -331,7 +333,7 @@ def _paths(
     todo = served[queue.path_len[served] == 0]
     if todo.size:
         _, srcs, dsts, _ = queue.arrivals
-        flows = queue.order[todo]
+        flows = queue.order[todo].astype(np.intp)
         src, dst = srcs[flows], dsts[flows]
         plan = queue.plan
         queue.path_len[todo], queue.delivery[todo] = _walk_paths(
@@ -382,8 +384,9 @@ def run_slot(
     t_at_ctrl = times[managed] + plan.req_cost[srcs[managed]]
     measured_flow_s = float(plan.mfl_cost[srcs[managed]].sum())
     # positions in the gamma = 1 queue, and the gamma = 1 arrivals there
-    in_queue = np.flatnonzero(keep[queue.order])
-    queued = queue.order[in_queue]
+    order = queue.order.astype(np.intp)  # converted once, not at each gather below
+    in_queue = np.flatnonzero(keep[order])
+    queued = order[in_queue]
     q_srcs = all_srcs[queued]
     k_q, dst_k = ctrl_of[q_srcs], ctrl_of[all_dsts[queued]]
     ta_q = (all_times[queued] + slot.start_s) + plan.req_cost[q_srcs]
@@ -496,8 +499,15 @@ def partition_chain(
 
 
 def _scaled(scn: "Scenario", t: int, gamma: float) -> TrafficMatrix:
-    """Slot ``t``'s traffic at ``gamma``, built once per (slot, gamma)."""
-    return scn.memo(("traffic", t, gamma), partial(scale, scn.base_traffic[t], gamma))
+    """Slot ``t``'s traffic at ``gamma``, built on each call and not kept:
+    whatever reads it is kept instead."""
+    return scale(scn.base_traffic[t], gamma)
+
+
+def _report(scn: "Scenario", t: int, gamma: float, assignment: DomainAssignment,
+            *args, **kwargs) -> OverheadReport:
+    """``evaluate`` of ``assignment`` on slot ``t``'s traffic at ``gamma``."""
+    return evaluate(assignment, _scaled(scn, t, gamma), *args, **kwargs)
 
 
 def _chain(scn: "Scenario", strategy: str, gamma: float) -> list[DomainAssignment]:
@@ -528,13 +538,17 @@ def run_scenario(
 
     Everything a run builds that another run can reuse is kept on ``scn``
     (see the module docstring); each run's reports are copies carrying its
-    own drop rates. Raises ValueError for an unknown strategy or a gamma
-    outside [0, 1] before any work.
+    own drop rates. Raises ValueError for an unknown strategy, a gamma
+    outside [0, 1] or a seed that is not a non-negative integer before any
+    work.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}, expected one of {STRATEGIES}")
     for gamma in gammas:
         check_gamma(gamma)
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     params = scn.ctx.overhead_params
     results: list[RunResult] = []
     for gamma in gammas:
@@ -574,7 +588,7 @@ def run_scenario(
                 )
                 report = scn.memo(
                     ("report", strategy, chain_gamma, gamma, t),
-                    partial(evaluate, assignment, _scaled(scn, t, gamma), slot.snapshot, params,
+                    partial(_report, scn, t, gamma, assignment, slot.snapshot, params,
                             geom.fov_domains, prev_assignment=prev, slot_duration_s=duration,
                             validate=False, plan=plan),
                 )

@@ -1,11 +1,12 @@
 """What ``run_scenario`` reuses across runs on one scenario.
 
-Each slot's gamma = 1 queue and served data paths are kept per (seed, plan),
-the gamma-scaled traffic per (slot, gamma) and each overhead report per
-(chain, gamma, slot). Whatever order the runs come in, every output must be
-that of a fresh scenario running the one (gamma, seed) alone, and a run
-alone must walk the data paths of exactly the requests it serves.
+Each slot's gamma = 1 queue and served data paths are kept per (seed, plan)
+and each overhead report per (chain, gamma, slot). Whatever order the runs
+come in, every output must be that of a fresh scenario running the one
+(gamma, seed) alone, a run alone must walk the data paths of exactly the
+requests it serves, and the scenario keeps no gamma-scaled traffic.
 """
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -13,10 +14,14 @@ import pytest
 from eunomia import emulator
 from eunomia.emulator import run_scenario
 from eunomia.scenario import build_scenario, desk_config
+from eunomia.traffic import TrafficMatrix
 
 HORIZON_S = 120.0
 GAMMAS = (1.0, 0.25, 0.75, 0.5)
 SEEDS = (1, 2)
+# what the scenario may keep after the eunomia and greedy grid: 0.88 MiB
+# without scaled traffic, 1.72 MiB when each (slot, gamma) copy was kept
+KEPT_BOUND_MIB = 1.25
 
 
 def _outputs(result):
@@ -77,3 +82,28 @@ def test_run_scenario_rejects_a_bad_gamma_before_any_work(monkeypatch):
     scn = build_scenario(desk_config(), HORIZON_S)
     with pytest.raises(ValueError, match=r"gamma must be in \[0, 1\], got 1.5"):
         run_scenario(scn, "greedy", [1.0, 1.5], [1])
+
+
+@pytest.mark.parametrize("seed", [-1, 1.0, True, "1"])
+def test_run_scenario_rejects_a_bad_seed_before_any_work(monkeypatch, seed):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_scenario started work on a bad seed")
+
+    for name in ("partition_chain", "slot_plan", "generate_arrivals", "run_slot"):
+        monkeypatch.setattr(emulator, name, no_work)
+    scn = build_scenario(desk_config(), HORIZON_S)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+        run_scenario(scn, "greedy", [1.0], [1, seed])
+
+
+def test_a_grid_keeps_no_scaled_traffic():
+    scn = build_scenario(desk_config(), HORIZON_S)
+    tracemalloc.start()
+    try:
+        for strategy in ("eunomia", "greedy"):
+            run_scenario(scn, strategy, list(GAMMAS), list(SEEDS))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not [key for key, value in scn._memo.items() if isinstance(value, TrafficMatrix)]
+    assert kept < KEPT_BOUND_MIB * 2**20, kept / 2**20
