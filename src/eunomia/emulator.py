@@ -28,7 +28,8 @@ that no earlier run on the queue has served. The one sequential
 step is each controller's FIFO recurrence, busy = max(busy, arrival) +
 service, with the queue-window drop; requests that find their controller
 idle are served in one array step and only busy stretches run in Python.
-The event trace is built as (time, code, node) columns in generation
+Only a caller that asks for it (``trace=True``, as the tests that pin
+it do) gets the event trace: (time, code, node) columns in generation
 order, stably sorted by time, and hashed as one big-endian structured
 array for reproducibility checks.
 
@@ -113,6 +114,10 @@ _CSV_FIELDS = {
 
 @dataclass
 class EmulationStats:
+    """One slot's emulation outcome. ``trace_hash`` is the SHA-256 of the
+    slot's event trace, built only when ``run_slot`` is asked for it, and
+    None otherwise."""
+
     slot_index: int
     strategy: str
     gamma: float
@@ -130,7 +135,7 @@ class EmulationStats:
     bytes_handover: int
     measured_w_flow: float
     migrated: int
-    trace_hash: str
+    trace_hash: str | None
 
     def to_row(self) -> dict:
         return {column: getattr(self, name) for column, name in _CSV_FIELDS.items()}
@@ -353,12 +358,15 @@ def run_slot(
     gamma: float = 1.0,
     prev_assignment: DomainAssignment | None = None,
     strategy: str = "",
+    *,
+    trace: bool = False,
 ) -> EmulationStats:
     """Emulate one slot under a fixed assignment; see the module docstring.
 
     ``queue`` is the ``queue_arrivals`` of the assignment's ``slot_plan``
     and the slot's ``generate_arrivals`` draw for ``seed``; it keeps the
-    data paths this run walks for later runs on it. Raises ValueError
+    data paths this run walks for later runs on it. With ``trace`` the
+    stats carry the hash of the slot's event trace. Raises ValueError
     unless gamma is in [0, 1], and ConstraintViolationError when the plan
     holds violations.
     """
@@ -373,15 +381,14 @@ def run_slot(
 
     all_times, all_srcs, all_dsts, marks = arrivals
     keep = marks < gamma
-    times, srcs = all_times[keep] + slot.start_s, all_srcs[keep]
-    requests_total = len(times)
+    srcs = all_srcs[keep]
+    requests_total = len(srcs)
     src_ctrl = ctrl_of[srcs]
 
     # uncovered sources never reach a controller; the rest arrive over their
     # control path and queue at their controller
     uncovered = src_ctrl < 0
     managed = np.flatnonzero(~uncovered)
-    t_at_ctrl = times[managed] + plan.req_cost[srcs[managed]]
     measured_flow_s = float(plan.mfl_cost[srcs[managed]].sum())
     # positions in the gamma = 1 queue, and the gamma = 1 arrivals there
     order = queue.order.astype(np.intp)  # converted once, not at each gather below
@@ -421,26 +428,30 @@ def run_slot(
     migrated = sum(count_migrations(prev_assignment, assignment).values())
     bytes_ho = migrated * params.migration.ho_msg_bytes
 
-    # the trace in generation order; per queued request, its drop or its
-    # service, and after a service the response
-    first = np.arange(len(queued))
-    first[1:] += np.cumsum(~lost[:-1])
-    q_t = np.empty(len(queued) + len(served))
-    q_c = np.empty(len(q_t), dtype=np.int32)
-    q_n = np.empty(len(q_t), dtype=np.int32)
-    q_t[first] = np.where(lost, ta_q, done)
-    q_c[first] = np.where(lost, EV_DROPPED, EV_SERVED)
-    q_n[first] = k_q
-    response = first[served] + 1
-    q_t[response], q_c[response], q_n[response] = resp_at, EV_RESPONSE, q_srcs[served]
-    trace_hash = _trace_hash([
-        (times, EV_ARRIVAL, srcs),
-        (times[uncovered], EV_DROPPED, srcs[uncovered]),
-        (t_at_ctrl, EV_AT_CONTROLLER, src_ctrl[managed]),
-        (q_t, q_c, q_n),
-        (slot.start_s + np.arange(n_ticks) / params.f_sync_hz, EV_SYNC, -1),
-        (np.full(migrated, slot.end_s), EV_HANDOVER, -1),
-    ])
+    trace_hash = None
+    if trace:
+        # the trace in generation order; per queued request, its drop or its
+        # service, and after a service the response
+        times = all_times[keep] + slot.start_s
+        t_at_ctrl = times[managed] + plan.req_cost[srcs[managed]]
+        first = np.arange(len(queued))
+        first[1:] += np.cumsum(~lost[:-1])
+        q_t = np.empty(len(queued) + len(served))
+        q_c = np.empty(len(q_t), dtype=np.int32)
+        q_n = np.empty(len(q_t), dtype=np.int32)
+        q_t[first] = np.where(lost, ta_q, done)
+        q_c[first] = np.where(lost, EV_DROPPED, EV_SERVED)
+        q_n[first] = k_q
+        response = first[served] + 1
+        q_t[response], q_c[response], q_n[response] = resp_at, EV_RESPONSE, q_srcs[served]
+        trace_hash = _trace_hash([
+            (times, EV_ARRIVAL, srcs),
+            (times[uncovered], EV_DROPPED, srcs[uncovered]),
+            (t_at_ctrl, EV_AT_CONTROLLER, src_ctrl[managed]),
+            (q_t, q_c, q_n),
+            (slot.start_s + np.arange(n_ticks) / params.f_sync_hz, EV_SYNC, -1),
+            (np.full(migrated, slot.end_s), EV_HANDOVER, -1),
+        ])
 
     median, p95 = _median_p95(resp) if resp.size else (0.0, 0.0)
     return EmulationStats(
@@ -533,14 +544,16 @@ def run_scenario(
     strategy: str,
     gammas: list[float],
     seeds: list[int],
+    *,
+    trace: bool = False,
 ) -> list[RunResult]:
     """Partition and emulate every slot for each (gamma, seed) combination.
 
     Everything a run builds that another run can reuse is kept on ``scn``
     (see the module docstring); each run's reports are copies carrying its
-    own drop rates. Raises ValueError for an unknown strategy, a gamma
-    outside [0, 1] or a seed that is not a non-negative integer before any
-    work.
+    own drop rates. ``trace`` is passed to every ``run_slot``. Raises
+    ValueError for an unknown strategy, a gamma outside [0, 1] or a seed
+    that is not a non-negative integer before any work.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy: {strategy}, expected one of {STRATEGIES}")
@@ -585,6 +598,7 @@ def run_scenario(
                     gamma=gamma,
                     prev_assignment=prev,
                     strategy=strategy,
+                    trace=trace,
                 )
                 report = scn.memo(
                     ("report", strategy, chain_gamma, gamma, t),

@@ -92,7 +92,7 @@ class DomainAssignment:
     def to_rows(self) -> list[tuple[int, int, int]]:
         leos = np.flatnonzero(self.controller >= 0)
         ks = self.controller[leos].tolist()
-        return [(self.slot_index, leo, k) for leo, k in zip(leos.tolist(), ks)]
+        return list(zip(itertools.repeat(self.slot_index), leos.tolist(), ks))
 
 
 @dataclass

@@ -179,9 +179,11 @@ def test_serve_fifo_equals_the_sequential_recurrence(requests, window_s, unit, i
 
 def test_trace_hash_deterministic_and_seed_sensitive():
     snap, k, fov, assignment, tm = _pair_world(lam=2.0)
-    a = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 5, gamma=0.7)
-    b = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 5, gamma=0.7)
-    c = emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, 6, gamma=0.7)
+    a, b, c = (
+        emulate(make_slot(snap, 300.0), assignment, tm, OverheadParams(), fov, seed, gamma=0.7,
+                trace=True)
+        for seed in (5, 5, 6)
+    )
     assert a.trace_hash == b.trace_hash
     assert a.trace_hash != c.trace_hash
 

@@ -23,7 +23,7 @@ DURATION_S = 30.0
 
 
 def _both(slot, assignment, tm, params, fov, seed, **kwargs):
-    new = emulate(slot, assignment, tm, params, fov, seed, **kwargs)
+    new = emulate(slot, assignment, tm, params, fov, seed, trace=True, **kwargs)
     old = oracle_run_slot(slot, assignment, tm, params, EmulatorParams(), seed, fov, **kwargs)
     assert asdict(new) == asdict(old)
     return new

@@ -1,5 +1,8 @@
 """Pinned emulation outputs: stats rows, overhead slot dicts and trace hashes.
 
+The runs here ask ``run_scenario`` for the event trace (``trace=True``),
+which it builds and hashes only on request.
+
 Three scenarios are pinned exactly: ``tests/data/tiny_config.yaml`` for
 every strategy at gamma 0, 0.5 and 1, the 600 s desk scenario at gamma 1, and
 the full-size ``default`` scenario at 60 s and gamma 1 (1584 switches, ISL
@@ -40,7 +43,7 @@ def golden_runs(scn, gammas, seeds) -> list[dict]:
     to stats.csv and overhead.json, plus each slot's trace hash."""
     out = []
     for strategy in STRATEGIES:
-        for result in run_scenario(scn, strategy, gammas, seeds):
+        for result in run_scenario(scn, strategy, gammas, seeds, trace=True):
             out.append(_exact({
                 "strategy": result.strategy,
                 "gamma": result.gamma,

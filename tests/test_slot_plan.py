@@ -3,9 +3,9 @@
 ``run_scenario`` keeps each slot's plan per assignment content, each slot's
 gamma = 1 arrivals per seed, and each partition chain per (strategy, gamma)
 on the scenario.
-Reusing them must change no output bit, must not let an invalid assignment
-through on the strength of a valid one's plan, and must stay out of the
-pickles sent to ``emulate --threads`` workers.
+Reusing them must change no output bit, traced or not, must not let an
+invalid assignment through on the strength of a valid one's plan, and must
+stay out of the pickles sent to ``emulate --threads`` workers.
 """
 import dataclasses
 import pickle
@@ -24,9 +24,10 @@ GAMMAS = (0.0, 0.5, 1.0)
 SEEDS = (1, 2)
 
 
-def _outputs(scn, strategy, gamma, seed):
-    """Everything ``eunomia emulate`` writes for one (strategy, gamma, seed)."""
-    result = run_scenario(scn, strategy, [gamma], [seed])[0]
+def _outputs(scn, strategy, gamma, seed, trace=True):
+    """Everything ``eunomia emulate`` writes for one (strategy, gamma, seed),
+    and each slot's trace hash."""
+    result = run_scenario(scn, strategy, [gamma], [seed], trace=trace)[0]
     return (
         [st.to_row() for st in result.stats],
         [st.trace_hash for st in result.stats],
@@ -68,6 +69,30 @@ def test_one_scenario_across_the_grid_gives_the_outputs_of_fresh_ones(counts):
     assert counts["slot_plan"] <= n_slots * (2 + len(GAMMAS) * len(SEEDS))
     for point, got in zip(grid, reused):
         assert got == _outputs(build_scenario(config), *point), point
+
+
+def test_an_untraced_run_builds_no_trace_and_moves_no_output(monkeypatch):
+    config = load_config(TINY_CONFIG)
+    grid = [(s, g, sd) for s in STRATEGIES for g in GAMMAS for sd in SEEDS]
+    want = {point: _outputs(build_scenario(config), *point) for point in grid}
+    shared = build_scenario(config)
+    # seed 1 is traced before any untraced run; seed 2's queues first get
+    # their data paths from untraced runs
+    for point in [p for p in grid if p[2] == SEEDS[0]]:
+        assert _outputs(shared, *point) == want[point], point
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("an untraced run built the trace")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(emulator, "_trace_hash", no_trace)
+        for point in grid:
+            rows, hashes, reports, migrations = _outputs(shared, *point, trace=False)
+            want_rows, _, want_reports, want_migrations = want[point]
+            assert hashes == [None] * len(shared.slots)
+            assert (rows, reports, migrations) == (want_rows, want_reports, want_migrations)
+    for point in grid:
+        assert _outputs(shared, *point) == want[point], point
 
 
 def test_eunomia_chain_is_built_once_per_gamma_for_any_seeds(counts):
