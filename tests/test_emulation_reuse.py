@@ -25,6 +25,8 @@ KEPT_BOUND_MIB = 1.25
 
 
 def _outputs(result):
+    # traced, so each request's event times, drop and response are compared too
+    assert all(st.trace_hash is not None for st in result.stats)
     return [asdict(st) for st in result.stats], [rep.to_dict() for rep in result.reports]
 
 
@@ -33,7 +35,8 @@ def alone():
     """Outputs of each (strategy, gamma, seed) run alone on a fresh scenario."""
     return {
         (strategy, gamma, seed): _outputs(
-            run_scenario(build_scenario(desk_config(), HORIZON_S), strategy, [gamma], [seed])[0]
+            run_scenario(build_scenario(desk_config(), HORIZON_S), strategy, [gamma], [seed],
+                         trace=True)[0]
         )
         for strategy in ("eunomia", "greedy")
         for gamma in GAMMAS
@@ -45,7 +48,7 @@ def alone():
 @pytest.mark.parametrize("gammas", [GAMMAS, GAMMAS[::-1]], ids=["forward", "reverse"])
 def test_runs_in_any_gamma_order_give_the_outputs_of_runs_alone(alone, strategy, gammas):
     results = run_scenario(build_scenario(desk_config(), HORIZON_S), strategy, list(gammas),
-                           list(SEEDS))
+                           list(SEEDS), trace=True)
     assert [(r.gamma, r.seed) for r in results] == [(g, s) for g in gammas for s in SEEDS]
     for r in results:
         assert _outputs(r) == alone[strategy, r.gamma, r.seed], (r.gamma, r.seed)
@@ -65,11 +68,11 @@ def test_a_run_alone_walks_the_paths_of_exactly_its_served_requests(monkeypatch)
 
     monkeypatch.setattr(emulator, "_walk_paths", counted)
     scn = build_scenario(desk_config(), HORIZON_S)
-    result = run_scenario(scn, "eunomia", [0.5], [1])[0]
+    result = run_scenario(scn, "eunomia", [0.5], [1], trace=True)[0]
     assert sum(walked) == sum(st.requests_total - st.requests_dropped for st in result.stats)
     # the same run again walks nothing, and gives the same outputs
     walked.clear()
-    again = run_scenario(scn, "eunomia", [0.5], [1])[0]
+    again = run_scenario(scn, "eunomia", [0.5], [1], trace=True)[0]
     assert walked == [] and _outputs(again) == _outputs(result)
 
 
