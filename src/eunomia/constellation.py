@@ -150,6 +150,11 @@ def grid_edges(spec: ShellSpec) -> np.ndarray:
     return np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
 
 
+def index_dtype(count: int) -> type:
+    """The type of ids below ``count``: int16 below 2**15, else int32 (both hold -9999)."""
+    return np.int16 if count < 2**15 else np.int32
+
+
 def norm(v: np.ndarray) -> np.ndarray:
     """Euclidean length along the last axis.
 
@@ -160,12 +165,15 @@ def norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
+_TREE_ENTRIES = 1 << 17  # distances one shortest_path call may return (1 MiB of float64)
+
+
 @dataclass(eq=False)
 class _HopTrees:
     """The hop trees computed so far: ``store[:count]`` holds one predecessor
-    row per source, in order of computation, and ``row[s]`` is source ``s``'s
-    row (-1 until computed). The store's capacity doubles as it fills, so
-    computing every source copies O(|V|^2) entries in all."""
+    row per source, in order of computation and the ``index_dtype`` of |V|,
+    and ``row[s]`` is source ``s``'s row (-1 until computed). The store's
+    capacity doubles as it fills: all sources copy O(|V|^2) entries in all."""
 
     row: np.ndarray
     store: np.ndarray
@@ -196,33 +204,36 @@ class IslTopology:
     @cached_property
     def _hop_trees(self) -> _HopTrees:
         n = len(self.leo_ids)
-        return _HopTrees(np.full(n, -1, dtype=np.intp), np.empty((0, n), dtype=np.int32))
+        return _HopTrees(np.full(n, -1, dtype=np.intp), np.empty((0, n), dtype=index_dtype(n)))
 
     def hop_predecessors(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hop-count shortest-path predecessor trees of ``sources`` over LEO
         ids, as ``(trees, rows)``: ``trees[rows[i]]`` is scipy's predecessor
         row from source ``sources[i]`` (-9999 at the source and where
-        unreachable).
+        unreachable), in the ``index_dtype`` of |V|.
 
         Only the trees of requested sources are held. Those missing so far
-        come from one ``shortest_path`` call and are kept, so each source's
-        tree is computed once per topology. Dijkstra runs each source on its
-        own, so a row does not depend on which other sources were requested
-        with it.
+        come from ``shortest_path`` calls of at most ``_TREE_ENTRIES``
+        distances each and are kept, so each source's tree is computed once
+        per topology. Dijkstra runs each source on its own, so a row does
+        not depend on which other sources were requested with it.
         """
         trees = self._hop_trees
+        n = len(trees.row)
         missing = np.unique(sources[trees.row[sources] < 0])
         if missing.size:
-            _, preds = shortest_path(
-                self.graph, method="D", unweighted=True, return_predecessors=True,
-                indices=missing,
-            )
             end = trees.count + missing.size
             if end > len(trees.store):
-                grown = np.empty((max(end, 2 * len(trees.store)), len(trees.row)), np.int32)
+                grown = np.empty((max(end, 2 * len(trees.store)), n), trees.store.dtype)
                 grown[: trees.count] = trees.store[: trees.count]
                 trees.store = grown
-            trees.store[trees.count : end] = preds
+            chunk = max(1, _TREE_ENTRIES // n)
+            for lo in range(0, missing.size, chunk):
+                at, batch = trees.count + lo, missing[lo : lo + chunk]
+                _, trees.store[at : at + batch.size] = shortest_path(
+                    self.graph, method="D", unweighted=True, return_predecessors=True,
+                    indices=batch,
+                )
             trees.row[missing] = np.arange(trees.count, end)
             trees.count = end
         return trees.store[: trees.count], trees.row[sources]

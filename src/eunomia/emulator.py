@@ -20,18 +20,20 @@ depend on gamma: the gamma = 1 queue order by (controller, arrival at
 controller, index), and each served request's data path length and largest
 delivery cost. Thinning keeps arrival order and the queue key is a total
 order, so a gamma's queue is the subsequence of the gamma = 1 one that its
-marks keep. Data paths are shortest ISL hop paths, walked back from every
-destination at once over the requesting sources' predecessor trees (which
-the shared ISL topology computes once per source and keeps, holding no
-tree of a source that never sent a served request), and only for requests
-that no earlier run on the queue has served. The one sequential
-step is each controller's FIFO recurrence, busy = max(busy, arrival) +
-service, with the queue-window drop; requests that find their controller
-idle are served in one array step and only busy stretches run in Python.
-Only a caller that asks for it (``trace=True``, as the tests that pin
-it do) gets the event trace: (time, code, node) columns in generation
-order, stably sorted by time, and hashed as one big-endian structured
-array for reproducibility checks.
+marks keep. The queue's order and path lengths and the arrivals' LEO ids are
+kept in their ``index_dtype`` (int16 at the presets), and a run converts them
+to intp once to index with them. Data paths are shortest ISL hop paths,
+walked back from every destination at once over the requesting sources'
+predecessor trees (which the shared ISL topology computes once per source and
+keeps, holding no tree of a source that never sent a served request), and
+only for requests that no earlier run on the queue has served. The one
+sequential step is each controller's FIFO recurrence, busy = max(busy,
+arrival) + service, with the queue-window drop; requests that find their
+controller idle are served in one array step and only busy stretches run in
+Python. Only a caller that asks for it (``trace=True``, as the tests that pin
+it do) gets the event trace: (time, code, node) columns in generation order,
+stably sorted by time, and hashed as one big-endian structured array for
+reproducibility checks.
 
 ``run_scenario`` keeps on the scenario, for later calls: each partition
 chain, each slot's plan per assignment content, its gamma = 1 arrivals per
@@ -52,6 +54,7 @@ from typing import TYPE_CHECKING, Literal, get_args
 import numpy as np
 
 from .codecs import FLOW_REQUEST_FIXED_BYTES
+from .constellation import index_dtype
 from .overhead import (
     ConstraintViolationError,
     OverheadParams,
@@ -147,7 +150,8 @@ CSV_COLUMNS = list(_CSV_FIELDS)
 def generate_arrivals(
     base_traffic: TrafficMatrix, duration_s: float, seed: int, slot_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Poisson arrivals at the gamma=1 rates: (times, src ids, dst ids, marks).
+    """Poisson arrivals at the gamma=1 rates: (times, src ids, dst ids, marks),
+    the ids in the ``index_dtype`` of the LEO count.
 
     Marks are uniform [0, 1) thinning labels: keeping arrivals with
     mark < gamma yields exact Poisson(gamma * rate) processes nested across
@@ -160,6 +164,7 @@ def generate_arrivals(
     call over every nonzero rate would.
     """
     rng = np.random.default_rng([seed, slot_index])
+    ids = base_traffic.active.astype(index_dtype(len(base_traffic.leo_ids)))
     rates = base_traffic.rates
     k = len(rates)
     picks, counts = [], []
@@ -173,8 +178,8 @@ def generate_arrivals(
     a, b = np.divmod(np.concatenate(picks), k)
     count = np.concatenate(counts)
     total = int(count.sum())
-    srcs = np.repeat(base_traffic.active[a], count)
-    dsts = np.repeat(base_traffic.active[b], count)
+    srcs = np.repeat(ids[a], count)
+    dsts = np.repeat(ids[b], count)
     times = rng.random(total) * duration_s
     marks = rng.random(total)
     order = np.argsort(times, kind="stable")
@@ -300,8 +305,9 @@ class SlotQueue:
     (controller, arrival at controller, index); a gamma's queue is the
     subsequence its marks keep. ``path_len`` and ``delivery`` hold each
     queued request's data path length and largest delivery cost, filled
-    when a run first serves it (``path_len`` 0 until then). ``order`` and
-    ``path_len`` are int32.
+    when a run first serves it (``path_len`` 0 until then). ``order`` is in
+    the ``index_dtype`` of the arrival count and ``path_len`` in that of the
+    LEO count, int16 at the presets.
     """
 
     plan: SlotPlan
@@ -324,8 +330,8 @@ def queue_arrivals(
     return SlotQueue(
         plan=plan,
         arrivals=arrivals,
-        order=order.astype(np.int32),
-        path_len=np.zeros(len(order), dtype=np.int32),
+        order=order.astype(index_dtype(len(times))),
+        path_len=np.zeros(len(order), dtype=index_dtype(len(slot.snapshot.leo_ids))),
         delivery=np.zeros(len(order)),
     )
 
@@ -339,7 +345,7 @@ def _paths(
     if todo.size:
         _, srcs, dsts, _ = queue.arrivals
         flows = queue.order[todo].astype(np.intp)
-        src, dst = srcs[flows], dsts[flows]
+        src, dst = srcs[flows].astype(np.intp), dsts[flows].astype(np.intp)  # once per walk
         plan = queue.plan
         queue.path_len[todo], queue.delivery[todo] = _walk_paths(
             *slot.snapshot.topology.hop_predecessors(src), src, dst,
@@ -381,7 +387,7 @@ def run_slot(
 
     all_times, all_srcs, all_dsts, marks = arrivals
     keep = marks < gamma
-    srcs = all_srcs[keep]
+    srcs = all_srcs[keep].astype(np.intp)
     requests_total = len(srcs)
     src_ctrl = ctrl_of[srcs]
 
@@ -394,7 +400,7 @@ def run_slot(
     order = queue.order.astype(np.intp)  # converted once, not at each gather below
     in_queue = np.flatnonzero(keep[order])
     queued = order[in_queue]
-    q_srcs = all_srcs[queued]
+    q_srcs = all_srcs[queued].astype(np.intp)
     k_q, dst_k = ctrl_of[q_srcs], ctrl_of[all_dsts[queued]]
     ta_q = (all_times[queued] + slot.start_s) + plan.req_cost[q_srcs]
     intra = dst_k == k_q

@@ -301,7 +301,7 @@ def test_hop_predecessors_equal_the_all_pairs_rows(config):
     for batch in (np.array([], dtype=np.int64), np.array([n - 1, 0, n - 1]),
                   np.arange(n)[::-2], np.arange(n)):
         trees, rows = topo.hop_predecessors(batch)
-        assert trees.dtype == want.dtype
+        assert trees.dtype == np.int16
         assert np.array_equal(trees[rows], want[batch])
         # the store holds one tree for each distinct source asked for, and no other
         asked.update(batch.tolist())
@@ -328,3 +328,41 @@ def test_hop_predecessors_compute_each_source_once(monkeypatch):
     assert asked == [[3, 7], [1, 9]]
     topo.hop_predecessors(np.array([], dtype=np.int64))
     assert len(asked) == 2
+
+
+def test_hop_predecessors_in_chunks_equal_the_all_pairs_rows(monkeypatch):
+    snap = _preset_constellation(desk_config()).snapshot(0.0)
+    want = _all_pairs_preds(snap)
+    n = len(snap.leo_ids)
+    asked = []
+
+    def recorded(*args, indices, **kwargs):
+        asked.append(indices.tolist())
+        return shortest_path(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(constellation, "shortest_path", recorded)
+    # the default chunk takes every desk source in one call
+    IslTopology(snap.topology.edge_array, snap.leo_ids).hop_predecessors(np.arange(n))
+    assert asked == [list(range(n))]
+    asked.clear()
+    monkeypatch.setattr(constellation, "_TREE_ENTRIES", 3 * n + 2)  # 3 sources per call
+    topo = IslTopology(snap.topology.edge_array, snap.leo_ids)
+    for batch in (np.array([7, 3, 7]), np.arange(n)[::-5], np.arange(n)[::-1]):
+        trees, rows = topo.hop_predecessors(batch)
+        assert np.array_equal(trees[rows], want[batch])
+    assert max(len(call) for call in asked) == 3
+    computed = [s for call in asked for s in call]
+    assert sorted(computed) == list(range(n))  # each source once
+
+
+@pytest.mark.parametrize("n, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+def test_hop_trees_take_int32_from_2_to_the_15_nodes(n, dtype):
+    ring = np.array(sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]))
+    topo = IslTopology(ring, tuple(range(n)))
+    sources = np.array([n - 1, 0, n // 2, 1, n - 2])
+    trees, rows = topo.hop_predecessors(sources)
+    _, want = shortest_path(topo.graph, method="D", unweighted=True,
+                            return_predecessors=True, indices=sources)
+    assert trees.dtype == dtype
+    assert np.array_equal(trees[rows], want)
+    assert trees.max() == n - 1 and trees.min() == -9999

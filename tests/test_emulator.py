@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 from eunomia import emulator
 from eunomia.codecs import FlowRequest, encode_flow_request
 from eunomia.constellation import C_LIGHT_KM_S, Role
-from eunomia.emulator import EmulatorParams, generate_arrivals, queue_arrivals, run_slot
+from eunomia.emulator import (
+    EmulatorParams,
+    generate_arrivals,
+    partition_chain,
+    queue_arrivals,
+    run_slot,
+)
 from eunomia.overhead import (
     ConstraintViolationError,
     LinkClass,
@@ -248,3 +255,30 @@ def test_sync_and_handover_byte_accounting():
     assert stats.bytes_sync == n_ticks * per_tick
     assert stats.migrated == 3
     assert stats.bytes_handover == 3 * params.migration.ho_msg_bytes
+
+
+def test_a_slot_of_2_to_the_15_arrivals_queues_int32_indices(desk_scenario_short):
+    """A desk slot's traffic scaled to about 40K arrivals: its queue order is
+    int32, and its runs give the stats of runs on int64 ids and indices."""
+    scn = desk_scenario_short
+    geom, tm = scn.geometries[0], scn.base_traffic[0]
+    slot, params = geom.slot, scn.ctx.overhead_params
+    duration = slot.end_s - slot.start_s
+    dense = dataclasses.replace(tm, rates=tm.rates * (40_000 / (tm.rates.sum() * duration)))
+    greedy = partition_chain(scn, "greedy", 1.0)[0]
+    plan = slot_plan(greedy, slot.snapshot, params, geom.fov_domains)
+    arrivals = generate_arrivals(dense, duration, 1, slot.index)
+    queue = queue_arrivals(slot, plan, arrivals)
+    wide = queue_arrivals(slot, plan, tuple(
+        a.astype(np.int64) if a.dtype.kind == "i" else a for a in arrivals))
+    wide = dataclasses.replace(wide, order=wide.order.astype(np.int64),
+                               path_len=wide.path_len.astype(np.int64))
+    assert len(arrivals[0]) >= 2**15 and queue.order.max() >= 2**15
+    assert queue.order.dtype == np.int32 and queue.path_len.dtype == np.int16
+    assert np.array_equal(queue.order, wide.order)
+    for gamma in (1.0, 0.5):
+        got, want = (run_slot(slot, greedy, q, params, scn.emu_params, 1, gamma, trace=True)
+                     for q in (queue, wide))
+        assert 0 < got.requests_dropped < got.requests_total
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert np.array_equal(queue.path_len, wide.path_len)

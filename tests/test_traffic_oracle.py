@@ -401,13 +401,18 @@ def test_line_sums_of_the_priced_leos_equal_the_full_vectors(scenario, request):
     assert n_matrices == len(scn.base_traffic) >= 16
 
 
+# times, src ids, dst ids and marks: the ids of fewer than 2**15 LEOs are int16,
+# where the oracle's are int64
+ARRIVAL_DTYPES = (np.float64, np.int16, np.int16, np.float64)
+
+
 def test_generate_arrivals_equal_the_dense_draw(scaled):
     tm, full = scaled
     got = generate_arrivals(tm, 15.0, seed=2, slot_index=tm.slot_index)
     want = oracle_generate_arrivals(full, 15.0, 2, tm.slot_index)
     assert len(got[0]) > 0
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b, dtype in zip(got, want, ARRIVAL_DTYPES):
+        assert a.dtype == dtype and np.array_equal(a, b)
 
 
 BLOCK = emulator._ARRIVAL_ROWS
@@ -432,8 +437,24 @@ def test_generate_arrivals_in_row_blocks_equal_the_dense_draw(k, duration_s):
     got = generate_arrivals(tm, duration_s, seed=4, slot_index=5)
     want = oracle_generate_arrivals(full, duration_s, 4, 5)
     assert (len(got[0]) > 0) == (k > 0 and duration_s > 0)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for a, b, dtype in zip(got, want, ARRIVAL_DTYPES):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, dtype", [(2**15 - 1, np.int16), (2**15, np.int32),
+                                      (2**15 + 1, np.int32)])
+def test_generate_arrivals_take_int32_ids_from_2_to_the_15_leos(n, dtype):
+    active = np.array([0, n - 2, n - 1])
+    rates = np.ones((3, 3)) - np.eye(3)
+    got = generate_arrivals(TrafficMatrix(5, tuple(range(n)), active, rates), 20.0, 4, 5)
+    assert got[1].dtype == got[2].dtype == dtype
+    # the draw of the same rates among LEOs 0, 1 and 2, with those ids mapped
+    # to the active ones, the largest among them
+    times, srcs, dsts, marks = generate_arrivals(
+        TrafficMatrix(5, (0, 1, 2), np.arange(3), rates), 20.0, 4, 5)
+    assert set(srcs.tolist()) == set(dsts.tolist()) == {0, 1, 2}
+    for a, b in zip(got, (times, active[srcs], active[dsts], marks)):
+        assert np.array_equal(a, b)
 
 
 def test_generate_arrivals_allocate_little_beyond_what_they_return(default_scenario_short):
